@@ -77,6 +77,20 @@ const (
 	numKinds
 )
 
+// ControlPlane reports whether the kind records a decision the system
+// took (a breaker flip, a drain step, a threshold move, a re-route, a
+// device-lifecycle transition, a dump) rather than something that
+// happened to one request. Control-plane events are rare and are the
+// story of an incident; journals keep them where data-plane volume
+// cannot evict them.
+func (k Kind) ControlPlane() bool {
+	switch k {
+	case KindBreaker, KindDrain, KindDump, KindThreshold, KindPlacement, KindLifecycle:
+		return true
+	}
+	return false
+}
+
 // String returns the kind name used in dump output.
 func (k Kind) String() string {
 	switch k {

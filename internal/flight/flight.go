@@ -164,10 +164,10 @@ func (r *Recorder) Journal(worker int) *Journal {
 		return j
 	}
 	j := &Journal{
-		rec:    r,
-		worker: uint16(worker),
-		mask:   uint64(r.cfg.JournalSize) - 1,
-		slots:  make([]atomic.Int64, r.cfg.JournalSize*slotWords),
+		rec:     r,
+		worker:  uint16(worker),
+		data:    newRing(r.cfg.JournalSize),
+		control: newRing(r.cfg.JournalSize),
 	}
 	r.journals[worker].Store(j)
 	return j
@@ -434,7 +434,7 @@ func (r *Recorder) writeProm(w io.Writer) error {
 	var journaled int64
 	for i := range r.journals {
 		if j := r.journals[i].Load(); j != nil {
-			journaled += int64(j.cursor.Load())
+			journaled += j.journaled()
 		}
 	}
 	_, err := fmt.Fprintf(w,

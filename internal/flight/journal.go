@@ -18,17 +18,32 @@ const SystemWorker = 256
 // detect both in-progress writes and wrap-around overwrites.
 const slotWords = 5
 
-// Journal is one worker's private event ring. The zero/nil Journal is
-// inert: Active reports false and Note is a no-op, so producers hold a
-// plain *Journal and never nil-check — the same contract as
-// trace.Buffer, and the property the package's zero-alloc benchmark
-// guards.
+// Journal is one worker's private event journal: two rings of the same
+// geometry, one for data-plane events (slow spans, faults, fallbacks,
+// sheds, deadline expiries) and one for control-plane events (see
+// Kind.ControlPlane). An incident produces data-plane events by the
+// thousand — every span of a stalled device is a slow span — and they
+// must not overwrite the handful of decisions the system took about it.
+// The zero/nil Journal is inert: Active reports false and Note is a
+// no-op, so producers hold a plain *Journal and never nil-check — the
+// same contract as trace.Buffer, and the property the package's
+// zero-alloc benchmark guards.
 type Journal struct {
-	rec    *Recorder
-	worker uint16
+	rec     *Recorder
+	worker  uint16
+	data    ring
+	control ring
+}
+
+// ring is one seqlock event ring.
+type ring struct {
 	mask   uint64
 	cursor atomic.Uint64
 	slots  []atomic.Int64
+}
+
+func newRing(size int) ring {
+	return ring{mask: uint64(size) - 1, slots: make([]atomic.Int64, size*slotWords)}
 }
 
 // Active reports whether events noted now would be kept.
@@ -52,45 +67,57 @@ func (j *Journal) Note(k Kind, code uint8, op trace.Op, dur, arg int64) {
 // path reuses the span's own clock; Note stamps with the recorder's).
 // Callers must have checked Active.
 func (j *Journal) noteAt(tNs int64, k Kind, code uint8, op trace.Op, dur, arg int64) {
-	idx := j.cursor.Add(1) - 1
-	base := int(idx&j.mask) * slotWords
+	r := &j.data
+	if k.ControlPlane() {
+		r = &j.control
+	}
+	idx := r.cursor.Add(1) - 1
+	base := int(idx&r.mask) * slotWords
 	gen := int64(idx) * 2
-	j.slots[base].Store(gen + 1)
-	j.slots[base+1].Store(tNs)
-	j.slots[base+2].Store(int64(k) | int64(code)<<8 | int64(op)<<16 | int64(j.worker)<<24)
-	j.slots[base+3].Store(dur)
-	j.slots[base+4].Store(arg)
-	j.slots[base].Store(gen + 2)
+	r.slots[base].Store(gen + 1)
+	r.slots[base+1].Store(tNs)
+	r.slots[base+2].Store(int64(k) | int64(code)<<8 | int64(op)<<16 | int64(j.worker)<<24)
+	r.slots[base+3].Store(dur)
+	r.slots[base+4].Store(arg)
+	r.slots[base].Store(gen + 2)
 	j.rec.onEvent(k, code, tNs)
 }
 
-// size returns the ring capacity in events.
-func (j *Journal) size() uint64 { return j.mask + 1 }
+// journaled returns how many events were ever noted (overwritten ones
+// included).
+func (j *Journal) journaled() int64 {
+	return int64(j.data.cursor.Load() + j.control.cursor.Load())
+}
 
-// snapshot appends every readable event in the ring to out, oldest
-// first. Torn slots (a writer raced the read) are skipped.
+// snapshot appends every readable event of both rings to out (each ring
+// oldest first; callers sort the merge). Torn slots (a writer raced the
+// read) are skipped.
 func (j *Journal) snapshot(out []Event) []Event {
 	if j == nil {
 		return out
 	}
-	cur := j.cursor.Load()
+	return j.control.snapshot(j.data.snapshot(out))
+}
+
+func (r *ring) snapshot(out []Event) []Event {
+	cur := r.cursor.Load()
 	n := cur
-	if n > j.size() {
-		n = j.size()
+	if size := r.mask + 1; n > size {
+		n = size
 	}
 	for i := cur - n; i < cur; i++ {
-		base := int(i&j.mask) * slotWords
+		base := int(i&r.mask) * slotWords
 		want := int64(i)*2 + 2
-		if j.slots[base].Load() != want {
+		if r.slots[base].Load() != want {
 			continue // being written, or overwritten by a wrap
 		}
 		e := Event{
-			Time: j.slots[base+1].Load(),
-			Dur:  j.slots[base+3].Load(),
-			Arg:  j.slots[base+4].Load(),
+			Time: r.slots[base+1].Load(),
+			Dur:  r.slots[base+3].Load(),
+			Arg:  r.slots[base+4].Load(),
 		}
-		meta := j.slots[base+2].Load()
-		if j.slots[base].Load() != want {
+		meta := r.slots[base+2].Load()
+		if r.slots[base].Load() != want {
 			continue // torn: a wrap-around writer got in between
 		}
 		e.Kind = Kind(meta & 0xff)

@@ -42,6 +42,37 @@ func TestFlightConcurrentNoteAndSnapshot(t *testing.T) {
 	wg.Wait()
 }
 
+// An incident floods a worker's journal with data-plane events (every
+// span of a stalled device is a slow span); the control-plane decisions
+// taken about it — here one re-home and one drain step, noted before the
+// flood — must still be in the dump afterwards.
+func TestJournalControlPlaneSurvivesDataFlood(t *testing.T) {
+	r := New(Config{JournalSize: 16})
+	r.SetEnabled(true)
+	tr := trace.NewRecorder(64)
+	tr.SetEnabled(true)
+	r.AttachTrace(tr)
+	j := r.Journal(1)
+	j.Note(KindPlacement, PlacementAsym, trace.OpNone, 1, 0)
+	j.Note(KindDrain, DrainStart, trace.OpNone, 0, 3)
+	buf := tr.Buffer(1)
+	start := time.Now()
+	for i := 0; i < 10*16; i++ {
+		buf.Record(trace.PhaseRetrieve, trace.Op(0), trace.TagNone, int64(i), start, 5*time.Millisecond)
+		j.Note(KindFallback, FallbackTimeout, trace.OpNone, 0, int64(i))
+	}
+	kinds := map[Kind]int{}
+	for _, e := range r.Events(0) {
+		kinds[e.Kind]++
+	}
+	if kinds[KindPlacement] != 1 || kinds[KindDrain] != 1 {
+		t.Fatalf("control-plane events evicted by data-plane volume: %v", kinds)
+	}
+	if kinds[KindSlowSpan]+kinds[KindFallback] != 16 {
+		t.Fatalf("data ring holds %d events, want its 16 newest: %v", kinds[KindSlowSpan]+kinds[KindFallback], kinds)
+	}
+}
+
 // The disabled-path cost the CI bench guard enforces: one branch + one
 // atomic load, no allocations.
 func BenchmarkNoteDisabled(b *testing.B) {

@@ -48,6 +48,7 @@ type Event struct {
 type Poller struct {
 	epfd   int
 	events []syscall.EpollEvent
+	out    []Event // Wait's result buffer, reused across calls
 }
 
 // NewPoller creates an epoll instance.
@@ -62,10 +63,15 @@ func NewPoller() (*Poller, error) {
 // Close releases the epoll instance.
 func (p *Poller) Close() error { return syscall.Close(p.epfd) }
 
+// epollEvents maps interests to an epoll mask. The peer's half-close
+// (EPOLLRDHUP) is part of read interest: a descriptor registered with
+// read=false reports only what the kernel always reports (EPOLLHUP,
+// EPOLLERR), so a loop that cannot service reads right now is not woken
+// by a FIN it would have to ignore.
 func epollEvents(read, write bool) uint32 {
-	var ev uint32 = syscall.EPOLLRDHUP
+	var ev uint32
 	if read {
-		ev |= syscall.EPOLLIN
+		ev |= syscall.EPOLLIN | syscall.EPOLLRDHUP
 	}
 	if write {
 		ev |= syscall.EPOLLOUT
@@ -100,7 +106,8 @@ func (p *Poller) Del(fd int) error {
 }
 
 // Wait blocks up to timeoutMs (-1 = forever, 0 = poll) and returns ready
-// events. The returned slice is reused across calls.
+// events. The returned slice is the poller's own buffer: it is valid until
+// the next Wait on this poller, which overwrites it.
 func (p *Poller) Wait(timeoutMs int) ([]Event, error) {
 	for {
 		n, err := syscall.EpollWait(p.epfd, p.events, timeoutMs)
@@ -110,7 +117,7 @@ func (p *Poller) Wait(timeoutMs int) ([]Event, error) {
 			}
 			return nil, fmt.Errorf("netpoll: epoll_wait: %w", err)
 		}
-		out := make([]Event, 0, n)
+		out := p.out[:0]
 		for i := 0; i < n; i++ {
 			e := p.events[i]
 			out = append(out, Event{
@@ -120,6 +127,7 @@ func (p *Poller) Wait(timeoutMs int) ([]Event, error) {
 				Closed:   e.Events&(syscall.EPOLLHUP|syscall.EPOLLRDHUP|syscall.EPOLLERR) != 0,
 			})
 		}
+		p.out = out
 		return out, nil
 	}
 }

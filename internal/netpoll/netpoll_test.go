@@ -5,6 +5,7 @@ package netpoll
 import (
 	"bytes"
 	"errors"
+	"net"
 	"testing"
 	"time"
 )
@@ -340,5 +341,84 @@ func TestSO_REUSEPORTSharing(t *testing.T) {
 	defer l2.Close()
 	if l1.Port() != l2.Port() {
 		t.Fatalf("ports differ: %d vs %d", l1.Port(), l2.Port())
+	}
+}
+
+// Wait hands out its own buffer: a wake-up with events allocates nothing
+// once the buffer has grown, and the slice is only valid until the next
+// Wait.
+func TestWaitReusesEventSlice(t *testing.T) {
+	np, err := NewNotifyPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer np.Close()
+	poller, _ := NewPoller()
+	defer poller.Close()
+	if err := poller.Add(np.ReadFD(), true, false); err != nil {
+		t.Fatal(err)
+	}
+	np.Notify()
+	first, err := poller.Wait(1000)
+	if err != nil || len(first) != 1 {
+		t.Fatalf("Wait = %+v, %v", first, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if evs, err := poller.Wait(0); err != nil || len(evs) != 1 {
+			t.Fatalf("Wait = %+v, %v", evs, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Wait allocates %v times per wake-up with events", allocs)
+	}
+	second, _ := poller.Wait(0)
+	if &first[0] != &second[0] {
+		t.Fatal("Wait returned a fresh slice instead of its reused buffer")
+	}
+}
+
+// Dropping read interest silences everything a loop that cannot read
+// would have to ignore — the peer's data and its half-close — and
+// restoring it delivers both (level-triggered).
+func TestModWithoutReadInterestIsSilent(t *testing.T) {
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	poller, _ := NewPoller()
+	defer poller.Close()
+	cli, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	var srv *Conn
+	for i := 0; i < 100 && srv == nil; i++ {
+		if srv, err = l.Accept(); err != nil {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if srv == nil {
+		t.Fatalf("accept: %v", err)
+	}
+	defer srv.Close()
+	if err := poller.Add(srv.FD(), true, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := poller.Mod(srv.FD(), false, false); err != nil {
+		t.Fatal(err)
+	}
+	cli.Write([]byte("hello"))
+	cli.(*net.TCPConn).CloseWrite()
+	if evs, _ := poller.Wait(50); len(evs) != 0 {
+		t.Fatalf("events without read interest: %+v", evs)
+	}
+	if err := poller.Mod(srv.FD(), true, false); err != nil {
+		t.Fatal(err)
+	}
+	evs, _ := poller.Wait(1000)
+	if len(evs) != 1 || !evs[0].Readable || !evs[0].Closed {
+		t.Fatalf("events after restoring read interest: %+v", evs)
 	}
 }

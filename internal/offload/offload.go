@@ -309,6 +309,83 @@ func (p PollPolicy) FailoverDue(inflight int, sinceLastPoll time.Duration) bool 
 	return sinceLastPoll >= p.FailoverInterval
 }
 
+// The idle decision: what an event loop does at the bottom of an
+// iteration that has nothing queued for itself.
+const (
+	// IdleSpinBudget is how many consecutive empty iterations a loop with
+	// requests in flight keeps executing (re-checking its rings, yielding
+	// the CPU between checks) before it parks in its event wait. Ops that
+	// complete within a few yields never pay a wake-up; long ones (an
+	// RSA-2048 sign is ~1.5 ms) stop costing a ring poll per microsecond.
+	// Chosen from the measured table in DESIGN.md "Event loop": 0 is
+	// markedly worse, 1 to 16 are within a few percent, 4 is the cheapest.
+	IdleSpinBudget = 4
+	// IdleWait is how long a loop with nothing in flight and no armed
+	// deadline blocks before it re-checks its stop and drain flags.
+	IdleWait = 50 * time.Millisecond
+	// OpDeadlineScan is the period of the op-deadline scan: a loop holding
+	// paused offloads with a deadline wakes this often even if the device
+	// never responds.
+	OpDeadlineScan = time.Millisecond
+)
+
+// Idle is the loop state the idle decision reads.
+type Idle struct {
+	// Inflight is the number of submitted-but-unretrieved requests on the
+	// loop's crypto instances (handshake engine plus record engine).
+	Inflight int
+	// SinceLastPoll is the time since the last response-retrieval poll —
+	// the failover timer's clock.
+	SinceLastPoll time.Duration
+	// Spins is the number of consecutive iterations that did no work:
+	// retrieved no response and ran no connection handler.
+	Spins int
+	// OpDeadlines reports paused offloads whose deadline the loop's
+	// OpDeadlineScan must meet.
+	OpDeadlines bool
+	// WheelTick is the lifecycle-deadline wheel's tick while any deadline
+	// is armed, zero otherwise.
+	WheelTick time.Duration
+}
+
+// Park is the idle decision (the blocking half of §3.4: between events the
+// paper's Nginx sits in epoll_wait, backed by the failover timer). It
+// returns park=false when the loop should iterate again without blocking,
+// or park=true and the longest it may block — always positive, and never
+// past the next thing the loop owes: the failover poll, the op-deadline
+// scan, the deadline-wheel tick. While the loop is parked with requests in
+// flight a completion wakes it (qat.Instance.ArmWake), so d bounds the cost
+// of a lost wake-up, not the retrieval latency.
+func (p PollPolicy) Park(s Idle) (d time.Duration, park bool) {
+	d = IdleWait
+	if s.WheelTick > 0 {
+		d = min(d, max(s.WheelTick, time.Millisecond))
+	}
+	if s.OpDeadlines {
+		d = min(d, OpDeadlineScan)
+	}
+	if s.Inflight <= 0 {
+		return d, true
+	}
+	if p.Scheme == PollTimer {
+		// Timer polling wakes at its interval; a sub-millisecond interval
+		// degenerates to a busy poll, like the 10 µs polling thread it
+		// stands for.
+		if p.Interval < time.Millisecond {
+			return 0, false
+		}
+		return min(d, p.Interval), true
+	}
+	if s.Spins < IdleSpinBudget {
+		return 0, false
+	}
+	untilFailover := p.FailoverInterval - s.SinceLastPoll
+	if untilFailover <= 0 {
+		return 0, false // the failover poll is due now
+	}
+	return min(d, untilFailover), true
+}
+
 // Policy is one complete offload configuration: whether the accelerator
 // is used at all, whether offloads pause asynchronously or block, and the
 // three orthogonal sub-policies.

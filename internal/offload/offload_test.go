@@ -106,6 +106,73 @@ func TestFailoverDueBoundaries(t *testing.T) {
 	}
 }
 
+// TestPark pins the idle decision: block when nothing is in flight, spin
+// up to the budget and then park when something is, and never block past
+// the next thing the loop owes.
+func TestPark(t *testing.T) {
+	heur := PollPolicy{Scheme: PollHeuristic}.WithDefaults()
+	timer := PollPolicy{Scheme: PollTimer, Interval: 2 * time.Millisecond}.WithDefaults()
+	const ms = time.Millisecond
+	cases := []struct {
+		name string
+		p    PollPolicy
+		in   Idle
+		park bool
+		d    time.Duration
+	}{
+		{"idle: nothing in flight blocks the idle wait", heur, Idle{}, true, IdleWait},
+		{"idle: spins do not matter without work", heur, Idle{Spins: 1000}, true, IdleWait},
+		{"idle: armed wheel bounds the block", heur, Idle{WheelTick: 25 * ms}, true, 25 * ms},
+		{"idle: sub-ms wheel tick still blocks a whole ms", heur, Idle{WheelTick: 100 * time.Microsecond}, true, ms},
+		{"idle: a slow wheel does not stretch the idle wait", heur, Idle{WheelTick: time.Second}, true, IdleWait},
+		{"idle: op deadlines bound the block", heur, Idle{OpDeadlines: true, WheelTick: 25 * ms}, true, OpDeadlineScan},
+		{"in flight: first iteration spins", heur, Idle{Inflight: 1}, false, 0},
+		{"in flight: last spin of the budget", heur, Idle{Inflight: 1, Spins: IdleSpinBudget - 1}, false, 0},
+		{"in flight: budget spent, park until failover", heur, Idle{Inflight: 1, Spins: IdleSpinBudget}, true, DefaultFailoverInterval},
+		{"in flight: park only for the failover remainder", heur, Idle{Inflight: 3, Spins: IdleSpinBudget, SinceLastPoll: 2 * ms}, true, 3 * ms},
+		{"in flight: failover due means poll now, not park", heur, Idle{Inflight: 1, Spins: IdleSpinBudget, SinceLastPoll: 5 * ms}, false, 0},
+		{"in flight: failover overdue likewise", heur, Idle{Inflight: 1, Spins: 10 * IdleSpinBudget, SinceLastPoll: time.Second}, false, 0},
+		{"in flight: op deadline scan caps the park", heur, Idle{Inflight: 1, Spins: IdleSpinBudget, OpDeadlines: true}, true, OpDeadlineScan},
+		{"in flight: wheel tick below the failover remainder wins", heur, Idle{Inflight: 1, Spins: IdleSpinBudget, WheelTick: 2 * ms}, true, 2 * ms},
+		{"record engine under a software handshake policy parks too", PollPolicy{}.WithDefaults(), Idle{Inflight: 2, Spins: IdleSpinBudget}, true, DefaultFailoverInterval},
+		{"timer: parks for its interval without spinning", timer, Idle{Inflight: 1}, true, 2 * ms},
+		{"timer: sub-ms interval is a busy poll", PollPolicy{Scheme: PollTimer}.WithDefaults(), Idle{Inflight: 1, Spins: 1 << 20}, false, 0},
+		{"timer: nothing in flight blocks like any idle loop", timer, Idle{}, true, IdleWait},
+	}
+	for _, c := range cases {
+		d, park := c.p.Park(c.in)
+		if park != c.park || d != c.d {
+			t.Errorf("%s: Park(%+v) = (%v, %v), want (%v, %v)", c.name, c.in, d, park, c.d, c.park)
+		}
+	}
+	// Whatever the inputs, a park is a positive duration no longer than
+	// every bound that applies, and "iterate again" carries no duration.
+	for _, p := range []PollPolicy{heur, timer, PollPolicy{}.WithDefaults()} {
+		for inflight := 0; inflight <= 2; inflight++ {
+			for _, spins := range []int{0, IdleSpinBudget - 1, IdleSpinBudget, 1 << 20} {
+				for _, since := range []time.Duration{0, ms, p.FailoverInterval - 1, p.FailoverInterval, time.Hour} {
+					for _, tick := range []time.Duration{0, 1, ms, time.Hour} {
+						for _, opd := range []bool{false, true} {
+							in := Idle{Inflight: inflight, SinceLastPoll: since, Spins: spins, OpDeadlines: opd, WheelTick: tick}
+							d, park := p.Park(in)
+							switch {
+							case !park && d != 0:
+								t.Fatalf("Park(%+v): iterate-again with d=%v", in, d)
+							case park && (d <= 0 || d > IdleWait):
+								t.Fatalf("Park(%+v): park for %v", in, d)
+							case park && opd && d > OpDeadlineScan:
+								t.Fatalf("Park(%+v): %v sleeps past the op-deadline scan", in, d)
+							case park && inflight > 0 && p.Scheme != PollTimer && d > p.FailoverInterval-since:
+								t.Fatalf("Park(%+v): %v sleeps past the failover deadline", in, d)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNamedConfigurations(t *testing.T) {
 	want := []struct {
 		name   string

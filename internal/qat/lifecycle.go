@@ -74,7 +74,8 @@ const (
 	ReasonBreakerDensity LifecycleReason = iota
 	// ReasonResetStorm: too many endpoint resets inside the window.
 	ReasonResetStorm
-	// ReasonWedge: inflight > 0 with no completions for WedgeTimeout.
+	// ReasonWedge: requests outstanding or swallowed, and no completion,
+	// for WedgeTimeout.
 	ReasonWedge
 	// ReasonProbation: quarantine matured into the probing state.
 	ReasonProbation
@@ -114,9 +115,12 @@ type LifecycleConfig struct {
 	// ResetStorm is the endpoint-reset count within Window that
 	// quarantines a device (default 3).
 	ResetStorm int
-	// WedgeTimeout quarantines a device when it holds in-flight work but
-	// completes nothing for this long (default 400ms). The watchdog for
-	// the all-engines-stalled failure a breaker may never see.
+	// WedgeTimeout quarantines a device that completes nothing for this
+	// long (default 400ms) while it holds in-flight work — or has emptied
+	// its rings only because submitters timed out and reclaimed the
+	// stalled slots: an op deadline shorter than the watchdog tick must
+	// not make a dead device look idle. The watchdog for the
+	// all-engines-stalled failure a breaker may never see.
 	WedgeTimeout time.Duration
 	// ProbationAfter is the quarantine dwell time before probing begins
 	// (default 500ms).
@@ -181,8 +185,9 @@ type lcDev struct {
 	resetTimes []time.Time // reset timestamps within Window (from deltas)
 	lastResets int64       // Device.Resets() sum at the last tick
 
-	lastDequeued int64     // summed InstanceStats.Dequeued at last progress
-	lastProgress time.Time // when completions (or idleness) last advanced
+	lastDequeued  int64     // summed InstanceStats.Dequeued at last progress
+	lastReclaimed int64     // summed InstanceStats.Reclaimed at last progress
+	lastProgress  time.Time // when completions (or idleness) last advanced
 
 	quarantinedAt time.Time
 	probeOK       int
@@ -391,7 +396,7 @@ func (lc *Lifecycle) transitionLocked(dev int, to DeviceState, reason LifecycleR
 	}
 	// A state change invalidates the progress baseline either way.
 	d.lastProgress = now
-	d.lastDequeued = lc.pool.deviceDequeued(dev)
+	_, d.lastDequeued, d.lastReclaimed = lc.pool.deviceRings(dev)
 	return []Transition{{Dev: dev, From: from, To: to, Reason: reason, At: now}}
 }
 
@@ -479,11 +484,12 @@ func (lc *Lifecycle) tick(now time.Time) {
 				fireList = append(fireList, lc.transitionLocked(dev, DevQuarantined, ReasonResetStorm, now)...)
 				continue
 			}
-			// Wedge watchdog: work parked, nothing completing.
-			inflight := lc.pool.deviceInflight(dev)
-			dequeued := lc.pool.deviceDequeued(dev)
-			if inflight == 0 || dequeued != d.lastDequeued {
-				d.lastDequeued = dequeued
+			// Wedge watchdog: work parked — or swallowed and reclaimed
+			// since the last completion — and nothing completing. Empty
+			// rings count as progress only if nothing was reclaimed.
+			inflight, dequeued, reclaimed := lc.pool.deviceRings(dev)
+			if dequeued != d.lastDequeued || (inflight == 0 && reclaimed == d.lastReclaimed) {
+				d.lastDequeued, d.lastReclaimed = dequeued, reclaimed
 				d.lastProgress = now
 			} else if now.Sub(d.lastProgress) >= lc.cfg.WedgeTimeout {
 				fireList = append(fireList, lc.transitionLocked(dev, DevQuarantined, ReasonWedge, now)...)

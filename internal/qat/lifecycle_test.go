@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"qtls/internal/fault"
 )
 
 // lcFixture builds a pool with one instance per device and a lifecycle
@@ -303,6 +305,48 @@ func TestLifecycleWedgeWatchdog(t *testing.T) {
 
 // TestLifecycleResetStorm pins the reset-storm input: ResetStorm endpoint
 // resets inside the window quarantine the device on the next tick.
+// TestLifecycleWedgeSurvivesReclaim pins the watchdog against submitters
+// whose op deadline is shorter than its tick: every stalled request is
+// given up on and its slot reclaimed before the next tick looks, so the
+// rings are empty each time — and the device still completes nothing.
+// Empty-because-reclaimed must not read as idle.
+func TestLifecycleWedgeSurvivesReclaim(t *testing.T) {
+	spec := DeviceSpec{Endpoints: 1, EnginesPerEndpoint: 1, RingCapacity: 8,
+		Injector: fault.NewInjector(1, fault.Rule{Kind: fault.Stall, Endpoint: fault.AnyEndpoint, Op: fault.AnyOp, P: 1})}
+	p := NewPool(1, spec)
+	defer p.Close()
+	inst, err := p.AllocInstance(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := LifecycleConfig{WedgeTimeout: 50 * time.Millisecond}
+	lc := NewLifecycle(p, cfg)
+
+	start := time.Now()
+	for i := 0; i < 3; i++ {
+		if err := inst.Submit(Request{Op: OpRSA, Work: func() (any, error) { return nil, nil }}); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); inst.Leaked() == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("stall fault never leaked the slot")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if inst.ReclaimLeaked() != 1 || inst.Inflight() != 0 {
+			t.Fatalf("reclaim left inflight=%d", inst.Inflight())
+		}
+		lc.tick(start.Add(time.Duration(i) * 10 * time.Millisecond))
+		if lc.State(0) != DevHealthy {
+			t.Fatalf("wedge fired before its timeout: %v", lc.State(0))
+		}
+	}
+	lc.tick(start.Add(cfg.WedgeTimeout + 10*time.Millisecond))
+	if lc.State(0) != DevQuarantined {
+		t.Fatalf("device that swallowed every request is %v, want quarantined", lc.State(0))
+	}
+}
+
 func TestLifecycleResetStorm(t *testing.T) {
 	cfg := LifecycleConfig{ResetStorm: 2}
 	p, lc, _, cleanup := lcFixture(t, 2, cfg)

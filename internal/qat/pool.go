@@ -110,28 +110,20 @@ func (p *Pool) reclaimDevice(dev int) {
 	}
 }
 
-// deviceInflight sums submitted-but-unpolled requests across device dev's
-// pool-allocated instances (the wedge watchdog's numerator).
-func (p *Pool) deviceInflight(dev int) int {
+// deviceRings sums the wedge watchdog's inputs across device dev's
+// pool-allocated instances: requests on the rings now, responses ever
+// retrieved (progress), and stalled slots ever reclaimed by submitters
+// that gave up (work the device swallowed).
+func (p *Pool) deviceRings(dev int) (inflight int, dequeued, reclaimed int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var n int
 	for _, inst := range p.insts[dev] {
-		n += inst.Inflight()
+		inflight += inst.Inflight()
+		st := inst.Stats()
+		dequeued += st.Dequeued
+		reclaimed += st.Reclaimed
 	}
-	return n
-}
-
-// deviceDequeued sums completion counters across device dev's
-// pool-allocated instances (the wedge watchdog's progress signal).
-func (p *Pool) deviceDequeued(dev int) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var n int64
-	for _, inst := range p.insts[dev] {
-		n += inst.Stats().Dequeued
-	}
-	return n
+	return inflight, dequeued, reclaimed
 }
 
 // Close shuts every device down.

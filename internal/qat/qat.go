@@ -13,8 +13,9 @@
 //     rings across all available engines;
 //   - submission is inherently non-blocking: when the request ring is full
 //     the submit call fails with a retry status (ErrRingFull);
-//   - response availability is indicated by polling (QTLS' choice) or by a
-//     completion hook standing in for an interrupt.
+//   - response availability is indicated by polling (QTLS' choice); an
+//     instance whose owner parked in epoll_wait can arm a one-shot wake
+//     hook standing in for the completion interrupt (Instance.ArmWake).
 //
 // Computation engines are goroutines. Each request carries a Work closure
 // executed on an engine; real deployments of this package pass closures
@@ -28,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"qtls/internal/fault"
@@ -156,11 +158,6 @@ type DeviceSpec struct {
 	// zero, OpSym falls back to the flat ServiceTime entry (or host speed).
 	SymBaseTime time.Duration
 	SymPerKB    time.Duration
-	// OnResponse, when non-nil, is called from the engine goroutine each
-	// time a response becomes available on an instance's response ring.
-	// It stands in for a completion interrupt; QTLS itself relies on
-	// polling and leaves this nil.
-	OnResponse func(*Instance)
 	// Injector, when non-nil, is consulted at submit and service time to
 	// inject faults (stalls, drops, corruption, latency, ring-full
 	// storms, endpoint resets). nil — the default — is free: no fault
@@ -252,7 +249,13 @@ type Instance struct {
 	inflight  int
 	leaked    int         // ring slots held by stalled requests
 	responses []completed // response ring; bounded by inflight <= ringCap
+	scratch   []completed // Poll's batch buffer, parked here between polls
 	stats     InstanceStats
+
+	// The wake seam (see ArmWake): wake is the owner's hook, armed is set
+	// while the owner is parked and consumed by the first completion.
+	wake  func()
+	armed atomic.Bool
 }
 
 // InstanceStats is a snapshot of one instance's ring-level counters: how
@@ -442,7 +445,7 @@ func (ep *endpoint) engineLoop() {
 }
 
 // deliver places a response on the instance's response ring, bumps the
-// firmware counter and fires the completion hook.
+// firmware counter and, if the instance's owner is parked, wakes it.
 func (ep *endpoint) deliver(inst *Instance, req Request, resp Response) {
 	inst.mu.Lock()
 	inst.responses = append(inst.responses, completed{cb: req.Callback, resp: resp})
@@ -450,9 +453,39 @@ func (ep *endpoint) deliver(inst *Instance, req Request, resp Response) {
 	ep.mu.Lock()
 	ep.counters.Responses[req.Op]++
 	ep.mu.Unlock()
-	if hook := ep.dev.spec.OnResponse; hook != nil {
-		hook(inst)
+	// One flag, one call: an awake owner finds the response by polling and
+	// costs the device one failed CAS; only the completion that finds the
+	// flag set pays for the wake.
+	if inst.armed.CompareAndSwap(true, false) {
+		inst.wake()
 	}
+}
+
+// SetWakeHook installs the function a completion calls to wake the
+// instance's parked owner (the worker writes its wake pipe). It runs on a
+// device goroutine, so it must not block. Install it before the first
+// Submit; it is not synchronized against in-flight requests.
+func (inst *Instance) SetWakeHook(fn func()) { inst.wake = fn }
+
+// ArmWake declares that the owner is about to block outside Poll: the
+// next response placed on the ring calls the wake hook, once. The owner
+// must arm first and check Available afterwards — a response that landed
+// before the check is seen by it, one that lands after finds the flag set
+// — so no completion is lost between the last ring check and the block.
+// Without a hook ArmWake does nothing.
+func (inst *Instance) ArmWake() {
+	if inst.wake != nil {
+		inst.armed.Store(true)
+	}
+}
+
+// DisarmWake ends the armed window and reports whether a completion
+// consumed it (that is, whether the hook fired since ArmWake).
+func (inst *Instance) DisarmWake() (fired bool) {
+	if inst.wake == nil {
+		return false
+	}
+	return !inst.armed.Swap(false)
 }
 
 // corruptResult returns a bit-flipped copy of byte-slice results (wrong
@@ -664,8 +697,15 @@ func (inst *Instance) Poll(max int) int {
 	if max > 0 && n > max {
 		n = max
 	}
-	batch := make([]completed, n)
-	copy(batch, inst.responses[:n])
+	// The batch is copied out so callbacks run without the ring lock. Its
+	// buffer is taken from the instance for the duration of the poll and
+	// handed back afterwards: a callback that re-enters Poll finds nil and
+	// grows its own.
+	var batch []completed
+	if n > 0 {
+		batch = append(inst.scratch[:0], inst.responses[:n]...)
+		inst.scratch = nil
+	}
 	rest := copy(inst.responses, inst.responses[n:])
 	for i := rest; i < len(inst.responses); i++ {
 		inst.responses[i] = completed{}
@@ -686,6 +726,12 @@ func (inst *Instance) Poll(max int) int {
 		if c.cb != nil {
 			c.cb(c.resp)
 		}
+	}
+	if n > 0 {
+		clear(batch) // drop the callbacks' and results' references
+		inst.mu.Lock()
+		inst.scratch = batch[:0]
+		inst.mu.Unlock()
 	}
 	return n
 }

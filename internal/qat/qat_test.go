@@ -268,22 +268,69 @@ func TestSubmitAfterClose(t *testing.T) {
 	}
 }
 
-func TestOnResponseHook(t *testing.T) {
-	var hooked atomic.Int64
-	d := NewDevice(DeviceSpec{OnResponse: func(*Instance) { hooked.Add(1) }})
-	defer d.Close()
+// TestWakeNeverLost hammers the wake seam's ordering contract: the owner
+// arms, then checks the ring, then blocks; engines complete concurrently.
+// Whichever side gets there first, no round may sit out its block — a
+// response placed before the check is seen by it, one placed after finds
+// the flag set and fires the hook.
+func TestWakeNeverLost(t *testing.T) {
+	d := newTestDevice(t, DeviceSpec{Endpoints: 1, EnginesPerEndpoint: 4, RingCapacity: 64})
 	inst, _ := d.AllocInstance()
-	for i := 0; i < 5; i++ {
-		inst.Submit(Request{Op: OpCipher, Work: func() (any, error) { return nil, nil }})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for hooked.Load() < 5 {
-		if time.Now().After(deadline) {
-			t.Fatalf("hook fired %d times, want 5", hooked.Load())
+	wake := make(chan struct{}, 1) // like the wake pipe: one pending token is enough
+	inst.SetWakeHook(func() {
+		select {
+		case wake <- struct{}{}:
+		default:
 		}
-		time.Sleep(time.Millisecond)
+	})
+	lost := time.NewTimer(time.Hour)
+	defer lost.Stop()
+
+	const rounds = 10000
+	var sink atomic.Int64
+	got, parks, fired := 0, 0, 0
+	for r := 0; r < rounds; r++ {
+		n := 1 + r%3
+		for i := 0; i < n; i++ {
+			spin := (r * 7 % 11) * 40 // 0..400 iterations: completions land on both sides of the check
+			err := inst.Submit(Request{
+				Op: OpCipher,
+				Work: func() (any, error) {
+					for k := 0; k < spin; k++ {
+						sink.Add(1)
+					}
+					return nil, nil
+				},
+				Callback: func(Response) { got++ },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for want := got + n; got < want; {
+			inst.ArmWake()
+			if inst.Available() == 0 {
+				parks++
+				lost.Reset(10 * time.Second) // stands in for the failover interval
+				select {
+				case <-wake:
+				case <-lost.C:
+					t.Fatalf("round %d: wake-up lost (%d of %d responses retrieved)", r, got, want)
+				}
+			}
+			if inst.DisarmWake() {
+				fired++
+			}
+			inst.Poll(0)
+		}
 	}
-	inst.Poll(0)
+	if inst.Inflight() != 0 {
+		t.Fatalf("inflight = %d after %d rounds", inst.Inflight(), rounds)
+	}
+	if parks == 0 || fired == 0 {
+		t.Fatalf("hammer never parked (%d) or never saw the hook fire (%d)", parks, fired)
+	}
+	t.Logf("%d rounds: %d parks, hook fired in %d armed windows", rounds, parks, fired)
 }
 
 func TestSubmitValidation(t *testing.T) {

@@ -79,6 +79,11 @@ func TestFlightBreakerOpenDumpEndToEnd(t *testing.T) {
 		Endpoints:          1,
 		EnginesPerEndpoint: 4,
 		RingCapacity:       128,
+		// The ops that do complete take 2 ms on the device, so their
+		// retrieve spans sit above the 1 ms slow floor by construction.
+		// (They used to get there by accident: the loop slept 1 ms per
+		// iteration while an op deadline was armed.)
+		ServiceTime: map[qat.OpType]time.Duration{qat.OpECDH: 2 * time.Millisecond},
 		Injector: fault.NewInjector(1, fault.Rule{
 			Kind:     fault.Stall,
 			Endpoint: fault.AnyEndpoint,

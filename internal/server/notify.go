@@ -68,10 +68,7 @@ func (w *Worker) resumeAsync(c *conn) {
 	} else {
 		w.invoke(c)
 	}
-	if !c.closed && c.pendingRead && !c.asyncPending {
-		c.pendingRead = false
-		w.onReadable(c)
-	}
+	w.replayDeferredRead(c)
 }
 
 // notifyTag says which notification scheme delivered the async event.
@@ -136,5 +133,6 @@ func (w *Worker) processRetryQueue() {
 		w.Stats.RetryEvents.Add(1)
 		w.setAsyncPending(c, false)
 		w.invoke(c)
+		w.replayDeferredRead(c)
 	}
 }

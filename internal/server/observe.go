@@ -91,6 +91,13 @@ func (w *Worker) initSeries() {
 		{"qtls_deadline_wakeups", &st.DeadlineWakeups},
 		{"qtls_closed_conns", &st.ClosedConns},
 		{"qtls_errors", &st.Errors},
+		// Loop saturation: iterations per handshake and how parks end are
+		// one scrape away (qtls_loop_iters / qtls_handshakes).
+		{"qtls_loop_iters", &st.LoopIters},
+		{"qtls_parks", &st.Parks},
+		{`qtls_park_wakes{by="device"}`, &st.ParkDeviceWakes},
+		{`qtls_park_wakes{by="socket"}`, &st.ParkSocketWakes},
+		{`qtls_park_wakes{by="timeout"}`, &st.ParkTimeouts},
 		// Admission control: the total plus a per-site breakdown. Both
 		// shed stats feed qtls_shed_total — delta shipping makes multiple
 		// mirrors into one counter additive, not clobbering.

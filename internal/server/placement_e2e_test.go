@@ -82,8 +82,12 @@ func TestShardedResumptionE2E(t *testing.T) {
 		if eng.Placement() != offload.PlacementClassShard {
 			t.Fatalf("%s: engine placement %v", w, eng.Placement())
 		}
-		if got := eng.LaneDevice(flight.PlacementAsym); got != 0 {
-			t.Errorf("%s: asym lane on device %d, want 0", w, got)
+		// The mix has only a handful of full handshakes (each client's
+		// first connection), and SO_REUSEPORT may hash all of them onto
+		// one worker: a worker that served none has routed no asym op yet.
+		full := w.Stats.Handshakes.Load() - w.Stats.Resumed.Load()
+		if got := eng.LaneDevice(flight.PlacementAsym); got != 0 && (full > 0 || got != -1) {
+			t.Errorf("%s: asym lane on device %d after %d full handshakes, want 0", w, got, full)
 		}
 		if got := eng.LaneDevice(flight.PlacementSym); got != 1 {
 			t.Errorf("%s: sym lane on device %d, want 1", w, got)

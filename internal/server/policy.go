@@ -24,6 +24,7 @@ func (w *Worker) pollEngine(tag trace.Tag) int {
 		start = time.Now()
 	}
 	n := w.eng.Poll(0)
+	w.work += n
 	if n > 0 && w.batchWin != nil {
 		// Completion-batch efficiency feed for the adaptive controller:
 		// how many responses this poll amortized its cost over.

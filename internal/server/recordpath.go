@@ -112,7 +112,7 @@ func (w *Worker) pollRecordEngine() {
 		return
 	}
 	if w.rec.Inflight() > 0 {
-		w.rec.Poll()
+		w.work += w.rec.Poll()
 	}
 	if len(w.recWaiting) == 0 {
 		return

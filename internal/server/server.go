@@ -248,6 +248,10 @@ type Stats struct {
 	ShedAccepts, ShedKeepalive                        int64
 	DeadlineExpired                                   [offload.NumDeadlineClasses]int64
 	Errors                                            int64
+	// Loop saturation (see WorkerStats): iterations, and the parks among
+	// them by what ended each.
+	LoopIters, Parks                               int64
+	ParkDeviceWakes, ParkSocketWakes, ParkTimeouts int64
 }
 
 // Stats sums all worker counters.
@@ -272,6 +276,11 @@ func (s *Server) Stats() Stats {
 			t.DeadlineExpired[i] += w.Stats.DeadlineExpired[i].Load()
 		}
 		t.Errors += w.Stats.Errors.Load()
+		t.LoopIters += w.Stats.LoopIters.Load()
+		t.Parks += w.Stats.Parks.Load()
+		t.ParkDeviceWakes += w.Stats.ParkDeviceWakes.Load()
+		t.ParkSocketWakes += w.Stats.ParkSocketWakes.Load()
+		t.ParkTimeouts += w.Stats.ParkTimeouts.Load()
 	}
 	return t
 }

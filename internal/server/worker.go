@@ -54,6 +54,19 @@ type WorkerStats struct {
 	DeadlineExpired [offload.NumDeadlineClasses]atomic.Int64
 	ClosedConns     atomic.Int64
 	Errors          atomic.Int64
+	// Loop saturation: LoopIters counts event-loop iterations, Parks the
+	// ones that blocked in epoll_wait (offload.PollPolicy.Park said so).
+	// Every park ends one of three ways: a device completion wrote the
+	// wake pipe, a socket (or Stop/Drain) event arrived, or the bound ran
+	// out. LoopIters/Handshakes far above the handshake's op count means
+	// the loop is spinning; ParkTimeouts growing with requests in flight
+	// means wake-ups are being lost and the failover timer is carrying
+	// retrieval.
+	LoopIters       atomic.Int64
+	Parks           atomic.Int64
+	ParkDeviceWakes atomic.Int64
+	ParkSocketWakes atomic.Int64
+	ParkTimeouts    atomic.Int64
 }
 
 // Worker is one event-driven server worker: one epoll loop, one optional
@@ -104,6 +117,15 @@ type Worker struct {
 	asyncWaiting int     // conns with asyncPending set (deadline scan gate)
 
 	lastPoll time.Time // last response-retrieval poll (failover timer)
+
+	// Idle-decision state (offload.PollPolicy.Park): the work done so far
+	// this iteration (responses retrieved plus handlers run), the run of
+	// consecutive iterations that did none, the record engine's instance,
+	// and the instances whose wake seam is armed for the current park.
+	work      int
+	idleIters int
+	recInst   *qat.Instance
+	armed     []*qat.Instance
 
 	// adaptive is the closed-loop threshold controller (nil = static
 	// thresholds, the paper's behavior). Its feedback is the flight
@@ -170,7 +192,11 @@ type conn struct {
 	// ("QTLS clears and saves the handler of the read event when an async
 	// event is being expected", §4.2).
 	asyncPending bool
-	pendingRead  bool
+	// pendingRead marks a read event deferred by event disorder. While it
+	// is set the fd's read interest is dropped from the epoll set (see
+	// onReadable), so the bytes the loop cannot consume yet do not wake
+	// it; replayDeferredRead restores both.
+	pendingRead bool
 	// asyncDeadline forces a resume of the paused job when the op
 	// deadline passes without a response (zero when deadlines are off);
 	// the engine then degrades the op to software.
@@ -345,20 +371,19 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 		// from the handshake engine's: symmetric bulk ops must not
 		// compete for ring slots with latency-critical asymmetric ops.
 		// Without a device the engine still runs, all-software.
-		var recInst *qat.Instance
 		if cfg.UseQAT && pool != nil {
 			recDev := homeDev
 			if multi && cfg.Placement == offload.PlacementClassShard {
 				// Record traffic is symmetric: keep it on the sym shard.
 				recDev = cfg.Placement.SymDevices(pool.Size())[0]
 			}
-			if recInst, err = pool.AllocInstance(recDev); err != nil {
+			if w.recInst, err = pool.AllocInstance(recDev); err != nil {
 				w.cleanup()
 				return nil, err
 			}
 		}
 		w.rec = record.New(record.Config{
-			Instance: recInst,
+			Instance: w.recInst,
 			Policy:   cfg.recordPolicy(),
 			Breaker:  cfg.Breaker,
 			Metrics:  reg,
@@ -403,6 +428,18 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 			w.cleanup()
 			return nil, err
 		}
+	}
+
+	// The wake seam: a completion landing while the loop is parked writes
+	// the stop pipe the loop already watches (wake tolerates a worker torn
+	// down before its device).
+	if w.eng != nil {
+		for _, inst := range w.eng.Instances() {
+			inst.SetWakeHook(w.wake)
+		}
+	}
+	if w.recInst != nil {
+		w.recInst.SetWakeHook(w.wake)
 	}
 
 	// Per-worker TLS template.
@@ -481,10 +518,15 @@ func (w *Worker) Run() {
 		if tracing {
 			iterStart = time.Now()
 		}
-		events, err := w.poller.Wait(w.waitTimeout())
+		timeout := w.waitTimeout()
+		events, err := w.poller.Wait(timeout)
 		if err != nil {
 			w.Stats.Errors.Add(1)
 			return
+		}
+		w.Stats.LoopIters.Add(1)
+		if timeout > 0 {
+			w.endPark(len(events))
 		}
 		if tracing {
 			busyStart = time.Now()
@@ -492,28 +534,30 @@ func (w *Worker) Run() {
 				w.histPollWait.ObserveDuration(busyStart.Sub(iterStart))
 			}
 		}
+		w.work = 0
 		for _, ev := range events {
 			w.dispatch(ev)
 		}
 		// Ops paused during event dispatch are batched onto the rings now,
 		// so the retrieval checks below can already see them in flight.
 		w.flushSubmits()
-		retrieved := 0
 		if w.eng != nil && w.poll.Scheme == PollTimer {
-			retrieved = w.pollEngine(trace.TagTimer)
-			if retrieved > 0 {
+			if w.pollEngine(trace.TagTimer) > 0 {
 				w.lastPoll = time.Now()
 			}
 			w.Stats.TimerPolls.Add(1)
 		}
+		// The failover timer goes first: when its deadline is what ended
+		// a park, the poll that follows is the failover poll, whatever
+		// the heuristic constraints would have said next.
+		w.failoverCheck()
 		if w.poll.Scheme == PollHeuristic {
-			// The loop keeps executing while requests are in flight
-			// (§3.4); each iteration re-evaluates the heuristic
-			// constraints so responses are retrieved as soon as the
-			// timeliness condition holds.
+			// Each iteration re-evaluates the heuristic constraints, so
+			// responses are retrieved as soon as the timeliness condition
+			// holds (§3.4). Whether the loop then iterates again or blocks
+			// is the idle decision (waitTimeout).
 			w.heuristicCheck()
 		}
-		w.failoverCheck()
 		w.deadlineCheck()
 		w.advanceWheel()
 		w.processAsyncQueue()
@@ -549,14 +593,25 @@ func (w *Worker) Run() {
 				w.gLag.Set(int64(busy))
 			}
 		}
-		if len(events) == 0 && retrieved == 0 && w.notif.Pending(offload.DeliverLoopEnd) == 0 {
-			// The in-flight crypto work runs on this host's CPUs (the
-			// simulated accelerator's engines are goroutines, unlike the
-			// paper's ASIC): when the loop has nothing to do, yield so
-			// the engines get cycles instead of being starved by the
-			// keep-executing spin.
-			runtime.Gosched()
+		if w.work > 0 {
+			w.idleIters = 0
+			continue
 		}
+		// Nothing retrieved, no handler run: an empty spin, a park that
+		// timed out, or events the loop could only set aside (a read
+		// deferred by event disorder, a flush) — none of which is a reason
+		// to start the spin budget over.
+		w.idleIters++
+		// The spin phase hands the CPU over between ring checks. The
+		// simulated accelerator's engines are goroutines on this host's
+		// CPUs (unlike the paper's ASIC), and the engine goroutine a
+		// Submit just readied sits on this P's run queue. Parking straight
+		// away would strand it there: the thread blocks in a raw
+		// epoll_wait still holding its P until sysmon retakes it, and the
+		// op does not start. Gosched runs it now. (Measured: parking with
+		// no yield first cost +25 % TTFB and −10 % CPS against the spin
+		// this replaces; see DESIGN.md "Event loop".)
+		runtime.Gosched()
 	}
 }
 
@@ -570,51 +625,95 @@ func (w *Worker) shutdown() {
 	w.cleanup()
 }
 
-// waitTimeout picks the epoll timeout in milliseconds.
+// waitTimeout picks the epoll timeout in milliseconds: 0 when the loop has
+// work queued for itself or the idle decision says iterate again,
+// otherwise the park bound — with the wake seam armed, so a completion
+// ends the park early.
 func (w *Worker) waitTimeout() int {
-	inflight := 0
-	if w.eng != nil {
-		inflight = w.eng.InflightTotal()
+	if w.pendingNotifications() > 0 || len(w.retryQueue) > 0 {
+		return 0
 	}
-	switch {
-	case w.pendingNotifications() > 0 || len(w.retryQueue) > 0:
-		return 0
-	case w.rec != nil && (w.rec.Inflight() > 0 || len(w.recWaiting) > 0):
-		// Offloaded record seals in flight: keep the loop executing so
-		// completions flush to their sockets as soon as they land.
-		return 0
-	case w.eng != nil && w.eng.PendingSubmits() > 0:
+	if w.eng != nil && w.eng.PendingSubmits() > 0 {
 		// Gathered submissions must reach the rings, not wait out a sleep.
 		return 0
-	case w.cfg.OpTimeout > 0 && w.asyncWaiting > 0:
-		// Paused offload jobs with a deadline: wake soon enough for the
-		// deadline scan even if the device never responds.
-		return 1
-	case w.poll.Scheme == PollTimer && w.eng != nil && inflight > 0:
-		// Timer polling: wake at the polling interval. Sub-millisecond
-		// intervals degenerate to a busy poll, like a 10 µs polling
-		// thread does.
-		ms := int(w.poll.Interval / time.Millisecond)
-		return ms // 0 for <1ms: immediate re-poll
-	case w.poll.Scheme == PollHeuristic && inflight > 0:
-		// Keep the loop executing while offload requests are in flight
-		// (§3.4): response retrieval is driven by the in-loop heuristic
-		// checks under either notification scheme.
-		return 0
-	default:
-		if w.wheel.live > 0 {
-			// Armed lifecycle deadlines: wake at the wheel tick so expiry
-			// lags by at most one tick even on an otherwise idle loop.
-			ms := int(w.wheel.tick / time.Millisecond)
-			if ms < 1 {
-				ms = 1
-			}
-			if ms > 50 {
-				ms = 50
-			}
-			return ms
+	}
+	idle := offload.Idle{
+		Spins:       w.idleIters,
+		OpDeadlines: w.cfg.OpTimeout > 0 && w.asyncWaiting > 0,
+	}
+	if w.eng != nil {
+		if idle.Inflight = w.eng.InflightTotal(); idle.Inflight > 0 {
+			idle.SinceLastPoll = time.Since(w.lastPoll)
 		}
-		return 50 // idle: block briefly, then re-check stop flag
+	}
+	if w.rec != nil {
+		idle.Inflight += w.rec.Inflight()
+	}
+	if w.wheel.live > 0 {
+		idle.WheelTick = w.wheel.tick
+	}
+	d, park := w.poll.Park(idle)
+	if !park {
+		return 0
+	}
+	if idle.Inflight > 0 && !w.armWake() {
+		return 0 // a response landed since the last ring check
+	}
+	return int((d + time.Millisecond - 1) / time.Millisecond)
+}
+
+// armWake arms the wake seam and then looks at the rings one last time —
+// in that order, so a completion either is seen here or finds the flag
+// set and writes the wake pipe. Only instances whose completions the next
+// iteration would retrieve are armed: the record engine's while it has
+// seals in flight, the handshake engine's while the heuristic constraints
+// hold. (While they do not, a completion changes nothing — the response
+// waits for more in-flight requests, a socket event or the failover
+// timer, and the park bound already covers the last.) It reports whether
+// the loop may block; on false the seam is disarmed again.
+func (w *Worker) armWake() bool {
+	w.armed = w.armed[:0]
+	if w.eng != nil && w.poll.ShouldPoll(w.eng.InflightTotal(), w.eng.InflightAsym(), w.activeConns) {
+		w.armed = append(w.armed, w.eng.Instances()...)
+	}
+	if w.recInst != nil && w.rec.Inflight() > 0 {
+		w.armed = append(w.armed, w.recInst)
+	}
+	for _, inst := range w.armed {
+		inst.ArmWake()
+	}
+	for _, inst := range w.armed {
+		if inst.Available() > 0 {
+			w.disarmWake()
+			return false
+		}
+	}
+	return true
+}
+
+// disarmWake closes the armed window, if one is open, and reports whether
+// any completion fired the hook during it.
+func (w *Worker) disarmWake() (fired bool) {
+	for _, inst := range w.armed {
+		if inst.DisarmWake() {
+			fired = true
+		}
+	}
+	w.armed = w.armed[:0]
+	return fired
+}
+
+// endPark accounts for one finished park by what ended it.
+func (w *Worker) endPark(events int) {
+	fired := w.disarmWake()
+	w.Stats.Parks.Add(1)
+	switch {
+	case events == 0:
+		w.Stats.ParkTimeouts.Add(1)
+	case fired:
+		w.Stats.ParkDeviceWakes.Add(1)
+	default:
+		w.Stats.ParkSocketWakes.Add(1)
 	}
 }
 
@@ -690,6 +789,7 @@ func (w *Worker) invoke(c *conn) {
 	if c.closed {
 		return
 	}
+	w.work++
 	c.handler(c)
 	if !c.closed {
 		w.updateWriteInterest(c)
@@ -702,8 +802,14 @@ func (w *Worker) onReadable(c *conn) {
 	if c.asyncPending {
 		// Event disorder: a read event arrived before the expected async
 		// event. Defer it; the saved handler resumes after the async
-		// event (§4.2).
-		c.pendingRead = true
+		// event (§4.2). The socket is level-triggered, so until then its
+		// unread bytes would end every epoll_wait at once — a pipelining
+		// client would turn each park into a busy loop. Drop the read
+		// interest; replayDeferredRead restores it.
+		if !c.pendingRead {
+			c.pendingRead = true
+			w.poller.Mod(c.fd, false, c.wantWrite)
+		}
 		return
 	}
 	if !c.active {
@@ -717,8 +823,20 @@ func (w *Worker) updateWriteInterest(c *conn) {
 	want := c.nc.HasPending()
 	if want != c.wantWrite {
 		c.wantWrite = want
-		w.poller.Mod(c.fd, true, want)
+		w.poller.Mod(c.fd, !c.pendingRead, want)
 	}
+}
+
+// replayDeferredRead ends event disorder for c: once the saved handler
+// has run and is no longer waiting on an offload, the read interest
+// onReadable dropped is restored and the deferred read event delivered.
+func (w *Worker) replayDeferredRead(c *conn) {
+	if c.closed || !c.pendingRead || c.asyncPending {
+		return
+	}
+	c.pendingRead = false
+	w.poller.Mod(c.fd, true, c.wantWrite)
+	w.onReadable(c)
 }
 
 // setAsyncPending flips the conn's paused-offload mark and keeps the
