@@ -22,10 +22,16 @@ type Conn struct {
 	isServer  bool
 	identity  *Identity // server identity (possibly selected via SNI)
 
-	in, out  halfConn
-	rawInput []byte // undecoded transport bytes
+	in, out halfConn
+	// rawInput holds transport bytes: [:rawOff] are consumed records,
+	// [rawOff:] undecoded, and the spare capacity is where fill reads.
+	rawInput []byte
+	rawOff   int
 	handBuf  []byte // reassembled handshake message stream
-	appData  []byte // decrypted application data not yet consumed
+	// appData is decrypted application data not yet consumed. It aliases
+	// the record opened in place in rawInput, which stays valid because
+	// the next record is only read once appData is empty.
+	appData []byte
 
 	transcript hash.Hash // SHA-256 running handshake transcript
 	preMsgHash []byte    // transcript hash before the last-read message
@@ -45,9 +51,11 @@ type Conn struct {
 	stackOp asynclib.StackOp
 	waitCtx *asynclib.WaitCtx
 
-	// Pending Write progress for async re-entry.
-	writeData []byte
-	writeOff  int
+	// Pending Write progress for async re-entry: the two gathered parts,
+	// the offset into their concatenation, and whether a write is pending.
+	writeParts [2][]byte
+	writeOff   int
+	writing    bool
 
 	handshakeDone bool
 	// outDetached marks the write direction handed to an external record
@@ -297,13 +305,29 @@ func (c *Conn) CloseNotifyReceived() bool { return c.closeNotifyRecv }
 
 // --- record I/O ---------------------------------------------------------
 
-// fill reads more transport bytes into rawInput. It translates
+// minRawInput is rawInput's first capacity: a handshake flight or a small
+// request fits, so short connections never grow it; a bulk reader doubles
+// it up to a few records.
+const minRawInput = 1024
+
+// fill reads more transport bytes straight into rawInput's spare
+// capacity. A full buffer first slides the undecoded tail down over the
+// consumed records, or doubles when nothing is consumed. It translates
 // would-block conditions into ErrWantRead.
 func (c *Conn) fill() error {
-	var buf [8192]byte
-	n, err := c.transport.Read(buf[:])
+	if len(c.rawInput) == cap(c.rawInput) {
+		if c.rawOff > 0 {
+			c.rawInput = c.rawInput[:copy(c.rawInput, c.rawInput[c.rawOff:])]
+			c.rawOff = 0
+		} else {
+			grown := make([]byte, len(c.rawInput), max(2*cap(c.rawInput), minRawInput))
+			copy(grown, c.rawInput)
+			c.rawInput = grown
+		}
+	}
+	n, err := c.transport.Read(c.rawInput[len(c.rawInput):cap(c.rawInput)])
 	if n > 0 {
-		c.rawInput = append(c.rawInput, buf[:n]...)
+		c.rawInput = c.rawInput[:len(c.rawInput)+n]
 		return nil
 	}
 	if err == nil {
@@ -312,40 +336,36 @@ func (c *Conn) fill() error {
 	if isWouldBlock(err) {
 		return ErrWantRead
 	}
-	if errors.Is(err, io.EOF) && len(c.rawInput) > 0 {
+	if errors.Is(err, io.EOF) && len(c.rawInput) > c.rawOff {
 		return io.ErrUnexpectedEOF
 	}
 	return err
 }
 
-// readRecord returns the next decrypted record. Incoming records are
-// decrypted inline in software: QTLS pauses on the receive path too
+// readRecord returns the next record, decrypted in place in rawInput and
+// consumed by offset: the payload is valid until the next readRecord, and
+// every caller copies or finishes with it before then. Incoming records
+// are decrypted inline in software: QTLS pauses on the receive path too
 // (ngx_ssl_handle_recv), but the evaluation's offload traffic is dominated
 // by the send path; DESIGN.md records this simplification.
 func (c *Conn) readRecord() (uint8, []byte, error) {
 	for {
-		if len(c.rawInput) >= recordHeaderLen {
-			bodyLen := int(binary.BigEndian.Uint16(c.rawInput[3:5]))
-			if bodyLen > maxCiphertext {
+		if in := c.rawInput[c.rawOff:]; len(in) >= recordHeaderLen {
+			recLen := recordHeaderLen + int(binary.BigEndian.Uint16(in[3:5]))
+			if recLen > recordHeaderLen+maxCiphertext {
 				return 0, nil, errRecordOverflow
 			}
-			if len(c.rawInput) >= recordHeaderLen+bodyLen {
-				wireTyp := c.rawInput[0]
-				// Copy the body out: the null protection returns its
-				// input aliased, and rawInput is compacted below — more
-				// than one buffered record (TCP coalescing) would
-				// otherwise corrupt the returned payload.
-				body := make([]byte, bodyLen)
-				copy(body, c.rawInput[recordHeaderLen:recordHeaderLen+bodyLen])
-				typ, payload, err := c.in.protection().open(c.in.seq, wireTyp, body)
+			if len(in) >= recLen {
+				typ, payload, err := c.in.protection().open(c.in.seq, in[0], in[recordHeaderLen:recLen])
 				if err != nil {
 					return 0, nil, err
 				}
 				c.in.seq++
-				// Detach consumed bytes.
-				rest := len(c.rawInput) - (recordHeaderLen + bodyLen)
-				copy(c.rawInput, c.rawInput[recordHeaderLen+bodyLen:])
-				c.rawInput = c.rawInput[:rest]
+				if c.rawOff += recLen; c.rawOff == len(c.rawInput) {
+					// Drained: the next fill starts over at the front (it
+					// runs inside the next readRecord, after payload's life).
+					c.rawInput, c.rawOff = c.rawInput[:0], 0
+				}
 				if typ == recordAlert {
 					if len(payload) != 2 {
 						return 0, nil, errDecode
@@ -366,27 +386,24 @@ func (c *Conn) readRecord() (uint8, []byte, error) {
 }
 
 // writeRecord seals and writes one record inline (handshake traffic,
-// CCS, alerts). Application data goes through writeAppRecord so the
-// cipher work can be offloaded.
+// CCS, alerts). Application data goes through Writev so the cipher work
+// can be offloaded.
 func (c *Conn) writeRecord(typ uint8, payload []byte) error {
-	wireTyp, body, err := c.out.protection().seal(c.out.seq, typ, payload, c.config.rand())
+	w, err := sealRecord(c.out.protection(), c.out.seq, typ, payload, nil, c.config.rand())
 	if err != nil {
 		return err
 	}
 	c.out.seq++
-	return c.writeWire(wireTyp, body)
+	return c.writeSealed(w)
 }
 
-func (c *Conn) writeWire(wireTyp uint8, body []byte) error {
-	if len(body) > maxCiphertext {
-		return errRecordOverflow
-	}
-	hdr := [recordHeaderLen]byte{wireTyp, 0x03, 0x03}
-	binary.BigEndian.PutUint16(hdr[3:5], uint16(len(body)))
-	rec := make([]byte, 0, recordHeaderLen+len(body))
-	rec = append(rec, hdr[:]...)
-	rec = append(rec, body...)
-	_, err := c.transport.Write(rec)
+// writeSealed hands one sealed record to the transport and only then
+// returns its buffer to the pool: the transport reads w until Write
+// returns and, being an io.Writer, keeps nothing of it afterwards
+// (netpoll.Conn copies the unsent tail).
+func (c *Conn) writeSealed(w *WireBuf) error {
+	_, err := c.transport.Write(w.Bytes())
+	PutWireBuf(w)
 	return err
 }
 
@@ -506,7 +523,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 		}
 		switch typ {
 		case recordApplicationData:
-			c.appData = append(c.appData, payload...)
+			c.appData = payload
 		case recordHandshake:
 			// Post-handshake messages (TLS 1.3 NewSessionTicket is
 			// captured for resumption; anything else is ignored).
@@ -517,8 +534,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 		}
 	}
 	n := copy(p, c.appData)
-	rest := copy(c.appData, c.appData[n:])
-	c.appData = c.appData[:rest]
+	c.appData = c.appData[n:]
 	return n, nil
 }
 
@@ -556,7 +572,14 @@ func (c *Conn) drainPostHandshake() {
 // measured in Fig. 10). On ErrWantAsync / ErrWantAsyncRetry the caller
 // must call Write again with the same buffer once the async event fires;
 // progress is kept internally. On success it returns len(p).
-func (c *Conn) Write(p []byte) (int, error) {
+func (c *Conn) Write(p []byte) (int, error) { return c.Writev(p, nil) }
+
+// Writev is Write of the concatenation a‖b without building it: each
+// record is gathered from the two parts as it is sealed, and records are
+// cut at exactly the offsets Write(append(a, b...)) would cut them. Both
+// parts must stay unchanged until Writev has returned a non-busy result;
+// a re-entry must pass the same two slices.
+func (c *Conn) Writev(a, b []byte) (int, error) {
 	if c.closed {
 		return 0, ErrClosed
 	}
@@ -568,59 +591,65 @@ func (c *Conn) Write(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	if c.writeData != nil {
-		if len(p) != len(c.writeData) {
-			return 0, errors.New("minitls: Write re-entered with a different buffer")
-		}
-	} else {
-		c.writeData = p
-		c.writeOff = 0
+	if !c.writing {
+		c.writeParts, c.writeOff, c.writing = [2][]byte{a, b}, 0, true
+	} else if !sameSlice(a, c.writeParts[0]) || !sameSlice(b, c.writeParts[1]) {
+		return 0, errors.New("minitls: Write re-entered with a different buffer")
 	}
-	err := c.drive(func() error {
-		for c.writeOff < len(c.writeData) {
-			n := len(c.writeData) - c.writeOff
-			if n > MaxPlaintext {
-				n = MaxPlaintext
-			}
-			frag := c.writeData[c.writeOff : c.writeOff+n]
-			seq := c.out.seq
-			prot := c.out.protection()
-			rnd := c.config.rand()
-			res, err := c.do(KindCipher, func() (any, error) {
-				wireTyp, body, err := prot.seal(seq, recordApplicationData, frag, rnd)
-				if err != nil {
-					return nil, err
-				}
-				return sealedRecord{wireTyp: wireTyp, body: body}, nil
-			})
-			if err != nil {
-				return err
-			}
-			sr := res.(sealedRecord)
-			c.out.seq++
-			if err := c.writeWire(sr.wireTyp, sr.body); err != nil {
-				return err
-			}
-			c.writeOff += n
-		}
-		return nil
-	})
+	err := c.drive(c.writeRecords)
+	if IsBusy(err) {
+		return 0, err
+	}
+	c.writeParts, c.writeOff, c.writing = [2][]byte{}, 0, false
 	if err != nil {
-		if IsBusy(err) {
-			return 0, err
-		}
-		c.writeData, c.writeOff = nil, 0
 		c.permErr = err
 		return 0, err
 	}
-	n := len(c.writeData)
-	c.writeData, c.writeOff = nil, 0
-	return n, nil
+	return len(a) + len(b), nil
 }
 
-type sealedRecord struct {
-	wireTyp uint8
-	body    []byte
+// sameSlice reports whether x and y are the same memory: same first
+// element and same length.
+func sameSlice(x, y []byte) bool {
+	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
+}
+
+// writeRecords seals and sends the pending write from writeOff on, one
+// record per KindCipher operation.
+func (c *Conn) writeRecords() error {
+	a, b := c.writeParts[0], c.writeParts[1]
+	for total := len(a) + len(b); c.writeOff < total; {
+		n := min(total-c.writeOff, MaxPlaintext)
+		// The record covers [writeOff, writeOff+n) of a‖b.
+		var p0, p1 []byte
+		if c.writeOff < len(a) {
+			p0 = a[c.writeOff:min(c.writeOff+n, len(a))]
+		}
+		if rest := n - len(p0); rest > 0 {
+			p1 = b[c.writeOff+len(p0)-len(a):][:rest]
+		}
+		seq := c.out.seq
+		prot := c.out.protection()
+		rnd := c.config.rand()
+		// The closure may run more than once, even concurrently (see
+		// recordProtection): each run seals into a buffer of its own.
+		res, err := c.do(KindCipher, func() (any, error) {
+			w, err := sealRecord(prot, seq, recordApplicationData, p0, p1, rnd)
+			if err != nil {
+				return nil, err
+			}
+			return w, nil
+		})
+		if err != nil {
+			return err
+		}
+		c.out.seq++
+		if err := c.writeSealed(res.(*WireBuf)); err != nil {
+			return err
+		}
+		c.writeOff += n
+	}
+	return nil
 }
 
 // Close sends a close-notify alert (best effort) and marks the connection

@@ -1,7 +1,6 @@
 package minitls
 
 import (
-	"encoding/binary"
 	"errors"
 	"io"
 )
@@ -25,16 +24,6 @@ const (
 // description 0), sealed as a RecordTypeAlert record by an engine that
 // owns a detached write direction.
 func AlertCloseNotify() []byte { return []byte{1, 0} }
-
-// AppendRecordHeader appends the 5-byte TLS record header for a body of
-// n bytes and returns the extended slice.
-func AppendRecordHeader(dst []byte, wireTyp uint8, n int) []byte {
-	var hdr [RecordHeaderLen]byte
-	hdr[0] = wireTyp
-	hdr[1], hdr[2] = 0x03, 0x03
-	binary.BigEndian.PutUint16(hdr[3:5], uint16(n))
-	return append(dst, hdr[:]...)
-}
 
 var (
 	errNotExportable  = errors.New("minitls: record protection is not exportable")
@@ -61,16 +50,18 @@ type KeyMaterial struct {
 }
 
 // RecordCodec seals and opens TLS records outside a Conn, built from
-// exported KeyMaterial. Seal and Open are pure with respect to codec
-// state (the caller owns sequence numbers), so one codec may protect
-// records concurrently — the property the offloaded record engine's
-// pipelining relies on.
+// exported KeyMaterial. The caller owns sequence numbers, and Seal and
+// Open keep no state between records that concurrent calls could corrupt,
+// so one codec may protect records concurrently — the property the
+// offloaded record engine's pipelining relies on.
 type RecordCodec interface {
-	// Seal protects payload as a record of the given type under seq,
-	// returning the wire record type and encrypted body.
-	Seal(seq uint64, typ uint8, payload []byte, rnd io.Reader) (wireTyp uint8, body []byte, err error)
-	// Open decrypts a wire body under seq, returning the inner record
-	// type and plaintext.
+	// Seal protects payload as a record of the given type under seq. The
+	// whole wire record (header included) is sealed in place in a pooled
+	// buffer taken for this call; the caller gives it to PutWireBuf once
+	// its bytes are written, or drops it.
+	Seal(seq uint64, typ uint8, payload []byte, rnd io.Reader) (*WireBuf, error)
+	// Open decrypts a wire body under seq in place, returning the inner
+	// record type and the plaintext, which aliases body.
 	Open(seq uint64, wireTyp uint8, body []byte) (typ uint8, payload []byte, err error)
 	// Overhead is the per-record ciphertext expansion upper bound.
 	Overhead() int
@@ -79,8 +70,8 @@ type RecordCodec interface {
 // codec adapts the internal recordProtection to the exported interface.
 type codec struct{ prot recordProtection }
 
-func (c codec) Seal(seq uint64, typ uint8, payload []byte, rnd io.Reader) (uint8, []byte, error) {
-	return c.prot.seal(seq, typ, payload, rnd)
+func (c codec) Seal(seq uint64, typ uint8, payload []byte, rnd io.Reader) (*WireBuf, error) {
+	return sealRecord(c.prot, seq, typ, payload, nil, rnd)
 }
 
 func (c codec) Open(seq uint64, wireTyp uint8, body []byte) (uint8, []byte, error) {

@@ -9,7 +9,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
+	"sync"
+	"sync/atomic"
 )
 
 // Record content types.
@@ -58,15 +61,74 @@ func (a *alertError) Error() string {
 // errCloseNotify is the orderly-shutdown alert.
 var errCloseNotify = &alertError{level: 1, desc: 0}
 
-// recordProtection seals and opens record payloads. Implementations:
+// WireBuf is a pooled wire buffer with room for one whole TLS record, laid
+// out [5-byte header | explicit IV or nothing | payload | MAC/tag |
+// padding]. Records are sealed into it and encrypted in place. Ownership
+// (DESIGN.md "Record plane: who owns a wire buffer"): every run of a seal
+// takes a buffer of its own (sealRecord) and hands it on as its result;
+// the consumer calls PutWireBuf only after the transport's Write has
+// returned; a result nobody consumes (a late or cancelled offload) is
+// left to the garbage collector, never Put.
+type WireBuf struct {
+	n int // length of the sealed record in b
+	// nonce is the AEAD nonce scratch: an array on the sealing goroutine's
+	// stack would escape to the heap through the cipher.AEAD interface.
+	nonce [12]byte
+	b     [RecordHeaderLen + MaxCiphertext]byte
+}
+
+var wireBufPool = sync.Pool{New: func() any { return new(WireBuf) }}
+
+// PutWireBuf returns w to the pool. The caller must hold the only
+// reference, and nothing may still read w.Bytes().
+func PutWireBuf(w *WireBuf) { wireBufPool.Put(w) }
+
+// sealRecord seals one record into a pooled wire buffer taken for this
+// call alone.
+func sealRecord(prot recordProtection, seq uint64, typ uint8, p0, p1 []byte, rnd io.Reader) (*WireBuf, error) {
+	if len(p0)+len(p1) > MaxPlaintext {
+		return nil, errRecordOverflow
+	}
+	w := wireBufPool.Get().(*WireBuf)
+	if err := prot.seal(w, seq, typ, p0, p1, rnd); err != nil {
+		PutWireBuf(w)
+		return nil, err
+	}
+	return w, nil
+}
+
+// Bytes returns the sealed wire record, header included. It aliases the
+// buffer: valid until PutWireBuf.
+func (w *WireBuf) Bytes() []byte { return w.b[:w.n] }
+
+// gather copies p0‖p1 into w at off and returns the end offset.
+func (w *WireBuf) gather(off int, p0, p1 []byte) int {
+	off += copy(w.b[off:], p0)
+	return off + copy(w.b[off:], p1)
+}
+
+// finish writes the record header for a record ending at offset end.
+func (w *WireBuf) finish(wireTyp uint8, end int) {
+	w.b[0], w.b[1], w.b[2] = wireTyp, 0x03, 0x03
+	binary.BigEndian.PutUint16(w.b[3:5], uint16(end-recordHeaderLen))
+	w.n = end
+}
+
+// recordProtection seals and opens records in place. Implementations:
 // nullProtection, cbcProtection (TLS 1.2 AES-128-CBC + HMAC-SHA1,
-// MAC-then-encrypt) and gcmProtection (TLS 1.3 AES-128-GCM).
+// MAC-then-encrypt) and gcmProtection (TLS 1.3 AES-128-GCM). seal and
+// open keep no state between records that a concurrent call could
+// corrupt (the caller owns sequence numbers): an offloaded seal may run
+// twice, even at once — the op-deadline fallback recomputes it on the
+// worker while a slow device still executes the original — and the record
+// engine pipelines one protection across device engines.
 type recordProtection interface {
-	// seal encrypts payload of the given record type, returning the wire
-	// body and the wire record type.
-	seal(seq uint64, typ uint8, payload []byte, rnd io.Reader) (wireTyp uint8, body []byte, err error)
-	// open decrypts a wire body, returning the inner record type and
-	// plaintext.
+	// seal writes the whole wire record protecting the payload p0‖p1
+	// (either part may be empty; sealRecord bounds their sum to
+	// MaxPlaintext) into w and encrypts it in place.
+	seal(w *WireBuf, seq uint64, typ uint8, p0, p1 []byte, rnd io.Reader) error
+	// open decrypts a wire body in place, returning the inner record type
+	// and the plaintext, which aliases body.
 	open(seq uint64, wireTyp uint8, body []byte) (typ uint8, payload []byte, err error)
 	// overhead returns the per-record ciphertext expansion upper bound.
 	overhead() int
@@ -75,8 +137,9 @@ type recordProtection interface {
 // nullProtection is the initial (plaintext) state.
 type nullProtection struct{}
 
-func (nullProtection) seal(_ uint64, typ uint8, payload []byte, _ io.Reader) (uint8, []byte, error) {
-	return typ, payload, nil
+func (nullProtection) seal(w *WireBuf, _ uint64, typ uint8, p0, p1 []byte, _ io.Reader) error {
+	w.finish(typ, w.gather(recordHeaderLen, p0, p1))
+	return nil
 }
 
 func (nullProtection) open(_ uint64, wireTyp uint8, body []byte) (uint8, []byte, error) {
@@ -91,70 +154,117 @@ type cbcKeys struct {
 	macKey    []byte // 20 bytes (HMAC-SHA1)
 }
 
+// cbcMode is a CBC mode that can be re-keyed with a new IV (every
+// standard-library implementation; crypto/tls relies on the same).
+type cbcMode interface {
+	cipher.BlockMode
+	SetIV([]byte)
+}
+
+// cbcState is the mutable half of a CBC direction: one HMAC, reset per
+// record, and the CBC modes, re-keyed per record with SetIV.
+type cbcState struct {
+	mac      hash.Hash
+	enc, dec cbcMode
+	// scratch holds the 13-byte MAC pseudo-header and, on open, the
+	// expected MAC — here so neither escapes to the heap per record.
+	scratch [13 + sha1.Size]byte
+}
+
 // cbcProtection implements TLS 1.2 style AES-CBC with HMAC-SHA1,
-// MAC-then-encrypt with a per-record explicit IV.
+// MAC-then-encrypt with a per-record explicit IV. The AES block is
+// stateless and shared; the mutable state is built once at key install
+// and taken by one execution at a time.
 type cbcProtection struct {
-	keys cbcKeys
+	keys  cbcKeys
+	block cipher.Block
+	// state is nil while an execution holds it; a concurrent execution
+	// finds nil and builds its own.
+	state atomic.Pointer[cbcState]
 }
 
 func newCBCProtection(k cbcKeys) (*cbcProtection, error) {
 	if len(k.cipherKey) != 16 || len(k.macKey) != 20 {
 		return nil, errors.New("minitls: bad CBC key lengths")
 	}
-	return &cbcProtection{keys: k}, nil
+	block, err := aes.NewCipher(k.cipherKey)
+	if err != nil {
+		return nil, err
+	}
+	p := &cbcProtection{keys: k, block: block}
+	p.state.Store(p.newState())
+	return p, nil
+}
+
+func (p *cbcProtection) newState() *cbcState {
+	return &cbcState{mac: hmac.New(sha1.New, p.keys.macKey)}
+}
+
+func (p *cbcProtection) takeState() *cbcState {
+	if st := p.state.Swap(nil); st != nil {
+		return st
+	}
+	return p.newState()
 }
 
 func (p *cbcProtection) overhead() int { return aes.BlockSize /*IV*/ + sha1.Size + aes.BlockSize /*pad*/ }
 
-func (p *cbcProtection) mac(seq uint64, typ uint8, payload []byte) []byte {
-	m := hmac.New(sha1.New, p.keys.macKey)
-	var hdr [13]byte
+// appendMAC appends the record MAC of payload to dst.
+func (st *cbcState) appendMAC(dst []byte, seq uint64, typ uint8, payload []byte) []byte {
+	hdr := st.scratch[:13]
 	binary.BigEndian.PutUint64(hdr[:8], seq)
 	hdr[8] = typ
 	binary.BigEndian.PutUint16(hdr[9:11], VersionTLS12)
 	binary.BigEndian.PutUint16(hdr[11:13], uint16(len(payload)))
-	m.Write(hdr[:])
-	m.Write(payload)
-	return m.Sum(nil)
+	st.mac.Reset()
+	st.mac.Write(hdr)
+	st.mac.Write(payload)
+	return st.mac.Sum(dst)
 }
 
-func (p *cbcProtection) seal(seq uint64, typ uint8, payload []byte, rnd io.Reader) (uint8, []byte, error) {
-	mac := p.mac(seq, typ, payload)
-	plain := make([]byte, 0, len(payload)+len(mac)+aes.BlockSize)
-	plain = append(plain, payload...)
-	plain = append(plain, mac...)
+func (p *cbcProtection) seal(w *WireBuf, seq uint64, typ uint8, p0, p1 []byte, rnd io.Reader) error {
+	const start = recordHeaderLen + aes.BlockSize // first encrypted byte
+	iv := w.b[recordHeaderLen:start]
+	if _, err := io.ReadFull(rnd, iv); err != nil {
+		return err
+	}
+	end := w.gather(start, p0, p1)
+	st := p.takeState()
+	end = len(st.appendMAC(w.b[:end], seq, typ, w.b[start:end]))
 	// TLS padding: padLen bytes each holding padLen, plus the length byte
 	// itself; total padded length is a multiple of the block size.
-	padLen := aes.BlockSize - (len(plain)+1)%aes.BlockSize
+	padLen := aes.BlockSize - (end-start+1)%aes.BlockSize
 	if padLen == aes.BlockSize {
 		padLen = 0
 	}
 	for i := 0; i <= padLen; i++ {
-		plain = append(plain, byte(padLen))
+		w.b[end] = byte(padLen)
+		end++
 	}
-	block, err := aes.NewCipher(p.keys.cipherKey)
-	if err != nil {
-		return 0, nil, err
+	if st.enc == nil {
+		st.enc = cipher.NewCBCEncrypter(p.block, iv).(cbcMode)
+	} else {
+		st.enc.SetIV(iv)
 	}
-	body := make([]byte, aes.BlockSize+len(plain))
-	if _, err := io.ReadFull(rnd, body[:aes.BlockSize]); err != nil {
-		return 0, nil, err
-	}
-	cipher.NewCBCEncrypter(block, body[:aes.BlockSize]).CryptBlocks(body[aes.BlockSize:], plain)
-	return typ, body, nil
+	st.enc.CryptBlocks(w.b[start:end], w.b[start:end])
+	p.state.Store(st)
+	w.finish(typ, end)
+	return nil
 }
 
 func (p *cbcProtection) open(seq uint64, wireTyp uint8, body []byte) (uint8, []byte, error) {
 	if len(body) < 2*aes.BlockSize || len(body)%aes.BlockSize != 0 {
 		return 0, nil, errDecode
 	}
-	block, err := aes.NewCipher(p.keys.cipherKey)
-	if err != nil {
-		return 0, nil, err
+	iv, plain := body[:aes.BlockSize], body[aes.BlockSize:]
+	st := p.takeState()
+	defer p.state.Store(st)
+	if st.dec == nil {
+		st.dec = cipher.NewCBCDecrypter(p.block, iv).(cbcMode)
+	} else {
+		st.dec.SetIV(iv)
 	}
-	iv, ct := body[:aes.BlockSize], body[aes.BlockSize:]
-	plain := make([]byte, len(ct))
-	cipher.NewCBCDecrypter(block, iv).CryptBlocks(plain, ct)
+	st.dec.CryptBlocks(plain, plain)
 	padLen := int(plain[len(plain)-1])
 	if padLen+1+sha1.Size > len(plain) {
 		return 0, nil, errors.New("minitls: bad record padding")
@@ -166,7 +276,7 @@ func (p *cbcProtection) open(seq uint64, wireTyp uint8, body []byte) (uint8, []b
 	}
 	plain = plain[:len(plain)-1-padLen]
 	payload, mac := plain[:len(plain)-sha1.Size], plain[len(plain)-sha1.Size:]
-	want := p.mac(seq, wireTyp, payload)
+	want := st.appendMAC(st.scratch[13:13], seq, wireTyp, payload)
 	if subtle.ConstantTimeCompare(mac, want) != 1 {
 		return 0, nil, errors.New("minitls: record MAC mismatch")
 	}
@@ -206,27 +316,25 @@ func newGCMProtection(k gcmKeys) (*gcmProtection, error) {
 
 func (p *gcmProtection) overhead() int { return 1 + p.aead.Overhead() }
 
-func (p *gcmProtection) nonce(seq uint64) []byte {
-	n := make([]byte, 12)
+// nonce writes the per-record nonce (IV xor sequence number) into n.
+func (p *gcmProtection) nonce(n []byte, seq uint64) []byte {
 	copy(n, p.iv)
-	var s [8]byte
-	binary.BigEndian.PutUint64(s[:], seq)
 	for i := 0; i < 8; i++ {
-		n[4+i] ^= s[i]
+		n[4+i] ^= byte(seq >> (56 - 8*i))
 	}
 	return n
 }
 
-func aadFor(length int) []byte {
-	return []byte{recordApplicationData, 0x03, 0x03, byte(length >> 8), byte(length)}
-}
-
-func (p *gcmProtection) seal(seq uint64, typ uint8, payload []byte, _ io.Reader) (uint8, []byte, error) {
-	inner := make([]byte, 0, len(payload)+1)
-	inner = append(inner, payload...)
-	inner = append(inner, typ)
-	body := p.aead.Seal(nil, p.nonce(seq), inner, aadFor(len(inner)+p.aead.Overhead()))
-	return recordApplicationData, body, nil
+func (p *gcmProtection) seal(w *WireBuf, seq uint64, typ uint8, p0, p1 []byte, _ io.Reader) error {
+	end := w.gather(recordHeaderLen, p0, p1)
+	w.b[end] = typ
+	end++
+	// The additional data is the record header as it goes on the wire
+	// (RFC 8446 §5.2), so it is written first and read from the buffer.
+	w.finish(recordApplicationData, end+p.aead.Overhead())
+	inner := w.b[recordHeaderLen:end]
+	p.aead.Seal(inner[:0], p.nonce(w.nonce[:], seq), inner, w.b[:recordHeaderLen])
+	return nil
 }
 
 func (p *gcmProtection) open(seq uint64, wireTyp uint8, body []byte) (uint8, []byte, error) {
@@ -235,7 +343,11 @@ func (p *gcmProtection) open(seq uint64, wireTyp uint8, body []byte) (uint8, []b
 		// mode; this stack never sends them.
 		return 0, nil, errDecode
 	}
-	inner, err := p.aead.Open(nil, p.nonce(seq), body, aadFor(len(body)))
+	// One scratch allocation for nonce and additional data (both escape
+	// through the cipher.AEAD interface).
+	scratch := make([]byte, 12+recordHeaderLen)
+	aad := append(scratch[12:12], recordApplicationData, 0x03, 0x03, byte(len(body)>>8), byte(len(body)))
+	inner, err := p.aead.Open(body[:0], p.nonce(scratch[:12], seq), body, aad)
 	if err != nil {
 		return 0, nil, errors.New("minitls: record authentication failed")
 	}

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// recordCountingRW counts the TLS records a Conn emits: writeWire issues
+// recordCountingRW counts the TLS records a Conn emits: writeSealed issues
 // exactly one transport Write per record, so counting Write calls after
 // the handshake counts records.
 type recordCountingRW struct {
@@ -107,16 +107,22 @@ func TestCodecBoundaryRecords(t *testing.T) {
 			}
 			for _, size := range []int{0, 1, MaxPlaintext} {
 				payload := bytes.Repeat([]byte{'x'}, size)
-				wireTyp, body, err := cd.Seal(7, RecordTypeApplicationData, payload, rand.Reader)
+				w, err := cd.Seal(7, RecordTypeApplicationData, payload, rand.Reader)
 				if err != nil {
 					t.Fatalf("seal %d bytes: %v", size, err)
 				}
+				wireTyp, body := w.Bytes()[0], w.Bytes()[RecordHeaderLen:]
 				if len(body) > size+cd.Overhead() {
 					t.Errorf("sealed body %d exceeds payload %d + overhead %d",
 						len(body), size, cd.Overhead())
 				}
 				if len(body) > MaxCiphertext {
 					t.Errorf("sealed body %d exceeds MaxCiphertext", len(body))
+				}
+				// Wrong sequence number must not authenticate (Open works in
+				// place, so the failed attempt gets a copy).
+				if _, _, err := cd.Open(8, wireTyp, bytes.Clone(body)); err == nil {
+					t.Errorf("open under wrong seq succeeded at %d bytes", size)
 				}
 				typ, plain, err := cd.Open(7, wireTyp, body)
 				if err != nil {
@@ -125,10 +131,7 @@ func TestCodecBoundaryRecords(t *testing.T) {
 				if typ != RecordTypeApplicationData || !bytes.Equal(plain, payload) {
 					t.Errorf("roundtrip mismatch at %d bytes", size)
 				}
-				// Wrong sequence number must not authenticate.
-				if _, _, err := cd.Open(8, wireTyp, body); err == nil {
-					t.Errorf("open under wrong seq succeeded at %d bytes", size)
-				}
+				PutWireBuf(w)
 			}
 		})
 	}
@@ -182,16 +185,15 @@ func TestExportKeysAndDetach(t *testing.T) {
 			seq := km.Seq
 			transport := server.transport
 			for _, msg := range msgs {
-				wireTyp, body, err := cd.Seal(seq, RecordTypeApplicationData, msg, rand.Reader)
+				w, err := cd.Seal(seq, RecordTypeApplicationData, msg, rand.Reader)
 				if err != nil {
 					t.Fatal(err)
 				}
 				seq++
-				rec := AppendRecordHeader(nil, wireTyp, len(body))
-				rec = append(rec, body...)
-				if _, err := transport.Write(rec); err != nil {
+				if _, err := transport.Write(w.Bytes()); err != nil {
 					t.Fatal(err)
 				}
+				PutWireBuf(w)
 			}
 			if err := <-readDone; err != nil {
 				t.Fatalf("client read: %v", err)
@@ -207,15 +209,14 @@ func TestExportKeysAndDetach(t *testing.T) {
 				_, err := client.Read(b[:])
 				readDone <- err
 			}()
-			wireTyp, body, err := cd.Seal(seq, RecordTypeAlert, AlertCloseNotify(), rand.Reader)
+			w, err := cd.Seal(seq, RecordTypeAlert, AlertCloseNotify(), rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := AppendRecordHeader(nil, wireTyp, len(body))
-			rec = append(rec, body...)
-			if _, err := transport.Write(rec); err != nil {
+			if _, err := transport.Write(w.Bytes()); err != nil {
 				t.Fatal(err)
 			}
+			PutWireBuf(w)
 			if err := <-readDone; err != io.EOF {
 				t.Fatalf("client read after external close-notify = %v, want io.EOF", err)
 			}

@@ -3,9 +3,27 @@ package minitls
 import (
 	"bytes"
 	"crypto/rand"
+	"io"
 	"testing"
 	"testing/quick"
 )
+
+// sealBody seals payload with p and returns the wire type and a copy of
+// the wire body (open decrypts in place, so tests that open a record more
+// than once work on clones).
+func sealBody(t testing.TB, p recordProtection, seq uint64, typ uint8, payload []byte, rnd io.Reader) (uint8, []byte) {
+	t.Helper()
+	w, err := sealRecord(p, seq, typ, payload, nil, rnd)
+	if err != nil {
+		t.Fatalf("seal(%d bytes): %v", len(payload), err)
+	}
+	defer PutWireBuf(w)
+	rec := w.Bytes()
+	if got := int(rec[3])<<8 | int(rec[4]); got != len(rec)-recordHeaderLen || rec[1] != 3 || rec[2] != 3 {
+		t.Fatalf("record header % x does not frame a %d-byte body", rec[:recordHeaderLen], len(rec)-recordHeaderLen)
+	}
+	return rec[0], bytes.Clone(rec[recordHeaderLen:])
+}
 
 func testCBCKeys() cbcKeys {
 	return cbcKeys{
@@ -22,10 +40,7 @@ func TestCBCSealOpenRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 15, 16, 17, 100, MaxPlaintext} {
 		payload := make([]byte, n)
 		rand.Read(payload)
-		wireTyp, body, err := p.seal(7, recordApplicationData, payload, rand.Reader)
-		if err != nil {
-			t.Fatalf("seal(%d): %v", n, err)
-		}
+		wireTyp, body := sealBody(t, p, 7, recordApplicationData, payload, rand.Reader)
 		typ, got, err := p.open(7, wireTyp, body)
 		if err != nil {
 			t.Fatalf("open(%d): %v", n, err)
@@ -38,7 +53,7 @@ func TestCBCSealOpenRoundTrip(t *testing.T) {
 
 func TestCBCWrongSequenceFailsMAC(t *testing.T) {
 	p, _ := newCBCProtection(testCBCKeys())
-	_, body, _ := p.seal(1, recordApplicationData, []byte("hello"), rand.Reader)
+	_, body := sealBody(t, p, 1, recordApplicationData, []byte("hello"), rand.Reader)
 	if _, _, err := p.open(2, recordApplicationData, body); err == nil {
 		t.Fatal("open with wrong seq should fail")
 	}
@@ -47,9 +62,9 @@ func TestCBCWrongSequenceFailsMAC(t *testing.T) {
 func TestCBCTamperDetected(t *testing.T) {
 	p, _ := newCBCProtection(testCBCKeys())
 	payload := bytes.Repeat([]byte{0xab}, 64)
-	_, body, _ := p.seal(0, recordApplicationData, payload, rand.Reader)
+	_, body := sealBody(t, p, 0, recordApplicationData, payload, rand.Reader)
 	for _, i := range []int{0, 16, len(body) - 1} {
-		mut := append([]byte(nil), body...)
+		mut := bytes.Clone(body)
 		mut[i] ^= 0x01
 		if _, _, err := p.open(0, recordApplicationData, mut); err == nil {
 			t.Fatalf("tamper at byte %d not detected", i)
@@ -91,10 +106,7 @@ func TestGCMSealOpenRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 100, MaxPlaintext} {
 		payload := make([]byte, n)
 		rand.Read(payload)
-		wireTyp, body, err := p.seal(3, recordHandshake, payload, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wireTyp, body := sealBody(t, p, 3, recordHandshake, payload, nil)
 		if wireTyp != recordApplicationData {
 			t.Fatalf("wire type = %d; TLS 1.3 records masquerade as app data", wireTyp)
 		}
@@ -110,11 +122,11 @@ func TestGCMSealOpenRoundTrip(t *testing.T) {
 
 func TestGCMWrongSeqOrTamper(t *testing.T) {
 	p, _ := newGCMProtection(testGCMKeys())
-	_, body, _ := p.seal(5, recordApplicationData, []byte("data"), nil)
-	if _, _, err := p.open(6, recordApplicationData, body); err == nil {
+	_, body := sealBody(t, p, 5, recordApplicationData, []byte("data"), nil)
+	if _, _, err := p.open(6, recordApplicationData, bytes.Clone(body)); err == nil {
 		t.Fatal("wrong seq accepted")
 	}
-	mut := append([]byte(nil), body...)
+	mut := bytes.Clone(body)
 	mut[0] ^= 1
 	if _, _, err := p.open(5, recordApplicationData, mut); err == nil {
 		t.Fatal("tampered record accepted")
@@ -147,10 +159,7 @@ func TestProtectionRoundTripProperty(t *testing.T) {
 			typ = recordHandshake
 		}
 		for _, p := range []recordProtection{cbc, gcm} {
-			wt, body, err := p.seal(seq, typ, payload, rand.Reader)
-			if err != nil {
-				return false
-			}
+			wt, body := sealBody(t, p, seq, typ, payload, rand.Reader)
 			gotTyp, got, err := p.open(seq, wt, body)
 			if err != nil || gotTyp != typ || !bytes.Equal(got, payload) {
 				return false
@@ -165,8 +174,8 @@ func TestProtectionRoundTripProperty(t *testing.T) {
 
 func TestNullProtectionPassThrough(t *testing.T) {
 	var p nullProtection
-	wt, body, err := p.seal(0, recordHandshake, []byte("x"), nil)
-	if err != nil || wt != recordHandshake || string(body) != "x" {
+	wt, body := sealBody(t, p, 0, recordHandshake, []byte("x"), nil)
+	if wt != recordHandshake || string(body) != "x" {
 		t.Fatal("null seal should pass through")
 	}
 	typ, got, err := p.open(0, recordHandshake, []byte("y"))

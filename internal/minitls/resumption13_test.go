@@ -205,8 +205,9 @@ func TestTLS13PSKResumptionAsync(t *testing.T) {
 		cliErr <- err
 	}()
 	pauses := driveServer(t, server, p)
+	msg := []byte("ok") // a busy Write must be re-entered with the same buffer
 	for {
-		_, err := server.Write([]byte("ok"))
+		_, err := server.Write(msg)
 		if err == nil {
 			break
 		}

@@ -223,8 +223,12 @@ func (l *Listener) Close() error { return syscall.Close(l.fd) }
 
 // Conn is a non-blocking TCP connection with user-space write buffering.
 type Conn struct {
-	fd      int
-	pending []byte // unflushed output
+	fd int
+	// pending[head:] is the unflushed output. A partial write advances
+	// head instead of moving the remainder down (quadratic against a slow
+	// reader); both reset once everything is out.
+	pending []byte
+	head    int
 	closed  bool
 }
 
@@ -303,7 +307,14 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if c.closed {
 		return 0, errors.New("netpoll: write on closed connection")
 	}
-	if len(c.pending) > 0 {
+	if c.HasPending() {
+		if c.head >= len(c.pending)-c.head {
+			// The sent prefix has outgrown the remainder: slide down (each
+			// byte moves at most once per doubling), so the buffer tracks
+			// what is unsent, not everything written since the last drain.
+			c.pending = c.pending[:copy(c.pending, c.pending[c.head:])]
+			c.head = 0
+		}
 		c.pending = append(c.pending, p...)
 		if err := c.Flush(); err != nil {
 			return 0, err
@@ -331,8 +342,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 
 // Flush attempts to drain the pending output buffer.
 func (c *Conn) Flush() error {
-	for len(c.pending) > 0 {
-		n, err := syscall.Write(c.fd, c.pending)
+	for c.HasPending() {
+		n, err := syscall.Write(c.fd, c.pending[c.head:])
 		if err != nil {
 			switch {
 			case errors.Is(err, syscall.EINTR):
@@ -343,14 +354,14 @@ func (c *Conn) Flush() error {
 				return fmt.Errorf("netpoll: flush: %w", err)
 			}
 		}
-		rest := copy(c.pending, c.pending[n:])
-		c.pending = c.pending[:rest]
+		c.head += n
 	}
+	c.pending, c.head = c.pending[:0], 0
 	return nil
 }
 
 // HasPending reports whether unflushed output remains.
-func (c *Conn) HasPending() bool { return len(c.pending) > 0 }
+func (c *Conn) HasPending() bool { return c.head < len(c.pending) }
 
 // Close closes the socket.
 func (c *Conn) Close() error {

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -420,5 +421,57 @@ func TestModWithoutReadInterestIsSilent(t *testing.T) {
 	evs, _ := poller.Wait(1000)
 	if len(evs) != 1 || !evs[0].Readable || !evs[0].Closed {
 		t.Fatalf("events after restoring read interest: %+v", evs)
+	}
+}
+
+// TestPendingDrainsInOrderAgainstSlowReader: with a tiny send buffer and a
+// reader that drains in small steps, every Flush is a partial write. The
+// pending buffer advances a head offset instead of moving the remainder
+// down each time; bytes must still arrive exact and in order — including
+// those written while older ones were still pending — and both the buffer
+// and the offset reset once everything is out.
+func TestPendingDrainsInOrderAgainstSlowReader(t *testing.T) {
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_NONBLOCK, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, r := &Conn{fd: fds[0]}, &Conn{fd: fds[1]}
+	defer w.Close()
+	defer r.Close()
+	if err := syscall.SetsockoptInt(w.fd, syscall.SOL_SOCKET, syscall.SO_SNDBUF, 4096); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 1<<20)
+	for i := range want {
+		want[i] = byte(i ^ i>>8 ^ i>>16) // position-dependent: a misplaced byte shows
+	}
+	var got []byte
+	step := make([]byte, 1500)
+	written := 0
+	for len(got) < len(want) {
+		if written < len(want) {
+			// Keep writing a little faster than the reader drains: most of
+			// these land behind bytes that are still pending, and the sent
+			// prefix keeps overtaking the remainder.
+			end := min(written+2000, len(want))
+			if n, err := w.Write(want[written:end]); err != nil || n != end-written {
+				t.Fatalf("Write = %d, %v", n, err)
+			}
+			written = end
+		}
+		n, err := r.Read(step)
+		if err != nil && !errors.Is(err, ErrWouldBlock) {
+			t.Fatal(err)
+		}
+		got = append(got, step[:n]...)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("bytes arrived out of order or corrupted")
+	}
+	if w.HasPending() || len(w.pending) != 0 || w.head != 0 {
+		t.Fatalf("after the drain: HasPending=%t len=%d head=%d, want all clear", w.HasPending(), len(w.pending), w.head)
 	}
 }

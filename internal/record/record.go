@@ -16,10 +16,11 @@
 // per record by the shared offload.RecordPolicy. Offloaded seals
 // complete out of order across records of one burst; the Stream's FIFO
 // holds completed wire records until every earlier record is done, so
-// the sink always observes them in sequence order. Sealed output lands
-// in pooled wire buffers; plaintext is never copied — the Work closure
-// reads the caller's payload in place (the sendfile-style zero-copy
-// contract: callers keep payloads stable until the stream drains).
+// the sink always observes them in sequence order. Records are sealed
+// straight into minitls's pooled wire buffers (minitls.WireBuf has the
+// ownership rules); the Work closure reads the caller's payload in place
+// (the sendfile-style contract: callers keep payloads stable until the
+// stream drains).
 //
 // Degradation reuses the familiar ladder: ring-full and breaker-open
 // submissions fall back to software immediately; an offload that fails
@@ -37,7 +38,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"io"
-	"sync"
 	"time"
 
 	"qtls/internal/fault"
@@ -49,15 +49,11 @@ import (
 	"qtls/internal/trace"
 )
 
-// MaxRecordWire bounds one wire record (header + protected body); the
-// buffer pool's buffers hold this much.
-const MaxRecordWire = minitls.RecordHeaderLen + minitls.MaxCiphertext
-
 // ErrStreamClosed is returned by writes after CloseNotify or Cancel.
 var ErrStreamClosed = errors.New("record: stream closed")
 
 // Sink receives completed wire records, in sequence order. The slice is
-// only valid during the call: it returns to the engine's buffer pool.
+// only valid during the call: its wire buffer returns to the pool after.
 // Implementations append to a socket buffer (the server's netpoll conn).
 type Sink interface {
 	WriteRecord(rec []byte) error
@@ -121,8 +117,6 @@ type Engine struct {
 	tr   *trace.Buffer
 	fl   *flight.Journal
 
-	pool sync.Pool // *buffer; Work closures fill them on engine goroutines
-
 	inflight int
 	ready    []*Stream // streams with newly completed jobs since last flush
 	stats    Stats
@@ -131,8 +125,6 @@ type Engine struct {
 	ctrOffload  *metrics.Counter // qtls_record_offload_ops
 	ctrSoftware *metrics.Counter // qtls_record_sw_ops
 }
-
-type buffer struct{ b []byte }
 
 // New builds a record engine.
 func New(cfg Config) *Engine {
@@ -162,7 +154,6 @@ func New(cfg Config) *Engine {
 		e.ctrOffload = cfg.Metrics.Counter("qtls_record_offload_ops")
 		e.ctrSoftware = cfg.Metrics.Counter("qtls_record_sw_ops")
 	}
-	e.pool.New = func() any { return &buffer{b: make([]byte, 0, MaxRecordWire)} }
 	return e
 }
 
@@ -178,13 +169,14 @@ func (e *Engine) Policy() offload.RecordPolicy { return e.pol }
 // job is one record moving through a stream: sealed into buf either
 // inline (software) or by an engine goroutine (offload).
 type job struct {
-	s       *Stream
-	seq     uint64
-	typ     uint8
-	payload []byte
-	buf     *buffer // complete wire record once done
-	done    bool
-	failed  bool // offload failed in flight; re-seal in software at flush
+	s         *Stream
+	seq       uint64
+	typ       uint8
+	payload   []byte
+	buf       *minitls.WireBuf // complete wire record once done
+	submitted bool             // accepted by the device; its callback completes it
+	done      bool
+	failed    bool // offload failed in flight; re-seal in software at flush
 }
 
 // Stream is the offloaded write path of one connection, created from
@@ -239,17 +231,14 @@ func (s *Stream) Write(p []byte) error {
 		return s.err
 	}
 	// Fragment and classify.
-	var jobs []*job
+	first := len(s.q)
 	var reqs []qat.Request
 	var offloadable []*job
 	for off := 0; off < len(p); off += minitls.MaxPlaintext {
-		end := off + minitls.MaxPlaintext
-		if end > len(p) {
-			end = len(p)
-		}
+		end := min(off+minitls.MaxPlaintext, len(p))
 		j := &job{s: s, seq: s.seq, typ: minitls.RecordTypeApplicationData, payload: p[off:end]}
 		s.seq++
-		jobs = append(jobs, j)
+		s.q = append(s.q, j)
 		if s.e.shouldOffload(len(j.payload)) {
 			reqs = append(reqs, s.e.requestFor(j))
 			offloadable = append(offloadable, j)
@@ -257,12 +246,13 @@ func (s *Stream) Write(p []byte) error {
 	}
 	// One doorbell for the burst; the unaccepted tail (ring full) and
 	// the never-offloadable fragments seal in software below.
-	accepted := 0
 	if len(reqs) > 0 {
-		n, err := s.e.inst.SubmitBatch(reqs)
-		accepted = n
+		accepted, err := s.e.inst.SubmitBatch(reqs)
 		if err != nil && errors.Is(err, qat.ErrRingFull) {
 			s.e.stats.RingFull++
+		}
+		for _, j := range offloadable[:accepted] {
+			j.submitted = true
 		}
 		s.e.inflight += accepted
 		s.e.stats.OffloadOps += int64(accepted)
@@ -274,27 +264,12 @@ func (s *Stream) Write(p []byte) error {
 			s.e.fl.Note(flight.KindFallback, flight.FallbackRingFull, trace.Op(qat.OpSym), 0, int64(tail))
 		}
 	}
-	for _, j := range offloadable[accepted:] {
-		s.e.sealSoftware(j)
-	}
-	for _, j := range jobs {
-		if !j.done && !jobOffloaded(j, offloadable[:accepted]) {
+	for _, j := range s.q[first:] {
+		if !j.submitted {
 			s.e.sealSoftware(j)
 		}
-		s.q = append(s.q, j)
 	}
 	return s.flush()
-}
-
-// jobOffloaded reports whether j is among the accepted offloads. Bursts
-// are at most a few records (64 KB response = 4), so linear scan is fine.
-func jobOffloaded(j *job, accepted []*job) bool {
-	for _, a := range accepted {
-		if a == j {
-			return true
-		}
-	}
-	return false
 }
 
 // WriteRecord seals one record of the given type (single-record writes
@@ -346,20 +321,12 @@ func (s *Stream) CloseNotify() error {
 	return s.flush()
 }
 
-// Cancel abandons the stream: queued records are released and in-flight
-// completions will be dropped without sink writes. For teardown paths
-// (closeConn); inflight accounting stays consistent.
+// Cancel abandons the stream: queued records and in-flight completions
+// are dropped without sink writes (their wire buffers go to the garbage
+// collector, not back to the pool). For teardown paths (closeConn);
+// inflight accounting stays consistent.
 func (s *Stream) Cancel() {
-	if s.canceled {
-		return
-	}
 	s.canceled = true
-	for _, j := range s.q {
-		if j.done && j.buf != nil {
-			s.e.putBuf(j.buf)
-			j.buf = nil
-		}
-	}
 	s.q = nil
 }
 
@@ -378,22 +345,19 @@ func (e *Engine) shouldOffload(bytes int) bool {
 	return true
 }
 
-// requestFor builds the OpSym request sealing j into a pooled wire
-// buffer on an engine goroutine. The callback (run inside Poll, on the
+// requestFor builds the OpSym request sealing j into a wire buffer of
+// its own on an engine goroutine. The callback (run inside Poll, on the
 // owner goroutine) lands the result on the job.
 func (e *Engine) requestFor(j *job) qat.Request {
 	return qat.Request{
 		Op:    qat.OpSym,
 		Bytes: len(j.payload),
 		Work: func() (any, error) {
-			buf := e.getBuf()
-			var err error
-			buf.b, err = e.sealInto(buf.b, j.seq, j.typ, j.s.codec, j.payload)
+			w, err := j.s.codec.Seal(j.seq, j.typ, j.payload, e.rnd)
 			if err != nil {
-				e.putBuf(buf)
 				return nil, err
 			}
-			return buf, nil
+			return w, nil
 		},
 		Callback: func(r qat.Response) {
 			e.inflight--
@@ -404,7 +368,7 @@ func (e *Engine) requestFor(j *job) qat.Request {
 					e.brk.RecordSuccess(time.Now())
 				}
 			}
-			buf, ok := r.Result.(*buffer)
+			buf, ok := r.Result.(*minitls.WireBuf)
 			if r.Err != nil || !ok {
 				// Failed in flight (endpoint reset, drop-timeout path):
 				// re-seal in software at flush time, same sequence number.
@@ -416,10 +380,6 @@ func (e *Engine) requestFor(j *job) qat.Request {
 			}
 			j.done = true
 			if j.s.canceled {
-				if j.buf != nil {
-					e.putBuf(j.buf)
-					j.buf = nil
-				}
 				return
 			}
 			if !j.s.queued {
@@ -437,8 +397,8 @@ func (e *Engine) requestFor(j *job) qat.Request {
 // inline in software and cb is invoked before OpenAsync returns. An
 // offloaded open that fails in flight is retried in software at
 // completion, so cb always reports the codec's verdict, never the
-// device's. rec must stay stable until cb runs; the payload passed to
-// cb may alias rec.
+// device's. The record is decrypted in place: rec belongs to the engine
+// until cb runs, and the payload passed to cb aliases it.
 //
 // This is the receive-side counterpart of Stream: the live server keeps
 // its receive path in software (client→server records are far below any
@@ -510,28 +470,11 @@ func (e *Engine) OpenAsync(codec minitls.RecordCodec, seq uint64, rec []byte, cb
 	cb(typ, payload, err)
 }
 
-// sealInto protects one record into dst (header + body) and returns it.
-func (e *Engine) sealInto(dst []byte, seq uint64, typ uint8, codec minitls.RecordCodec, payload []byte) ([]byte, error) {
-	wireTyp, body, err := codec.Seal(seq, typ, payload, e.rnd)
-	if err != nil {
-		return dst, err
-	}
-	dst = minitls.AppendRecordHeader(dst[:0], wireTyp, len(body))
-	return append(dst, body...), nil
-}
-
 // sealSoftware seals j inline on the owner goroutine.
 func (e *Engine) sealSoftware(j *job) {
-	buf := e.getBuf()
 	var err error
-	buf.b, err = e.sealInto(buf.b, j.seq, j.typ, j.s.codec, j.payload)
-	if err != nil {
-		e.putBuf(buf)
-		if j.s.err == nil {
-			j.s.err = err
-		}
-	} else {
-		j.buf = buf
+	if j.buf, err = j.s.codec.Seal(j.seq, j.typ, j.payload, e.rnd); err != nil && j.s.err == nil {
+		j.s.err = err
 	}
 	j.done = true
 	j.failed = false
@@ -577,23 +520,20 @@ func (s *Stream) flush() error {
 		start = time.Now()
 	}
 	var wire int64
-	for len(s.q) > 0 {
-		j := s.q[0]
-		if !j.done {
-			break
-		}
+	n := 0 // records leaving the queue
+	for ; n < len(s.q) && s.q[n].done; n++ {
+		j := s.q[n]
 		if j.failed {
 			s.e.sealSoftware(j)
 		}
-		s.q = s.q[1:]
 		if j.buf == nil {
 			continue // seal failed; s.err is set
 		}
 		if s.err == nil {
-			if err := s.sink.WriteRecord(j.buf.b); err != nil {
+			if err := s.sink.WriteRecord(j.buf.Bytes()); err != nil {
 				s.err = err
 			} else {
-				wire += int64(len(j.buf.b))
+				wire += int64(len(j.buf.Bytes()))
 				s.e.stats.Records++
 				s.e.stats.Bytes += int64(len(j.payload))
 				if s.e.ctrBytes != nil {
@@ -601,20 +541,16 @@ func (s *Stream) flush() error {
 				}
 			}
 		}
-		s.e.putBuf(j.buf)
+		// The sink has returned: nothing reads the buffer any more.
+		minitls.PutWireBuf(j.buf)
 		j.buf = nil
 	}
+	// Slide the rest down so the queue keeps its capacity across writes.
+	rest := copy(s.q, s.q[n:])
+	clear(s.q[rest:])
+	s.q = s.q[:rest]
 	if tracing && wire > 0 {
 		s.e.tr.Record(trace.PhaseRecord, trace.Op(qat.OpSym), trace.TagNone, wire, start, time.Since(start))
 	}
 	return s.err
-}
-
-func (e *Engine) getBuf() *buffer {
-	return e.pool.Get().(*buffer)
-}
-
-func (e *Engine) putBuf(b *buffer) {
-	b.b = b.b[:0]
-	e.pool.Put(b)
 }

@@ -488,12 +488,12 @@ func TestOpenAsyncRoundtrip(t *testing.T) {
 	e := New(Config{Instance: inst, Policy: offload.RecordPolicy{Mode: offload.RecordAdaptive}})
 
 	mkRecord := func(seq uint64, payload []byte) []byte {
-		wireTyp, body, err := seal.Seal(seq, minitls.RecordTypeApplicationData, payload, nil)
+		w, err := seal.Seal(seq, minitls.RecordTypeApplicationData, payload, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := minitls.AppendRecordHeader(nil, wireTyp, len(body))
-		return append(rec, body...)
+		defer minitls.PutWireBuf(w)
+		return bytes.Clone(w.Bytes())
 	}
 
 	// Small record: opened inline in software (below threshold).
@@ -543,6 +543,30 @@ func TestOpenAsyncRoundtrip(t *testing.T) {
 	st := e.Stats()
 	if st.OffloadOps != 1 || st.SoftwareOps != 2 {
 		t.Fatalf("stats = %+v, want 1 offload / 2 software opens", st)
+	}
+}
+
+// TestStreamWriteAllocations pins the software seal path's steady state:
+// one 16 KB record through Stream.Write allocates its job and nothing
+// else — no private buffer pool, no seal-then-copy (the ledger row
+// record.stream_seal_16k_allocs).
+func TestStreamWriteAllocations(t *testing.T) {
+	for name, km := range map[string]minitls.KeyMaterial{
+		"gcm": testKM(),
+		"cbc": {Key: bytes.Repeat([]byte{0x11}, 16), MACKey: bytes.Repeat([]byte{0x22}, 20), Seq: 7},
+	} {
+		s, err := New(Config{}).NewStream(km, discardSink{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := bytes.Repeat([]byte{'b'}, minitls.MaxPlaintext)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := s.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 2 {
+			t.Errorf("%s: Stream.Write of one 16 KB record allocates %v objects, want <= 2", name, n)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"net"
 	"strings"
@@ -185,5 +186,90 @@ func TestStubStatusEndpoint(t *testing.T) {
 		if !strings.Contains(page, want) {
 			t.Fatalf("stub_status missing %q:\n%s", want, page)
 		}
+	}
+}
+
+// A device that answers every cipher op long after its deadline: the
+// worker re-seals each record in software (the closure's second run, into
+// a second wire buffer) and the device's own result arrives late and is
+// dropped. Responses must come through byte-exact across many records and
+// recycled buffers — a late result handed back to the pool, or a buffer
+// returned while the socket still read it, would show here as corrupted
+// bytes or, under -race, as a race on the buffer.
+func TestLateCipherResultDropped(t *testing.T) {
+	dev := qat.NewDevice(qat.DeviceSpec{
+		Endpoints:          1,
+		EnginesPerEndpoint: 4,
+		RingCapacity:       128,
+		Injector: fault.NewInjector(1, fault.Rule{
+			Kind:     fault.Latency,
+			Endpoint: fault.AnyEndpoint,
+			Op:       int(qat.OpCipher),
+			P:        1,
+			Latency:  20 * time.Millisecond,
+		}),
+	})
+	t.Cleanup(dev.Close)
+	run := ConfigQTLS
+	run.OpTimeout = 2 * time.Millisecond
+	reg := metrics.NewRegistry()
+	srv, err := New(Options{
+		Addr:    "127.0.0.1:0",
+		Workers: 1,
+		Run:     run,
+		TLS: &minitls.Config{
+			Identity:     identity(t),
+			CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
+		},
+		Device:  dev,
+		Handler: SizedBodyHandler(1 << 20),
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	t.Cleanup(srv.Stop)
+
+	raw, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	raw.SetDeadline(time.Now().Add(30 * time.Second))
+	tc := minitls.ClientConn(raw, &minitls.Config{})
+	if err := tc.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(readerFor(tc))
+	const size = 100000 // 7 records per response
+	want, _ := SizedBodyHandler(size)("/100000")
+	for i := 0; i < 6; i++ {
+		if _, err := tc.Write([]byte("GET /100000 HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				t.Fatalf("response %d: %v", i, err)
+			}
+			if line == "\r\n" {
+				break
+			}
+		}
+		body := make([]byte, size)
+		if _, err := io.ReadFull(br, body); err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("response %d corrupted", i)
+		}
+	}
+	snap := reg.Snapshot()
+	if snap["qat_op_timeouts"] < 6*7 || snap["qat_sw_fallbacks"] < 6*7 {
+		t.Fatalf("cipher ops did not time out and fall back: %v", snap)
+	}
+	if st := srv.Stats(); st.Errors > 0 {
+		t.Fatalf("server errors: %+v", st)
 	}
 }

@@ -161,17 +161,19 @@ func (w *Worker) serveRequest(c *conn, req []byte) {
 		w.serveRecord(c, hdr, body)
 		return
 	}
-	c.writeBody = append([]byte(hdr), body...)
+	// Header and body stay two slices: minitls gathers them record by
+	// record, cutting where their concatenation would be cut.
+	c.writeHdr, c.writeBody = []byte(hdr), body
 	c.handler = w.writeHandler
 	w.writeHandler(c)
 }
 
 func (w *Worker) writeHandler(c *conn) {
-	n, err := c.tls.Write(c.writeBody)
+	n, err := c.tls.Writev(c.writeHdr, c.writeBody)
 	switch {
 	case err == nil:
 		w.Stats.BytesOut.Add(int64(n))
-		c.writeBody = nil
+		c.writeHdr, c.writeBody = nil, nil
 		if c.closeAfterWrite {
 			c.tls.Close() // sends close-notify into the write buffer
 			if c.nc.Flush(); c.nc.HasPending() {

@@ -61,7 +61,7 @@ func (w *Worker) rearmDeadline(c *conn) {
 		w.armDeadline(c, offload.DeadlineHandshake)
 	case c.draining || c.nc.HasPending():
 		w.armDeadline(c, offload.DeadlineWrite)
-	case c.active || len(c.reqBuf) > 0 || len(c.writeBody) > 0 ||
+	case c.active || len(c.reqBuf) > 0 || len(c.writeHdr) > 0 ||
 		(c.stream != nil && c.stream.Pending() > 0):
 		w.armDeadline(c, offload.DeadlineHeader)
 	default:
@@ -192,7 +192,7 @@ func (w *Worker) drainStep() bool {
 		if c.asyncPending || c.draining {
 			continue // a QAT response or a queued close-notify completes it
 		}
-		if c.active || len(c.reqBuf) > 0 || len(c.writeBody) > 0 || c.nc.HasPending() ||
+		if c.active || len(c.reqBuf) > 0 || len(c.writeHdr) > 0 || c.nc.HasPending() ||
 			(c.stream != nil && c.stream.Pending() > 0) {
 			continue // admitted work in progress; its write handler closes after it
 		}

@@ -5,6 +5,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -349,13 +350,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // SizedBodyHandler serves "/<n>" paths with n bytes of deterministic
 // content — the fixed-size file workload of Fig. 10 (ab requesting a
-// fixed file). Unknown paths 404.
+// fixed file). Bodies are built once and cached, never modified after.
+// Unknown paths 404.
 func SizedBodyHandler(maxSize int) Handler {
 	cache := map[int][]byte{}
 	var mu sync.Mutex
 	return func(path string) ([]byte, bool) {
-		var n int
-		if _, err := fmt.Sscanf(path, "/%d", &n); err != nil || n < 0 || n > maxSize {
+		if len(path) < 2 || path[0] != '/' {
+			return nil, false
+		}
+		n, err := strconv.Atoi(path[1:])
+		if err != nil || n < 0 || n > maxSize {
 			return nil, false
 		}
 		mu.Lock()

@@ -342,8 +342,10 @@ func TestSizedBodyHandler(t *testing.T) {
 	if _, ok := h("/2048"); ok {
 		t.Fatal("oversized request allowed")
 	}
-	if _, ok := h("/abc"); ok {
-		t.Fatal("malformed path allowed")
+	for _, path := range []string{"/abc", "/12x", "/-1", "/", "", "12"} {
+		if _, ok := h(path); ok {
+			t.Fatalf("malformed path %q allowed", path)
+		}
 	}
 	b2, _ := h("/100")
 	if &body[0] != &b2[0] {

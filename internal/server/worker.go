@@ -22,7 +22,11 @@ import (
 )
 
 // Handler produces the response body for a request path; ok=false yields
-// a 404.
+// a 404. The server does not copy the body: records are sealed straight
+// from it, across event-loop iterations when the cipher work is
+// offloaded, so it must stay unchanged until the response has been
+// written. Return a fresh slice per request or an immutable cached one
+// (SizedBodyHandler, FileHandler), never a buffer the handler reuses.
 type Handler func(path string) (body []byte, ok bool)
 
 // WorkerStats are cumulative per-worker counters, safe to read from other
@@ -208,7 +212,8 @@ type conn struct {
 
 	active          bool
 	reqBuf          []byte
-	writeBody       []byte
+	writeHdr        []byte // response header of the write in progress
+	writeBody       []byte // its body: the handler's slice, not a copy
 	wantWrite       bool
 	closeAfterWrite bool
 	draining        bool // close once buffered output drains
@@ -885,6 +890,10 @@ func (w *Worker) closeConn(c *conn) {
 	delete(w.conns, c.fd)
 	w.poller.Del(c.fd)
 	c.nc.Close()
+	// Stale deadline-wheel entries keep c reachable for up to a wheel
+	// horizon; its TLS state (keys, cipher state, input buffer) need not
+	// wait that long. Nothing dereferences it on a closed conn.
+	c.tls = nil
 	w.Stats.ClosedConns.Add(1)
 }
 
