@@ -9,10 +9,13 @@
 //	qtlsserver -addr 127.0.0.1:8443 -config QTLS -workers 4
 //	qtlsserver -config SW -max-version 1.3
 //	qtlsserver -config QAT+AH -asym-threshold 64 -sym-threshold 32
+//	qtlsserver -config nginx.conf -workers 2
 //
-// The named configurations and the heuristic-polling defaults (thresholds,
-// failover timer) come from internal/offload, the policy layer shared with
-// the performance model; the threshold flags override them.
+// -config takes one of the five configuration names or the path of a conf
+// file in the §A.7 ssl_engine dialect. One precedence rule covers every
+// setting: a flag given on the command line overrides the name-or-file
+// value, which overrides the internal/offload default (the policy layer
+// shared with the performance model).
 //
 // A fault scenario (internal/fault spec grammar) can be injected into the
 // simulated device to watch the server degrade gracefully instead of
@@ -45,38 +48,110 @@ import (
 	"qtls/internal/trace"
 )
 
+const (
+	traceSpans = 4096 // span ring capacity per worker
+	faultSeed  = 1    // fault injector RNG seed (device d uses faultSeed+d under -chaos)
+)
+
+// policyFlags are -config and the flags that refine the configuration it
+// selects.
+type policyFlags struct {
+	config    *string
+	workers   *int
+	asymThr   *int
+	symThr    *int
+	coalesce  *bool
+	notify    *string
+	recMode   *string
+	recThr    *int
+	placement *string
+}
+
+func addPolicyFlags(fs *flag.FlagSet) *policyFlags {
+	return &policyFlags{
+		config:    fs.String("config", "QTLS", "offload configuration: SW, QAT+S, QAT+A, QAT+AH or QTLS, or the path of an ssl_engine conf file (§A.7 dialect)"),
+		workers:   fs.Int("workers", 2, "number of event-loop workers"),
+		asymThr:   fs.Int("asym-threshold", offload.DefaultAsymThreshold, "heuristic polling asym threshold"),
+		symThr:    fs.Int("sym-threshold", offload.DefaultSymThreshold, "heuristic polling sym threshold"),
+		coalesce:  fs.Bool("coalesce", false, "batch async submissions per event-loop iteration (one doorbell per batch)"),
+		notify:    fs.String("notify", "", "async notification backend: fd, kernel-bypass or coalesced (default: the configuration's)"),
+		recMode:   fs.String("record-mode", "software", "post-handshake record path: software, offload, or adaptive"),
+		recThr:    fs.Int("record-threshold", offload.DefaultRecordThreshold, "adaptive record-offload size threshold in bytes"),
+		placement: fs.String("placement", "", "multi-device placement: single, class-shard or conn-hash (default: single)"),
+	}
+}
+
+// resolve reads the -config value — a configuration name or a conf file,
+// which may also set the worker count — and then lets every flag that was
+// actually given on the command line override it. Flags left alone never
+// clobber a value the file set.
+func (pf *policyFlags) resolve(fs *flag.FlagSet) (run server.RunConfig, workers int, err error) {
+	workers = *pf.workers
+	if p, ok := offload.ByName(*pf.config); ok {
+		run.Policy = p
+	} else {
+		text, rerr := os.ReadFile(*pf.config)
+		if rerr != nil {
+			return run, 0, fmt.Errorf("unknown -config %q: want SW, QAT+S, QAT+A, QAT+AH or QTLS, or the path of an ssl_engine conf file (%v)", *pf.config, rerr)
+		}
+		settings, perr := server.ParseEngineConfig(string(text))
+		if perr != nil {
+			return run, 0, fmt.Errorf("-config %s: %v", *pf.config, perr)
+		}
+		run = settings.Run
+		if settings.Workers > 0 {
+			workers = settings.Workers
+		}
+	}
+	fs.Visit(func(f *flag.Flag) {
+		var ok bool
+		switch f.Name {
+		case "workers":
+			workers = *pf.workers
+		case "asym-threshold":
+			run.Poll.AsymThreshold = *pf.asymThr
+		case "sym-threshold":
+			run.Poll.SymThreshold = *pf.symThr
+		case "coalesce":
+			// Submit coalescing applies to the async configurations only
+			// (the straight-offload path waits for its response inline).
+			run.Submit = offload.SubmitDirect
+			if *pf.coalesce {
+				run.Submit = offload.SubmitCoalesced
+			}
+		case "notify":
+			if run.Notify, ok = offload.NotifySchemeByName(*pf.notify); !ok {
+				err = fmt.Errorf("unknown -notify %q (want fd, kernel-bypass or coalesced)", *pf.notify)
+			}
+		case "record-mode":
+			if run.Record.Mode, ok = offload.RecordModeByName(*pf.recMode); !ok {
+				err = fmt.Errorf("unknown -record-mode %q (want software, offload or adaptive)", *pf.recMode)
+			}
+		case "record-threshold":
+			run.Record.SizeThreshold = *pf.recThr
+		case "placement":
+			if run.Placement, ok = offload.PlacementByName(*pf.placement); !ok {
+				err = fmt.Errorf("unknown -placement %q (want single, class-shard or conn-hash)", *pf.placement)
+			}
+		}
+	})
+	return run, workers, err
+}
+
 func main() {
 	var (
+		pf       = addPolicyFlags(flag.CommandLine)
 		addr     = flag.String("addr", "127.0.0.1:8443", "listen address")
-		cfgName  = flag.String("config", "QTLS", "offload configuration: SW, QAT+S, QAT+A, QAT+AH, QTLS")
-		confFile = flag.String("conf", "", "SSL Engine Framework config file (overrides -config/-workers, §A.7 dialect)")
-		workers  = flag.Int("workers", 2, "number of event-loop workers")
 		keyType  = flag.String("key", "rsa", "server key type: rsa or ecdsa")
 		maxVer   = flag.String("max-version", "1.2", "maximum TLS version: 1.2 or 1.3")
-		tickets  = flag.Bool("tickets", true, "enable session-ticket resumption")
-		cache    = flag.Bool("session-cache", true, "enable session-ID resumption")
-		asymThr  = flag.Int("asym-threshold", offload.DefaultAsymThreshold, "heuristic polling asym threshold")
-		symThr   = flag.Int("sym-threshold", offload.DefaultSymThreshold, "heuristic polling sym threshold")
-		interval = flag.Duration("poll-interval", offload.DefaultPollInterval, "timer polling interval")
-		coalesce = flag.Bool("coalesce", false, "batch async submissions per event-loop iteration (one doorbell per batch)")
-		notify   = flag.String("notify", "", "async notification backend: fd, kernel-bypass or coalesced (empty = the configuration's default)")
 		adaptive = flag.Bool("adaptive-poll", false, "close the loop on the heuristic thresholds from the retrieve-phase window (implies -flight)")
-		adaptInt = flag.Duration("adaptive-interval", time.Second, "minimum spacing between adaptive threshold adjustments (with -adaptive-poll)")
-		recMode  = flag.String("record-mode", "software", "post-handshake record path: software, offload, or adaptive")
-		recThr   = flag.Int("record-threshold", offload.DefaultRecordThreshold, "adaptive record-offload size threshold in bytes")
-		endpnts  = flag.Int("endpoints", 3, "QAT endpoints on each simulated device")
-		engines  = flag.Int("engines", 4, "engines per endpoint")
 		devCount = flag.Int("devices", 1, "simulated QAT devices in the pool")
-		placeStr = flag.String("placement", "", "multi-device placement: single, class-shard or conn-hash (empty = single)")
 		tktRot   = flag.Duration("ticket-rotate", 0, "session-ticket key rotation interval for the shared ring (0 = off; needs a multi-device placement)")
-		stats    = flag.Duration("stats", 5*time.Second, "stats print interval (0 = off)")
 		traceOn  = flag.Bool("trace", false, "record offload-phase spans (serves /debug/trace, adds phase latency to stats)")
-		traceCap = flag.Int("trace-spans", 4096, "span ring capacity per worker (with -trace)")
 		flightOn = flag.Bool("flight", false, "enable the black-box flight recorder (serves /debug/flight, windowed _w60s metrics, anomaly + SIGQUIT dumps; implies -trace)")
 		sloP99   = flag.Duration("slo-p99", 0, "windowed p99 SLO over the offload phases; exceeding it triggers a flight dump (0 = off; needs -flight)")
 
 		faultSpec = flag.String("fault", "", "device fault scenario, e.g. 'stall:op=rsa,p=0.1' (see internal/fault)")
-		faultSeed = flag.Int64("fault-seed", 1, "fault injector RNG seed")
 		chaosSpec = flag.String("chaos", "", "time-scripted chaos schedule, e.g. 't=5s dev1 stall 10s; t=30s dev0 reset-storm n=4' (implies -lifecycle; per-device injectors)")
 		lifecycle = flag.Bool("lifecycle", false, "enable the device lifecycle manager: quarantine/probation/recovery with live worker re-homing")
 		opTimeout = flag.Duration("op-timeout", 0, "per-op offload deadline before software fallback (0 = off)")
@@ -93,54 +168,14 @@ func main() {
 	)
 	flag.Parse()
 
-	var run server.RunConfig
-	if *confFile != "" {
-		text, err := os.ReadFile(*confFile)
-		if err != nil {
-			log.Fatalf("read -conf: %v", err)
-		}
-		settings, err := server.ParseEngineConfig(string(text))
-		if err != nil {
-			log.Fatalf("parse -conf: %v", err)
-		}
-		run = settings.Run
-		if settings.Workers > 0 {
-			*workers = settings.Workers
-		}
-		if run.AsymThreshold == 0 {
-			run.AsymThreshold = *asymThr
-		}
-		if run.SymThreshold == 0 {
-			run.SymThreshold = *symThr
-		}
-		log.Printf("ssl_engine config: %s (offload %v)", run.Name, settings.Offload)
-	} else {
-		found := false
-		for _, rc := range server.Configurations() {
-			if rc.Name == *cfgName {
-				run = rc
-				found = true
-				break
-			}
-		}
-		if !found {
-			log.Fatalf("unknown -config %q (want SW, QAT+S, QAT+A, QAT+AH or QTLS)", *cfgName)
-		}
-		run.AsymThreshold = *asymThr
-		run.SymThreshold = *symThr
-		run.PollInterval = *interval
+	run, workers, err := pf.resolve(flag.CommandLine)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if run.Offload != nil {
+		log.Printf("default_algorithm: offloading %v", run.Offload)
 	}
 
-	// Device-placement layer: shard op classes or hash connections across
-	// a pool of devices. The zero/empty value keeps the single-device
-	// legacy path byte-identical.
-	if *placeStr != "" {
-		p, ok := offload.PlacementByName(*placeStr)
-		if !ok {
-			log.Fatalf("unknown -placement %q (want single, class-shard or conn-hash)", *placeStr)
-		}
-		run.Placement = p
-	}
 	if *devCount < 1 {
 		log.Fatalf("-devices: need at least 1, got %d", *devCount)
 	}
@@ -150,7 +185,6 @@ func main() {
 
 	log.Printf("generating %s identity...", *keyType)
 	var id *minitls.Identity
-	var err error
 	if *keyType == "ecdsa" {
 		id, err = minitls.NewECDSAIdentity(elliptic.P256())
 	} else {
@@ -160,43 +194,23 @@ func main() {
 		log.Fatalf("identity: %v", err)
 	}
 
-	tlsCfg := &minitls.Config{Identity: id}
+	tlsCfg := &minitls.Config{Identity: id, SessionCache: minitls.NewSessionCache(4096)}
 	if *maxVer == "1.3" {
 		tlsCfg.MaxVersion = minitls.VersionTLS13
 	}
-	if *cache {
-		tlsCfg.SessionCache = minitls.NewSessionCache(4096)
-	}
-	if *tickets {
-		if run.Placement != offload.PlacementSingle {
-			// Multi-device placements share one rotating ring across the
-			// accept-sharded workers so a ticket issued anywhere resumes
-			// anywhere, across rotations.
-			ring, err := minitls.GenerateTicketKeyRing(0)
-			if err != nil {
-				log.Fatalf("ticket ring: %v", err)
-			}
-			tlsCfg.TicketKeys = ring
-		} else {
-			var key [32]byte
-			copy(key[:], "qtlsserver-demo-ticket-key-32byte")
-			tlsCfg.TicketKey = &key
+	if run.Placement != offload.PlacementSingle {
+		// Multi-device placements share one rotating ring across the
+		// accept-sharded workers so a ticket issued anywhere resumes
+		// anywhere, across rotations.
+		ring, err := minitls.GenerateTicketKeyRing(0)
+		if err != nil {
+			log.Fatalf("ticket ring: %v", err)
 		}
-	}
-
-	// Submit coalescing applies to the async configurations only (the
-	// straight-offload path waits for its own response inline).
-	run.CoalesceSubmits = *coalesce
-
-	// Notification backend override: the named configurations pick fd or
-	// kernel-bypass per the paper; -notify swaps in any Notifier
-	// implementation, including the coalesced hybrid.
-	if *notify != "" {
-		scheme, ok := offload.NotifySchemeByName(*notify)
-		if !ok {
-			log.Fatalf("unknown -notify %q (want fd, kernel-bypass or coalesced)", *notify)
-		}
-		run.Notify = scheme
+		tlsCfg.TicketKeys = ring
+	} else {
+		var key [32]byte
+		copy(key[:], "qtlsserver-demo-ticket-key-32byte")
+		tlsCfg.TicketKey = &key
 	}
 
 	// Adaptive polling replaces the static 48/24 thresholds with the
@@ -204,25 +218,11 @@ func main() {
 	// recorder's retrieve-phase window, so it implies -flight (which in
 	// turn implies -trace).
 	if *adaptive {
-		if run.Polling != offload.PollHeuristic {
-			log.Fatalf("-adaptive-poll needs heuristic polling (config %s uses %v)", run.Name, run.Polling)
+		if run.Poll.Scheme != offload.PollHeuristic {
+			log.Fatalf("-adaptive-poll needs heuristic polling (config %s uses %v)", run.Name, run.Poll.Scheme)
 		}
-		run.AdaptivePoll = &offload.AdaptiveConfig{Interval: *adaptInt}
+		run.AdaptivePoll = &offload.AdaptiveConfig{}
 		*flightOn = true
-	}
-
-	// Record-path offload: after the handshake, application-data records
-	// are sealed by the record engine per this policy (internal/record).
-	switch *recMode {
-	case "software":
-		run.RecordMode = offload.RecordSoftware
-	case "offload":
-		run.RecordMode = offload.RecordOffload
-	case "adaptive":
-		run.RecordMode = offload.RecordAdaptive
-		run.RecordThreshold = *recThr
-	default:
-		log.Fatalf("unknown -record-mode %q (want software, offload or adaptive)", *recMode)
 	}
 
 	// Degradation knobs: the deadline/retry ladder and breakers apply to
@@ -245,7 +245,7 @@ func main() {
 		ShedFraction: *shedFrac,
 	}
 
-	inj, err := fault.ParseSpec(*faultSpec, *faultSeed)
+	inj, err := fault.ParseSpec(*faultSpec, faultSeed)
 	if err != nil {
 		log.Fatalf("-fault: %v", err)
 	}
@@ -284,8 +284,8 @@ func main() {
 	var devInjs []*fault.Injector
 	if run.UseQAT {
 		spec := qat.DeviceSpec{
-			Endpoints:          *endpnts,
-			EnginesPerEndpoint: *engines,
+			Endpoints:          3,
+			EnginesPerEndpoint: 4,
 			SymBaseTime:        4 * time.Microsecond,
 			SymPerKB:           time.Microsecond,
 			Injector:           inj,
@@ -298,7 +298,7 @@ func main() {
 			devs := make([]*qat.Device, *devCount)
 			devInjs = make([]*fault.Injector, *devCount)
 			for d := range devs {
-				devInjs[d] = fault.NewInjector(*faultSeed+int64(d), rules...)
+				devInjs[d] = fault.NewInjector(faultSeed+int64(d), rules...)
 				dspec := spec
 				dspec.Injector = devInjs[d]
 				devs[d] = qat.NewDevice(dspec)
@@ -317,7 +317,7 @@ func main() {
 	if *traceOn || *flightOn {
 		// The flight recorder's windowed signal plane consumes spans, so
 		// -flight implies span recording.
-		rec = trace.NewRecorder(*traceCap)
+		rec = trace.NewRecorder(traceSpans)
 		rec.SetEnabled(true)
 	}
 	var fr *flight.Recorder
@@ -342,7 +342,7 @@ func main() {
 	}
 	srv, err := server.New(server.Options{
 		Addr:    *addr,
-		Workers: *workers,
+		Workers: workers,
 		Run:     run,
 		TLS:     tlsCfg,
 		Pool:    pool,
@@ -355,10 +355,10 @@ func main() {
 	}
 	srv.Start()
 	log.Printf("qtlsserver: %s, %d workers, config %s, max %s — listening on %s",
-		*keyType, *workers, run.Name, *maxVer, srv.Addr())
+		*keyType, workers, run.Name, *maxVer, srv.Addr())
 	log.Printf("observability: GET /stub_status, GET /metrics (Prometheus text)")
 	if rec != nil {
-		log.Printf("tracing: GET /debug/trace?n=256 (four-phase spans, %d per worker)", *traceCap)
+		log.Printf("tracing: GET /debug/trace?n=256 (four-phase spans, %d per worker)", traceSpans)
 	}
 	if pool != nil && (pool.Size() > 1 || run.Placement != offload.PlacementSingle) {
 		log.Printf("placement: %s over %d device(s), pool-wide admission control", run.Placement, pool.Size())
@@ -366,7 +366,7 @@ func main() {
 	if *tktRot > 0 {
 		ring := srv.TicketKeys()
 		if ring == nil {
-			log.Fatalf("-ticket-rotate needs the shared ticket ring (a multi-device -placement with -tickets)")
+			log.Fatalf("-ticket-rotate needs the shared ticket ring (a multi-device -placement)")
 		}
 		go func() {
 			for range time.Tick(*tktRot) {
@@ -380,7 +380,7 @@ func main() {
 		log.Printf("ticket ring: rotating every %s", *tktRot)
 	}
 	if run.AdaptivePoll != nil {
-		log.Printf("adaptive polling: closed-loop thresholds every %s, watch qtls_poll_threshold{class} on /metrics", *adaptInt)
+		log.Print("adaptive polling: closed-loop thresholds, watch qtls_poll_threshold{class} on /metrics")
 	}
 	if srv.Lifecycle() != nil {
 		note := ""
@@ -425,48 +425,46 @@ func main() {
 		}()
 	}
 
-	if *stats > 0 {
-		go func() {
-			for range time.Tick(*stats) {
-				st := srv.Stats()
-				line := fmt.Sprintf("handshakes=%d (resumed %d) requests=%d bytes=%d asyncEvents=%d heuristicPolls=%d timerPolls=%d retries=%d errors=%d",
-					st.Handshakes, st.Resumed, st.Requests, st.BytesOut,
-					st.AsyncEvents, st.HeuristicPolls, st.TimerPolls, st.RetryEvents, st.Errors)
-				if pool != nil {
-					var reqs uint64
-					for _, d := range pool.Devices() {
-						for _, c := range d.Counters() {
-							reqs += c.TotalRequests()
-						}
-					}
-					line += fmt.Sprintf(" fw_counters=%d", reqs)
-					if lc := srv.Lifecycle(); lc != nil {
-						line += fmt.Sprintf(" devState=%v", lc.States())
+	go func() {
+		for range time.Tick(5 * time.Second) {
+			st := srv.Stats()
+			line := fmt.Sprintf("handshakes=%d (resumed %d) requests=%d bytes=%d asyncEvents=%d heuristicPolls=%d timerPolls=%d retries=%d errors=%d",
+				st.Handshakes, st.Resumed, st.Requests, st.BytesOut,
+				st.AsyncEvents, st.HeuristicPolls, st.TimerPolls, st.RetryEvents, st.Errors)
+			if pool != nil {
+				var reqs uint64
+				for _, d := range pool.Devices() {
+					for _, c := range d.Counters() {
+						reqs += c.TotalRequests()
 					}
 				}
-				snap := srv.Metrics().Snapshot()
-				if rb := snap["qtls_record_bytes"]; rb > 0 {
-					line += fmt.Sprintf(" recordBytes=%d recordOps=%d/%d(off/sw)",
-						rb, snap["qtls_record_offload_ops"], snap["qtls_record_sw_ops"])
+				line += fmt.Sprintf(" fw_counters=%d", reqs)
+				if lc := srv.Lifecycle(); lc != nil {
+					line += fmt.Sprintf(" devState=%v", lc.States())
 				}
-				if snap["qat_faults_injected"] > 0 || snap["qat_sw_fallbacks"] > 0 {
-					line += fmt.Sprintf(" faults=%d timeouts=%d swFallbacks=%d trips=%d",
-						snap["qat_faults_injected"], snap["qat_op_timeouts"],
-						snap["qat_sw_fallbacks"], snap["qat_instance_trips"])
-				}
-				if rec != nil {
-					line += " phases(p50/p99 µs):"
-					for _, ph := range trace.OffloadPhases() {
-						if h, ok := srv.Metrics().LookupHistogram(trace.PhaseSeriesName(ph)); ok && h.Count() > 0 {
-							line += fmt.Sprintf(" %s=%.1f/%.1f", ph,
-								h.Quantile(0.50)/1e3, h.Quantile(0.99)/1e3)
-						}
-					}
-				}
-				log.Print(line)
 			}
-		}()
-	}
+			snap := srv.Metrics().Snapshot()
+			if rb := snap["qtls_record_bytes"]; rb > 0 {
+				line += fmt.Sprintf(" recordBytes=%d recordOps=%d/%d(off/sw)",
+					rb, snap["qtls_record_offload_ops"], snap["qtls_record_sw_ops"])
+			}
+			if snap["qat_faults_injected"] > 0 || snap["qat_sw_fallbacks"] > 0 {
+				line += fmt.Sprintf(" faults=%d timeouts=%d swFallbacks=%d trips=%d",
+					snap["qat_faults_injected"], snap["qat_op_timeouts"],
+					snap["qat_sw_fallbacks"], snap["qat_instance_trips"])
+			}
+			if rec != nil {
+				line += " phases(p50/p99 µs):"
+				for _, ph := range trace.OffloadPhases() {
+					if h, ok := srv.Metrics().LookupHistogram(trace.PhaseSeriesName(ph)); ok && h.Count() > 0 {
+						line += fmt.Sprintf(" %s=%.1f/%.1f", ph,
+							h.Quantile(0.50)/1e3, h.Quantile(0.99)/1e3)
+					}
+				}
+			}
+			log.Print(line)
+		}
+	}()
 
 	// SIGTERM/SIGINT starts a graceful drain: stop accepting, finish
 	// admitted requests and in-flight QAT responses, close-notify idle

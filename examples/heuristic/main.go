@@ -40,7 +40,7 @@ func main() {
 	heur := perf.QTLS(4)
 	timerFast := perf.QATA(4)
 	timerSlow := perf.QATA(4)
-	timerSlow.PollInterval = time.Millisecond
+	timerSlow.Poll.Interval = time.Millisecond
 
 	fmt.Println("low concurrency (4 clients): timeliness constraint polls immediately")
 	run("heuristic (QTLS)", heur, 4)

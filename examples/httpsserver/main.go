@@ -72,7 +72,7 @@ func main() {
 			SessionCache: minitls.NewSessionCache(1024),
 			TicketKey:    &ticketKey,
 		},
-		Device:  dev,
+		Pool:    qat.PoolOf(dev),
 		Handler: server.SizedBodyHandler(1 << 20),
 		Trace:   rec,
 	})

@@ -40,9 +40,9 @@ func main() {
 
 	fmt.Printf("%-8s %10s %10s %12s\n", "config", "conns", "CPS", "avg latency")
 	for _, run := range server.Configurations() {
-		var dev *qat.Device
+		var pool *qat.Pool
 		if run.UseQAT {
-			dev = qat.NewDevice(qat.DeviceSpec{Endpoints: 3, EnginesPerEndpoint: 4})
+			pool = qat.NewPool(1, qat.DeviceSpec{Endpoints: 3, EnginesPerEndpoint: 4})
 		}
 		srv, err := server.New(server.Options{
 			Addr:    "127.0.0.1:0",
@@ -52,7 +52,7 @@ func main() {
 				Identity:     id,
 				CipherSuites: []uint16{minitls.TLS_RSA_WITH_AES_128_CBC_SHA},
 			},
-			Device:  dev,
+			Pool:    pool,
 			Handler: server.SizedBodyHandler(1 << 20),
 		})
 		if err != nil {
@@ -65,8 +65,8 @@ func main() {
 			Duration: *duration,
 		})
 		srv.Stop()
-		if dev != nil {
-			dev.Close()
+		if pool != nil {
+			pool.Close()
 		}
 		fmt.Printf("%-8s %10d %10.0f %12v\n",
 			run.Name, res.Connections, res.CPS(), time.Duration(res.Latency.Mean).Round(time.Microsecond))

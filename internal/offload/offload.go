@@ -11,9 +11,10 @@
 //     per op vs coalesced batches per event-loop iteration).
 //
 // Both the live stack (internal/server, internal/engine) and the
-// discrete-event performance model (internal/perf) consume this package,
-// so the thresholds, defaults and poll decisions are defined exactly once
-// and the two stacks cannot drift.
+// discrete-event performance model (internal/perf) consume this package:
+// server.RunConfig and perf.Config each embed Policy and add only what is
+// theirs, so the thresholds, defaults and poll decisions are defined
+// exactly once and the two stacks cannot drift.
 package offload
 
 import (
@@ -113,12 +114,19 @@ func (n NotifyScheme) String() string {
 // NotifySchemeByName maps a flag value ("fd", "kernel-bypass",
 // "coalesced") back to its scheme.
 func NotifySchemeByName(name string) (NotifyScheme, bool) {
-	for _, s := range []NotifyScheme{NotifierFD, NotifierKernelBypass, NotifierCoalesced} {
-		if s.String() == name {
-			return s, true
+	return byName(name, NotifierFD, NotifierKernelBypass, NotifierCoalesced)
+}
+
+// byName finds the value among all whose String is name: the inverse the
+// flag and conf surfaces need for every enum of this package.
+func byName[T fmt.Stringer](name string, all ...T) (T, bool) {
+	for _, v := range all {
+		if v.String() == name {
+			return v, true
 		}
 	}
-	return 0, false
+	var zero T
+	return zero, false
 }
 
 // Placement selects how work is spread across the devices of a qat.Pool.
@@ -159,12 +167,7 @@ func (p Placement) String() string {
 // PlacementByName maps a flag value ("single", "class-shard",
 // "conn-hash") back to its placement mode.
 func PlacementByName(name string) (Placement, bool) {
-	for _, p := range []Placement{PlacementSingle, PlacementClassShard, PlacementConnHash} {
-		if p.String() == name {
-			return p, true
-		}
-	}
-	return 0, false
+	return byName(name, PlacementSingle, PlacementClassShard, PlacementConnHash)
 }
 
 // AsymDevices returns the preferred device indices for asymmetric ops in
@@ -251,8 +254,7 @@ type PollPolicy struct {
 	// ShouldPoll) reads the controller instead of AsymThreshold /
 	// SymThreshold, while the call sites stay byte-for-byte identical.
 	// Nil — the paper's static scheme — for all five named
-	// configurations, which keeps the cross-stack parity comparison
-	// exact.
+	// configurations.
 	Adaptive *AdaptivePoll
 }
 
@@ -403,8 +405,10 @@ type Policy struct {
 	Notify NotifyScheme
 	// Submit is the submission strategy.
 	Submit SubmitMode
-	// Record is the post-handshake record-path policy (zero: software
-	// record protection, as in the paper's five configurations).
+	// Record is the post-handshake record-path policy. The zero value —
+	// the paper's five configurations — runs no record engine: records are
+	// protected by the TLS stack through its crypto provider, so with
+	// UseQAT the QAT Engine offloads every cipher operation.
 	Record RecordPolicy
 	// Placement is the multi-device placement mode (zero: single device,
 	// as in the paper's five configurations).
@@ -419,8 +423,8 @@ func (p Policy) WithDefaults() Policy {
 }
 
 // The paper's five configurations (§5.1), built from the composable
-// policy values. Both the live stack's RunConfig constructors and the
-// DES Config constructors derive from these.
+// policy values. server.ConfigSW … ConfigQTLS and perf.SW(n) … QTLS(n)
+// are literals over these.
 
 // SW is software calculation with AES-NI-class instructions.
 func SW() Policy { return Policy{Name: "SW"} }

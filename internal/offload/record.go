@@ -20,8 +20,10 @@ const DefaultRecordThreshold = 4096
 type RecordMode int
 
 const (
-	// RecordSoftware seals and opens every record on the worker core
-	// (the paper's configuration: only handshake crypto is offloaded).
+	// RecordSoftware runs no record engine (the paper's configuration):
+	// the TLS stack protects each record itself, as one cipher operation
+	// through its crypto provider — software under SW, offloaded by the
+	// QAT Engine otherwise, in the live stack and the model alike.
 	RecordSoftware RecordMode = iota
 	// RecordOffload routes every application-data record through a QAT
 	// symmetric instance.
@@ -45,8 +47,15 @@ func (m RecordMode) String() string {
 	}
 }
 
+// RecordModeByName maps a flag value ("software", "offload", "adaptive")
+// back to its record mode.
+func RecordModeByName(name string) (RecordMode, bool) {
+	return byName(name, RecordSoftware, RecordOffload, RecordAdaptive)
+}
+
 // RecordPolicy is the record-path policy: the mode plus the adaptive
-// size threshold. The zero value is the paper's software record path.
+// size threshold. The zero value is the paper's record path (no record
+// engine).
 type RecordPolicy struct {
 	// Mode selects the record data plane.
 	Mode RecordMode
@@ -57,7 +66,7 @@ type RecordPolicy struct {
 
 // WithDefaults resolves the unset threshold for the adaptive mode. The
 // software and always-offload modes keep a zero threshold so the zero
-// policy stays canonical across stacks (parity test).
+// policy stays canonical.
 func (p RecordPolicy) WithDefaults() RecordPolicy {
 	if p.Mode == RecordAdaptive && p.SizeThreshold <= 0 {
 		p.SizeThreshold = DefaultRecordThreshold

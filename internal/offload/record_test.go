@@ -25,9 +25,9 @@ func TestRecordPolicyOffloadDecision(t *testing.T) {
 }
 
 func TestRecordPolicyDefaults(t *testing.T) {
-	// The zero policy must stay zero under WithDefaults — the cross-stack
-	// parity test depends on the five named configurations resolving
-	// identically, and they all carry the zero (software) record policy.
+	// The zero policy must stay zero under WithDefaults: the five named
+	// configurations all carry it, and it is the canonical "no record
+	// engine" value in both stacks.
 	if got := (RecordPolicy{}).WithDefaults(); got != (RecordPolicy{}) {
 		t.Errorf("zero RecordPolicy resolved to %+v", got)
 	}
@@ -41,5 +41,11 @@ func TestRecordPolicyDefaults(t *testing.T) {
 		if m.String() != want {
 			t.Errorf("RecordMode(%d).String() = %q, want %q", int(m), m.String(), want)
 		}
+		if got, ok := RecordModeByName(want); !ok || got != m {
+			t.Errorf("RecordModeByName(%q) = %v, %v", want, got, ok)
+		}
+	}
+	if _, ok := RecordModeByName("bogus"); ok {
+		t.Error("RecordModeByName accepted bogus")
 	}
 }

@@ -85,17 +85,16 @@ func adaptiveMixes() []adaptiveMix {
 }
 
 // runAdaptiveMix runs one QTLS configuration over one mix. asym/sym
-// override the static thresholds (0 keeps the calibrated defaults);
-// ad, when non-nil, arms the controller.
+// override the static thresholds (0 keeps the paper defaults); ad, when
+// non-nil, arms the controller.
 func runAdaptiveMix(o Opts, mix adaptiveMix, asym, sym int, ad *offload.AdaptiveConfig) perf.RunResult {
-	p := mix.params()
-	if asym > 0 {
-		p.AsymThreshold, p.SymThreshold = asym, sym
-	}
 	cfg := perf.QTLS(mix.workers)
+	if asym > 0 {
+		cfg.Poll.AsymThreshold, cfg.Poll.SymThreshold = asym, sym
+	}
 	cfg.Adaptive = ad
 	return perf.Run(perf.RunOptions{
-		Params:  p,
+		Params:  mix.params(),
 		Config:  cfg,
 		Warmup:  o.Warmup,
 		Measure: o.Measure,

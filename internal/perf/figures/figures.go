@@ -306,7 +306,7 @@ func Fig11(o Opts) Table {
 // thread, for the Fig. 12 polling comparison.
 func timer(workers int, interval time.Duration) perf.Config {
 	cfg := perf.QATA(workers)
-	cfg.PollInterval = interval
+	cfg.Poll.Interval = interval
 	cfg.Name = interval.String()
 	return cfg
 }
@@ -428,34 +428,6 @@ func Fig12c(o Opts) Table {
 	return t
 }
 
-// extraGens holds platform-gated generators — experiments that drive
-// the live event-loop server (linux-only) rather than the portable DES
-// model — registered via init() from their own build-tagged files.
-var (
-	extraGens = map[string]func(Opts) Table{}
-	extraIDs  []string
-)
-
-func registerExtra(id string, gen func(Opts) Table) {
-	extraGens[id] = gen
-	extraIDs = append(extraIDs, id)
-}
-
-// All runs every figure (Table 1 is generated separately by Table1,
-// which exercises the functional stack rather than the model).
-func All(o Opts) []Table {
-	out := []Table{
-		Table1(), Fig7a(o), Fig7b(o), Fig7c(o), Fig8(o),
-		Fig9a(o), Fig9b(o), Fig10(o), Fig11(o),
-		Fig12a(o), Fig12b(o), Fig12c(o), Degraded(o), Overload(o), KTLS(o),
-		Blackbox(o), Adaptive(o), NotifyParity(), Shard(o), Recovery(o),
-	}
-	for _, id := range extraIDs {
-		out = append(out, extraGens[id](o))
-	}
-	return out
-}
-
 // ByID returns the generator for one experiment id.
 func ByID(id string) (func(Opts) Table, bool) {
 	gens := map[string]func(Opts) Table{
@@ -470,17 +442,13 @@ func ByID(id string) (func(Opts) Table, bool) {
 		"shard":         Shard,
 		"recovery":      Recovery,
 	}
-	if g, ok := gens[id]; ok {
-		return g, true
-	}
-	g, ok := extraGens[id]
+	g, ok := gens[id]
 	return g, ok
 }
 
 // IDs lists all experiment identifiers in paper order.
 func IDs() []string {
-	ids := []string{"table1", "fig7a", "fig7b", "fig7c", "fig8",
+	return []string{"table1", "fig7a", "fig7b", "fig7c", "fig8",
 		"fig9a", "fig9b", "fig10", "fig11", "fig12a", "fig12b", "fig12c",
 		"degraded", "overload", "ktls", "blackbox", "adaptive", "notify-parity", "shard", "recovery"}
-	return append(ids, extraIDs...)
 }

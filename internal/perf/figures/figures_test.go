@@ -125,9 +125,8 @@ func TestFig12bShape(t *testing.T) {
 
 func TestByIDAndIDs(t *testing.T) {
 	ids := IDs()
-	if want := 20 + len(extraIDs); len(ids) != want {
-		t.Fatalf("want %d experiments (1 table + 11 figures + degraded + overload + ktls + blackbox + adaptive + notify-parity + shard + recovery + %d extras), got %d",
-			want, len(extraIDs), len(ids))
+	if len(ids) != 20 {
+		t.Fatalf("want 20 experiments (1 table + 11 figures + degraded + overload + ktls + blackbox + adaptive + notify-parity + shard + recovery), got %d", len(ids))
 	}
 	for _, id := range ids {
 		if _, ok := ByID(id); !ok {

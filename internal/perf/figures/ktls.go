@@ -31,20 +31,24 @@ func KTLS(o Opts) Table {
 	for _, kb := range sizes {
 		t.Columns = append(t.Columns, fmt.Sprintf("%dKB", kb))
 	}
+	// The baseline keeps every seal on the worker core (handshake-only
+	// offload); the other two rows run a record engine under the shared
+	// record policy.
 	modes := []struct {
-		name string
-		pol  offload.RecordPolicy
+		name   string
+		onCore bool
+		mode   offload.RecordMode
 	}{
-		{"record=sw", offload.RecordPolicy{Mode: offload.RecordSoftware}},
-		{"record=offload", offload.RecordPolicy{Mode: offload.RecordOffload}},
-		{"record=adaptive", offload.RecordPolicy{Mode: offload.RecordAdaptive}},
+		{"record=sw", true, offload.RecordSoftware},
+		{"record=offload", false, offload.RecordOffload},
+		{"record=adaptive", false, offload.RecordAdaptive},
 	}
-	for i := range modes {
-		mode := modes[i]
+	for _, mode := range modes {
 		s := Series{Name: mode.name}
 		for _, kb := range sizes {
 			cfg := perf.QTLS(8)
-			cfg.Record = &mode.pol
+			cfg.CipherOnCore = mode.onCore
+			cfg.Record.Mode = mode.mode
 			res := perf.Run(perf.RunOptions{
 				Config:  cfg,
 				Warmup:  o.Warmup,

@@ -15,8 +15,8 @@ import (
 // delivery order, or per-event costs drifted.
 //
 // The DES is deterministic for a given seed, so this table is
-// byte-stable: TestNotifierByteParity regenerates it and compares the
-// CSV rendering against testdata/notify_parity.golden, which was
+// byte-stable: TestAllGeneratorsSmoke regenerates it and compares the
+// CSV rendering against testdata/notify-parity.golden, which was
 // captured before the Notifier enum became the Notifier interface. Any
 // behavioral drift in the static schemes — a reordered delivery, an
 // extra poll, a cost charged twice — shows up as a byte diff here.

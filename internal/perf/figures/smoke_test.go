@@ -81,6 +81,7 @@ func TestAllGeneratorsSmoke(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.id, func(t *testing.T) {
+			t.Parallel() // generators share no state; each owns its simulation
 			gen, ok := ByID(tc.id)
 			if !ok {
 				t.Fatalf("ByID(%q) missing", tc.id)

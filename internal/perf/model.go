@@ -10,23 +10,6 @@ import (
 	"qtls/internal/sim"
 )
 
-// PollKind selects the response retrieval scheme in the model. It is the
-// shared offload.PollScheme under its historical name.
-type PollKind = offload.PollScheme
-
-const (
-	// PollInline: the blocking straight-offload retrieval (QAT+S).
-	PollInline = offload.PollNone
-	// PollTimer: a timer-based polling thread pinned to the worker core.
-	PollTimer = offload.PollTimer
-	// PollHeuristic: the QTLS heuristic polling scheme.
-	PollHeuristic = offload.PollHeuristic
-	// PollInterrupt: no polling — each completion raises a kernel
-	// interrupt that delivers the response to the worker (the alternative
-	// §3.3 rejects for its per-event kernel cost; ablation only).
-	PollInterrupt = offload.PollInterrupt
-)
-
 // AsyncImpl selects the crypto pause implementation (§4.1 ablation).
 // The live stack has a matching knob (minitls.AsyncMode) but the choice
 // does not change offload policy, so it stays outside internal/offload.
@@ -40,35 +23,19 @@ const (
 	ImplStack
 )
 
-// NotifKind selects the async event notification scheme. It is the
-// shared offload.NotifyScheme under its historical name.
-type NotifKind = offload.NotifyScheme
-
-const (
-	// NotifFD is the descriptor-based scheme (write(2) + epoll).
-	NotifFD = offload.NotifierFD
-	// NotifBypass is the kernel-bypass async queue.
-	NotifBypass = offload.NotifierKernelBypass
-	// NotifCoalesced is eventfd-style batched delivery: bypass-cost
-	// queueing per event plus one descriptor write per completion batch.
-	NotifCoalesced = offload.NotifierCoalesced
-)
-
-// Config selects one offload configuration for a model run.
+// Config selects one offload configuration for a model run: the shared
+// offload.Policy — the same value the live stack's server.RunConfig
+// embeds, so the two stacks cannot name a configuration differently —
+// plus the model-only scenario knobs.
 type Config struct {
-	// Name labels the configuration ("SW", "QAT+S", ...).
-	Name string
-	// UseQAT enables the accelerator.
-	UseQAT bool
-	// Async enables the asynchronous offload framework; false with UseQAT
-	// is the straight (blocking) offload.
-	Async bool
-	// Polling is the retrieval scheme for async configurations.
-	Polling PollKind
-	// PollInterval is the timer polling period (QAT+S and PollTimer).
-	PollInterval time.Duration
-	// Notify is the async notification scheme.
-	Notify NotifKind
+	// Policy is the offload configuration proper; its fields are promoted
+	// (cfg.UseQAT, cfg.Async, cfg.Poll.Interval, ...). Unset poll and
+	// record parameters resolve to the offload defaults. The zero Record
+	// policy means what it means in the live stack — no record engine, the
+	// QAT Engine offloads every cipher operation (the paper's behavior);
+	// RecordOffload and RecordAdaptive are the discrete-event counterpart
+	// of internal/record.
+	offload.Policy
 	// Impl is the crypto pause implementation (fiber by default; the
 	// stack-async §4.1 ablation sets ImplStack).
 	Impl AsyncImpl
@@ -83,30 +50,23 @@ type Config struct {
 	// the discrete-event counterpart of the live stack's accept-time
 	// shedding. Zero fields take the offload defaults.
 	Overload *offload.OverloadPolicy
-	// Record, when non-nil, routes post-handshake record seals per the
-	// shared record policy (software / offload / adaptive-above-threshold)
-	// — the discrete-event counterpart of internal/record. Nil keeps the
-	// paper's behavior: the QAT Engine offloads every cipher operation
-	// whenever the accelerator is in use.
-	Record *offload.RecordPolicy
+	// CipherOnCore keeps every record seal on the worker core even though
+	// the accelerator is in use — handshake-only offload, the baseline row
+	// of the ktls figure. The live stack expresses the same thing through
+	// RunConfig.Offload (default_algorithm without CIPHERS).
+	CipherOnCore bool
 	// Adaptive, when non-nil, arms the closed-loop threshold controller
-	// on every worker (PollHeuristic only): each worker's poll policy
+	// on every worker (offload.PollHeuristic only): each worker's poll policy
 	// carries an offload.AdaptivePoll fed by virtual-time sliding windows
 	// of retrieve-phase latency and completion-batch size — the
 	// discrete-event counterpart of the live stack's flight-backed
 	// feedback. Nil keeps the paper's static thresholds.
 	Adaptive *offload.AdaptiveConfig
 	// Devices is the number of modeled QAT cards (default 1 — the
-	// paper's single-card testbed). With more than one, Placement
+	// paper's single-card testbed). With more than one, Policy.Placement
 	// selects how op classes and workers spread across them — the
 	// discrete-event counterpart of the live stack's qat.Pool sharding.
 	Devices int
-	// Placement is the multi-device placement mode. The zero value pins
-	// everything to device 0, byte-identical to the pre-placement model;
-	// PlacementClassShard routes asymmetric ops and sym/PRF ops to
-	// disjoint device sets; PlacementConnHash homes each worker (and its
-	// connections) on one device by worker hash.
-	Placement offload.Placement
 	// DegradeAt, when positive with Devices > 1 and an active Placement,
 	// stalls every engine pool of DegradeDevice that far into the run
 	// (virtual time from model start): the mid-run device-degradation
@@ -146,62 +106,17 @@ type FaultScenario struct {
 	TripThreshold int
 }
 
-// fromPolicy builds a model Config from a shared offload policy at a
-// given worker count.
-func fromPolicy(p offload.Policy, workers int) Config {
-	return Config{
-		Name:         p.Name,
-		UseQAT:       p.UseQAT,
-		Async:        p.Async,
-		Polling:      p.Poll.Scheme,
-		PollInterval: p.Poll.Interval,
-		Notify:       p.Notify,
-		Workers:      workers,
-	}
-}
+// The paper's five configurations (§5.1) at a given worker count: the
+// shared policies, unadorned.
+func SW(workers int) Config { return Config{Policy: offload.SW(), Workers: workers} }
 
-// pollPolicy resolves the Config's retrieval knobs plus the calibrated
-// thresholds into the shared policy value.
-func (cfg Config) pollPolicy(p Params) offload.PollPolicy {
-	return offload.PollPolicy{
-		Scheme:           cfg.Polling,
-		Interval:         cfg.PollInterval,
-		AsymThreshold:    p.AsymThreshold,
-		SymThreshold:     p.SymThreshold,
-		FailoverInterval: p.FailoverInterval,
-	}.WithDefaults()
-}
+func QATS(workers int) Config { return Config{Policy: offload.QATS(), Workers: workers} }
 
-// OffloadPolicy resolves the Config (with the given model parameters)
-// into the shared offload-policy vocabulary — the same value the live
-// stack's RunConfig.OffloadPolicy yields for each named configuration
-// (see the parity test in internal/offload).
-func (cfg Config) OffloadPolicy(p Params) offload.Policy {
-	pol := offload.Policy{
-		Name:      cfg.Name,
-		UseQAT:    cfg.UseQAT,
-		Async:     cfg.Async,
-		Poll:      cfg.pollPolicy(p),
-		Notify:    cfg.Notify,
-		Placement: cfg.Placement,
-	}
-	if cfg.Record != nil {
-		pol.Record = cfg.Record.WithDefaults()
-	}
-	return pol
-}
+func QATA(workers int) Config { return Config{Policy: offload.QATA(), Workers: workers} }
 
-// The paper's five configurations (§5.1) at a given worker count,
-// derived from the shared policy layer.
-func SW(workers int) Config { return fromPolicy(offload.SW(), workers) }
+func QATAH(workers int) Config { return Config{Policy: offload.QATAH(), Workers: workers} }
 
-func QATS(workers int) Config { return fromPolicy(offload.QATS(), workers) }
-
-func QATA(workers int) Config { return fromPolicy(offload.QATA(), workers) }
-
-func QATAH(workers int) Config { return fromPolicy(offload.QATAH(), workers) }
-
-func QTLS(workers int) Config { return fromPolicy(offload.QTLS(), workers) }
+func QTLS(workers int) Config { return Config{Policy: offload.QTLS(), Workers: workers} }
 
 // Configurations returns the paper's five configurations in order.
 func Configurations(workers int) []Config {
@@ -293,9 +208,9 @@ type Stats struct {
 	Reroutes int64
 
 	// Record-path counters: cipher (record seal) operations routed to the
-	// accelerator vs computed on the worker core. With Config.Record nil
-	// every cipher op under a QAT configuration counts as offloaded (the
-	// paper's engine-level cipher offload).
+	// accelerator vs computed on the worker core. Under the zero Record
+	// policy every cipher op of a QAT configuration counts as offloaded
+	// (the paper's engine-level cipher offload).
 	RecordOffloadOps int64
 	RecordSWOps      int64
 
@@ -329,11 +244,8 @@ type Model struct {
 	sim     *sim.Simulation
 	p       Params
 	cfg     Config
-	poll    offload.PollPolicy     // resolved retrieval policy (shared seam)
 	shed    offload.OverloadPolicy // resolved admission policy (shedOn)
 	shedOn  bool
-	rec     offload.RecordPolicy // resolved record policy (recOn)
-	recOn   bool
 	workers []*worker
 	dev     *device   // devs[0]: the legacy single-device view
 	devs    []*device // all modeled cards, indexed by device
@@ -360,23 +272,17 @@ func NewModel(p Params, cfg Config, seed int64) *Model {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	poll := cfg.pollPolicy(p)
-	cfg.PollInterval = poll.Interval
+	cfg.Policy = cfg.Policy.WithDefaults()
 	m := &Model{
 		sim:   sim.New(seed),
 		p:     p,
 		cfg:   cfg,
-		poll:  poll,
 		stats: newStats(),
 		link:  &link{gbps: p.LinkGbps},
 	}
 	if cfg.Overload != nil {
 		m.shed = cfg.Overload.WithDefaults()
 		m.shedOn = true
-	}
-	if cfg.Record != nil {
-		m.rec = cfg.Record.WithDefaults()
-		m.recOn = true
 	}
 	if cfg.UseQAT {
 		ndev := cfg.Devices
@@ -418,7 +324,7 @@ func NewModel(p Params, cfg Config, seed int64) *Model {
 		m.retrieveWin = flight.NewWindow(adaptiveWinBuckets, adaptiveWinBucket)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		w := &worker{m: m, id: i, policy: poll}
+		w := &worker{m: m, id: i, policy: cfg.Poll}
 		if m.dev != nil {
 			w.endpoint = m.dev.endpoints[i%len(m.dev.endpoints)]
 		}
@@ -443,12 +349,12 @@ func NewModel(p Params, cfg Config, seed int64) *Model {
 		if cfg.UseQAT && cfg.Async {
 			w.notif = offload.NewNotifier(cfg.Notify)
 			w.batchWin = flight.NewWindow(adaptiveWinBuckets, adaptiveWinBucket)
-			if cfg.Adaptive != nil && cfg.Polling == PollHeuristic {
+			if cfg.Adaptive != nil && cfg.Poll.Scheme == offload.PollHeuristic {
 				ac := *cfg.Adaptive
 				if ac.Failover <= 0 {
 					// Steer against the failover timer actually pacing
 					// this policy, not the paper default.
-					ac.Failover = poll.FailoverInterval
+					ac.Failover = cfg.Poll.FailoverInterval
 				}
 				w.adaptive = offload.NewAdaptivePoll(ac, flight.WindowFeedback{
 					Latency: m.retrieveWin,
@@ -463,10 +369,10 @@ func NewModel(p Params, cfg Config, seed int64) *Model {
 			// visible on its tick grid; modeled inside blocking waits.
 			continue
 		}
-		if cfg.UseQAT && cfg.Polling == PollTimer {
+		if cfg.UseQAT && cfg.Poll.Scheme == offload.PollTimer {
 			w.startTimerPolling()
 		}
-		if cfg.UseQAT && cfg.Polling == PollHeuristic {
+		if cfg.UseQAT && cfg.Poll.Scheme == offload.PollHeuristic {
 			w.startFailoverTimer()
 		}
 	}
@@ -481,24 +387,21 @@ const (
 	adaptiveWinBucket  = 25 * time.Millisecond
 )
 
-// Sim exposes the underlying simulation (workload drivers schedule client
-// events on it).
-func (m *Model) Sim() *sim.Simulation { return m.sim }
-
 // Stats returns the current measurement window's statistics.
 func (m *Model) Stats() *Stats { return m.stats }
 
 // recordOffload reports whether a record seal of n plaintext bytes takes
-// the accelerator path: the explicit record policy when one is set, else
-// the legacy engine-level cipher offload of the paper's configurations.
+// the accelerator path. Without a record engine (the zero Record policy)
+// the QAT Engine offloads every cipher op, as in the paper's
+// configurations; a record engine decides per record by the shared policy.
 func (m *Model) recordOffload(n int) bool {
-	if !m.cfg.UseQAT {
+	switch {
+	case !m.cfg.UseQAT || m.cfg.CipherOnCore:
 		return false
-	}
-	if !m.recOn {
+	case m.cfg.Record.Mode == offload.RecordSoftware:
 		return true
 	}
-	return m.rec.Offload(n)
+	return m.cfg.Record.Offload(n)
 }
 
 // worker picks the worker for a new connection (round robin, like

@@ -167,7 +167,7 @@ func TestLatencyShape(t *testing.T) {
 func TestSlowTimerPollingLatency(t *testing.T) {
 	mk := func(interval time.Duration) Config {
 		cfg := QATA(1)
-		cfg.PollInterval = interval
+		cfg.Poll.Interval = interval
 		return cfg
 	}
 	lat := func(cfg Config) time.Duration {

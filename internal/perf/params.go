@@ -12,11 +12,7 @@
 // the *shapes*: who wins, by what factor, and where the crossovers fall.
 package perf
 
-import (
-	"time"
-
-	"qtls/internal/offload"
-)
+import "time"
 
 // Params holds every calibrated constant of the model. The defaults are
 // tuned against the anchors in §5 (see EXPERIMENTS.md for the full
@@ -142,21 +138,6 @@ type Params struct {
 	RTT time.Duration
 	// LinkGbps is the NIC line rate.
 	LinkGbps float64
-
-	// --- heuristic polling defaults (§4.3) -----------------------------
-	//
-	// The default values live in internal/offload (the single definition
-	// both the model and the live stack share).
-
-	// AsymThreshold triggers a poll when Rasym > 0 (default
-	// offload.DefaultAsymThreshold).
-	AsymThreshold int
-	// SymThreshold triggers a poll otherwise (default
-	// offload.DefaultSymThreshold).
-	SymThreshold int
-	// FailoverInterval is the heuristic failover timer (default
-	// offload.DefaultFailoverInterval).
-	FailoverInterval time.Duration
 }
 
 // DefaultParams returns the calibrated model constants.
@@ -205,10 +186,6 @@ func DefaultParams() Params {
 
 		RTT:      120 * time.Microsecond,
 		LinkGbps: 40,
-
-		AsymThreshold:    offload.DefaultAsymThreshold,
-		SymThreshold:     offload.DefaultSymThreshold,
-		FailoverInterval: offload.DefaultFailoverInterval,
 	}
 }
 

@@ -55,38 +55,3 @@ func Run(o RunOptions) RunResult {
 		Stats:       st,
 	}
 }
-
-// RunCPS measures handshake throughput for a configuration with the
-// closed-loop s_time workload.
-func RunCPS(cfg Config, spec ScriptSpec, clients int, resumeFraction float64, measure time.Duration) RunResult {
-	return Run(RunOptions{
-		Config:  cfg,
-		Measure: measure,
-		Install: func(m *Model) {
-			STimeWorkload{Clients: clients, Spec: spec, ResumeFraction: resumeFraction}.Install(m)
-		},
-	})
-}
-
-// RunThroughput measures secure transfer goodput with the ab keepalive
-// workload.
-func RunThroughput(cfg Config, fileBytes, clients int, measure time.Duration) RunResult {
-	return Run(RunOptions{
-		Config:  cfg,
-		Measure: measure,
-		Install: func(m *Model) {
-			ABWorkload{Clients: clients, FileBytes: fileBytes}.Install(m)
-		},
-	})
-}
-
-// RunLatency measures average response time with the open-loop workload.
-func RunLatency(cfg Config, concurrency int, perClientRate float64, measure time.Duration) RunResult {
-	return Run(RunOptions{
-		Config:  cfg,
-		Measure: measure,
-		Install: func(m *Model) {
-			LatencyWorkload{Concurrency: concurrency, PerClientRate: perClientRate}.Install(m)
-		},
-	})
-}

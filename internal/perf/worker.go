@@ -396,7 +396,7 @@ func (w *worker) asyncOffload(c *conn, st step) {
 				ready = at
 			}
 			w.m.sim.At(ready, func() {
-				if w.m.cfg.Polling == PollInterrupt {
+				if w.m.cfg.Poll.Scheme == offload.PollInterrupt {
 					w.deliverInterrupt(c)
 					return
 				}
@@ -415,7 +415,7 @@ func (w *worker) asyncOffload(c *conn, st step) {
 // kernel-bypass and coalesced schemes pay a user-space queue insertion
 // (coalesced pays its single descriptor write per batch separately).
 func (w *worker) notifyCost() time.Duration {
-	if w.m.cfg.Notify == NotifFD {
+	if w.m.cfg.Notify == offload.NotifierFD {
 		return w.m.p.NotifyFDCost
 	}
 	return w.m.p.NotifyBypassCost
@@ -456,7 +456,7 @@ func (w *worker) collect(n int, now sim.Time) (cost time.Duration, wakeBatch, lo
 			wakes++
 		}
 	}
-	if w.m.cfg.Notify == NotifCoalesced {
+	if w.m.cfg.Notify == offload.NotifierCoalesced {
 		// The batch's armed wakeups (one per coalesced delivery) each pay
 		// one descriptor write — the eventfd amortization.
 		cost += time.Duration(wakes) * p.NotifyFDCost
@@ -558,7 +558,7 @@ func (w *worker) heuristicCheck() bool {
 // responses are dispatched; empty polls still cost their tick.
 func (w *worker) startTimerPolling() {
 	p := &w.m.p
-	interval := w.m.cfg.PollInterval
+	interval := w.policy.Interval
 	var tick func()
 	tick = func() {
 		w.m.sim.After(interval, func() {

@@ -3,6 +3,8 @@ package perf
 import (
 	"testing"
 	"time"
+
+	"qtls/internal/offload"
 )
 
 // A tiny request ring throttles async concurrency and surfaces ring-full
@@ -144,7 +146,7 @@ func TestSeedRobustness(t *testing.T) {
 // (coalescing covers the latency), verifying the Fig. 12a convergence.
 func TestSlowTimerPollingThroughputConverges(t *testing.T) {
 	slow := QATA(4)
-	slow.PollInterval = time.Millisecond
+	slow.Poll.Interval = time.Millisecond
 	got := cps(t, slow, ScriptSpec{Suite: SuiteRSA}, 400, 0)
 	heur := cps(t, QATAH(4), ScriptSpec{Suite: SuiteRSA}, 400, 0)
 	if got < 0.6*heur {
@@ -152,8 +154,7 @@ func TestSlowTimerPollingThroughputConverges(t *testing.T) {
 	}
 }
 
-// PollKind/NotifKind configs derived from constructors carry the right
-// settings.
+// Configs derived from the constructors carry the right settings.
 func TestConfigConstructors(t *testing.T) {
 	if c := SW(4); c.UseQAT || c.Workers != 4 {
 		t.Fatalf("SW = %+v", c)
@@ -161,20 +162,20 @@ func TestConfigConstructors(t *testing.T) {
 	if c := QATS(4); !c.UseQAT || c.Async {
 		t.Fatalf("QATS = %+v", c)
 	}
-	if c := QATA(4); !c.Async || c.Polling != PollTimer || c.Notify != NotifFD {
+	if c := QATA(4); !c.Async || c.Poll.Scheme != offload.PollTimer || c.Notify != offload.NotifierFD {
 		t.Fatalf("QATA = %+v", c)
 	}
-	if c := QATAH(4); c.Polling != PollHeuristic || c.Notify != NotifFD {
+	if c := QATAH(4); c.Poll.Scheme != offload.PollHeuristic || c.Notify != offload.NotifierFD {
 		t.Fatalf("QATAH = %+v", c)
 	}
-	if c := QTLS(4); c.Polling != PollHeuristic || c.Notify != NotifBypass {
+	if c := QTLS(4); c.Poll.Scheme != offload.PollHeuristic || c.Notify != offload.NotifierKernelBypass {
 		t.Fatalf("QTLS = %+v", c)
 	}
 }
 
 // Zero-worker configs are normalized to one worker.
 func TestWorkerDefault(t *testing.T) {
-	m := NewModel(DefaultParams(), Config{Name: "x"}, 1)
+	m := NewModel(DefaultParams(), Config{}, 1)
 	if len(m.workers) != 1 {
 		t.Fatalf("workers = %d", len(m.workers))
 	}
@@ -200,7 +201,7 @@ func TestStackAsyncSlightlyFaster(t *testing.T) {
 // relative to heuristic polling (per-event kernel transitions).
 func TestInterruptDeliveryCostsThroughput(t *testing.T) {
 	intr := QTLS(8)
-	intr.Polling = PollInterrupt
+	intr.Poll.Scheme = offload.PollInterrupt
 	intr.Name = "QAT+interrupt"
 	i := cps(t, intr, ScriptSpec{Suite: SuiteRSA}, clients2(8), 0)
 	h := cps(t, QTLS(8), ScriptSpec{Suite: SuiteRSA}, clients2(8), 0)

@@ -571,8 +571,8 @@ func TestStreamWriteAllocations(t *testing.T) {
 }
 
 // BenchmarkStreamSeal measures the software seal path per 16 KB record
-// (pool reuse keeps it allocation-light); the bench-smoke CI job runs it
-// once as a liveness check.
+// (pool reuse keeps it allocation-light); the CI test job runs it once
+// as a liveness check.
 func BenchmarkStreamSeal(b *testing.B) {
 	e := New(Config{})
 	s, err := e.NewStream(testKM(), discardSink{})

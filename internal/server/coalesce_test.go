@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"qtls/internal/loadgen"
+	"qtls/internal/offload"
 	"qtls/internal/qat"
 )
 
@@ -17,7 +18,7 @@ import (
 func qtlsCoalesced() RunConfig {
 	run := ConfigQTLS
 	run.Name = "QTLS+B"
-	run.CoalesceSubmits = true
+	run.Submit = offload.SubmitCoalesced
 	return run
 }
 

@@ -5,14 +5,14 @@
 // saved read handler for event disorder), the heuristic polling scheme
 // (§3.3/§4.3) and both async event notification schemes (§3.4/§4.4).
 //
-// The offload-policy vocabulary — polling scheme and thresholds,
-// notification scheme, submit strategy, and the five named configurations
-// — lives in internal/offload and is shared with the DES performance
-// model (internal/perf). This package re-exports the enum values under
-// their historical names and adds the live-stack-only knobs (fiber mode,
-// hardening ladder, instance counts).
+// The offload configuration — polling scheme and thresholds, notification
+// scheme, submit strategy, record path, placement, and the five named
+// configurations — is internal/offload's Policy, the one value this
+// package and the DES performance model (internal/perf) both embed.
+// RunConfig adds only what the live stack alone has: the pause
+// implementation, the hardening ladder, deadlines and admission control.
 //
-// The five configurations evaluated in the paper map onto RunConfig:
+// The five configurations evaluated in the paper:
 //
 //	SW      — software crypto, no engine
 //	QAT+S   — straight (blocking) offload
@@ -30,102 +30,26 @@ import (
 	"qtls/internal/qat"
 )
 
-// PollingScheme selects how QAT responses are retrieved (§3.3, §5.6).
-// It is the shared offload.PollScheme under its historical name.
-type PollingScheme = offload.PollScheme
-
-const (
-	// PollNone: no accelerator (SW) or inline blocking retrieval (QAT+S).
-	PollNone = offload.PollNone
-	// PollTimer: poll at fixed intervals (the default QAT Engine polling
-	// thread; integrated into the loop's wait timeout in this functional
-	// implementation — the separate-thread context-switch cost is modeled
-	// in the DES, internal/perf).
-	PollTimer = offload.PollTimer
-	// PollHeuristic: the QTLS heuristic polling scheme driven by in-flight
-	// counts and active-connection counts.
-	PollHeuristic = offload.PollHeuristic
-)
-
-// NotifyScheme selects how async events reach the event loop (§3.4).
-// It is the shared offload.NotifyScheme under its historical name; each
-// worker builds the matching offload.Notifier implementation from it.
-type NotifyScheme = offload.NotifyScheme
-
-const (
-	// NotifyFD: the response callback writes to a descriptor monitored by
-	// epoll — user/kernel switches on every event.
-	NotifyFD = offload.NotifierFD
-	// NotifyKernelBypass: the response callback pushes the saved async
-	// handler onto an application-level async queue drained at the end of
-	// the event loop.
-	NotifyKernelBypass = offload.NotifierKernelBypass
-	// NotifyCoalesced: eventfd-style batched delivery — events queue in
-	// user space, one wakeup write per completion batch.
-	NotifyCoalesced = offload.NotifierCoalesced
-)
-
-// RunConfig selects the offload configuration of a worker, mirroring the
-// paper's five evaluated configurations plus the knobs the SSL Engine
-// Framework exposes in the Nginx conf (§A.7).
+// RunConfig selects the offload configuration of a worker: the shared
+// offload.Policy (the paper's five configurations and the knobs the SSL
+// Engine Framework exposes in the Nginx conf, §A.7) plus the live-stack
+// settings that have no counterpart in the model.
 type RunConfig struct {
-	// Name labels the configuration in stats and logs.
-	Name string
-	// UseQAT enables the accelerator engine.
-	UseQAT bool
-	// AsyncMode is the crypto-pause implementation; AsyncModeOff with
-	// UseQAT selects the straight (blocking) offload mode.
+	// Policy is the offload configuration proper. Its fields are promoted
+	// (run.UseQAT, run.Poll.AsymThreshold, ...); unset poll and record
+	// parameters resolve to the offload defaults. Placement selects how
+	// workers spread work across the devices of Options.Pool.
+	offload.Policy
+
+	// AsyncMode selects which crypto-pause implementation an async policy
+	// runs: minitls.AsyncModeStack is the state-flag design, anything else
+	// — the zero value included — the ASYNC_JOB fiber design the paper
+	// ships (§4.1). Whether offloads pause at all is Policy.Async alone.
 	AsyncMode minitls.AsyncMode
-	// Polling selects the response retrieval scheme.
-	Polling PollingScheme
-	// PollInterval is the timer polling period (default
-	// offload.DefaultPollInterval, the QAT Engine default).
-	PollInterval time.Duration
-	// Notify selects the async event notification scheme.
-	Notify NotifyScheme
-	// AsymThreshold is the heuristic coalescing threshold when asymmetric
-	// requests are in flight (qat_heuristic_poll_asym_threshold, default
-	// offload.DefaultAsymThreshold).
-	AsymThreshold int
-	// SymThreshold is the heuristic threshold otherwise
-	// (qat_heuristic_poll_sym_threshold, default
-	// offload.DefaultSymThreshold).
-	SymThreshold int
-	// FailoverInterval is the heuristic failover timer (default
-	// offload.DefaultFailoverInterval, §4.3).
-	FailoverInterval time.Duration
 	// Offload selects which crypto op kinds the engine offloads (the
 	// default_algorithm directive, §A.7); nil means all offloadable
 	// kinds.
 	Offload []minitls.OpKind
-	// InstancesPerWorker assigns this many crypto instances to each
-	// worker (default 1; §2.3 allows several, from different endpoints,
-	// to employ more computation engines).
-	InstancesPerWorker int
-	// CoalesceSubmits batches async submissions: ops paused within one
-	// event-loop iteration are gathered by the engine and pushed onto the
-	// request rings with one ring lock and one doorbell per batch — the
-	// submit-side dual of heuristic polling. Straight offload (AsyncModeOff)
-	// is unaffected. Off by default.
-	CoalesceSubmits bool
-	// RecordMode selects the post-handshake record data plane
-	// (qat_record_offload): software (the paper's configuration),
-	// offload every application-data record, or offload adaptively above
-	// RecordThreshold. Non-software modes hand each connection's write
-	// keys to a per-worker record engine (internal/record) after the
-	// handshake, kTLS style.
-	RecordMode offload.RecordMode
-	// RecordThreshold is the adaptive record-offload cutoff in payload
-	// bytes (default offload.DefaultRecordThreshold; RecordAdaptive only).
-	RecordThreshold int
-	// Placement selects how workers spread offload work across the
-	// devices of a qat.Pool (Options.Pool). The zero value pins all work
-	// to device 0 — the paper's single-device setup, byte-identical to
-	// the pre-placement behavior. PlacementClassShard routes asymmetric
-	// handshake ops and symmetric/PRF ops to disjoint device sets inside
-	// every worker's engine; PlacementConnHash homes each worker (and
-	// with it every connection SO_REUSEPORT hashes to it) on one device.
-	Placement offload.Placement
 
 	// OpTimeout bounds each offloaded crypto operation: past the
 	// deadline the engine abandons the offload and computes the result
@@ -136,9 +60,6 @@ type RunConfig struct {
 	// offload failures (endpoint reset, corrupted response) before the
 	// software fallback.
 	MaxRetries int
-	// RetryBackoff is the engine's initial retry backoff (doubles per
-	// attempt; only the straight-offload path sleeps).
-	RetryBackoff time.Duration
 	// Breaker, when set, gives every worker's crypto instances a circuit
 	// breaker: instances whose recent offloads keep failing are taken
 	// out of the submission rotation until half-open probes succeed.
@@ -164,105 +85,48 @@ type RunConfig struct {
 	Overload offload.OverloadPolicy
 
 	// AdaptivePoll, when non-nil, arms the closed-loop threshold
-	// controller (PollHeuristic only): each worker walks its asym/sym
-	// efficiency thresholds toward the retrieve-latency knee, fed by the
-	// flight recorder's retrieve-phase window and a per-worker
+	// controller (offload.PollHeuristic only): each worker walks its
+	// asym/sym efficiency thresholds toward the retrieve-latency knee, fed
+	// by the flight recorder's retrieve-phase window and a per-worker
 	// completion-batch window. Requires the trace and flight recorders
 	// (they are the feedback source). Zero fields of the config take the
 	// offload defaults. Nil keeps the paper's static thresholds.
 	AdaptivePoll *offload.AdaptiveConfig
 }
 
-// pollPolicy resolves the RunConfig's retrieval knobs into the shared
-// policy value, applying the paper's defaults for unset parameters.
-func (rc RunConfig) pollPolicy() offload.PollPolicy {
-	return offload.PollPolicy{
-		Scheme:           rc.Polling,
-		Interval:         rc.PollInterval,
-		AsymThreshold:    rc.AsymThreshold,
-		SymThreshold:     rc.SymThreshold,
-		FailoverInterval: rc.FailoverInterval,
-	}.WithDefaults()
-}
-
-// recordPolicy resolves the record-path knobs into the shared policy
-// value.
-func (rc RunConfig) recordPolicy() offload.RecordPolicy {
-	return offload.RecordPolicy{
-		Mode:          rc.RecordMode,
-		SizeThreshold: rc.RecordThreshold,
-	}.WithDefaults()
-}
-
 func (rc RunConfig) withDefaults() RunConfig {
-	p := rc.pollPolicy()
-	rc.PollInterval = p.Interval
-	rc.AsymThreshold = p.AsymThreshold
-	rc.SymThreshold = p.SymThreshold
-	rc.FailoverInterval = p.FailoverInterval
-	rc.RecordThreshold = rc.recordPolicy().SizeThreshold
+	rc.Policy = rc.Policy.WithDefaults()
 	rc.Deadlines = rc.Deadlines.WithDefaults()
 	rc.Overload = rc.Overload.WithDefaults()
 	return rc
 }
 
-// OffloadPolicy resolves the RunConfig into the shared offload-policy
-// vocabulary (defaults applied). The DES's perf.Config resolves to the
-// same value for each of the five named configurations — the parity test
-// in internal/offload holds the two stacks together.
-func (rc RunConfig) OffloadPolicy() offload.Policy {
-	p := offload.Policy{
-		Name:      rc.Name,
-		UseQAT:    rc.UseQAT,
-		Async:     rc.UseQAT && rc.AsyncMode != minitls.AsyncModeOff,
-		Poll:      rc.pollPolicy(),
-		Notify:    rc.Notify,
-		Record:    rc.recordPolicy(),
-		Placement: rc.Placement,
+// asyncMode resolves the pause implementation the TLS stack runs:
+// off unless the policy offloads asynchronously.
+func (rc RunConfig) asyncMode() minitls.AsyncMode {
+	switch {
+	case !rc.UseQAT || !rc.Async:
+		return minitls.AsyncModeOff
+	case rc.AsyncMode == minitls.AsyncModeStack:
+		return minitls.AsyncModeStack
+	default:
+		return minitls.AsyncModeFiber
 	}
-	if rc.CoalesceSubmits {
-		p.Submit = offload.SubmitCoalesced
-	}
-	return p
 }
 
-// FromPolicy builds a RunConfig from a shared offload policy. Async
-// policies run the fiber pause implementation (the OpenSSL ASYNC_JOB
-// equivalent the paper ships, §4.1).
-func FromPolicy(p offload.Policy) RunConfig {
-	rc := RunConfig{
-		Name:             p.Name,
-		UseQAT:           p.UseQAT,
-		Polling:          p.Poll.Scheme,
-		PollInterval:     p.Poll.Interval,
-		AsymThreshold:    p.Poll.AsymThreshold,
-		SymThreshold:     p.Poll.SymThreshold,
-		FailoverInterval: p.Poll.FailoverInterval,
-		Notify:           p.Notify,
-		CoalesceSubmits:  p.Submit == offload.SubmitCoalesced,
-		RecordMode:       p.Record.Mode,
-		RecordThreshold:  p.Record.SizeThreshold,
-		Placement:        p.Placement,
-	}
-	if p.Async {
-		rc.AsyncMode = minitls.AsyncModeFiber
-	}
-	return rc
-}
-
-// The paper's five configurations, derived from the shared policy layer.
+// The paper's five configurations: the shared policies, unadorned.
 var (
 	// ConfigSW is software calculation with AES-NI-class instructions.
-	ConfigSW = FromPolicy(offload.SW())
+	ConfigSW = RunConfig{Policy: offload.SW()}
 	// ConfigQATS is the straight offload mode.
-	ConfigQATS = FromPolicy(offload.QATS())
+	ConfigQATS = RunConfig{Policy: offload.QATS()}
 	// ConfigQATA is the async framework with timer polling and FD
 	// notification.
-	ConfigQATA = FromPolicy(offload.QATA())
+	ConfigQATA = RunConfig{Policy: offload.QATA()}
 	// ConfigQATAH replaces the polling thread with the heuristic scheme.
-	ConfigQATAH = FromPolicy(offload.QATAH())
+	ConfigQATAH = RunConfig{Policy: offload.QATAH()}
 	// ConfigQTLS is the full QTLS: heuristic polling + kernel bypass.
-	ConfigQTLS = FromPolicy(offload.QTLS())
+	ConfigQTLS = RunConfig{Policy: offload.QTLS()}
 )
 
 // Configurations lists the paper's five configurations in evaluation

@@ -62,7 +62,7 @@ func TestShutdownDrainsIdleKeepalives(t *testing.T) {
 			Identity:     identity(t),
 			CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
 		},
-		Device:  dev,
+		Pool:    qat.PoolOf(dev),
 		Handler: SizedBodyHandler(1 << 20),
 	})
 	if err != nil {
@@ -209,7 +209,7 @@ func TestStopDuringActiveHandshakes(t *testing.T) {
 				Identity:     identity(t),
 				CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
 			},
-			Device:  dev,
+			Pool:    qat.PoolOf(dev),
 			Handler: SizedBodyHandler(1 << 20),
 		})
 		if err != nil {

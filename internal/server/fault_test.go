@@ -46,7 +46,7 @@ func TestGracefulDegradationStalledEngine(t *testing.T) {
 			Identity:     identity(t),
 			CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
 		},
-		Device:  dev,
+		Pool:    qat.PoolOf(dev),
 		Handler: SizedBodyHandler(1 << 20),
 		Metrics: reg,
 	})
@@ -221,7 +221,7 @@ func TestLateCipherResultDropped(t *testing.T) {
 			Identity:     identity(t),
 			CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
 		},
-		Device:  dev,
+		Pool:    qat.PoolOf(dev),
 		Handler: SizedBodyHandler(1 << 20),
 		Metrics: reg,
 	})

@@ -55,7 +55,7 @@ func startFlightServer(t *testing.T, run RunConfig, workers int, dev *qat.Device
 			Identity:     identity(t),
 			CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
 		},
-		Device:  dev,
+		Pool:    qat.PoolOf(dev),
 		Handler: SizedBodyHandler(4 << 20),
 		Metrics: metrics.NewRegistry(),
 		Trace:   rec,

@@ -21,7 +21,7 @@ import (
 // same class is suppressed while the deadline would move by less than a
 // wheel tick, so per-read header refreshes cost one comparison.
 func (w *Worker) armDeadline(c *conn, class offload.DeadlineClass) {
-	d := w.deadlines.Timeout(class)
+	d := w.cfg.Deadlines.Timeout(class)
 	if d <= 0 {
 		w.disarmDeadline(c)
 		return
@@ -137,7 +137,7 @@ func (w *Worker) admissionPressure() (inflight, ringCap int) {
 // server an accept and a close, and the client finds out immediately.
 func (w *Worker) shedAccept(nc *netpoll.Conn) bool {
 	inflight, ringCap := w.admissionPressure()
-	if !w.shed.ShedAccept(inflight, ringCap, len(w.conns)) {
+	if !w.cfg.Overload.ShedAccept(inflight, ringCap, len(w.conns)) {
 		return false
 	}
 	w.Stats.ShedAccepts.Add(1)
@@ -153,7 +153,7 @@ func (w *Worker) shedAccept(nc *netpoll.Conn) bool {
 // Connection: close instead of offering keepalive reuse.
 func (w *Worker) shedKeepalive(c *conn) bool {
 	inflight, ringCap := w.admissionPressure()
-	if !w.shed.ShedKeepalive(inflight, ringCap, len(w.conns)) {
+	if !w.cfg.Overload.ShedKeepalive(inflight, ringCap, len(w.conns)) {
 		return false
 	}
 	w.Stats.ShedKeepalive.Add(1)

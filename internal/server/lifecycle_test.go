@@ -155,7 +155,7 @@ func TestHandshakeDeadlineCancelsStalledOffload(t *testing.T) {
 			Identity:     identity(t),
 			CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
 		},
-		Device:  dev,
+		Pool:    qat.PoolOf(dev),
 		Handler: SizedBodyHandler(1 << 20),
 		Metrics: reg,
 	})
@@ -227,7 +227,7 @@ func TestOverloadShedsAtAcceptAndRecovers(t *testing.T) {
 			Identity:     identity(t),
 			CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
 		},
-		Device:  dev,
+		Pool:    qat.PoolOf(dev),
 		Handler: SizedBodyHandler(1 << 20),
 		Metrics: reg,
 	})

@@ -23,9 +23,11 @@ import (
 func startTracedServer(t *testing.T, run RunConfig, workers int) (*Server, *trace.Recorder) {
 	t.Helper()
 	var dev *qat.Device
+	var pool *qat.Pool
 	if run.UseQAT {
 		dev = qat.NewDevice(qat.DeviceSpec{Endpoints: 3, EnginesPerEndpoint: 4, RingCapacity: 128})
 		t.Cleanup(dev.Close)
+		pool = qat.PoolOf(dev)
 	}
 	rec := trace.NewRecorder(1024)
 	rec.SetEnabled(true)
@@ -37,7 +39,7 @@ func startTracedServer(t *testing.T, run RunConfig, workers int) (*Server, *trac
 			Identity:     identity(t),
 			CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
 		},
-		Device:  dev,
+		Pool:    pool,
 		Handler: SizedBodyHandler(4 << 20),
 		Trace:   rec,
 	})
@@ -125,8 +127,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE qtls_handshakes counter",
 		"# TYPE qtls_inflight gauge",
 		"# TYPE qat_sw_fallbacks counter",
-		`qtls_asym_threshold `,
-		`qtls_sym_threshold `,
+		`qtls_poll_threshold{class="asym"} 48`,
+		`qtls_poll_threshold{class="sym"} 24`,
 		`qtls_jobs_started `,
 	} {
 		if !strings.Contains(page, want) {

@@ -74,9 +74,9 @@ func (w *Worker) resumeAsync(c *conn) {
 // notifyTag says which notification scheme delivered the async event.
 func (w *Worker) notifyTag() trace.Tag {
 	switch w.cfg.Notify {
-	case NotifyKernelBypass:
+	case offload.NotifierKernelBypass:
 		return trace.TagKernelBypass
-	case NotifyCoalesced:
+	case offload.NotifierCoalesced:
 		return trace.TagCoalesce
 	default:
 		return trace.TagFD

@@ -51,7 +51,7 @@ func (w *Worker) initSeries() {
 	for i, tag := range pollCauses {
 		w.histBatch[i] = w.reg.Histogram(`qtls_poll_batch{cause="` + tag.String() + `"}`)
 	}
-	if w.cfg.CoalesceSubmits {
+	if w.cfg.Submit == offload.SubmitCoalesced {
 		w.histFlush = w.reg.Histogram(`qtls_submit_flush_batch`)
 	}
 	w.gInflight = w.reg.Gauge(`qtls_inflight` + wl)
@@ -61,17 +61,12 @@ func (w *Worker) initSeries() {
 	w.gLag = w.reg.Gauge(`qtls_loop_lag_ns` + wl)
 	// The heuristic thresholds in effect (offload.Default* unless the
 	// conf overrides them), so a dashboard can plot Rtotal against the
-	// line it must cross. The labeled form is the canonical series; the
-	// two legacy names stay for existing dashboards. When the adaptive
-	// controller is armed its change hook refreshes the labeled gauges
-	// (last-moving worker wins, like the legacy gauges under per-worker
-	// overrides).
+	// line it must cross. When the adaptive controller is armed its change
+	// hook refreshes the gauges (last-moving worker wins).
 	w.gThreshold[offload.ThresholdAsym] = w.reg.Gauge(`qtls_poll_threshold{class="asym"}`)
 	w.gThreshold[offload.ThresholdSym] = w.reg.Gauge(`qtls_poll_threshold{class="sym"}`)
 	w.gThreshold[offload.ThresholdAsym].Set(int64(w.poll.AsymThreshold))
 	w.gThreshold[offload.ThresholdSym].Set(int64(w.poll.SymThreshold))
-	w.reg.Gauge("qtls_asym_threshold").Set(int64(w.poll.AsymThreshold))
-	w.reg.Gauge("qtls_sym_threshold").Set(int64(w.poll.SymThreshold))
 	st := &w.Stats
 	for _, m := range []struct {
 		name string

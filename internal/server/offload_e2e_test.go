@@ -20,7 +20,7 @@ import (
 func TestCoalescedNotifierServes(t *testing.T) {
 	run := ConfigQATAH
 	run.Name = "QAT+AH/coalesced"
-	run.Notify = NotifyCoalesced
+	run.Notify = offload.NotifierCoalesced
 	srv, _ := startServer(t, run, 1, nil)
 	res := loadgen.STime(loadgen.STimeOptions{
 		Addr:           srv.Addr(),
@@ -118,7 +118,7 @@ func TestAdaptivePollRequiresRecorders(t *testing.T) {
 			Identity:     identity(t),
 			CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
 		},
-		Device:  dev,
+		Pool:    qat.PoolOf(dev),
 		Handler: SizedBodyHandler(1 << 20),
 	})
 	if err == nil {

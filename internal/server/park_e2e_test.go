@@ -37,7 +37,7 @@ func newParkServer(t *testing.T, st map[qat.OpType]time.Duration) (*Server, *Wor
 			Identity:     identity(t),
 			CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
 		},
-		Device:  dev,
+		Pool:    qat.PoolOf(dev),
 		Handler: SizedBodyHandler(1 << 20),
 		Trace:   rec,
 	})

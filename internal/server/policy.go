@@ -5,6 +5,7 @@ package server
 import (
 	"time"
 
+	"qtls/internal/offload"
 	"qtls/internal/trace"
 )
 
@@ -69,7 +70,7 @@ func (w *Worker) flushSubmits() {
 // the heuristic polling scheme (§3.3, §4.3). The decision itself is
 // offload.PollPolicy.ShouldPoll; this wrapper supplies the live inputs.
 func (w *Worker) heuristicCheck() {
-	if w.eng == nil || w.poll.Scheme != PollHeuristic {
+	if w.eng == nil || w.poll.Scheme != offload.PollHeuristic {
 		return
 	}
 	if !w.poll.ShouldPoll(w.eng.InflightTotal(), w.eng.InflightAsym(), w.activeConns) {
@@ -83,7 +84,7 @@ func (w *Worker) heuristicCheck() {
 // failoverCheck is the failover timer: if no heuristic poll happened
 // during the last interval but requests are in flight, poll once (§4.3).
 func (w *Worker) failoverCheck() {
-	if w.eng == nil || w.poll.Scheme != PollHeuristic {
+	if w.eng == nil || w.poll.Scheme != offload.PollHeuristic {
 		return
 	}
 	if !w.poll.FailoverDue(w.eng.InflightTotal(), time.Since(w.lastPoll)) {

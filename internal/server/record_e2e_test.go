@@ -18,12 +18,12 @@ import (
 
 // End-to-end coverage of the post-handshake record-path offload: a
 // plain software client (loadgen/minitls) against servers whose write
-// direction runs through the record engine. Run by the record-e2e CI
-// job under -race.
+// direction runs through the record engine.
 
 func startRecordServer(t *testing.T, run RunConfig, workers int, tlsExtra func(*minitls.Config)) (*Server, *qat.Device) {
 	t.Helper()
 	var dev *qat.Device
+	var pool *qat.Pool
 	if run.UseQAT {
 		dev = qat.NewDevice(qat.DeviceSpec{
 			Endpoints:          3,
@@ -33,6 +33,7 @@ func startRecordServer(t *testing.T, run RunConfig, workers int, tlsExtra func(*
 			SymPerKB:           2 * time.Microsecond,
 		})
 		t.Cleanup(dev.Close)
+		pool = qat.PoolOf(dev)
 	}
 	tlsCfg := &minitls.Config{
 		Identity:     identity(t),
@@ -46,7 +47,7 @@ func startRecordServer(t *testing.T, run RunConfig, workers int, tlsExtra func(*
 		Workers: workers,
 		Run:     run,
 		TLS:     tlsCfg,
-		Device:  dev,
+		Pool:    pool,
 		Handler: SizedBodyHandler(4 << 20),
 	})
 	if err != nil {
@@ -74,7 +75,7 @@ func TestRecordPathBulkTransfer(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			run := ConfigQTLS
-			run.RecordMode = tc.mode
+			run.Record.Mode = tc.mode
 			srv, _ := startRecordServer(t, run, 2, nil)
 			res := loadgen.Bulk(loadgen.BulkOptions{
 				Addr:    srv.Addr(),
@@ -121,7 +122,7 @@ func TestRecordPathBulkTransfer(t *testing.T) {
 // both negotiated suites must survive the key export and hand-off.
 func TestRecordPathTLS13(t *testing.T) {
 	run := ConfigQTLS
-	run.RecordMode = offload.RecordOffload
+	run.Record.Mode = offload.RecordOffload
 	srv, _ := startRecordServer(t, run, 1, func(cfg *minitls.Config) {
 		cfg.CipherSuites = nil
 		cfg.MaxVersion = minitls.VersionTLS13
@@ -144,7 +145,7 @@ func TestRecordPathTLS13(t *testing.T) {
 // worker core but through the stream machinery, including close-notify.
 func TestRecordPathSoftwareEngine(t *testing.T) {
 	run := ConfigSW
-	run.RecordMode = offload.RecordOffload // no device → software seals
+	run.Record.Mode = offload.RecordOffload // no device → software seals
 	srv, _ := startRecordServer(t, run, 1, nil)
 	res := loadgen.Bulk(loadgen.BulkOptions{
 		Addr:        srv.Addr(),
@@ -169,7 +170,7 @@ func TestRecordPathSoftwareEngine(t *testing.T) {
 // read as an orderly EOF.
 func TestRecordPathKeepaliveAndClose(t *testing.T) {
 	run := ConfigQTLS
-	run.RecordMode = offload.RecordOffload
+	run.Record.Mode = offload.RecordOffload
 	srv, _ := startRecordServer(t, run, 1, nil)
 
 	raw, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
@@ -211,7 +212,7 @@ func TestRecordPathKeepaliveAndClose(t *testing.T) {
 // transfer ends in a hard error.
 func TestRecordPathDrainUnderLoad(t *testing.T) {
 	run := ConfigQTLS
-	run.RecordMode = offload.RecordOffload
+	run.Record.Mode = offload.RecordOffload
 	srv, _ := startRecordServer(t, run, 2, nil)
 
 	done := make(chan loadgen.BulkResult, 1)
@@ -243,7 +244,7 @@ func TestRecordPathDrainUnderLoad(t *testing.T) {
 // the close-notify sealed by the stream (the detached conn cannot).
 func TestRecordPathKeepaliveDeadline(t *testing.T) {
 	run := ConfigQTLS
-	run.RecordMode = offload.RecordOffload
+	run.Record.Mode = offload.RecordOffload
 	run.Deadlines = offload.DeadlinePolicy{
 		Keepalive: 300 * time.Millisecond,
 		Tick:      20 * time.Millisecond,
@@ -289,13 +290,13 @@ func TestRecordPathFaultFallback(t *testing.T) {
 	})
 	t.Cleanup(dev.Close)
 	run := ConfigQTLS
-	run.RecordMode = offload.RecordOffload
+	run.Record.Mode = offload.RecordOffload
 	srv, err := New(Options{
 		Addr:    "127.0.0.1:0",
 		Workers: 2,
 		Run:     run,
 		TLS:     &minitls.Config{Identity: identity(t)},
-		Device:  dev,
+		Pool:    qat.PoolOf(dev),
 		Handler: SizedBodyHandler(4 << 20),
 	})
 	if err != nil {

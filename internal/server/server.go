@@ -42,16 +42,12 @@ type Options struct {
 	// TLS is the TLS template: identity, suites, session cache, tickets.
 	// Provider and AsyncMode are overridden per the Run configuration.
 	TLS *minitls.Config
-	// Device is the QAT device shared by all workers (required for QAT
-	// configurations). Workers allocate one crypto instance each,
-	// distributed across the device's endpoints.
-	Device *qat.Device
-	// Pool, when set, supplies multiple QAT devices and takes precedence
-	// over Device. How workers spread instances and op classes across the
-	// pool is selected by Run.Placement; with PlacementSingle the pool
-	// behaves exactly like Device = Pool.Device(0). A single Device is
-	// wrapped into a one-device pool internally, so the two fields are
-	// interchangeable for single-device setups.
+	// Pool supplies the QAT devices shared by all workers (required for
+	// QAT configurations; qat.PoolOf wraps a single device). How workers
+	// spread instances and op classes across the pool is selected by
+	// Run.Placement; with PlacementSingle every worker allocates its
+	// crypto instance on Pool.Device(0), distributed across that device's
+	// endpoints.
 	Pool *qat.Pool
 	// Handler serves request paths.
 	Handler Handler
@@ -104,12 +100,7 @@ func New(opts Options) (*Server, error) {
 	for _, name := range faultCounterNames {
 		reg.Counter(name)
 	}
-	// Normalize the device surface to a pool: a bare Device becomes a
-	// one-device pool, so the worker allocation path is uniform.
 	pool := opts.Pool
-	if pool == nil && opts.Device != nil {
-		pool = qat.PoolOf(opts.Device)
-	}
 	if pool != nil {
 		// Mirror every injected fault into the registry (nil-injector
 		// safe: SetSink on a nil *fault.Injector is a no-op). Pool

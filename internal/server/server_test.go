@@ -3,12 +3,14 @@
 package server
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"qtls/internal/loadgen"
 	"qtls/internal/minitls"
+	"qtls/internal/offload"
 	"qtls/internal/qat"
 )
 
@@ -32,9 +34,11 @@ func identity(t testing.TB) *minitls.Identity {
 func startServer(t *testing.T, run RunConfig, workers int, tlsExtra func(*minitls.Config)) (*Server, *qat.Device) {
 	t.Helper()
 	var dev *qat.Device
+	var pool *qat.Pool
 	if run.UseQAT {
 		dev = qat.NewDevice(qat.DeviceSpec{Endpoints: 3, EnginesPerEndpoint: 4, RingCapacity: 128})
 		t.Cleanup(dev.Close)
+		pool = qat.PoolOf(dev)
 	}
 	tlsCfg := &minitls.Config{
 		Identity:     identity(t),
@@ -48,7 +52,7 @@ func startServer(t *testing.T, run RunConfig, workers int, tlsExtra func(*minitl
 		Workers: workers,
 		Run:     run,
 		TLS:     tlsCfg,
-		Device:  dev,
+		Pool:    pool,
 		Handler: SizedBodyHandler(4 << 20),
 	})
 	if err != nil {
@@ -309,7 +313,7 @@ func TestRingFullRecovery(t *testing.T) {
 		Workers: 1,
 		Run:     ConfigQTLS,
 		TLS:     tlsCfg,
-		Device:  dev,
+		Pool:    qat.PoolOf(dev),
 		Handler: SizedBodyHandler(1 << 20),
 	})
 	if err != nil {
@@ -353,18 +357,19 @@ func TestSizedBodyHandler(t *testing.T) {
 	}
 }
 
+// The five named configurations are the shared offload policies, in
+// evaluation order, with no live-stack setting on top. (The scheme names
+// themselves are offload's and are tested there.)
 func TestConfigStrings(t *testing.T) {
-	if PollNone.String() != "none" || PollTimer.String() != "timer" || PollHeuristic.String() != "heuristic" {
-		t.Fatal("polling names")
+	want := offload.Configurations()
+	got := Configurations()
+	if len(got) != len(want) {
+		t.Fatalf("%d configurations, want the paper's %d", len(got), len(want))
 	}
-	if NotifyFD.String() != "fd" || NotifyKernelBypass.String() != "kernel-bypass" {
-		t.Fatal("notify names")
-	}
-	if PollingScheme(9).String() == "" || NotifyScheme(9).String() == "" {
-		t.Fatal("unknown scheme rendering")
-	}
-	if len(Configurations()) != 5 {
-		t.Fatal("want the paper's 5 configurations")
+	for i, p := range want {
+		if !reflect.DeepEqual(got[i], RunConfig{Policy: p}) {
+			t.Errorf("configuration %d = %+v, want exactly policy %+v", i, got[i], p)
+		}
 	}
 }
 

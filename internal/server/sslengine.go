@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qtls/internal/minitls"
+	"qtls/internal/offload"
 )
 
 // This file implements the SSL Engine Framework configuration surface the
@@ -31,29 +32,25 @@ import (
 // once in internal/offload and applied when a directive is absent.
 //
 // ParseEngineConfig understands this dialect (plus worker_processes and a
-// qat_poll_interval extension) and produces the equivalent RunConfig and
-// engine offload selection.
+// qat_poll_interval extension) and fills the equivalent RunConfig: the
+// mode switches and thresholds land in its embedded offload.Policy,
+// default_algorithm in its Offload selection.
 
 // EngineSettings is the result of parsing an ssl_engine configuration.
 type EngineSettings struct {
 	// Workers is worker_processes (0 = unset).
 	Workers int
-	// Run is the equivalent run configuration.
+	// Run is the equivalent run configuration. Run.Name is the paper
+	// configuration whose switches the text selects, or "custom".
 	Run RunConfig
-	// Offload lists the offloaded op kinds (nil = engine default).
-	Offload []minitls.OpKind
 }
 
 // ParseEngineConfig parses the SSL Engine Framework dialect. Unknown
 // directives are rejected (like nginx would).
 func ParseEngineConfig(text string) (*EngineSettings, error) {
 	p := &confParser{toks: tokenizeConf(text)}
-	s := &EngineSettings{
-		Run: RunConfig{
-			Name:      "custom",
-			AsyncMode: minitls.AsyncModeOff,
-		},
-	}
+	s := &EngineSettings{}
+	pol := &s.Run.Policy
 	useQATEngine := false
 	offloadMode := "sync"
 	pollMode := "timer"
@@ -103,7 +100,6 @@ func ParseEngineConfig(text string) (*EngineSettings, error) {
 					if err != nil {
 						return nil, err
 					}
-					s.Offload = kinds
 					s.Run.Offload = kinds
 				case "qat_engine":
 					if err := p.expect("{"); err != nil {
@@ -132,11 +128,11 @@ func ParseEngineConfig(text string) (*EngineSettings, error) {
 								return nil, err
 							}
 						case "qat_heuristic_poll_asym_threshold":
-							if s.Run.AsymThreshold, err = p.intArg(dir); err != nil {
+							if pol.Poll.AsymThreshold, err = p.intArg(dir); err != nil {
 								return nil, err
 							}
 						case "qat_heuristic_poll_sym_threshold":
-							if s.Run.SymThreshold, err = p.intArg(dir); err != nil {
+							if pol.Poll.SymThreshold, err = p.intArg(dir); err != nil {
 								return nil, err
 							}
 						case "qat_poll_interval":
@@ -148,7 +144,7 @@ func ParseEngineConfig(text string) (*EngineSettings, error) {
 							if err != nil {
 								return nil, fmt.Errorf("%s: %v", dir, err)
 							}
-							s.Run.PollInterval = d
+							pol.Poll.Interval = d
 						default:
 							return nil, fmt.Errorf("qat_engine: unknown directive %q", dir)
 						}
@@ -162,56 +158,58 @@ func ParseEngineConfig(text string) (*EngineSettings, error) {
 		}
 	}
 
-	// Assemble the run configuration from the mode switches.
+	// Assemble the policy from the mode switches.
 	if !useQATEngine {
-		s.Run = ConfigSW
-		s.Run.Name = "SW"
+		*pol = offload.SW()
 		return s, nil
 	}
-	s.Run.UseQAT = true
+	pol.UseQAT = true
 	switch offloadMode {
 	case "sync":
-		s.Run.AsyncMode = minitls.AsyncModeOff
-		s.Run.Polling = PollNone
-		s.Run.Name = "QAT+S"
+		// Straight offload retrieves inline: the poll and notify switches
+		// do not apply.
+		pol.Name = configName(*pol)
 		return s, nil
 	case "async":
-		s.Run.AsyncMode = minitls.AsyncModeFiber
 	case "async_stack":
 		s.Run.AsyncMode = minitls.AsyncModeStack
 	default:
 		return nil, fmt.Errorf("qat_offload_mode: unknown mode %q", offloadMode)
 	}
+	pol.Async = true
 	switch pollMode {
 	case "timer":
-		s.Run.Polling = PollTimer
+		pol.Poll.Scheme = offload.PollTimer
 	case "heuristic":
-		s.Run.Polling = PollHeuristic
+		pol.Poll.Scheme = offload.PollHeuristic
 	default:
 		return nil, fmt.Errorf("qat_poll_mode: unknown mode %q", pollMode)
 	}
 	switch notifyMode {
-	case "poll", "event_fd", "fd":
+	case "poll":
 		// "poll" in the artifact config means events are discovered by
-		// polling and delivered through the wait-ctx notification; map
-		// poll→kernel-bypass, event_fd/fd→FD.
-		if notifyMode == "poll" {
-			s.Run.Notify = NotifyKernelBypass
-		} else {
-			s.Run.Notify = NotifyFD
-		}
+		// polling and delivered through the wait-ctx notification: the
+		// kernel-bypass scheme.
+		pol.Notify = offload.NotifierKernelBypass
+	case "event_fd", "fd":
+		pol.Notify = offload.NotifierFD
 	default:
 		return nil, fmt.Errorf("qat_notify_mode: unknown mode %q", notifyMode)
 	}
-	switch {
-	case s.Run.Polling == PollHeuristic && s.Run.Notify == NotifyKernelBypass:
-		s.Run.Name = "QTLS"
-	case s.Run.Polling == PollHeuristic:
-		s.Run.Name = "QAT+AH"
-	default:
-		s.Run.Name = "QAT+A"
-	}
+	pol.Name = configName(*pol)
 	return s, nil
+}
+
+// configName labels a policy with the paper configuration (§5.1) whose
+// switches it selects — thresholds and intervals tune a configuration
+// without renaming it — or "custom" when it is none of the five.
+func configName(p offload.Policy) string {
+	for _, c := range offload.Configurations() {
+		if p.UseQAT == c.UseQAT && p.Async == c.Async && p.Poll.Scheme == c.Poll.Scheme && p.Notify == c.Notify {
+			return c.Name
+		}
+	}
+	return "custom"
 }
 
 // parseAlgorithms maps the artifact's default_algorithm names onto op

@@ -77,16 +77,14 @@ type WorkerStats struct {
 // QAT crypto instance, many concurrent TLS connections — the unit the
 // paper scales from 2 to 32 of (Fig. 7).
 type Worker struct {
-	id        int
-	cfg       RunConfig
-	poll      offload.PollPolicy     // resolved retrieval policy (shared seam)
-	deadlines offload.DeadlinePolicy // resolved lifecycle deadlines
-	shed      offload.OverloadPolicy // resolved admission-control policy
-	tlsTmpl   *minitls.Config
-	eng       *engine.Engine
-	rec       *record.Engine // post-handshake record data plane (nil: software)
-	handler   Handler
-	reg       *metrics.Registry
+	id      int
+	cfg     RunConfig          // defaults resolved
+	poll    offload.PollPolicy // cfg.Poll, plus the adaptive controller when armed
+	tlsTmpl *minitls.Config
+	eng     *engine.Engine
+	rec     *record.Engine // post-handshake record data plane (nil: software)
+	handler Handler
+	reg     *metrics.Registry
 
 	// pool is the device pool instances were allocated from; poolWide
 	// marks a multi-device placement, under which admission control reads
@@ -243,22 +241,22 @@ type conn struct {
 // endpoint then 404s).
 func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qat.Pool, handler Handler, reg *metrics.Registry, tracer *trace.Recorder, fr *flight.Recorder) (*Worker, error) {
 	cfg = cfg.withDefaults()
+	mode := cfg.asyncMode()
+	async := mode != minitls.AsyncModeOff
 	w := &Worker{
-		id:        id,
-		cfg:       cfg,
-		poll:      cfg.pollPolicy(),
-		deadlines: cfg.Deadlines,
-		shed:      cfg.Overload,
-		handler:   handler,
-		reg:       reg,
-		notif:     offload.NewNotifier(cfg.Notify),
-		conns:     make(map[int]*conn),
-		tracer:    tracer,
-		tr:        tracer.Buffer(id), // nil recorder → nil (inert) buffer
-		flight:    fr,
-		fl:        fr.Journal(id), // nil recorder → nil (inert) journal
+		id:      id,
+		cfg:     cfg,
+		poll:    cfg.Poll,
+		handler: handler,
+		reg:     reg,
+		notif:   offload.NewNotifier(cfg.Notify),
+		conns:   make(map[int]*conn),
+		tracer:  tracer,
+		tr:      tracer.Buffer(id), // nil recorder → nil (inert) buffer
+		flight:  fr,
+		fl:      fr.Journal(id), // nil recorder → nil (inert) journal
 	}
-	w.wheel = newDeadlineWheel(w.deadlines.Tick, time.Now())
+	w.wheel = newDeadlineWheel(cfg.Deadlines.Tick, time.Now())
 	w.initSeries()
 	var err error
 	if w.poller, err = netpoll.NewPoller(); err != nil {
@@ -304,49 +302,35 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 			w.cleanup()
 			return nil, errors.New("server: QAT configuration without a device")
 		}
-		n := cfg.InstancesPerWorker
-		if n <= 0 {
-			n = 1
-		}
 		var insts []*qat.Instance
 		var instDevs []int
 		engPlacement := offload.PlacementSingle
-		if multi && cfg.Placement != offload.PlacementSingle {
+		if multi {
 			// Class sharding and conn-hash both happen inside the engine:
-			// the worker owns instances on every device. Class-shard routes
-			// each op class to its lane's device set; conn-hash prefers the
-			// worker's home device on both lanes and treats the other
-			// devices as spill (and as re-home targets when the lifecycle
-			// quarantines the home).
+			// the worker owns one instance on every device. Class-shard
+			// routes each op class to its lane's device set; conn-hash
+			// prefers the worker's home device on both lanes and treats the
+			// other devices as spill (and as re-home targets when the
+			// lifecycle quarantines the home).
 			engPlacement = cfg.Placement
 			for d := 0; d < pool.Size(); d++ {
-				for i := 0; i < n; i++ {
-					inst, err := pool.AllocInstance(d)
-					if err != nil {
-						w.cleanup()
-						return nil, err
-					}
-					insts = append(insts, inst)
-					instDevs = append(instDevs, d)
-				}
-			}
-		} else {
-			// Single placement: the legacy path, byte-identical — nil
-			// InstanceDevices keeps the engine's round-robin untouched.
-			for i := 0; i < n; i++ {
-				inst, err := pool.AllocInstance(homeDev)
+				inst, err := pool.AllocInstance(d)
 				if err != nil {
 					w.cleanup()
 					return nil, err
 				}
 				insts = append(insts, inst)
+				instDevs = append(instDevs, d)
 			}
-			if homeDev != 0 {
-				instDevs = make([]int, len(insts))
-				for i := range instDevs {
-					instDevs[i] = homeDev
-				}
+		} else {
+			// Single placement: the legacy path, byte-identical — nil
+			// InstanceDevices keeps the engine's round-robin untouched.
+			inst, err := pool.AllocInstance(homeDev)
+			if err != nil {
+				w.cleanup()
+				return nil, err
 			}
+			insts = []*qat.Instance{inst}
 		}
 		var err error
 		w.eng, err = engine.New(engine.Config{
@@ -358,9 +342,8 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 			Offload:         cfg.Offload,
 			OpTimeout:       cfg.OpTimeout,
 			MaxRetries:      cfg.MaxRetries,
-			RetryBackoff:    cfg.RetryBackoff,
 			Breaker:         cfg.Breaker,
-			Coalesce:        cfg.CoalesceSubmits && cfg.AsyncMode != minitls.AsyncModeOff,
+			Coalesce:        cfg.Submit == offload.SubmitCoalesced && async,
 			Metrics:         reg,
 			Trace:           w.tr,
 			Flight:          w.fl,
@@ -371,7 +354,7 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 		}
 		w.ringCap = w.eng.RingCapacity()
 	}
-	if cfg.RecordMode != offload.RecordSoftware {
+	if cfg.Record.Mode != offload.RecordSoftware {
 		// The record data plane gets its own crypto instance, separate
 		// from the handshake engine's: symmetric bulk ops must not
 		// compete for ring slots with latency-critical asymmetric ops.
@@ -389,14 +372,14 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 		}
 		w.rec = record.New(record.Config{
 			Instance: w.recInst,
-			Policy:   cfg.recordPolicy(),
+			Policy:   cfg.Record,
 			Breaker:  cfg.Breaker,
 			Metrics:  reg,
 			Trace:    w.tr,
 			Flight:   w.fl,
 		})
 	}
-	if cfg.AdaptivePoll != nil && cfg.Polling == PollHeuristic {
+	if cfg.AdaptivePoll != nil && cfg.Poll.Scheme == offload.PollHeuristic {
 		if tracer == nil || fr == nil {
 			w.cleanup()
 			return nil, errors.New("server: adaptive polling needs the trace and flight recorders (its feedback source)")
@@ -424,7 +407,7 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 	}
 	// The kernel-bypass scheme is the only one that never writes a
 	// notification descriptor; fd and coalesced both need the pipe.
-	if cfg.Notify != NotifyKernelBypass && cfg.AsyncMode != minitls.AsyncModeOff {
+	if cfg.Notify != offload.NotifierKernelBypass && async {
 		if w.notifyPipe, err = netpoll.NewNotifyPipe(); err != nil {
 			w.cleanup()
 			return nil, err
@@ -449,7 +432,7 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 
 	// Per-worker TLS template.
 	tmpl := *tls
-	tmpl.AsyncMode = cfg.AsyncMode
+	tmpl.AsyncMode = mode
 	if w.eng != nil {
 		tmpl.Provider = w.eng
 	}
@@ -546,7 +529,7 @@ func (w *Worker) Run() {
 		// Ops paused during event dispatch are batched onto the rings now,
 		// so the retrieval checks below can already see them in flight.
 		w.flushSubmits()
-		if w.eng != nil && w.poll.Scheme == PollTimer {
+		if w.eng != nil && w.poll.Scheme == offload.PollTimer {
 			if w.pollEngine(trace.TagTimer) > 0 {
 				w.lastPoll = time.Now()
 			}
@@ -556,7 +539,7 @@ func (w *Worker) Run() {
 		// a park, the poll that follows is the failover poll, whatever
 		// the heuristic constraints would have said next.
 		w.failoverCheck()
-		if w.poll.Scheme == PollHeuristic {
+		if w.poll.Scheme == offload.PollHeuristic {
 			// Each iteration re-evaluates the heuristic constraints, so
 			// responses are retrieved as soon as the timeliness condition
 			// holds (§3.4). Whether the loop then iterates again or blocks
@@ -774,7 +757,7 @@ func (w *Worker) acceptAll() {
 		// The connection-level async callback delivers events for every
 		// offload job of this connection (one shared channel per
 		// connection, §4.4).
-		if w.cfg.AsyncMode != minitls.AsyncModeOff {
+		if w.tlsTmpl.AsyncMode != minitls.AsyncModeOff {
 			c.tls.SetAsyncCallback(w.asyncEventCallback, c)
 		}
 		if err := w.poller.Add(c.fd, true, false); err != nil {
