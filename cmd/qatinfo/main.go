@@ -51,7 +51,7 @@ func main() {
 		engines   = flag.Int("engines", 4, "engines per endpoint")
 		instances = flag.Int("instances", 6, "crypto instances to allocate")
 		burst     = flag.Int("burst", 100, "requests of each type per instance")
-		batch     = flag.Int("batch", 1, "submit in batches of this size via SubmitBatch (1 = per-op Submit, >1 = the coalesced submit mode's doorbell amortization)")
+		batch     = flag.Int("batch", 1, "submit in batches of this size via SubmitBatch (1 = per-op Submit, >1 = one ring lock and one doorbell per batch, as the record path's burst in record.Stream.Write)")
 		service   = flag.Duration("service", 50*time.Microsecond, "modeled RSA service time")
 		symBase   = flag.Duration("sym-base", 4*time.Microsecond, "modeled per-request base time of symmetric (record cipher) ops")
 		symPerKB  = flag.Duration("sym-perkb", time.Microsecond, "modeled symmetric service time per KB of record payload")

@@ -60,7 +60,6 @@ type policyFlags struct {
 	workers   *int
 	asymThr   *int
 	symThr    *int
-	coalesce  *bool
 	notify    *string
 	recMode   *string
 	recThr    *int
@@ -73,7 +72,6 @@ func addPolicyFlags(fs *flag.FlagSet) *policyFlags {
 		workers:   fs.Int("workers", 2, "number of event-loop workers"),
 		asymThr:   fs.Int("asym-threshold", offload.DefaultAsymThreshold, "heuristic polling asym threshold"),
 		symThr:    fs.Int("sym-threshold", offload.DefaultSymThreshold, "heuristic polling sym threshold"),
-		coalesce:  fs.Bool("coalesce", false, "batch async submissions per event-loop iteration (one doorbell per batch)"),
 		notify:    fs.String("notify", "", "async notification backend: fd, kernel-bypass or coalesced (default: the configuration's)"),
 		recMode:   fs.String("record-mode", "software", "post-handshake record path: software, offload, or adaptive"),
 		recThr:    fs.Int("record-threshold", offload.DefaultRecordThreshold, "adaptive record-offload size threshold in bytes"),
@@ -112,13 +110,6 @@ func (pf *policyFlags) resolve(fs *flag.FlagSet) (run server.RunConfig, workers 
 			run.Poll.AsymThreshold = *pf.asymThr
 		case "sym-threshold":
 			run.Poll.SymThreshold = *pf.symThr
-		case "coalesce":
-			// Submit coalescing applies to the async configurations only
-			// (the straight-offload path waits for its response inline).
-			run.Submit = offload.SubmitDirect
-			if *pf.coalesce {
-				run.Submit = offload.SubmitCoalesced
-			}
 		case "notify":
 			if run.Notify, ok = offload.NotifySchemeByName(*pf.notify); !ok {
 				err = fmt.Errorf("unknown -notify %q (want fd, kernel-bypass or coalesced)", *pf.notify)

@@ -112,20 +112,21 @@ type Config struct {
 	// one per endpoint — so a single worker can employ more computation
 	// engines (§2.3: "one process can be assigned with multiple QAT
 	// instances from different endpoints"). Submissions round-robin
-	// across instances; Poll drains all of them. Mutually additive with
-	// Instance.
+	// across the instances on the op's preferred devices (all of them
+	// under PlacementSingle); Poll drains all of them. Mutually additive
+	// with Instance.
 	Instances []*qat.Instance
 	// Offload selects which op kinds are offloaded; nil means all
 	// offloadable kinds (RSA, ECDSA, ECDH, PRF, Cipher). This mirrors the
 	// default_algorithm directive of the SSL Engine Framework (§A.7).
 	Offload []minitls.OpKind
-	// Placement selects the multi-device routing mode (see placement.go).
-	// The zero value, PlacementSingle, is the exact legacy single-device
-	// behavior.
+	// Placement selects which devices each op class prefers (see
+	// placement.go). The zero value, PlacementSingle, prefers every device:
+	// plain round-robin over all instances.
 	Placement offload.Placement
 	// InstanceDevices gives the pool device index of each instance,
 	// parallel to the combined Instance+Instances list. nil means all
-	// instances live on device 0 (single-device, the legacy assumption).
+	// instances live on device 0.
 	InstanceDevices []int
 	// HomeDevice is the conn-hash home: under PlacementConnHash both lanes
 	// prefer this device and spill to the rest of the pool only when it is
@@ -146,10 +147,9 @@ type Config struct {
 	// budget is spent the operation falls back to software. 0 means no
 	// retries: the first retryable failure degrades immediately.
 	MaxRetries int
-	// RetryBackoff is the pause before the first retry, doubling per
-	// attempt. Only the straight-offload path sleeps (it blocks its
-	// caller anyway); the async paths pace retries through the event
-	// loop instead.
+	// RetryBackoff is the spin strategy's sleep before the first retry,
+	// doubling per attempt: straight offload blocks its caller anyway. The
+	// async strategies pace retries through the event loop instead.
 	RetryBackoff time.Duration
 	// Verify, when set, validates every offloaded result before it is
 	// delivered to the TLS stack (e.g. an RSA sign→verify round-trip).
@@ -164,13 +164,6 @@ type Config struct {
 	// instance whose recent offloads keep failing is taken out of the
 	// submission rotation until its half-open probes succeed.
 	Breaker *fault.BreakerConfig
-	// Coalesce enables the submit coalescer: async-mode submissions are
-	// gathered per class as their jobs pause and pushed onto the request
-	// rings in batches (one ring lock + doorbell per batch) when the
-	// worker calls Flush at the end of the event-loop iteration. The
-	// straight-offload path is unaffected — it busy-waits inside the
-	// crypto call and must submit immediately. Off by default.
-	Coalesce bool
 	// Trace, when set, receives phase spans for the paper's first two
 	// offload phases (pre-processing: entry → submitted; response
 	// retrieval: submitted → callback). The remaining two phases
@@ -190,20 +183,17 @@ type Config struct {
 // called from that goroutine (response callbacks run inside Poll).
 type Engine struct {
 	insts   []*qat.Instance
-	next    int // round-robin submission cursor
+	next    int // round-robin cursor: instances examined by route so far
 	offload [6]bool
 
-	// Device-placement state (see placement.go). Inert under
-	// PlacementSingle.
+	// Device-placement state (see placement.go).
 	placement      offload.Placement
 	devOf          []int // device index per instance
 	numDevs        int
-	homeDev        int              // conn-hash home device (see Rehome)
-	lc             *qat.Lifecycle   // nil when lifecycle routing is off
-	lanePref       [numLanes][]bool // device → preferred, per lane
-	laneInsts      [numLanes][]int  // instances on preferred devices
-	laneOther      [numLanes][]int  // instances elsewhere (spill targets)
-	laneCursor     [numLanes]int    // per-lane rotation cursors
+	homeDev        int             // conn-hash home device (see Rehome)
+	lc             *qat.Lifecycle  // nil when lifecycle routing is off
+	laneInsts      [numLanes][]int // instances on preferred devices
+	laneOther      [numLanes][]int // instances elsewhere (spill targets)
 	routeDev       [numLanes]atomic.Int64
 	placementFlips atomic.Int64
 
@@ -219,13 +209,6 @@ type Engine struct {
 	// suppression flag. Entries for connections torn down mid-flight are
 	// dropped lazily when the same StackOp is reused or consumed.
 	stackOps map[*asynclib.StackOp]*attempt
-
-	// Submit coalescer state (see coalesce.go). The pending queues are
-	// only touched by the worker goroutine and by fibers during their
-	// strict handoff with the worker, so they need no lock.
-	coalesce bool
-	pendingQ [numClasses][]*pendingSubmit
-	pendingN atomic.Int64
 
 	inflight [numClasses]atomic.Int64
 
@@ -244,21 +227,12 @@ type Engine struct {
 	trips       atomic.Int64
 	cancels     atomic.Int64
 
-	// Coalescer statistics.
-	flushes    atomic.Int64
-	flushedOps atomic.Int64
-	maxFlush   atomic.Int64
-
 	// Registry counters (nil without Config.Metrics).
 	ctrTimeouts  *metrics.Counter
 	ctrCancels   *metrics.Counter
 	ctrFallbacks *metrics.Counter
 	ctrTrips     *metrics.Counter
 	ctrRetries   *metrics.Counter
-	ctrFlushes   *metrics.Counter
-	ctrBatched   *metrics.Counter
-	histBatch    *metrics.Histogram // qtls_submit_batch
-	histAmort    *metrics.Histogram // qtls_submit_amortized_ns
 
 	// Phase tracing (inert when Config.Trace is nil or disabled).
 	tr           *trace.Buffer
@@ -323,7 +297,6 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	e.coalesce = cfg.Coalesce
 	if cfg.Metrics != nil {
 		e.ctrTimeouts = cfg.Metrics.Counter("qat_op_timeouts")
 		e.ctrCancels = cfg.Metrics.Counter("qat_op_cancels")
@@ -332,10 +305,6 @@ func New(cfg Config) (*Engine, error) {
 		e.ctrRetries = cfg.Metrics.Counter("qat_retries")
 		e.histPre = cfg.Metrics.Histogram(trace.PhaseSeriesName(trace.PhasePre))
 		e.histRetrieve = cfg.Metrics.Histogram(trace.PhaseSeriesName(trace.PhaseRetrieve))
-		e.ctrFlushes = cfg.Metrics.Counter("qat_submit_flushes")
-		e.ctrBatched = cfg.Metrics.Counter("qat_batched_ops")
-		e.histBatch = cfg.Metrics.Histogram("qtls_submit_batch")
-		e.histAmort = cfg.Metrics.Histogram("qtls_submit_amortized_ns")
 	}
 	e.tr = cfg.Trace
 	return e, nil
@@ -372,38 +341,6 @@ func attemptTag(attempt int) trace.Tag {
 		return trace.TagRetry
 	}
 	return trace.TagNone
-}
-
-// submitIdx places the request on the next breaker-admitted instance in
-// round-robin order, falling back to the other instances when a ring is
-// full. It returns the index of the instance used. When every instance's
-// ring is full it returns qat.ErrRingFull; when the breakers admit no
-// instance at all it returns ErrNoInstance.
-func (e *Engine) submitIdx(req qat.Request) (int, error) {
-	var lastErr error
-	tried := false
-	for i := 0; i < len(e.insts); i++ {
-		idx := e.next % len(e.insts)
-		e.next++
-		if !e.instAllowed(idx) {
-			continue
-		}
-		tried = true
-		lastErr = e.insts[idx].Submit(req)
-		if lastErr == nil {
-			return idx, nil
-		}
-		if !errors.Is(lastErr, qat.ErrRingFull) {
-			// A device-level submission failure (e.g. endpoint reset) is
-			// a health signal; ring-full is mere backpressure and is not.
-			e.recordResult(idx, false)
-			return idx, lastErr
-		}
-	}
-	if !tried {
-		return -1, ErrNoInstance
-	}
-	return -1, lastErr
 }
 
 func (e *Engine) instAllowed(idx int) bool {
@@ -509,8 +446,8 @@ func (e *Engine) noteRetry() {
 	}
 }
 
-// retrySleep applies exponential backoff before attempt n (0-based). Only
-// the straight-offload path calls it: that path blocks its caller anyway.
+// retrySleep applies exponential backoff after failed attempt n (0-based).
+// Only the spin strategy calls it: that path blocks its caller anyway.
 func (e *Engine) retrySleep(attempt int) {
 	if e.backoff <= 0 {
 		return
@@ -521,19 +458,16 @@ func (e *Engine) retrySleep(attempt int) {
 // settleCancel accounts for an op abandoned because its connection is
 // being torn down: same inflight/breaker/leak bookkeeping as a timeout
 // (a cancel on a stalled device must still trip its breaker), under its
-// own counter. Queued ops were never submitted, so only the cancel is
-// counted — the coalescer flush drops the settled entry.
+// own counter.
 func (e *Engine) settleCancel(class Class, idx int) {
 	e.cancels.Add(1)
 	if e.ctrCancels != nil {
 		e.ctrCancels.Inc()
 	}
 	e.fl.Note(flight.KindFallback, flight.FallbackCancel, trace.OpNone, 0, int64(idx))
-	if idx >= 0 {
-		e.inflight[class].Add(-1)
-		e.recordResult(idx, false)
-		e.reclaimLeaked()
-	}
+	e.inflight[class].Add(-1)
+	e.recordResult(idx, false)
+	e.reclaimLeaked()
 }
 
 // Instances returns the engine's crypto instances.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -121,5 +122,80 @@ func TestMultiInstanceRingFallback(t *testing.T) {
 	}
 	if e.Stats().RingFulls == 0 {
 		t.Fatal("ring-full not counted")
+	}
+}
+
+// Single placement is plain round-robin over every instance: successive
+// submissions land on successive instances, and a submission whose turn
+// falls on a full ring goes to the next instance in the rotation.
+func TestSinglePlacementRoundRobinOrder(t *testing.T) {
+	dev := qat.NewDevice(qat.DeviceSpec{Endpoints: 3, EnginesPerEndpoint: 1, RingCapacity: 3})
+	defer dev.Close()
+	var insts []*qat.Instance
+	for i := 0; i < 3; i++ {
+		inst, err := dev.AllocInstance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts = append(insts, inst)
+	}
+	e, err := New(Config{Instances: insts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	defer close(gate)
+	blockWork := func() (any, error) { <-gate; return nil, nil }
+	submitWant := func(want [3]int) {
+		t.Helper()
+		call := &minitls.OpCall{Mode: minitls.AsyncModeStack, Stack: &asynclib.StackOp{}}
+		if _, err := e.Do(call, minitls.KindRSA, blockWork); !errors.Is(err, minitls.ErrWantAsync) {
+			t.Fatalf("submit: %v", err)
+		}
+		if got := [3]int{insts[0].Inflight(), insts[1].Inflight(), insts[2].Inflight()}; got != want {
+			t.Fatalf("per-instance inflight = %v, want %v", got, want)
+		}
+	}
+	for _, want := range [][3]int{{1, 0, 0}, {1, 1, 0}, {1, 1, 1}, {2, 1, 1}, {2, 2, 1}, {2, 2, 2}} {
+		submitWant(want)
+	}
+	// Fill instance 1's last slot behind the engine's back. The seventh
+	// submission is instance 0's turn; the eighth is instance 1's, whose
+	// ring is full, so it spills to 2 without surfacing a ring-full.
+	if err := insts[1].Submit(qat.Request{Op: qat.OpRSA, Work: blockWork, Callback: func(qat.Response) {}}); err != nil {
+		t.Fatal(err)
+	}
+	submitWant([3]int{3, 3, 2})
+	submitWant([3]int{3, 3, 3})
+	if st := e.Stats(); st.RingFulls != 0 || st.Submitted != 8 {
+		t.Fatalf("stats = %+v, want 8 submissions and no ring-full", st)
+	}
+}
+
+// Routing walks its instance order in place: an offload round trip costs
+// the same number of heap objects through a two-device class-shard engine
+// as through a one-instance engine, and no more than the four the bench
+// probe engine.roundtrip_allocs records.
+func TestRouteDoesNotAllocate(t *testing.T) {
+	roundTrip := func(e *Engine) float64 {
+		call := &minitls.OpCall{Mode: minitls.AsyncModeStack, Stack: &asynclib.StackOp{}}
+		work := func() (any, error) { return nil, nil }
+		return testing.AllocsPerRun(200, func() {
+			if _, err := e.Do(call, minitls.KindPRF, work); !errors.Is(err, minitls.ErrWantAsync) {
+				t.Fatalf("submit: %v", err)
+			}
+			for e.Poll(0) == 0 {
+				runtime.Gosched()
+			}
+			if _, err := e.Do(call, minitls.KindPRF, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, _ := newEngine(t, qat.DeviceSpec{})
+	sharded, _ := twoDeviceEngine(t, nil, Config{})
+	single, shard := roundTrip(one), roundTrip(sharded)
+	if single != shard || single > 4 {
+		t.Fatalf("allocations per round trip: one instance %v, class-shard over two devices %v; want equal and at most 4", single, shard)
 	}
 }

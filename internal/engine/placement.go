@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 
 	"qtls/internal/flight"
 	"qtls/internal/offload"
@@ -9,25 +10,21 @@ import (
 	"qtls/internal/trace"
 )
 
-// This file is the engine's device-placement layer: the routing that
-// turns "this worker owns instances on several QAT devices" into
-// per-op-class submission decisions. Under offload.PlacementSingle — the
-// zero value, and the only mode the paper's five configurations use —
-// none of this runs: the legacy round-robin submitIdx path is taken
-// byte-for-byte, which is what keeps the notify-parity golden stable.
-//
-// With an active placement and more than one device, each op class maps
-// to a *lane* (asym or sym, the same split the heuristic polling
-// thresholds use) and each lane prefers the device set
-// offload.Placement.AsymDevices/SymDevices selects. A submission tries
-// the preferred devices' instances first and spills to the rest of the
-// pool when the preferred set is circuit-broken or its rings are full;
-// every time a lane's op lands on a different device than its
+// This file is the engine's routing: the one function that puts a request
+// on a ring (route), and the device-placement state that orders the
+// instances it tries. Each op class maps to a *lane* (asym or sym, the
+// same split the heuristic polling thresholds use) and each lane prefers
+// a device set: every device under offload.PlacementSingle — the only mode
+// the paper's five configurations use — and in a one-device pool, the sets
+// offload.Placement.AsymDevices/SymDevices select under class-shard, the
+// worker's home device under conn-hash. A submission tries the preferred
+// devices' instances first, round-robin, and spills to the rest of the
+// pool when the preferred set is circuit-broken, quarantined or its rings
+// are full; every time a lane's op lands on a different device than its
 // predecessor the engine counts a placement flip and journals it
 // (flight.KindPlacement), so an incident dump shows the re-route that
-// absorbed a dying device. Breaker state, inflight accounting and
-// SubmitBatch doorbell amortization all stay per-instance — and
-// therefore per-device — exactly as before.
+// absorbed a dying device. Breaker state and inflight accounting stay
+// per-instance, and therefore per-device.
 
 // numLanes is the number of placement lanes (asym, sym).
 const numLanes = 2
@@ -40,11 +37,6 @@ func laneOf(class Class) uint8 {
 		return flight.PlacementAsym
 	}
 	return flight.PlacementSym
-}
-
-// placementActive reports whether per-class routing is in effect.
-func (e *Engine) placementActive() bool {
-	return e.placement != offload.PlacementSingle && e.numDevs > 1
 }
 
 // initPlacement derives the per-lane instance partitions from the
@@ -74,46 +66,37 @@ func (e *Engine) initPlacement(cfg Config) error {
 	if e.homeDev < 0 || e.homeDev >= e.numDevs {
 		e.homeDev = 0
 	}
-	if !e.placementActive() {
-		return nil
-	}
-	e.buildLanes(e.laneSets())
+	e.buildLanes()
 	return nil
 }
 
-// laneSets derives each lane's preferred device set. Conn-hash placement
-// is special-cased: offload.PlacementConnHash's device sets cover the
-// whole pool (the placement decision is per-connection), so the engine
-// narrows both lanes to the worker's home device and treats the rest of
-// the pool as spill.
-func (e *Engine) laneSets() [numLanes][]int {
-	if e.placement == offload.PlacementConnHash {
-		return [numLanes][]int{
-			flight.PlacementAsym: {e.homeDev},
-			flight.PlacementSym:  {e.homeDev},
-		}
+// prefers reports whether a lane prefers a device. Single placement
+// round-robins over whatever instances the engine was given, so both lanes
+// prefer every device. Conn-hash narrows both lanes to the worker's home
+// device and treats the rest of the pool as spill (the placement decision
+// is per-connection, so offload.PlacementConnHash's own device sets cover
+// the whole pool). Class-shard takes its sets from offload.Placement.
+func (e *Engine) prefers(lane uint8, dev int) bool {
+	switch e.placement {
+	case offload.PlacementSingle:
+		return true
+	case offload.PlacementConnHash:
+		return dev == e.homeDev
 	}
-	return [numLanes][]int{
-		flight.PlacementAsym: e.placement.AsymDevices(e.numDevs),
-		flight.PlacementSym:  e.placement.SymDevices(e.numDevs),
+	if lane == flight.PlacementAsym {
+		return slices.Contains(e.placement.AsymDevices(e.numDevs), dev)
 	}
+	return slices.Contains(e.placement.SymDevices(e.numDevs), dev)
 }
 
-// buildLanes (re)derives the per-lane instance partitions from the
-// preferred device sets. Worker-goroutine only (Rehome reuses it live).
-func (e *Engine) buildLanes(laneSets [numLanes][]int) {
-	for lane, set := range laneSets {
-		pref := make([]bool, e.numDevs)
-		for _, d := range set {
-			if d < e.numDevs {
-				pref[d] = true
-			}
-		}
-		e.lanePref[lane] = pref
+// buildLanes (re)derives the per-lane instance partitions from the lanes'
+// device preferences. Worker-goroutine only (Rehome reuses it live).
+func (e *Engine) buildLanes() {
+	for lane := uint8(0); lane < numLanes; lane++ {
 		e.laneInsts[lane] = e.laneInsts[lane][:0]
 		e.laneOther[lane] = e.laneOther[lane][:0]
 		for idx, d := range e.devOf {
-			if pref[d] {
+			if e.prefers(lane, d) {
 				e.laneInsts[lane] = append(e.laneInsts[lane], idx)
 			} else {
 				e.laneOther[lane] = append(e.laneOther[lane], idx)
@@ -132,38 +115,59 @@ func (e *Engine) HomeDevice() int { return e.homeDev }
 // reads). No-op for other placements, out-of-range devices or when the
 // home is unchanged; reports whether a move happened.
 func (e *Engine) Rehome(dev int) bool {
-	if e.placement != offload.PlacementConnHash || !e.placementActive() {
+	if e.placement != offload.PlacementConnHash {
 		return false
 	}
 	if dev < 0 || dev >= e.numDevs || dev == e.homeDev {
 		return false
 	}
 	e.homeDev = dev
-	e.buildLanes(e.laneSets())
+	e.buildLanes()
 	return true
 }
 
-// routeOrder returns the instance indexes a lane's submission should try,
-// preferred-device instances first, each half rotated by the lane cursor
-// so load spreads within a device set the way the legacy round-robin
-// spread it across the whole engine.
-func (e *Engine) routeOrder(lane uint8) []int {
-	p, o := e.laneInsts[lane], e.laneOther[lane]
-	c := e.laneCursor[lane]
-	e.laneCursor[lane]++
-	out := make([]int, 0, len(p)+len(o))
-	for i := range p {
-		out = append(out, p[(c+i)%len(p)])
+// route is the one way onto a ring: it places the request on an instance
+// chosen for the op's class and returns that instance's index. The lane's
+// preferred-device instances are tried first, then the rest of the pool,
+// each set rotated by the engine's round-robin cursor (which advances once
+// per instance examined) so load spreads within a set and a full or
+// unadmitted instance hands over to its successor. When every admitted
+// ring is full it returns qat.ErrRingFull; when breakers and lifecycle
+// admit no instance at all it returns ErrNoInstance.
+func (e *Engine) route(class Class, req qat.Request) (int, error) {
+	lane := laneOf(class)
+	err := ErrNoInstance
+	c := e.next
+	for _, set := range [2][]int{e.laneInsts[lane], e.laneOther[lane]} {
+		for i := range set {
+			idx := set[(c+i)%len(set)]
+			e.next++
+			if !e.instAllowed(idx) {
+				continue
+			}
+			err = e.insts[idx].Submit(req)
+			if err == nil {
+				e.noteRoute(lane, e.devOf[idx])
+				return idx, nil
+			}
+			if !errors.Is(err, qat.ErrRingFull) {
+				// A device-level submission failure (e.g. endpoint reset) is
+				// a health signal; ring-full is mere backpressure and is not.
+				e.recordResult(idx, false)
+				return idx, err
+			}
+		}
 	}
-	for i := range o {
-		out = append(out, o[(c+i)%len(o)])
-	}
-	return out
+	return -1, err
 }
 
 // noteRoute records where a lane's op landed, journaling a placement flip
-// when the device changed. The first route of a lane is not a flip.
+// when the device changed. The first route of a lane is not a flip, and an
+// engine with one device has nowhere to flip to.
 func (e *Engine) noteRoute(lane uint8, dev int) {
+	if e.numDevs == 1 {
+		return
+	}
 	prev := e.routeDev[lane].Swap(int64(dev))
 	if prev == int64(dev) {
 		return
@@ -172,71 +176,6 @@ func (e *Engine) noteRoute(lane uint8, dev int) {
 		e.placementFlips.Add(1)
 		e.fl.Note(flight.KindPlacement, lane, trace.OpNone, prev, int64(dev))
 	}
-}
-
-// submitClass places the request on an instance chosen for the op's
-// class. Single-device placement takes the legacy round-robin path
-// unchanged; active placements route preferred-device-first with
-// pool-wide spill.
-func (e *Engine) submitClass(class Class, req qat.Request) (int, error) {
-	if !e.placementActive() {
-		return e.submitIdx(req)
-	}
-	lane := laneOf(class)
-	var lastErr error
-	tried := false
-	for _, idx := range e.routeOrder(lane) {
-		if !e.instAllowed(idx) {
-			continue
-		}
-		tried = true
-		lastErr = e.insts[idx].Submit(req)
-		if lastErr == nil {
-			e.noteRoute(lane, e.devOf[idx])
-			return idx, nil
-		}
-		if !errors.Is(lastErr, qat.ErrRingFull) {
-			e.recordResult(idx, false)
-			return idx, lastErr
-		}
-	}
-	if !tried {
-		return -1, ErrNoInstance
-	}
-	return -1, lastErr
-}
-
-// instancesByFreeClass orders the flush candidates for one class: the
-// legacy free-capacity order under single placement, and under an active
-// placement the same order stably partitioned so the lane's preferred
-// devices come first.
-func (e *Engine) instancesByFreeClass(class Class) []int {
-	order := e.instancesByFree()
-	if !e.placementActive() {
-		return order
-	}
-	pref := e.lanePref[laneOf(class)]
-	out := make([]int, 0, len(order))
-	for _, idx := range order {
-		if pref[e.devOf[idx]] {
-			out = append(out, idx)
-		}
-	}
-	for _, idx := range order {
-		if !pref[e.devOf[idx]] {
-			out = append(out, idx)
-		}
-	}
-	return out
-}
-
-// noteRouteClass is noteRoute keyed by class, a no-op under single
-// placement; the coalescer calls it per accepted batch.
-func (e *Engine) noteRouteClass(class Class, idx int) {
-	if !e.placementActive() {
-		return
-	}
-	e.noteRoute(laneOf(class), e.devOf[idx])
 }
 
 // Placement returns the engine's placement mode.

@@ -101,11 +101,6 @@ type Stats struct {
 	Polls      int64
 	PollsEmpty int64
 
-	// Submit-coalescer counters (zero with Config.Coalesce off).
-	Flushes    int64 // Flush calls that submitted at least one op
-	FlushedOps int64 // ops submitted through the coalescer
-	MaxFlush   int64 // largest single-flush op count
-
 	// Degradation counters (zero unless hardening knobs are set and the
 	// device misbehaves).
 	Timeouts    int64
@@ -128,9 +123,6 @@ func (e *Engine) Stats() Stats {
 		RingFulls:      e.ringFulls.Load(),
 		Polls:          e.polls.Load(),
 		PollsEmpty:     e.pollsEmpty.Load(),
-		Flushes:        e.flushes.Load(),
-		FlushedOps:     e.flushedOps.Load(),
-		MaxFlush:       e.maxFlush.Load(),
 		Timeouts:       e.timeouts.Load(),
 		SWFallbacks:    e.fallbacks.Load(),
 		Retries:        e.retries.Load(),

@@ -12,20 +12,20 @@ import (
 	"qtls/internal/trace"
 )
 
-// This file is the engine's single async submit path. Fiber vs stack
-// pause mechanics and direct vs coalesced submission used to be four
-// copies of the same control flow; they now differ only in injected
-// behavior: submitPath owns the request construction, the settled/trace/
-// in-flight bookkeeping and the submit-failure policy, and a
-// pauseStrategy contributes the three points where the pause
-// implementations genuinely diverge (result delivery, parking, and the
-// reaction to a full ring).
+// This file is the engine's one submission path. Every offloaded op goes
+// Do → submitPath(attempt, strategy) → route(class): submitPath owns the
+// request construction, the settled/trace/in-flight bookkeeping and the
+// submit-failure policy, finish is the one result epilogue, and a
+// pauseStrategy contributes the four points where the three crypto pause
+// implementations (spin, fiber, stack) genuinely diverge: result delivery,
+// parking, and the reactions to a full ring and to a retryable
+// submit-time failure.
 
 // attempt is the state of one submission attempt, shared between the
-// submit path, the response callback, the coalescer hooks and the
-// deadline logic. The settled flag is the CAS gate between response
-// delivery and deadline expiry; everything else is only touched on the
-// worker goroutine or during the fiber↔worker strict handoff.
+// submit path, the response callback and the deadline logic. The settled
+// flag is the CAS gate between response delivery and deadline expiry;
+// everything else is only touched on the worker goroutine or during the
+// fiber↔worker strict handoff.
 type attempt struct {
 	e     *Engine
 	call  *minitls.OpCall
@@ -37,13 +37,14 @@ type attempt struct {
 	tag      trace.Tag
 	settled  atomic.Bool
 	deadline time.Time
-	idx      int // instance index; -1 while queued or unplaced
+	idx      int // instance index; -1 until the request is on a ring
 	preStart time.Time
 	submitAt time.Time
 }
 
+// newAttempt starts attempt n of an op; its deadline runs from here.
 func (e *Engine) newAttempt(call *minitls.OpCall, kind minitls.OpKind, class Class, work func() (any, error), n int) *attempt {
-	return &attempt{e: e, call: call, kind: kind, class: class, work: work, n: n, idx: -1}
+	return &attempt{e: e, call: call, kind: kind, class: class, work: work, n: n, idx: -1, deadline: e.opDeadline()}
 }
 
 // outcome says what submitPath's caller should do next.
@@ -58,17 +59,19 @@ const (
 )
 
 // pauseStrategy is the injected behavior distinguishing the crypto pause
-// implementations (§4.1): ASYNC_JOB fibers park inside the engine, stack
-// ops park by returning ErrWantAsync to the event loop.
+// implementations: the straight offload mode spins inside the crypto call
+// (§2.4), ASYNC_JOB fibers park inside the engine, stack ops park by
+// returning ErrWantAsync to the event loop (§4.1).
 type pauseStrategy interface {
-	// deliver hands a completed result (or a coalescer failure) to the
-	// op's owner and fires the connection's async notification. It runs
+	// deliver hands a completed result to the op's owner and, in the
+	// async modes, fires the connection's async notification. It runs
 	// with the settled CAS already won.
 	deliver(a *attempt, result any, err error)
-	// park suspends the op after its request was submitted or enqueued.
+	// park waits for the response of the request just submitted, or
+	// suspends the op until it arrives.
 	park(a *attempt) (any, error, outcome)
-	// ringFull reacts to a full request ring on the direct submit path
-	// (§3.2 "failure of crypto submission").
+	// ringFull reacts to a full request ring (§3.2 "failure of crypto
+	// submission").
 	ringFull(a *attempt) (any, error, outcome)
 	// retryFailed reacts to a retryable submit-time failure (e.g. a
 	// device reset) — resubmit within budget, degrade past it.
@@ -90,69 +93,30 @@ func (a *attempt) callback(s pauseStrategy) func(qat.Response) {
 	}
 }
 
-// settleDeadline settles an expired attempt: ops still in the coalescer
-// queue were never submitted (the flush drops them), ops on a ring pay
-// the full timeout accounting.
-func (a *attempt) settleDeadline() {
-	if a.idx < 0 {
-		a.e.settleQueued()
-	} else {
-		a.e.settleTimeout(a.class, a.idx)
-	}
-}
-
-// submitPath runs one submission attempt for an async op: build the
-// request, place it (directly, or via the coalescer for the
-// iteration-end batch flush), and park the op through the strategy.
+// submitPath runs one submission attempt: build the request, place it on
+// a ring as the op pauses (§3.2 pre-processing), and park the op through
+// the strategy.
 func (e *Engine) submitPath(a *attempt, s pauseStrategy) (any, error, outcome) {
 	if e.tracing() {
 		a.preStart = time.Now()
 	}
 	a.tag = attemptTag(a.n)
-	if e.coalescing() {
-		a.tag = coalesceTag(a.n)
-	}
-	a.deadline = e.opDeadline()
 	req := qat.Request{
 		Op:       opTypeFor(a.kind),
 		Work:     a.work,
 		Callback: a.callback(s),
 	}
-	if e.coalescing() {
-		// Defer the submission to the iteration-end batch flush. a.idx
-		// stays -1 until the flush actually places the request on a ring.
-		e.enqueue(a.class, &pendingSubmit{
-			req:     req,
-			settled: &a.settled,
-			accepted: func(i int, at time.Time) {
-				a.idx = i
-				e.onSubmit(a.class)
-				if !a.preStart.IsZero() {
-					a.submitAt = at
-					e.tracePre(a.kind, a.tag, a.preStart)
-				}
-			},
-			fail: func(err error) {
-				if !a.settled.CompareAndSwap(false, true) {
-					return
-				}
-				s.deliver(a, nil, err)
-			},
-		})
-		return s.park(a)
-	}
 	if !a.preStart.IsZero() {
 		a.submitAt = time.Now()
 	}
-	idx, err := e.submitClass(a.class, req)
+	idx, err := e.route(a.class, req)
 	if err != nil {
 		if errors.Is(err, qat.ErrRingFull) {
 			e.ringFulls.Add(1)
 			return s.ringFull(a)
 		}
 		if errors.Is(err, ErrNoInstance) {
-			res, ferr := e.swFallback(a.work)
-			return res, ferr, outReturn
+			return e.fallback(a)
 		}
 		if retryable(err) {
 			return s.retryFailed(a)
@@ -167,44 +131,126 @@ func (e *Engine) submitPath(a *attempt, s pauseStrategy) (any, error, outcome) {
 	return s.park(a)
 }
 
-// resultAction is settleResult's verdict on a delivered result.
-type resultAction int
-
-const (
-	// actReturn: hand the result (or its non-retryable error) to the TLS
-	// stack.
-	actReturn resultAction = iota
-	// actRetry: retryable failure with retry budget left.
-	actRetry
-	// actFallback: degrade the operation to software.
-	actFallback
-)
-
-// settleResult is the shared response epilogue: breaker accounting,
-// result verification, and the retry/fallback decision. idx < 0 (the op
-// never reached a ring) skips the breaker. An ErrNoInstance result means
-// the coalesced flush found no healthy instance — no inflight slot, no
-// breaker signal, straight to software.
-func (e *Engine) settleResult(kind minitls.OpKind, idx, n int, result any, rerr error) resultAction {
+// finish is the one result epilogue, run by every strategy on a delivered
+// response: hand a final result (or its non-retryable error) to the TLS
+// stack, otherwise retry within budget and degrade to software past it.
+func (e *Engine) finish(a *attempt, result any, rerr error) (any, error, outcome) {
+	if !e.settleResult(a, result, rerr) {
+		return e.retryOrFallback(a)
+	}
 	if rerr != nil {
-		if errors.Is(rerr, ErrNoInstance) {
-			return actFallback
-		}
-		e.recordResult(idx, false)
-		if !retryable(rerr) {
-			return actReturn
-		}
-	} else if !e.verifyOK(kind, result) {
-		e.recordResult(idx, false)
+		return nil, rerr, outReturn
+	}
+	return result, nil, outReturn
+}
+
+// settleResult does the breaker accounting and result verification for a
+// delivered response and reports whether it is final; false is a
+// retryable failure (device reset, or a result the Verify hook rejects).
+// An attempt that never reached a ring (idx < 0) skips the breaker.
+func (e *Engine) settleResult(a *attempt, result any, rerr error) bool {
+	switch {
+	case rerr != nil:
+		e.recordResult(a.idx, false)
+		return !retryable(rerr)
+	case !e.verifyOK(a.kind, result):
+		e.recordResult(a.idx, false)
 		e.verifyFails.Add(1)
-	} else {
-		e.recordResult(idx, true)
-		return actReturn
+		return false
 	}
-	if n < e.maxRetry {
-		return actRetry
+	e.recordResult(a.idx, true)
+	return true
+}
+
+// retryOrFallback spends one unit of the retry budget on a retryable
+// failure, or degrades the op to software once the budget is gone.
+func (e *Engine) retryOrFallback(a *attempt) (any, error, outcome) {
+	if a.n >= e.maxRetry {
+		return e.fallback(a)
 	}
-	return actFallback
+	a.n++
+	e.noteRetry()
+	return nil, nil, outResubmit
+}
+
+// fallback is swFallback in submitPath's return shape.
+func (e *Engine) fallback(a *attempt) (any, error, outcome) {
+	res, err := e.swFallback(a.work)
+	return res, err, outReturn
+}
+
+// --- spin strategy (straight offload) --------------------------------------
+
+// spinStrategy is the straight offload mode (§2.4, Fig. 3): the crypto
+// function call becomes an offload I/O call that busy-waits for its
+// response. The worker core spins, and at most one engine computes for
+// this worker at any time — the blocking the paper measures.
+type spinStrategy struct {
+	done   atomic.Bool
+	result any
+	err    error
+}
+
+func (s *spinStrategy) deliver(a *attempt, result any, err error) {
+	s.result, s.err = result, err
+	s.done.Store(true)
+}
+
+func (s *spinStrategy) park(a *attempt) (any, error, outcome) {
+	e := a.e
+	for !s.done.Load() {
+		if e.pollAll(0) == 0 {
+			runtime.Gosched()
+		}
+		if expired(a.deadline) && a.settled.CompareAndSwap(false, true) {
+			e.settleTimeout(a.class, a.idx)
+			return e.fallback(a)
+		}
+	}
+	failed := a.n
+	res, err, out := e.finish(a, s.result, s.err)
+	if out == outResubmit {
+		e.retrySleep(failed)
+	}
+	return res, err, out
+}
+
+func (s *spinStrategy) ringFull(a *attempt) (any, error, outcome) {
+	// Retrieve whatever completed and resubmit under the same attempt and
+	// deadline. A ring still full past the deadline holds slots leaked by
+	// a stalled engine: reclaim them and degrade.
+	a.e.pollAll(0)
+	if expired(a.deadline) {
+		a.e.reclaimLeaked()
+		return a.e.fallback(a)
+	}
+	return nil, nil, outResubmit
+}
+
+func (s *spinStrategy) retryFailed(a *attempt) (any, error, outcome) {
+	failed := a.n
+	res, err, out := a.e.retryOrFallback(a)
+	if out == outResubmit {
+		a.e.retrySleep(failed)
+	}
+	return res, err, out
+}
+
+// doStraight submits through submitPath until an attempt is final. A
+// ring-full resubmission reuses its attempt, so the deadline keeps
+// running across it; a retry is a new attempt with a new deadline.
+func (e *Engine) doStraight(call *minitls.OpCall, kind minitls.OpKind, class Class, work func() (any, error)) (any, error) {
+	a := e.newAttempt(call, kind, class, work, 0)
+	for {
+		n := a.n
+		res, err, out := e.submitPath(a, &spinStrategy{})
+		if out == outReturn {
+			return res, err
+		}
+		if a.n != n {
+			a = e.newAttempt(call, kind, class, work, a.n)
+		}
+	}
 }
 
 // --- fiber strategy --------------------------------------------------------
@@ -232,8 +278,8 @@ func (s *fiberStrategy) park(a *attempt) (any, error, outcome) {
 	a.call.SubmitFailed = false
 	a.call.SetResult(nil, nil)
 	// Tolerate spurious resumes: stay paused until the response callback
-	// (or the coalescer's failure hook) has delivered — unless the
-	// deadline passed, in which case the op is abandoned and degraded.
+	// has delivered — unless the deadline passed, in which case the op is
+	// abandoned and degraded.
 	for {
 		if err := a.call.Job.Pause(); err != nil {
 			return nil, err, outReturn
@@ -246,35 +292,21 @@ func (s *fiberStrategy) park(a *attempt) (any, error, outcome) {
 			// drain cutoff): abandon the offload without a software
 			// fallback — nothing will consume the result.
 			if a.settled.CompareAndSwap(false, true) {
-				a.e.settleCancel(a.class, a.idx)
+				e.settleCancel(a.class, a.idx)
 				return nil, ErrCancelled, outReturn
 			}
 			break // lost the CAS: the response landed first, consume it
 		}
 		if expired(a.deadline) {
 			if a.settled.CompareAndSwap(false, true) {
-				a.settleDeadline()
-				res, err := e.swFallback(a.work)
-				return res, err, outReturn
+				e.settleTimeout(a.class, a.idx)
+				return e.fallback(a)
 			}
 			break // lost the CAS: the response landed first
 		}
 	}
 	result, rerr := a.call.Result()
-	switch e.settleResult(a.kind, a.idx, a.n, result, rerr) {
-	case actReturn:
-		if rerr != nil {
-			return nil, rerr, outReturn
-		}
-		return result, nil, outReturn
-	case actRetry:
-		a.n++
-		e.noteRetry()
-		return nil, nil, outResubmit
-	default:
-		res, err := e.swFallback(a.work)
-		return res, err, outReturn
-	}
+	return e.finish(a, result, rerr)
 }
 
 func (s *fiberStrategy) ringFull(a *attempt) (any, error, outcome) {
@@ -288,13 +320,7 @@ func (s *fiberStrategy) ringFull(a *attempt) (any, error, outcome) {
 }
 
 func (s *fiberStrategy) retryFailed(a *attempt) (any, error, outcome) {
-	if a.n < a.e.maxRetry {
-		a.n++
-		a.e.noteRetry()
-		return nil, nil, outResubmit
-	}
-	res, err := a.e.swFallback(a.work)
-	return res, err, outReturn
+	return a.e.retryOrFallback(a)
 }
 
 // doFiber submits through submitPath until an attempt is final.
@@ -345,15 +371,14 @@ func (s *stackStrategy) ringFull(a *attempt) (any, error, outcome) {
 }
 
 func (s *stackStrategy) retryFailed(a *attempt) (any, error, outcome) {
-	if a.n >= a.e.maxRetry {
-		res, err := a.e.swFallback(a.work)
-		return res, err, outReturn
+	res, err, out := a.e.retryOrFallback(a)
+	if out == outResubmit {
+		// A submit-time reset: surface the retry to the event loop, which
+		// re-invokes us with the state flag set to retry.
+		s.st.MarkRetry()
+		return nil, minitls.ErrWantAsyncRetry, outReturn
 	}
-	// A submit-time reset: surface the retry to the event loop, which
-	// re-invokes us with the state flag set to retry.
-	a.e.noteRetry()
-	s.st.MarkRetry()
-	return nil, minitls.ErrWantAsyncRetry, outReturn
+	return res, err, out
 }
 
 // doStack handles the stack-async re-entries around submitPath: first
@@ -374,22 +399,17 @@ func (e *Engine) doStack(call *minitls.OpCall, kind minitls.OpKind, class Class,
 	case asynclib.StackReady:
 		a := e.stackOps[st]
 		delete(e.stackOps, st)
-		idx := -1
-		if a != nil {
-			idx, n = a.idx, a.n
+		if a == nil {
+			// Readied by someone other than this engine's callback: a
+			// first attempt with no instance to credit.
+			a = e.newAttempt(call, kind, class, work, 0)
 		}
 		result, rerr := st.Consume()
-		switch e.settleResult(kind, idx, n, result, rerr) {
-		case actReturn:
-			if rerr != nil {
-				return nil, rerr
-			}
-			return result, nil
-		case actFallback:
-			return e.swFallback(work)
+		res, err, out := e.finish(a, result, rerr)
+		if out == outReturn {
+			return res, err
 		}
-		n++
-		e.noteRetry()
+		n = a.n
 		// Fall through to resubmission: Consume reset the op to idle.
 	case asynclib.StackInflight:
 		a := e.stackOps[st]
@@ -398,7 +418,7 @@ func (e *Engine) doStack(call *minitls.OpCall, kind minitls.OpKind, class Class,
 		}
 		if expired(a.deadline) && a.settled.CompareAndSwap(false, true) {
 			delete(e.stackOps, st)
-			a.settleDeadline()
+			e.settleTimeout(a.class, a.idx)
 			st.Reset()
 			return e.swFallback(work)
 		}
@@ -430,100 +450,4 @@ func (e *Engine) cancelStack(st *asynclib.StackOp) error {
 		st.Reset()
 	}
 	return ErrCancelled
-}
-
-// --- straight offload ------------------------------------------------------
-
-// doStraight is the straight offload mode (§2.4, Fig. 3): replace the
-// crypto function call with an offload I/O call and busy-wait for the
-// response. The worker core spins, and at most one engine computes for
-// this worker at any time — the blocking the paper measures. It shares
-// the result epilogue (settleResult) with the async paths but keeps its
-// own submission loop: it must submit immediately and block, so neither
-// pause strategy nor the coalescer applies.
-func (e *Engine) doStraight(call *minitls.OpCall, kind minitls.OpKind, class Class, work func() (any, error)) (any, error) {
-	for n := 0; ; n++ {
-		deadline := e.opDeadline()
-		var done atomic.Bool
-		var settled atomic.Bool
-		var result any
-		var resultErr error
-		var preStart, submitAt time.Time
-		if e.tracing() {
-			preStart = time.Now()
-		}
-		req := qat.Request{
-			Op:   opTypeFor(kind),
-			Work: work,
-			Callback: func(r qat.Response) {
-				if !settled.CompareAndSwap(false, true) {
-					return // late response for an op already degraded
-				}
-				if !submitAt.IsZero() {
-					e.traceRetrieve(kind, attemptTag(n), submitAt)
-				}
-				result, resultErr = r.Result, r.Err
-				e.onResponse(class)
-				done.Store(true)
-			},
-		}
-		if !preStart.IsZero() {
-			submitAt = time.Now()
-		}
-		idx, err := e.submitClass(class, req)
-		for err != nil && errors.Is(err, qat.ErrRingFull) {
-			e.ringFulls.Add(1)
-			e.pollAll(0)
-			if expired(deadline) {
-				// The ring stays full past the deadline — leaked slots
-				// from a stalled engine. Reclaim and degrade.
-				e.reclaimLeaked()
-				return e.swFallback(work)
-			}
-			if !preStart.IsZero() {
-				submitAt = time.Now()
-			}
-			idx, err = e.submitClass(class, req)
-		}
-		if err != nil {
-			if errors.Is(err, ErrNoInstance) {
-				return e.swFallback(work)
-			}
-			if retryable(err) {
-				if n < e.maxRetry {
-					e.noteRetry()
-					e.retrySleep(n)
-					continue
-				}
-				return e.swFallback(work)
-			}
-			return nil, err
-		}
-		e.onSubmit(class)
-		if !preStart.IsZero() {
-			e.tracePre(kind, attemptTag(n), preStart)
-		}
-		for !done.Load() {
-			if e.pollAll(0) == 0 {
-				runtime.Gosched()
-			}
-			if expired(deadline) && settled.CompareAndSwap(false, true) {
-				e.settleTimeout(class, idx)
-				return e.swFallback(work)
-			}
-		}
-		switch e.settleResult(kind, idx, n, result, resultErr) {
-		case actReturn:
-			if resultErr != nil {
-				return nil, resultErr
-			}
-			return result, nil
-		case actRetry:
-			e.noteRetry()
-			e.retrySleep(n)
-			continue
-		default:
-			return e.swFallback(work)
-		}
-	}
 }

@@ -1,14 +1,16 @@
 // Package offload is the shared policy vocabulary of the QTLS offload
 // framework. The paper's five evaluated configurations (SW, QAT+S, QAT+A,
-// QAT+AH, QTLS — §5.1) are a matrix of three orthogonal policies:
+// QAT+AH, QTLS — §5.1) are a matrix of two orthogonal policies:
 //
 //   - how QAT responses are retrieved (PollPolicy: none/inline, a timer
 //     polling thread, or the heuristic scheme of §3.3 with its 48/24
-//     thresholds and 5 ms failover timer);
+//     thresholds and 5 ms failover timer); and
 //   - how async events reach the event loop (Notifier: a file descriptor
-//     watched by epoll vs the kernel-bypass async queue, §3.4); and
-//   - how submissions reach the request rings (SubmitMode: one doorbell
-//     per op vs coalesced batches per event-loop iteration).
+//     watched by epoll vs the kernel-bypass async queue, §3.4).
+//
+// Beyond the paper's matrix, Policy carries the multi-device Placement
+// and the post-handshake RecordPolicy. Submission has no policy: every
+// request goes onto a ring as its operation pauses (§3.2).
 //
 // Both the live stack (internal/server, internal/engine) and the
 // discrete-event performance model (internal/perf) consume this package:
@@ -130,10 +132,9 @@ func byName[T fmt.Stringer](name string, all ...T) (T, bool) {
 }
 
 // Placement selects how work is spread across the devices of a qat.Pool.
-// The zero value (PlacementSingle) is the exact legacy single-device
-// behavior: everything lands on device 0 and no placement decisions are
-// taken, so the five named configurations are byte-identical to the
-// pre-placement stack.
+// The zero value (PlacementSingle) is the paper's single-device setup:
+// everything lands on device 0, which is what the five named
+// configurations use.
 type Placement int
 
 const (
@@ -207,31 +208,6 @@ func deviceRange(lo, hi int) []int {
 		out = append(out, i)
 	}
 	return out
-}
-
-// SubmitMode selects how submissions reach the request rings.
-type SubmitMode int
-
-const (
-	// SubmitDirect places each request on a ring as its op pauses — one
-	// ring lock and one doorbell per op.
-	SubmitDirect SubmitMode = iota
-	// SubmitCoalesced gathers the ops paused within one event-loop
-	// iteration and pushes them onto the rings in batches — the
-	// submit-side dual of heuristic polling.
-	SubmitCoalesced
-)
-
-// String returns the mode name.
-func (m SubmitMode) String() string {
-	switch m {
-	case SubmitDirect:
-		return "direct"
-	case SubmitCoalesced:
-		return "coalesced"
-	default:
-		return fmt.Sprintf("SubmitMode(%d)", int(m))
-	}
 }
 
 // PollPolicy is one response-retrieval policy: the scheme plus every
@@ -390,7 +366,7 @@ func (p PollPolicy) Park(s Idle) (d time.Duration, park bool) {
 
 // Policy is one complete offload configuration: whether the accelerator
 // is used at all, whether offloads pause asynchronously or block, and the
-// three orthogonal sub-policies.
+// sub-policies.
 type Policy struct {
 	// Name labels the configuration ("SW", "QAT+S", ...).
 	Name string
@@ -403,8 +379,6 @@ type Policy struct {
 	Poll PollPolicy
 	// Notify is the async event notification scheme.
 	Notify NotifyScheme
-	// Submit is the submission strategy.
-	Submit SubmitMode
 	// Record is the post-handshake record-path policy. The zero value —
 	// the paper's five configurations — runs no record engine: records are
 	// protected by the TLS stack through its crypto provider, so with

@@ -197,9 +197,6 @@ func TestNamedConfigurations(t *testing.T) {
 			p.Poll.Scheme != w.scheme || p.Notify != w.notify {
 			t.Errorf("config %d = %+v, want %+v", i, p, w)
 		}
-		if p.Submit != SubmitDirect {
-			t.Errorf("%s: submit mode = %v, want direct", p.Name, p.Submit)
-		}
 		byName, ok := ByName(w.name)
 		if !ok || byName.Name != w.name {
 			t.Errorf("ByName(%q) = %+v, %v", w.name, byName, ok)
@@ -219,9 +216,6 @@ func TestStrings(t *testing.T) {
 		NotifierCoalesced.String() != "coalesced" {
 		t.Fatal("NotifyScheme strings")
 	}
-	if SubmitDirect.String() != "direct" || SubmitCoalesced.String() != "coalesced" {
-		t.Fatal("SubmitMode strings")
-	}
 	// Out-of-range values render the exact Go-style fallback so log lines
 	// stay greppable across renames.
 	if got := PollScheme(99).String(); got != "PollScheme(99)" {
@@ -229,9 +223,6 @@ func TestStrings(t *testing.T) {
 	}
 	if got := NotifyScheme(99).String(); got != "NotifyScheme(99)" {
 		t.Fatalf("NotifyScheme fallback = %q", got)
-	}
-	if got := SubmitMode(99).String(); got != "SubmitMode(99)" {
-		t.Fatalf("SubmitMode fallback = %q", got)
 	}
 	// Notifier implementations echo their scheme names: a worker log that
 	// prints the backend must match the flag spelling that selected it.

@@ -166,7 +166,7 @@ func (w *Worker) shedKeepalive(c *conn) bool {
 
 // Drain asks the worker to shut down gracefully: stop accepting, let
 // admitted work and in-flight QAT responses complete, close-notify idle
-// keepalive connections, flush coalesced submits, then exit the loop.
+// keepalive connections, then exit the loop.
 // Safe to call from any goroutine; Stop() remains the hard cutoff.
 func (w *Worker) Drain() {
 	if w.draining.CompareAndSwap(false, true) {
@@ -206,9 +206,6 @@ func (w *Worker) drainStep() bool {
 	if len(w.conns) > 0 {
 		return false
 	}
-	// Everything settled; push any straggler coalesced submissions out
-	// before the poller and pipes are torn down.
-	w.flushSubmits()
 	w.fl.Note(flight.KindDrain, flight.DrainDone, trace.OpNone, 0, 0)
 	return true
 }

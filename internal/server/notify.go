@@ -102,10 +102,6 @@ func (w *Worker) processAsyncQueue() {
 		for _, h := range q {
 			w.resumeAsync(h.(*conn))
 		}
-		// Resumed handlers typically pause on their next offload op; flush
-		// the batch they formed before the next drain round so its
-		// responses can feed that round.
-		w.flushSubmits()
 	}
 }
 

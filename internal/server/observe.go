@@ -51,9 +51,6 @@ func (w *Worker) initSeries() {
 	for i, tag := range pollCauses {
 		w.histBatch[i] = w.reg.Histogram(`qtls_poll_batch{cause="` + tag.String() + `"}`)
 	}
-	if w.cfg.Submit == offload.SubmitCoalesced {
-		w.histFlush = w.reg.Histogram(`qtls_submit_flush_batch`)
-	}
 	w.gInflight = w.reg.Gauge(`qtls_inflight` + wl)
 	w.gActive = w.reg.Gauge(`qtls_active_conns` + wl)
 	w.gConns = w.reg.Gauge(`qtls_conns` + wl)
@@ -79,7 +76,6 @@ func (w *Worker) initSeries() {
 		{"qtls_bytes_out", &st.BytesOut},
 		{"qtls_async_events", &st.AsyncEvents},
 		{"qtls_retry_events", &st.RetryEvents},
-		{"qtls_submit_flush_events", &st.SubmitFlushes},
 		{`qtls_polls{cause="heuristic"}`, &st.HeuristicPolls},
 		{`qtls_polls{cause="timer"}`, &st.TimerPolls},
 		{`qtls_polls{cause="failover"}`, &st.FailoverPolls},

@@ -40,32 +40,6 @@ func (w *Worker) pollEngine(tag trace.Tag) int {
 	return n
 }
 
-// flushSubmits pushes the engine's gathered submissions onto the request
-// rings (engine.Flush: one ring lock and one doorbell per instance
-// chunk). The worker calls it wherever it drains the async notification
-// queue, so an op coalesced during this iteration is on the rings before
-// the loop sleeps. With tracing on the flush is one PhaseFlush span whose
-// Arg is the number of ops flushed, plus a flush-size histogram sample.
-func (w *Worker) flushSubmits() {
-	if w.eng == nil || w.eng.PendingSubmits() == 0 {
-		return
-	}
-	var start time.Time
-	if w.tr.Active() {
-		start = time.Now()
-	}
-	n := w.eng.Flush()
-	if n > 0 {
-		w.Stats.SubmitFlushes.Add(1)
-	}
-	if !start.IsZero() {
-		w.tr.Record(trace.PhaseFlush, trace.OpNone, trace.TagCoalesce, int64(n), start, time.Since(start))
-		if w.histFlush != nil && n > 0 {
-			w.histFlush.Observe(float64(n))
-		}
-	}
-}
-
 // heuristicCheck implements the efficiency and timeliness constraints of
 // the heuristic polling scheme (§3.3, §4.3). The decision itself is
 // offload.PollPolicy.ShouldPoll; this wrapper supplies the live inputs.

@@ -234,7 +234,7 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 // Stats aggregates worker counters.
 type Stats struct {
 	Accepted, Handshakes, Resumed, Requests, BytesOut int64
-	AsyncEvents, RetryEvents, SubmitFlushes           int64
+	AsyncEvents, RetryEvents                          int64
 	HeuristicPolls, TimerPolls, FailoverPolls         int64
 	DeadlineWakeups                                   int64
 	ShedAccepts, ShedKeepalive                        int64
@@ -257,7 +257,6 @@ func (s *Server) Stats() Stats {
 		t.BytesOut += w.Stats.BytesOut.Load()
 		t.AsyncEvents += w.Stats.AsyncEvents.Load()
 		t.RetryEvents += w.Stats.RetryEvents.Load()
-		t.SubmitFlushes += w.Stats.SubmitFlushes.Load()
 		t.HeuristicPolls += w.Stats.HeuristicPolls.Load()
 		t.TimerPolls += w.Stats.TimerPolls.Load()
 		t.FailoverPolls += w.Stats.FailoverPolls.Load()
@@ -304,10 +303,9 @@ func (s *Server) Stop() {
 
 // Shutdown drains the server gracefully: every worker stops accepting,
 // lets admitted requests and in-flight QAT responses complete, sends TLS
-// close-notify on idle keepalive connections, flushes coalesced
-// submissions, and only then tears down its poller and pipes. When ctx
-// expires first, Shutdown falls back to the hard Stop cutoff and returns
-// the context's error.
+// close-notify on idle keepalive connections, and only then tears down
+// its poller and pipes. When ctx expires first, Shutdown falls back to the
+// hard Stop cutoff and returns the context's error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.lifecycle != nil {
 		s.lifecycle.Stop()

@@ -94,6 +94,15 @@ func TestAllConfigurationsServe(t *testing.T) {
 				if total == 0 {
 					t.Fatalf("%s: no requests reached the QAT device", run.Name)
 				}
+				// One way onto a ring: the handshake engine submits each
+				// request by itself as its operation pauses (§3.2).
+				for _, w := range srv.Workers() {
+					for _, inst := range w.Engine().Instances() {
+						if is := inst.Stats(); is.SubmitBatches != 0 {
+							t.Fatalf("%s: handshake engine used SubmitBatch: %+v", run.Name, is)
+						}
+					}
+				}
 			}
 		})
 	}

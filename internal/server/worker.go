@@ -32,16 +32,13 @@ type Handler func(path string) (body []byte, ok bool)
 // WorkerStats are cumulative per-worker counters, safe to read from other
 // goroutines.
 type WorkerStats struct {
-	Accepted    atomic.Int64
-	Handshakes  atomic.Int64
-	Resumed     atomic.Int64
-	Requests    atomic.Int64
-	BytesOut    atomic.Int64
-	AsyncEvents atomic.Int64
-	RetryEvents atomic.Int64
-	// SubmitFlushes counts submit-coalescer flushes that placed at least
-	// one gathered op on a request ring (see engine.Flush).
-	SubmitFlushes  atomic.Int64
+	Accepted       atomic.Int64
+	Handshakes     atomic.Int64
+	Resumed        atomic.Int64
+	Requests       atomic.Int64
+	BytesOut       atomic.Int64
+	AsyncEvents    atomic.Int64
+	RetryEvents    atomic.Int64
 	HeuristicPolls atomic.Int64
 	TimerPolls     atomic.Int64
 	FailoverPolls  atomic.Int64
@@ -172,7 +169,6 @@ type Worker struct {
 	histLoop     *metrics.Histogram    // busy part of one loop iteration
 	histPollWait *metrics.Histogram    // time blocked in epoll_wait
 	histBatch    [4]*metrics.Histogram // poll batch size by cause
-	histFlush    *metrics.Histogram    // coalescer flush size (ops per flush)
 	gInflight    *metrics.Gauge        // Rtotal, per worker
 	gActive      *metrics.Gauge        // TCactive, per worker
 	gConns       *metrics.Gauge        // live connections
@@ -302,48 +298,38 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 			w.cleanup()
 			return nil, errors.New("server: QAT configuration without a device")
 		}
+		// Placement happens inside the engine: the worker owns one instance
+		// on every device the placement names — device 0 alone under single
+		// placement, the whole pool otherwise. Class-shard routes each op
+		// class to its lane's device set; conn-hash prefers the worker's
+		// home device on both lanes and treats the other devices as spill
+		// (and as re-home targets when the lifecycle quarantines the home).
+		nDevs := 1
+		if multi {
+			nDevs = pool.Size()
+		}
 		var insts []*qat.Instance
 		var instDevs []int
-		engPlacement := offload.PlacementSingle
-		if multi {
-			// Class sharding and conn-hash both happen inside the engine:
-			// the worker owns one instance on every device. Class-shard
-			// routes each op class to its lane's device set; conn-hash
-			// prefers the worker's home device on both lanes and treats the
-			// other devices as spill (and as re-home targets when the
-			// lifecycle quarantines the home).
-			engPlacement = cfg.Placement
-			for d := 0; d < pool.Size(); d++ {
-				inst, err := pool.AllocInstance(d)
-				if err != nil {
-					w.cleanup()
-					return nil, err
-				}
-				insts = append(insts, inst)
-				instDevs = append(instDevs, d)
-			}
-		} else {
-			// Single placement: the legacy path, byte-identical — nil
-			// InstanceDevices keeps the engine's round-robin untouched.
-			inst, err := pool.AllocInstance(homeDev)
+		for d := 0; d < nDevs; d++ {
+			inst, err := pool.AllocInstance(d)
 			if err != nil {
 				w.cleanup()
 				return nil, err
 			}
-			insts = []*qat.Instance{inst}
+			insts = append(insts, inst)
+			instDevs = append(instDevs, d)
 		}
 		var err error
 		w.eng, err = engine.New(engine.Config{
 			Instances:       insts,
 			InstanceDevices: instDevs,
-			Placement:       engPlacement,
+			Placement:       cfg.Placement,
 			HomeDevice:      homeDev,
 			Lifecycle:       w.lc,
 			Offload:         cfg.Offload,
 			OpTimeout:       cfg.OpTimeout,
 			MaxRetries:      cfg.MaxRetries,
 			Breaker:         cfg.Breaker,
-			Coalesce:        cfg.Submit == offload.SubmitCoalesced && async,
 			Metrics:         reg,
 			Trace:           w.tr,
 			Flight:          w.fl,
@@ -526,9 +512,6 @@ func (w *Worker) Run() {
 		for _, ev := range events {
 			w.dispatch(ev)
 		}
-		// Ops paused during event dispatch are batched onto the rings now,
-		// so the retrieval checks below can already see them in flight.
-		w.flushSubmits()
 		if w.eng != nil && w.poll.Scheme == offload.PollTimer {
 			if w.pollEngine(trace.TagTimer) > 0 {
 				w.lastPoll = time.Now()
@@ -552,9 +535,6 @@ func (w *Worker) Run() {
 		w.processRetryQueue()
 		w.pollRecordEngine()
 		w.maybeRehome()
-		// Retried submissions and ops paused by resumed handlers after the
-		// last drain round must not wait out the epoll sleep.
-		w.flushSubmits()
 		if w.draining.Load() && w.drainStep() {
 			return // fully drained: deferred shutdown tears down cleanly
 		}
@@ -619,10 +599,6 @@ func (w *Worker) shutdown() {
 // ends the park early.
 func (w *Worker) waitTimeout() int {
 	if w.pendingNotifications() > 0 || len(w.retryQueue) > 0 {
-		return 0
-	}
-	if w.eng != nil && w.eng.PendingSubmits() > 0 {
-		// Gathered submissions must reach the rings, not wait out a sleep.
 		return 0
 	}
 	idle := offload.Idle{

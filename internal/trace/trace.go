@@ -55,11 +55,6 @@ const (
 	// phase; Tag says whether the heuristic, the timer or the failover
 	// check triggered it, Arg carries the batch size).
 	PhasePoll
-	// PhaseFlush is one submit-coalescer flush: draining the ops that
-	// paused during an event-loop iteration onto the request rings in
-	// batches (the submit-side dual of PhasePoll; Arg carries the number
-	// of ops flushed).
-	PhaseFlush
 	// PhaseShed is one admission-control rejection: the worker refused a
 	// connection under overload, at accept time (TCP reset before TLS
 	// bytes were spent) or at keepalive-reuse time (Connection: close
@@ -87,8 +82,6 @@ func (p Phase) String() string {
 		return "post"
 	case PhasePoll:
 		return "poll"
-	case PhaseFlush:
-		return "flush"
 	case PhaseShed:
 		return "shed"
 	case PhaseRecord:
@@ -156,14 +149,12 @@ const (
 	// TagFD marks a notification span delivered through the notification
 	// pipe and epoll (costing user/kernel switches).
 	TagFD
-	// TagCoalesce marks a pre-processing span whose submission was
-	// gathered by the engine's submit coalescer and deferred to the
-	// iteration-end batch flush instead of ringing the doorbell alone.
+	// TagCoalesce marks a notification span delivered by the coalesced
+	// notifier: queued in user space, one descriptor write per batch.
 	TagCoalesce
 	// TagDrain marks a span recorded while the worker was draining:
-	// shutdown-initiated close-notify writes, the final submit flushes,
-	// and PhaseShed spans for connections refused because the listener
-	// was already closed.
+	// shutdown-initiated close-notify writes, and PhaseShed spans for
+	// connections refused because the listener was already closed.
 	TagDrain
 )
 

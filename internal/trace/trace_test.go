@@ -156,7 +156,7 @@ func TestTraceSpanJSON(t *testing.T) {
 func TestTraceNames(t *testing.T) {
 	if PhasePre.String() != "pre" || PhaseRetrieve.String() != "retrieve" ||
 		PhaseNotify.String() != "notify" || PhasePost.String() != "post" ||
-		PhasePoll.String() != "poll" || PhaseFlush.String() != "flush" {
+		PhasePoll.String() != "poll" {
 		t.Fatal("phase names")
 	}
 	if TagCoalesce.String() != "coalesce" {
