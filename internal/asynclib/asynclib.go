@@ -7,12 +7,14 @@
 // Two implementations are provided, matching the paper's two designs:
 //
 //   - Fiber async (Fig. 6): Job wraps the running piece of a TLS connection
-//     in a cooperative fiber. OpenSSL uses makecontext/swapcontext fibers;
-//     here a goroutine plus two synchronization channels provide identical
-//     pause/resume semantics (the goroutine is parked, control returns to
-//     the caller, and a later StartJob jumps straight back to the pause
-//     point). This is the mode included in OpenSSL 1.1.0+ and the one the
-//     evaluation uses.
+//     in a cooperative fiber. OpenSSL uses makecontext/swapcontext fibers
+//     taken from a per-thread pool (ASYNC_init_thread); here a fiber is an
+//     iter.Pull coroutine — the runtime switches straight between the
+//     caller and the fiber, without a trip through the scheduler — that
+//     outlives its job and waits on a bounded idle list for the next one
+//     (fiber.go). Pause returns control to the caller and a later StartJob
+//     jumps straight back to the pause point. This is the mode included in
+//     OpenSSL 1.1.0+ and the one the evaluation uses.
 //
 //   - Stack async (Fig. 5): StackState is the state flag driving the
 //     intrusive alternative, where the crypto API alters its control flow
@@ -157,22 +159,20 @@ func (w *WaitCtx) Notify() bool {
 }
 
 // Job is a fiber-based ASYNC_JOB: a suspended or running execution of a
-// job function. The zero value is not usable; obtain jobs from StartJob.
+// job function. The zero value is an unstarted job; StartJob(nil, fn)
+// allocates one. The handle is per job — the fiber that runs it is
+// borrowed and goes back to the pool when the job function returns, so
+// Finished and Err stay valid however often that fiber is reused. A
+// finished Job may be reset to the zero value and started again.
 //
 // A Job is owned by a single driving goroutine (the event-loop worker).
 // StartJob must not be called concurrently for the same job.
 type Job struct {
 	wctx *WaitCtx
 
-	resume chan struct{} // caller -> fiber: continue after pause
-	yield  chan yieldMsg // fiber -> caller: paused or finished
+	fiber *fiber           // non-nil from start until the job function returns
+	fn    func(*Job) error // the job function, while the job is live
 
-	started  bool
-	finished bool
-	err      error
-}
-
-type yieldMsg struct {
 	finished bool
 	err      error
 }
@@ -194,10 +194,11 @@ func (j *Job) Err() error { return j.err }
 // StartJob starts or resumes a fiber-based async job, mirroring
 // ASYNC_start_job:
 //
-//   - With job == nil it creates a new job whose fiber runs fn(job); fn
-//     receives its own *Job so nested code can pause it. (OpenSSL finds
-//     the current job via thread-local state; Go has no goroutine-locals,
-//     so the job is passed explicitly — the only API divergence.)
+//   - With job == nil (or an unstarted job) it takes a fiber from the
+//     pool and runs fn(job) on it; fn receives its own *Job so nested
+//     code can pause it. (OpenSSL finds the current job via thread-local
+//     state; Go has no goroutine-locals, so the job is passed explicitly
+//     — the only API divergence.)
 //   - With a previously paused job it ignores fn and resumes the fiber at
 //     its pause point (fiber context swap).
 //
@@ -205,49 +206,43 @@ func (j *Job) Err() error { return j.err }
 // StatusFinish with the job function's error when it ran to completion.
 func StartJob(job *Job, fn func(*Job) error) (Status, *Job, error) {
 	if job == nil {
-		job = &Job{
-			resume: make(chan struct{}),
-			yield:  make(chan yieldMsg),
-		}
+		job = &Job{}
 	}
 	if job.finished {
 		return StatusErr, job, ErrJobFinished
 	}
-	if !job.started {
+	f := job.fiber
+	if f == nil {
 		if fn == nil {
 			return StatusErr, job, errors.New("asynclib: StartJob with nil function")
 		}
-		job.started = true
+		f = getFiber()
+		f.job, job.fiber, job.fn = job, f, fn
 		jobStats.started.Add(1)
-		go func() {
-			err := fn(job)
-			job.yield <- yieldMsg{finished: true, err: err}
-		}()
 	} else {
-		// Context swap into the paused fiber.
 		jobStats.resumed.Add(1)
-		job.resume <- struct{}{}
 	}
-	msg := <-job.yield
-	if msg.finished {
-		job.finished = true
-		job.err = msg.err
-		jobStats.finished.Add(1)
-		return StatusFinish, job, msg.err
+	// Context swap into the fiber; control comes back at its next Pause or
+	// when the job function has returned.
+	f.next()
+	if !job.finished {
+		return StatusPause, job, nil
 	}
-	return StatusPause, job, nil
+	f.job, job.fiber, job.fn = nil, nil, nil
+	putFiber(f)
+	jobStats.finished.Add(1)
+	return StatusFinish, job, job.err
 }
 
 // Pause suspends the calling fiber and returns control to the goroutine
 // that invoked StartJob (ASYNC_pause_job). It must be called from within
-// the job function; calling it on a nil job returns ErrNotInJob. It
-// returns when the job is resumed.
+// the job function; on a nil job, or one no fiber is running, it returns
+// ErrNotInJob. It returns when the job is resumed.
 func (j *Job) Pause() error {
-	if j == nil {
+	if j == nil || j.fiber == nil {
 		return ErrNotInJob
 	}
 	jobStats.paused.Add(1)
-	j.yield <- yieldMsg{}
-	<-j.resume
+	j.fiber.yield(struct{}{})
 	return nil
 }

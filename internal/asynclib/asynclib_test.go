@@ -2,6 +2,7 @@ package asynclib
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -366,5 +367,110 @@ func TestJobStats(t *testing.T) {
 	want := JobStats{Started: 1, Paused: 2, Resumed: 2, Finished: 1}
 	if got != want {
 		t.Fatalf("stats delta = %+v, want %+v", got, want)
+	}
+}
+
+func idleFibers() int {
+	idle.Lock()
+	defer idle.Unlock()
+	return len(idle.fibers)
+}
+
+// TestFiberReuse: sequential jobs all run on one pooled fiber, not on a
+// goroutine each, and a Job handle is not its fiber: a finished Job keeps
+// its error while the fiber that ran it runs other jobs.
+func TestFiberReuse(t *testing.T) {
+	base, idleBefore := runtime.NumGoroutine(), idleFibers()
+	sentinel := errors.New("first job's error")
+	_, first, _ := StartJob(nil, func(j *Job) error {
+		if err := j.Pause(); err != nil {
+			return err
+		}
+		return sentinel
+	})
+	if st, _, err := StartJob(first, nil); st != StatusFinish || !errors.Is(err, sentinel) {
+		t.Fatalf("first job: %v %v", st, err)
+	}
+	before := Stats()
+	peak := 0
+	for i := 0; i < 10000; i++ {
+		st, job, err := StartJob(nil, func(j *Job) error { return j.Pause() })
+		if st != StatusPause || err != nil {
+			t.Fatalf("job %d start: %v %v", i, st, err)
+		}
+		peak = max(peak, runtime.NumGoroutine())
+		if st, _, err := StartJob(job, nil); st != StatusFinish || err != nil {
+			t.Fatalf("job %d resume: %v %v", i, st, err)
+		}
+	}
+	if peak > base+1 {
+		t.Errorf("%d goroutines while running 10000 sequential jobs, base %d", peak, base)
+	}
+	if n := idleFibers(); n < 1 || n > idleBefore+1 {
+		t.Errorf("%d idle fibers after 10000 sequential jobs (%d before): they did not share one", n, idleBefore)
+	}
+	if !first.Finished() || !errors.Is(first.Err(), sentinel) {
+		t.Errorf("first job after its fiber ran 10000 others: finished=%v err=%v", first.Finished(), first.Err())
+	}
+	if st, _, err := StartJob(first, nil); st != StatusErr || !errors.Is(err, ErrJobFinished) {
+		t.Errorf("resuming the finished first job: %v %v", st, err)
+	}
+	d := Stats()
+	got := JobStats{d.Started - before.Started, d.Paused - before.Paused, d.Resumed - before.Resumed, d.Finished - before.Finished}
+	if want := (JobStats{10000, 10000, 10000, 10000}); got != want {
+		t.Errorf("stats delta = %+v, want %+v", got, want)
+	}
+}
+
+// TestFiberPoolBounded: a burst of concurrently paused jobs beyond the idle
+// cap gets a fiber each, and once they have finished at most the cap stays
+// behind — the surplus fibers' goroutines exit.
+func TestFiberPoolBounded(t *testing.T) {
+	base := runtime.NumGoroutine()
+	const burst = maxIdleFibers + 40
+	jobs := make([]*Job, burst)
+	for i := range jobs {
+		st, job, err := StartJob(nil, func(j *Job) error { return j.Pause() })
+		if st != StatusPause || err != nil {
+			t.Fatalf("job %d start: %v %v", i, st, err)
+		}
+		jobs[i] = job
+	}
+	if n := runtime.NumGoroutine(); n < burst {
+		t.Fatalf("%d goroutines with %d jobs paused", n, burst)
+	}
+	for i, job := range jobs {
+		if st, _, err := StartJob(job, nil); st != StatusFinish || err != nil {
+			t.Fatalf("job %d resume: %v %v", i, st, err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base+maxIdleFibers {
+		t.Errorf("%d goroutines after the burst, want <= base %d + cap %d", n, base, maxIdleFibers)
+	}
+	if n := idleFibers(); n != maxIdleFibers {
+		t.Errorf("%d idle fibers after a burst of %d, want the cap %d", n, burst, maxIdleFibers)
+	}
+	// The kept fibers still work.
+	ran := 0
+	for i := 0; i < burst; i++ {
+		StartJob(nil, func(*Job) error { ran++; return nil })
+	}
+	if ran != burst {
+		t.Errorf("%d of %d jobs ran after the burst", ran, burst)
+	}
+}
+
+// TestPauseOnUnstartedJob: Pause is only meaningful on a fiber.
+func TestPauseOnUnstartedJob(t *testing.T) {
+	var j Job
+	if err := j.Pause(); !errors.Is(err, ErrNotInJob) {
+		t.Fatalf("Pause on a zero Job = %v, want ErrNotInJob", err)
+	}
+	// The zero Job is an unstarted job, and may be reset and reused.
+	for i := 0; i < 2; i++ {
+		j = Job{}
+		if st, got, err := StartJob(&j, func(*Job) error { return nil }); st != StatusFinish || got != &j || err != nil {
+			t.Fatalf("run %d: %v %v", i, st, err)
+		}
 	}
 }

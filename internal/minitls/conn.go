@@ -45,11 +45,19 @@ type Conn struct {
 
 	// Async machinery (§3.2). The wait context is shared across all async
 	// jobs of the connection ("share one FD across all async jobs from the
-	// same TLS connection", §4.4).
+	// same TLS connection", §4.4). Fiber mode: job is the handle of the
+	// current job, reset for each new one, and opCall.Job points at it
+	// while it is live; every job runs jobFn, built once.
 	opCall  OpCall
-	job     *asynclib.Job
+	job     asynclib.Job
+	jobFn   func(*asynclib.Job) error
 	stackOp asynclib.StackOp
 	waitCtx *asynclib.WaitCtx
+
+	// flight holds the handshake records sealed since the last flush, so a
+	// flight reaches the transport in one Write (see queueFlight). Nil
+	// between flights and once the handshake is done.
+	flight *WireBuf
 
 	// Pending Write progress for async re-entry: the two gathered parts,
 	// the offset into their concatenation, and whether a write is pending.
@@ -161,7 +169,7 @@ func (c *Conn) SetAsyncCallback(cb func(arg any), arg any) {
 // awaiting a crypto response.
 func (c *Conn) AsyncInFlight() bool {
 	if c.config.AsyncMode == AsyncModeFiber {
-		return c.job != nil && !c.job.Finished()
+		return c.opCall.Job != nil
 	}
 	return c.stackOp.State() == asynclib.StackInflight
 }
@@ -199,7 +207,6 @@ func (c *Conn) asyncMode() AsyncMode {
 func (c *Conn) do(kind OpKind, work func() (any, error)) (any, error) {
 	call := &c.opCall
 	call.Mode = c.asyncMode()
-	call.Job = c.job
 	call.Stack = &c.stackOp
 	call.WaitCtx = c.waitCtx
 	res, err := c.config.provider().Do(call, kind, work)
@@ -220,32 +227,46 @@ func (c *Conn) doPRF(secret []byte, label string, seed []byte, length int) ([]by
 	return res.([]byte), nil
 }
 
-// drive executes fn under the connection's async regime:
+// run executes the connection's current re-entrant operation. Its state
+// says which that is: the handshake until it is done, the pending write
+// after (Writev completes the handshake before it drives). Being a plain
+// method, not a func value handed to drive, it costs a re-entry nothing.
+func (c *Conn) run() error {
+	switch {
+	case c.handshakeDone:
+		return c.writeRecords()
+	case c.isServer:
+		return c.serverHandshakeStep()
+	default:
+		return c.clientHandshake()
+	}
+}
+
+// drive executes run under the connection's async regime:
 //
-//   - AsyncModeOff/AsyncModeStack: fn runs on the calling goroutine; in
-//     stack mode fn may surface ErrWantAsync / ErrWantAsyncRetry from a
+//   - AsyncModeOff/AsyncModeStack: it runs on the calling goroutine; in
+//     stack mode it may surface ErrWantAsync / ErrWantAsyncRetry from a
 //     provider call and is re-entered on the next drive.
-//   - AsyncModeFiber: fn runs inside an ASYNC_JOB fiber. A paused fiber
+//   - AsyncModeFiber: it runs inside an ASYNC_JOB fiber. A paused fiber
 //     maps to ErrWantAsync (or ErrWantAsyncRetry when the pause was due
 //     to a failed submission); the next drive resumes it.
-func (c *Conn) drive(fn func() error) error {
+func (c *Conn) drive() error {
 	if c.asyncMode() != AsyncModeFiber {
-		return fn()
+		return c.run()
 	}
 	var status asynclib.Status
 	var err error
-	if c.job != nil && !c.job.Finished() {
+	if c.opCall.Job != nil {
 		// Crypto resumption: jump back to the pause point (§3.2
 		// post-processing).
-		status, _, err = asynclib.StartJob(c.job, nil)
+		status, _, err = asynclib.StartJob(&c.job, nil)
 	} else {
-		status, c.job, err = asynclib.StartJob(nil, func(j *asynclib.Job) error {
-			// The fiber needs to see itself as the connection's current
-			// job before any provider call; the driving goroutine is
-			// parked inside StartJob, so this write is race-free.
-			c.job = j
-			return fn()
-		})
+		if c.jobFn == nil {
+			c.jobFn = func(*asynclib.Job) error { return c.run() }
+		}
+		c.job = asynclib.Job{}
+		c.opCall.Job = &c.job
+		status, _, err = asynclib.StartJob(&c.job, c.jobFn)
 	}
 	if status == asynclib.StatusPause {
 		if c.opCall.SubmitFailed {
@@ -253,7 +274,7 @@ func (c *Conn) drive(fn func() error) error {
 		}
 		return ErrWantAsync
 	}
-	c.job = nil
+	c.opCall.Job = nil
 	return err
 }
 
@@ -271,14 +292,15 @@ func (c *Conn) Handshake() error {
 	if c.closed {
 		return ErrClosed
 	}
-	var err error
-	if c.isServer {
-		err = c.drive(c.serverHandshakeStep)
-	} else {
-		err = c.drive(c.clientHandshake)
+	err := c.drive()
+	if err == nil {
+		// Done: whatever the last step sealed (the server's CCS+Finished,
+		// the client's Finished) leaves now.
+		err = c.flushFlight()
 	}
 	if err != nil && !IsBusy(err) {
 		c.permErr = err
+		c.dropFlight()
 	}
 	return err
 }
@@ -313,8 +335,13 @@ const minRawInput = 1024
 // fill reads more transport bytes straight into rawInput's spare
 // capacity. A full buffer first slides the undecoded tail down over the
 // consumed records, or doubles when nothing is consumed. It translates
-// would-block conditions into ErrWantRead.
+// would-block conditions into ErrWantRead. A buffered handshake flight is
+// flushed first.
 func (c *Conn) fill() error {
+	// About to wait for the peer: it answers only what it has received.
+	if err := c.flushFlight(); err != nil {
+		return err
+	}
 	if len(c.rawInput) == cap(c.rawInput) {
 		if c.rawOff > 0 {
 			c.rawInput = c.rawInput[:copy(c.rawInput, c.rawInput[c.rawOff:])]
@@ -385,8 +412,9 @@ func (c *Conn) readRecord() (uint8, []byte, error) {
 	}
 }
 
-// writeRecord seals and writes one record inline (handshake traffic,
-// CCS, alerts). Application data goes through Writev so the cipher work
+// writeRecord seals one record inline (handshake traffic, CCS, alerts) and
+// writes it — into the flight buffer until the handshake is done, to the
+// transport after. Application data goes through Writev so the cipher work
 // can be offloaded.
 func (c *Conn) writeRecord(typ uint8, payload []byte) error {
 	w, err := sealRecord(c.out.protection(), c.out.seq, typ, payload, nil, c.config.rand())
@@ -394,6 +422,9 @@ func (c *Conn) writeRecord(typ uint8, payload []byte) error {
 		return err
 	}
 	c.out.seq++
+	if !c.handshakeDone {
+		return c.queueFlight(w)
+	}
 	return c.writeSealed(w)
 }
 
@@ -405,6 +436,53 @@ func (c *Conn) writeSealed(w *WireBuf) error {
 	_, err := c.transport.Write(w.Bytes())
 	PutWireBuf(w)
 	return err
+}
+
+// queueFlight appends the sealed handshake record w to the flight buffer,
+// taking ownership of w. The first record of a flight becomes the buffer;
+// later ones are copied in behind it and their own buffer goes back to the
+// pool. A record that does not fit sends what is buffered and starts over.
+// The flight leaves in one transport Write at the next flushFlight: before
+// the transport is read (fill), when the handshake completes, on Close —
+// and not when a step pauses on an offload, so a flight that straddles
+// ErrWantAsync (ServerHello, two PRF offloads, CCS+Finished) is still one
+// segment.
+func (c *Conn) queueFlight(w *WireBuf) error {
+	f := c.flight
+	if f != nil && f.n+w.n > len(f.b) {
+		if err := c.flushFlight(); err != nil {
+			PutWireBuf(w)
+			return err
+		}
+		f = nil
+	}
+	if f == nil {
+		c.flight = w
+		return nil
+	}
+	f.n += copy(f.b[f.n:], w.Bytes())
+	PutWireBuf(w)
+	return nil
+}
+
+// flushFlight writes the buffered flight, if any, in one transport Write.
+func (c *Conn) flushFlight() error {
+	if c.flight == nil {
+		return nil
+	}
+	w := c.flight
+	c.flight = nil
+	return c.writeSealed(w)
+}
+
+// dropFlight abandons the buffered flight unsent: after a fatal error the
+// peer is owed nothing more. The transport never saw the buffer, so it can
+// go straight back to the pool.
+func (c *Conn) dropFlight() {
+	if c.flight != nil {
+		PutWireBuf(c.flight)
+		c.flight = nil
+	}
 }
 
 // writeHandshake writes handshake message bytes (already framed) and
@@ -596,7 +674,7 @@ func (c *Conn) Writev(a, b []byte) (int, error) {
 	} else if !sameSlice(a, c.writeParts[0]) || !sameSlice(b, c.writeParts[1]) {
 		return 0, errors.New("minitls: Write re-entered with a different buffer")
 	}
-	err := c.drive(c.writeRecords)
+	err := c.drive()
 	if IsBusy(err) {
 		return 0, err
 	}
@@ -653,13 +731,18 @@ func (c *Conn) writeRecords() error {
 }
 
 // Close sends a close-notify alert (best effort) and marks the connection
-// closed. The underlying transport is not closed: its lifecycle belongs
+// closed. A handshake abandoned in good order first sends the records it
+// had sealed, as the sequence numbers and the transcript already account
+// for them. The underlying transport is not closed: its lifecycle belongs
 // to the caller (the event loop or the dialer).
 func (c *Conn) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
+	if err := c.flushFlight(); err != nil {
+		return err
+	}
 	if c.handshakeDone && c.permErr == nil && !c.outDetached {
 		return c.writeRecord(recordAlert, []byte{1, 0})
 	}

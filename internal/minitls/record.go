@@ -68,7 +68,9 @@ var errCloseNotify = &alertError{level: 1, desc: 0}
 // takes a buffer of its own (sealRecord) and hands it on as its result;
 // the consumer calls PutWireBuf only after the transport's Write has
 // returned; a result nobody consumes (a late or cancelled offload) is
-// left to the garbage collector, never Put.
+// left to the garbage collector, never Put. During the handshake one
+// WireBuf per Conn also serves as the flight buffer, holding several
+// sealed records back to back (Conn.queueFlight).
 type WireBuf struct {
 	n int // length of the sealed record in b
 	// nonce is the AEAD nonce scratch: an array on the sealing goroutine's

@@ -97,7 +97,8 @@ func (p *Poller) Mod(fd int, read, write bool) error {
 	return nil
 }
 
-// Del unregisters fd.
+// Del unregisters fd. A descriptor about to be closed needs no Del: closing
+// the last descriptor of a socket removes it from every epoll set.
 func (p *Poller) Del(fd int) error {
 	if err := syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, fd, nil); err != nil {
 		return fmt.Errorf("netpoll: epoll_ctl del fd %d: %w", fd, err)
@@ -161,6 +162,12 @@ func Listen(addr string) (*Listener, error) {
 		syscall.Close(fd)
 		return nil, err
 	}
+	// Set once here rather than once per Accept: on Linux an accepted
+	// socket inherits TCP_NODELAY from its listener.
+	if err := syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1); err != nil {
+		syscall.Close(fd)
+		return nil, err
+	}
 	var sa syscall.SockaddrInet4
 	sa.Port = tcpAddr.Port
 	if ip4 := tcpAddr.IP.To4(); ip4 != nil {
@@ -196,7 +203,8 @@ func (l *Listener) Port() int { return l.port }
 func (l *Listener) Addr() string { return "127.0.0.1:" + strconv.Itoa(l.port) }
 
 // Accept accepts one connection; it returns ErrWouldBlock when no
-// connection is pending.
+// connection is pending. The connection has TCP_NODELAY set (inherited
+// from the listener).
 func (l *Listener) Accept() (*Conn, error) {
 	for {
 		nfd, _, err := syscall.Accept4(l.fd, syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC)
@@ -209,10 +217,6 @@ func (l *Listener) Accept() (*Conn, error) {
 			default:
 				return nil, fmt.Errorf("netpoll: accept: %w", err)
 			}
-		}
-		if err := syscall.SetsockoptInt(nfd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1); err != nil {
-			syscall.Close(nfd)
-			return nil, err
 		}
 		return &Conn{fd: nfd}, nil
 	}

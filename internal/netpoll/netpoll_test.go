@@ -475,3 +475,114 @@ func TestPendingDrainsInOrderAgainstSlowReader(t *testing.T) {
 		t.Fatalf("after the drain: HasPending=%t len=%d head=%d, want all clear", w.HasPending(), len(w.pending), w.head)
 	}
 }
+
+// The listener sets TCP_NODELAY once; every accepted socket must have it
+// without a setsockopt of its own.
+func TestAcceptedConnInheritsNoDelay(t *testing.T) {
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	poller, _ := NewPoller()
+	defer poller.Close()
+	if err := poller.Add(l.FD(), true, false); err != nil {
+		t.Fatal(err)
+	}
+	client, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	srv := acceptOne(t, l, poller)
+	defer srv.Close()
+	v, err := syscall.GetsockoptInt(srv.FD(), syscall.IPPROTO_TCP, syscall.TCP_NODELAY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v == 0 {
+		t.Fatal("accepted socket does not have TCP_NODELAY")
+	}
+}
+
+// Closing a registered socket without Poller.Del must leave nothing behind:
+// the descriptor number is reused by the next accept, registers again
+// without EEXIST, and the closed socket's unread bytes raise no event on it.
+func TestCloseWithoutDelLeavesNoStaleEvent(t *testing.T) {
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	poller, _ := NewPoller()
+	defer poller.Close()
+	if err := poller.Add(l.FD(), true, false); err != nil {
+		t.Fatal(err)
+	}
+	waitReadable := func(fd int) bool {
+		t.Helper()
+		events, err := poller.Wait(2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			if ev.FD == fd && ev.Readable {
+				return true
+			}
+		}
+		return false
+	}
+
+	first, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	old := acceptOne(t, l, poller)
+	oldFD := old.FD()
+	if err := poller.Add(oldFD, true, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Write([]byte("stale")); err != nil {
+		t.Fatal(err)
+	}
+	if !waitReadable(oldFD) {
+		t.Fatal("no read event for the first connection")
+	}
+	// Dial before the close, so that the freed descriptor number goes to
+	// the accept and not to the client's own socket.
+	second, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	old.Close() // unread bytes pending, still in the epoll set, no Del
+	fresh := acceptOne(t, l, poller)
+	defer fresh.Close()
+	if fresh.FD() != oldFD {
+		t.Skipf("descriptor %d not reused (got %d)", oldFD, fresh.FD())
+	}
+	if err := poller.Add(fresh.FD(), true, false); err != nil {
+		t.Fatalf("re-registering the reused descriptor: %v", err)
+	}
+	events, err := poller.Wait(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if ev.FD == oldFD {
+			t.Fatalf("stale event on the reused descriptor: %+v", ev)
+		}
+	}
+	if _, err := second.Write([]byte("fresh")); err != nil {
+		t.Fatal(err)
+	}
+	if !waitReadable(fresh.FD()) {
+		t.Fatal("no read event for the second connection")
+	}
+	buf := make([]byte, 16)
+	n, err := fresh.Read(buf)
+	if err != nil || string(buf[:n]) != "fresh" {
+		t.Fatalf("Read = %q, %v", buf[:n], err)
+	}
+}

@@ -175,7 +175,7 @@ func (w *Worker) writeHandler(c *conn) {
 		w.Stats.BytesOut.Add(int64(n))
 		c.writeHdr, c.writeBody = nil, nil
 		if c.closeAfterWrite {
-			c.tls.Close() // sends close-notify into the write buffer
+			c.tls.Close() // writes close-notify straight to the socket
 			if c.nc.Flush(); c.nc.HasPending() {
 				// Linger until the kernel accepts the tail of the
 				// response; the writable event completes the close.

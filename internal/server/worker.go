@@ -847,7 +847,8 @@ func (w *Worker) closeConn(c *conn) {
 		w.activeConns--
 	}
 	delete(w.conns, c.fd)
-	w.poller.Del(c.fd)
+	// No epoll_ctl DEL: nc holds the socket's only descriptor, and closing
+	// it takes the socket out of the epoll set.
 	c.nc.Close()
 	// Stale deadline-wheel entries keep c reachable for up to a wheel
 	// horizon; its TLS state (keys, cipher state, input buffer) need not
