@@ -162,3 +162,48 @@ func TestFaultLadder(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledAttemptIgnoresLateCallback: an op abandoned at its deadline
+// leaves its callback with the device, and the response arrives while
+// later ops — on recycled attempts — wait for theirs. The late callback
+// must lose its CAS against the abandoned attempt and touch nothing else:
+// every later op gets its own result, and every submission settles once,
+// by its response or by its deadline (run under -race). A healthy op that
+// a loaded host delays past the deadline is one more such case.
+func TestRecycledAttemptIgnoresLateCallback(t *testing.T) {
+	for _, mode := range []minitls.AsyncMode{minitls.AsyncModeOff, minitls.AsyncModeFiber, minitls.AsyncModeStack} {
+		t.Run(mode.String(), func(t *testing.T) {
+			late := fault.Rule{Kind: fault.Latency, Endpoint: fault.AnyEndpoint, Op: fault.AnyOp, P: 1, Limit: 1,
+				Latency: 100 * time.Millisecond}
+			e, _ := hardenedEngine(t, qat.DeviceSpec{Endpoints: 1, EnginesPerEndpoint: 2},
+				fault.NewInjector(1, late), Config{OpTimeout: 10 * time.Millisecond})
+			inst := e.Instances()[0]
+			if res, err := driveOp(t, e, mode, func() (any, error) { return -1, nil }, false); err != nil || res != -1 {
+				t.Fatalf("abandoned op = %v, %v; want the software result -1", res, err)
+			}
+			if st := e.Stats(); st.Timeouts != 1 || st.SWFallbacks != 1 {
+				t.Fatalf("after the abandoned op: %+v, want one timeout and one fallback", st)
+			}
+			// At least 1 000 healthy ops, and on until the late response has
+			// been retrieved by one of their polls.
+			ops := 0
+			for ; ops < 1000 || inst.Inflight() > 0; ops++ {
+				if ops > 100000 {
+					t.Fatal("the late response never arrived")
+				}
+				want := ops
+				res, err := driveOp(t, e, mode, func() (any, error) { return want, nil }, false)
+				if err != nil || res != want {
+					t.Fatalf("op %d = %v, %v; want its own result", ops, res, err)
+				}
+			}
+			st := e.Stats()
+			if st.Submitted != int64(ops)+1 || st.Retrieved+st.Timeouts != st.Submitted || st.SWFallbacks != st.Timeouts {
+				t.Fatalf("stats = %+v after %d ops: want every submission settled once", st, ops+1)
+			}
+			if n := e.InflightTotal(); n != 0 {
+				t.Fatalf("inflight = %d: the late callback settled a counter", n)
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,38 +14,69 @@ import (
 )
 
 // This file is the engine's one submission path. Every offloaded op goes
-// Do → submitPath(attempt, strategy) → route(class): submitPath owns the
-// request construction, the settled/trace/in-flight bookkeeping and the
-// submit-failure policy, finish is the one result epilogue, and a
-// pauseStrategy contributes the four points where the three crypto pause
-// implementations (spin, fiber, stack) genuinely diverge: result delivery,
-// parking, and the reactions to a full ring and to a retryable
-// submit-time failure.
+// Do → submitPath(attempt) → route(class): submitPath owns the request
+// construction, the settled/trace/in-flight bookkeeping and the
+// submit-failure policy, finish is the one result epilogue, and the
+// attempt's pauseStrategy contributes the four points where the three
+// crypto pause implementations (spin, fiber, stack) genuinely diverge:
+// result delivery, parking, and the reactions to a full ring and to a
+// retryable submit-time failure.
 
 // attempt is the state of one submission attempt, shared between the
 // submit path, the response callback and the deadline logic. The settled
 // flag is the CAS gate between response delivery and deadline expiry;
 // everything else is only touched on the worker goroutine or during the
 // fiber↔worker strict handoff.
+//
+// Attempts are pooled, so an offload round trip allocates none. An
+// attempt goes back to the pool (recycle) only once nothing can reach it:
+// its one device callback won the settled CAS and the result was consumed,
+// or it never reached a ring. One settled by timeout or cancel is never
+// recycled: the device still holds its callback and runs it later, and
+// that callback, losing the CAS, must find this attempt and no other op's.
 type attempt struct {
 	e     *Engine
 	call  *minitls.OpCall
 	kind  minitls.OpKind
 	class Class
 	work  func() (any, error)
+	s     pauseStrategy
+	cb    func(qat.Response) // a.onResponse, bound once per pooled attempt
 
-	n        int // attempt number (0-based)
-	tag      trace.Tag
-	settled  atomic.Bool
-	deadline time.Time
-	idx      int // instance index; -1 until the request is on a ring
-	preStart time.Time
-	submitAt time.Time
+	n         int // attempt number (0-based)
+	tag       trace.Tag
+	settled   atomic.Bool
+	delivered atomic.Bool // the callback won the CAS and handed over the result
+	result    any         // the delivered result (spin; fiber uses the OpCall)
+	err       error
+	deadline  time.Time
+	idx       int // instance index; -1 until the request is on a ring
+	preStart  time.Time
+	submitAt  time.Time
 }
 
-// newAttempt starts attempt n of an op; its deadline runs from here.
-func (e *Engine) newAttempt(call *minitls.OpCall, kind minitls.OpKind, class Class, work func() (any, error), n int) *attempt {
-	return &attempt{e: e, call: call, kind: kind, class: class, work: work, n: n, idx: -1, deadline: e.opDeadline()}
+var attemptPool = sync.Pool{New: func() any {
+	a := new(attempt)
+	a.cb = a.onResponse
+	return a
+}}
+
+// newAttempt starts attempt n of an op, paused by s; its deadline runs
+// from here.
+func (e *Engine) newAttempt(call *minitls.OpCall, kind minitls.OpKind, class Class, work func() (any, error), n int, s pauseStrategy) *attempt {
+	a := attemptPool.Get().(*attempt)
+	*a = attempt{e: e, call: call, kind: kind, class: class, work: work, s: s, cb: a.cb, n: n, idx: -1, deadline: e.opDeadline()}
+	return a
+}
+
+// recycle returns a to the pool unless the device may still call it back:
+// it reached a ring and no callback has delivered its response.
+func (a *attempt) recycle() {
+	if a.idx >= 0 && !a.delivered.Load() {
+		return
+	}
+	*a = attempt{cb: a.cb}
+	attemptPool.Put(a)
 }
 
 // outcome says what submitPath's caller should do next.
@@ -61,11 +93,13 @@ const (
 // pauseStrategy is the injected behavior distinguishing the crypto pause
 // implementations: the straight offload mode spins inside the crypto call
 // (§2.4), ASYNC_JOB fibers park inside the engine, stack ops park by
-// returning ErrWantAsync to the event loop (§4.1).
+// returning ErrWantAsync to the event loop (§4.1). The strategies are
+// stateless; an op's state lives in its attempt.
 type pauseStrategy interface {
-	// deliver hands a completed result to the op's owner and, in the
-	// async modes, fires the connection's async notification. It runs
-	// with the settled CAS already won.
+	// deliver hands a completed result to the op's owner, sets
+	// a.delivered and, in the async modes, fires the connection's async
+	// notification. It runs with the settled CAS already won, and touches
+	// a no more once it has set a.delivered: the op may then recycle it.
 	deliver(a *attempt, result any, err error)
 	// park waits for the response of the request just submitted, or
 	// suspends the op until it arrives.
@@ -78,25 +112,24 @@ type pauseStrategy interface {
 	retryFailed(a *attempt) (any, error, outcome)
 }
 
-// callback builds the qat response callback: settle the op, trace the
+// onResponse is the qat response callback: settle the op, trace the
 // retrieval phase, settle the in-flight counter, deliver.
-func (a *attempt) callback(s pauseStrategy) func(qat.Response) {
-	return func(r qat.Response) {
-		if !a.settled.CompareAndSwap(false, true) {
-			return // the op already timed out and degraded
-		}
-		if !a.submitAt.IsZero() {
-			a.e.traceRetrieve(a.kind, a.tag, a.submitAt)
-		}
-		a.e.onResponse(a.class)
-		s.deliver(a, r.Result, r.Err)
+func (a *attempt) onResponse(r qat.Response) {
+	if !a.settled.CompareAndSwap(false, true) {
+		return // the op already timed out and degraded
 	}
+	if !a.submitAt.IsZero() {
+		a.e.traceRetrieve(a.kind, a.tag, a.submitAt)
+	}
+	a.e.onResponse(a.class)
+	a.s.deliver(a, r.Result, r.Err)
 }
 
 // submitPath runs one submission attempt: build the request, place it on
 // a ring as the op pauses (§3.2 pre-processing), and park the op through
-// the strategy.
-func (e *Engine) submitPath(a *attempt, s pauseStrategy) (any, error, outcome) {
+// its strategy.
+func (e *Engine) submitPath(a *attempt) (any, error, outcome) {
+	s := a.s
 	if e.tracing() {
 		a.preStart = time.Now()
 	}
@@ -104,7 +137,7 @@ func (e *Engine) submitPath(a *attempt, s pauseStrategy) (any, error, outcome) {
 	req := qat.Request{
 		Op:       opTypeFor(a.kind),
 		Work:     a.work,
-		Callback: a.callback(s),
+		Callback: a.cb,
 	}
 	if !a.preStart.IsZero() {
 		a.submitAt = time.Now()
@@ -185,20 +218,16 @@ func (e *Engine) fallback(a *attempt) (any, error, outcome) {
 // function call becomes an offload I/O call that busy-waits for its
 // response. The worker core spins, and at most one engine computes for
 // this worker at any time — the blocking the paper measures.
-type spinStrategy struct {
-	done   atomic.Bool
-	result any
-	err    error
+type spinStrategy struct{}
+
+func (spinStrategy) deliver(a *attempt, result any, err error) {
+	a.result, a.err = result, err
+	a.delivered.Store(true)
 }
 
-func (s *spinStrategy) deliver(a *attempt, result any, err error) {
-	s.result, s.err = result, err
-	s.done.Store(true)
-}
-
-func (s *spinStrategy) park(a *attempt) (any, error, outcome) {
+func (spinStrategy) park(a *attempt) (any, error, outcome) {
 	e := a.e
-	for !s.done.Load() {
+	for !a.delivered.Load() {
 		if e.pollAll(0) == 0 {
 			runtime.Gosched()
 		}
@@ -208,14 +237,14 @@ func (s *spinStrategy) park(a *attempt) (any, error, outcome) {
 		}
 	}
 	failed := a.n
-	res, err, out := e.finish(a, s.result, s.err)
+	res, err, out := e.finish(a, a.result, a.err)
 	if out == outResubmit {
 		e.retrySleep(failed)
 	}
 	return res, err, out
 }
 
-func (s *spinStrategy) ringFull(a *attempt) (any, error, outcome) {
+func (spinStrategy) ringFull(a *attempt) (any, error, outcome) {
 	// Retrieve whatever completed and resubmit under the same attempt and
 	// deadline. A ring still full past the deadline holds slots leaked by
 	// a stalled engine: reclaim them and degrade.
@@ -227,7 +256,7 @@ func (s *spinStrategy) ringFull(a *attempt) (any, error, outcome) {
 	return nil, nil, outResubmit
 }
 
-func (s *spinStrategy) retryFailed(a *attempt) (any, error, outcome) {
+func (spinStrategy) retryFailed(a *attempt) (any, error, outcome) {
 	failed := a.n
 	res, err, out := a.e.retryOrFallback(a)
 	if out == outResubmit {
@@ -240,15 +269,17 @@ func (s *spinStrategy) retryFailed(a *attempt) (any, error, outcome) {
 // ring-full resubmission reuses its attempt, so the deadline keeps
 // running across it; a retry is a new attempt with a new deadline.
 func (e *Engine) doStraight(call *minitls.OpCall, kind minitls.OpKind, class Class, work func() (any, error)) (any, error) {
-	a := e.newAttempt(call, kind, class, work, 0)
+	a := e.newAttempt(call, kind, class, work, 0, spinStrategy{})
 	for {
 		n := a.n
-		res, err, out := e.submitPath(a, &spinStrategy{})
+		res, err, out := e.submitPath(a)
 		if out == outReturn {
+			a.recycle()
 			return res, err
 		}
-		if a.n != n {
-			a = e.newAttempt(call, kind, class, work, a.n)
+		if next := a.n; next != n {
+			a.recycle()
+			a = e.newAttempt(call, kind, class, work, next, spinStrategy{})
 		}
 	}
 }
@@ -261,19 +292,18 @@ func (e *Engine) doStraight(call *minitls.OpCall, kind minitls.OpKind, class Cla
 // job, and execution continues inside park. A resume after the op
 // deadline (the worker's deadline scan) degrades the op to software
 // instead of re-pausing.
-type fiberStrategy struct {
-	delivered bool
-}
+type fiberStrategy struct{}
 
-func (s *fiberStrategy) deliver(a *attempt, result any, err error) {
-	a.call.SetResult(result, err)
-	s.delivered = true
-	if a.call.WaitCtx != nil {
-		a.call.WaitCtx.Notify()
+func (fiberStrategy) deliver(a *attempt, result any, err error) {
+	call := a.call
+	call.SetResult(result, err)
+	a.delivered.Store(true)
+	if call.WaitCtx != nil {
+		call.WaitCtx.Notify()
 	}
 }
 
-func (s *fiberStrategy) park(a *attempt) (any, error, outcome) {
+func (fiberStrategy) park(a *attempt) (any, error, outcome) {
 	e := a.e
 	a.call.SubmitFailed = false
 	a.call.SetResult(nil, nil)
@@ -284,7 +314,7 @@ func (s *fiberStrategy) park(a *attempt) (any, error, outcome) {
 		if err := a.call.Job.Pause(); err != nil {
 			return nil, err, outReturn
 		}
-		if s.delivered {
+		if a.delivered.Load() {
 			break
 		}
 		if a.call.Cancelled {
@@ -309,7 +339,7 @@ func (s *fiberStrategy) park(a *attempt) (any, error, outcome) {
 	return e.finish(a, result, rerr)
 }
 
-func (s *fiberStrategy) ringFull(a *attempt) (any, error, outcome) {
+func (fiberStrategy) ringFull(a *attempt) (any, error, outcome) {
 	// Pause with the retry indication; the application reschedules this
 	// handler later and we resubmit with the same attempt count.
 	a.call.SubmitFailed = true
@@ -319,7 +349,7 @@ func (s *fiberStrategy) ringFull(a *attempt) (any, error, outcome) {
 	return nil, nil, outResubmit
 }
 
-func (s *fiberStrategy) retryFailed(a *attempt) (any, error, outcome) {
+func (fiberStrategy) retryFailed(a *attempt) (any, error, outcome) {
 	return a.e.retryOrFallback(a)
 }
 
@@ -334,12 +364,13 @@ func (e *Engine) doFiber(call *minitls.OpCall, kind minitls.OpKind, class Class,
 		return nil, ErrCancelled
 	}
 	for n := 0; ; {
-		a := e.newAttempt(call, kind, class, work, n)
-		res, err, out := e.submitPath(a, &fiberStrategy{})
+		a := e.newAttempt(call, kind, class, work, n, fiberStrategy{})
+		res, err, out := e.submitPath(a)
+		n = a.n
+		a.recycle()
 		if out == outReturn {
 			return res, err
 		}
-		n = a.n
 	}
 }
 
@@ -348,34 +379,34 @@ func (e *Engine) doFiber(call *minitls.OpCall, kind minitls.OpKind, class Class,
 // stackStrategy drives the stack-async state flag (Fig. 5): the op parks
 // by marking the flag in flight and returning ErrWantAsync; the
 // re-entered Do call (see doStack) consumes the ready result.
-type stackStrategy struct {
-	st *asynclib.StackOp
-}
+type stackStrategy struct{}
 
-func (s *stackStrategy) deliver(a *attempt, result any, err error) {
-	s.st.MarkReady(result, err)
-	if a.call.WaitCtx != nil {
-		a.call.WaitCtx.Notify()
+func (stackStrategy) deliver(a *attempt, result any, err error) {
+	st, wctx := a.call.Stack, a.call.WaitCtx
+	a.delivered.Store(true)
+	st.MarkReady(result, err)
+	if wctx != nil {
+		wctx.Notify()
 	}
 }
 
-func (s *stackStrategy) park(a *attempt) (any, error, outcome) {
-	s.st.MarkInflight()
-	a.e.stackOps[s.st] = a
+func (stackStrategy) park(a *attempt) (any, error, outcome) {
+	a.call.Stack.MarkInflight()
+	a.e.stackOps[a.call.Stack] = a
 	return nil, minitls.ErrWantAsync, outReturn
 }
 
-func (s *stackStrategy) ringFull(a *attempt) (any, error, outcome) {
-	s.st.MarkRetry()
+func (stackStrategy) ringFull(a *attempt) (any, error, outcome) {
+	a.call.Stack.MarkRetry()
 	return nil, minitls.ErrWantAsyncRetry, outReturn
 }
 
-func (s *stackStrategy) retryFailed(a *attempt) (any, error, outcome) {
+func (stackStrategy) retryFailed(a *attempt) (any, error, outcome) {
 	res, err, out := a.e.retryOrFallback(a)
 	if out == outResubmit {
 		// A submit-time reset: surface the retry to the event loop, which
 		// re-invokes us with the state flag set to retry.
-		s.st.MarkRetry()
+		a.call.Stack.MarkRetry()
 		return nil, minitls.ErrWantAsyncRetry, outReturn
 	}
 	return res, err, out
@@ -402,14 +433,15 @@ func (e *Engine) doStack(call *minitls.OpCall, kind minitls.OpKind, class Class,
 		if a == nil {
 			// Readied by someone other than this engine's callback: a
 			// first attempt with no instance to credit.
-			a = e.newAttempt(call, kind, class, work, 0)
+			a = e.newAttempt(call, kind, class, work, 0, stackStrategy{})
 		}
 		result, rerr := st.Consume()
 		res, err, out := e.finish(a, result, rerr)
+		n = a.n
+		a.recycle()
 		if out == outReturn {
 			return res, err
 		}
-		n = a.n
 		// Fall through to resubmission: Consume reset the op to idle.
 	case asynclib.StackInflight:
 		a := e.stackOps[st]
@@ -427,7 +459,11 @@ func (e *Engine) doStack(call *minitls.OpCall, kind minitls.OpKind, class Class,
 		return nil, minitls.ErrWantAsync
 	}
 	// State idle or retry: submit.
-	res, err, _ := e.submitPath(e.newAttempt(call, kind, class, work, n), &stackStrategy{st: st})
+	a := e.newAttempt(call, kind, class, work, n, stackStrategy{})
+	res, err, _ := e.submitPath(a)
+	if a.idx < 0 {
+		a.recycle() // not parked: a retry indication or a software result
+	}
 	return res, err
 }
 
@@ -438,6 +474,9 @@ func (e *Engine) doStack(call *minitls.OpCall, kind minitls.OpKind, class Class,
 func (e *Engine) cancelStack(st *asynclib.StackOp) error {
 	switch st.State() {
 	case asynclib.StackReady:
+		if a := e.stackOps[st]; a != nil {
+			a.recycle()
+		}
 		delete(e.stackOps, st)
 		st.Consume() // discard: the result has no consumer
 	case asynclib.StackInflight:

@@ -138,7 +138,12 @@ func IsBusy(err error) bool {
 // reports true translates into ErrWantRead at the TLS layer.
 type wouldBlocker interface{ WouldBlock() bool }
 
+// isWouldBlock asserts the transport's own error first: errors.As needs its
+// target on the heap, which would cost an allocation per would-block read.
 func isWouldBlock(err error) bool {
+	if wb, ok := err.(wouldBlocker); ok {
+		return wb.WouldBlock()
+	}
 	var wb wouldBlocker
 	return errors.As(err, &wb) && wb.WouldBlock()
 }

@@ -217,9 +217,9 @@ func (c *Conn) do(kind OpKind, work func() (any, error)) (any, error) {
 }
 
 // doPRF derives length bytes with the TLS 1.2 PRF through the provider.
-func (c *Conn) doPRF(secret []byte, label string, seed []byte, length int) ([]byte, error) {
+func (c *Conn) doPRF(k *prfKey, label string, seed []byte, length int) ([]byte, error) {
 	res, err := c.do(KindPRF, func() (any, error) {
-		return prf12(secret, label, seed, length), nil
+		return k.derive(label, seed, length), nil
 	})
 	if err != nil {
 		return nil, err

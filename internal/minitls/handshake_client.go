@@ -25,7 +25,7 @@ type clientHS struct {
 
 	ecdhPriv  *ecdh.PrivateKey
 	premaster []byte
-	master    []byte
+	master    prfKey
 	clientCBC cbcKeys
 	serverCBC cbcKeys
 
@@ -127,7 +127,7 @@ func (c *Conn) clientHandshake() error {
 			// coincidentally, so peek at the next record.
 			if c.nextIsCCS() {
 				c.didResume = true
-				hs.master = sess.MasterSecret
+				hs.master.secret = sess.MasterSecret
 				return c.clientFinishResumption()
 			}
 		}
@@ -252,12 +252,12 @@ func (c *Conn) clientFull12() error {
 	}
 
 	// Key derivation.
-	hs.master, err = c.doPRF(hs.premaster, "master secret",
+	hs.master.secret, err = c.doPRF(&prfKey{secret: hs.premaster}, "master secret",
 		masterSeed(hs.clientRandom, hs.serverRandom), masterSecretLen)
 	if err != nil {
 		return err
 	}
-	kb, err := c.doPRF(hs.master, "key expansion",
+	kb, err := c.doPRF(&hs.master, "key expansion",
 		keyExpansionSeed(hs.clientRandom, hs.serverRandom), keyBlockLen)
 	if err != nil {
 		return err
@@ -273,7 +273,7 @@ func (c *Conn) clientFull12() error {
 		return err
 	}
 	c.out.setProtection(prot)
-	verify, err := c.doPRF(hs.master, "client finished", c.transcriptHash(), finishedVerify12)
+	verify, err := c.doPRF(&hs.master, "client finished", c.transcriptHash(), finishedVerify12)
 	if err != nil {
 		return err
 	}
@@ -308,7 +308,7 @@ func (c *Conn) clientFull12() error {
 // resumption-accepting ServerHello.
 func (c *Conn) clientFinishResumption() error {
 	hs := c.hcli
-	kb, err := c.doPRF(hs.master, "key expansion",
+	kb, err := c.doPRF(&hs.master, "key expansion",
 		keyExpansionSeed(hs.clientRandom, hs.serverRandom), keyBlockLen)
 	if err != nil {
 		return err
@@ -326,7 +326,7 @@ func (c *Conn) clientFinishResumption() error {
 		return err
 	}
 	c.out.setProtection(prot)
-	verify, err := c.doPRF(hs.master, "client finished", c.transcriptHash(), finishedVerify12)
+	verify, err := c.doPRF(&hs.master, "client finished", c.transcriptHash(), finishedVerify12)
 	if err != nil {
 		return err
 	}
@@ -363,7 +363,7 @@ func (c *Conn) readServerFinished12() error {
 	if err := fin.unmarshal(body); err != nil {
 		return err
 	}
-	want, err := c.doPRF(hs.master, "server finished", c.preMsgHash, finishedVerify12)
+	want, err := c.doPRF(&hs.master, "server finished", c.preMsgHash, finishedVerify12)
 	if err != nil {
 		return err
 	}
@@ -571,7 +571,7 @@ func (c *Conn) ResumptionSession() *ClientSession {
 	if len(hs.ticket) == 0 && len(hs.serverHello.sessionID) == 0 {
 		return nil
 	}
-	if len(hs.master) == 0 {
+	if len(hs.master.secret) == 0 {
 		return nil
 	}
 	return &ClientSession{
@@ -579,6 +579,6 @@ func (c *Conn) ResumptionSession() *ClientSession {
 		Ticket:       hs.ticket,
 		Version:      c.version,
 		CipherSuite:  c.suite,
-		MasterSecret: hs.master,
+		MasterSecret: hs.master.secret,
 	}
 }

@@ -28,7 +28,7 @@ type serverHS struct {
 	cke      clientKeyExchangeMsg
 
 	premaster []byte
-	master    []byte
+	master    prfKey
 	clientCBC cbcKeys
 	serverCBC cbcKeys
 
@@ -186,17 +186,17 @@ func (c *Conn) serverStateStep() error {
 		return nil
 
 	case stateS12DeriveMaster:
-		master, err := c.doPRF(hs.premaster, "master secret",
+		master, err := c.doPRF(&prfKey{secret: hs.premaster}, "master secret",
 			masterSeed(hs.clientRandom, hs.serverRandom), masterSecretLen)
 		if err != nil {
 			return err
 		}
-		hs.master = master
+		hs.master.secret = master
 		c.state = stateS12DeriveKeys
 		return nil
 
 	case stateS12DeriveKeys:
-		kb, err := c.doPRF(hs.master, "key expansion",
+		kb, err := c.doPRF(&hs.master, "key expansion",
 			keyExpansionSeed(hs.clientRandom, hs.serverRandom), keyBlockLen)
 		if err != nil {
 			return err
@@ -235,7 +235,7 @@ func (c *Conn) serverStateStep() error {
 		return nil
 
 	case stateS12VerifyFin:
-		want, err := c.doPRF(hs.master, "client finished", hs.finHash, finishedVerify12)
+		want, err := c.doPRF(&hs.master, "client finished", hs.finHash, finishedVerify12)
 		if err != nil {
 			return err
 		}
@@ -251,7 +251,7 @@ func (c *Conn) serverStateStep() error {
 			ticket, err := c.config.sealSessionTicket(SessionState{
 				Version:      VersionTLS12,
 				CipherSuite:  c.suite,
-				MasterSecret: hs.master,
+				MasterSecret: hs.master.secret,
 			})
 			if err != nil {
 				return err
@@ -274,7 +274,7 @@ func (c *Conn) serverStateStep() error {
 		return nil
 
 	case stateS12ComputeFin:
-		verify, err := c.doPRF(hs.master, "server finished", c.transcriptHash(), finishedVerify12)
+		verify, err := c.doPRF(&hs.master, "server finished", c.transcriptHash(), finishedVerify12)
 		if err != nil {
 			return err
 		}
@@ -288,7 +288,7 @@ func (c *Conn) serverStateStep() error {
 			c.config.SessionCache.Put(hs.sessionID, SessionState{
 				Version:      VersionTLS12,
 				CipherSuite:  c.suite,
-				MasterSecret: hs.master,
+				MasterSecret: hs.master.secret,
 			})
 		}
 		c.finishHandshake()
@@ -297,7 +297,7 @@ func (c *Conn) serverStateStep() error {
 	// --- TLS 1.2 abbreviated handshake (session resumption) ------------
 
 	case stateS12ResumeKeys:
-		kb, err := c.doPRF(hs.master, "key expansion",
+		kb, err := c.doPRF(&hs.master, "key expansion",
 			keyExpansionSeed(hs.clientRandom, hs.serverRandom), keyBlockLen)
 		if err != nil {
 			return err
@@ -307,7 +307,7 @@ func (c *Conn) serverStateStep() error {
 		return nil
 
 	case stateS12ResumeSrvFin:
-		verify, err := c.doPRF(hs.master, "server finished", c.transcriptHash(), finishedVerify12)
+		verify, err := c.doPRF(&hs.master, "server finished", c.transcriptHash(), finishedVerify12)
 		if err != nil {
 			return err
 		}
@@ -361,7 +361,7 @@ func (c *Conn) serverStateStep() error {
 		return nil
 
 	case stateS12ResumeVerify:
-		want, err := c.doPRF(hs.master, "client finished", hs.finHash, finishedVerify12)
+		want, err := c.doPRF(&hs.master, "client finished", hs.finHash, finishedVerify12)
 		if err != nil {
 			return err
 		}
@@ -660,7 +660,7 @@ func (c *Conn) srvReadClientHello() error {
 	// then session-ID cache.
 	if state, ok := c.lookupResumption(); ok {
 		c.didResume = true
-		hs.master = state.MasterSecret
+		hs.master.secret = state.MasterSecret
 		c.suite = state.CipherSuite
 		hs.sessionID = hs.clientHello.sessionID
 		sh := serverHelloMsg{

@@ -4,6 +4,7 @@ import (
 	"crypto"
 	"crypto/hmac"
 	"crypto/sha256"
+	"sync/atomic"
 
 	"qtls/internal/minitls/prf"
 )
@@ -18,13 +19,30 @@ const (
 	finishedVerify12 = 12
 )
 
-// prf12 is the TLS 1.2 PRF; exposed through this wrapper so handshake
-// code routes all derivations through one point.
-func prf12(secret []byte, label string, seed []byte, length int) []byte {
-	return prf.TLS12(secret, label, seed, length)
+// prfKey is a TLS 1.2 PRF secret whose keyed MAC outlives one derivation:
+// a connection keys its master secret's MAC once for the key block and
+// both Finished messages. The MAC follows the cbcState rule: a derivation
+// takes it by swap and puts it back, because an op closure may run twice,
+// even at once (a device result racing the software fallback after a
+// timeout), and the run that finds it taken builds its own.
+type prfKey struct {
+	secret []byte
+	mac    atomic.Pointer[prf.TLS12Key]
 }
 
-// masterFromPremaster derives the 48-byte master secret.
+// derive is PRF(secret, label, seed) producing length bytes.
+func (k *prfKey) derive(label string, seed []byte, length int) []byte {
+	m := k.mac.Swap(nil)
+	if m == nil {
+		m = prf.NewTLS12Key(k.secret)
+	}
+	out := m.Derive(label, seed, length)
+	k.mac.Store(m)
+	return out
+}
+
+// masterSeed is the client_random || server_random seed for the master
+// secret derivation.
 func masterSeed(clientRandom, serverRandom [32]byte) []byte {
 	seed := make([]byte, 0, 64)
 	seed = append(seed, clientRandom[:]...)

@@ -20,30 +20,56 @@ import (
 // TLS12 computes PRF(secret, label, seed) with P_SHA256 as specified by
 // RFC 5246 §5 for TLS 1.2, producing length bytes.
 func TLS12(secret []byte, label string, seed []byte, length int) []byte {
-	labelAndSeed := make([]byte, 0, len(label)+len(seed))
-	labelAndSeed = append(labelAndSeed, label...)
-	labelAndSeed = append(labelAndSeed, seed...)
-	return pHash(sha256.New, secret, labelAndSeed, length)
+	return NewTLS12Key(secret).Derive(label, seed, length)
 }
 
-// pHash is the P_hash data-expansion function of RFC 5246 §5:
+// TLS12Key is the TLS 1.2 PRF under one secret. Its HMAC is keyed once and
+// reset per block, so a caller deriving several values from one secret (a
+// connection's key block and both Finished messages from its master
+// secret) keys it once. A TLS12Key is not safe for concurrent use.
+type TLS12Key struct {
+	mac hash.Hash
+	buf []byte // A(i) ‖ label ‖ seed, reused across derivations
+	// scratch backs buf while A(i) ‖ label ‖ seed fits: every derivation of
+	// a TLS 1.2 handshake (two 32-byte randoms or one transcript hash as the
+	// seed) does.
+	scratch [128]byte
+}
+
+// NewTLS12Key keys the PRF's HMAC with secret.
+func NewTLS12Key(secret []byte) *TLS12Key {
+	k := &TLS12Key{mac: hmac.New(sha256.New, secret)}
+	k.buf = k.scratch[:0]
+	return k
+}
+
+// Derive is PRF(secret, label, seed) producing length bytes: P_SHA256 of
+// RFC 5246 §5 over label ‖ seed,
 //
 //	P_hash(secret, seed) = HMAC_hash(secret, A(1) + seed) +
 //	                       HMAC_hash(secret, A(2) + seed) + ...
 //	A(0) = seed, A(i) = HMAC_hash(secret, A(i-1))
-func pHash(newHash func() hash.Hash, secret, seed []byte, length int) []byte {
-	out := make([]byte, 0, length)
-	mac := hmac.New(newHash, secret)
-	mac.Write(seed)
-	a := mac.Sum(nil)
+//
+// A(i) is summed into the front of the buffer it is then MACed with, and
+// each output block straight into the result, which is the only
+// allocation once the buffer has grown.
+func (k *TLS12Key) Derive(label string, seed []byte, length int) []byte {
+	const n = sha256.Size
+	buf := append(k.buf[:0], make([]byte, n)...)
+	buf = append(buf, label...)
+	buf = append(buf, seed...)
+	k.buf = buf
+	a := buf[:n]
+	prev := buf[n:] // A(0) = label ‖ seed
+	out := make([]byte, 0, (length+n-1)/n*n)
 	for len(out) < length {
-		mac.Reset()
-		mac.Write(a)
-		mac.Write(seed)
-		out = append(out, mac.Sum(nil)...)
-		mac.Reset()
-		mac.Write(a)
-		a = mac.Sum(nil)
+		k.mac.Reset()
+		k.mac.Write(prev)
+		k.mac.Sum(a[:0]) // A(i)
+		prev = a
+		k.mac.Reset()
+		k.mac.Write(buf)
+		out = k.mac.Sum(out)
 	}
 	return out[:length]
 }

@@ -2,8 +2,10 @@ package prf
 
 import (
 	"bytes"
+	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -55,6 +57,75 @@ func TestTLS12Properties(t *testing.T) {
 	d := TLS12([]byte("secret2"), "label", seed, 48)
 	if bytes.Equal(a, d) {
 		t.Fatal("different secrets produced same output")
+	}
+}
+
+// referenceTLS12 is the textbook P_SHA256 construction — a fresh label ‖
+// seed copy, one Sum(nil) per block — kept as the oracle for TLS12.
+func referenceTLS12(secret []byte, label string, seed []byte, length int) []byte {
+	labelAndSeed := append([]byte(label), seed...)
+	out := make([]byte, 0, length)
+	mac := hmac.New(sha256.New, secret)
+	mac.Write(labelAndSeed)
+	a := mac.Sum(nil)
+	for len(out) < length {
+		mac.Reset()
+		mac.Write(a)
+		mac.Write(labelAndSeed)
+		out = append(out, mac.Sum(nil)...)
+		mac.Reset()
+		mac.Write(a)
+		a = mac.Sum(nil)
+	}
+	return out[:length]
+}
+
+// TLS12, and a key reused across derivations of different labels, seeds
+// and lengths (the connection's master-secret key), agree with the
+// reference over random inputs and every length 0–200.
+func TestPRFMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bytesOf := func(max int) []byte {
+		b := make([]byte, rng.Intn(max+1))
+		rng.Read(b)
+		return b
+	}
+	labels := []string{"", "master secret", "key expansion", "client finished", "server finished", "x"}
+	for i := 0; i < 300; i++ {
+		secret := bytesOf(100) // past SHA-256's block size, HMAC hashes the key
+		key := NewTLS12Key(secret)
+		for length := i % 7; length <= 200; length += 7 {
+			label := labels[rng.Intn(len(labels))]
+			seed := bytesOf(80)
+			want := referenceTLS12(secret, label, seed, length)
+			if got := TLS12(secret, label, seed, length); !bytes.Equal(got, want) {
+				t.Fatalf("TLS12(%x, %q, %x, %d) = %x, want %x", secret, label, seed, length, got, want)
+			}
+			if got := key.Derive(label, seed, length); !bytes.Equal(got, want) {
+				t.Fatalf("reused key: Derive(%q, %x, %d) = %x, want %x", label, seed, length, got, want)
+			}
+		}
+	}
+	secret := unhex(t, "9bbe436ba940f017b17652849a71db35")
+	seed := unhex(t, "a0ba9f936cda311827a6f796ffd5198c")
+	if !bytes.Equal(TLS12(secret, "test label", seed, 100), referenceTLS12(secret, "test label", seed, 100)) {
+		t.Fatal("the known vector disagrees with the reference")
+	}
+}
+
+// A one-shot derivation allocates the keyed HMAC (five objects, two more
+// when its first Reset saves the keyed state), the key and the result; a
+// reused key allocates only the result. (Under -race the one-shot makes
+// two more.)
+func TestPRFAllocations(t *testing.T) {
+	secret := make([]byte, 48)
+	seed := make([]byte, 64)
+	if n := testing.AllocsPerRun(100, func() { TLS12(secret, "key expansion", seed, 72) }); n > 9 && !raceEnabled {
+		t.Errorf("TLS12: %v allocations per call, want at most 9", n)
+	}
+	key := NewTLS12Key(secret)
+	if n := testing.AllocsPerRun(100, func() { key.Derive("client finished", seed[:32], 12) }); n != 1 {
+		t.Errorf("reused key: %v allocations per derivation, want 1 (the result)", n)
 	}
 }
 

@@ -131,40 +131,48 @@ func (sc *SessionCache) Stats() (hits, misses int64) {
 	return sc.hits, sc.misses
 }
 
-// sealTicket encrypts session state into an opaque session ticket with
-// AES-128-GCM under the server's ticket key. Ticket protection is a
-// cheap symmetric operation done in software even under QTLS.
-func sealTicket(key *[32]byte, state SessionState) ([]byte, error) {
+// ticketKey is a session-ticket key with its AES-128-GCM built once: the
+// first 16 bytes key the cipher, the last 16 are the additional data.
+// Ticket protection is a cheap symmetric operation done in software even
+// under QTLS. A ticketKey is immutable and safe for concurrent use.
+type ticketKey struct {
+	key  [32]byte
+	aead cipher.AEAD
+}
+
+func newTicketKey(key [32]byte) *ticketKey {
 	block, err := aes.NewCipher(key[:16])
 	if err != nil {
-		return nil, err
+		panic(err) // unreachable: a 16-byte AES key is always valid
 	}
 	aead, err := cipher.NewGCM(block)
 	if err != nil {
-		return nil, err
+		panic(err) // unreachable: AES has GCM's block size
 	}
-	nonce := make([]byte, aead.NonceSize())
+	return &ticketKey{key: key, aead: aead}
+}
+
+// seal encrypts session state into an opaque session ticket: a random
+// nonce, then the sealed state.
+func (k *ticketKey) seal(state SessionState) ([]byte, error) {
+	plain := state.marshal()
+	ns := k.aead.NonceSize()
+	out := make([]byte, ns, ns+len(plain)+k.aead.Overhead())
+	nonce := out[:ns]
 	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		return nil, err
 	}
-	return append(nonce, aead.Seal(nil, nonce, state.marshal(), key[16:])...), nil
+	return k.aead.Seal(out, nonce, plain, k.key[16:]), nil
 }
 
-// openTicket decrypts and validates a session ticket.
-func openTicket(key *[32]byte, ticket []byte) (SessionState, error) {
+// open decrypts and validates a session ticket.
+func (k *ticketKey) open(ticket []byte) (SessionState, error) {
 	var state SessionState
-	block, err := aes.NewCipher(key[:16])
-	if err != nil {
-		return state, err
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return state, err
-	}
-	if len(ticket) < aead.NonceSize() {
+	ns := k.aead.NonceSize()
+	if len(ticket) < ns {
 		return state, errors.New("minitls: ticket too short")
 	}
-	plain, err := aead.Open(nil, ticket[:aead.NonceSize()], ticket[aead.NonceSize():], key[16:])
+	plain, err := k.aead.Open(nil, ticket[:ns], ticket[ns:], k.key[16:])
 	if err != nil {
 		return state, errors.New("minitls: ticket authentication failed")
 	}

@@ -107,11 +107,11 @@ func TestTicketSealOpen(t *testing.T) {
 	var key [32]byte
 	copy(key[:], bytes.Repeat([]byte{9}, 32))
 	st := SessionState{Version: VersionTLS12, CipherSuite: TLS_RSA_WITH_AES_128_CBC_SHA, MasterSecret: bytes.Repeat([]byte{3}, 48)}
-	ticket, err := sealTicket(&key, st)
+	ticket, err := newTicketKey(key).seal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := openTicket(&key, ticket)
+	got, err := newTicketKey(key).open(ticket)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,17 +125,17 @@ func TestTicketTamperAndWrongKey(t *testing.T) {
 	key[0] = 1
 	other[0] = 2
 	st := SessionState{Version: VersionTLS12, MasterSecret: make([]byte, 48)}
-	ticket, _ := sealTicket(&key, st)
+	ticket, _ := newTicketKey(key).seal(st)
 
 	mut := append([]byte(nil), ticket...)
 	mut[len(mut)-1] ^= 1
-	if _, err := openTicket(&key, mut); err == nil {
+	if _, err := newTicketKey(key).open(mut); err == nil {
 		t.Fatal("tampered ticket accepted")
 	}
-	if _, err := openTicket(&other, ticket); err == nil {
+	if _, err := newTicketKey(other).open(ticket); err == nil {
 		t.Fatal("ticket opened with wrong key")
 	}
-	if _, err := openTicket(&key, ticket[:4]); err == nil {
+	if _, err := newTicketKey(key).open(ticket[:4]); err == nil {
 		t.Fatal("truncated ticket accepted")
 	}
 }
@@ -149,11 +149,11 @@ func TestTicketRoundTripProperty(t *testing.T) {
 			master = master[:256]
 		}
 		st := SessionState{Version: ver, CipherSuite: suite, MasterSecret: master}
-		ticket, err := sealTicket(&key, st)
+		ticket, err := newTicketKey(key).seal(st)
 		if err != nil {
 			return false
 		}
-		got, err := openTicket(&key, ticket)
+		got, err := newTicketKey(key).open(ticket)
 		if err != nil {
 			return false
 		}

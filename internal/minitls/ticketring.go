@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // TicketKeyRing is a shared, rotating set of session-ticket keys. All of
@@ -15,11 +16,15 @@ import (
 //
 // The newest key seals; every retained key still opens, so tickets
 // issued before a rotation stay valid until their key ages out of the
-// ring. Rotation is cheap (one allocation under a short lock) and safe
-// to run from any goroutine.
+// ring. Rotation is cheap (the new key's AEAD is built outside the lock,
+// then a short lock swaps in the new key list) and safe to run from any
+// goroutine.
 type TicketKeyRing struct {
-	mu     sync.RWMutex
-	keys   [][32]byte // keys[0] seals; all open
+	mu sync.RWMutex
+	// keys[0] seals; all open. Each key's AEAD is built once, when the key
+	// joins the ring. A rotation publishes a new slice and never writes an
+	// old one, so a reader may keep the slice it loaded.
+	keys   []*ticketKey
 	retain int
 	gen    int64
 }
@@ -31,7 +36,7 @@ func NewTicketKeyRing(initial [32]byte, retain int) *TicketKeyRing {
 	if retain < 2 {
 		retain = 2
 	}
-	return &TicketKeyRing{keys: [][32]byte{initial}, retain: retain}
+	return &TicketKeyRing{keys: []*ticketKey{newTicketKey(initial)}, retain: retain}
 }
 
 // GenerateTicketKeyRing builds a ring seeded with a random key.
@@ -57,9 +62,10 @@ func (r *TicketKeyRing) Rotate() error {
 // RotateTo prepends the given sealing key (deterministic rotation for
 // tests and key-escrow deployments).
 func (r *TicketKeyRing) RotateTo(key [32]byte) {
+	k := newTicketKey(key)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.keys = append([][32]byte{key}, r.keys...)
+	r.keys = append([]*ticketKey{k}, r.keys...)
 	if len(r.keys) > r.retain {
 		r.keys = r.keys[:r.retain]
 	}
@@ -80,24 +86,28 @@ func (r *TicketKeyRing) Generation() int64 {
 	return r.gen
 }
 
-// current returns a stable copy of the sealing key.
-func (r *TicketKeyRing) current() *[32]byte {
+// all returns every retained key, sealing key first.
+func (r *TicketKeyRing) all() []*ticketKey {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	k := r.keys[0]
-	return &k
+	return r.keys
 }
 
-// all returns stable copies of every retained key, sealing key first.
-func (r *TicketKeyRing) all() []*[32]byte {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*[32]byte, len(r.keys))
-	for i := range r.keys {
-		k := r.keys[i]
-		out[i] = &k
+// lastStaticTicketKey holds the AEAD of the static Config.TicketKey used
+// last. Config is copied by value (per-worker templates), so the AEAD
+// cannot be cached in it; a process normally has one static key, which is
+// then built once, and one that alternates between keys rebuilds on each
+// switch, as every ticket once did.
+var lastStaticTicketKey atomic.Pointer[ticketKey]
+
+// staticTicketKey returns the ticketKey of c.TicketKey.
+func (c *Config) staticTicketKey() *ticketKey {
+	if k := lastStaticTicketKey.Load(); k != nil && k.key == *c.TicketKey {
+		return k
 	}
-	return out
+	k := newTicketKey(*c.TicketKey)
+	lastStaticTicketKey.Store(k)
+	return k
 }
 
 // hasTicketKey reports whether the config can seal/open session tickets
@@ -111,12 +121,12 @@ func (c *Config) hasTicketKey() bool {
 // for configs without a ring.
 func (c *Config) sealSessionTicket(state SessionState) ([]byte, error) {
 	if c.TicketKeys != nil {
-		return sealTicket(c.TicketKeys.current(), state)
+		return c.TicketKeys.all()[0].seal(state)
 	}
 	if c.TicketKey == nil {
 		return nil, errors.New("minitls: no ticket key configured")
 	}
-	return sealTicket(c.TicketKey, state)
+	return c.staticTicketKey().seal(state)
 }
 
 // openSessionTicket tries every retained ring key (newest first), then
@@ -126,7 +136,7 @@ func (c *Config) openSessionTicket(ticket []byte) (SessionState, error) {
 	if c.TicketKeys != nil {
 		var lastErr error
 		for _, k := range c.TicketKeys.all() {
-			st, err := openTicket(k, ticket)
+			st, err := k.open(ticket)
 			if err == nil {
 				return st, nil
 			}
@@ -139,5 +149,5 @@ func (c *Config) openSessionTicket(ticket []byte) (SessionState, error) {
 	if c.TicketKey == nil {
 		return SessionState{}, errors.New("minitls: no ticket key configured")
 	}
-	return openTicket(c.TicketKey, ticket)
+	return c.staticTicketKey().open(ticket)
 }

@@ -2,6 +2,8 @@ package minitls
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -76,6 +78,67 @@ func TestTicketRingCrossConfig(t *testing.T) {
 	server2, _, _ := handshakePair(t, &worker1, &Config{Session: sess})
 	if !server2.ConnectionState().DidResume {
 		t.Fatal("worker 1 did not resume worker 0's ticket")
+	}
+}
+
+// TestTicketKeysConcurrentRotate seals and opens tickets from eight
+// goroutines while the ring rotates (run under -race): the AEADs built
+// once per ring key, and the one kept for the last static key, serve
+// concurrent use. Half the goroutines use static keys, two of them in
+// turn, so the static key's cached AEAD is replaced while others use it.
+func TestTicketKeysConcurrentRotate(t *testing.T) {
+	ring, err := GenerateTicketKeyRing(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringCfg := &Config{TicketKeys: ring}
+	var keyA, keyB [32]byte
+	keyA[0], keyB[0] = 0xa, 0xb
+	static := []*Config{{TicketKey: &keyA}, {TicketKey: &keyB}}
+
+	const goroutines, rounds = 8, 200
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < rounds; i++ {
+				cfg := ringCfg
+				if g%2 == 1 {
+					cfg = static[(g/2+i)%2]
+				}
+				master := []byte{byte(g), byte(i)}
+				ticket, err := cfg.sealSessionTicket(SessionState{Version: VersionTLS12, MasterSecret: master})
+				if err != nil {
+					errs <- err
+					return
+				}
+				st, err := cfg.openSessionTicket(ticket)
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d round %d: %w", g, i, err)
+					return
+				}
+				if !bytes.Equal(st.MasterSecret, master) {
+					errs <- fmt.Errorf("goroutine %d round %d: opened another ticket's state", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	if err := ring.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if ring.Generation() != 1 {
+		t.Fatalf("generation = %d, want 1", ring.Generation())
 	}
 }
 

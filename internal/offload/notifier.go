@@ -34,13 +34,16 @@ type Notifier interface {
 	Wake(h any) bool
 	// Deliver returns the events due at the given point, in completion
 	// order, removing them from the queue. It returns nil when nothing
-	// is due at that point.
+	// is due at that point. The batch stays valid while its handlers run
+	// and Wake more events, but only until the next Deliver or Drain:
+	// its storage is then reused.
 	Deliver(p DeliveryPoint) []any
 	// Pending reports how many queued events are waiting for the given
 	// delivery point.
 	Pending(p DeliveryPoint) int
 	// Drain unconditionally removes and returns every queued event —
-	// the shutdown path, where delivery points no longer apply.
+	// the shutdown path, where delivery points no longer apply. Its batch
+	// has Deliver's lifetime.
 	Drain() []any
 	// Scheme names the strategy this implementation realizes.
 	Scheme() NotifyScheme
@@ -62,25 +65,45 @@ func NewNotifier(s NotifyScheme) Notifier {
 	}
 }
 
+// eventQueue is the notifiers' queue: two buffers that trade places on
+// every take, so the batch a take returns stays intact while its handlers
+// Wake events into the other one, and neither buffer is reallocated once
+// grown.
+type eventQueue struct {
+	q, spare []any
+}
+
+func (e *eventQueue) push(h any) { e.q = append(e.q, h) }
+
+// take returns the queued events (nil when there are none) and starts an
+// empty queue in the buffer the previous take returned.
+func (e *eventQueue) take() []any {
+	if len(e.q) == 0 {
+		return nil
+	}
+	batch := e.q
+	clear(e.spare) // the previous batch's handles: nothing reads them now
+	e.q, e.spare = e.spare[:0], batch
+	return batch
+}
+
 // fdNotifier is the descriptor-per-event scheme: every completion
 // writes the notification descriptor, and the events are handed back on
 // the epoll wakeup that saw it — user/kernel switches on every event.
 type fdNotifier struct {
-	q []any
+	eventQueue
 }
 
 func (n *fdNotifier) Wake(h any) bool {
-	n.q = append(n.q, h)
+	n.push(h)
 	return true
 }
 
 func (n *fdNotifier) Deliver(p DeliveryPoint) []any {
-	if p != DeliverWakeup || len(n.q) == 0 {
+	if p != DeliverWakeup {
 		return nil
 	}
-	q := n.q
-	n.q = nil
-	return q
+	return n.take()
 }
 
 func (n *fdNotifier) Pending(p DeliveryPoint) int {
@@ -90,11 +113,7 @@ func (n *fdNotifier) Pending(p DeliveryPoint) int {
 	return len(n.q)
 }
 
-func (n *fdNotifier) Drain() []any {
-	q := n.q
-	n.q = nil
-	return q
-}
+func (n *fdNotifier) Drain() []any { return n.take() }
 
 func (n *fdNotifier) Scheme() NotifyScheme { return NotifierFD }
 func (n *fdNotifier) String() string       { return NotifierFD.String() }
@@ -103,21 +122,19 @@ func (n *fdNotifier) String() string       { return NotifierFD.String() }
 // ever, events drain at the end of the loop iteration that retrieved
 // them.
 type bypassNotifier struct {
-	q []any
+	eventQueue
 }
 
 func (n *bypassNotifier) Wake(h any) bool {
-	n.q = append(n.q, h)
+	n.push(h)
 	return false
 }
 
 func (n *bypassNotifier) Deliver(p DeliveryPoint) []any {
-	if p != DeliverLoopEnd || len(n.q) == 0 {
+	if p != DeliverLoopEnd {
 		return nil
 	}
-	q := n.q
-	n.q = nil
-	return q
+	return n.take()
 }
 
 func (n *bypassNotifier) Pending(p DeliveryPoint) int {
@@ -127,11 +144,7 @@ func (n *bypassNotifier) Pending(p DeliveryPoint) int {
 	return len(n.q)
 }
 
-func (n *bypassNotifier) Drain() []any {
-	q := n.q
-	n.q = nil
-	return q
-}
+func (n *bypassNotifier) Drain() []any { return n.take() }
 
 func (n *bypassNotifier) Scheme() NotifyScheme { return NotifierKernelBypass }
 func (n *bypassNotifier) String() string       { return NotifierKernelBypass.String() }
@@ -142,12 +155,12 @@ func (n *bypassNotifier) String() string       { return NotifierKernelBypass.Str
 // since the last delivery arms the kernel wakeup — one descriptor write
 // amortized across the whole completion batch.
 type coalescedNotifier struct {
-	q     []any
+	eventQueue
 	armed bool // a wakeup write is outstanding for the queued events
 }
 
 func (n *coalescedNotifier) Wake(h any) bool {
-	n.q = append(n.q, h)
+	n.push(h)
 	if n.armed {
 		return false
 	}
@@ -159,10 +172,8 @@ func (n *coalescedNotifier) Deliver(p DeliveryPoint) []any {
 	if p != DeliverWakeup || len(n.q) == 0 {
 		return nil
 	}
-	q := n.q
-	n.q = nil
 	n.armed = false
-	return q
+	return n.take()
 }
 
 func (n *coalescedNotifier) Pending(p DeliveryPoint) int {
@@ -173,10 +184,8 @@ func (n *coalescedNotifier) Pending(p DeliveryPoint) int {
 }
 
 func (n *coalescedNotifier) Drain() []any {
-	q := n.q
-	n.q = nil
 	n.armed = false
-	return q
+	return n.take()
 }
 
 func (n *coalescedNotifier) Scheme() NotifyScheme { return NotifierCoalesced }

@@ -90,3 +90,39 @@ func TestNewNotifierUnknownScheme(t *testing.T) {
 		t.Fatalf("unknown scheme → %v, want fd fallback", n.Scheme())
 	}
 }
+
+// A delivered batch stays intact while its handlers Wake further events
+// (the next op of a connection completing inside a handler's poll), those
+// events make the next batch, and once both queue buffers have grown a
+// Wake/Deliver cycle allocates nothing.
+func TestDeliverBatchSurvivesWake(t *testing.T) {
+	for _, s := range []NotifyScheme{NotifierFD, NotifierKernelBypass, NotifierCoalesced} {
+		n := NewNotifier(s)
+		point := DeliverWakeup
+		if s == NotifierKernelBypass {
+			point = DeliverLoopEnd
+		}
+		n.Wake("a")
+		n.Wake("b")
+		n.Wake("c")
+		var seen []any
+		for _, h := range n.Deliver(point) {
+			seen = append(seen, h)
+			n.Wake(h.(string) + "'")
+		}
+		if !reflect.DeepEqual(seen, []any{"a", "b", "c"}) {
+			t.Errorf("%v: handlers saw %v, want [a b c]", s, seen)
+		}
+		if got := n.Deliver(point); !reflect.DeepEqual(got, []any{"a'", "b'", "c'"}) {
+			t.Errorf("%v: next batch = %v, want the handlers' events", s, got)
+		}
+		h := any(&struct{}{})
+		if allocs := testing.AllocsPerRun(100, func() {
+			n.Wake(h)
+			n.Wake(h)
+			n.Deliver(point)
+		}); allocs != 0 {
+			t.Errorf("%v: a Wake/Deliver cycle allocates %v objects, want 0", s, allocs)
+		}
+	}
+}

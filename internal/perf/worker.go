@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"slices"
 	"time"
 
 	"qtls/internal/flight"
@@ -446,7 +447,9 @@ func (w *worker) retrieveOne(now sim.Time) (c *conn, wake bool) {
 // collect drains the response ring through the notifier and returns the
 // notification cost plus the two delivery batches, captured at the
 // point the poll pays for them (the notifier queue never spans a
-// virtual-time gap, mirroring the single-threaded live loop).
+// virtual-time gap, mirroring the single-threaded live loop). The
+// batches are copies: they are dispatched after that gap, and a notifier
+// reuses a batch's storage at its next delivery.
 func (w *worker) collect(n int, now sim.Time) (cost time.Duration, wakeBatch, loopBatch []any) {
 	p := &w.m.p
 	wakes := 0
@@ -469,7 +472,7 @@ func (w *worker) collect(n int, now sim.Time) (cost time.Duration, wakeBatch, lo
 			w.adaptive.Tick(int64(now))
 		}
 	}
-	return cost, w.notif.Deliver(offload.DeliverWakeup), w.notif.Deliver(offload.DeliverLoopEnd)
+	return cost, slices.Clone(w.notif.Deliver(offload.DeliverWakeup)), slices.Clone(w.notif.Deliver(offload.DeliverLoopEnd))
 }
 
 // poll retrieves all ready responses, paying the polling and

@@ -228,10 +228,15 @@ type endpoint struct {
 	resets    int64
 }
 
+// pending is a request in flight on an endpoint. Each instance recycles
+// its own: Submit takes one from the instance's free list and deliver puts
+// it back once the response is on the ring, so a steady state allocates
+// none. A stalled request's pending never comes back; the GC takes it.
 type pending struct {
 	req   Request
 	inst  *Instance
 	epoch int
+	next  *pending // free-list link
 }
 
 // Instance is a QAT crypto instance: a logical group of ring pairs assigned
@@ -250,6 +255,7 @@ type Instance struct {
 	leaked    int         // ring slots held by stalled requests
 	responses []completed // response ring; bounded by inflight <= ringCap
 	scratch   []completed // Poll's batch buffer, parked here between polls
+	free      *pending    // recycled pendings; at most ringCap of them
 	stats     InstanceStats
 
 	// The wake seam (see ArmWake): wake is the owner's hook, armed is set
@@ -396,7 +402,7 @@ func (ep *endpoint) engineLoop() {
 		stale := p.epoch != ep.epoch
 		ep.mu.Unlock()
 		if stale {
-			ep.deliver(inst, p.req, Response{Err: ErrDeviceReset})
+			ep.deliver(p, Response{Err: ErrDeviceReset})
 			continue
 		}
 		var out fault.Outcome
@@ -416,6 +422,7 @@ func (ep *endpoint) engineLoop() {
 			// lost on the way back.
 			inst.mu.Lock()
 			inst.inflight--
+			inst.putPending(p)
 			inst.mu.Unlock()
 			continue
 		}
@@ -440,18 +447,21 @@ func (ep *endpoint) engineLoop() {
 		if out.Corrupt {
 			resp.Result = corruptResult(resp.Result)
 		}
-		ep.deliver(inst, p.req, resp)
+		ep.deliver(p, resp)
 	}
 }
 
-// deliver places a response on the instance's response ring, bumps the
-// firmware counter and, if the instance's owner is parked, wakes it.
-func (ep *endpoint) deliver(inst *Instance, req Request, resp Response) {
+// deliver places p's response on the instance's response ring, recycles
+// p, bumps the firmware counter and, if the instance's owner is parked,
+// wakes it.
+func (ep *endpoint) deliver(p *pending, resp Response) {
+	inst, op := p.inst, p.req.Op
 	inst.mu.Lock()
-	inst.responses = append(inst.responses, completed{cb: req.Callback, resp: resp})
+	inst.responses = append(inst.responses, completed{cb: p.req.Callback, resp: resp})
+	inst.putPending(p)
 	inst.mu.Unlock()
 	ep.mu.Lock()
-	ep.counters.Responses[req.Op]++
+	ep.counters.Responses[op]++
 	ep.mu.Unlock()
 	// One flag, one call: an awake owner finds the response by polling and
 	// costs the device one failed CAS; only the completion that finds the
@@ -459,6 +469,25 @@ func (ep *endpoint) deliver(inst *Instance, req Request, resp Response) {
 	if inst.armed.CompareAndSwap(true, false) {
 		inst.wake()
 	}
+}
+
+// getPending takes a pending from the free list, or makes one. Called
+// with inst.mu held.
+func (inst *Instance) getPending() *pending {
+	p := inst.free
+	if p == nil {
+		return &pending{inst: inst}
+	}
+	inst.free, p.next = p.next, nil
+	return p
+}
+
+// putPending clears p's request, so the free list keeps no closure alive,
+// and pushes p. Called with inst.mu held.
+func (inst *Instance) putPending(p *pending) {
+	p.req = Request{}
+	p.next = inst.free
+	inst.free = p
 }
 
 // SetWakeHook installs the function a completion calls to wake the
@@ -582,15 +611,16 @@ func (inst *Instance) Submit(req Request) error {
 	}
 	inst.inflight++
 	inst.stats.Submits++
+	p := inst.getPending()
 	inst.mu.Unlock()
 
 	inst.ep.mu.Lock()
 	inst.ep.counters.Requests[req.Op]++
-	epoch := inst.ep.epoch
+	p.req, p.epoch = req, inst.ep.epoch
 	inst.ep.mu.Unlock()
 
 	// Guaranteed space: dispatch capacity >= sum of ring capacities.
-	inst.ep.dispatch <- &pending{req: req, inst: inst, epoch: epoch}
+	inst.ep.dispatch <- p
 	return nil
 }
 
@@ -637,6 +667,7 @@ func (inst *Instance) SubmitBatch(reqs []Request) (int, error) {
 
 	var accepted int
 	var batchErr error
+	var batch *pending // one per accepted request, taken under inst.mu
 	inst.mu.Lock()
 	inst.stats.Doorbells++
 	for i := range reqs {
@@ -661,6 +692,8 @@ func (inst *Instance) SubmitBatch(reqs []Request) (int, error) {
 		inst.inflight++
 		inst.stats.Submits++
 		accepted++
+		p := inst.getPending()
+		p.next, batch = batch, p
 	}
 	if accepted > 0 {
 		inst.stats.SubmitBatches++
@@ -682,7 +715,10 @@ func (inst *Instance) SubmitBatch(reqs []Request) (int, error) {
 
 	// Guaranteed space: dispatch capacity >= sum of ring capacities.
 	for i := range reqs[:accepted] {
-		inst.ep.dispatch <- &pending{req: reqs[i], inst: inst, epoch: epoch}
+		p := batch
+		batch, p.next = p.next, nil
+		p.req, p.epoch = reqs[i], epoch
+		inst.ep.dispatch <- p
 	}
 	return accepted, batchErr
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"qtls/internal/asynclib"
 	"qtls/internal/minitls"
@@ -31,7 +32,7 @@ func (w *Worker) handshakeHandler(c *conn) {
 			// offloaded record engine now that the keys exist (§kTLS).
 			w.installStream(c)
 		}
-		c.handler = w.requestHandler
+		c.handler = (*Worker).requestHandler
 		w.requestHandler(c)
 	case errors.Is(err, minitls.ErrWantRead):
 		// Waiting for the client's next flight: the server owes this
@@ -102,20 +103,16 @@ func (w *Worker) requestHandler(c *conn) {
 // response. "Connection: close" is honored: the response carries the
 // same header and the connection is torn down after the write completes.
 func (w *Worker) serveRequest(c *conn, req []byte) {
-	line := req
-	if i := bytes.IndexByte(line, '\r'); i >= 0 {
-		line = line[:i]
-	}
-	fields := bytes.Fields(line)
-	if len(fields) < 2 || string(fields[0]) != "GET" {
+	method, target := requestLine(req)
+	if len(target) == 0 || string(method) != "GET" {
 		w.closeConn(c)
 		return
 	}
-	path := string(fields[1])
-	query := ""
-	if i := strings.IndexByte(path, '?'); i >= 0 {
-		path, query = path[:i], path[i+1:]
+	var query []byte
+	if i := bytes.IndexByte(target, '?'); i >= 0 {
+		target, query = target[:i], target[i+1:]
 	}
+	path := string(target) // the handler may keep it
 	c.closeAfterWrite = requestWantsClose(req)
 	if !c.closeAfterWrite {
 		if w.draining.Load() {
@@ -138,9 +135,9 @@ func (w *Worker) serveRequest(c *conn, req []byte) {
 	case path == "/metrics" && w.reg != nil:
 		body, ok = w.metricsBody(), true
 	case path == "/debug/trace" && w.tracer != nil:
-		body, ok = w.traceBody(query), true
+		body, ok = w.traceBody(string(query)), true
 	case path == "/debug/flight" && w.flight != nil:
-		body, ok = w.flightBody(query), true
+		body, ok = w.flightBody(string(query)), true
 	default:
 		body, ok = w.handler(path)
 	}
@@ -153,8 +150,16 @@ func (w *Worker) serveRequest(c *conn, req []byte) {
 	if c.closeAfterWrite {
 		connHdr = "close"
 	}
-	hdr := "HTTP/1.1 " + status + "\r\nContent-Length: " + strconv.Itoa(len(body)) +
-		"\r\nConnection: " + connHdr + "\r\n\r\n"
+	// One allocation, never reused: a seal abandoned at its deadline may
+	// still be reading this header on a device while the next response
+	// is built.
+	hdr := append(make([]byte, 0, 96), "HTTP/1.1 "...)
+	hdr = append(hdr, status...)
+	hdr = append(hdr, "\r\nContent-Length: "...)
+	hdr = strconv.AppendInt(hdr, int64(len(body)), 10)
+	hdr = append(hdr, "\r\nConnection: "...)
+	hdr = append(hdr, connHdr...)
+	hdr = append(hdr, "\r\n\r\n"...)
 	if c.stream != nil {
 		// Offloaded record path: the body is sealed in place, never
 		// copied into a staging buffer (recordpath.go).
@@ -163,8 +168,8 @@ func (w *Worker) serveRequest(c *conn, req []byte) {
 	}
 	// Header and body stay two slices: minitls gathers them record by
 	// record, cutting where their concatenation would be cut.
-	c.writeHdr, c.writeBody = []byte(hdr), body
-	c.handler = w.writeHandler
+	c.writeHdr, c.writeBody = hdr, body
+	c.handler = (*Worker).writeHandler
 	w.writeHandler(c)
 }
 
@@ -186,7 +191,7 @@ func (w *Worker) writeHandler(c *conn) {
 			w.closeConn(c)
 			return
 		}
-		c.handler = w.requestHandler
+		c.handler = (*Worker).requestHandler
 		// Response done: the connection is idle until the next request
 		// (keepalive), which updates TCactive (§4.3).
 		if c.active {
@@ -301,6 +306,29 @@ func (w *Worker) flightBody(query string) []byte {
 	return b.Bytes()
 }
 
+// requestLine returns the first two whitespace-separated fields of the
+// request line, the method and the target, as bytes.Fields would split
+// them, without building the field list.
+func requestLine(req []byte) (method, target []byte) {
+	line := req
+	if i := bytes.IndexByte(line, '\r'); i >= 0 {
+		line = line[:i]
+	}
+	method, line = nextField(line)
+	target, _ = nextField(line)
+	return method, target
+}
+
+// nextField splits off b's first whitespace-separated field (empty when
+// there is none).
+func nextField(b []byte) (field, rest []byte) {
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
+		return b[:i], b[i:]
+	}
+	return b, nil
+}
+
 // requestWantsClose reports whether the request headers ask for the
 // connection to be torn down after the response: any Connection header
 // whose comma-separated option list contains the "close" token (ASCII
@@ -308,12 +336,11 @@ func (w *Worker) flightBody(query string) []byte {
 // extend the previous header's value, and every Connection line counts,
 // not just the first.
 func requestWantsClose(req []byte) bool {
-	lines := bytes.Split(req, []byte("\r\n"))
+	_, rest, more := bytes.Cut(req, []byte("\r\n")) // past the request line
 	inConnection := false
-	for i, line := range lines {
-		if i == 0 {
-			continue // request line
-		}
+	for more {
+		var line []byte
+		line, rest, more = bytes.Cut(rest, []byte("\r\n"))
 		if len(line) > 0 && (line[0] == ' ' || line[0] == '\t') {
 			// Folded continuation of the previous header field.
 			if inConnection && connectionValueHasClose(line) {
@@ -340,7 +367,9 @@ func requestWantsClose(req []byte) bool {
 // connectionValueHasClose scans one fragment of a Connection header value
 // for the "close" option among its comma-separated tokens.
 func connectionValueHasClose(v []byte) bool {
-	for _, tok := range bytes.Split(v, []byte{','}) {
+	for more := true; more; {
+		var tok []byte
+		tok, v, more = bytes.Cut(v, []byte{','})
 		if asciiEqualFold(bytes.TrimSpace(tok), "close") {
 			return true
 		}

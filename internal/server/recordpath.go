@@ -50,15 +50,15 @@ func (w *Worker) installStream(c *conn) {
 }
 
 // serveRecord writes one response through the record stream. The header
-// is a fresh small allocation; the body is the handler's own buffer,
-// sealed in place (the zero-copy contract: jobs hold the only
+// is the request's own small allocation; the body is the handler's own
+// buffer, sealed in place (the zero-copy contract: jobs hold the only
 // reference, keeping it alive until the stream drains).
-func (w *Worker) serveRecord(c *conn, hdr string, body []byte) {
+func (w *Worker) serveRecord(c *conn, hdr, body []byte) {
 	c.respBytes = len(hdr) + len(body)
-	if err := c.stream.Write([]byte(hdr)); err == nil && len(body) > 0 {
+	if err := c.stream.Write(hdr); err == nil && len(body) > 0 {
 		c.stream.Write(body)
 	}
-	c.handler = w.recordWriteHandler
+	c.handler = (*Worker).recordWriteHandler
 	w.recordWriteHandler(c)
 }
 
@@ -92,7 +92,7 @@ func (w *Worker) recordWriteHandler(c *conn) {
 		w.closeConn(c)
 		return
 	}
-	c.handler = w.requestHandler
+	c.handler = (*Worker).requestHandler
 	if c.active {
 		c.active = false
 		w.activeConns--

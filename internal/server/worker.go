@@ -184,7 +184,7 @@ type conn struct {
 	fd      int
 	nc      *netpoll.Conn
 	tls     *minitls.Conn
-	handler func(*conn)
+	handler func(*Worker, *conn) // a method expression: switching allocates nothing
 
 	// asyncPending marks a paused offload job: read events are deferred
 	// ("QTLS clears and saves the handler of the read event when an async
@@ -729,7 +729,7 @@ func (w *Worker) acceptAll() {
 		w.Stats.Accepted.Add(1)
 		c := &conn{fd: nc.FD(), nc: nc, active: true}
 		c.tls = minitls.Server(nc, w.tlsTmpl)
-		c.handler = w.handshakeHandler
+		c.handler = (*Worker).handshakeHandler
 		// The connection-level async callback delivers events for every
 		// offload job of this connection (one shared channel per
 		// connection, §4.4).
@@ -754,7 +754,7 @@ func (w *Worker) invoke(c *conn) {
 		return
 	}
 	w.work++
-	c.handler(c)
+	c.handler(w, c)
 	if !c.closed {
 		w.updateWriteInterest(c)
 		w.rearmDeadline(c)
@@ -832,7 +832,7 @@ func (w *Worker) closeConn(c *conn) {
 		// flag above.
 		w.setAsyncPending(c, false)
 		c.tls.CancelAsync()
-		c.handler(c)
+		c.handler(w, c)
 	}
 	w.setAsyncPending(c, false)
 	if c.stream != nil {
