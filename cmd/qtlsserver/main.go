@@ -72,10 +72,10 @@ func addPolicyFlags(fs *flag.FlagSet) *policyFlags {
 		workers:   fs.Int("workers", 2, "number of event-loop workers"),
 		asymThr:   fs.Int("asym-threshold", offload.DefaultAsymThreshold, "heuristic polling asym threshold"),
 		symThr:    fs.Int("sym-threshold", offload.DefaultSymThreshold, "heuristic polling sym threshold"),
-		notify:    fs.String("notify", "", "async notification backend: fd, kernel-bypass or coalesced (default: the configuration's)"),
+		notify:    fs.String("notify", "", "async notification backend: fd or kernel-bypass (default: the configuration's)"),
 		recMode:   fs.String("record-mode", "software", "post-handshake record path: software, offload, or adaptive"),
 		recThr:    fs.Int("record-threshold", offload.DefaultRecordThreshold, "adaptive record-offload size threshold in bytes"),
-		placement: fs.String("placement", "", "multi-device placement: single, class-shard or conn-hash (default: single)"),
+		placement: fs.String("placement", "", "multi-device placement: single or conn-hash (default: single)"),
 	}
 }
 
@@ -112,7 +112,7 @@ func (pf *policyFlags) resolve(fs *flag.FlagSet) (run server.RunConfig, workers 
 			run.Poll.SymThreshold = *pf.symThr
 		case "notify":
 			if run.Notify, ok = offload.NotifySchemeByName(*pf.notify); !ok {
-				err = fmt.Errorf("unknown -notify %q (want fd, kernel-bypass or coalesced)", *pf.notify)
+				err = fmt.Errorf("unknown -notify %q (want fd or kernel-bypass)", *pf.notify)
 			}
 		case "record-mode":
 			if run.Record.Mode, ok = offload.RecordModeByName(*pf.recMode); !ok {
@@ -122,7 +122,7 @@ func (pf *policyFlags) resolve(fs *flag.FlagSet) (run server.RunConfig, workers 
 			run.Record.SizeThreshold = *pf.recThr
 		case "placement":
 			if run.Placement, ok = offload.PlacementByName(*pf.placement); !ok {
-				err = fmt.Errorf("unknown -placement %q (want single, class-shard or conn-hash)", *pf.placement)
+				err = fmt.Errorf("unknown -placement %q (want single or conn-hash)", *pf.placement)
 			}
 		}
 	})

@@ -49,14 +49,15 @@ func TestResolveConfig(t *testing.T) {
 	}{
 		{name: "default is QTLS", wantName: "QTLS", wantAsym: 48, wantSym: 24, wantWork: 2},
 		{name: "name", args: []string{"-config", "QAT+AH"}, wantName: "QAT+AH", wantAsym: 48, wantSym: 24, wantWork: 2},
-		{name: "name + visited thresholds", args: []string{"-config", "QAT+AH", "-asym-threshold", "64", "-sym-threshold", "32"},
-			wantName: "QAT+AH", wantAsym: 64, wantSym: 32, wantWork: 2},
+		{name: "name + visited thresholds", args: []string{"-config", "QAT+AH", "-asym-threshold", "64", "-sym-threshold", "32", "-notify", "kernel-bypass"},
+			wantName: "QAT+AH", wantAsym: 64, wantSym: 32, wantWork: 2,
+			wantExtra: func(p offload.Policy) bool { return p.Notify == offload.NotifierKernelBypass }},
 		{name: "file", args: []string{"-config", conf}, wantName: "QTLS", wantAsym: 64, wantSym: 32, wantWork: 8},
 		{name: "file + visited asym-threshold", args: []string{"-config", conf, "-asym-threshold", "16"},
 			wantName: "QTLS", wantAsym: 16, wantSym: 32, wantWork: 8},
-		{name: "file + visited workers and notify", args: []string{"-config", conf, "-workers", "3", "-notify", "coalesced"},
+		{name: "file + visited workers and notify", args: []string{"-config", conf, "-workers", "3", "-notify", "fd"},
 			wantName: "QTLS", wantAsym: 64, wantSym: 32, wantWork: 3,
-			wantExtra: func(p offload.Policy) bool { return p.Notify == offload.NotifierCoalesced }},
+			wantExtra: func(p offload.Policy) bool { return p.Notify == offload.NotifierFD }},
 		{name: "policy flags on a name", args: []string{"-config", "QTLS", "-record-mode", "adaptive", "-placement", "conn-hash"},
 			wantName: "QTLS", wantAsym: 48, wantSym: 24, wantWork: 2,
 			wantExtra: func(p offload.Policy) bool {
@@ -65,6 +66,8 @@ func TestResolveConfig(t *testing.T) {
 			}},
 		{name: "unknown name that is not a file", args: []string{"-config", "QAT+X"}, wantErr: "SW, QAT+S, QAT+A, QAT+AH or QTLS, or the path"},
 		{name: "bad notify", args: []string{"-notify", "smoke"}, wantErr: "unknown -notify"},
+		{name: "removed notify coalesced", args: []string{"-notify", "coalesced"}, wantErr: "want fd or kernel-bypass"},
+		{name: "removed placement class-shard", args: []string{"-placement", "class-shard"}, wantErr: "want single or conn-hash"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

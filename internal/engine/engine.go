@@ -112,15 +112,15 @@ type Config struct {
 	// one per endpoint — so a single worker can employ more computation
 	// engines (§2.3: "one process can be assigned with multiple QAT
 	// instances from different endpoints"). Submissions round-robin
-	// across the instances on the op's preferred devices (all of them
-	// under PlacementSingle); Poll drains all of them. Mutually additive
-	// with Instance.
+	// across the instances on the preferred devices (all of them under
+	// PlacementSingle); Poll drains all of them. Mutually additive with
+	// Instance.
 	Instances []*qat.Instance
 	// Offload selects which op kinds are offloaded; nil means all
 	// offloadable kinds (RSA, ECDSA, ECDH, PRF, Cipher). This mirrors the
 	// default_algorithm directive of the SSL Engine Framework (§A.7).
 	Offload []minitls.OpKind
-	// Placement selects which devices each op class prefers (see
+	// Placement selects which devices the engine prefers (see
 	// placement.go). The zero value, PlacementSingle, prefers every device:
 	// plain round-robin over all instances.
 	Placement offload.Placement
@@ -128,8 +128,8 @@ type Config struct {
 	// parallel to the combined Instance+Instances list. nil means all
 	// instances live on device 0.
 	InstanceDevices []int
-	// HomeDevice is the conn-hash home: under PlacementConnHash both lanes
-	// prefer this device and spill to the rest of the pool only when it is
+	// HomeDevice is the conn-hash home: under PlacementConnHash the engine
+	// prefers this device and spills to the rest of the pool only when it is
 	// broken or saturated. Ignored by other placements. Rehome moves it.
 	HomeDevice int
 	// Lifecycle, when set, threads device-lifecycle state into routing:
@@ -190,11 +190,11 @@ type Engine struct {
 	placement      offload.Placement
 	devOf          []int // device index per instance
 	numDevs        int
-	homeDev        int             // conn-hash home device (see Rehome)
-	lc             *qat.Lifecycle  // nil when lifecycle routing is off
-	laneInsts      [numLanes][]int // instances on preferred devices
-	laneOther      [numLanes][]int // instances elsewhere (spill targets)
-	routeDev       [numLanes]atomic.Int64
+	homeDev        int            // conn-hash home device (see Rehome)
+	lc             *qat.Lifecycle // nil when lifecycle routing is off
+	preferred      []int          // instances on preferred devices
+	other          []int          // instances elsewhere (spill targets)
+	routeDev       atomic.Int64   // device of the last routed op
 	placementFlips atomic.Int64
 
 	// Hardening configuration (see Config).

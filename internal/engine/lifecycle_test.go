@@ -38,23 +38,28 @@ func connHashEngine(t *testing.T, cfg Config) (*Engine, *qat.Pool, *qat.Lifecycl
 	return e, pool, lc
 }
 
-// TestRehome pins the live re-homing primitive: both lanes re-prefer the
-// new home device and subsequent ops land there, while non-moves (same
-// device, out of range, non-conn-hash placement) report false.
+// TestRehome pins the live re-homing primitive: ops of every class prefer
+// the home device, subsequent ops land on the new home, and non-moves
+// (same device, out of range, non-conn-hash placement) report false.
 func TestRehome(t *testing.T) {
-	e, _, _ := connHashEngine(t, Config{})
+	e, pool, _ := connHashEngine(t, Config{})
 	call := &minitls.OpCall{Mode: minitls.AsyncModeOff}
+	routeAll := func(want int) {
+		t.Helper()
+		for _, kind := range []minitls.OpKind{minitls.KindRSA, minitls.KindPRF} {
+			if _, err := e.Do(call, kind, func() (any, error) { return 1, nil }); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.RouteDevice(); got != want {
+				t.Fatalf("%v op routed to device %d, want home %d", kind, got, want)
+			}
+		}
+	}
 
 	if e.HomeDevice() != 0 {
 		t.Fatalf("home = %d, want 0", e.HomeDevice())
 	}
-	if _, err := e.Do(call, minitls.KindRSA, func() (any, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.LaneDevice(0); got != 0 {
-		t.Fatalf("asym op routed to device %d, want home 0", got)
-	}
-
+	routeAll(0)
 	if e.Rehome(0) {
 		t.Fatal("Rehome to the current home reported a move")
 	}
@@ -67,23 +72,25 @@ func TestRehome(t *testing.T) {
 	if e.HomeDevice() != 1 {
 		t.Fatalf("home after Rehome = %d, want 1", e.HomeDevice())
 	}
-	for _, kind := range []minitls.OpKind{minitls.KindRSA, minitls.KindPRF} {
-		if _, err := e.Do(call, kind, func() (any, error) { return 1, nil }); err != nil {
+	routeAll(1)
+	if st := e.Stats(); st.PlacementFlips != 1 {
+		t.Fatalf("placement flips = %d, want the one move", st.PlacementFlips)
+	}
+
+	// Single-placement engines never re-home: every device is preferred.
+	insts := make([]*qat.Instance, 2)
+	for d := range insts {
+		var err error
+		if insts[d], err = pool.AllocInstance(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := e.LaneDevice(0); got != 1 {
-		t.Fatalf("asym op after Rehome routed to device %d, want 1", got)
+	single, err := New(Config{Instances: insts, InstanceDevices: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := e.LaneDevice(1); got != 1 {
-		t.Fatalf("sym op after Rehome routed to device %d, want 1", got)
-	}
-
-	// Class-shard engines never re-home (the lane split is static).
-	inj := (*fault.Injector)(nil)
-	cs, _ := twoDeviceEngine(t, inj, Config{})
-	if cs.Rehome(1) {
-		t.Fatal("class-shard engine accepted Rehome")
+	if single.Rehome(1) {
+		t.Fatal("single-placement engine accepted Rehome")
 	}
 }
 
@@ -101,7 +108,7 @@ func TestLifecycleAdmissionSpills(t *testing.T) {
 			t.Fatalf("op %d under quarantine: %v, %v", i, res, err)
 		}
 	}
-	if got := e.LaneDevice(0); got != 1 {
+	if got := e.RouteDevice(); got != 1 {
 		t.Fatalf("ops routed to device %d with device 0 quarantined, want 1", got)
 	}
 	if st := e.Stats(); st.SWFallbacks != 0 {

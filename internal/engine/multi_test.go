@@ -174,7 +174,7 @@ func TestSinglePlacementRoundRobinOrder(t *testing.T) {
 
 // Routing walks its instance order in place, and a round trip recycles
 // its attempt and its ring slot: an offloaded op allocates nothing, through
-// a one-instance engine or a two-device class-shard engine, whether it
+// a one-instance engine or a two-device conn-hash engine, whether it
 // pauses on the stack-async flag or in a fiber. The bench probe
 // engine.roundtrip_allocs measures the stack-mode round trip. Under -race,
 // sync.Pool drops Puts at random, so the bound is only checked without it.
@@ -220,10 +220,10 @@ func TestRouteDoesNotAllocate(t *testing.T) {
 		roundTrip func(*Engine) float64
 	}{{"stack", stack}, {"fiber", fiber}} {
 		one, _ := newEngine(t, qat.DeviceSpec{})
-		sharded, _ := twoDeviceEngine(t, nil, Config{})
+		sharded := twoDeviceEngine(t, nil, Config{})
 		single, shard := mode.roundTrip(one), mode.roundTrip(sharded)
 		if !raceEnabled && (single != 0 || shard != 0) {
-			t.Errorf("%s: allocations per round trip: one instance %v, class-shard over two devices %v; want 0",
+			t.Errorf("%s: allocations per round trip: one instance %v, conn-hash over two devices %v; want 0",
 				mode.name, single, shard)
 		}
 	}

@@ -110,8 +110,8 @@ type Stats struct {
 	Trips       int64
 	Cancels     int64
 
-	// PlacementFlips counts lane re-routes to a different device (zero
-	// under single-device placement).
+	// PlacementFlips counts ops routed to a different device than their
+	// predecessor (zero with a single device).
 	PlacementFlips int64
 }
 

@@ -471,7 +471,7 @@ func ParseSpec(spec string, seed int64) (*Injector, error) {
 				switch key {
 				case "p":
 					r.P, err = strconv.ParseFloat(val, 64)
-					if err == nil && (r.P < 0 || r.P > 1) {
+					if err == nil && !(r.P >= 0 && r.P <= 1) { // NaN included
 						err = fmt.Errorf("probability out of [0,1]")
 					}
 				case "ep":

@@ -164,6 +164,7 @@ func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range []string{
 		"explode",      // unknown kind
 		"stall:p=2",    // probability out of range
+		"stall:p=NaN",  // not a probability
 		"stall:wat=1",  // unknown option
 		"stall:p",      // malformed option
 		"latency:p=1",  // latency without d=

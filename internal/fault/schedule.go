@@ -216,7 +216,7 @@ func ParseSchedule(s string) (*Schedule, error) {
 			switch strings.ToLower(key) {
 			case "p":
 				e.P, err = strconv.ParseFloat(val, 64)
-				if err == nil && (e.P < 0 || e.P > 1) {
+				if err == nil && !(e.P >= 0 && e.P <= 1) { // NaN included
 					err = fmt.Errorf("probability out of [0,1]")
 				}
 			case "op":

@@ -8,16 +8,25 @@ import (
 	"time"
 )
 
-// TestParseSchedule pins the chaos grammar: statement separators (';' and
-// newlines), comments, the bare-duration window, and every option key.
-func TestParseSchedule(t *testing.T) {
-	src := `
+// Every script the tests below parse; FuzzParseSchedule seeds from them.
+const (
+	grammarSchedule = `
 	t=0s dev1 stall 10s              # wedge device 1
 	t=5s dev0 drop 2s p=0.5 op=rsa; t=5s dev0 latency 1s d=3ms
 	t=30s dev1 RESET-STORM n=4 gap=25ms
 	t=40s dev2 ringfull 500ms p=0.25
 	`
-	s, err := ParseSchedule(src)
+	durationSchedule = "t=1s dev0 stall 10s; t=5s dev1 reset-storm n=4 gap=1s; t=8s dev0 drop 2s"
+	applySchedule    = "t=0s dev0 stall 60ms op=rsa; t=0s dev1 reset-storm n=3 gap=5ms"
+	cancelSchedule   = "t=1h dev0 stall 1s"
+)
+
+var emptySchedules = []string{"", "  \n\t", "# nothing ; here\n# either"}
+
+// TestParseSchedule pins the chaos grammar: statement separators (';' and
+// newlines), comments, the bare-duration window, and every option key.
+func TestParseSchedule(t *testing.T) {
+	s, err := ParseSchedule(grammarSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +70,7 @@ func TestParseSchedule(t *testing.T) {
 // TestParseScheduleEmpty: empty and comment-only scripts parse to the nil
 // schedule, which Duration/String/Run/Apply all accept as a no-op.
 func TestParseScheduleEmpty(t *testing.T) {
-	for _, src := range []string{"", "  \n\t", "# nothing ; here\n# either"} {
+	for _, src := range emptySchedules {
 		s, err := ParseSchedule(src)
 		if err != nil || s != nil {
 			t.Fatalf("ParseSchedule(%q) = %v, %v; want nil, nil", src, s, err)
@@ -76,30 +85,34 @@ func TestParseScheduleEmpty(t *testing.T) {
 	}
 }
 
+// scheduleErrorCases are malformed scripts and the problem each error
+// message must name.
+var scheduleErrorCases = []struct {
+	src  string
+	want string
+}{
+	{"dev1 stall 1s", "first token must be t="},
+	{"t=1s stall", "want 't=<offset>"},
+	{"t=nope dev1 stall 1s", "bad offset"},
+	{"t=1s d1 stall 1s", "second token must be dev<N>"},
+	{"t=1s dev-1 stall 1s", "bad device"},
+	{"t=1s devx stall 1s", "bad device"},
+	{"t=1s dev1 explode 1s", "unknown action"},
+	{"t=1s dev1 stall", "needs a window duration"},
+	{"t=1s dev1 stall 1s p=2", "probability"},
+	{"t=1s dev1 stall 1s p=NaN", "probability"},
+	{"t=1s dev1 stall 1s op=quantum", "unknown op"},
+	{"t=1s dev1 stall 1s foo=bar", "unknown option"},
+	{"t=1s dev1 latency 1s", "needs d=<delay>"},
+	{"t=1s dev1 reset-storm 5s", "n=/gap= options"},
+	{"t=1s dev1 reset-storm n=0", "n>=1"},
+	{"t=5s dev1 stall 1s; t=1s dev0 stall 1s", "time order"},
+}
+
 // TestParseScheduleErrors pins rejection of malformed scripts with a
 // message naming the problem.
 func TestParseScheduleErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{"dev1 stall 1s", "first token must be t="},
-		{"t=1s stall", "want 't=<offset>"},
-		{"t=nope dev1 stall 1s", "bad offset"},
-		{"t=1s d1 stall 1s", "second token must be dev<N>"},
-		{"t=1s dev-1 stall 1s", "bad device"},
-		{"t=1s devx stall 1s", "bad device"},
-		{"t=1s dev1 explode 1s", "unknown action"},
-		{"t=1s dev1 stall", "needs a window duration"},
-		{"t=1s dev1 stall 1s p=2", "probability"},
-		{"t=1s dev1 stall 1s op=quantum", "unknown op"},
-		{"t=1s dev1 stall 1s foo=bar", "unknown option"},
-		{"t=1s dev1 latency 1s", "needs d=<delay>"},
-		{"t=1s dev1 reset-storm 5s", "n=/gap= options"},
-		{"t=1s dev1 reset-storm n=0", "n>=1"},
-		{"t=5s dev1 stall 1s; t=1s dev0 stall 1s", "time order"},
-	}
-	for _, c := range cases {
+	for _, c := range scheduleErrorCases {
 		_, err := ParseSchedule(c.src)
 		if err == nil {
 			t.Fatalf("ParseSchedule(%q) accepted", c.src)
@@ -113,7 +126,7 @@ func TestParseScheduleErrors(t *testing.T) {
 // TestScheduleDuration: the quiet point is the latest window close,
 // counting a storm's full burst as its window.
 func TestScheduleDuration(t *testing.T) {
-	s, err := ParseSchedule("t=1s dev0 stall 10s; t=5s dev1 reset-storm n=4 gap=1s; t=8s dev0 drop 2s")
+	s, err := ParseSchedule(durationSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +139,7 @@ func TestScheduleDuration(t *testing.T) {
 // stall rule is installed for exactly its window, the storm fires its
 // reset burst through the callback, and Apply blocks until both finish.
 func TestScheduleApply(t *testing.T) {
-	s, err := ParseSchedule("t=0s dev0 stall 60ms op=rsa; t=0s dev1 reset-storm n=3 gap=5ms")
+	s, err := ParseSchedule(applySchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +195,7 @@ func TestScheduleApply(t *testing.T) {
 // TestScheduleRunCancel: a cancelled context aborts the replay before
 // far-future events fire.
 func TestScheduleRunCancel(t *testing.T) {
-	s, err := ParseSchedule("t=1h dev0 stall 1s")
+	s, err := ParseSchedule(cancelSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,4 +211,48 @@ func TestScheduleRunCancel(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("Run did not abort promptly")
 	}
+}
+
+// FuzzParseSchedule feeds operator bytes to the chaos grammar: parsing
+// never panics, and a script that parses renders back (String) to a
+// script that parses and renders the same again.
+func FuzzParseSchedule(f *testing.F) {
+	seeds := []string{grammarSchedule, durationSchedule, applySchedule, cancelSchedule,
+		// The chaos soak's schedules and README's -chaos examples.
+		"t=0ms dev1 stall 700ms",
+		"t=0ms dev1 reset-storm n=4 gap=30ms",
+		"t=5s dev1 stall 10s; t=30s dev0 reset-storm n=4 gap=50ms",
+		"t=5s dev1 stall 10s",
+		"t=2s dev1 stall 3s",
+	}
+	seeds = append(seeds, emptySchedules...)
+	for _, c := range scheduleErrorCases {
+		seeds = append(seeds, c.src)
+	}
+	for _, seed := range seeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := ParseSchedule(src)
+		if err != nil {
+			return
+		}
+		if s == nil {
+			return // an empty script
+		}
+		s.Duration()
+		for _, e := range s.Events {
+			if !(e.P >= 0 && e.P <= 1) {
+				t.Fatalf("ParseSchedule(%q) accepted probability %v", src, e.P)
+			}
+		}
+		text := s.String()
+		again, err := ParseSchedule(text)
+		if err != nil {
+			t.Fatalf("ParseSchedule(%q) parsed, its rendering %q does not: %v", src, text, err)
+		}
+		if got := again.String(); got != text {
+			t.Fatalf("ParseSchedule(%q) renders %q, which re-renders as %q", src, text, got)
+		}
+	})
 }

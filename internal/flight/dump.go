@@ -243,8 +243,8 @@ func (d *Dump) Report(w io.Writer, topK int) {
 			at := time.Duration(e.TimeNs - t0).Round(time.Millisecond)
 			switch e.Kind {
 			case "placement":
-				// Code is the lane, DurNs the previous device, Arg the new.
-				fmt.Fprintf(w, "  +%-8v placement  worker=%-3d lane=%-4s dev%d → dev%d\n",
+				// Code is the op class, DurNs the previous device, Arg the new.
+				fmt.Fprintf(w, "  +%-8v placement  worker=%-3d class=%-4s dev%d → dev%d\n",
 					at, e.Worker, e.Code, e.DurNs, e.Arg)
 			case "lifecycle":
 				// Code is the reason, DurNs packs from<<8|to, Arg the device.

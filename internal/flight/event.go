@@ -63,10 +63,11 @@ const (
 	// threshold class (asym/sym), Dur the old threshold and Arg the new
 	// one.
 	KindThreshold
-	// KindPlacement is one placement flip: the engine re-routed an op
-	// class to a different device (breaker open or rings saturated on the
-	// preferred set). Code is the op class's placement lane (asym/sym),
-	// Dur the previous device index and Arg the new one.
+	// KindPlacement is one placement flip: the engine routed an op to a
+	// different device than its predecessor (breaker open, quarantine or
+	// rings saturated on the preferred set), or a worker re-homed. Code is
+	// the op class (asym/sym), Dur the previous device index and Arg the
+	// new one.
 	KindPlacement
 	// KindLifecycle is one device-lifecycle transition (healthy / suspect
 	// / quarantined / probation). Code is the transition reason
@@ -180,8 +181,8 @@ var (
 	fallbackNames = [...]string{"timeout", "cancel", "ring-full", "breaker", "error", "oversize"}
 	// thresholdNames mirror offload.ThresholdAsym/ThresholdSym.
 	thresholdNames = [...]string{"asym", "sym"}
-	// placementNames mirror the engine's placement lanes (PlacementAsym /
-	// PlacementSym codes below).
+	// placementNames name the op classes a placement flip carries
+	// (PlacementAsym / PlacementSym codes below).
 	placementNames = [...]string{"asym", "sym"}
 	// lifecycleReasons mirror qat.LifecycleReason ordinals.
 	lifecycleReasons = [...]string{"breaker-density", "reset-storm", "wedge",
@@ -207,7 +208,7 @@ func LifecycleStates(dur int64) (from, to string) {
 // encoding LifecycleStates reverses.
 func PackLifecycleStates(from, to int64) int64 { return from<<8 | to }
 
-// Placement lanes (KindPlacement codes).
+// Op classes of a placement flip (KindPlacement codes).
 const (
 	PlacementAsym uint8 = iota
 	PlacementSym

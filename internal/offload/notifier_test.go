@@ -45,29 +45,8 @@ func TestBypassNotifier(t *testing.T) {
 	}
 }
 
-func TestCoalescedNotifier(t *testing.T) {
-	n := NewNotifier(NotifierCoalesced)
-	// Only the first event of a batch arms the kernel wakeup.
-	if !n.Wake("a") {
-		t.Fatal("first event must arm a wakeup")
-	}
-	if n.Wake("b") || n.Wake("c") {
-		t.Fatal("subsequent events must coalesce into the armed wakeup")
-	}
-	if n.Pending(DeliverWakeup) != 3 {
-		t.Fatal("coalesced events pend at the wakeup point")
-	}
-	if got := n.Deliver(DeliverWakeup); !reflect.DeepEqual(got, []any{"a", "b", "c"}) {
-		t.Fatalf("coalesced delivery = %v", got)
-	}
-	// Delivery disarms: the next batch's first event wakes again.
-	if !n.Wake("d") {
-		t.Fatal("delivery must disarm the wakeup")
-	}
-}
-
 func TestNotifierDrain(t *testing.T) {
-	for _, s := range []NotifyScheme{NotifierFD, NotifierKernelBypass, NotifierCoalesced} {
+	for _, s := range []NotifyScheme{NotifierFD, NotifierKernelBypass} {
 		n := NewNotifier(s)
 		n.Wake("a")
 		n.Wake("b")
@@ -77,17 +56,13 @@ func TestNotifierDrain(t *testing.T) {
 		if n.Drain() != nil || n.Pending(DeliverWakeup) != 0 || n.Pending(DeliverLoopEnd) != 0 {
 			t.Errorf("%v: queue survived Drain", s)
 		}
-		// Coalesced: Drain must disarm so the next event wakes.
-		if s == NotifierCoalesced && !n.Wake("c") {
-			t.Error("coalesced Drain left the wakeup armed")
-		}
 	}
 }
 
 func TestNewNotifierUnknownScheme(t *testing.T) {
 	n := NewNotifier(NotifyScheme(99))
-	if n.Scheme() != NotifierFD {
-		t.Fatalf("unknown scheme → %v, want fd fallback", n.Scheme())
+	if !n.Wake("a") || n.Pending(DeliverWakeup) != 1 {
+		t.Fatal("unknown scheme must fall back to fd: a wakeup per event, delivered on it")
 	}
 }
 
@@ -96,7 +71,7 @@ func TestNewNotifierUnknownScheme(t *testing.T) {
 // events make the next batch, and once both queue buffers have grown a
 // Wake/Deliver cycle allocates nothing.
 func TestDeliverBatchSurvivesWake(t *testing.T) {
-	for _, s := range []NotifyScheme{NotifierFD, NotifierKernelBypass, NotifierCoalesced} {
+	for _, s := range []NotifyScheme{NotifierFD, NotifierKernelBypass} {
 		n := NewNotifier(s)
 		point := DeliverWakeup
 		if s == NotifierKernelBypass {

@@ -79,8 +79,7 @@ func (p PollScheme) String() string {
 }
 
 // NotifyScheme selects how async events reach the event loop (§3.4).
-// It names a notification strategy; NewNotifier builds the matching
-// Notifier implementation.
+// NewNotifier builds the matching Notifier.
 type NotifyScheme int
 
 const (
@@ -91,12 +90,6 @@ const (
 	// handler onto an application-level async queue drained at the end of
 	// the event loop.
 	NotifierKernelBypass
-	// NotifierCoalesced: eventfd-style batched delivery — events queue in
-	// user space like kernel bypass, but the first event of a batch writes
-	// the wake descriptor once, so epoll-blocked workers still wake while
-	// the per-event kernel cost is amortized across the batch. A third
-	// point on the paper's FD vs kernel-bypass comparison (§3.4).
-	NotifierCoalesced
 )
 
 // String returns the notifier name.
@@ -106,17 +99,15 @@ func (n NotifyScheme) String() string {
 		return "fd"
 	case NotifierKernelBypass:
 		return "kernel-bypass"
-	case NotifierCoalesced:
-		return "coalesced"
 	default:
 		return fmt.Sprintf("NotifyScheme(%d)", int(n))
 	}
 }
 
-// NotifySchemeByName maps a flag value ("fd", "kernel-bypass",
-// "coalesced") back to its scheme.
+// NotifySchemeByName maps a flag value ("fd", "kernel-bypass") back to its
+// scheme.
 func NotifySchemeByName(name string) (NotifyScheme, bool) {
-	return byName(name, NotifierFD, NotifierKernelBypass, NotifierCoalesced)
+	return byName(name, NotifierFD, NotifierKernelBypass)
 }
 
 // byName finds the value among all whose String is name: the inverse the
@@ -140,11 +131,6 @@ type Placement int
 const (
 	// PlacementSingle pins all work to one device (the paper's setup).
 	PlacementSingle Placement = iota
-	// PlacementClassShard shards by op class: asymmetric handshake ops go
-	// to one device set, OpSym record traffic (and the sym-leaning PRF /
-	// cipher handshake ops) to another. A saturated or broken preferred
-	// set fails over to the other, journaled as a placement flip.
-	PlacementClassShard
 	// PlacementConnHash shards whole connections across devices by
 	// connection hash — with SO_REUSEPORT accept sharding, each worker's
 	// engine is pinned to the device its hash selects.
@@ -156,8 +142,6 @@ func (p Placement) String() string {
 	switch p {
 	case PlacementSingle:
 		return "single"
-	case PlacementClassShard:
-		return "class-shard"
 	case PlacementConnHash:
 		return "conn-hash"
 	default:
@@ -165,49 +149,10 @@ func (p Placement) String() string {
 	}
 }
 
-// PlacementByName maps a flag value ("single", "class-shard",
-// "conn-hash") back to its placement mode.
+// PlacementByName maps a flag value ("single", "conn-hash") back to its
+// placement mode.
 func PlacementByName(name string) (Placement, bool) {
-	return byName(name, PlacementSingle, PlacementClassShard, PlacementConnHash)
-}
-
-// AsymDevices returns the preferred device indices for asymmetric ops in
-// a pool of n devices under this placement; SymDevices returns the set
-// for symmetric/PRF/record ops. Under class-shard the pool splits in
-// half, asym taking the first ceil(n/2) devices — the asym ops are the
-// expensive ones, and a resumption-heavy mix drains the sym set instead.
-// Under single (or a one-device pool) both sets are {0}; under conn-hash
-// placement is per-connection, not per-class, so both sets cover the
-// whole pool.
-func (p Placement) AsymDevices(n int) []int {
-	if n <= 1 || p != PlacementClassShard {
-		return allDevices(n, p)
-	}
-	return deviceRange(0, (n+1)/2)
-}
-
-// SymDevices returns the preferred device indices for symmetric-class
-// ops. See AsymDevices.
-func (p Placement) SymDevices(n int) []int {
-	if n <= 1 || p != PlacementClassShard {
-		return allDevices(n, p)
-	}
-	return deviceRange((n+1)/2, n)
-}
-
-func allDevices(n int, p Placement) []int {
-	if n <= 1 || p == PlacementSingle {
-		return []int{0}
-	}
-	return deviceRange(0, n)
-}
-
-func deviceRange(lo, hi int) []int {
-	out := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, i)
-	}
-	return out
+	return byName(name, PlacementSingle, PlacementConnHash)
 }
 
 // PollPolicy is one response-retrieval policy: the scheme plus every

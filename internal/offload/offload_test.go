@@ -212,8 +212,7 @@ func TestStrings(t *testing.T) {
 		PollHeuristic.String() != "heuristic" || PollInterrupt.String() != "interrupt" {
 		t.Fatal("PollScheme strings")
 	}
-	if NotifierFD.String() != "fd" || NotifierKernelBypass.String() != "kernel-bypass" ||
-		NotifierCoalesced.String() != "coalesced" {
+	if NotifierFD.String() != "fd" || NotifierKernelBypass.String() != "kernel-bypass" {
 		t.Fatal("NotifyScheme strings")
 	}
 	// Out-of-range values render the exact Go-style fallback so log lines
@@ -224,24 +223,18 @@ func TestStrings(t *testing.T) {
 	if got := NotifyScheme(99).String(); got != "NotifyScheme(99)" {
 		t.Fatalf("NotifyScheme fallback = %q", got)
 	}
-	// Notifier implementations echo their scheme names: a worker log that
-	// prints the backend must match the flag spelling that selected it.
-	for _, s := range []NotifyScheme{NotifierFD, NotifierKernelBypass, NotifierCoalesced} {
-		n := NewNotifier(s)
-		if n.Scheme() != s || n.String() != s.String() {
-			t.Errorf("NewNotifier(%v): scheme %v string %q", s, n.Scheme(), n.String())
-		}
-	}
 }
 
 func TestNotifySchemeByName(t *testing.T) {
-	for _, s := range []NotifyScheme{NotifierFD, NotifierKernelBypass, NotifierCoalesced} {
+	for _, s := range []NotifyScheme{NotifierFD, NotifierKernelBypass} {
 		got, ok := NotifySchemeByName(s.String())
 		if !ok || got != s {
 			t.Errorf("NotifySchemeByName(%q) = %v, %v", s.String(), got, ok)
 		}
 	}
-	if _, ok := NotifySchemeByName("smoke-signal"); ok {
-		t.Fatal("NotifySchemeByName accepted an unknown name")
+	for _, name := range []string{"smoke-signal", "coalesced"} {
+		if _, ok := NotifySchemeByName(name); ok {
+			t.Errorf("NotifySchemeByName accepted %q", name)
+		}
 	}
 }

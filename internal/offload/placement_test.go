@@ -1,9 +1,6 @@
 package offload
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestPlacementZeroValue pins the parity guarantee: the zero Placement is
 // single-device, so every pre-placement Policy literal keeps its exact
@@ -21,38 +18,15 @@ func TestPlacementZeroValue(t *testing.T) {
 }
 
 func TestPlacementByName(t *testing.T) {
-	for _, p := range []Placement{PlacementSingle, PlacementClassShard, PlacementConnHash} {
+	for _, p := range []Placement{PlacementSingle, PlacementConnHash} {
 		got, ok := PlacementByName(p.String())
 		if !ok || got != p {
 			t.Fatalf("PlacementByName(%q) = %v, %v", p.String(), got, ok)
 		}
 	}
-	if _, ok := PlacementByName("bogus"); ok {
-		t.Fatal("PlacementByName accepted bogus")
-	}
-}
-
-// TestPlacementDeviceSets checks the class-shard split and its
-// degenerate cases.
-func TestPlacementDeviceSets(t *testing.T) {
-	cases := []struct {
-		p         Placement
-		n         int
-		asym, sym []int
-	}{
-		{PlacementSingle, 4, []int{0}, []int{0}},
-		{PlacementClassShard, 1, []int{0}, []int{0}},
-		{PlacementClassShard, 2, []int{0}, []int{1}},
-		{PlacementClassShard, 3, []int{0, 1}, []int{2}},
-		{PlacementClassShard, 4, []int{0, 1}, []int{2, 3}},
-		{PlacementConnHash, 2, []int{0, 1}, []int{0, 1}},
-	}
-	for _, c := range cases {
-		if got := c.p.AsymDevices(c.n); !reflect.DeepEqual(got, c.asym) {
-			t.Errorf("%v.AsymDevices(%d) = %v, want %v", c.p, c.n, got, c.asym)
-		}
-		if got := c.p.SymDevices(c.n); !reflect.DeepEqual(got, c.sym) {
-			t.Errorf("%v.SymDevices(%d) = %v, want %v", c.p, c.n, got, c.sym)
+	for _, name := range []string{"bogus", "class-shard"} {
+		if _, ok := PlacementByName(name); ok {
+			t.Errorf("PlacementByName accepted %q", name)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // The DES is deterministic for a given seed, so this table is
 // byte-stable: TestAllGeneratorsSmoke regenerates it and compares the
 // CSV rendering against testdata/notify-parity.golden, which was
-// captured before the Notifier enum became the Notifier interface. Any
+// captured before the notification enum became a Notifier type. Any
 // behavioral drift in the static schemes — a reordered delivery, an
 // extra poll, a cost charged twice — shows up as a byte diff here.
 //

@@ -64,8 +64,8 @@ type Config struct {
 	Adaptive *offload.AdaptiveConfig
 	// Devices is the number of modeled QAT cards (default 1 — the
 	// paper's single-card testbed). With more than one, Policy.Placement
-	// selects how op classes and workers spread across them — the
-	// discrete-event counterpart of the live stack's qat.Pool sharding.
+	// selects how workers spread across them — the discrete-event
+	// counterpart of the live stack's qat.Pool sharding.
 	Devices int
 	// DegradeAt, when positive with Devices > 1 and an active Placement,
 	// stalls every engine pool of DegradeDevice that far into the run
@@ -249,9 +249,9 @@ type Model struct {
 	workers []*worker
 	dev     *device   // devs[0]: the legacy single-device view
 	devs    []*device // all modeled cards, indexed by device
-	// placementOn marks a multi-device placement: workers carry per-lane
-	// endpoints and re-route around stalled devices. Off (the zero
-	// Placement or one device), every path is byte-identical to the
+	// placementOn marks a multi-device placement: workers home on a
+	// hash-picked device and re-route around stalled devices. Off (the
+	// zero Placement or one device), every path is byte-identical to the
 	// single-device model.
 	placementOn bool
 	link        *link
@@ -293,7 +293,7 @@ func NewModel(p Params, cfg Config, seed int64) *Model {
 			m.devs = append(m.devs, newDevice(m.sim, p.Endpoints, p.AsymEnginesPerEndpoint, p.SymEnginesPerEndpoint))
 		}
 		m.dev = m.devs[0]
-		m.placementOn = ndev > 1 && cfg.Placement != offload.PlacementSingle
+		m.placementOn = ndev > 1 && cfg.Placement == offload.PlacementConnHash
 		if sc := cfg.Fault; sc != nil {
 			if sc.OpTimeout <= 0 {
 				sc.OpTimeout = 5 * time.Millisecond
@@ -329,22 +329,9 @@ func NewModel(p Params, cfg Config, seed int64) *Model {
 			w.endpoint = m.dev.endpoints[i%len(m.dev.endpoints)]
 		}
 		if m.placementOn {
-			// Per-lane home endpoints: class sharding routes each op
-			// class to its device set; conn-hash homes the whole worker
-			// (both lanes) on one hash-picked device.
-			if cfg.Placement == offload.PlacementConnHash {
-				home := m.devs[i%len(m.devs)]
-				w.endpoint = home.endpoints[i%len(home.endpoints)]
-				w.asymEP, w.symEP = w.endpoint, w.endpoint
-			} else {
-				asymDevs := cfg.Placement.AsymDevices(len(m.devs))
-				symDevs := cfg.Placement.SymDevices(len(m.devs))
-				ad := m.devs[asymDevs[i%len(asymDevs)]]
-				sd := m.devs[symDevs[i%len(symDevs)]]
-				w.asymEP = ad.endpoints[i%len(ad.endpoints)]
-				w.symEP = sd.endpoints[i%len(sd.endpoints)]
-				w.endpoint = w.asymEP
-			}
+			// Conn-hash homes the whole worker on one hash-picked device.
+			home := m.devs[i%len(m.devs)]
+			w.endpoint = home.endpoints[i%len(home.endpoints)]
 		}
 		if cfg.UseQAT && cfg.Async {
 			w.notif = offload.NewNotifier(cfg.Notify)

@@ -15,15 +15,11 @@ import (
 // QAT crypto instance, and the CPU accounting from which utilization and
 // throughput emerge.
 type worker struct {
-	m        *Model
-	id       int
+	m  *Model
+	id int
+	// endpoint is the worker's home endpoint: on device 0, or under a
+	// multi-device placement on the worker's hash-picked device.
 	endpoint *endpoint
-
-	// Per-lane home endpoints under a multi-device placement (nil
-	// otherwise): asymmetric ops submit to asymEP, sym/PRF ops to symEP.
-	// Conn-hash placements set both to the worker's hash-picked device.
-	asymEP *endpoint
-	symEP  *endpoint
 
 	queue sim.FIFO[*conn]
 	busy  bool
@@ -45,8 +41,8 @@ type worker struct {
 	// live stack's Worker.poll.
 	policy offload.PollPolicy
 	// notif queues completed async events and schedules their delivery
-	// (the §3.4 seam as an interface; nil for non-async configurations).
-	notif offload.Notifier
+	// (the §3.4 seam; nil for non-async configurations).
+	notif *offload.Notifier
 	// adaptive is the closed-loop threshold controller (nil = static
 	// thresholds), fed by the shared retrieve window and batchWin.
 	adaptive *offload.AdaptivePoll
@@ -126,22 +122,16 @@ func (w *worker) stalledOffload(op opClass) bool {
 	return w.m.cfg.Fault != nil && w.endpoint != nil && op.asym() && w.endpoint.asym.stalled
 }
 
-// routeEndpoint picks the endpoint an offload of op submits to. Without
-// a multi-device placement it is always the worker's pinned endpoint —
-// the exact legacy path, including the Fault scenario's stalled-pool
+// routeEndpoint picks the endpoint an offload of op submits to: the
+// worker's home endpoint. Without a multi-device placement that is the
+// exact legacy path, including the Fault scenario's stalled-pool
 // semantics (ops vanish and the deadline rescues them). Under an active
-// placement the op goes to its lane's home endpoint, spilling pool-wide
-// to the first healthy device when the home pool is stalled — the
-// re-routing that absorbs a mid-run device degradation.
+// placement the op spills pool-wide to the first healthy device when the
+// home pool is stalled — the re-routing that absorbs a mid-run device
+// degradation.
 func (w *worker) routeEndpoint(op opClass) *endpoint {
-	if !w.m.placementOn {
-		return w.endpoint
-	}
-	ep := w.symEP
-	if op.asym() {
-		ep = w.asymEP
-	}
-	if !ep.pool(op).stalled {
+	ep := w.endpoint
+	if !w.m.placementOn || !ep.pool(op).stalled {
 		return ep
 	}
 	for _, d := range w.m.devs {
@@ -412,9 +402,8 @@ func (w *worker) asyncOffload(c *conn, st step) {
 }
 
 // notifyCost is the per-event notification cost of the configured
-// scheme: an FD event pays the write(2) + epoll processing, the
-// kernel-bypass and coalesced schemes pay a user-space queue insertion
-// (coalesced pays its single descriptor write per batch separately).
+// scheme: an FD event pays the write(2) + epoll processing, kernel bypass
+// a user-space queue insertion.
 func (w *worker) notifyCost() time.Duration {
 	if w.m.cfg.Notify == offload.NotifierFD {
 		return w.m.p.NotifyFDCost
@@ -424,10 +413,9 @@ func (w *worker) notifyCost() time.Duration {
 
 // retrieveOne pops one response off the ring, settles the in-flight
 // counters, feeds the feedback windows, and hands the event to the
-// notifier. It returns the handle and whether the notifier demanded a
-// kernel wakeup for it.
-func (w *worker) retrieveOne(now sim.Time) (c *conn, wake bool) {
-	c, _ = w.responses.Pop()
+// notifier. notifyCost charges the wakeup the notifier asks for.
+func (w *worker) retrieveOne(now sim.Time) {
+	c, _ := w.responses.Pop()
 	w.inflight--
 	if c.idx > 0 {
 		if st := c.script[c.idx-1]; st.kind == stepCrypto && st.op.asym() {
@@ -441,7 +429,7 @@ func (w *worker) retrieveOne(now sim.Time) (c *conn, wake bool) {
 	if w.m.measuring {
 		w.m.stats.Notifications++
 	}
-	return c, w.notif.Wake(c)
+	w.notif.Wake(c)
 }
 
 // collect drains the response ring through the notifier and returns the
@@ -452,17 +440,9 @@ func (w *worker) retrieveOne(now sim.Time) (c *conn, wake bool) {
 // reuses a batch's storage at its next delivery.
 func (w *worker) collect(n int, now sim.Time) (cost time.Duration, wakeBatch, loopBatch []any) {
 	p := &w.m.p
-	wakes := 0
 	for i := 0; i < n; i++ {
 		cost += p.PerResponseCost + w.notifyCost()
-		if _, wake := w.retrieveOne(now); wake {
-			wakes++
-		}
-	}
-	if w.m.cfg.Notify == offload.NotifierCoalesced {
-		// The batch's armed wakeups (one per coalesced delivery) each pay
-		// one descriptor write — the eventfd amortization.
-		cost += time.Duration(wakes) * p.NotifyFDCost
+		w.retrieveOne(now)
 	}
 	if n > 0 {
 		if w.batchWin != nil {

@@ -38,8 +38,8 @@ const (
 	// DevSuspect: failures were observed recently but below the
 	// quarantine threshold; routing is unchanged, the window is watched.
 	DevSuspect
-	// DevQuarantined: the device takes no work. Pick and RouteConn route
-	// around it; its in-flight ops were drained through the fallback path.
+	// DevQuarantined: the device takes no work. RouteConn routes around
+	// it; its in-flight ops were drained through the fallback path.
 	DevQuarantined
 	// DevProbation: a trickle of real ops is admitted to probe recovery.
 	DevProbation
@@ -216,8 +216,8 @@ type Lifecycle struct {
 }
 
 // NewLifecycle builds a lifecycle manager for the pool's devices (all
-// initially healthy) and registers it with the pool, so Pick and
-// RouteConn route around quarantined devices from now on.
+// initially healthy) and registers it with the pool, so RouteConn routes
+// around quarantined devices from now on.
 func NewLifecycle(pool *Pool, cfg LifecycleConfig) *Lifecycle {
 	lc := &Lifecycle{
 		pool:   pool,
@@ -270,8 +270,8 @@ func (lc *Lifecycle) States() []DeviceState {
 // iteration — one atomic load — and re-derive placement when it moved.
 func (lc *Lifecycle) Epoch() int64 { return lc.epoch.Load() }
 
-// Routable reports whether routing decisions (Pick, RouteConn, lane
-// preference) may target the device: everything but quarantine. Lock-free.
+// Routable reports whether routing decisions (RouteConn) may target the
+// device: everything but quarantine. Lock-free.
 func (lc *Lifecycle) Routable(dev int) bool {
 	return lc.State(dev) != DevQuarantined
 }

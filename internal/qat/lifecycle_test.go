@@ -391,18 +391,15 @@ func TestLifecycleStartStop(t *testing.T) {
 }
 
 // TestPoolRoutingAllQuarantined pins the no-device path the whole stack
-// sheds on: with every device quarantined, Pick and RouteConn return -1
-// (the ErrNoDevice sentinel) instead of hanging work on a corpse — and
-// routing resumes, back at the original home, once a device recovers.
+// sheds on: with every device quarantined, RouteConn returns -1 instead of
+// hanging work on a corpse — and routing resumes, back at the original
+// home, once a device recovers.
 func TestPoolRoutingAllQuarantined(t *testing.T) {
 	p, lc, _, cleanup := lcFixture(t, 3, LifecycleConfig{})
 	defer cleanup()
 
-	// Quarantine device 1 only: Pick skips it, RouteConn walks forward.
+	// Quarantine device 1 only: RouteConn walks forward.
 	lc.Quarantine(1, ReasonManual)
-	if got := p.Pick([]int{1}); got == 1 || got < 0 {
-		t.Fatalf("Pick({1}) with dev1 quarantined = %d, want failover to a healthy device", got)
-	}
 	// hash 4 % 3 == 1: home is quarantined, the walk lands on 2 — and the
 	// same hash returns home once device 1 recovers (re-home-back).
 	if got := p.RouteConn(4); got != 2 {
@@ -414,17 +411,8 @@ func TestPoolRoutingAllQuarantined(t *testing.T) {
 
 	lc.Quarantine(0, ReasonManual)
 	lc.Quarantine(2, ReasonManual)
-	if got := p.Pick(nil); got != -1 {
-		t.Fatalf("Pick(nil) all-quarantined = %d, want -1", got)
-	}
-	if got := p.Pick([]int{0, 1, 2}); got != -1 {
-		t.Fatalf("Pick(preferred) all-quarantined = %d, want -1", got)
-	}
 	if got := p.RouteConn(4); got != -1 {
 		t.Fatalf("RouteConn all-quarantined = %d, want -1", got)
-	}
-	if ErrNoDevice == nil || ErrNoDevice.Error() == "" {
-		t.Fatal("ErrNoDevice sentinel missing")
 	}
 	health := p.Health()
 	for i, h := range health {
@@ -440,8 +428,5 @@ func TestPoolRoutingAllQuarantined(t *testing.T) {
 	lc.fire(trs)
 	if got := p.RouteConn(4); got != 1 {
 		t.Fatalf("RouteConn(4) after recovery = %d, want home device 1", got)
-	}
-	if got := p.Pick(nil); got != 1 {
-		t.Fatalf("Pick(nil) after recovery = %d, want 1", got)
 	}
 }

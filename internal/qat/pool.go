@@ -1,33 +1,24 @@
 package qat
 
 import (
-	"errors"
-	"math"
 	"sync"
 	"sync/atomic"
 )
 
-// ErrNoDevice is returned (as a sentinel for Pick/RouteConn's -1) when
-// every pool device is quarantined: there is nowhere to route offload
-// work, and callers must shed or take the software path instead of
-// queueing against a corpse.
-var ErrNoDevice = errors.New("qat: no routable device (all quarantined)")
-
 // Pool owns N identically-specified Devices and hands out crypto
 // instances with per-device health and pressure views. It is the
-// placement layer's view of the hardware: internal/offload decides which
-// device set an op class should land on, the engine routes individual
-// ops, and the Pool answers "how loaded is device k right now" and "which
-// device should take this next allocation".
+// placement layer's view of the hardware: RouteConn names a connection's
+// home device, the engine routes individual ops, and the Pool answers
+// "how loaded is device k right now".
 //
 // Instances must be allocated through the Pool (AllocInstance) for the
 // pressure views to see them; instances allocated directly on a Device
-// are invisible to Health/Pressure.
+// are invisible to Health/TotalPressure.
 type Pool struct {
 	devs []*Device
 
-	// lifecycle, when set, filters quarantined devices out of Pick and
-	// RouteConn. Atomic so the hot paths read it without the pool lock.
+	// lifecycle, when set, filters quarantined devices out of RouteConn.
+	// Atomic so the hot paths read it without the pool lock.
 	lifecycle atomic.Pointer[Lifecycle]
 
 	mu    sync.Mutex
@@ -91,12 +82,6 @@ func (p *Pool) setLifecycle(lc *Lifecycle) { p.lifecycle.Store(lc) }
 // Lifecycle returns the pool's lifecycle manager, or nil when none is
 // attached (all devices then count as routable).
 func (p *Pool) Lifecycle() *Lifecycle { return p.lifecycle.Load() }
-
-// routable reports whether lifecycle state permits routing to device i.
-func (p *Pool) routable(i int) bool {
-	lc := p.lifecycle.Load()
-	return lc == nil || lc.Routable(i)
-}
 
 // reclaimDevice reclaims leaked ring slots on every pool-allocated
 // instance of device dev — part of the quarantine drain, after Reset has
@@ -185,26 +170,6 @@ func (p *Pool) Health() []DeviceHealth {
 	return out
 }
 
-// Pressure returns device dev's inflight/capacity ratio (0 when the pool
-// has allocated no capacity on it).
-func (p *Pool) Pressure(dev int) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pressureLocked(dev)
-}
-
-func (p *Pool) pressureLocked(dev int) float64 {
-	var inflight, capa int
-	for _, inst := range p.insts[dev] {
-		inflight += inst.Inflight()
-		capa += inst.Cap()
-	}
-	if capa == 0 {
-		return 0
-	}
-	return float64(inflight) / float64(capa)
-}
-
 // TotalPressure returns pool-wide inflight and ring capacity across every
 // pool-allocated instance — the denominator admission control should use
 // when work is sharded across devices instead of pinned to one.
@@ -220,52 +185,12 @@ func (p *Pool) TotalPressure() (inflight, capacity int) {
 	return inflight, capacity
 }
 
-// Pick routes one unit of work: it returns the least-pressure routable
-// device among preferred, failing over to the least-pressure routable
-// device pool-wide when every preferred device is saturated (pressure
-// >= 1). An empty preferred set scans the whole pool. Quarantined
-// devices are never picked; when every device is quarantined Pick
-// returns -1 (see ErrNoDevice) and the caller must shed or fall back to
-// software. This is the hot-path primitive the class-shard placement
-// builds on, so it must stay cheap (BenchmarkPoolRoute guards it).
-func (p *Pool) Pick(preferred []int) int {
-	lc := p.lifecycle.Load()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	best, bestP := -1, math.Inf(1)
-	for _, i := range preferred {
-		if i < 0 || i >= len(p.devs) {
-			continue
-		}
-		if lc != nil && !lc.Routable(i) {
-			continue
-		}
-		if pr := p.pressureLocked(i); pr < bestP {
-			best, bestP = i, pr
-		}
-	}
-	if best >= 0 && bestP < 1 {
-		return best
-	}
-	for i := range p.devs {
-		if lc != nil && !lc.Routable(i) {
-			continue
-		}
-		if pr := p.pressureLocked(i); pr < bestP {
-			best, bestP = i, pr
-		}
-	}
-	if best < 0 && lc == nil {
-		best = 0
-	}
-	return best
-}
-
 // RouteConn maps a connection hash to a device index (the conn-hash
 // placement mode). When the hashed device is quarantined the hash walks
 // forward to the next routable device, so a connection's home moves
 // deterministically under quarantine and moves back once the device
-// recovers. Returns -1 when every device is quarantined (see ErrNoDevice).
+// recovers. Returns -1 when every device is quarantined: there is nowhere
+// to route offload work, and callers must shed or take the software path.
 func (p *Pool) RouteConn(hash uint64) int {
 	n := uint64(len(p.devs))
 	home := int(hash % n)

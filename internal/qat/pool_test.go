@@ -62,7 +62,7 @@ func TestAllocInstanceExhaustion(t *testing.T) {
 }
 
 // TestPoolHealthPressure checks the per-device and pool-wide pressure
-// views that admission control and the class-shard router consume.
+// views that admission control and qatinfo consume.
 func TestPoolHealthPressure(t *testing.T) {
 	spec := DeviceSpec{Endpoints: 1, EnginesPerEndpoint: 1, RingCapacity: 8}
 	p := NewPool(2, spec)
@@ -99,65 +99,4 @@ func TestPoolHealthPressure(t *testing.T) {
 		t.Fatalf("total pressure = %d/%d, want 4/16", inflight, capacity)
 	}
 	close(block)
-}
-
-// TestPoolPick checks routing: least-pressure preferred device wins, and
-// a fully saturated preferred set fails over pool-wide.
-func TestPoolPick(t *testing.T) {
-	spec := DeviceSpec{Endpoints: 1, EnginesPerEndpoint: 1, RingCapacity: 4}
-	p := NewPool(3, spec)
-	defer p.Close()
-	insts := make([]*Instance, 3)
-	for i := range insts {
-		var err error
-		if insts[i], err = p.AllocInstance(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	block := make(chan struct{})
-	defer close(block)
-	fill := func(dev, n int) {
-		for k := 0; k < n; k++ {
-			if err := insts[dev].Submit(Request{Op: OpRSA, Work: func() (any, error) { <-block; return nil, nil }}); err != nil {
-				t.Fatalf("fill dev %d: %v", dev, err)
-			}
-		}
-	}
-	fill(0, 2)
-	if got := p.Pick([]int{0, 1}); got != 1 {
-		t.Fatalf("Pick({0,1}) with dev0 loaded = %d, want 1", got)
-	}
-	// Saturate the whole preferred set: Pick must fail over to device 2.
-	fill(0, 2)
-	fill(1, 4)
-	if got := p.Pick([]int{0, 1}); got != 2 {
-		t.Fatalf("Pick({0,1}) saturated = %d, want failover to 2", got)
-	}
-	// Empty preferred set scans everything.
-	if got := p.Pick(nil); got != 2 {
-		t.Fatalf("Pick(nil) = %d, want 2", got)
-	}
-}
-
-// BenchmarkPoolRoute measures the class-shard hot-path routing primitive:
-// one Pick per submitted op against a pool with allocated capacity.
-func BenchmarkPoolRoute(b *testing.B) {
-	spec := DeviceSpec{Endpoints: 1, EnginesPerEndpoint: 1, RingCapacity: 64}
-	p := NewPool(4, spec)
-	defer p.Close()
-	for dev := 0; dev < p.Size(); dev++ {
-		for k := 0; k < 2; k++ {
-			if _, err := p.AllocInstance(dev); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	preferred := []int{0, 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d := p.Pick(preferred); d < 0 || d >= 4 {
-			b.Fatalf("Pick returned %d", d)
-		}
-	}
 }

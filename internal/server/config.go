@@ -37,8 +37,9 @@ import (
 type RunConfig struct {
 	// Policy is the offload configuration proper. Its fields are promoted
 	// (run.UseQAT, run.Poll.AsymThreshold, ...); unset poll and record
-	// parameters resolve to the offload defaults. Placement selects how
-	// workers spread work across the devices of Options.Pool.
+	// parameters resolve to the offload defaults. Placement selects
+	// whether every worker uses device 0 of Options.Pool (single) or each
+	// homes on the device its hash selects (conn-hash).
 	offload.Policy
 
 	// AsyncMode selects which crypto-pause implementation an async policy

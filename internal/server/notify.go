@@ -9,10 +9,10 @@ import (
 	"qtls/internal/trace"
 )
 
-// Async event notification (§3.4) behind the offload.Notifier seam: the
-// notifier owns the queue of completed-but-undelivered events and the
-// per-scheme delivery rules (kernel wakeup or not, hand-back on the
-// epoll wakeup or at the end-of-loop drain). Everything here runs on
+// Async event notification (§3.4) through an offload.Notifier: it owns
+// the queue of completed-but-undelivered events and the scheme's delivery
+// rule (a kernel wakeup and hand-back on the epoll wakeup, or neither and
+// hand-back at the end-of-loop drain). Everything here runs on
 // the worker goroutine — the engine's response callbacks fire inside
 // engine.Poll, which the worker drives.
 
@@ -27,7 +27,7 @@ func (w *Worker) asyncEventCallback(arg any) {
 		// The scheme demands a kernel wakeup for this event: a real write
 		// syscall on the notification pipe; epoll reports it on a later
 		// iteration, costing user/kernel switches. Kernel bypass never
-		// lands here; coalesced lands here once per completion batch.
+		// lands here.
 		w.notifyPipe.Notify()
 	}
 }
@@ -73,14 +73,10 @@ func (w *Worker) resumeAsync(c *conn) {
 
 // notifyTag says which notification scheme delivered the async event.
 func (w *Worker) notifyTag() trace.Tag {
-	switch w.cfg.Notify {
-	case offload.NotifierKernelBypass:
+	if w.cfg.Notify == offload.NotifierKernelBypass {
 		return trace.TagKernelBypass
-	case offload.NotifierCoalesced:
-		return trace.TagCoalesce
-	default:
-		return trace.TagFD
 	}
+	return trace.TagFD
 }
 
 // pendingNotifications counts queued async events across both delivery
@@ -107,8 +103,7 @@ func (w *Worker) processAsyncQueue() {
 
 func (w *Worker) processFDQueue() {
 	// The wakeup delivery point: events whose completion wrote the
-	// notification pipe (every event under fd, one per batch under
-	// coalesced).
+	// notification pipe (every event under fd).
 	for _, h := range w.notif.Deliver(offload.DeliverWakeup) {
 		w.resumeAsync(h.(*conn))
 	}

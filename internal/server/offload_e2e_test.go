@@ -13,39 +13,6 @@ import (
 	"qtls/internal/qat"
 )
 
-// The coalesced notifier serves identically to fd and kernel-bypass:
-// every async event is delivered exactly once, handshakes complete, and
-// the heuristic polls still fire. This is the new scheme's end-to-end
-// guarantee — the Notifier seam changed delivery batching, not delivery.
-func TestCoalescedNotifierServes(t *testing.T) {
-	run := ConfigQATAH
-	run.Name = "QAT+AH/coalesced"
-	run.Notify = offload.NotifierCoalesced
-	srv, _ := startServer(t, run, 1, nil)
-	res := loadgen.STime(loadgen.STimeOptions{
-		Addr:           srv.Addr(),
-		Clients:        8,
-		Duration:       400 * time.Millisecond,
-		RequestPath:    "/2048",
-		MaxConnections: 48,
-	})
-	if res.Connections == 0 {
-		t.Fatalf("no connections completed: %s", res)
-	}
-	st := srv.Stats()
-	if st.Handshakes == 0 || st.Requests == 0 {
-		t.Fatalf("server stats empty: %+v", st)
-	}
-	// ECDHE-RSA: 7 async events per full handshake, regardless of how
-	// many pipe writes carried them.
-	if st.AsyncEvents < st.Handshakes*7 {
-		t.Fatalf("async events %d < 7×handshakes %d", st.AsyncEvents, st.Handshakes)
-	}
-	if st.HeuristicPolls == 0 {
-		t.Fatalf("no heuristic polls under the coalesced notifier: %+v", st)
-	}
-}
-
 // The adaptive controller end to end: a QTLS server with the controller
 // armed serves load, the walked thresholds stay inside the configured
 // clamps, and the labeled threshold gauges track the controller.

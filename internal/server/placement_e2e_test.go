@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"qtls/internal/flight"
 	"qtls/internal/loadgen"
 	"qtls/internal/minitls"
 	"qtls/internal/offload"
@@ -39,12 +38,12 @@ func startShardedServer(t *testing.T, placement offload.Placement, devices, work
 }
 
 // TestShardedResumptionE2E drives a resumption-heavy mix against a
-// class-sharded two-device pool: tickets issued by one worker resume on
-// whichever worker SO_REUSEPORT hashes the reconnect to (the ring New
-// provisions is shared), asymmetric handshake ops land on the asym
-// device and PRF/cipher traffic on the sym device.
+// two-device pool sharded by connection hash: tickets issued by one
+// worker resume on whichever worker SO_REUSEPORT hashes the reconnect to,
+// because New provisions a shared ticket ring for any multi-device
+// placement, even though each worker offloads to a different device.
 func TestShardedResumptionE2E(t *testing.T) {
-	srv, pool := startShardedServer(t, offload.PlacementClassShard, 2, 2)
+	srv, _ := startShardedServer(t, offload.PlacementConnHash, 2, 2)
 	if srv.TicketKeys() == nil {
 		t.Fatal("sharded placement did not provision a shared ticket ring")
 	}
@@ -65,33 +64,16 @@ func TestShardedResumptionE2E(t *testing.T) {
 	if res.Resumed == 0 || res.FullHandshakes() == 0 {
 		t.Fatalf("0.8 mix must produce both kinds: %s", res)
 	}
-	st := srv.Stats()
-	if st.Resumed == 0 {
+	if st := srv.Stats(); st.Resumed == 0 {
 		t.Fatalf("server saw no resumptions: %+v", st)
 	}
-
-	// Both devices carry pool-allocated instances (asym shard + sym shard
-	// in every worker's engine), and the class lanes routed to their
-	// preferred shards: asym ops to device 0, sym/PRF ops to device 1.
-	health := pool.Health()
-	if len(health) != 2 || health[0].Instances == 0 || health[1].Instances == 0 {
-		t.Fatalf("instances not spread across devices: %+v", health)
-	}
+	// Each worker homes on its own device.
+	homes := map[int]bool{}
 	for _, w := range srv.Workers() {
-		eng := w.Engine()
-		if eng.Placement() != offload.PlacementClassShard {
-			t.Fatalf("%s: engine placement %v", w, eng.Placement())
-		}
-		// The mix has only a handful of full handshakes (each client's
-		// first connection), and SO_REUSEPORT may hash all of them onto
-		// one worker: a worker that served none has routed no asym op yet.
-		full := w.Stats.Handshakes.Load() - w.Stats.Resumed.Load()
-		if got := eng.LaneDevice(flight.PlacementAsym); got != 0 && (full > 0 || got != -1) {
-			t.Errorf("%s: asym lane on device %d after %d full handshakes, want 0", w, got, full)
-		}
-		if got := eng.LaneDevice(flight.PlacementSym); got != 1 {
-			t.Errorf("%s: sym lane on device %d, want 1", w, got)
-		}
+		homes[w.HomeDevice()] = true
+	}
+	if len(homes) != 2 {
+		t.Fatalf("workers share a home device: %v", homes)
 	}
 }
 
@@ -127,9 +109,8 @@ func TestConnHashPlacementE2E(t *testing.T) {
 }
 
 // TestSinglePlacementLegacyPath pins the parity guarantee: a pool passed
-// with the zero Placement behaves exactly like the legacy bare Device —
-// everything allocates on device 0 and the engine runs without a
-// placement layer.
+// with the zero Placement behaves exactly like the legacy bare Device:
+// everything allocates on device 0.
 func TestSinglePlacementLegacyPath(t *testing.T) {
 	srv, pool := startShardedServer(t, offload.PlacementSingle, 2, 2)
 	res := loadgen.STime(loadgen.STimeOptions{
@@ -150,10 +131,5 @@ func TestSinglePlacementLegacyPath(t *testing.T) {
 	}
 	if health[1].Instances != 0 {
 		t.Fatalf("single placement leaked instances onto device 1: %+v", health)
-	}
-	for _, w := range srv.Workers() {
-		if w.Engine().Placement() != offload.PlacementSingle {
-			t.Fatalf("%s: engine placement %v", w, w.Engine().Placement())
-		}
 	}
 }

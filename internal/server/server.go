@@ -44,8 +44,8 @@ type Options struct {
 	TLS *minitls.Config
 	// Pool supplies the QAT devices shared by all workers (required for
 	// QAT configurations; qat.PoolOf wraps a single device). How workers
-	// spread instances and op classes across the pool is selected by
-	// Run.Placement; with PlacementSingle every worker allocates its
+	// spread instances across the pool is selected by Run.Placement;
+	// with PlacementSingle every worker allocates its
 	// crypto instance on Pool.Device(0), distributed across that device's
 	// endpoints.
 	Pool *qat.Pool
@@ -161,7 +161,7 @@ func New(opts Options) (*Server, error) {
 		})
 		s.lifecycle = lc
 	}
-	// Sharded placements spread connections across workers and devices;
+	// Conn-hash placement spreads connections across workers and devices;
 	// resumption must survive whichever worker a reconnect hashes to, so
 	// provision a shared rotating ticket-key ring when the caller has not
 	// configured any session-ticket key of their own.

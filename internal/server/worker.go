@@ -106,10 +106,10 @@ type Worker struct {
 	stopPipe   *netpoll.NotifyPipe // cross-goroutine stop/wake
 
 	conns map[int]*conn
-	// notif owns the completed-but-undelivered async events and the
-	// delivery strategy — the §3.4 queues (kernel-bypass async queue, FD
-	// queue) behind the shared offload.Notifier seam.
-	notif        offload.Notifier
+	// notif owns the completed-but-undelivered async events and their
+	// delivery — the §3.4 queues (kernel-bypass async queue, FD queue),
+	// shared with the DES through offload.Notifier.
+	notif        *offload.Notifier
 	retryQueue   []*conn // conns awaiting a submission retry
 	recWaiting   []*conn // conns whose record-path response is in flight
 	activeConns  int     // TCactive = alive - idle (§4.3)
@@ -274,16 +274,17 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 		w.cleanup()
 		return nil, err
 	}
-	// poolWide: placement is spreading work across several devices, so
-	// admission control must read pool-wide pressure, not one engine's.
-	multi := pool != nil && pool.Size() > 1 && cfg.Placement != offload.PlacementSingle
+	// poolWide: conn-hash placement is spreading work across several
+	// devices, so admission control must read pool-wide pressure, not one
+	// engine's.
+	multi := pool != nil && pool.Size() > 1 && cfg.Placement == offload.PlacementConnHash
 	w.pool = pool
 	w.poolWide = multi
 	// homeDev is where single-placement and conn-hash workers allocate
 	// everything: device 0 exactly as before placement existed, or the
 	// worker-hash device of the conn-hash mode.
 	homeDev := 0
-	if multi && cfg.Placement == offload.PlacementConnHash {
+	if multi {
 		homeDev = id % pool.Size()
 	}
 	w.homeDev.Store(int32(homeDev))
@@ -300,10 +301,9 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 		}
 		// Placement happens inside the engine: the worker owns one instance
 		// on every device the placement names — device 0 alone under single
-		// placement, the whole pool otherwise. Class-shard routes each op
-		// class to its lane's device set; conn-hash prefers the worker's
-		// home device on both lanes and treats the other devices as spill
-		// (and as re-home targets when the lifecycle quarantines the home).
+		// placement, the whole pool under conn-hash, which prefers the
+		// worker's home device and treats the other devices as spill (and
+		// as re-home targets when the lifecycle quarantines the home).
 		nDevs := 1
 		if multi {
 			nDevs = pool.Size()
@@ -346,12 +346,7 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 		// compete for ring slots with latency-critical asymmetric ops.
 		// Without a device the engine still runs, all-software.
 		if cfg.UseQAT && pool != nil {
-			recDev := homeDev
-			if multi && cfg.Placement == offload.PlacementClassShard {
-				// Record traffic is symmetric: keep it on the sym shard.
-				recDev = cfg.Placement.SymDevices(pool.Size())[0]
-			}
-			if w.recInst, err = pool.AllocInstance(recDev); err != nil {
+			if w.recInst, err = pool.AllocInstance(homeDev); err != nil {
 				w.cleanup()
 				return nil, err
 			}
@@ -391,8 +386,8 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 		// below read the walked thresholds through PollPolicy.Threshold.
 		w.poll.Adaptive = w.adaptive
 	}
-	// The kernel-bypass scheme is the only one that never writes a
-	// notification descriptor; fd and coalesced both need the pipe.
+	// The kernel-bypass scheme never writes a notification descriptor; fd
+	// needs the pipe.
 	if cfg.Notify != offload.NotifierKernelBypass && async {
 		if w.notifyPipe, err = netpoll.NewNotifyPipe(); err != nil {
 			w.cleanup()
@@ -862,7 +857,7 @@ func (w *Worker) closeConn(c *conn) {
 // home device through the pool's lifecycle-aware RouteConn — off a
 // quarantined device, and back once probation re-admits it. The move is
 // live: established connections, paused offload jobs and the shared
-// ticket ring are untouched; only the engine's lane preference (where new
+// ticket ring are untouched; only the engine's preferred device (where new
 // submissions land) changes. Runs on the worker goroutine; costs one
 // atomic load per iteration when nothing changed.
 func (w *Worker) maybeRehome() {
@@ -874,7 +869,7 @@ func (w *Worker) maybeRehome() {
 		return
 	}
 	w.lcEpoch = epoch
-	if w.eng == nil || w.cfg.Placement != offload.PlacementConnHash || !w.poolWide {
+	if w.eng == nil || !w.poolWide {
 		return
 	}
 	dev := w.pool.RouteConn(uint64(w.id))
@@ -887,8 +882,9 @@ func (w *Worker) maybeRehome() {
 	prev := w.eng.HomeDevice()
 	if w.eng.Rehome(dev) {
 		w.homeDev.Store(int32(dev))
-		// Journal the move per lane so the flight dump shows which worker
-		// was re-homed, from where, to where.
+		// Journal the move for both op classes, the codes an engine flip
+		// carries, so the flight dump shows which worker was re-homed, from
+		// where, to where.
 		w.fl.Note(flight.KindPlacement, flight.PlacementAsym, trace.OpNone, int64(prev), int64(dev))
 		w.fl.Note(flight.KindPlacement, flight.PlacementSym, trace.OpNone, int64(prev), int64(dev))
 	}

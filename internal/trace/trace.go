@@ -149,9 +149,6 @@ const (
 	// TagFD marks a notification span delivered through the notification
 	// pipe and epoll (costing user/kernel switches).
 	TagFD
-	// TagCoalesce marks a notification span delivered by the coalesced
-	// notifier: queued in user space, one descriptor write per batch.
-	TagCoalesce
 	// TagDrain marks a span recorded while the worker was draining:
 	// shutdown-initiated close-notify writes, and PhaseShed spans for
 	// connections refused because the listener was already closed.
@@ -177,8 +174,6 @@ func (t Tag) String() string {
 		return "kernel-bypass"
 	case TagFD:
 		return "fd"
-	case TagCoalesce:
-		return "coalesce"
 	case TagDrain:
 		return "drain"
 	default:

@@ -159,7 +159,7 @@ func TestTraceNames(t *testing.T) {
 		PhasePoll.String() != "poll" {
 		t.Fatal("phase names")
 	}
-	if TagCoalesce.String() != "coalesce" {
+	if TagFD.String() != "fd" || TagKernelBypass.String() != "kernel-bypass" || TagDrain.String() != "drain" {
 		t.Fatal("tag names")
 	}
 	if Phase(99).String() == "" || Op(99).String() == "" || Tag(99).String() == "" {
