@@ -17,9 +17,11 @@
 //
 // The wire format follows the TLS 1.2/1.3 message layouts closely enough
 // to exercise the same computational structure (message flights, transcript
-// hashing, key schedules, 16 KB record fragmentation) but does not aim for
-// byte-level interoperability with other stacks: both endpoints in this
-// repository speak minitls. This substitution is recorded in DESIGN.md.
+// hashing, key schedules, 16 KB record fragmentation). A crypto/tls client
+// completes TLS 1.2 ECDHE-RSA AES-128-CBC-SHA handshakes, full and
+// ticket-resumed, with the server (interop_test.go); the TLS 1.3
+// extensions this stack's client sends (supported_versions, key_share)
+// keep encodings of their own. DESIGN.md records the substitution.
 package minitls
 
 import (

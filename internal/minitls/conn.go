@@ -1,12 +1,14 @@
 package minitls
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
 	"io"
+	"sync"
 
 	"qtls/internal/asynclib"
 )
@@ -24,17 +26,27 @@ type Conn struct {
 
 	in, out halfConn
 	// rawInput holds transport bytes: [:rawOff] are consumed records,
-	// [rawOff:] undecoded, and the spare capacity is where fill reads.
+	// [rawOff:] undecoded, and the spare capacity is where fill reads. It
+	// starts on rawArr, a pooled buffer given back by Release or when a
+	// record outgrows it.
 	rawInput []byte
 	rawOff   int
-	handBuf  []byte // reassembled handshake message stream
+	rawArr   *[minRawInput]byte
+	// handBuf is the reassembled handshake message stream, [:handOff]
+	// consumed. A message readHandshakeMsg returns aliases it until the
+	// next read, as a record aliases rawInput.
+	handBuf []byte
+	handOff int
 	// appData is decrypted application data not yet consumed. It aliases
 	// the record opened in place in rawInput, which stays valid because
 	// the next record is only read once appData is empty.
 	appData []byte
 
-	transcript hash.Hash // SHA-256 running handshake transcript
-	preMsgHash []byte    // transcript hash before the last-read message
+	transcript hash.Hash // SHA-256 running handshake transcript (pooled)
+	// preMsgHash is the transcript hash before the last-read Finished
+	// message, summed into preMsgSum.
+	preMsgHash []byte
+	preMsgSum  [sha256.Size]byte
 
 	// Handshake state machine.
 	state   hsState
@@ -45,14 +57,16 @@ type Conn struct {
 
 	// Async machinery (§3.2). The wait context is shared across all async
 	// jobs of the connection ("share one FD across all async jobs from the
-	// same TLS connection", §4.4). Fiber mode: job is the handle of the
-	// current job, reset for each new one, and opCall.Job points at it
-	// while it is live; every job runs jobFn, built once.
-	opCall  OpCall
-	job     asynclib.Job
-	jobFn   func(*asynclib.Job) error
-	stackOp asynclib.StackOp
-	waitCtx *asynclib.WaitCtx
+	// same TLS connection", §4.4); it is part of the Conn, in use once
+	// WaitCtx has been called. Fiber mode: job is the handle of the current
+	// job, reset for each new one, and opCall.Job points at it while it is
+	// live; every job runs jobFn, built once.
+	opCall     OpCall
+	job        asynclib.Job
+	jobFn      func(*asynclib.Job) error
+	stackOp    asynclib.StackOp
+	waitCtx    asynclib.WaitCtx
+	hasWaitCtx bool
 
 	// flight holds the handshake records sealed since the last flush, so a
 	// flight reaches the transport in one Write (see queueFlight). Nil
@@ -145,18 +159,60 @@ func newConn(transport io.ReadWriter, config *Config, server bool) *Conn {
 		transport:  transport,
 		config:     config,
 		isServer:   server,
-		transcript: sha256.New(),
+		transcript: transcriptPool.Get().(hash.Hash),
 		state:      stateStart,
 	}
 }
 
-// WaitCtx returns the connection's async wait context, creating it on
-// first use. The event loop installs its notification scheme here.
+// transcriptPool holds the transcript digests of released connections,
+// reset.
+var transcriptPool = sync.Pool{New: func() any { return sha256.New() }}
+
+// rawInputPool holds the first input buffers of released connections.
+var rawInputPool = sync.Pool{New: func() any { return new([minRawInput]byte) }}
+
+// WaitCtx returns the connection's async wait context, putting it in use
+// on first call. The event loop installs its notification scheme here.
 func (c *Conn) WaitCtx() *asynclib.WaitCtx {
-	if c.waitCtx == nil {
-		c.waitCtx = asynclib.NewWaitCtx()
+	if !c.hasWaitCtx {
+		c.hasWaitCtx = true
+		c.waitCtx.ClearFD()
 	}
-	return c.waitCtx
+	return &c.waitCtx
+}
+
+// Release gives back what the connection holds from pools shared across
+// connections: its input buffer, its transcript digest, a buffered
+// handshake flight and its keyed MACs. The Conn must not be used
+// afterwards, nor any slice it returned. A MAC that an offloaded operation
+// abandoned at its deadline still holds stays with that operation and goes
+// to the garbage collector. Release is for an event loop letting a
+// connection go; a Conn that is simply dropped is collected whole.
+func (c *Conn) Release() {
+	c.closed = true
+	c.dropFlight()
+	for _, h := range [2]*halfConn{&c.in, &c.out} {
+		if p, ok := h.prot.(*cbcProtection); ok {
+			p.release()
+		}
+	}
+	if c.hsrv != nil {
+		c.hsrv.pre.release()
+		c.hsrv.master.release()
+	}
+	if c.hcli != nil {
+		c.hcli.master.release()
+	}
+	if c.rawArr != nil {
+		rawInputPool.Put(c.rawArr)
+		c.rawArr = nil
+	}
+	c.rawInput, c.rawOff, c.appData = nil, 0, nil
+	if c.transcript != nil {
+		c.transcript.Reset()
+		transcriptPool.Put(c.transcript)
+		c.transcript = nil
+	}
 }
 
 // SetAsyncCallback installs the kernel-bypass notification callback
@@ -208,7 +264,10 @@ func (c *Conn) do(kind OpKind, work func() (any, error)) (any, error) {
 	call := &c.opCall
 	call.Mode = c.asyncMode()
 	call.Stack = &c.stackOp
-	call.WaitCtx = c.waitCtx
+	call.WaitCtx = nil
+	if c.hasWaitCtx {
+		call.WaitCtx = &c.waitCtx
+	}
 	res, err := c.config.provider().Do(call, kind, work)
 	if err == nil && c.config.OpCounter != nil {
 		c.config.OpCounter.Add(kind, 1)
@@ -217,6 +276,7 @@ func (c *Conn) do(kind OpKind, work func() (any, error)) (any, error) {
 }
 
 // doPRF derives length bytes with the TLS 1.2 PRF through the provider.
+// The closure is the op's one other allocation besides the result.
 func (c *Conn) doPRF(k *prfKey, label string, seed []byte, length int) ([]byte, error) {
 	res, err := c.do(KindPRF, func() (any, error) {
 		return k.derive(label, seed, length), nil
@@ -224,7 +284,7 @@ func (c *Conn) doPRF(k *prfKey, label string, seed []byte, length int) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	return res.([]byte), nil
+	return res.(*prfOut)[:length], nil
 }
 
 // run executes the connection's current re-entrant operation. Its state
@@ -343,13 +403,23 @@ func (c *Conn) fill() error {
 		return err
 	}
 	if len(c.rawInput) == cap(c.rawInput) {
-		if c.rawOff > 0 {
+		switch {
+		case c.rawOff > 0:
 			c.rawInput = c.rawInput[:copy(c.rawInput, c.rawInput[c.rawOff:])]
 			c.rawOff = 0
-		} else {
-			grown := make([]byte, len(c.rawInput), max(2*cap(c.rawInput), minRawInput))
+		case c.rawInput == nil:
+			c.rawArr = rawInputPool.Get().(*[minRawInput]byte)
+			c.rawInput = c.rawArr[:0]
+		default:
+			grown := make([]byte, len(c.rawInput), 2*cap(c.rawInput))
 			copy(grown, c.rawInput)
 			c.rawInput = grown
+			if c.rawArr != nil {
+				// Nothing aliases the old buffer: a record read from it was
+				// consumed before this read began.
+				rawInputPool.Put(c.rawArr)
+				c.rawArr = nil
+			}
 		}
 	}
 	n, err := c.transport.Read(c.rawInput[len(c.rawInput):cap(c.rawInput)])
@@ -397,11 +467,10 @@ func (c *Conn) readRecord() (uint8, []byte, error) {
 					if len(payload) != 2 {
 						return 0, nil, errDecode
 					}
-					a := &alertError{level: payload[0], desc: payload[1]}
-					if a.desc == 0 {
+					if payload[1] == 0 {
 						return 0, nil, errCloseNotify
 					}
-					return 0, nil, a
+					return 0, nil, &alertError{level: payload[0], desc: payload[1]}
 				}
 				return typ, payload, nil
 			}
@@ -411,6 +480,13 @@ func (c *Conn) readRecord() (uint8, []byte, error) {
 		}
 	}
 }
+
+// The two fixed record payloads this stack sends. Sealing reads them
+// through an interface, so a literal per call would be a heap allocation.
+var (
+	ccsPayload         = []byte{1}    // ChangeCipherSpec
+	closeNotifyPayload = []byte{1, 0} // warning-level close_notify alert
+)
 
 // writeRecord seals one record inline (handshake traffic, CCS, alerts) and
 // writes it — into the flight buffer until the handshake is done, to the
@@ -505,22 +581,26 @@ func (c *Conn) writeHandshake(msg []byte) error {
 // readHandshakeMsg returns the next handshake message (type, body). It
 // buffers partial messages across records. CCS records are rejected here;
 // states that expect CCS use readChangeCipherSpec.
+//
+// The body aliases handBuf, consumed by offset: it is valid until the next
+// read of a handshake message or record, and a caller copies whatever it
+// keeps past that.
 func (c *Conn) readHandshakeMsg() (uint8, []byte, error) {
 	for {
-		if len(c.handBuf) >= 4 {
-			n := int(c.handBuf[1])<<16 | int(c.handBuf[2])<<8 | int(c.handBuf[3])
-			if len(c.handBuf) >= 4+n {
-				typ := c.handBuf[0]
-				msg := make([]byte, 4+n)
-				copy(msg, c.handBuf[:4+n])
-				rest := len(c.handBuf) - (4 + n)
-				copy(c.handBuf, c.handBuf[4+n:])
-				c.handBuf = c.handBuf[:rest]
-				// Verification of Finished / CertificateVerify needs the
-				// transcript hash *before* the message itself.
-				c.preMsgHash = c.transcriptHash()
+		if in := c.handBuf[c.handOff:]; len(in) >= 4 {
+			n := int(in[1])<<16 | int(in[2])<<8 | int(in[3])
+			if len(in) >= 4+n {
+				msg := in[: 4+n : 4+n]
+				if c.handOff += 4 + n; c.handOff == len(c.handBuf) {
+					// Drained: the next record starts over at the front.
+					c.handBuf, c.handOff = c.handBuf[:0], 0
+				}
+				if msg[0] == typeFinished {
+					// Finished verifies the transcript *before* itself.
+					c.preMsgHash = c.transcript.Sum(c.preMsgSum[:0])
+				}
 				c.transcript.Write(msg)
-				return typ, msg[4:], nil
+				return msg[0], msg[4:], nil
 			}
 		}
 		typ, payload, err := c.readRecord()
@@ -529,7 +609,7 @@ func (c *Conn) readHandshakeMsg() (uint8, []byte, error) {
 		}
 		switch typ {
 		case recordHandshake:
-			c.handBuf = append(c.handBuf, payload...)
+			c.appendHandshake(payload)
 		case recordApplicationData:
 			return 0, nil, errors.New("minitls: application data during handshake")
 		default:
@@ -538,12 +618,22 @@ func (c *Conn) readHandshakeMsg() (uint8, []byte, error) {
 	}
 }
 
+// appendHandshake adds a handshake record's payload to handBuf, first
+// sliding the unconsumed tail down over the messages already returned.
+func (c *Conn) appendHandshake(payload []byte) {
+	if c.handOff > 0 {
+		c.handBuf = c.handBuf[:copy(c.handBuf, c.handBuf[c.handOff:])]
+		c.handOff = 0
+	}
+	c.handBuf = append(c.handBuf, payload...)
+}
+
 // peekHandshakeType returns the type of the next buffered handshake
 // message without consuming it, reading records as needed.
 func (c *Conn) peekHandshakeType() (uint8, error) {
 	for {
-		if len(c.handBuf) >= 1 {
-			return c.handBuf[0], nil
+		if len(c.handBuf) > c.handOff {
+			return c.handBuf[c.handOff], nil
 		}
 		typ, payload, err := c.readRecord()
 		if err != nil {
@@ -552,7 +642,7 @@ func (c *Conn) peekHandshakeType() (uint8, error) {
 		if typ != recordHandshake {
 			return 0, fmt.Errorf("minitls: unexpected record type %d during handshake", typ)
 		}
-		c.handBuf = append(c.handBuf, payload...)
+		c.appendHandshake(payload)
 	}
 }
 
@@ -571,6 +661,11 @@ func (c *Conn) readChangeCipherSpec() error {
 // transcriptHash returns the SHA-256 of the handshake transcript so far.
 func (c *Conn) transcriptHash() []byte {
 	return c.transcript.Sum(nil)
+}
+
+// transcriptSum is transcriptHash summed into dst.
+func (c *Conn) transcriptSum(dst *[sha256.Size]byte) []byte {
+	return c.transcript.Sum(dst[:0])
 }
 
 // --- application data ----------------------------------------------------
@@ -605,7 +700,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 		case recordHandshake:
 			// Post-handshake messages (TLS 1.3 NewSessionTicket is
 			// captured for resumption; anything else is ignored).
-			c.handBuf = append(c.handBuf, payload...)
+			c.appendHandshake(payload)
 			c.drainPostHandshake()
 		default:
 			return 0, fmt.Errorf("minitls: unexpected record type %d", typ)
@@ -617,17 +712,14 @@ func (c *Conn) Read(p []byte) (int, error) {
 }
 
 func (c *Conn) drainPostHandshake() {
-	for len(c.handBuf) >= 4 {
-		n := int(c.handBuf[1])<<16 | int(c.handBuf[2])<<8 | int(c.handBuf[3])
-		if len(c.handBuf) < 4+n {
+	for in := c.handBuf[c.handOff:]; len(in) >= 4; in = c.handBuf[c.handOff:] {
+		n := int(in[1])<<16 | int(in[2])<<8 | int(in[3])
+		if len(in) < 4+n {
 			return
 		}
-		typ := c.handBuf[0]
-		body := make([]byte, n)
-		copy(body, c.handBuf[4:4+n])
-		rest := len(c.handBuf) - (4 + n)
-		copy(c.handBuf, c.handBuf[4+n:])
-		c.handBuf = c.handBuf[:rest]
+		typ := in[0]
+		body := bytes.Clone(in[4 : 4+n]) // a captured ticket outlives handBuf
+		c.handOff += 4 + n
 
 		// TLS 1.3 client: capture NewSessionTicket for resumption.
 		if typ == typeNewSessionTicket && !c.isServer && c.version == VersionTLS13 && c.hcli != nil {
@@ -744,7 +836,7 @@ func (c *Conn) Close() error {
 		return err
 	}
 	if c.handshakeDone && c.permErr == nil && !c.outDetached {
-		return c.writeRecord(recordAlert, []byte{1, 0})
+		return c.writeRecord(recordAlert, closeNotifyPayload)
 	}
 	return nil
 }

@@ -25,9 +25,12 @@ type clientHS struct {
 
 	ecdhPriv  *ecdh.PrivateKey
 	premaster []byte
+	pre       prfKey
 	master    prfKey
 	clientCBC cbcKeys
 	serverCBC cbcKeys
+
+	masterSeed, expandSeed [64]byte
 
 	ticket []byte
 
@@ -107,6 +110,8 @@ func (c *Conn) clientHandshake() error {
 	if err := hs.serverHello.unmarshal(body); err != nil {
 		return err
 	}
+	// The session ID outlives the message (a later session offers it).
+	hs.serverHello.sessionID = bytes.Clone(hs.serverHello.sessionID)
 	hs.serverRandom = hs.serverHello.random
 	c.version = hs.serverHello.version
 	c.suite = hs.serverHello.cipherSuite
@@ -138,7 +143,7 @@ func (c *Conn) clientHandshake() error {
 // nextIsCCS reports whether the next record is a ChangeCipherSpec without
 // consuming handshake data. It may block to read one record.
 func (c *Conn) nextIsCCS() bool {
-	if len(c.handBuf) > 0 {
+	if len(c.handBuf) > c.handOff {
 		return false
 	}
 	// Read one record; if it is CCS we remember it, otherwise its payload
@@ -152,7 +157,7 @@ func (c *Conn) nextIsCCS() bool {
 		return true
 	}
 	if typ == recordHandshake {
-		c.handBuf = append(c.handBuf, payload...)
+		c.appendHandshake(payload)
 	}
 	return false
 }
@@ -177,7 +182,7 @@ func (c *Conn) clientFull12() error {
 	if err := certMsg.unmarshal(body); err != nil {
 		return err
 	}
-	leaf, err := x509.ParseCertificate(certMsg.chain[0])
+	leaf, err := x509.ParseCertificate(bytes.Clone(certMsg.chain[0]))
 	if err != nil {
 		return err
 	}
@@ -199,6 +204,7 @@ func (c *Conn) clientFull12() error {
 		if err := c.verifySKX(&skx); err != nil {
 			return err
 		}
+		skx.publicKey = bytes.Clone(skx.publicKey) // used past the next read
 	}
 
 	// ServerHelloDone.
@@ -252,20 +258,22 @@ func (c *Conn) clientFull12() error {
 	}
 
 	// Key derivation.
-	hs.master.secret, err = c.doPRF(&prfKey{secret: hs.premaster}, "master secret",
-		masterSeed(hs.clientRandom, hs.serverRandom), masterSecretLen)
+	hs.pre.secret = hs.premaster
+	hs.master.secret, err = c.doPRF(&hs.pre, "master secret",
+		prfSeed(&hs.masterSeed, &hs.clientRandom, &hs.serverRandom), masterSecretLen)
 	if err != nil {
 		return err
 	}
+	hs.pre.release()
 	kb, err := c.doPRF(&hs.master, "key expansion",
-		keyExpansionSeed(hs.clientRandom, hs.serverRandom), keyBlockLen)
+		prfSeed(&hs.expandSeed, &hs.serverRandom, &hs.clientRandom), keyBlockLen)
 	if err != nil {
 		return err
 	}
 	hs.clientCBC, hs.serverCBC = splitKeyBlock(kb)
 
 	// CCS + client Finished.
-	if err := c.writeRecord(recordChangeCipherSpec, []byte{1}); err != nil {
+	if err := c.writeRecord(recordChangeCipherSpec, ccsPayload); err != nil {
 		return err
 	}
 	prot, err := newCBCProtection(hs.clientCBC)
@@ -295,7 +303,7 @@ func (c *Conn) clientFull12() error {
 		if err := nst.unmarshal(body); err != nil {
 			return err
 		}
-		hs.ticket = nst.ticket
+		hs.ticket = bytes.Clone(nst.ticket)
 	}
 	if err := c.readServerFinished12(); err != nil {
 		return err
@@ -309,7 +317,7 @@ func (c *Conn) clientFull12() error {
 func (c *Conn) clientFinishResumption() error {
 	hs := c.hcli
 	kb, err := c.doPRF(&hs.master, "key expansion",
-		keyExpansionSeed(hs.clientRandom, hs.serverRandom), keyBlockLen)
+		prfSeed(&hs.expandSeed, &hs.serverRandom, &hs.clientRandom), keyBlockLen)
 	if err != nil {
 		return err
 	}
@@ -318,7 +326,7 @@ func (c *Conn) clientFinishResumption() error {
 	if err := c.readServerFinished12(); err != nil {
 		return err
 	}
-	if err := c.writeRecord(recordChangeCipherSpec, []byte{1}); err != nil {
+	if err := c.writeRecord(recordChangeCipherSpec, ccsPayload); err != nil {
 		return err
 	}
 	prot, err := newCBCProtection(hs.clientCBC)
@@ -475,7 +483,7 @@ func (c *Conn) clientHandshake13() error {
 		if err := certMsg.unmarshal(body); err != nil {
 			return err
 		}
-		leaf, err := x509.ParseCertificate(certMsg.chain[0])
+		leaf, err := x509.ParseCertificate(bytes.Clone(certMsg.chain[0]))
 		if err != nil {
 			return err
 		}

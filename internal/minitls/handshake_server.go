@@ -28,13 +28,27 @@ type serverHS struct {
 	cke      clientKeyExchangeMsg
 
 	premaster []byte
+	pre       prfKey // the premaster secret, for the master secret alone
 	master    prfKey
 	clientCBC cbcKeys
 	serverCBC cbcKeys
+	// The PRF seeds, and the transcript hashes the Finished messages cover:
+	// each a closure's input, kept for as long as an abandoned run of that
+	// closure may read it.
+	masterSeed, expandSeed [64]byte
+	finHash                [sha256.Size]byte // covered by the client Finished
+	srvFinHash             [sha256.Size]byte // covered by the server Finished
 
-	clientVerify []byte // client Finished verify_data as received
-	finHash      []byte // transcript hash the client Finished covers
+	clientVerify []byte // client Finished verify_data, copied into verifyBuf
+	verifyBuf    [finishedVerify12]byte
 	serverVerify []byte
+
+	// Backing for the ClientHello fields that outlive the message, which
+	// aliases the connection's handshake buffer only until the next read,
+	// and for its lists, so parsing them allocates nothing.
+	sessionIDBuf [32]byte
+	suiteBuf     [32]uint16
+	versionBuf   [8]uint16
 
 	offerTicket bool
 
@@ -146,6 +160,9 @@ func (c *Conn) serverStateStep() error {
 		if err := hs.cke.unmarshal(body, hs.kx == kxRSA); err != nil {
 			return err
 		}
+		// The offloaded key exchange reads these past the next read.
+		hs.cke.rsaCiphertext = bytes.Clone(hs.cke.rsaCiphertext)
+		hs.cke.ecdhPublic = bytes.Clone(hs.cke.ecdhPublic)
 		c.state = stateS12ProcessCKE
 		return nil
 
@@ -186,18 +203,20 @@ func (c *Conn) serverStateStep() error {
 		return nil
 
 	case stateS12DeriveMaster:
-		master, err := c.doPRF(&prfKey{secret: hs.premaster}, "master secret",
-			masterSeed(hs.clientRandom, hs.serverRandom), masterSecretLen)
+		hs.pre.secret = hs.premaster
+		master, err := c.doPRF(&hs.pre, "master secret",
+			prfSeed(&hs.masterSeed, &hs.clientRandom, &hs.serverRandom), masterSecretLen)
 		if err != nil {
 			return err
 		}
+		hs.pre.release()
 		hs.master.secret = master
 		c.state = stateS12DeriveKeys
 		return nil
 
 	case stateS12DeriveKeys:
 		kb, err := c.doPRF(&hs.master, "key expansion",
-			keyExpansionSeed(hs.clientRandom, hs.serverRandom), keyBlockLen)
+			prfSeed(&hs.expandSeed, &hs.serverRandom, &hs.clientRandom), keyBlockLen)
 		if err != nil {
 			return err
 		}
@@ -229,13 +248,13 @@ func (c *Conn) serverStateStep() error {
 		if err := fin.unmarshal(body); err != nil {
 			return err
 		}
-		hs.clientVerify = fin.verifyData
-		hs.finHash = c.preMsgHash
+		hs.clientVerify = append(hs.verifyBuf[:0], fin.verifyData...)
+		copy(hs.finHash[:], c.preMsgHash)
 		c.state = stateS12VerifyFin
 		return nil
 
 	case stateS12VerifyFin:
-		want, err := c.doPRF(&hs.master, "client finished", hs.finHash, finishedVerify12)
+		want, err := c.doPRF(&hs.master, "client finished", hs.finHash[:], finishedVerify12)
 		if err != nil {
 			return err
 		}
@@ -262,7 +281,7 @@ func (c *Conn) serverStateStep() error {
 			}
 			c.ticketSent = true
 		}
-		if err := c.writeRecord(recordChangeCipherSpec, []byte{1}); err != nil {
+		if err := c.writeRecord(recordChangeCipherSpec, ccsPayload); err != nil {
 			return err
 		}
 		prot, err := newCBCProtection(hs.serverCBC)
@@ -274,7 +293,7 @@ func (c *Conn) serverStateStep() error {
 		return nil
 
 	case stateS12ComputeFin:
-		verify, err := c.doPRF(&hs.master, "server finished", c.transcriptHash(), finishedVerify12)
+		verify, err := c.doPRF(&hs.master, "server finished", c.transcriptSum(&hs.srvFinHash), finishedVerify12)
 		if err != nil {
 			return err
 		}
@@ -298,7 +317,7 @@ func (c *Conn) serverStateStep() error {
 
 	case stateS12ResumeKeys:
 		kb, err := c.doPRF(&hs.master, "key expansion",
-			keyExpansionSeed(hs.clientRandom, hs.serverRandom), keyBlockLen)
+			prfSeed(&hs.expandSeed, &hs.serverRandom, &hs.clientRandom), keyBlockLen)
 		if err != nil {
 			return err
 		}
@@ -307,7 +326,7 @@ func (c *Conn) serverStateStep() error {
 		return nil
 
 	case stateS12ResumeSrvFin:
-		verify, err := c.doPRF(&hs.master, "server finished", c.transcriptHash(), finishedVerify12)
+		verify, err := c.doPRF(&hs.master, "server finished", c.transcriptSum(&hs.srvFinHash), finishedVerify12)
 		if err != nil {
 			return err
 		}
@@ -316,7 +335,7 @@ func (c *Conn) serverStateStep() error {
 		return nil
 
 	case stateS12ResumeSend:
-		if err := c.writeRecord(recordChangeCipherSpec, []byte{1}); err != nil {
+		if err := c.writeRecord(recordChangeCipherSpec, ccsPayload); err != nil {
 			return err
 		}
 		prot, err := newCBCProtection(hs.serverCBC)
@@ -355,13 +374,13 @@ func (c *Conn) serverStateStep() error {
 		if err := fin.unmarshal(body); err != nil {
 			return err
 		}
-		hs.clientVerify = fin.verifyData
-		hs.finHash = c.preMsgHash
+		hs.clientVerify = append(hs.verifyBuf[:0], fin.verifyData...)
+		copy(hs.finHash[:], c.preMsgHash)
 		c.state = stateS12ResumeVerify
 		return nil
 
 	case stateS12ResumeVerify:
-		want, err := c.doPRF(&hs.master, "client finished", hs.finHash, finishedVerify12)
+		want, err := c.doPRF(&hs.master, "client finished", hs.finHash[:], finishedVerify12)
 		if err != nil {
 			return err
 		}
@@ -503,7 +522,7 @@ func (c *Conn) serverStateStep() error {
 			return err
 		}
 		want, err := c.hkdfOp(func() []byte {
-			return finishedMAC13(hs.sec.clientHS, hs.finHashOr(c.preMsgHash))
+			return finishedMAC13(hs.sec.clientHS, c.preMsgHash)
 		})
 		if err != nil {
 			return err
@@ -554,15 +573,6 @@ func (c *Conn) serverStateStep() error {
 	}
 }
 
-// finHashOr exists to keep the client-Finished hash stable across
-// re-entries (preMsgHash may be overwritten by later reads).
-func (hs *serverHS) finHashOr(h []byte) []byte {
-	if hs.finHash == nil {
-		hs.finHash = append([]byte(nil), h...)
-	}
-	return hs.finHash
-}
-
 // srvReadClientHello processes the ClientHello: version and suite
 // negotiation, resumption lookup, and branch selection.
 func (c *Conn) srvReadClientHello() error {
@@ -574,9 +584,14 @@ func (c *Conn) srvReadClientHello() error {
 	if typ != typeClientHello {
 		return unexpectedMsg(typ, "ClientHello")
 	}
+	hs.clientHello.cipherSuites = hs.suiteBuf[:0]
+	hs.clientHello.supportedVersions = hs.versionBuf[:0]
 	if err := hs.clientHello.unmarshal(body); err != nil {
 		return err
 	}
+	// Fields read after this step: the session ID (echoed in a later TLS
+	// 1.3 ServerHello) and the key share (read by an offloaded closure).
+	hs.clientHello.sessionID = append(hs.sessionIDBuf[:0], hs.clientHello.sessionID...)
 	hs.clientRandom = hs.clientHello.random
 
 	// SNI-based identity selection (virtual hosting).
@@ -633,7 +648,7 @@ func (c *Conn) srvReadClientHello() error {
 		if hs.clientHello.keyShareGroup != curveIDFor(c.config.curve()) {
 			return fmt.Errorf("minitls: unsupported key share group %d", hs.clientHello.keyShareGroup)
 		}
-		hs.clientShare = hs.clientHello.keyShareData
+		hs.clientShare = bytes.Clone(hs.clientHello.keyShareData)
 		// PSK resumption (psk_dhe_ke): open the ticket and verify the
 		// binder over the truncated ClientHello. An invalid ticket or
 		// binder silently falls back to a full handshake, except that a
@@ -845,9 +860,16 @@ func (c *Conn) schedule13App(th []byte) error {
 	return nil
 }
 
-// finishHandshake marks completion and releases handshake scratch state.
+// finishHandshake marks completion and gives the TLS 1.2 master secret's
+// MAC back to the pool: the handshake derives nothing more from it.
 func (c *Conn) finishHandshake() {
 	c.handshakeDone = true
+	if c.hsrv != nil {
+		c.hsrv.master.release()
+	}
+	if c.hcli != nil {
+		c.hcli.master.release()
+	}
 }
 
 func unexpectedMsg(got uint8, want string) error {

@@ -2,7 +2,6 @@ package minitls
 
 import (
 	"crypto"
-	"crypto/hmac"
 	"crypto/sha256"
 	"sync/atomic"
 
@@ -21,42 +20,63 @@ const (
 
 // prfKey is a TLS 1.2 PRF secret whose keyed MAC outlives one derivation:
 // a connection keys its master secret's MAC once for the key block and
-// both Finished messages. The MAC follows the cbcState rule: a derivation
-// takes it by swap and puts it back, because an op closure may run twice,
-// even at once (a device result racing the software fallback after a
-// timeout), and the run that finds it taken builds its own.
+// both Finished messages. The key is held by value and follows the
+// cbcProtection rule: a derivation takes it by swapping busy, because an
+// op closure may run twice, even at once (a device result racing the
+// software fallback after a timeout), and the run that finds it taken
+// builds its own from the pool and gives it back when done. release hands
+// the MAC back once the handshake derives nothing more from the secret.
 type prfKey struct {
 	secret []byte
-	mac    atomic.Pointer[prf.TLS12Key]
+	busy   atomic.Bool
+	keyed  bool // key holds secret's MAC; read and written under busy
+	key    prf.TLS12Key
 }
 
-// derive is PRF(secret, label, seed) producing length bytes.
-func (k *prfKey) derive(label string, seed []byte, length int) []byte {
-	m := k.mac.Swap(nil)
-	if m == nil {
-		m = prf.NewTLS12Key(k.secret)
+// prfOut is one derivation's result. It is returned as a pointer, so
+// handing it through the provider as an any costs nothing; every TLS 1.2
+// derivation (a 48-byte master secret, the 72-byte key block, 12 bytes of
+// verify data) fits.
+type prfOut [keyBlockLen]byte
+
+// derive is PRF(secret, label, seed) producing length bytes into a fresh
+// result, the derivation's one allocation.
+func (k *prfKey) derive(label string, seed []byte, length int) *prfOut {
+	out := new(prfOut)
+	if k.busy.CompareAndSwap(false, true) {
+		if !k.keyed {
+			k.key.SetKey(k.secret)
+			k.keyed = true
+		}
+		k.key.DeriveTo(out[:length], label, seed)
+		k.busy.Store(false)
+		return out
 	}
-	out := m.Derive(label, seed, length)
-	k.mac.Store(m)
+	own := prf.NewTLS12Key(k.secret)
+	own.DeriveTo(out[:length], label, seed)
+	own.Release()
 	return out
 }
 
-// masterSeed is the client_random || server_random seed for the master
-// secret derivation.
-func masterSeed(clientRandom, serverRandom [32]byte) []byte {
-	seed := make([]byte, 0, 64)
-	seed = append(seed, clientRandom[:]...)
-	seed = append(seed, serverRandom[:]...)
-	return seed
+// release gives the key's MAC back to the pool unless a derivation holds
+// it (an abandoned offload, which keeps it for the garbage collector).
+// Once it is back, every derivation builds its own.
+func (k *prfKey) release() {
+	if k.busy.CompareAndSwap(false, true) && k.keyed {
+		k.key.Release()
+		k.keyed = false
+	}
 }
 
-// keyExpansionSeed is the server_random || client_random seed for the key
-// block derivation.
-func keyExpansionSeed(clientRandom, serverRandom [32]byte) []byte {
-	seed := make([]byte, 0, 64)
-	seed = append(seed, serverRandom[:]...)
-	seed = append(seed, clientRandom[:]...)
-	return seed
+// prfSeed writes a ‖ b into seed and returns it: client_random ‖
+// server_random seeds the master secret, server_random ‖ client_random the
+// key block. The seed lives in the handshake state, not in a fresh slice,
+// and each derivation has its own, since an abandoned closure may still
+// read it.
+func prfSeed(seed *[64]byte, a, b *[32]byte) []byte {
+	copy(seed[:32], a[:])
+	copy(seed[32:], b[:])
+	return seed[:]
 }
 
 // keyBlockLen is the TLS 1.2 key block size for AES-128-CBC + HMAC-SHA1:
@@ -114,10 +134,17 @@ func trafficKeys(secret []byte) gcmKeys {
 // finishedMAC13 computes the TLS 1.3 Finished verify_data for a traffic
 // secret over the given transcript hash.
 func finishedMAC13(trafficSecret, transcriptHash []byte) []byte {
-	finishedKey := prf.HKDFExpandLabel(trafficSecret, "finished", nil, sha256.Size)
-	m := hmac.New(sha256.New, finishedKey)
-	m.Write(transcriptHash)
-	return m.Sum(nil)
+	return hmacSHA256(prf.HKDFExpandLabel(trafficSecret, "finished", nil, sha256.Size), transcriptHash)
+}
+
+// hmacSHA256 is HMAC-SHA256(key, msg) in a fresh slice, keyed on a pooled
+// MAC.
+func hmacSHA256(key, msg []byte) []byte {
+	m := prf.GetHMAC(prf.SHA256, key)
+	m.Write(msg)
+	out := m.Sum(make([]byte, 0, sha256.Size))
+	prf.PutHMAC(m)
+	return out
 }
 
 // certVerifyContent13 builds the to-be-signed content for the TLS 1.3

@@ -51,6 +51,40 @@ func (w *builder) vec8(p []byte)  { w.u8(uint8(len(p))); w.raw(p) }
 func (w *builder) vec16(p []byte) { w.u16(uint16(len(p))); w.raw(p) }
 func (w *builder) vec24(p []byte) { w.u24(len(p)); w.raw(p) }
 
+// prefixed16 and prefixed24 append a length prefix, then whatever body
+// appends, and fill the prefix in: a nested vector is built in place, not
+// in a builder of its own.
+func (w *builder) prefixed16(body func()) {
+	at := len(w.b)
+	w.u16(0)
+	body()
+	binary.BigEndian.PutUint16(w.b[at:], uint16(len(w.b)-at-2))
+}
+
+func (w *builder) prefixed24(body func()) {
+	at := len(w.b)
+	w.u24(0)
+	body()
+	n := len(w.b) - at - 3
+	w.b[at], w.b[at+1], w.b[at+2] = byte(n>>16), byte(n>>8), byte(n)
+}
+
+// newMsg starts a handshake message of type typ with room for about size
+// body bytes, so a message is built in the one allocation it is sent from.
+func newMsg(typ uint8, size int) builder {
+	b := make([]byte, 4, 4+size)
+	b[0] = typ
+	return builder{b: b}
+}
+
+// msg fills in the length of a message newMsg started and returns it,
+// framed: msg_type(1) || length(3) || body.
+func (w *builder) msg() []byte {
+	n := len(w.b) - 4
+	w.b[1], w.b[2], w.b[3] = byte(n>>16), byte(n>>8), byte(n)
+	return w.b
+}
+
 // reader consumes length-prefixed wire structures.
 type reader struct{ b []byte }
 
@@ -125,52 +159,59 @@ func (r *reader) vec24() ([]byte, error) {
 	return r.take(n)
 }
 
-// extension is a raw TLS extension.
-type extension struct {
-	typ  uint16
-	data []byte
-}
-
-func marshalExtensions(w *builder, exts []extension) {
-	var ew builder
-	for _, e := range exts {
-		ew.u16(e.typ)
-		ew.vec16(e.data)
-	}
-	w.vec16(ew.bytes())
-}
-
-func parseExtensions(r *reader) ([]extension, error) {
+// readExtensions calls f on each extension of the optional block that
+// ends a hello message, in order; f's error stops the walk. data aliases
+// the message.
+func readExtensions(r *reader, f func(typ uint16, data []byte) error) error {
 	if r.empty() {
-		return nil, nil // extensions block is optional
+		return nil // extensions block is optional
 	}
 	body, err := r.vec16()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	er := reader{b: body}
-	var exts []extension
 	for !er.empty() {
 		typ, err := er.u16()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		data, err := er.vec16()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		exts = append(exts, extension{typ: typ, data: data})
+		if err := f(typ, data); err != nil {
+			return err
+		}
 	}
-	return exts, nil
+	return nil
 }
 
-func findExtension(exts []extension, typ uint16) ([]byte, bool) {
-	for _, e := range exts {
-		if e.typ == typ {
-			return e.data, true
-		}
+// extSet records the extensions a parser interprets, to refuse one sent
+// twice (RFC 8446 §4.2).
+type extSet uint8
+
+// add marks typ seen, failing if it already was. Types this stack does not
+// interpret are not tracked.
+func (s *extSet) add(typ uint16) error {
+	var bit extSet
+	switch typ {
+	case extServerName:
+		bit = 1
+	case extSessionTicket:
+		bit = 2
+	case extPreSharedKey:
+		bit = 4
+	case extSupportedVersions:
+		bit = 8
+	case extKeyShare:
+		bit = 16
 	}
-	return nil, false
+	if *s&bit != 0 {
+		return errDecode
+	}
+	*s |= bit
+	return nil
 }
 
 // handshakeMsg frames a handshake body: msg_type(1) || length(3) || body.
@@ -202,55 +243,72 @@ type clientHelloMsg struct {
 }
 
 func (m *clientHelloMsg) marshal() []byte {
-	var w builder
+	w := newMsg(typeClientHello, 128+2*len(m.cipherSuites)+len(m.serverName)+
+		len(m.sessionTicket)+len(m.keyShareData)+len(m.pskIdentity))
 	w.u16(m.version)
 	w.raw(m.random[:])
 	w.vec8(m.sessionID)
-	var sw builder
-	for _, s := range m.cipherSuites {
-		sw.u16(s)
-	}
-	w.vec16(sw.bytes())
-	w.vec8([]byte{0}) // compression methods: null only
-	var exts []extension
-	if m.serverName != "" {
-		exts = append(exts, extension{extServerName, []byte(m.serverName)})
-	}
-	if m.hasTicketExt {
-		exts = append(exts, extension{extSessionTicket, m.sessionTicket})
-	}
-	if len(m.supportedVersions) > 0 {
-		var vw builder
-		for _, v := range m.supportedVersions {
-			vw.u16(v)
+	w.prefixed16(func() {
+		for _, s := range m.cipherSuites {
+			w.u16(s)
 		}
-		exts = append(exts, extension{extSupportedVersions, vw.bytes()})
-	}
-	if m.hasKeyShare {
-		var kw builder
-		kw.u16(m.keyShareGroup)
-		kw.vec16(m.keyShareData)
-		exts = append(exts, extension{extKeyShare, kw.bytes()})
-	}
-	if m.hasPSK {
-		// identities: one entry {identity<2..>, obfuscated_ticket_age u32}
-		// followed by binders: {binder<1..>}. Must be the final extension.
-		var pw builder
-		var iw builder
-		iw.vec16(m.pskIdentity)
-		iw.u32(0) // obfuscated_ticket_age: lifetimes are server-policed here
-		pw.vec16(iw.bytes())
-		var bw builder
-		binder := m.pskBinder
-		if len(binder) != binderLen {
-			binder = make([]byte, binderLen) // placeholder before patching
+	})
+	w.u8(1) // compression methods: null only
+	w.u8(0)
+	w.prefixed16(func() {
+		if m.serverName != "" {
+			// RFC 6066 §3: server_name_list, one host_name entry.
+			w.u16(extServerName)
+			w.prefixed16(func() {
+				w.prefixed16(func() {
+					w.u8(0) // name_type: host_name
+					w.u16(uint16(len(m.serverName)))
+					w.b = append(w.b, m.serverName...)
+				})
+			})
 		}
-		bw.vec8(binder)
-		pw.vec16(bw.bytes())
-		exts = append(exts, extension{extPreSharedKey, pw.bytes()})
-	}
-	marshalExtensions(&w, exts)
-	return handshakeMsg(typeClientHello, w.bytes())
+		if m.hasTicketExt {
+			w.u16(extSessionTicket)
+			w.vec16(m.sessionTicket)
+		}
+		if len(m.supportedVersions) > 0 {
+			// The bare version list this stack has always sent (the
+			// parser takes RFC 8446's length-prefixed form too).
+			w.u16(extSupportedVersions)
+			w.prefixed16(func() {
+				for _, v := range m.supportedVersions {
+					w.u16(v)
+				}
+			})
+		}
+		if m.hasKeyShare {
+			w.u16(extKeyShare)
+			w.prefixed16(func() {
+				w.u16(m.keyShareGroup)
+				w.vec16(m.keyShareData)
+			})
+		}
+		if m.hasPSK {
+			// identities: one entry {identity<2..>, obfuscated_ticket_age u32}
+			// followed by binders: {binder<1..>}. Must be the final extension.
+			w.u16(extPreSharedKey)
+			w.prefixed16(func() {
+				w.prefixed16(func() {
+					w.vec16(m.pskIdentity)
+					w.u32(0) // obfuscated_ticket_age: lifetimes are server-policed here
+				})
+				w.prefixed16(func() {
+					if len(m.pskBinder) == binderLen {
+						w.vec8(m.pskBinder)
+					} else {
+						w.u8(binderLen) // zeros, patched once the binder is known
+						w.raw(make([]byte, binderLen))
+					}
+				})
+			})
+		}
+	})
+	return w.msg()
 }
 
 func (m *clientHelloMsg) unmarshal(body []byte) error {
@@ -284,64 +342,102 @@ func (m *clientHelloMsg) unmarshal(body []byte) error {
 	if _, err = r.vec8(); err != nil { // compression
 		return err
 	}
-	exts, err := parseExtensions(&r)
-	if err != nil {
-		return err
-	}
-	if sn, ok := findExtension(exts, extServerName); ok {
-		m.serverName = string(sn)
-	}
-	if tk, ok := findExtension(exts, extSessionTicket); ok {
-		m.hasTicketExt = true
-		m.sessionTicket = tk
-	}
-	if sv, ok := findExtension(exts, extSupportedVersions); ok {
-		vr := reader{b: sv}
-		for !vr.empty() {
-			v, err := vr.u16()
+	var seen extSet
+	return readExtensions(&r, func(typ uint16, data []byte) error {
+		if err := seen.add(typ); err != nil {
+			return err
+		}
+		switch typ {
+		case extServerName:
+			name, err := parseServerName(data)
 			if err != nil {
 				return err
 			}
-			m.supportedVersions = append(m.supportedVersions, v)
+			m.serverName = name
+		case extSessionTicket:
+			m.hasTicketExt = true
+			m.sessionTicket = data
+		case extSupportedVersions:
+			vr := reader{b: data}
+			if len(data)%2 == 1 {
+				// RFC 8446 §4.2.1: versions<2..254>, a one-byte length
+				// first. The even-length form is this stack's own client's
+				// bare list.
+				list, err := vr.vec8()
+				if err != nil || !vr.empty() {
+					return errDecode
+				}
+				vr.b = list
+			}
+			for !vr.empty() {
+				v, err := vr.u16()
+				if err != nil {
+					return err
+				}
+				m.supportedVersions = append(m.supportedVersions, v)
+			}
+		case extKeyShare:
+			kr := reader{b: data}
+			if m.keyShareGroup, err = kr.u16(); err != nil {
+				return err
+			}
+			if m.keyShareData, err = kr.vec16(); err != nil {
+				return err
+			}
+			m.hasKeyShare = true
+		case extPreSharedKey:
+			pr := reader{b: data}
+			ids, err := pr.vec16()
+			if err != nil {
+				return err
+			}
+			ir := reader{b: ids}
+			if m.pskIdentity, err = ir.vec16(); err != nil {
+				return err
+			}
+			if _, err = ir.u32(); err != nil { // obfuscated age
+				return err
+			}
+			binders, err := pr.vec16()
+			if err != nil {
+				return err
+			}
+			br := reader{b: binders}
+			if m.pskBinder, err = br.vec8(); err != nil {
+				return err
+			}
+			if len(m.pskBinder) != binderLen {
+				return errDecode
+			}
+			m.hasPSK = true
 		}
+		return nil
+	})
+}
+
+// parseServerName returns the host_name of an RFC 6066 server_name
+// extension ("" when it lists none).
+func parseServerName(data []byte) (string, error) {
+	r := reader{b: data}
+	list, err := r.vec16()
+	if err != nil || !r.empty() || len(list) == 0 {
+		return "", errDecode
 	}
-	if ks, ok := findExtension(exts, extKeyShare); ok {
-		kr := reader{b: ks}
-		if m.keyShareGroup, err = kr.u16(); err != nil {
-			return err
-		}
-		if m.keyShareData, err = kr.vec16(); err != nil {
-			return err
-		}
-		m.hasKeyShare = true
-	}
-	if psk, ok := findExtension(exts, extPreSharedKey); ok {
-		pr := reader{b: psk}
-		ids, err := pr.vec16()
+	lr := reader{b: list}
+	for !lr.empty() {
+		typ, err := lr.u8()
 		if err != nil {
-			return err
+			return "", err
 		}
-		ir := reader{b: ids}
-		if m.pskIdentity, err = ir.vec16(); err != nil {
-			return err
-		}
-		if _, err = ir.u32(); err != nil { // obfuscated age
-			return err
-		}
-		binders, err := pr.vec16()
+		name, err := lr.vec16()
 		if err != nil {
-			return err
+			return "", err
 		}
-		br := reader{b: binders}
-		if m.pskBinder, err = br.vec8(); err != nil {
-			return err
+		if typ == 0 && len(name) > 0 {
+			return string(name), nil
 		}
-		if len(m.pskBinder) != binderLen {
-			return errDecode
-		}
-		m.hasPSK = true
 	}
-	return nil
+	return "", nil
 }
 
 // serverHelloMsg is the ServerHello handshake message.
@@ -358,27 +454,31 @@ type serverHelloMsg struct {
 }
 
 func (m *serverHelloMsg) marshal() []byte {
-	var w builder
+	w := newMsg(typeServerHello, 96+len(m.keyShareData))
 	w.u16(m.version)
 	w.raw(m.random[:])
 	w.vec8(m.sessionID)
 	w.u16(m.cipherSuite)
 	w.u8(0) // compression
-	var exts []extension
-	if m.ticketOffered {
-		exts = append(exts, extension{extSessionTicket, nil})
-	}
-	if m.hasKeyShare {
-		var kw builder
-		kw.u16(m.keyShareGroup)
-		kw.vec16(m.keyShareData)
-		exts = append(exts, extension{extKeyShare, kw.bytes()})
-	}
-	if m.pskSelected {
-		exts = append(exts, extension{extPreSharedKey, []byte{0, 0}})
-	}
-	marshalExtensions(&w, exts)
-	return handshakeMsg(typeServerHello, w.bytes())
+	w.prefixed16(func() {
+		if m.ticketOffered {
+			w.u16(extSessionTicket)
+			w.u16(0)
+		}
+		if m.hasKeyShare {
+			w.u16(extKeyShare)
+			w.prefixed16(func() {
+				w.u16(m.keyShareGroup)
+				w.vec16(m.keyShareData)
+			})
+		}
+		if m.pskSelected {
+			w.u16(extPreSharedKey)
+			w.u16(2)
+			w.u16(0) // selected_identity
+		}
+	})
+	return w.msg()
 }
 
 func (m *serverHelloMsg) unmarshal(body []byte) error {
@@ -401,27 +501,28 @@ func (m *serverHelloMsg) unmarshal(body []byte) error {
 	if _, err = r.u8(); err != nil {
 		return err
 	}
-	exts, err := parseExtensions(&r)
-	if err != nil {
-		return err
-	}
-	if _, ok := findExtension(exts, extSessionTicket); ok {
-		m.ticketOffered = true
-	}
-	if ks, ok := findExtension(exts, extKeyShare); ok {
-		kr := reader{b: ks}
-		if m.keyShareGroup, err = kr.u16(); err != nil {
+	var seen extSet
+	return readExtensions(&r, func(typ uint16, data []byte) error {
+		if err := seen.add(typ); err != nil {
 			return err
 		}
-		if m.keyShareData, err = kr.vec16(); err != nil {
-			return err
+		switch typ {
+		case extSessionTicket:
+			m.ticketOffered = true
+		case extKeyShare:
+			kr := reader{b: data}
+			if m.keyShareGroup, err = kr.u16(); err != nil {
+				return err
+			}
+			if m.keyShareData, err = kr.vec16(); err != nil {
+				return err
+			}
+			m.hasKeyShare = true
+		case extPreSharedKey:
+			m.pskSelected = true
 		}
-		m.hasKeyShare = true
-	}
-	if _, ok := findExtension(exts, extPreSharedKey); ok {
-		m.pskSelected = true
-	}
-	return nil
+		return nil
+	})
 }
 
 // certificateMsg carries the certificate chain (leaf first).
@@ -430,13 +531,17 @@ type certificateMsg struct {
 }
 
 func (m *certificateMsg) marshal() []byte {
-	var cw builder
+	size := 3
 	for _, c := range m.chain {
-		cw.vec24(c)
+		size += 3 + len(c)
 	}
-	var w builder
-	w.vec24(cw.bytes())
-	return handshakeMsg(typeCertificate, w.bytes())
+	w := newMsg(typeCertificate, size)
+	w.prefixed24(func() {
+		for _, c := range m.chain {
+			w.vec24(c)
+		}
+	})
+	return w.msg()
 }
 
 func (m *certificateMsg) unmarshal(body []byte) error {
@@ -481,18 +586,22 @@ type serverKeyExchangeMsg struct {
 // pubkey), the portion covered by the signature together with the randoms.
 func (m *serverKeyExchangeMsg) paramsBytes() []byte {
 	var w builder
-	w.u8(3) // curve_type: named_curve
-	w.u16(m.curveID)
-	w.vec8(m.publicKey)
+	m.appendParams(&w)
 	return w.bytes()
 }
 
+func (m *serverKeyExchangeMsg) appendParams(w *builder) {
+	w.u8(3) // curve_type: named_curve
+	w.u16(m.curveID)
+	w.vec8(m.publicKey)
+}
+
 func (m *serverKeyExchangeMsg) marshal() []byte {
-	var w builder
-	w.raw(m.paramsBytes())
+	w := newMsg(typeServerKeyExchange, 8+len(m.publicKey)+len(m.signature))
+	m.appendParams(&w)
 	w.u16(m.sigAlg)
 	w.vec16(m.signature)
-	return handshakeMsg(typeServerKeyExchange, w.bytes())
+	return w.msg()
 }
 
 func (m *serverKeyExchangeMsg) unmarshal(body []byte) error {
@@ -527,13 +636,13 @@ type clientKeyExchangeMsg struct {
 }
 
 func (m *clientKeyExchangeMsg) marshal() []byte {
-	var w builder
+	w := newMsg(typeClientKeyExchange, 2+len(m.rsaCiphertext)+len(m.ecdhPublic))
 	if m.isRSA {
 		w.vec16(m.rsaCiphertext)
 	} else {
 		w.vec8(m.ecdhPublic)
 	}
-	return handshakeMsg(typeClientKeyExchange, w.bytes())
+	return w.msg()
 }
 
 func (m *clientKeyExchangeMsg) unmarshal(body []byte, isRSA bool) error {
@@ -579,10 +688,10 @@ type newSessionTicketMsg struct {
 }
 
 func (m *newSessionTicketMsg) marshal() []byte {
-	var w builder
+	w := newMsg(typeNewSessionTicket, 6+len(m.ticket))
 	w.u32(m.lifetimeSeconds)
 	w.vec16(m.ticket)
-	return handshakeMsg(typeNewSessionTicket, w.bytes())
+	return w.msg()
 }
 
 func (m *newSessionTicketMsg) unmarshal(body []byte) error {
@@ -604,10 +713,10 @@ type certificateVerifyMsg struct {
 }
 
 func (m *certificateVerifyMsg) marshal() []byte {
-	var w builder
+	w := newMsg(typeCertificateVerify, 4+len(m.signature))
 	w.u16(m.sigAlg)
 	w.vec16(m.signature)
-	return handshakeMsg(typeCertificateVerify, w.bytes())
+	return w.msg()
 }
 
 func (m *certificateVerifyMsg) unmarshal(body []byte) error {
@@ -627,15 +736,14 @@ func (m *certificateVerifyMsg) unmarshal(body []byte) error {
 type encryptedExtensionsMsg struct{}
 
 func (m *encryptedExtensionsMsg) marshal() []byte {
-	var w builder
-	marshalExtensions(&w, nil)
-	return handshakeMsg(typeEncryptedExtensions, w.bytes())
+	w := newMsg(typeEncryptedExtensions, 2)
+	w.u16(0) // no extensions
+	return w.msg()
 }
 
 func (m *encryptedExtensionsMsg) unmarshal(body []byte) error {
 	r := reader{b: body}
-	_, err := parseExtensions(&r)
-	return err
+	return readExtensions(&r, func(uint16, []byte) error { return nil })
 }
 
 // serverHelloDone is empty; helpers for symmetry.

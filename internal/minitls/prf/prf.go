@@ -7,53 +7,86 @@
 // HKDF is not ("the TLS 1.3 protocol introduces a new key derivation
 // function named HKDF, which cannot be offloaded through the QAT Engine
 // currently", §5.2) — which is why the TLS 1.3 speedup in Fig. 8 is lower
-// than the TLS 1.2 one. Both are implemented here in pure Go over the
-// standard library's HMAC; the engine layer decides what gets offloaded.
+// than the TLS 1.2 one. Both are implemented here in pure Go over one
+// re-keyable HMAC (HMAC) on the standard library's digests; the engine
+// layer decides what gets offloaded.
 package prf
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
-	"hash"
 )
 
 // TLS12 computes PRF(secret, label, seed) with P_SHA256 as specified by
 // RFC 5246 §5 for TLS 1.2, producing length bytes.
 func TLS12(secret []byte, label string, seed []byte, length int) []byte {
-	return NewTLS12Key(secret).Derive(label, seed, length)
+	k := NewTLS12Key(secret)
+	out := k.Derive(label, seed, length)
+	k.Release()
+	return out
 }
 
 // TLS12Key is the TLS 1.2 PRF under one secret. Its HMAC is keyed once and
 // reset per block, so a caller deriving several values from one secret (a
 // connection's key block and both Finished messages from its master
-// secret) keys it once. A TLS12Key is not safe for concurrent use.
+// secret) keys it once. The zero TLS12Key is unkeyed; SetKey keys it with
+// a pooled HMAC, which Release gives back. A TLS12Key is not safe for
+// concurrent use, and a keyed one must not be copied.
 type TLS12Key struct {
-	mac hash.Hash
+	mac *HMAC
 	buf []byte // A(i) ‖ label ‖ seed, reused across derivations
 	// scratch backs buf while A(i) ‖ label ‖ seed fits: every derivation of
 	// a TLS 1.2 handshake (two 32-byte randoms or one transcript hash as the
 	// seed) does.
 	scratch [128]byte
+	// block holds a final output block that only partly fits the result.
+	block [sha256.Size]byte
 }
 
 // NewTLS12Key keys the PRF's HMAC with secret.
 func NewTLS12Key(secret []byte) *TLS12Key {
-	k := &TLS12Key{mac: hmac.New(sha256.New, secret)}
-	k.buf = k.scratch[:0]
+	k := new(TLS12Key)
+	k.SetKey(secret)
 	return k
 }
 
-// Derive is PRF(secret, label, seed) producing length bytes: P_SHA256 of
-// RFC 5246 §5 over label ‖ seed,
+// SetKey keys k with secret, taking an HMAC from the pool if k holds none.
+func (k *TLS12Key) SetKey(secret []byte) {
+	if k.mac == nil {
+		k.mac = GetHMAC(SHA256, secret)
+	} else {
+		k.mac.SetKey(secret)
+	}
+	k.buf = k.scratch[:0]
+}
+
+// Release gives k's HMAC back to the pool. k must be keyed again before
+// its next derivation.
+func (k *TLS12Key) Release() {
+	if k.mac != nil {
+		PutHMAC(k.mac)
+		k.mac = nil
+	}
+}
+
+// Derive is PRF(secret, label, seed) producing length bytes, in a slice
+// of its own: the derivation's only allocation.
+func (k *TLS12Key) Derive(label string, seed []byte, length int) []byte {
+	out := make([]byte, length)
+	k.DeriveTo(out, label, seed)
+	return out
+}
+
+// DeriveTo fills out with PRF(secret, label, seed): P_SHA256 of RFC 5246
+// §5 over label ‖ seed,
 //
 //	P_hash(secret, seed) = HMAC_hash(secret, A(1) + seed) +
 //	                       HMAC_hash(secret, A(2) + seed) + ...
 //	A(0) = seed, A(i) = HMAC_hash(secret, A(i-1))
 //
 // A(i) is summed into the front of the buffer it is then MACed with, and
-// each output block straight into the result, which is the only
-// allocation once the buffer has grown.
-func (k *TLS12Key) Derive(label string, seed []byte, length int) []byte {
+// each whole output block straight into out; it allocates nothing once
+// the buffer has grown.
+func (k *TLS12Key) DeriveTo(out []byte, label string, seed []byte) {
 	const n = sha256.Size
 	buf := append(k.buf[:0], make([]byte, n)...)
 	buf = append(buf, label...)
@@ -61,51 +94,56 @@ func (k *TLS12Key) Derive(label string, seed []byte, length int) []byte {
 	k.buf = buf
 	a := buf[:n]
 	prev := buf[n:] // A(0) = label ‖ seed
-	out := make([]byte, 0, (length+n-1)/n*n)
-	for len(out) < length {
+	for off := 0; off < len(out); off += n {
 		k.mac.Reset()
 		k.mac.Write(prev)
 		k.mac.Sum(a[:0]) // A(i)
 		prev = a
 		k.mac.Reset()
 		k.mac.Write(buf)
-		out = k.mac.Sum(out)
+		if len(out)-off >= n {
+			k.mac.Sum(out[off:off])
+		} else {
+			copy(out[off:], k.mac.Sum(k.block[:0]))
+		}
 	}
-	return out[:length]
 }
+
+// zeroSalt is HKDF-Extract's salt when none is given: HashLen zeros.
+var zeroSalt [sha256.Size]byte
 
 // HKDFExtract computes HKDF-Extract(salt, ikm) with SHA-256 (RFC 5869 §2.2).
 // A nil or empty salt is replaced by a string of HashLen zeros.
 func HKDFExtract(salt, ikm []byte) []byte {
 	if len(salt) == 0 {
-		salt = make([]byte, sha256.Size)
+		salt = zeroSalt[:]
 	}
-	mac := hmac.New(sha256.New, salt)
+	mac := GetHMAC(SHA256, salt)
 	mac.Write(ikm)
-	return mac.Sum(nil)
+	out := mac.Sum(make([]byte, 0, sha256.Size))
+	PutHMAC(mac)
+	return out
 }
 
 // HKDFExpand computes HKDF-Expand(prk, info, length) with SHA-256
 // (RFC 5869 §2.3). length must not exceed 255*HashLen.
 func HKDFExpand(prk, info []byte, length int) []byte {
-	if length > 255*sha256.Size {
+	const n = sha256.Size
+	if length > 255*n {
 		panic("prf: HKDF-Expand length too large")
 	}
-	var (
-		out  = make([]byte, 0, length)
-		t    []byte
-		ctr  byte
-		hmac = hmac.New(sha256.New, prk)
-	)
-	for len(out) < length {
-		ctr++
-		hmac.Reset()
-		hmac.Write(t)
-		hmac.Write(info)
-		hmac.Write([]byte{ctr})
-		t = hmac.Sum(nil)
-		out = append(out, t...)
+	out := make([]byte, 0, (length+n-1)/n*n)
+	mac := GetHMAC(SHA256, prk)
+	var t []byte // T(0) is empty
+	for ctr := byte(1); len(out) < length; ctr++ {
+		mac.Reset()
+		mac.Write(t)
+		mac.Write(info)
+		mac.Write([]byte{ctr})
+		out = mac.Sum(out)
+		t = out[len(out)-n:]
 	}
+	PutHMAC(mac)
 	return out[:length]
 }
 

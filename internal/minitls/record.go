@@ -3,16 +3,16 @@ package minitls
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/sha1"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"qtls/internal/minitls/prf"
 )
 
 // Record content types.
@@ -163,10 +163,10 @@ type cbcMode interface {
 	SetIV([]byte)
 }
 
-// cbcState is the mutable half of a CBC direction: one HMAC, reset per
-// record, and the CBC modes, re-keyed per record with SetIV.
+// cbcState is the mutable half of a CBC direction: one keyed HMAC, reset
+// per record, and the CBC modes, re-keyed per record with SetIV.
 type cbcState struct {
-	mac      hash.Hash
+	mac      *prf.HMAC
 	enc, dec cbcMode
 	// scratch holds the 13-byte MAC pseudo-header and, on open, the
 	// expected MAC — here so neither escapes to the heap per record.
@@ -175,14 +175,16 @@ type cbcState struct {
 
 // cbcProtection implements TLS 1.2 style AES-CBC with HMAC-SHA1,
 // MAC-then-encrypt with a per-record explicit IV. The AES block is
-// stateless and shared; the mutable state is built once at key install
+// stateless and shared; the mutable state is built with the protection
 // and taken by one execution at a time.
 type cbcProtection struct {
 	keys  cbcKeys
 	block cipher.Block
-	// state is nil while an execution holds it; a concurrent execution
-	// finds nil and builds its own.
-	state atomic.Pointer[cbcState]
+	// busy is set while an execution holds st, and for good once release
+	// has given st's MAC back to the pool. An execution that finds it set
+	// builds a state of its own.
+	busy atomic.Bool
+	st   cbcState
 }
 
 func newCBCProtection(k cbcKeys) (*cbcProtection, error) {
@@ -194,19 +196,39 @@ func newCBCProtection(k cbcKeys) (*cbcProtection, error) {
 		return nil, err
 	}
 	p := &cbcProtection{keys: k, block: block}
-	p.state.Store(p.newState())
+	p.st.mac = prf.GetHMAC(prf.SHA1, k.macKey)
 	return p, nil
 }
 
-func (p *cbcProtection) newState() *cbcState {
-	return &cbcState{mac: hmac.New(sha1.New, p.keys.macKey)}
+// takeState returns p's own state, or a new one keyed from the pool when
+// another execution holds it. Give it back with putState.
+func (p *cbcProtection) takeState() *cbcState {
+	if p.busy.CompareAndSwap(false, true) {
+		return &p.st
+	}
+	return &cbcState{mac: prf.GetHMAC(prf.SHA1, p.keys.macKey)}
 }
 
-func (p *cbcProtection) takeState() *cbcState {
-	if st := p.state.Swap(nil); st != nil {
-		return st
+// putState ends an execution's hold on st. A state of its own goes back
+// to the pool with its MAC: the execution that built it is its only owner.
+func (p *cbcProtection) putState(st *cbcState) {
+	if st == &p.st {
+		p.busy.Store(false)
+		return
 	}
-	return p.newState()
+	prf.PutHMAC(st.mac)
+}
+
+// release gives the MAC back to the pool once the connection is done with
+// p. An execution still holding the state — a seal abandoned at its op
+// deadline, still running on a device — keeps it, and it goes to the
+// garbage collector with p. Once the MAC is back, every execution builds
+// its own.
+func (p *cbcProtection) release() {
+	if p.busy.CompareAndSwap(false, true) {
+		prf.PutHMAC(p.st.mac)
+		p.st.mac = nil
+	}
 }
 
 func (p *cbcProtection) overhead() int { return aes.BlockSize /*IV*/ + sha1.Size + aes.BlockSize /*pad*/ }
@@ -249,7 +271,7 @@ func (p *cbcProtection) seal(w *WireBuf, seq uint64, typ uint8, p0, p1 []byte, r
 		st.enc.SetIV(iv)
 	}
 	st.enc.CryptBlocks(w.b[start:end], w.b[start:end])
-	p.state.Store(st)
+	p.putState(st)
 	w.finish(typ, end)
 	return nil
 }
@@ -260,7 +282,7 @@ func (p *cbcProtection) open(seq uint64, wireTyp uint8, body []byte) (uint8, []b
 	}
 	iv, plain := body[:aes.BlockSize], body[aes.BlockSize:]
 	st := p.takeState()
-	defer p.state.Store(st)
+	defer p.putState(st)
 	if st.dec == nil {
 		st.dec = cipher.NewCBCDecrypter(p.block, iv).(cbcMode)
 	} else {

@@ -1,7 +1,6 @@
 package minitls
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
 
@@ -52,9 +51,7 @@ func binderKey(earlySecret []byte) []byte {
 
 // computeBinder MACs the truncated-ClientHello transcript hash.
 func computeBinder(earlySecret, truncatedCHHash []byte) []byte {
-	m := hmac.New(sha256.New, binderKey(earlySecret))
-	m.Write(truncatedCHHash)
-	return m.Sum(nil)
+	return hmacSHA256(binderKey(earlySecret), truncatedCHHash)
 }
 
 // verifyBinder checks a received binder in constant time.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -353,6 +354,42 @@ func TestReadRecordSplit(t *testing.T) {
 			for _, want := range [][]byte{big, small} {
 				if _, payload, err := client.readRecord(); err != nil || !bytes.Equal(payload, want) {
 					t.Fatalf("record of %d bytes: got %d bytes, %v", len(want), len(payload), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRecordWrite16K is one 16 KB record through Conn.Write — sealed
+// in place: HMAC-SHA1 and AES-CBC for cbc, AES-GCM for gcm — into a
+// transport that drops it: the per-record cost the bench's
+// minitls.record_write_16k probe reports, without its loopback socket.
+func BenchmarkRecordWrite16K(b *testing.B) {
+	rsaID, _ := testIdentities(b)
+	for _, name := range []string{"cbc", "gcm"} {
+		b.Run(name, func(b *testing.B) {
+			srvCfg := *recordPlaneSuites[name]
+			srvCfg.Identity = rsaID
+			srvT, cliT := net.Pipe()
+			defer srvT.Close()
+			defer cliT.Close()
+			server, client := Server(srvT, &srvCfg), ClientConn(cliT, &Config{MaxVersion: srvCfg.MaxVersion})
+			errc := make(chan error, 1)
+			go func() { errc <- client.Handshake() }()
+			if err := server.Handshake(); err != nil {
+				b.Fatal(err)
+			}
+			if err := <-errc; err != nil {
+				b.Fatal(err)
+			}
+			server.transport = discardTransport{}
+			payload := bytes.Repeat([]byte{'b'}, MaxPlaintext)
+			b.SetBytes(MaxPlaintext)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := server.Write(payload); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

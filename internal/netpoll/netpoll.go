@@ -204,21 +204,22 @@ func (l *Listener) Addr() string { return "127.0.0.1:" + strconv.Itoa(l.port) }
 
 // Accept accepts one connection; it returns ErrWouldBlock when no
 // connection is pending. The connection has TCP_NODELAY set (inherited
-// from the listener).
+// from the listener). The peer's address is not asked for: nothing reads
+// it, and syscall.Accept4 would allocate it.
 func (l *Listener) Accept() (*Conn, error) {
 	for {
-		nfd, _, err := syscall.Accept4(l.fd, syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC)
-		if err != nil {
-			switch {
-			case errors.Is(err, syscall.EINTR):
-				continue
-			case errors.Is(err, syscall.EAGAIN):
-				return nil, ErrWouldBlock
-			default:
-				return nil, fmt.Errorf("netpoll: accept: %w", err)
-			}
+		nfd, _, errno := syscall.Syscall6(syscall.SYS_ACCEPT4, uintptr(l.fd), 0, 0,
+			syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC, 0, 0)
+		switch errno {
+		case 0:
+			return &Conn{fd: int(nfd)}, nil
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return nil, ErrWouldBlock
+		default:
+			return nil, fmt.Errorf("netpoll: accept: %w", errno)
 		}
-		return &Conn{fd: nfd}, nil
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 type recordSink struct{ c *conn }
 
 func (s recordSink) WriteRecord(rec []byte) (err error) {
-	_, err = s.c.nc.Write(rec)
+	_, err = s.c.tp.Write(rec)
 	return err
 }
 

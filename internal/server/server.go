@@ -244,6 +244,8 @@ type Stats struct {
 	// them by what ended each.
 	LoopIters, Parks                               int64
 	ParkDeviceWakes, ParkSocketWakes, ParkTimeouts int64
+	// Socket syscalls (see WorkerStats).
+	Reads, WouldBlockReads, Accepts, WouldBlockAccepts, Writes int64
 }
 
 // Stats sums all worker counters.
@@ -272,6 +274,11 @@ func (s *Server) Stats() Stats {
 		t.ParkDeviceWakes += w.Stats.ParkDeviceWakes.Load()
 		t.ParkSocketWakes += w.Stats.ParkSocketWakes.Load()
 		t.ParkTimeouts += w.Stats.ParkTimeouts.Load()
+		t.Reads += w.Stats.Reads.Load()
+		t.WouldBlockReads += w.Stats.WouldBlockReads.Load()
+		t.Accepts += w.Stats.Accepts.Load()
+		t.WouldBlockAccepts += w.Stats.WouldBlockAccepts.Load()
+		t.Writes += w.Stats.Writes.Load()
 	}
 	return t
 }

@@ -68,6 +68,17 @@ type WorkerStats struct {
 	ParkDeviceWakes atomic.Int64
 	ParkSocketWakes atomic.Int64
 	ParkTimeouts    atomic.Int64
+	// Socket syscalls: reads issued by connections' TLS layers and the
+	// ones among them that found nothing (the readiness gate answers a
+	// read it knows would block without one, see sockTransport), accept4
+	// calls and the ones that found no connection, and transport writes
+	// (each at least one write(2); flushes on writable events are not
+	// counted).
+	Reads             atomic.Int64
+	WouldBlockReads   atomic.Int64
+	Accepts           atomic.Int64
+	WouldBlockAccepts atomic.Int64
+	Writes            atomic.Int64
 }
 
 // Worker is one event-driven server worker: one epoll loop, one optional
@@ -99,6 +110,10 @@ type Worker struct {
 	lc      *qat.Lifecycle
 	lcEpoch int64
 	homeDev atomic.Int32
+
+	// onAsync is asyncEventCallback as a func value, bound once: every
+	// connection's wait context calls it.
+	onAsync func(arg any)
 
 	poller     *netpoll.Poller
 	listener   *netpoll.Listener
@@ -183,6 +198,7 @@ type Worker struct {
 type conn struct {
 	fd      int
 	nc      *netpoll.Conn
+	tp      sockTransport // nc as tls reads and writes it
 	tls     *minitls.Conn
 	handler func(*Worker, *conn) // a method expression: switching allocates nothing
 
@@ -252,6 +268,7 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 		flight:  fr,
 		fl:      fr.Journal(id), // nil recorder → nil (inert) journal
 	}
+	w.onAsync = w.asyncEventCallback
 	w.wheel = newDeadlineWheel(cfg.Deadlines.Tick, time.Now())
 	w.initSeries()
 	var err error
@@ -679,7 +696,7 @@ func (w *Worker) endPark(events int) {
 func (w *Worker) dispatch(ev netpoll.Event) {
 	switch ev.FD {
 	case w.listener.FD():
-		w.acceptAll()
+		w.acceptOne()
 	case w.stopPipe.ReadFD():
 		w.stopPipe.Drain()
 	default:
@@ -691,6 +708,9 @@ func (w *Worker) dispatch(ev netpoll.Event) {
 		c, ok := w.conns[ev.FD]
 		if !ok {
 			return
+		}
+		if ev.Readable || ev.Closed {
+			c.tp.readable()
 		}
 		if ev.Writable {
 			if err := c.nc.Flush(); err != nil {
@@ -712,33 +732,41 @@ func (w *Worker) dispatch(ev netpoll.Event) {
 	}
 }
 
-func (w *Worker) acceptAll() {
-	for {
-		nc, err := w.listener.Accept()
-		if err != nil {
-			return // would-block or transient
+// acceptOne accepts one connection per listener event — nginx's
+// multi_accept off. Looping until accept4 fails costs an EAGAIN per event
+// when, as usual, one connection is pending; the listener is
+// level-triggered, so a second pending connection ends the next
+// epoll_wait.
+func (w *Worker) acceptOne() {
+	w.Stats.Accepts.Add(1)
+	nc, err := w.listener.Accept()
+	if err != nil {
+		if errors.Is(err, netpoll.ErrWouldBlock) {
+			w.Stats.WouldBlockAccepts.Add(1)
 		}
-		if w.shedAccept(nc) {
-			continue
-		}
-		w.Stats.Accepted.Add(1)
-		c := &conn{fd: nc.FD(), nc: nc, active: true}
-		c.tls = minitls.Server(nc, w.tlsTmpl)
-		c.handler = (*Worker).handshakeHandler
-		// The connection-level async callback delivers events for every
-		// offload job of this connection (one shared channel per
-		// connection, §4.4).
-		if w.tlsTmpl.AsyncMode != minitls.AsyncModeOff {
-			c.tls.SetAsyncCallback(w.asyncEventCallback, c)
-		}
-		if err := w.poller.Add(c.fd, true, false); err != nil {
-			nc.Close()
-			continue
-		}
-		w.conns[c.fd] = c
-		w.activeConns++
-		w.invoke(c)
+		return // would-block or transient
 	}
+	if w.shedAccept(nc) {
+		return
+	}
+	w.Stats.Accepted.Add(1)
+	c := &conn{fd: nc.FD(), nc: nc, active: true}
+	c.tp = sockTransport{nc: nc, st: &w.Stats}
+	c.tls = minitls.Server(&c.tp, w.tlsTmpl)
+	c.handler = (*Worker).handshakeHandler
+	// The connection-level async callback delivers events for every
+	// offload job of this connection (one shared channel per connection,
+	// §4.4).
+	if w.tlsTmpl.AsyncMode != minitls.AsyncModeOff {
+		c.tls.SetAsyncCallback(w.onAsync, c)
+	}
+	if err := w.poller.Add(c.fd, true, false); err != nil {
+		nc.Close()
+		return
+	}
+	w.conns[c.fd] = c
+	w.activeConns++
+	w.invoke(c)
 }
 
 // invoke runs the connection's current handler and then the heuristic
@@ -847,7 +875,9 @@ func (w *Worker) closeConn(c *conn) {
 	c.nc.Close()
 	// Stale deadline-wheel entries keep c reachable for up to a wheel
 	// horizon; its TLS state (keys, cipher state, input buffer) need not
-	// wait that long. Nothing dereferences it on a closed conn.
+	// wait that long. Nothing dereferences it on a closed conn, so what it
+	// holds from shared pools goes back now.
+	c.tls.Release()
 	c.tls = nil
 	w.Stats.ClosedConns.Add(1)
 }
