@@ -19,10 +19,11 @@
 //
 // A fault scenario (internal/fault spec grammar) can be injected into the
 // simulated device to watch the server degrade gracefully instead of
-// hanging; GET /stub_status reports the fault counters and per-instance
-// breaker state:
+// hanging; with -lifecycle the health manager routes around the sick
+// instances and devices, and GET /stub_status reports the fault counters
+// and per-instance breaker state:
 //
-//	qtlsserver -fault 'stall:ep=0,op=rsa,p=1' -op-timeout 10ms -breaker
+//	qtlsserver -fault 'stall:ep=0,op=rsa,p=1' -op-timeout 10ms -lifecycle
 //
 // Clients: cmd/qtlsload, or the examples. Responses are served for paths
 // of the form "/<bytes>" (e.g. GET /65536 returns 64 KiB).
@@ -144,10 +145,9 @@ func main() {
 
 		faultSpec = flag.String("fault", "", "device fault scenario, e.g. 'stall:op=rsa,p=0.1' (see internal/fault)")
 		chaosSpec = flag.String("chaos", "", "time-scripted chaos schedule, e.g. 't=5s dev1 stall 10s; t=30s dev0 reset-storm n=4' (implies -lifecycle; per-device injectors)")
-		lifecycle = flag.Bool("lifecycle", false, "enable the device lifecycle manager: quarantine/probation/recovery with live worker re-homing")
+		lifecycle = flag.Bool("lifecycle", false, "enable the health manager: per-instance circuit breakers, device quarantine/probation/recovery with live worker re-homing")
 		opTimeout = flag.Duration("op-timeout", 0, "per-op offload deadline before software fallback (0 = off)")
 		maxRetry  = flag.Int("max-retries", 2, "offload retries after retryable device errors")
-		breaker   = flag.Bool("breaker", false, "enable per-instance circuit breakers")
 
 		hsTimeout = flag.Duration("handshake-timeout", offload.DefaultHandshakeTimeout, "TLS handshake deadline (negative = off)")
 		hdTimeout = flag.Duration("header-timeout", offload.DefaultHeaderTimeout, "request-header deadline (negative = off)")
@@ -216,13 +216,11 @@ func main() {
 		*flightOn = true
 	}
 
-	// Degradation knobs: the deadline/retry ladder and breakers apply to
-	// any configuration; the injector needs the simulated device.
+	// Degradation knobs: the deadline/retry ladder applies to any
+	// configuration; the injector and the health manager need the
+	// simulated device.
 	run.OpTimeout = *opTimeout
 	run.MaxRetries = *maxRetry
-	if *breaker {
-		run.Breaker = &fault.BreakerConfig{}
-	}
 	// Lifecycle deadlines and admission control (the connection-lifecycle
 	// hardening layer; zero RunConfig fields take the offload defaults).
 	run.Deadlines = offload.DeadlinePolicy{
@@ -268,7 +266,7 @@ func main() {
 		if !run.UseQAT {
 			log.Fatalf("-lifecycle needs a QAT configuration (got %s)", run.Name)
 		}
-		run.Lifecycle = &qat.LifecycleConfig{}
+		run.Lifecycle = true
 	}
 
 	var pool *qat.Pool
@@ -374,12 +372,8 @@ func main() {
 		log.Print("adaptive polling: closed-loop thresholds, watch qtls_poll_threshold{class} on /metrics")
 	}
 	if srv.Lifecycle() != nil {
-		note := ""
-		if run.Breaker == nil {
-			note = " (no -breaker: only reset-storm and wedge detection active)"
-		}
-		log.Printf("lifecycle: quarantine/probation/recovery on %d device(s), qtls_device_state{dev} on /metrics%s",
-			pool.Size(), note)
+		log.Printf("lifecycle: per-instance breakers, quarantine/probation/recovery on %d device(s), qtls_device_state{dev} on /metrics",
+			pool.Size())
 	}
 	if chaos != nil {
 		log.Printf("chaos: %s (quiet after %s)", chaos, chaos.Duration())

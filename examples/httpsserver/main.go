@@ -9,7 +9,8 @@
 //
 // Pass a fault scenario to watch graceful degradation: offloads that the
 // sick device swallows time out and complete in software instead of
-// hanging the handshake.
+// hanging the handshake, and the health manager routes around the sick
+// instances.
 //
 //	go run ./examples/httpsserver -fault 'stall:op=rsa,p=1' -op-timeout 10ms
 package main
@@ -53,7 +54,7 @@ func main() {
 	if inj != nil {
 		log.Printf("%s", inj)
 		run.OpTimeout = *opTimeout
-		run.Breaker = &fault.BreakerConfig{}
+		run.Lifecycle = true
 	}
 
 	var rec *trace.Recorder

@@ -112,19 +112,20 @@ func TestDeviceResetRetried(t *testing.T) {
 	}
 }
 
-// A persistently sick instance trips its breaker, and submissions route to
-// the healthy instance on the other endpoint from then on.
+// A persistently sick instance trips its circuit, and submissions route to
+// the healthy instance on the other endpoint from then on. The health
+// manager's clock is held, so the circuit never cools down.
 func TestBreakerRoutesAroundSickInstance(t *testing.T) {
 	// Endpoint 0 stalls everything; endpoint 1 is healthy.
 	inj := fault.NewInjector(1, fault.Rule{Kind: fault.Stall, Endpoint: 0, Op: fault.AnyOp, P: 1})
 	reg := metrics.NewRegistry()
 	spec := qat.DeviceSpec{Endpoints: 2, EnginesPerEndpoint: 1}
 	spec.Injector = inj
-	dev := qat.NewDevice(spec)
-	t.Cleanup(dev.Close)
+	pool := qat.PoolOf(qat.NewDevice(spec))
+	t.Cleanup(pool.Close)
 	var insts []*qat.Instance
 	for i := 0; i < 2; i++ {
-		inst, err := dev.AllocInstance()
+		inst, err := pool.AllocInstance(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,16 +138,15 @@ func TestBreakerRoutesAroundSickInstance(t *testing.T) {
 		Instances: insts,
 		OpTimeout: 10 * time.Millisecond,
 		Metrics:   reg,
-		Breaker: &fault.BreakerConfig{
-			Window: 4, FailureThreshold: 0.5, MinSamples: 2,
-			Cooldown: time.Hour, ProbeCount: 1,
-		},
+		Lifecycle: qat.NewLifecycle(pool, newTestClock().Now),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	call := &minitls.OpCall{Mode: minitls.AsyncModeOff}
-	for i := 0; i < 8; i++ {
+	// Round-robin sends every other op to the sick instance: 12 ops give
+	// it more than the 4 outcomes its circuit needs to trip.
+	for i := 0; i < 12; i++ {
 		res, err := e.Do(call, minitls.KindRSA, func() (any, error) { return i, nil })
 		if err != nil || res != i {
 			t.Fatalf("op %d: %v, %v", i, res, err)
@@ -159,7 +159,7 @@ func TestBreakerRoutesAroundSickInstance(t *testing.T) {
 	if st.Timeouts < 2 {
 		t.Fatalf("timeouts = %d", st.Timeouts)
 	}
-	// With the breaker open, further ops must complete without timeouts.
+	// With the circuit open, further ops must complete without timeouts.
 	before := e.Stats().Timeouts
 	for i := 0; i < 8; i++ {
 		if _, err := e.Do(call, minitls.KindRSA, func() (any, error) { return i, nil }); err != nil {
@@ -167,7 +167,7 @@ func TestBreakerRoutesAroundSickInstance(t *testing.T) {
 		}
 	}
 	if after := e.Stats().Timeouts; after != before {
-		t.Fatalf("breaker open but %d more timeouts", after-before)
+		t.Fatalf("circuit open but %d more timeouts", after-before)
 	}
 	var sick, healthy *InstanceHealth
 	for i, h := range e.Health() {
@@ -178,10 +178,10 @@ func TestBreakerRoutesAroundSickInstance(t *testing.T) {
 			healthy = &h
 		}
 	}
-	if sick.State != fault.StateOpen {
+	if sick.State != qat.BreakerOpen {
 		t.Fatalf("sick instance state = %v", sick.State)
 	}
-	if healthy.State != fault.StateClosed {
+	if healthy.State != qat.BreakerClosed {
 		t.Fatalf("healthy instance state = %v", healthy.State)
 	}
 	if reg.Snapshot()["qat_instance_trips"] < 1 {
@@ -192,29 +192,38 @@ func TestBreakerRoutesAroundSickInstance(t *testing.T) {
 // With every instance circuit-broken, ops degrade straight to software
 // rather than erroring out.
 func TestAllInstancesTrippedFallsBack(t *testing.T) {
+	// The circuit's minimum sample count: that many timeouts trip it.
+	const tripAfter = 4
 	inj := fault.NewInjector(1, fault.Rule{Kind: fault.Stall, Endpoint: fault.AnyEndpoint, Op: fault.AnyOp, P: 1})
-	e, _ := hardenedEngine(t, qat.DeviceSpec{Endpoints: 1, EnginesPerEndpoint: 1}, inj, Config{
+	pool := qat.PoolOf(qat.NewDevice(qat.DeviceSpec{Endpoints: 1, EnginesPerEndpoint: 1, Injector: inj}))
+	t.Cleanup(pool.Close)
+	inst, err := pool.AllocInstance(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{
+		Instance:  inst,
 		OpTimeout: 2 * time.Millisecond,
-		Breaker: &fault.BreakerConfig{
-			Window: 4, FailureThreshold: 0.5, MinSamples: 1,
-			Cooldown: time.Hour, ProbeCount: 1,
-		},
+		Lifecycle: qat.NewLifecycle(pool, newTestClock().Now),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	call := &minitls.OpCall{Mode: minitls.AsyncModeOff}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 2*tripAfter; i++ {
 		res, err := e.Do(call, minitls.KindRSA, func() (any, error) { return i, nil })
 		if err != nil || res != i {
 			t.Fatalf("op %d: %v, %v", i, res, err)
 		}
 	}
 	st := e.Stats()
-	if st.Timeouts != 1 {
-		t.Fatalf("expected exactly one timeout before the trip, got %+v", st)
+	if st.Timeouts != tripAfter {
+		t.Fatalf("expected exactly %d timeouts before the trip, got %+v", tripAfter, st)
 	}
-	if st.SWFallbacks != 4 {
+	if st.SWFallbacks != 2*tripAfter {
 		t.Fatalf("fallbacks = %d", st.SWFallbacks)
 	}
-	if h := e.Health(); h[0].State != fault.StateOpen {
+	if h := e.Health(); h[0].State != qat.BreakerOpen {
 		t.Fatalf("health = %+v", h)
 	}
 }

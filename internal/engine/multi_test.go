@@ -220,11 +220,12 @@ func TestRouteDoesNotAllocate(t *testing.T) {
 		roundTrip func(*Engine) float64
 	}{{"stack", stack}, {"fiber", fiber}} {
 		one, _ := newEngine(t, qat.DeviceSpec{})
-		sharded := twoDeviceEngine(t, nil, Config{})
-		single, shard := mode.roundTrip(one), mode.roundTrip(sharded)
-		if !raceEnabled && (single != 0 || shard != 0) {
-			t.Errorf("%s: allocations per round trip: one instance %v, conn-hash over two devices %v; want 0",
-				mode.name, single, shard)
+		sharded := twoDeviceEngine(t, nil, Config{}, nil)
+		managed := twoDeviceEngine(t, nil, Config{}, newTestClock())
+		single, shard, health := mode.roundTrip(one), mode.roundTrip(sharded), mode.roundTrip(managed)
+		if !raceEnabled && (single != 0 || shard != 0 || health != 0) {
+			t.Errorf("%s: allocations per round trip: one instance %v, conn-hash over two devices %v, the same under the health manager %v; want 0",
+				mode.name, single, shard, health)
 		}
 	}
 }

@@ -95,7 +95,7 @@ func (e *Engine) Rehome(dev int) bool {
 // round-robin cursor (which advances once per instance examined) so load
 // spreads within a list and a full or unadmitted instance hands over to
 // its successor. When every admitted ring is full it returns
-// qat.ErrRingFull; when breakers and lifecycle admit no instance at all it
+// qat.ErrRingFull; when the health manager admits no instance at all it
 // returns ErrNoInstance.
 func (e *Engine) route(class Class, req qat.Request) (int, error) {
 	err := ErrNoInstance
@@ -104,7 +104,7 @@ func (e *Engine) route(class Class, req qat.Request) (int, error) {
 		for i := range set {
 			idx := set[(c+i)%len(set)]
 			e.next++
-			if !e.instAllowed(idx) {
+			if e.lc != nil && !e.lc.Admit(e.insts[idx]) {
 				continue
 			}
 			err = e.insts[idx].Submit(req)
@@ -114,9 +114,13 @@ func (e *Engine) route(class Class, req qat.Request) (int, error) {
 			}
 			if !errors.Is(err, qat.ErrRingFull) {
 				// A device-level submission failure (e.g. endpoint reset) is
-				// a health signal; ring-full is mere backpressure and is not.
+				// a health signal; ring-full is mere backpressure and is not:
+				// its admission is handed back.
 				e.recordResult(idx, false)
 				return idx, err
+			}
+			if e.lc != nil {
+				e.lc.Refused(e.insts[idx])
 			}
 		}
 	}

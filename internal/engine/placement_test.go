@@ -11,24 +11,27 @@ import (
 	"qtls/internal/qat"
 )
 
-// twoDeviceEngine builds a conn-hash engine over two devices — device 0,
-// the home, carrying the given injector, device 1 healthy — with one
-// instance on each.
-func twoDeviceEngine(t *testing.T, inj *fault.Injector, cfg Config) *Engine {
+// twoDeviceEngine builds a conn-hash engine over a two-device pool —
+// device 0, the home, carrying the given injector, device 1 healthy — with
+// one instance on each. A non-nil clk puts the pool under a health
+// manager on that clock.
+func twoDeviceEngine(t *testing.T, inj *fault.Injector, cfg Config, clk *testClock) *Engine {
 	t.Helper()
 	spec := qat.DeviceSpec{Endpoints: 1, EnginesPerEndpoint: 2, RingCapacity: 16}
 	faulted := spec
 	faulted.Injector = inj
-	dev0, dev1 := qat.NewDevice(faulted), qat.NewDevice(spec)
-	t.Cleanup(dev0.Close)
-	t.Cleanup(dev1.Close)
-	i0, err := dev0.AllocInstance()
+	pool := qat.PoolOf(qat.NewDevice(faulted), qat.NewDevice(spec))
+	t.Cleanup(pool.Close)
+	i0, err := pool.AllocInstance(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i1, err := dev1.AllocInstance()
+	i1, err := pool.AllocInstance(1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if clk != nil {
+		cfg.Lifecycle = qat.NewLifecycle(pool, clk.Now)
 	}
 	cfg.Instances = []*qat.Instance{i0, i1}
 	cfg.InstanceDevices = []int{0, 1}
@@ -43,8 +46,9 @@ func twoDeviceEngine(t *testing.T, inj *fault.Injector, cfg Config) *Engine {
 
 // TestPlacementFailoverAcrossDevices is the cross-device failover
 // scenario: injected stalls on the home device 0 time out its ops, the
-// instance breaker opens, the engine re-routes to device 1 and the flight
-// journal records the placement flip.
+// instance circuit opens, the engine re-routes to device 1 and the flight
+// journal records the placement flip. The health manager's clock is held,
+// so the circuit stays open: no probes go back to the sick device.
 func TestPlacementFailoverAcrossDevices(t *testing.T) {
 	inj := fault.NewInjector(1, fault.Rule{
 		Kind: fault.Stall, Endpoint: fault.AnyEndpoint, Op: int(qat.OpRSA), P: 1,
@@ -53,16 +57,10 @@ func TestPlacementFailoverAcrossDevices(t *testing.T) {
 	fr.SetEnabled(true)
 	e := twoDeviceEngine(t, inj, Config{
 		OpTimeout: 5 * time.Millisecond,
-		Breaker: &fault.BreakerConfig{
-			Window:     4,
-			MinSamples: 2,
-			ProbeCount: 1,
-			Cooldown:   time.Hour, // stay open: no probes back to the sick device
-		},
-		Flight: fr.Journal(0),
-	})
+		Flight:    fr.Journal(0),
+	}, newTestClock())
 	call := &minitls.OpCall{Mode: minitls.AsyncModeOff}
-	// Drive RSA ops until the breaker trips and the route lands on device 1.
+	// Drive RSA ops until the circuit trips and the route lands on device 1.
 	for i := 0; i < 10; i++ {
 		res, err := e.Do(call, minitls.KindRSA, func() (any, error) { return "sig", nil })
 		if err != nil || res != "sig" {
@@ -77,7 +75,7 @@ func TestPlacementFailoverAcrossDevices(t *testing.T) {
 	}
 	st := e.Stats()
 	if st.Trips == 0 {
-		t.Fatalf("breaker never tripped: %+v", st)
+		t.Fatalf("circuit never tripped: %+v", st)
 	}
 	if st.PlacementFlips != 1 {
 		t.Fatalf("placement flips = %d, want 1: %+v", st.PlacementFlips, st)

@@ -1,6 +1,6 @@
 package engine
 
-import "qtls/internal/fault"
+import "qtls/internal/qat"
 
 // This file is the engine's observable surface: the per-class in-flight
 // counters that feed the heuristic polling scheme (§4.3), the response
@@ -61,11 +61,12 @@ type InstanceHealth struct {
 	Index int
 	// Endpoint is the QAT endpoint the instance's rings belong to.
 	Endpoint int
-	// State is the circuit-breaker state (closed when breakers are off).
-	State fault.BreakerState
-	// Breaker is the breaker's window snapshot (zero when breakers are
-	// off).
-	Breaker fault.BreakerSnapshot
+	// State is the instance's circuit state (closed when health
+	// management is off).
+	State qat.BreakerState
+	// Breaker is the circuit's outcome snapshot (zero when health
+	// management is off).
+	Breaker qat.BreakerSnapshot
 	// Inflight is the instance's occupied ring slots.
 	Inflight int
 	// Leaked is the ring slots currently leaked by stalled requests.
@@ -77,18 +78,15 @@ type InstanceHealth struct {
 func (e *Engine) Health() []InstanceHealth {
 	out := make([]InstanceHealth, len(e.insts))
 	for i, inst := range e.insts {
-		h := InstanceHealth{
+		b := inst.Breaker()
+		out[i] = InstanceHealth{
 			Index:    i,
 			Endpoint: inst.Endpoint(),
-			State:    fault.StateClosed,
+			State:    b.State,
+			Breaker:  b,
 			Inflight: inst.Inflight(),
 			Leaked:   inst.Leaked(),
 		}
-		if e.breakers != nil {
-			h.State = e.breakers[i].State()
-			h.Breaker = e.breakers[i].Snapshot()
-		}
-		out[i] = h
 	}
 	return out
 }

@@ -5,23 +5,18 @@
 // stalled engines, dropped or corrupted responses, latency spikes and
 // whole-endpoint resets.
 //
-// The package has two halves:
-//
-//   - Injector: a composable, deterministic (seedable splitmix64 RNG,
-//     no wall-clock dependence, so decisions are reproducible and
-//     compatible with the discrete-event model's determinism contract)
-//     source of fault decisions the simulated QAT device consults at
-//     submit and service time. A nil *Injector is the free default:
-//     every decision method on a nil receiver returns the zero Outcome.
-//
-//   - Breaker: a per-crypto-instance health tracker / circuit breaker
-//     (rolling error-rate window, open → half-open probes → closed)
-//     the engine uses to route submissions away from sick instances and
-//     re-admit them after recovery.
+// The Injector is a composable, deterministic (seedable splitmix64 RNG,
+// no wall-clock dependence, so decisions are reproducible and compatible
+// with the discrete-event model's determinism contract) source of fault
+// decisions the simulated QAT device consults at submit and service time.
+// A nil *Injector is the free default: every decision method on a nil
+// receiver returns the zero Outcome. Judging the health those faults
+// damage — per-instance circuits, device quarantine — is qat.Lifecycle's
+// job.
 //
 // Fault scenarios are describable as strings ("stall:op=rsa,p=1" …) via
 // ParseSpec, which backs the -fault flags of cmd/qtlsserver, cmd/qatinfo
-// and examples/httpsserver.
+// and examples/httpsserver; Schedule scripts them over time (-chaos).
 package fault
 
 import (
@@ -430,11 +425,11 @@ func (inj *Injector) String() string {
 // with kinds stall, drop, corrupt, latency, ringfull, reset and keys
 //
 //	p=<probability 0..1>     (default 1)
-//	ep=<endpoint index>      (default any)
+//	ep=<endpoint index ≥ 0>  (default: omitted, any endpoint)
 //	op=<rsa|ecdsa|ecdh|prf|cipher> (default any)
 //	d=<duration>             (latency only, e.g. d=2ms)
-//	after=<n>                (skip the first n opportunities)
-//	limit=<n>                (fire at most n times)
+//	after=<n ≥ 0>            (skip the first n opportunities)
+//	limit=<n ≥ 0>            (fire at most n times; 0 = unlimited)
 //
 // Examples:
 //
@@ -443,7 +438,10 @@ func (inj *Injector) String() string {
 //	ringfull:p=0.5,limit=100         # transient submit-rejection storm
 //	reset:after=1000,limit=1         # one endpoint reset after 1000 ops
 //
-// An empty spec returns (nil, nil): the free no-fault default.
+// An empty spec returns (nil, nil): the free no-fault default. Every rule
+// the grammar accepts renders back (Rule.String) to itself, so an option
+// that String would not print — d= on a kind other than latency, a
+// negative count or endpoint — is refused, naming the option.
 func ParseSpec(spec string, seed int64) (*Injector, error) {
 	fields := strings.FieldsFunc(spec, func(r rune) bool {
 		return r == ' ' || r == ';' || r == '\t' || r == '\n'
@@ -475,7 +473,7 @@ func ParseSpec(spec string, seed int64) (*Injector, error) {
 						err = fmt.Errorf("probability out of [0,1]")
 					}
 				case "ep":
-					r.Endpoint, err = strconv.Atoi(val)
+					r.Endpoint, err = nonNegative(val)
 				case "op":
 					r.Op = -2
 					for i, n := range opNames {
@@ -487,11 +485,15 @@ func ParseSpec(spec string, seed int64) (*Injector, error) {
 						err = fmt.Errorf("unknown op %q (want %s)", val, strings.Join(opNames, "|"))
 					}
 				case "d":
-					r.Latency, err = time.ParseDuration(val)
+					if r.Kind != Latency {
+						err = fmt.Errorf("only latency rules take a duration")
+					} else {
+						r.Latency, err = time.ParseDuration(val)
+					}
 				case "after":
-					r.After, err = strconv.Atoi(val)
+					r.After, err = nonNegative(val)
 				case "limit":
-					r.Limit, err = strconv.Atoi(val)
+					r.Limit, err = nonNegative(val)
 				default:
 					err = fmt.Errorf("unknown option %q", key)
 				}
@@ -506,6 +508,15 @@ func ParseSpec(spec string, seed int64) (*Injector, error) {
 		rules = append(rules, r)
 	}
 	return NewInjector(seed, rules...), nil
+}
+
+// nonNegative parses an endpoint index or an opportunity count.
+func nonNegative(val string) (int, error) {
+	n, err := strconv.Atoi(val)
+	if err == nil && n < 0 {
+		err = fmt.Errorf("negative value %d", n)
+	}
+	return n, err
 }
 
 func kindList() string {

@@ -128,7 +128,7 @@ func TestSinkMirrorsInjections(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	inj, err := ParseSpec("stall:ep=0,op=rsa,p=1 latency:d=5ms,p=0.2;ringfull:p=0.5,limit=100 reset:after=1000,limit=1", 1)
+	inj, err := ParseSpec(grammarSpec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,21 +160,67 @@ func TestParseSpecEmpty(t *testing.T) {
 	}
 }
 
+// Every spec the tests below and the README's -fault examples parse;
+// FuzzParseSpec seeds from them.
+var (
+	grammarSpec   = "stall:ep=0,op=rsa,p=1 latency:d=5ms,p=0.2;ringfull:p=0.5,limit=100 reset:after=1000,limit=1"
+	exampleSpecs  = []string{"stall:op=rsa,p=1", "stall:ep=0,op=rsa,p=1", "reset:after=500,limit=1", "stall:op=rsa,p=0.2 latency:d=2ms,p=0.5"}
+	specErrorRows = []struct{ spec, option string }{
+		{"explode", "kind"},            // unknown kind
+		{"stall:p=2", "p"},             // probability out of range
+		{"stall:p=NaN", "p"},           // not a probability
+		{"stall:wat=1", "wat"},         // unknown option
+		{"stall:p", "stall:p"},         // malformed option
+		{"latency:p=1", "d="},          // latency without d=
+		{"stall:op=des", "op"},         // unknown op
+		{"drop:after=x", "after"},      // bad int
+		{"stall:d=5ms", "d"},           // a duration String would drop
+		{"ringfull:limit=-1", "limit"}, // negative counts String would drop
+		{"drop:after=-4", "after"},
+		{"stall:ep=-7", "ep"}, // the wildcard is omitting ep=
+		{"stall:ep=-1", "ep"},
+	}
+)
+
 func TestParseSpecErrors(t *testing.T) {
-	for _, spec := range []string{
-		"explode",      // unknown kind
-		"stall:p=2",    // probability out of range
-		"stall:p=NaN",  // not a probability
-		"stall:wat=1",  // unknown option
-		"stall:p",      // malformed option
-		"latency:p=1",  // latency without d=
-		"stall:op=des", // unknown op
-		"drop:after=x", // bad int
-	} {
-		if _, err := ParseSpec(spec, 1); err == nil {
-			t.Fatalf("spec %q accepted", spec)
+	for _, row := range specErrorRows {
+		_, err := ParseSpec(row.spec, 1)
+		if err == nil {
+			t.Fatalf("spec %q accepted", row.spec)
+		}
+		if !strings.Contains(err.Error(), row.option) {
+			t.Fatalf("spec %q: error %q does not name %q", row.spec, err, row.option)
 		}
 	}
+}
+
+// FuzzParseSpec feeds operator bytes to the -fault grammar: parsing never
+// panics, and every rule a spec yields renders (Rule.String) to a spec
+// that parses back to an equal rule.
+func FuzzParseSpec(f *testing.F) {
+	f.Add(grammarSpec)
+	f.Add("drop")
+	for _, s := range exampleSpecs {
+		f.Add(s)
+	}
+	for _, row := range specErrorRows {
+		f.Add(row.spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		inj, err := ParseSpec(spec, 1)
+		if err != nil {
+			return
+		}
+		for _, r := range inj.Rules() {
+			back, err := ParseSpec(r.String(), 1)
+			if err != nil {
+				t.Fatalf("%q: rule %+v renders as %q, which does not parse: %v", spec, r, r.String(), err)
+			}
+			if got := back.Rules(); len(got) != 1 || got[0] != r {
+				t.Fatalf("%q: rule %+v renders as %q, which parses to %+v", spec, r, r.String(), got)
+			}
+		}
+	})
 }
 
 // Defaults: bare kind means p=1, any endpoint, any op.

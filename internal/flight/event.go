@@ -36,8 +36,8 @@ const (
 	// batch size — phase-dependent, as in trace).
 	KindSlowSpan Kind = iota
 	// KindBreaker is a circuit-breaker state transition. Code is the new
-	// state (closed/open/half-open), Dur the instance's endpoint and Arg
-	// the instance index.
+	// state (closed/open/half-open), Dur the previous state and Arg the
+	// instance's index in its engine (-1 for a record engine's instance).
 	KindBreaker
 	// KindFault is one injected fault. Code is the fault class
 	// (stall/drop/corrupt/latency/ringfull/reset), Op the targeted op
@@ -169,9 +169,10 @@ func DumpReasonCode(reason string) uint8 {
 }
 
 // codeNames render the kind-specific meaning of Event.Code. The breaker,
-// fault and deadline tables mirror fault.BreakerState, fault.Kind and
+// fault and deadline tables mirror qat.BreakerState, fault.Kind and
 // offload.DeadlineClass ordinals without importing those packages (the
-// dependencies point the other way: they journal into flight).
+// dependencies point the other way: they journal into flight); the engine
+// tests pin the qat ones.
 var (
 	breakerNames  = [...]string{"closed", "open", "half-open"}
 	faultNames    = [...]string{"stall", "drop", "corrupt", "latency", "ringfull", "reset"}
@@ -264,7 +265,8 @@ type Event struct {
 	// Op is the crypto op class (trace.OpNone when not applicable).
 	Op trace.Op
 	// Dur is a duration in nanoseconds where meaningful (slow spans),
-	// or a kind-specific extra field (endpoint for breaker events).
+	// or a kind-specific extra field (the previous state for breaker
+	// events).
 	Dur int64
 	// Arg is the kind-specific argument (fd, instance, endpoint, bytes,
 	// event count).

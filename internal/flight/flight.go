@@ -214,7 +214,7 @@ func (r *Recorder) onEvent(k Kind, code uint8, tNs int64) {
 	case KindDeadline:
 		r.deadlineWin.Observe(1, tNs)
 	case KindBreaker:
-		if code == 1 { // mirrors fault.StateOpen
+		if code == 1 { // mirrors qat.BreakerOpen
 			r.trigger("breaker-open", tNs)
 		}
 	}

@@ -22,11 +22,11 @@
 // (the sendfile-style contract: callers keep payloads stable until the
 // stream drains).
 //
-// Degradation reuses the familiar ladder: ring-full and breaker-open
-// submissions fall back to software immediately; an offload that fails
-// in flight (endpoint reset) is re-sealed in software at flush time
-// under its original sequence number, so faults cost latency, never
-// correctness.
+// Degradation reuses the familiar ladder: ring-full submissions and those
+// the health manager refuses fall back to software immediately; an
+// offload that fails in flight (endpoint reset) is re-sealed in software
+// at flush time under its original sequence number, so faults cost
+// latency, never correctness.
 //
 // Like the handshake engine, a record Engine is owned by one event-loop
 // goroutine: Submit happens on it and completions are drained by Poll
@@ -40,7 +40,6 @@ import (
 	"io"
 	"time"
 
-	"qtls/internal/fault"
 	"qtls/internal/flight"
 	"qtls/internal/metrics"
 	"qtls/internal/minitls"
@@ -68,9 +67,12 @@ type Config struct {
 	// Policy is the per-record offload decision (software / offload /
 	// offload-above-size-threshold).
 	Policy offload.RecordPolicy
-	// Breaker, when set, tracks the instance's record-op health:
-	// while open, records are sealed in software instead of submitted.
-	Breaker *fault.BreakerConfig
+	// Lifecycle, when set, is the health manager of the instance's pool:
+	// the instance is watched like any handshake instance of its device
+	// (its trips count toward the device's density), and while its
+	// circuit is open or its device quarantined, records are sealed in
+	// software instead of submitted.
+	Lifecycle *qat.Lifecycle
 	// Rand supplies record IVs (default crypto/rand; it must be safe
 	// for concurrent use — offloaded seals run on engine goroutines).
 	Rand io.Reader
@@ -79,9 +81,9 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Trace, when set, records PhaseRecord flush spans.
 	Trace *trace.Buffer
-	// Flight, when set, receives black-box events: record-path breaker
+	// Flight, when set, receives black-box events: the instance's circuit
 	// transitions and every offload-to-software fallback with its cause
-	// (ring-full, breaker-open, in-flight failure).
+	// (ring-full, refused by the health manager, in-flight failure).
 	Flight *flight.Journal
 }
 
@@ -112,7 +114,7 @@ type Stats struct {
 type Engine struct {
 	inst *qat.Instance
 	pol  offload.RecordPolicy
-	brk  *fault.Breaker
+	lc   *qat.Lifecycle // nil when health management is off
 	rnd  io.Reader
 	tr   *trace.Buffer
 	fl   *flight.Journal
@@ -138,16 +140,14 @@ func New(cfg Config) *Engine {
 		e.rnd = rand.Reader
 	}
 	e.fl = cfg.Flight
-	if cfg.Breaker != nil {
-		e.brk = fault.NewBreaker(*cfg.Breaker)
-		if e.fl != nil {
-			// Journal record-path breaker transitions; Arg -1 marks the
-			// record breaker (handshake-engine breakers carry an instance
-			// index there).
-			e.brk.SetOnTransition(func(from, to fault.BreakerState) {
-				e.fl.Note(flight.KindBreaker, uint8(to), trace.Op(qat.OpSym), int64(from), -1)
-			})
-		}
+	if cfg.Lifecycle != nil && e.inst != nil {
+		e.lc = cfg.Lifecycle
+		// Journal the instance's circuit transitions; Arg -1 marks the
+		// record instance (handshake-engine instances carry their index
+		// there).
+		e.lc.Watch(e.inst, func(from, to qat.BreakerState) {
+			e.fl.Note(flight.KindBreaker, uint8(to), trace.Op(qat.OpSym), int64(from), -1)
+		})
 	}
 	if cfg.Metrics != nil {
 		e.ctrBytes = cfg.Metrics.Counter("qtls_record_bytes")
@@ -248,8 +248,8 @@ func (s *Stream) Write(p []byte) error {
 	// the never-offloadable fragments seal in software below.
 	if len(reqs) > 0 {
 		accepted, err := s.e.inst.SubmitBatch(reqs)
-		if err != nil && errors.Is(err, qat.ErrRingFull) {
-			s.e.stats.RingFull++
+		if err != nil {
+			s.e.submitFailed(err, len(reqs)-accepted)
 		}
 		for _, j := range offloadable[:accepted] {
 			j.submitted = true
@@ -295,8 +295,7 @@ func (s *Stream) WriteRecord(typ uint8, payload []byte) error {
 			}
 			s.q = append(s.q, j)
 			return s.flush()
-		} else if errors.Is(err, qat.ErrRingFull) {
-			s.e.stats.RingFull++
+		} else if s.e.submitFailed(err, 1) {
 			s.e.stats.Fallbacks++
 			s.e.fl.Note(flight.KindFallback, flight.FallbackRingFull, trace.Op(qat.OpSym), 0, 1)
 		}
@@ -331,18 +330,47 @@ func (s *Stream) Cancel() {
 }
 
 // shouldOffload is the per-record submission decision: an instance is
-// wired, the policy says offload at this size, and the breaker admits.
+// wired, the policy says offload at this size, and the health manager
+// admits. An admitted submission ends in one result, or in submitFailed.
 func (e *Engine) shouldOffload(bytes int) bool {
 	if e.inst == nil || !e.pol.Offload(bytes) {
 		return false
 	}
-	if e.brk != nil && !e.brk.Allow(time.Now()) {
-		// Routed to software while the record breaker is non-closed; the
-		// black box sees the routing decision, not just the trip.
+	if e.lc != nil && !e.lc.Admit(e.inst) {
+		// Routed to software while the circuit is open or the device
+		// quarantined; the black box sees the routing decision, not just
+		// the trip.
 		e.fl.Note(flight.KindFallback, flight.FallbackBreaker, trace.Op(qat.OpSym), 0, 0)
 		return false
 	}
 	return true
+}
+
+// submitFailed settles n admitted submissions the device refused and
+// reports whether the ring was full. Ring-full is backpressure, so the
+// admissions are handed back; any other refusal (an endpoint reset) is one
+// failed outcome.
+func (e *Engine) submitFailed(err error, n int) (ringFull bool) {
+	ringFull = errors.Is(err, qat.ErrRingFull)
+	if ringFull {
+		e.stats.RingFull++
+	} else {
+		e.result(false)
+		n--
+	}
+	if e.lc != nil {
+		for ; n > 0; n-- {
+			e.lc.Refused(e.inst)
+		}
+	}
+	return ringFull
+}
+
+// result feeds one outcome to the health manager.
+func (e *Engine) result(ok bool) {
+	if e.lc != nil {
+		e.lc.Result(e.inst, ok)
+	}
 }
 
 // requestFor builds the OpSym request sealing j into a wire buffer of
@@ -361,13 +389,7 @@ func (e *Engine) requestFor(j *job) qat.Request {
 		},
 		Callback: func(r qat.Response) {
 			e.inflight--
-			if e.brk != nil {
-				if r.Err != nil {
-					e.brk.RecordFailure(time.Now())
-				} else {
-					e.brk.RecordSuccess(time.Now())
-				}
-			}
+			e.result(r.Err == nil)
 			buf, ok := r.Result.(*minitls.WireBuf)
 			if r.Err != nil || !ok {
 				// Failed in flight (endpoint reset, drop-timeout path):
@@ -428,13 +450,7 @@ func (e *Engine) OpenAsync(codec minitls.RecordCodec, seq uint64, rec []byte, cb
 			},
 			Callback: func(r qat.Response) {
 				e.inflight--
-				if e.brk != nil {
-					if r.Err != nil {
-						e.brk.RecordFailure(time.Now())
-					} else {
-						e.brk.RecordSuccess(time.Now())
-					}
-				}
+				e.result(r.Err == nil)
 				if res, ok := r.Result.(opened); ok && r.Err == nil {
 					cb(res.typ, res.payload, nil)
 					return
@@ -455,8 +471,7 @@ func (e *Engine) OpenAsync(codec minitls.RecordCodec, seq uint64, rec []byte, cb
 			return
 		}
 		cause := uint8(flight.FallbackError)
-		if errors.Is(err, qat.ErrRingFull) {
-			e.stats.RingFull++
+		if e.submitFailed(err, 1) {
 			cause = flight.FallbackRingFull
 		}
 		e.stats.Fallbacks++

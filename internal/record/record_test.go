@@ -424,22 +424,24 @@ func TestStreamSinkErrorSticky(t *testing.T) {
 	}
 }
 
-// TestBreakerShedsToSoftware trips the breaker with repeated resets and
-// checks further records seal in software while it is open.
+// TestBreakerShedsToSoftware trips the instance's circuit with repeated
+// resets and checks further records seal in software, without reaching
+// the device, while it is open (the health manager's clock is held).
 func TestBreakerShedsToSoftware(t *testing.T) {
 	inj := fault.NewInjector(1, fault.Rule{
 		Kind: fault.Reset, Endpoint: fault.AnyEndpoint, Op: fault.AnyOp, P: 1,
 	})
-	dev := qat.NewDevice(qat.DeviceSpec{Endpoints: 1, Injector: inj})
-	defer dev.Close()
-	inst, err := dev.AllocInstance()
+	pool := qat.PoolOf(qat.NewDevice(qat.DeviceSpec{Endpoints: 1, Injector: inj}))
+	defer pool.Close()
+	inst, err := pool.AllocInstance(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	held := time.Now()
 	e := New(Config{
-		Instance: inst,
-		Policy:   offload.RecordPolicy{Mode: offload.RecordOffload},
-		Breaker:  &fault.BreakerConfig{Window: 4, MinSamples: 2, Cooldown: time.Hour},
+		Instance:  inst,
+		Policy:    offload.RecordPolicy{Mode: offload.RecordOffload},
+		Lifecycle: qat.NewLifecycle(pool, func() time.Time { return held }),
 	})
 	sink := &captureSink{}
 	km := testKM()
@@ -454,9 +456,17 @@ func TestBreakerShedsToSoftware(t *testing.T) {
 		}
 		drain(t, e, s)
 	}
+	// The circuit's minimum sample count of resets trips it; the rest of
+	// the records never reach the device.
+	if b := inst.Breaker(); b.State != qat.BreakerOpen || b.Trips != 1 {
+		t.Fatalf("circuit after 8 reset submissions: %v", b)
+	}
+	if n := inj.Injected(fault.Reset); n != 4 {
+		t.Fatalf("%d records reached the device, want the 4 before the trip", n)
+	}
 	st := e.Stats()
-	if st.SoftwareOps == 0 {
-		t.Fatalf("breaker never shed to software: %+v", st)
+	if st.SoftwareOps != 8 {
+		t.Fatalf("software seals = %d, want all 8: %+v", st.SoftwareOps, st)
 	}
 	if len(sink.records) != 8 {
 		t.Fatalf("got %d records, want 8", len(sink.records))

@@ -24,10 +24,8 @@ package server
 import (
 	"time"
 
-	"qtls/internal/fault"
 	"qtls/internal/minitls"
 	"qtls/internal/offload"
-	"qtls/internal/qat"
 )
 
 // RunConfig selects the offload configuration of a worker: the shared
@@ -61,18 +59,16 @@ type RunConfig struct {
 	// offload failures (endpoint reset, corrupted response) before the
 	// software fallback.
 	MaxRetries int
-	// Breaker, when set, gives every worker's crypto instances a circuit
-	// breaker: instances whose recent offloads keep failing are taken
-	// out of the submission rotation until half-open probes succeed.
-	Breaker *fault.BreakerConfig
-	// Lifecycle, when set, arms the per-device lifecycle manager
-	// (healthy → suspect → quarantined → probation → healthy): breaker
-	// opens, reset storms and wedges quarantine a device, quarantine
-	// drains its in-flight ops through the fallback path, routing and
-	// conn-hash worker homes move off it (and move back after probation
-	// re-admits it). Zero fields of the config take the qat defaults.
-	// Nil keeps devices unmanaged — the pre-lifecycle behavior.
-	Lifecycle *qat.LifecycleConfig
+	// Lifecycle arms the pool's health manager (qat.Lifecycle): every
+	// worker's crypto instances get a circuit that takes an instance whose
+	// recent offloads keep failing out of the submission rotation until
+	// half-open probes succeed, and every device runs healthy → suspect →
+	// quarantined → probation → healthy. Instance trips, reset storms and
+	// wedges quarantine a device, quarantine drains its in-flight ops
+	// through the fallback path, and routing and conn-hash worker homes
+	// move off it (and back after probation re-admits it). Off keeps
+	// instances and devices unmanaged — the paper's behavior.
+	Lifecycle bool
 
 	// Deadlines are the connection-lifecycle deadlines (handshake,
 	// request-header, keepalive-idle, write-stall) enforced by each

@@ -94,12 +94,7 @@ func TestFlightBreakerOpenDumpEndToEnd(t *testing.T) {
 	t.Cleanup(dev.Close)
 	run := ConfigQTLS
 	run.OpTimeout = 10 * time.Millisecond
-	run.Breaker = &fault.BreakerConfig{
-		Window:     8,
-		MinSamples: 2,
-		ProbeCount: 2,
-		Cooldown:   time.Hour, // stay open for the whole test
-	}
+	run.Lifecycle = true
 	srv, fr, col := startFlightServer(t, run, 1, dev, flight.Config{
 		SlowFloor:    time.Millisecond,
 		DumpCooldown: time.Hour, // exactly one anomaly dump
@@ -128,7 +123,7 @@ func TestFlightBreakerOpenDumpEndToEnd(t *testing.T) {
 	var sawOpen bool
 	for _, e := range dumps[0] {
 		kinds[e.Kind]++
-		if e.Kind == flight.KindBreaker && e.Code == uint8(fault.StateOpen) {
+		if e.Kind == flight.KindBreaker && e.Code == uint8(qat.BreakerOpen) {
 			sawOpen = true
 		}
 	}

@@ -74,7 +74,7 @@ type Server struct {
 	workers   []*Worker
 	reg       *metrics.Registry
 	pool      *qat.Pool
-	lifecycle *qat.Lifecycle // device lifecycle manager (nil when off)
+	lifecycle *qat.Lifecycle // health manager (nil when off)
 	tickets   *minitls.TicketKeyRing
 	wg        sync.WaitGroup
 	started   atomic.Bool
@@ -138,12 +138,13 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	s := &Server{reg: reg, pool: pool}
-	if pool != nil && opts.Run.Lifecycle != nil {
-		// Device lifecycle manager: quarantine sick devices, probe them
-		// back. Transitions are journaled as flight lifecycle events and
-		// exported as the qtls_device_state{dev} gauges; workers notice
-		// via the lifecycle epoch and re-home their conn-hash engines.
-		lc := qat.NewLifecycle(pool, *opts.Run.Lifecycle)
+	if pool != nil && opts.Run.Lifecycle {
+		// Health manager on wall time: trip sick instances, quarantine sick
+		// devices, probe them back. Device transitions are journaled as
+		// flight lifecycle events and exported as the qtls_device_state{dev}
+		// gauges; workers tick it, and notice transitions via its epoch to
+		// re-home their conn-hash engines.
+		lc := qat.NewLifecycle(pool, nil)
 		var fl *flight.Journal
 		if opts.Flight != nil {
 			fl = opts.Flight.Journal(flight.SystemWorker)
@@ -202,16 +203,13 @@ func (s *Server) Pool() *qat.Pool { return s.pool }
 // server resumes through a static TicketKey or not at all.
 func (s *Server) TicketKeys() *minitls.TicketKeyRing { return s.tickets }
 
-// Lifecycle returns the device lifecycle manager (nil when Run.Lifecycle
-// was not configured or the server has no pool).
+// Lifecycle returns the health manager (nil when Run.Lifecycle is off or
+// the server has no pool).
 func (s *Server) Lifecycle() *qat.Lifecycle { return s.lifecycle }
 
 // Start launches every worker loop on its own goroutine.
 func (s *Server) Start() {
 	s.started.Store(true)
-	if s.lifecycle != nil {
-		s.lifecycle.Start()
-	}
 	for _, w := range s.workers {
 		w := w
 		s.wg.Add(1)
@@ -286,9 +284,6 @@ func (s *Server) Stats() Stats {
 // Stop terminates all workers and waits for their loops to exit. It is
 // the hard cutoff: in-flight requests are cancelled, not completed.
 func (s *Server) Stop() {
-	if s.lifecycle != nil {
-		s.lifecycle.Stop()
-	}
 	for _, w := range s.workers {
 		if w != nil {
 			w.Stop()
@@ -314,9 +309,6 @@ func (s *Server) Stop() {
 // its poller and pipes. When ctx expires first, Shutdown falls back to the
 // hard Stop cutoff and returns the context's error.
 func (s *Server) Shutdown(ctx context.Context) error {
-	if s.lifecycle != nil {
-		s.lifecycle.Stop()
-	}
 	for _, w := range s.workers {
 		if w != nil {
 			w.Drain()

@@ -100,13 +100,13 @@ type Worker struct {
 	pool     *qat.Pool
 	poolWide bool
 
-	// Device-lifecycle re-homing state: the pool's lifecycle manager (nil
-	// when unmanaged), the last lifecycle epoch this worker acted on, and
-	// the worker's conn-hash home device. The Run loop compares the epoch
-	// once per iteration (one atomic load) and re-derives the home when a
-	// device was quarantined or re-admitted — established connections and
-	// the shared ticket ring are untouched, only where new submissions
-	// land moves.
+	// Device-lifecycle state: the pool's health manager (nil when
+	// unmanaged), the last lifecycle epoch this worker acted on, and the
+	// worker's conn-hash home device. The Run loop ticks the manager,
+	// compares the epoch once per iteration (one atomic load) and
+	// re-derives the home when a device was quarantined or re-admitted —
+	// established connections and the shared ticket ring are untouched,
+	// only where new submissions land moves.
 	lc      *qat.Lifecycle
 	lcEpoch int64
 	homeDev atomic.Int32
@@ -346,7 +346,6 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 			Offload:         cfg.Offload,
 			OpTimeout:       cfg.OpTimeout,
 			MaxRetries:      cfg.MaxRetries,
-			Breaker:         cfg.Breaker,
 			Metrics:         reg,
 			Trace:           w.tr,
 			Flight:          w.fl,
@@ -369,12 +368,12 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 			}
 		}
 		w.rec = record.New(record.Config{
-			Instance: w.recInst,
-			Policy:   cfg.Record,
-			Breaker:  cfg.Breaker,
-			Metrics:  reg,
-			Trace:    w.tr,
-			Flight:   w.fl,
+			Instance:  w.recInst,
+			Policy:    cfg.Record,
+			Lifecycle: w.lc,
+			Metrics:   reg,
+			Trace:     w.tr,
+			Flight:    w.fl,
 		})
 	}
 	if cfg.AdaptivePoll != nil && cfg.Poll.Scheme == offload.PollHeuristic {
@@ -882,18 +881,22 @@ func (w *Worker) closeConn(c *conn) {
 	w.Stats.ClosedConns.Add(1)
 }
 
-// maybeRehome reacts to device-lifecycle transitions: when the lifecycle
-// epoch moved since the last iteration, a conn-hash worker re-derives its
-// home device through the pool's lifecycle-aware RouteConn — off a
-// quarantined device, and back once probation re-admits it. The move is
-// live: established connections, paused offload jobs and the shared
-// ticket ring are untouched; only the engine's preferred device (where new
-// submissions land) changes. Runs on the worker goroutine; costs one
-// atomic load per iteration when nothing changed.
+// maybeRehome ticks the health manager and reacts to its device
+// transitions. Every worker ticks it once per iteration; the manager runs
+// a watchdog pass at most once per tick interval across all of them. When
+// the lifecycle epoch moved since the last iteration, a conn-hash worker
+// re-derives its home device through the pool's lifecycle-aware RouteConn
+// — off a quarantined device, and back once probation re-admits it. The
+// move is live: established connections, paused offload jobs and the
+// shared ticket ring are untouched; only the engine's preferred device
+// (where new submissions land) changes. Runs on the worker goroutine;
+// costs a clock read and two atomic loads per iteration when nothing is
+// due.
 func (w *Worker) maybeRehome() {
 	if w.lc == nil {
 		return
 	}
+	w.lc.Tick()
 	epoch := w.lc.Epoch()
 	if epoch == w.lcEpoch {
 		return
