@@ -231,6 +231,7 @@ func (spinStrategy) park(a *attempt) (any, error, outcome) {
 		if e.pollAll(0) == 0 {
 			runtime.Gosched()
 		}
+		e.tickHealth()
 		if expired(a.deadline) && a.settled.CompareAndSwap(false, true) {
 			e.settleTimeout(a.class, a.idx)
 			return e.fallback(a)
@@ -249,6 +250,7 @@ func (spinStrategy) ringFull(a *attempt) (any, error, outcome) {
 	// deadline. A ring still full past the deadline holds slots leaked by
 	// a stalled engine: reclaim them and degrade.
 	a.e.pollAll(0)
+	a.e.tickHealth()
 	if expired(a.deadline) {
 		a.e.reclaimLeaked()
 		return a.e.fallback(a)

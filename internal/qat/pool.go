@@ -83,15 +83,15 @@ func (p *Pool) setLifecycle(lc *Lifecycle) { p.lifecycle.Store(lc) }
 // attached (all devices then count as routable).
 func (p *Pool) Lifecycle() *Lifecycle { return p.lifecycle.Load() }
 
-// reclaimDevice reclaims leaked ring slots on every pool-allocated
-// instance of device dev — part of the quarantine drain, after Reset has
-// failed the in-flight work.
-func (p *Pool) reclaimDevice(dev int) {
+// failStalled fails the requests stalled engines swallowed on every
+// pool-allocated instance of device dev — part of the quarantine drain,
+// after Reset has failed the work still queued on the rings.
+func (p *Pool) failStalled(dev int) {
 	p.mu.Lock()
 	insts := p.insts[dev]
 	p.mu.Unlock()
 	for _, inst := range insts {
-		inst.ReclaimLeaked()
+		inst.failStalled()
 	}
 }
 
