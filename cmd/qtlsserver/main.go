@@ -312,7 +312,6 @@ func main() {
 	var fr *flight.Recorder
 	if *flightOn {
 		fr = flight.New(flight.Config{SLOP99: *sloP99})
-		fr.SetEnabled(true)
 		fr.SetDumpSink(func(reason string, events []flight.Event) {
 			name := fmt.Sprintf("flight-%s-%d.jsonl", reason, time.Now().UnixNano())
 			f, err := os.Create(name)

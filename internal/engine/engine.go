@@ -41,7 +41,6 @@ import (
 
 	"qtls/internal/asynclib"
 	"qtls/internal/flight"
-	"qtls/internal/metrics"
 	"qtls/internal/minitls"
 	"qtls/internal/offload"
 	"qtls/internal/qat"
@@ -159,10 +158,6 @@ type Config struct {
 	// Returning false marks the response corrupted, which counts as a
 	// retryable failure.
 	Verify func(kind minitls.OpKind, result any) bool
-	// Metrics, when set, exports the degradation counters
-	// qat_op_timeouts, qat_sw_fallbacks, qat_instance_trips and
-	// qat_retries into the shared registry behind stub_status.
-	Metrics *metrics.Registry
 	// Trace, when set, receives phase spans for the paper's first two
 	// offload phases (pre-processing: entry → submitted; response
 	// retrieval: submitted → callback). The remaining two phases
@@ -217,7 +212,8 @@ type Engine struct {
 	pollsEmpty atomic.Int64
 	polls      atomic.Int64
 
-	// Degradation statistics.
+	// Degradation statistics (a scrape reads them through Stats: the
+	// qat_op_* counters, qat_sw_fallbacks, qat_retries, qat_instance_trips).
 	timeouts    atomic.Int64
 	fallbacks   atomic.Int64
 	retries     atomic.Int64
@@ -225,17 +221,8 @@ type Engine struct {
 	trips       atomic.Int64
 	cancels     atomic.Int64
 
-	// Registry counters (nil without Config.Metrics).
-	ctrTimeouts  *metrics.Counter
-	ctrCancels   *metrics.Counter
-	ctrFallbacks *metrics.Counter
-	ctrTrips     *metrics.Counter
-	ctrRetries   *metrics.Counter
-
 	// Phase tracing (inert when Config.Trace is nil or disabled).
-	tr           *trace.Buffer
-	histPre      *metrics.Histogram // qtls_phase_ns{phase="pre"}
-	histRetrieve *metrics.Histogram // qtls_phase_ns{phase="retrieve"}
+	tr *trace.Buffer
 
 	// Flight-recorder journal (inert when Config.Flight is nil or the
 	// recorder is disabled).
@@ -284,15 +271,6 @@ func New(cfg Config) (*Engine, error) {
 			})
 		}
 	}
-	if cfg.Metrics != nil {
-		e.ctrTimeouts = cfg.Metrics.Counter("qat_op_timeouts")
-		e.ctrCancels = cfg.Metrics.Counter("qat_op_cancels")
-		e.ctrFallbacks = cfg.Metrics.Counter("qat_sw_fallbacks")
-		e.ctrTrips = cfg.Metrics.Counter("qat_instance_trips")
-		e.ctrRetries = cfg.Metrics.Counter("qat_retries")
-		e.histPre = cfg.Metrics.Histogram(trace.PhaseSeriesName(trace.PhasePre))
-		e.histRetrieve = cfg.Metrics.Histogram(trace.PhaseSeriesName(trace.PhaseRetrieve))
-	}
 	e.tr = cfg.Trace
 	return e, nil
 }
@@ -300,27 +278,6 @@ func New(cfg Config) (*Engine, error) {
 // tracing reports whether phase spans should be timestamped at all; when
 // false the op paths skip even the time.Now() calls.
 func (e *Engine) tracing() bool { return e.tr.Active() }
-
-// tracePre records one pre-processing span (crypto-call entry to the
-// request landing on the QAT request ring).
-func (e *Engine) tracePre(kind minitls.OpKind, tag trace.Tag, start time.Time) {
-	dur := time.Since(start)
-	e.tr.Record(trace.PhasePre, trace.Op(opTypeFor(kind)), tag, 0, start, dur)
-	if e.histPre != nil {
-		e.histPre.ObserveDuration(dur)
-	}
-}
-
-// traceRetrieve records one response-retrieval span (submission to the
-// response callback running inside a poll). Called from the callback, on
-// the polling goroutine.
-func (e *Engine) traceRetrieve(kind minitls.OpKind, tag trace.Tag, submitAt time.Time) {
-	dur := time.Since(submitAt)
-	e.tr.Record(trace.PhaseRetrieve, trace.Op(opTypeFor(kind)), tag, 0, submitAt, dur)
-	if e.histRetrieve != nil {
-		e.histRetrieve.ObserveDuration(dur)
-	}
-}
 
 // attemptTag distinguishes first-attempt spans from resubmissions.
 func attemptTag(attempt int) trace.Tag {
@@ -338,9 +295,6 @@ func (e *Engine) recordResult(idx int, ok bool) {
 		return
 	}
 	e.trips.Add(1)
-	if e.ctrTrips != nil {
-		e.ctrTrips.Inc()
-	}
 }
 
 // tickHealth runs the health manager's watchdog from inside a straight-mode
@@ -387,9 +341,6 @@ func (e *Engine) verifyOK(kind minitls.OpKind, result any) bool {
 func (e *Engine) settleTimeout(class Class, idx int) {
 	e.inflight[class].Add(-1)
 	e.timeouts.Add(1)
-	if e.ctrTimeouts != nil {
-		e.ctrTimeouts.Inc()
-	}
 	e.fl.Note(flight.KindFallback, flight.FallbackTimeout, trace.OpNone, 0, int64(idx))
 	e.recordResult(idx, false)
 	e.reclaimLeaked()
@@ -408,18 +359,7 @@ func (e *Engine) reclaimLeaked() {
 // configuration for exactly this op).
 func (e *Engine) swFallback(work func() (any, error)) (any, error) {
 	e.fallbacks.Add(1)
-	if e.ctrFallbacks != nil {
-		e.ctrFallbacks.Inc()
-	}
 	return work()
-}
-
-// noteRetry accounts one resubmission attempt.
-func (e *Engine) noteRetry() {
-	e.retries.Add(1)
-	if e.ctrRetries != nil {
-		e.ctrRetries.Inc()
-	}
 }
 
 // retrySleep applies exponential backoff after failed attempt n (0-based).
@@ -437,9 +377,6 @@ func (e *Engine) retrySleep(attempt int) {
 // own counter.
 func (e *Engine) settleCancel(class Class, idx int) {
 	e.cancels.Add(1)
-	if e.ctrCancels != nil {
-		e.ctrCancels.Inc()
-	}
 	e.fl.Note(flight.KindFallback, flight.FallbackCancel, trace.OpNone, 0, int64(idx))
 	e.inflight[class].Add(-1)
 	e.recordResult(idx, false)

@@ -54,7 +54,6 @@ func TestPlacementFailoverAcrossDevices(t *testing.T) {
 		Kind: fault.Stall, Endpoint: fault.AnyEndpoint, Op: int(qat.OpRSA), P: 1,
 	})
 	fr := flight.New(flight.Config{})
-	fr.SetEnabled(true)
 	e := twoDeviceEngine(t, inj, Config{
 		OpTimeout: 5 * time.Millisecond,
 		Flight:    fr.Journal(0),

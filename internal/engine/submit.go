@@ -119,7 +119,8 @@ func (a *attempt) onResponse(r qat.Response) {
 		return // the op already timed out and degraded
 	}
 	if !a.submitAt.IsZero() {
-		a.e.traceRetrieve(a.kind, a.tag, a.submitAt)
+		// Response retrieval: submission to this callback, inside a poll.
+		a.e.tr.Record(trace.PhaseRetrieve, trace.Op(opTypeFor(a.kind)), a.tag, 0, a.submitAt, time.Since(a.submitAt))
 	}
 	a.e.onResponse(a.class)
 	a.s.deliver(a, r.Result, r.Err)
@@ -159,7 +160,8 @@ func (e *Engine) submitPath(a *attempt) (any, error, outcome) {
 	a.idx = idx
 	e.onSubmit(a.class)
 	if !a.preStart.IsZero() {
-		e.tracePre(a.kind, a.tag, a.preStart)
+		// Pre-processing: crypto-call entry to the request on the ring.
+		e.tr.Record(trace.PhasePre, trace.Op(opTypeFor(a.kind)), a.tag, 0, a.preStart, time.Since(a.preStart))
 	}
 	return s.park(a)
 }
@@ -202,7 +204,7 @@ func (e *Engine) retryOrFallback(a *attempt) (any, error, outcome) {
 		return e.fallback(a)
 	}
 	a.n++
-	e.noteRetry()
+	e.retries.Add(1)
 	return nil, nil, outResubmit
 }
 

@@ -159,10 +159,6 @@ type Outcome struct {
 	ExtraLatency time.Duration
 }
 
-// Counter is the minimal metric sink the injector reports into — satisfied
-// by *metrics.Counter without importing the metrics package.
-type Counter interface{ Inc() }
-
 // EventSink receives one call per injected fault with the fault kind and
 // the endpoint/op it hit. It is invoked while the injector's lock is
 // held, so the sink must be fast and must not call back into the
@@ -178,7 +174,6 @@ type Injector struct {
 	rules    []*Rule
 	injected [numKinds]int64
 	total    int64
-	sink     Counter
 	events   EventSink
 }
 
@@ -193,17 +188,6 @@ func NewInjector(seed int64, rules ...Rule) *Injector {
 		inj.rules = append(inj.rules, &r)
 	}
 	return inj
-}
-
-// SetSink mirrors every injection into c (typically the registry counter
-// "qat_faults_injected"). Pass nil to detach.
-func (inj *Injector) SetSink(c Counter) {
-	if inj == nil {
-		return
-	}
-	inj.mu.Lock()
-	inj.sink = c
-	inj.mu.Unlock()
 }
 
 // SetEventSink mirrors every injection (with kind/endpoint/op detail)
@@ -253,9 +237,6 @@ func (inj *Injector) fire(r *Rule) bool {
 	r.fired++
 	inj.injected[r.Kind]++
 	inj.total++
-	if inj.sink != nil {
-		inj.sink.Inc()
-	}
 	return true
 }
 

@@ -21,7 +21,7 @@ func TestNilInjectorIsFree(t *testing.T) {
 	if inj.String() != "fault: none" {
 		t.Fatalf("String = %q", inj.String())
 	}
-	inj.SetSink(nil) // must not panic
+	inj.SetEventSink(nil) // must not panic
 }
 
 // Same seed and rule set → identical decision sequence.
@@ -111,19 +111,22 @@ func TestLatencyStacks(t *testing.T) {
 	}
 }
 
-type testSink struct{ n int }
-
-func (s *testSink) Inc() { s.n++ }
-
+// The event sink hears every injection with its detail, and the total a
+// scrape reads (qat_faults_injected) is the same count.
 func TestSinkMirrorsInjections(t *testing.T) {
 	inj := NewInjector(11, Rule{Kind: Drop, Endpoint: AnyEndpoint, Op: AnyOp, P: 1})
-	sink := &testSink{}
-	inj.SetSink(sink)
+	calls := 0
+	inj.SetEventSink(func(k Kind, endpoint, op int) {
+		if k != Drop || endpoint != 2 || op != 3 {
+			t.Fatalf("sink got %v on endpoint %d op %d", k, endpoint, op)
+		}
+		calls++
+	})
 	for i := 0; i < 7; i++ {
-		inj.AtService(0, 0)
+		inj.AtService(2, 3)
 	}
-	if sink.n != 7 {
-		t.Fatalf("sink = %d", sink.n)
+	if calls != 7 || inj.TotalInjected() != 7 {
+		t.Fatalf("sink calls = %d, TotalInjected = %d, want 7 and 7", calls, inj.TotalInjected())
 	}
 }
 

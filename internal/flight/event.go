@@ -10,10 +10,10 @@
 //
 // Design constraints mirror trace's:
 //
-//   - Opt-out cheap: with the recorder disabled every hot-path call is
-//     one branch + one atomic load, no allocations (guarded by a
+//   - One switch, opt-out cheap: a nil recorder is off, and then every
+//     hot-path call is one branch, no allocations (guarded by a
 //     benchmark that CI runs).
-//   - Race-detector clean: journals are seqlock-style rings of
+//   - Race-detector clean: journals are trace.Ring seqlock rings of
 //     atomic.Int64 words; windows are short-critical-section mutexes.
 //   - Clock-injected: nothing in the hot path calls time.Now — span-fed
 //     observations reuse the span's own timestamps and tests drive the

@@ -1,8 +1,10 @@
 package flight
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,11 +13,16 @@ import (
 	"qtls/internal/trace"
 )
 
+// Each journal ring's capacity in events, and the minimum spacing
+// between automatic dumps (manual triggers — SIGQUIT, /debug/flight —
+// ignore it). A dump captures every event the journals retain.
+const (
+	journalSize  = 1024
+	dumpCooldown = 30 * time.Second
+)
+
 // Config tunes a Recorder. The zero value selects the defaults.
 type Config struct {
-	// JournalSize is each worker ring's capacity in events (rounded up
-	// to a power of two; <= 0 selects 1024).
-	JournalSize int
 	// Buckets is the number of time buckets per window (default 12).
 	Buckets int
 	// Bucket is the width of one time bucket (default 5s; 12 × 5s gives
@@ -30,20 +37,11 @@ type Config struct {
 	// ShedRate arms the shed-rate anomaly trigger, in sheds/second
 	// (0 disables it).
 	ShedRate float64
-	// DumpCooldown is the minimum spacing between automatic dumps
-	// (default 30s). Manual triggers (SIGQUIT, /debug/flight) ignore it.
-	DumpCooldown time.Duration
-	// DumpN caps the events captured per dump (<= 0 keeps everything
-	// the journals retain).
-	DumpN int
 	// Now overrides the recorder clock (tests); nil uses wall time.
 	Now func() int64
 }
 
 func (c Config) withDefaults() Config {
-	if c.JournalSize <= 0 {
-		c.JournalSize = 1024
-	}
 	if c.Buckets <= 0 {
 		c.Buckets = 12
 	}
@@ -52,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SlowFloor == 0 {
 		c.SlowFloor = time.Millisecond
-	}
-	if c.DumpCooldown <= 0 {
-		c.DumpCooldown = 30 * time.Second
 	}
 	if c.Now == nil {
 		c.Now = nowNano
@@ -84,11 +79,10 @@ const sloSampleFloor = 8
 
 // Recorder is the flight-recorder root: it owns the per-worker
 // journals, the sliding windows, the anomaly triggers and the dump
-// surface. A nil *Recorder is inert everywhere, so wiring is optional
-// end-to-end (the same contract as trace.Recorder).
+// surface. A non-nil *Recorder is on; a nil one is inert everywhere, so
+// wiring is optional end-to-end (the same contract as trace.Recorder).
 type Recorder struct {
-	cfg     Config
-	enabled atomic.Bool
+	cfg Config
 
 	// journals is indexed by worker id (0..255) plus SystemWorker;
 	// slots fill lazily and reads are lock-free (the trace hook routes
@@ -109,16 +103,10 @@ type Recorder struct {
 	registered atomic.Bool
 }
 
-// New builds a disabled recorder. Call SetEnabled(true) to start
-// keeping events, AttachTrace to feed it spans, and Register to grow
+// New builds a recorder. AttachTrace feeds it spans, and Register grows
 // the /metrics exposition.
 func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
-	size := uint64(1)
-	for size < uint64(cfg.JournalSize) {
-		size <<= 1
-	}
-	cfg.JournalSize = int(size)
 	r := &Recorder{cfg: cfg}
 	for i := range r.phaseWin {
 		r.phaseWin[i] = NewWindow(cfg.Buckets, cfg.Bucket)
@@ -131,17 +119,6 @@ func New(cfg Config) *Recorder {
 	r.deadlineWin = NewWindow(cfg.Buckets, cfg.Bucket)
 	return r
 }
-
-// SetEnabled turns the recorder on or off. Disabling keeps already
-// journaled events readable.
-func (r *Recorder) SetEnabled(on bool) {
-	if r != nil {
-		r.enabled.Store(on)
-	}
-}
-
-// Enabled reports whether events are currently being kept.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled.Load() }
 
 // now reads the recorder clock.
 func (r *Recorder) now() int64 { return r.cfg.Now() }
@@ -166,31 +143,50 @@ func (r *Recorder) Journal(worker int) *Journal {
 	j := &Journal{
 		rec:     r,
 		worker:  uint16(worker),
-		data:    newRing(r.cfg.JournalSize),
-		control: newRing(r.cfg.JournalSize),
+		data:    trace.NewRing(journalSize),
+		control: trace.NewRing(journalSize),
 	}
 	r.journals[worker].Store(j)
 	return j
 }
 
-// AttachTrace subscribes the recorder to tr's span commits: every span
-// feeds the phase/class windows, and spans above the latency floor are
-// journaled. The hook is a no-op (one atomic load) while the recorder
-// is disabled, preserving trace's zero-alloc guarantee.
-func (r *Recorder) AttachTrace(tr *trace.Recorder) {
-	if r == nil || tr == nil {
-		return
+// pollCauses are the poll triggers the lifetime batch-size histograms
+// are kept by (qtls_poll_batch{cause}).
+var pollCauses = [...]trace.Tag{trace.TagHeuristic, trace.TagTimer, trace.TagFailover, trace.TagRetry}
+
+// AttachTrace installs the one span-commit subscriber on tr: it turns
+// every committed span into each view derived from it. Those are reg's
+// lifetime qtls_phase_ns{phase} histograms of the four offload phases and
+// its qtls_poll_batch{cause} histograms (a poll span's Arg is its batch
+// size), then r's phase and op-class windows and its slow-span journal.
+// The series are registered even when tr is nil, so /metrics lists them
+// from the first scrape; r may be nil.
+func AttachTrace(tr *trace.Recorder, reg *metrics.Registry, r *Recorder) {
+	var phase [trace.NumPhases]*metrics.Histogram
+	for _, p := range trace.OffloadPhases() {
+		phase[p] = reg.Histogram(trace.PhaseSeriesName(p))
 	}
-	tr.Subscribe(r.onSpan)
+	var batch [trace.TagRetry + 1]*metrics.Histogram
+	for _, tag := range pollCauses {
+		batch[tag] = reg.Histogram(`qtls_poll_batch{cause="` + tag.String() + `"}`)
+	}
+	tr.Subscribe(func(s trace.Span) {
+		if int(s.Phase) < len(phase) && phase[s.Phase] != nil {
+			phase[s.Phase].Observe(float64(s.Dur))
+		} else if s.Phase == trace.PhasePoll && int(s.Tag) < len(batch) && batch[s.Tag] != nil {
+			batch[s.Tag].Observe(float64(s.Arg))
+		}
+		if r != nil {
+			r.onSpan(s)
+		}
+	})
 }
 
-// onSpan is the trace-commit hook. It must not allocate: windows are
-// pre-built, journals are created at most once per worker, and the
-// span arrives by value.
+// onSpan feeds one committed span to the phase/class windows, and
+// journals it if it is above the latency floor. It must not allocate:
+// windows are pre-built, journals are created at most once per worker,
+// and the span arrives by value.
 func (r *Recorder) onSpan(s trace.Span) {
-	if !r.enabled.Load() {
-		return
-	}
 	end := s.Start + s.Dur
 	if int(s.Phase) < len(r.phaseWin) {
 		r.phaseWin[s.Phase].Observe(float64(s.Dur), end)
@@ -242,28 +238,6 @@ func (r *Recorder) PhaseWindow(p trace.Phase) *Window {
 	return r.phaseWin[p]
 }
 
-// ClassWindow returns the sliding window of one op class ("asym" or
-// "sym").
-func (r *Recorder) ClassWindow(class string) *Window {
-	if r == nil {
-		return nil
-	}
-	for i, n := range classNames {
-		if n == class {
-			return r.classWin[i]
-		}
-	}
-	return nil
-}
-
-// ShedWindow returns the shed-event counter window.
-func (r *Recorder) ShedWindow() *Window {
-	if r == nil {
-		return nil
-	}
-	return r.shedWin
-}
-
 // Events returns up to n journaled events, merged across workers and
 // sorted by time (oldest first). n <= 0 returns everything retained.
 func (r *Recorder) Events(n int) []Event {
@@ -276,7 +250,7 @@ func (r *Recorder) Events(n int) []Event {
 			out = j.snapshot(out)
 		}
 	}
-	sortEvents(out)
+	slices.SortStableFunc(out, func(a, b Event) int { return cmp.Compare(a.Time, b.Time) })
 	if n > 0 && len(out) > n {
 		out = out[len(out)-n:]
 	}
@@ -297,19 +271,11 @@ func (r *Recorder) SetDumpSink(fn func(reason string, events []Event)) {
 	r.sink.Store(&fn)
 }
 
-// Dumps returns how many dump triggers have fired.
-func (r *Recorder) Dumps() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.dumps.Load()
-}
-
 // Check evaluates the windowed anomaly conditions (SLO p99 over the
 // offload phases, shed rate). It is rate-limited internally to twice
 // per bucket, so event loops call it every iteration for free.
 func (r *Recorder) Check() {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	nowNs := r.now()
@@ -339,7 +305,7 @@ func (r *Recorder) Check() {
 // paths; automatic triggers go through the cooldown-limited internal
 // path instead).
 func (r *Recorder) Trigger(reason string) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	r.dump(reason, r.now())
@@ -348,7 +314,7 @@ func (r *Recorder) Trigger(reason string) {
 // trigger fires a dump unless one fired within the cooldown.
 func (r *Recorder) trigger(reason string, nowNs int64) {
 	last := r.lastDump.Load()
-	if last != 0 && nowNs-last < int64(r.cfg.DumpCooldown) {
+	if last != 0 && nowNs-last < int64(dumpCooldown) {
 		return
 	}
 	if !r.lastDump.CompareAndSwap(last, nowNs) {
@@ -360,11 +326,9 @@ func (r *Recorder) trigger(reason string, nowNs int64) {
 // dump snapshots the journals, marks the dump in the system journal and
 // hands the events to the sink.
 func (r *Recorder) dump(reason string, nowNs int64) {
-	events := r.Events(r.cfg.DumpN)
+	events := r.Events(0)
 	r.dumps.Add(1)
-	if j := r.Journal(SystemWorker); j.Active() {
-		j.noteAt(nowNs, KindDump, DumpReasonCode(reason), trace.OpNone, 0, int64(len(events)))
-	}
+	r.Journal(SystemWorker).noteAt(nowNs, KindDump, DumpReasonCode(reason), trace.OpNone, 0, int64(len(events)))
 	if fn := r.sink.Load(); fn != nil {
 		(*fn)(reason, events)
 	}

@@ -23,13 +23,11 @@ func newTestRecorder(cfg Config) (*Recorder, *fakeClock) {
 	clk := &fakeClock{}
 	clk.ns.Store(int64(1000 * time.Second))
 	cfg.Now = clk.now
-	r := New(cfg)
-	r.SetEnabled(true)
-	return r, clk
+	return New(cfg), clk
 }
 
 func TestFlightJournalNoteAndEvents(t *testing.T) {
-	r, _ := newTestRecorder(Config{JournalSize: 16})
+	r, _ := newTestRecorder(Config{})
 	j := r.Journal(3)
 	j.Note(KindShed, ShedAccept, trace.OpNone, 0, 17)
 	j.Note(KindDeadline, 2, trace.OpNone, 0, 18)
@@ -58,74 +56,67 @@ func TestFlightJournalNoteAndEvents(t *testing.T) {
 }
 
 func TestFlightJournalRingOverwritesOldest(t *testing.T) {
-	r, _ := newTestRecorder(Config{JournalSize: 8})
+	r, _ := newTestRecorder(Config{})
 	j := r.Journal(0)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < journalSize+12; i++ {
 		j.Note(KindShed, ShedAccept, trace.OpNone, 0, int64(i))
 	}
 	evs := r.Events(0)
-	if len(evs) != 8 {
-		t.Fatalf("retained %d events, want ring size 8", len(evs))
+	if len(evs) != journalSize {
+		t.Fatalf("retained %d events, want ring size %d", len(evs), journalSize)
 	}
-	if evs[0].Arg != 12 || evs[7].Arg != 19 {
-		t.Fatalf("ring kept wrong window: first=%d last=%d", evs[0].Arg, evs[7].Arg)
+	if evs[0].Arg != 12 || evs[journalSize-1].Arg != journalSize+11 {
+		t.Fatalf("ring kept wrong window: first=%d last=%d", evs[0].Arg, evs[journalSize-1].Arg)
 	}
 }
 
+// A nil recorder is the off switch: it and its nil journals are inert.
 func TestFlightDisabledAndNilAreInert(t *testing.T) {
-	r := New(Config{})
-	j := r.Journal(0)
-	if j.Active() {
-		t.Fatal("journal active before enable")
-	}
-	j.Note(KindShed, ShedAccept, trace.OpNone, 0, 1)
-	if len(r.Events(0)) != 0 {
-		t.Fatal("disabled recorder kept an event")
-	}
-
 	var nilJ *Journal
-	if nilJ.Active() {
-		t.Fatal("nil journal active")
-	}
 	nilJ.Note(KindShed, ShedAccept, trace.OpNone, 0, 1) // must not panic
 
 	var nilR *Recorder
-	nilR.SetEnabled(true)
 	nilR.Check()
 	nilR.Trigger("manual")
 	nilR.Register(nil)
-	nilR.AttachTrace(nil)
 	nilR.SetDumpSink(nil)
-	if nilR.Enabled() || nilR.Journal(0) != nil || nilR.Events(1) != nil ||
-		nilR.PhaseWindow(trace.PhasePre) != nil || nilR.Dumps() != 0 {
+	if nilR.Journal(0) != nil || nilR.Events(1) != nil || nilR.PhaseWindow(trace.PhasePre) != nil {
 		t.Fatal("nil recorder not inert")
+	}
+	// The span fan-out still feeds the lifetime histograms without one.
+	tr := trace.NewRecorder(8)
+	tr.SetEnabled(true)
+	reg := metrics.NewRegistry()
+	AttachTrace(tr, reg, nil)
+	tr.Buffer(0).Record(trace.PhasePre, trace.Op(0), trace.TagNone, 0, time.Unix(0, 1), time.Microsecond)
+	if h, _ := reg.LookupHistogram(trace.PhaseSeriesName(trace.PhasePre)); h.Count() != 1 {
+		t.Fatalf("pre histogram count = %d, want 1", h.Count())
 	}
 	if err := nilR.WriteDump(&bytes.Buffer{}, "manual", 0); err == nil {
 		t.Fatal("nil recorder WriteDump should error")
 	}
 }
 
-// The disabled hot paths must not allocate (the guard CI enforces via
-// the benchmarks below; this is the fast in-suite check).
+// The hot paths must not allocate, off (a nil journal) or on (the guard
+// CI enforces via the benchmarks below; this is the fast in-suite check).
 func TestFlightDisabledPathsDoNotAllocate(t *testing.T) {
+	var off *Journal
+	if n := testing.AllocsPerRun(1000, func() {
+		off.Note(KindShed, ShedAccept, trace.OpNone, 0, 1)
+	}); n != 0 {
+		t.Fatalf("nil-journal Note allocates %v times per call", n)
+	}
+
+	// On, the paths stay allocation-free too: windows and journals are
+	// preallocated.
 	r := New(Config{})
 	j := r.Journal(0)
-	if n := testing.AllocsPerRun(1000, func() {
-		j.Note(KindShed, ShedAccept, trace.OpNone, 0, 1)
-	}); n != 0 {
-		t.Fatalf("disabled Note allocates %v times per call", n)
-	}
 	span := trace.Span{Start: 1, Dur: 2, Phase: trace.PhaseRetrieve, Op: trace.Op(0)}
 	if n := testing.AllocsPerRun(1000, func() {
 		r.onSpan(span)
 	}); n != 0 {
-		t.Fatalf("disabled span hook allocates %v times per call", n)
+		t.Fatalf("span hook allocates %v times per call", n)
 	}
-
-	// Enabled paths stay allocation-free too: windows and journals are
-	// preallocated.
-	r.SetEnabled(true)
-	r.Journal(int(span.Worker)) // pre-create the hook's journal
 	if n := testing.AllocsPerRun(1000, func() {
 		j.Note(KindShed, ShedAccept, trace.OpNone, 0, 1)
 	}); n != 0 {
@@ -143,22 +134,31 @@ func TestFlightSpanHookFeedsWindowsAndJournal(t *testing.T) {
 	r, clk := newTestRecorder(Config{SlowFloor: time.Millisecond})
 	tr := trace.NewRecorder(64)
 	tr.SetEnabled(true)
-	r.AttachTrace(tr)
+	reg := metrics.NewRegistry()
+	AttachTrace(tr, reg, r)
 	buf := tr.Buffer(1)
 
 	start := time.Unix(0, clk.now())
 	buf.Record(trace.PhaseRetrieve, trace.Op(0), trace.TagNone, 7, start, 100*time.Microsecond) // fast: window only
 	buf.Record(trace.PhaseRetrieve, trace.Op(5), trace.TagNone, 8, start, 5*time.Millisecond)   // slow: journaled
+	buf.Record(trace.PhasePoll, trace.OpNone, trace.TagFailover, 3, start, 0)                   // a batch of 3
 
 	ws := r.PhaseWindow(trace.PhaseRetrieve).Snapshot(clk.now() + int64(5*time.Millisecond))
 	if ws.Count != 2 {
 		t.Fatalf("retrieve window count = %d, want 2", ws.Count)
 	}
-	if asym := r.ClassWindow("asym").Snapshot(clk.now()); asym.Count != 1 {
+	if asym := r.classWin[0].Snapshot(clk.now()); asym.Count != 1 {
 		t.Fatalf("asym window count = %d, want 1", asym.Count)
 	}
-	if sym := r.ClassWindow("sym").Snapshot(clk.now() + int64(5*time.Millisecond)); sym.Count != 1 {
+	if sym := r.classWin[1].Snapshot(clk.now() + int64(5*time.Millisecond)); sym.Count != 1 {
 		t.Fatalf("sym window count = %d, want 1", sym.Count)
+	}
+	// The same spans feed the lifetime histograms: no second record site.
+	if h, _ := reg.LookupHistogram(trace.PhaseSeriesName(trace.PhaseRetrieve)); h.Count() != 2 {
+		t.Fatalf("lifetime retrieve count = %d, want 2", h.Count())
+	}
+	if h, _ := reg.LookupHistogram(`qtls_poll_batch{cause="failover"}`); h.Count() != 1 || h.Sum() != 3 {
+		t.Fatalf("failover batch histogram: count %d sum %v, want 1 / 3", h.Count(), h.Sum())
 	}
 	evs := r.Events(0)
 	if len(evs) != 1 {
@@ -169,16 +169,13 @@ func TestFlightSpanHookFeedsWindowsAndJournal(t *testing.T) {
 		e.Op != trace.Op(5) || e.Dur != int64(5*time.Millisecond) || e.Arg != 8 {
 		t.Fatalf("slow-span event decoded wrong: %+v", e)
 	}
-	if r.ClassWindow("bogus") != nil {
-		t.Fatal("unknown class window should be nil")
-	}
 }
 
 func TestFlightBreakerOpenTriggersDump(t *testing.T) {
 	var mu sync.Mutex
 	var reasons []string
 	var captured []Event
-	r, clk := newTestRecorder(Config{DumpCooldown: 10 * time.Second})
+	r, clk := newTestRecorder(Config{})
 	r.SetDumpSink(func(reason string, events []Event) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -226,9 +223,6 @@ func TestFlightBreakerOpenTriggersDump(t *testing.T) {
 	defer mu.Unlock()
 	if len(reasons) != 3 || reasons[2] != "breaker-open" {
 		t.Fatalf("post-cooldown trigger: %v", reasons)
-	}
-	if r.Dumps() != 3 {
-		t.Fatalf("Dumps = %d, want 3", r.Dumps())
 	}
 	// Breaker transitions that are not "open" must not trigger.
 	j.Note(KindBreaker, 0, trace.OpNone, 0, 2)

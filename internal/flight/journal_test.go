@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"qtls/internal/metrics"
 	"qtls/internal/trace"
 )
 
@@ -12,7 +13,7 @@ import (
 // dumping them: exercised under -race; torn slots must be skipped, not
 // corrupted.
 func TestFlightConcurrentNoteAndSnapshot(t *testing.T) {
-	r, _ := newTestRecorder(Config{JournalSize: 64})
+	r, _ := newTestRecorder(Config{})
 	const workers = 4
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -47,17 +48,16 @@ func TestFlightConcurrentNoteAndSnapshot(t *testing.T) {
 // taken about it — here one re-home and one drain step, noted before the
 // flood — must still be in the dump afterwards.
 func TestJournalControlPlaneSurvivesDataFlood(t *testing.T) {
-	r := New(Config{JournalSize: 16})
-	r.SetEnabled(true)
+	r := New(Config{})
 	tr := trace.NewRecorder(64)
 	tr.SetEnabled(true)
-	r.AttachTrace(tr)
+	AttachTrace(tr, metrics.NewRegistry(), r)
 	j := r.Journal(1)
 	j.Note(KindPlacement, PlacementAsym, trace.OpNone, 1, 0)
 	j.Note(KindDrain, DrainStart, trace.OpNone, 0, 3)
 	buf := tr.Buffer(1)
 	start := time.Now()
-	for i := 0; i < 10*16; i++ {
+	for i := 0; i < 10*journalSize; i++ {
 		buf.Record(trace.PhaseRetrieve, trace.Op(0), trace.TagNone, int64(i), start, 5*time.Millisecond)
 		j.Note(KindFallback, FallbackTimeout, trace.OpNone, 0, int64(i))
 	}
@@ -68,16 +68,15 @@ func TestJournalControlPlaneSurvivesDataFlood(t *testing.T) {
 	if kinds[KindPlacement] != 1 || kinds[KindDrain] != 1 {
 		t.Fatalf("control-plane events evicted by data-plane volume: %v", kinds)
 	}
-	if kinds[KindSlowSpan]+kinds[KindFallback] != 16 {
-		t.Fatalf("data ring holds %d events, want its 16 newest: %v", kinds[KindSlowSpan]+kinds[KindFallback], kinds)
+	if kinds[KindSlowSpan]+kinds[KindFallback] != journalSize {
+		t.Fatalf("data ring holds %d events, want its %d newest: %v", kinds[KindSlowSpan]+kinds[KindFallback], journalSize, kinds)
 	}
 }
 
-// The disabled-path cost the CI bench guard enforces: one branch + one
-// atomic load, no allocations.
+// The off-path cost the CI bench guard enforces: a nil journal is one
+// branch, no allocations.
 func BenchmarkNoteDisabled(b *testing.B) {
-	r := New(Config{})
-	j := r.Journal(0)
+	var j *Journal
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		j.Note(KindShed, ShedAccept, trace.OpNone, 0, int64(i))
@@ -86,7 +85,6 @@ func BenchmarkNoteDisabled(b *testing.B) {
 
 func BenchmarkNoteEnabled(b *testing.B) {
 	r := New(Config{})
-	r.SetEnabled(true)
 	j := r.Journal(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -94,13 +92,12 @@ func BenchmarkNoteEnabled(b *testing.B) {
 	}
 }
 
-// The span hook with flight disabled (the always-wired configuration)
-// must stay free: one atomic load inside the hook.
+// The span fan-out without a flight recorder (tracing alone) feeds only
+// the lifetime histograms.
 func BenchmarkSpanHookDisabled(b *testing.B) {
-	r := New(Config{})
 	tr := trace.NewRecorder(4096)
 	tr.SetEnabled(true)
-	r.AttachTrace(tr)
+	AttachTrace(tr, metrics.NewRegistry(), nil)
 	buf := tr.Buffer(0)
 	now := time.Now()
 	b.ReportAllocs()
@@ -111,10 +108,9 @@ func BenchmarkSpanHookDisabled(b *testing.B) {
 
 func BenchmarkSpanHookEnabled(b *testing.B) {
 	r := New(Config{})
-	r.SetEnabled(true)
 	tr := trace.NewRecorder(4096)
 	tr.SetEnabled(true)
-	r.AttachTrace(tr)
+	AttachTrace(tr, metrics.NewRegistry(), r)
 	buf := tr.Buffer(0)
 	now := time.Now()
 	b.ReportAllocs()

@@ -120,14 +120,6 @@ func (w *Window) Observe(v float64, nowNs int64) {
 	w.mu.Unlock()
 }
 
-// Add records n unit events at nowNs — the counter-shaped use (shed,
-// fault, deadline rates) where only Count and Rate are read back.
-func (w *Window) Add(n int64, nowNs int64) {
-	for i := int64(0); i < n; i++ {
-		w.Observe(1, nowNs)
-	}
-}
-
 // WindowSnapshot is a point-in-time merge of a Window's live buckets.
 // Min, Max and Mean are exact over the window; the quantiles are
 // interpolated from the quarter-log2 buckets.

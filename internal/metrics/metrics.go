@@ -46,9 +46,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -225,6 +222,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Snapshot is a point-in-time summary of a histogram.
 type Snapshot struct {
 	Count int64
+	Sum   float64
 	Mean  float64
 	Min   float64
 	Max   float64
@@ -235,13 +233,14 @@ type Snapshot struct {
 }
 
 // Snapshot returns a summary of the histogram. All fields come from one
-// lock acquisition and at most one sort (reusing the cached sorted
-// view), so a scrape does not stall concurrent Observe callers the way
-// per-quantile copy+sort calls would.
+// lock acquisition, so Count and Sum describe the same moment, and from at
+// most one sort (reusing the cached sorted view), so a scrape does not
+// stall concurrent Observe callers the way per-quantile copy+sort calls
+// would.
 func (h *Histogram) Snapshot() Snapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := Snapshot{Count: h.count}
+	s := Snapshot{Count: h.count, Sum: h.sum}
 	if h.count == 0 {
 		return s
 	}
@@ -275,42 +274,41 @@ func (s Snapshot) String() string {
 }
 
 // Registry is a set of named counters, gauges and histograms — the
-// export surface behind the server's stub_status output, the
-// Prometheus-format /metrics endpoint and the fault/degradation
-// counters (qat_faults_injected, qat_op_timeouts, qat_sw_fallbacks,
-// qat_instance_trips). Every accessor is get-or-create, so independent
-// components can share one registry without coordination. A name may
-// carry a Prometheus label set (`qtls_inflight{worker="0"}`); the
-// exposition writer groups such series under one metric family.
+// export surface behind the server's stub_status output and the
+// Prometheus-format /metrics endpoint. Gauge and Histogram are
+// get-or-create, so independent components can share one registry
+// without coordination. A counter is never copied in: CounterFunc
+// registers a read of a count its owner keeps, taken at scrape time. A
+// name may carry a Prometheus label set (`qtls_inflight{worker="0"}`);
+// the exposition writer groups such series under one metric family.
 // Counters, gauges and histograms live in separate namespaces; reusing
 // one name across kinds is allowed but makes for a confusing scrape, so
 // don't.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
+	counters map[string][]func() int64 // reads per name, summed at scrape
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	help     map[string]string
 	expos    []func(io.Writer) error
+}
+
+// counterValue sums the reads registered under one name. Callers hold the
+// registry lock.
+func counterValue(reads []func() int64) int64 {
+	var v int64
+	for _, read := range reads {
+		v += read()
+	}
+	return v
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
+		counters: make(map[string][]func() int64),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		help:     make(map[string]string),
 	}
-}
-
-// SetHelp attaches a # HELP line to a metric family (the base name,
-// without labels). The exposition writer emits it immediately before
-// the family's # TYPE line.
-func (r *Registry) SetHelp(family, help string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.help[sanitizeMetricName(family)] = help
 }
 
 // AddExposition appends a custom exposition section: fn is invoked at
@@ -327,16 +325,14 @@ func (r *Registry) AddExposition(fn func(io.Writer) error) {
 	r.expos = append(r.expos, fn)
 }
 
-// Counter returns the named counter, registering it on first use.
-func (r *Registry) Counter(name string) *Counter {
+// CounterFunc exports a monotonic count owned elsewhere under name: read
+// is called at every scrape, from whichever goroutine scrapes, so it must
+// be safe for concurrent use (an atomic load). Reads registered under one
+// name add up, so per-worker counts export as one server-wide counter.
+func (r *Registry) CounterFunc(name string, read func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	r.counters[name] = append(r.counters[name], read)
 }
 
 // Gauge returns the named gauge, registering it on first use.
@@ -364,28 +360,12 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// LookupGauge returns the named gauge if it has been registered.
-func (r *Registry) LookupGauge(name string) (*Gauge, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	return g, ok
-}
-
 // LookupHistogram returns the named histogram if it has been registered.
 func (r *Registry) LookupHistogram(name string) (*Histogram, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	return h, ok
-}
-
-// Lookup returns the named counter if it has been registered.
-func (r *Registry) Lookup(name string) (*Counter, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	return c, ok
 }
 
 // Names returns the registered counter names, sorted.
@@ -405,57 +385,8 @@ func (r *Registry) Snapshot() map[string]int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] = c.Value()
+	for name, reads := range r.counters {
+		out[name] = counterValue(reads)
 	}
 	return out
 }
-
-// Meter measures a rate of events over a wall-clock interval.
-type Meter struct {
-	start time.Time
-	n     atomic.Int64
-
-	mu    sync.Mutex // guards the IntervalRate read-and-reset window
-	lastN int64
-	lastT time.Time
-}
-
-// NewMeter returns a meter whose interval starts now.
-func NewMeter() *Meter {
-	now := time.Now()
-	return &Meter{start: now, lastT: now}
-}
-
-// Mark records n events.
-func (m *Meter) Mark(n int64) { m.n.Add(n) }
-
-// Rate returns events per second since the meter was created.
-func (m *Meter) Rate() float64 {
-	el := time.Since(m.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(m.n.Load()) / el
-}
-
-// IntervalRate returns events per second since the previous
-// IntervalRate call (or since creation, on the first call) and starts a
-// new interval. Scrapers use it for per-scrape throughput that isn't
-// diluted by process lifetime the way Rate is.
-func (m *Meter) IntervalRate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := time.Now()
-	n := m.n.Load()
-	el := now.Sub(m.lastT).Seconds()
-	dn := n - m.lastN
-	m.lastN, m.lastT = n, now
-	if el <= 0 {
-		return 0
-	}
-	return float64(dn) / el
-}
-
-// Total returns the total number of marked events.
-func (m *Meter) Total() int64 { return m.n.Load() }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -40,8 +41,7 @@ func TestGauge(t *testing.T) {
 	var g Gauge
 	g.Set(10)
 	g.Inc()
-	g.Dec()
-	g.Add(-5)
+	g.Add(-6)
 	if g.Value() != 5 {
 		t.Fatalf("Value = %d, want 5", g.Value())
 	}
@@ -149,24 +149,12 @@ func TestHistogramInvariants(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	m := NewMeter()
-	m.Mark(10)
-	m.Mark(5)
-	if m.Total() != 15 {
-		t.Fatalf("Total = %d", m.Total())
-	}
-	time.Sleep(time.Millisecond)
-	if m.Rate() <= 0 {
-		t.Fatal("Rate should be positive after events")
-	}
-}
-
-// The fault/degradation counters surfaced in stub_status register
-// themselves in a Registry on first use; the same name yields the same
-// counter and snapshots reflect increments.
+// The fault/degradation counters surfaced in stub_status are reads of
+// counts their owners keep: registered names list sorted, and a snapshot
+// reflects the sources' current values.
 func TestRegistryFaultCounterRegistration(t *testing.T) {
 	r := NewRegistry()
+	var fallbacks Counter
 	names := []string{
 		"qat_faults_injected",
 		"qat_op_timeouts",
@@ -174,20 +162,23 @@ func TestRegistryFaultCounterRegistration(t *testing.T) {
 		"qat_instance_trips",
 	}
 	for _, name := range names {
-		r.Counter(name)
-	}
-	for _, name := range names {
-		if _, ok := r.Lookup(name); !ok {
-			t.Fatalf("%s not registered", name)
+		read := func() int64 { return 0 }
+		if name == "qat_sw_fallbacks" {
+			read = fallbacks.Value
 		}
+		r.CounterFunc(name, read)
 	}
 	got := r.Names()
 	if len(got) != len(names) {
 		t.Fatalf("Names = %v", got)
 	}
-	// Get-or-create returns the same counter.
-	r.Counter("qat_sw_fallbacks").Add(3)
-	r.Counter("qat_sw_fallbacks").Inc()
+	for i, name := range []string{"qat_faults_injected", "qat_instance_trips", "qat_op_timeouts", "qat_sw_fallbacks"} {
+		if got[i] != name {
+			t.Fatalf("Names = %v, want %s at %d", got, name, i)
+		}
+	}
+	fallbacks.Add(3)
+	fallbacks.Inc()
 	snap := r.Snapshot()
 	if snap["qat_sw_fallbacks"] != 4 {
 		t.Fatalf("snapshot = %v", snap)
@@ -197,21 +188,29 @@ func TestRegistryFaultCounterRegistration(t *testing.T) {
 	}
 }
 
+// Registrations and scrapes from many goroutines at once: every
+// registration lands, and each counts once.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
+	var src Counter
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.Counter("shared").Inc()
+				src.Inc()
+				if j%100 == 0 {
+					r.CounterFunc("shared", func() int64 { return 1 })
+					r.Snapshot()
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	if v := r.Counter("shared").Value(); v != 8000 {
-		t.Fatalf("shared = %d", v)
+	r.CounterFunc("shared", src.Value)
+	if v := r.Snapshot()["shared"]; v != 8080 {
+		t.Fatalf("shared = %d, want 8000 + 80 registrations", v)
 	}
 }
 
@@ -224,35 +223,9 @@ func TestSnapshotString(t *testing.T) {
 	}
 }
 
-func TestMetricsMeterIntervalRate(t *testing.T) {
-	m := NewMeter()
-	m.Mark(100)
-	time.Sleep(20 * time.Millisecond)
-	r1 := m.IntervalRate()
-	if r1 <= 0 {
-		t.Fatalf("first interval rate = %v, want > 0", r1)
-	}
-	// No new events: the next interval rate must be ~0, unlike Rate,
-	// which still reports the lifetime average.
-	time.Sleep(20 * time.Millisecond)
-	if r2 := m.IntervalRate(); r2 != 0 {
-		t.Fatalf("idle interval rate = %v, want 0", r2)
-	}
-	if m.Rate() <= 0 {
-		t.Fatal("lifetime Rate lost events")
-	}
-	m.Mark(50)
-	time.Sleep(20 * time.Millisecond)
-	if r3 := m.IntervalRate(); r3 <= 0 {
-		t.Fatalf("third interval rate = %v, want > 0", r3)
-	}
-	if m.Total() != 150 {
-		t.Fatalf("Total = %d", m.Total())
-	}
-}
-
-// Get-or-create must return one stable instance per (kind, name) under
-// concurrent first use across all three kinds.
+// Get-or-create must return one stable instance per (kind, name), and
+// every counter registration must land, under concurrent first use across
+// all three kinds.
 func TestMetricsRegistryKindsConcurrent(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -261,14 +234,14 @@ func TestMetricsRegistryKindsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				r.Counter("kinds_shared").Inc()
+				r.CounterFunc("kinds_shared", func() int64 { return 1 })
 				r.Gauge("kinds_shared").Add(1)
 				r.Histogram("kinds_shared").Observe(1)
 			}
 		}()
 	}
 	wg.Wait()
-	if v := r.Counter("kinds_shared").Value(); v != 4000 {
+	if v := r.Snapshot()["kinds_shared"]; v != 4000 {
 		t.Fatalf("counter = %d", v)
 	}
 	if v := r.Gauge("kinds_shared").Value(); v != 4000 {
@@ -277,14 +250,8 @@ func TestMetricsRegistryKindsConcurrent(t *testing.T) {
 	if n := r.Histogram("kinds_shared").Count(); n != 4000 {
 		t.Fatalf("histogram count = %d", n)
 	}
-	if _, ok := r.LookupGauge("kinds_shared"); !ok {
-		t.Fatal("gauge not registered")
-	}
 	if _, ok := r.LookupHistogram("kinds_shared"); !ok {
 		t.Fatal("histogram not registered")
-	}
-	if _, ok := r.LookupGauge("absent"); ok {
-		t.Fatal("phantom gauge")
 	}
 	if _, ok := r.LookupHistogram("absent"); ok {
 		t.Fatal("phantom histogram")
@@ -354,5 +321,27 @@ func TestSnapshotCarriesP95(t *testing.T) {
 	}
 	if s.Min != 1 || s.Max != 1000 {
 		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
+	}
+}
+
+// A counter another object keeps is read at scrape time: reads under one
+// name add up, and every read sees the source's current value — there is
+// no copy to fall behind.
+func TestRegistryCounterFuncReadsAtScrape(t *testing.T) {
+	r := NewRegistry()
+	var a, b atomic.Int64
+	r.CounterFunc("shared_total", a.Load)
+	r.CounterFunc("shared_total", b.Load)
+	a.Store(10)
+	b.Store(5)
+	if got := r.Snapshot()["shared_total"]; got != 15 {
+		t.Fatalf("snapshot = %d, want 15", got)
+	}
+	a.Add(4)
+	if got := r.Snapshot()["shared_total"]; got != 19 {
+		t.Fatalf("snapshot after the source moved = %d, want 19", got)
+	}
+	if names := r.Names(); len(names) != 1 || names[0] != "shared_total" {
+		t.Fatalf("Names = %v", names)
 	}
 }

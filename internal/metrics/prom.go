@@ -24,7 +24,8 @@ var promQuantiles = []struct {
 type promSeries struct {
 	base   string // sanitized metric family name
 	labels string // label set without braces ("" when unlabeled)
-	ctr    *Counter
+	ctr    bool   // a counter, whose value is val
+	val    int64
 	gauge  *Gauge
 	hist   *Histogram
 }
@@ -37,9 +38,9 @@ type promSeries struct {
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	series := make([]promSeries, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for name, c := range r.counters {
+	for name, reads := range r.counters {
 		s := splitSeries(name)
-		s.ctr = c
+		s.ctr, s.val = true, counterValue(reads)
 		series = append(series, s)
 	}
 	for name, g := range r.gauges {
@@ -51,10 +52,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		s := splitSeries(name)
 		s.hist = h
 		series = append(series, s)
-	}
-	help := make(map[string]string, len(r.help))
-	for k, v := range r.help {
-		help[k] = v
 	}
 	expos := append([]func(io.Writer) error(nil), r.expos...)
 	r.mu.Unlock()
@@ -70,11 +67,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, s := range series {
 		if s.base != prevFamily {
 			prevFamily = s.base
-			if h, ok := help[s.base]; ok {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", s.base, helpEscape(h)); err != nil {
-					return err
-				}
-			}
 			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", s.base, s.kind()); err != nil {
 				return err
 			}
@@ -91,16 +83,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// helpEscape escapes a HELP text per the exposition format (backslash
-// and newline are the only special characters).
-func helpEscape(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
 func (s promSeries) kind() string {
 	switch {
-	case s.ctr != nil:
+	case s.ctr:
 		return "counter"
 	case s.gauge != nil:
 		return "gauge"
@@ -111,8 +96,8 @@ func (s promSeries) kind() string {
 
 func (s promSeries) write(w io.Writer) error {
 	switch {
-	case s.ctr != nil:
-		_, err := fmt.Fprintf(w, "%s %d\n", s.name(""), s.ctr.Value())
+	case s.ctr:
+		_, err := fmt.Fprintf(w, "%s %d\n", s.name(""), s.val)
 		return err
 	case s.gauge != nil:
 		_, err := fmt.Fprintf(w, "%s %d\n", s.name(""), s.gauge.Value())
@@ -126,7 +111,7 @@ func (s promSeries) write(w io.Writer) error {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", s.base, s.braced(), promFloat(s.hist.Sum())); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", s.base, s.braced(), promFloat(snap.Sum)); err != nil {
 			return err
 		}
 		_, err := fmt.Fprintf(w, "%s_count%s %d\n", s.base, s.braced(), snap.Count)

@@ -5,15 +5,16 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 func TestMetricsPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("qat_sw_fallbacks").Add(7)
-	r.Counter(`qtls_polls{cause="heuristic"}`).Add(3)
-	r.Counter(`qtls_polls{cause="timer"}`).Add(2)
+	r.CounterFunc("qat_sw_fallbacks", func() int64 { return 7 })
+	r.CounterFunc(`qtls_polls{cause="heuristic"}`, func() int64 { return 3 })
+	r.CounterFunc(`qtls_polls{cause="timer"}`, func() int64 { return 2 })
 	r.Gauge(`qtls_inflight{worker="0"}`).Set(5)
 	h := r.Histogram(`qtls_phase_ns{phase="pre"}`)
 	for i := 1; i <= 100; i++ {
@@ -62,8 +63,9 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 
 func TestMetricsPrometheusSanitizesNames(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("bad-name.with spaces").Inc()
-	r.Counter("0starts_with_digit").Inc()
+	one := func() int64 { return 1 }
+	r.CounterFunc("bad-name.with spaces", one)
+	r.CounterFunc("0starts_with_digit", one)
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -89,30 +91,9 @@ func TestMetricsPrometheusEmptyHistogram(t *testing.T) {
 	}
 }
 
-func TestMetricsPrometheusHelpLines(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("qtls_record_bytes").Add(10)
-	r.SetHelp("qtls_record_bytes", "Wire bytes flushed by the record data plane.")
-	r.SetHelp("with\nnewline", `line one
-line two \ backslash`)
-	r.Counter("with\nnewline").Inc()
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	want := "# HELP qtls_record_bytes Wire bytes flushed by the record data plane.\n# TYPE qtls_record_bytes counter\n"
-	if !strings.Contains(out, want) {
-		t.Fatalf("HELP not emitted before TYPE:\n%s", out)
-	}
-	if !strings.Contains(out, `# HELP with_newline line one\nline two \\ backslash`) {
-		t.Fatalf("HELP escaping wrong:\n%s", out)
-	}
-}
-
 func TestMetricsPrometheusAddExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_counter").Inc()
+	r.CounterFunc("a_counter", func() int64 { return 1 })
 	r.AddExposition(func(w io.Writer) error {
 		_, err := fmt.Fprintf(w, "# TYPE custom_series gauge\ncustom_series 42\n")
 		return err
@@ -133,5 +114,50 @@ func TestMetricsPrometheusAddExposition(t *testing.T) {
 	r.AddExposition(func(io.Writer) error { return wantErr })
 	if err := r.WritePrometheus(&sb); err != wantErr {
 		t.Fatalf("exposition error not propagated: %v", err)
+	}
+}
+
+// A summary's _sum and _count come from one moment: a scrape racing
+// observations of a constant must never report a sum that is not that
+// constant times the count.
+func TestPrometheusSummarySumMatchesCount(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("const_ns")
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(1000)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	var sb strings.Builder
+	for i := 0; i < 2000; i++ {
+		sb.Reset()
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		var count int64
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "const_ns_sum "); ok {
+				sum, _ = strconv.ParseFloat(v, 64)
+			}
+			if v, ok := strings.CutPrefix(line, "const_ns_count "); ok {
+				count, _ = strconv.ParseInt(v, 10, 64)
+			}
+		}
+		if sum != 1000*float64(count) {
+			t.Fatalf("scrape %d: _sum = %v, _count = %d: not one moment", i, sum, count)
+		}
 	}
 }

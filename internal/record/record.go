@@ -38,10 +38,10 @@ import (
 	"crypto/rand"
 	"errors"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"qtls/internal/flight"
-	"qtls/internal/metrics"
 	"qtls/internal/minitls"
 	"qtls/internal/offload"
 	"qtls/internal/qat"
@@ -76,9 +76,6 @@ type Config struct {
 	// Rand supplies record IVs (default crypto/rand; it must be safe
 	// for concurrent use — offloaded seals run on engine goroutines).
 	Rand io.Reader
-	// Metrics, when set, feeds qtls_record_bytes and the per-path op
-	// counters.
-	Metrics *metrics.Registry
 	// Trace, when set, records PhaseRecord flush spans.
 	Trace *trace.Buffer
 	// Flight, when set, receives black-box events: the instance's circuit
@@ -87,8 +84,10 @@ type Config struct {
 	Flight *flight.Journal
 }
 
-// Stats are the engine's cumulative counters. Read them on the owner
-// goroutine (or through the metrics registry from anywhere).
+// Stats are the engine's cumulative counters. Stats may be called from
+// any goroutine: a scrape reads them (qtls_record_bytes,
+// qtls_record_offload_ops, qtls_record_sw_ops) on whichever worker serves
+// it.
 type Stats struct {
 	// Records counts wire records delivered to sinks.
 	Records int64
@@ -121,11 +120,9 @@ type Engine struct {
 
 	inflight int
 	ready    []*Stream // streams with newly completed jobs since last flush
-	stats    Stats
 
-	ctrBytes    *metrics.Counter // qtls_record_bytes
-	ctrOffload  *metrics.Counter // qtls_record_offload_ops
-	ctrSoftware *metrics.Counter // qtls_record_sw_ops
+	// The Stats counters: written on the owner goroutine, read from any.
+	records, offloadOps, softwareOps, fallbacks, ringFull, bytes atomic.Int64
 }
 
 // New builds a record engine.
@@ -149,19 +146,23 @@ func New(cfg Config) *Engine {
 			e.fl.Note(flight.KindBreaker, uint8(to), trace.Op(qat.OpSym), int64(from), -1)
 		})
 	}
-	if cfg.Metrics != nil {
-		e.ctrBytes = cfg.Metrics.Counter("qtls_record_bytes")
-		e.ctrOffload = cfg.Metrics.Counter("qtls_record_offload_ops")
-		e.ctrSoftware = cfg.Metrics.Counter("qtls_record_sw_ops")
-	}
 	return e
 }
 
 // Inflight returns the number of offloaded seals awaiting completion.
 func (e *Engine) Inflight() int { return e.inflight }
 
-// Stats returns the engine's counters (owner goroutine only).
-func (e *Engine) Stats() Stats { return e.stats }
+// Stats returns the engine's counters.
+func (e *Engine) Stats() Stats {
+	return Stats{
+		Records:     e.records.Load(),
+		OffloadOps:  e.offloadOps.Load(),
+		SoftwareOps: e.softwareOps.Load(),
+		Fallbacks:   e.fallbacks.Load(),
+		RingFull:    e.ringFull.Load(),
+		Bytes:       e.bytes.Load(),
+	}
+}
 
 // Policy returns the engine's resolved record policy.
 func (e *Engine) Policy() offload.RecordPolicy { return e.pol }
@@ -255,12 +256,9 @@ func (s *Stream) Write(p []byte) error {
 			j.submitted = true
 		}
 		s.e.inflight += accepted
-		s.e.stats.OffloadOps += int64(accepted)
-		if s.e.ctrOffload != nil {
-			s.e.ctrOffload.Add(int64(accepted))
-		}
+		s.e.offloadOps.Add(int64(accepted))
 		if tail := len(offloadable) - accepted; tail > 0 {
-			s.e.stats.Fallbacks += int64(tail)
+			s.e.fallbacks.Add(int64(tail))
 			s.e.fl.Note(flight.KindFallback, flight.FallbackRingFull, trace.Op(qat.OpSym), 0, int64(tail))
 		}
 	}
@@ -289,14 +287,11 @@ func (s *Stream) WriteRecord(typ uint8, payload []byte) error {
 	if s.e.shouldOffload(len(payload)) && typ == minitls.RecordTypeApplicationData {
 		if err := s.e.inst.Submit(s.e.requestFor(j)); err == nil {
 			s.e.inflight++
-			s.e.stats.OffloadOps++
-			if s.e.ctrOffload != nil {
-				s.e.ctrOffload.Inc()
-			}
+			s.e.offloadOps.Add(1)
 			s.q = append(s.q, j)
 			return s.flush()
 		} else if s.e.submitFailed(err, 1) {
-			s.e.stats.Fallbacks++
+			s.e.fallbacks.Add(1)
 			s.e.fl.Note(flight.KindFallback, flight.FallbackRingFull, trace.Op(qat.OpSym), 0, 1)
 		}
 	}
@@ -353,7 +348,7 @@ func (e *Engine) shouldOffload(bytes int) bool {
 func (e *Engine) submitFailed(err error, n int) (ringFull bool) {
 	ringFull = errors.Is(err, qat.ErrRingFull)
 	if ringFull {
-		e.stats.RingFull++
+		e.ringFull.Add(1)
 	} else {
 		e.result(false)
 		n--
@@ -395,7 +390,7 @@ func (e *Engine) requestFor(j *job) qat.Request {
 				// Failed in flight (endpoint reset, drop-timeout path):
 				// re-seal in software at flush time, same sequence number.
 				j.failed = true
-				e.stats.Fallbacks++
+				e.fallbacks.Add(1)
 				e.fl.Note(flight.KindFallback, flight.FallbackError, trace.Op(qat.OpSym), 0, int64(j.seq))
 			} else {
 				j.buf = buf
@@ -456,7 +451,7 @@ func (e *Engine) OpenAsync(codec minitls.RecordCodec, seq uint64, rec []byte, cb
 					return
 				}
 				// Device fault, not a codec verdict: re-open in software.
-				e.stats.Fallbacks++
+				e.fallbacks.Add(1)
 				e.fl.Note(flight.KindFallback, flight.FallbackError, trace.Op(qat.OpSym), 0, int64(seq))
 				typ, payload, err := open()
 				cb(typ, payload, err)
@@ -464,23 +459,17 @@ func (e *Engine) OpenAsync(codec minitls.RecordCodec, seq uint64, rec []byte, cb
 		})
 		if err == nil {
 			e.inflight++
-			e.stats.OffloadOps++
-			if e.ctrOffload != nil {
-				e.ctrOffload.Inc()
-			}
+			e.offloadOps.Add(1)
 			return
 		}
 		cause := uint8(flight.FallbackError)
 		if e.submitFailed(err, 1) {
 			cause = flight.FallbackRingFull
 		}
-		e.stats.Fallbacks++
+		e.fallbacks.Add(1)
 		e.fl.Note(flight.KindFallback, cause, trace.Op(qat.OpSym), 0, int64(seq))
 	}
-	e.stats.SoftwareOps++
-	if e.ctrSoftware != nil {
-		e.ctrSoftware.Inc()
-	}
+	e.softwareOps.Add(1)
 	typ, payload, err := open()
 	cb(typ, payload, err)
 }
@@ -493,10 +482,7 @@ func (e *Engine) sealSoftware(j *job) {
 	}
 	j.done = true
 	j.failed = false
-	e.stats.SoftwareOps++
-	if e.ctrSoftware != nil {
-		e.ctrSoftware.Inc()
-	}
+	e.softwareOps.Add(1)
 }
 
 // Poll drains device completions and flushes every stream that gained
@@ -549,11 +535,8 @@ func (s *Stream) flush() error {
 				s.err = err
 			} else {
 				wire += int64(len(j.buf.Bytes()))
-				s.e.stats.Records++
-				s.e.stats.Bytes += int64(len(j.payload))
-				if s.e.ctrBytes != nil {
-					s.e.ctrBytes.Add(int64(len(j.payload)))
-				}
+				s.e.records.Add(1)
+				s.e.bytes.Add(int64(len(j.payload)))
 			}
 		}
 		// The sink has returned: nothing reads the buffer any more.

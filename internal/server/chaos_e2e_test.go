@@ -40,7 +40,6 @@ func startChaosServer(t *testing.T) (*Server, *qat.Pool, *fault.Injector, *fligh
 	rec := trace.NewRecorder(1024)
 	rec.SetEnabled(true)
 	fr := flight.New(flight.Config{})
-	fr.SetEnabled(true)
 
 	run := ConfigQTLS
 	run.Placement = offload.PlacementConnHash

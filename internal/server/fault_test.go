@@ -113,7 +113,11 @@ func TestNilInjectorFaultCountersZero(t *testing.T) {
 		t.Fatalf("no connections: %s", res)
 	}
 	snap := srv.Metrics().Snapshot()
-	for _, name := range faultCounterNames {
+	names := []string{"qat_faults_injected"}
+	for _, c := range engineCounters {
+		names = append(names, c.name)
+	}
+	for _, name := range names {
 		v, ok := snap[name]
 		if !ok {
 			t.Fatalf("counter %s not registered: %v", name, snap)

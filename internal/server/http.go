@@ -245,11 +245,10 @@ func (w *Worker) statusBody() []byte {
 }
 
 // metricsBody renders the Prometheus exposition. Scrapes run on the
-// worker goroutine (like every request), so refreshing the mirrored
-// counters and gauges here is race-free and makes the scrape current
-// even mid-iteration.
+// worker goroutine (like every request), so refreshing this worker's
+// gauges here is race-free and makes them current even mid-iteration;
+// counters are read from their owners by the registry itself.
 func (w *Worker) metricsBody() []byte {
-	w.mirrorStats()
 	w.updateGauges()
 	js := asynclib.Stats()
 	w.reg.Gauge("qtls_jobs_started").Set(js.Started)

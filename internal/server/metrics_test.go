@@ -7,14 +7,17 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"qtls/internal/fault"
 	"qtls/internal/loadgen"
 	"qtls/internal/minitls"
+	"qtls/internal/offload"
 	"qtls/internal/qat"
 	"qtls/internal/trace"
 )
@@ -247,5 +250,150 @@ func TestConcurrentMetricsAndStatusScrapes(t *testing.T) {
 	page := fetchPath(t, srv.Addr(), "/metrics")
 	if !strings.Contains(page, "qtls_phase_ns") {
 		t.Fatalf("scrape after load missing phase series:\n%s", page)
+	}
+}
+
+// counterValues parses the counter samples of an exposition page (the
+// series of families typed counter) into name → value.
+func counterValues(t *testing.T, page string) map[string]int64 {
+	t.Helper()
+	counters := map[string]bool{}
+	out := map[string]int64{}
+	for _, line := range strings.Split(page, "\n") {
+		if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if name, kind, _ := strings.Cut(fam, " "); kind == "counter" {
+				counters[name] = true
+			}
+			continue
+		}
+		name, val, ok := strings.Cut(line, " ")
+		family, _, _ := strings.Cut(name, "{")
+		if !ok || !counters[family] {
+			continue
+		}
+		v, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			t.Fatalf("bad counter sample %q", line)
+		}
+		out[name] = v
+	}
+	return out
+}
+
+// TestScrapeEqualsSource: a scrape reads every counter from the object
+// that keeps it, so after a faulted two-worker load /metrics and
+// /stub_status equal the sources' own sums — the qtls_* counters the
+// workers' Stats, the qat_* degradation counters the engines' Stats,
+// qtls_record_* the record engines' Stats and qat_faults_injected the
+// injector's total. The server is stopped and the device closed first,
+// so no count moves while the bodies render.
+func TestScrapeEqualsSource(t *testing.T) {
+	inj := fault.NewInjector(3,
+		fault.Rule{Kind: fault.Stall, Endpoint: fault.AnyEndpoint, Op: int(qat.OpRSA), P: 0.3},
+		fault.Rule{Kind: fault.Reset, Endpoint: fault.AnyEndpoint, Op: int(qat.OpPRF), P: 1, Limit: 2},
+	)
+	dev := qat.NewDevice(qat.DeviceSpec{Endpoints: 2, EnginesPerEndpoint: 4, RingCapacity: 128, Injector: inj})
+	t.Cleanup(dev.Close)
+	run := ConfigQTLS
+	run.OpTimeout = 10 * time.Millisecond
+	run.MaxRetries = 1
+	run.Lifecycle = true
+	run.Record.Mode = offload.RecordOffload
+	srv, err := New(Options{
+		Addr:    "127.0.0.1:0",
+		Workers: 2,
+		Run:     run,
+		TLS: &minitls.Config{
+			Identity:     identity(t),
+			CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
+		},
+		Pool:    qat.PoolOf(dev),
+		Handler: SizedBodyHandler(1 << 20),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	t.Cleanup(srv.Stop)
+	res := loadgen.STime(loadgen.STimeOptions{
+		Addr:           srv.Addr(),
+		Clients:        4,
+		Duration:       500 * time.Millisecond,
+		RequestPath:    "/40000",
+		MaxConnections: 48,
+	})
+	if res.Connections == 0 {
+		t.Fatalf("no load completed: %s", res)
+	}
+	srv.Stop()
+	dev.Close()
+
+	st := srv.Stats()
+	want := map[string]int64{
+		"qtls_accepted":                 st.Accepted,
+		"qtls_handshakes":               st.Handshakes,
+		"qtls_resumed":                  st.Resumed,
+		"qtls_requests":                 st.Requests,
+		"qtls_bytes_out":                st.BytesOut,
+		"qtls_async_events":             st.AsyncEvents,
+		"qtls_retry_events":             st.RetryEvents,
+		`qtls_polls{cause="heuristic"}`: st.HeuristicPolls,
+		`qtls_polls{cause="timer"}`:     st.TimerPolls,
+		`qtls_polls{cause="failover"}`:  st.FailoverPolls,
+		"qtls_deadline_wakeups":         st.DeadlineWakeups,
+		"qtls_errors":                   st.Errors,
+		"qtls_loop_iters":               st.LoopIters,
+		"qtls_parks":                    st.Parks,
+		`qtls_park_wakes{by="device"}`:  st.ParkDeviceWakes,
+		`qtls_park_wakes{by="socket"}`:  st.ParkSocketWakes,
+		`qtls_park_wakes{by="timeout"}`: st.ParkTimeouts,
+		"qtls_shed_total":               st.ShedAccepts + st.ShedKeepalive,
+		`qtls_sheds{site="accept"}`:     st.ShedAccepts,
+		`qtls_sheds{site="keepalive"}`:  st.ShedKeepalive,
+		"qat_faults_injected":           inj.TotalInjected(),
+		"qtls_record_bytes":             srv.RecordStats().Bytes,
+		"qtls_record_offload_ops":       srv.RecordStats().OffloadOps,
+		"qtls_record_sw_ops":            srv.RecordStats().SoftwareOps,
+		"qtls_closed_conns":             0,
+		"qat_op_timeouts":               0,
+		"qat_op_cancels":                0,
+		"qat_sw_fallbacks":              0,
+		"qat_retries":                   0,
+		"qat_instance_trips":            0,
+	}
+	for i, n := range st.DeadlineExpired {
+		want[`qtls_deadline_expired{class="`+offload.DeadlineClass(i).String()+`"}`] = n
+	}
+	for _, w := range srv.Workers() {
+		want["qtls_closed_conns"] += w.Stats.ClosedConns.Load()
+		es := w.Engine().Stats()
+		want["qat_op_timeouts"] += es.Timeouts
+		want["qat_op_cancels"] += es.Cancels
+		want["qat_sw_fallbacks"] += es.SWFallbacks
+		want["qat_retries"] += es.Retries
+		want["qat_instance_trips"] += es.Trips
+	}
+	for _, name := range []string{"qat_faults_injected", "qat_op_timeouts", "qat_sw_fallbacks", "qat_retries", "qtls_record_offload_ops"} {
+		if want[name] == 0 {
+			t.Fatalf("the faulted load left %s at zero; the comparison would prove little: %v", name, want)
+		}
+	}
+
+	w := srv.Workers()[0]
+	status := map[string]int64{}
+	for _, line := range strings.Split(string(w.statusBody()), "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			if v, err := strconv.ParseInt(f[1], 10, 64); err == nil {
+				status[f[0]] = v
+			}
+		}
+	}
+	for page, got := range map[string]map[string]int64{
+		"/metrics":     counterValues(t, string(w.metricsBody())),
+		"/stub_status": status,
+	} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s counters differ from their sources:\n got %v\nwant %v", page, got, want)
+		}
 	}
 }

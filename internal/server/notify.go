@@ -54,17 +54,9 @@ func (w *Worker) resumeAsync(c *conn) {
 	c.notifyAt = 0
 	if notifyAt != 0 && w.tr.Active() {
 		now := time.Now()
-		nd := time.Duration(now.UnixNano() - notifyAt)
-		w.tr.Record(trace.PhaseNotify, trace.OpNone, w.notifyTag(), int64(c.fd), time.Unix(0, notifyAt), nd)
-		if w.histNotify != nil {
-			w.histNotify.ObserveDuration(nd)
-		}
+		w.tr.Record(trace.PhaseNotify, trace.OpNone, w.notifyTag(), int64(c.fd), time.Unix(0, notifyAt), time.Duration(now.UnixNano()-notifyAt))
 		w.invoke(c)
-		pd := time.Since(now)
-		w.tr.Record(trace.PhasePost, trace.OpNone, trace.TagNone, int64(c.fd), now, pd)
-		if w.histPost != nil {
-			w.histPost.ObserveDuration(pd)
-		}
+		w.tr.Record(trace.PhasePost, trace.OpNone, trace.TagNone, int64(c.fd), now, time.Since(now))
 	} else {
 		w.invoke(c)
 	}

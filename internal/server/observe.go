@@ -6,51 +6,25 @@ import (
 	"strconv"
 	"sync/atomic"
 
-	"qtls/internal/metrics"
 	"qtls/internal/offload"
-	"qtls/internal/trace"
 )
 
-// Registry plumbing: pre-created series, WorkerStats mirroring and the
-// per-iteration gauge refresh. The series names here are the public
-// /metrics contract — keep them stable.
+// Registry plumbing: the worker's series, and the per-iteration gauge
+// refresh. The series names here are the public /metrics contract — keep
+// them stable. No count is copied into the registry: each counter is a
+// read, at scrape time, of the atomic that keeps it.
 
-// mirroredCounter syncs one WorkerStats atomic into a monotonic registry
-// counter by shipping deltas; last is only touched by the worker
-// goroutine.
-type mirroredCounter struct {
-	src  *atomic.Int64
-	ctr  *metrics.Counter
-	last int64
-}
-
-// pollCauses maps the batch-histogram index to the poll trigger tag.
-var pollCauses = [4]trace.Tag{trace.TagHeuristic, trace.TagTimer, trace.TagFailover, trace.TagRetry}
-
-func batchIdx(tag trace.Tag) int {
-	for i, t := range pollCauses {
-		if t == tag {
-			return i
-		}
-	}
-	return 0
-}
-
-// initSeries pre-creates this worker's registry series so the hot path
-// never hits the registry mutex, and so /metrics lists every series from
+// initSeries registers this worker's series — gauges pre-created so the
+// hot path never hits the registry mutex, and counters read from
+// WorkerStats and the record engine — so /metrics lists every series from
 // the first scrape.
 func (w *Worker) initSeries() {
 	if w.reg == nil {
 		return
 	}
 	wl := `{worker="` + strconv.Itoa(w.id) + `"}`
-	w.histNotify = w.reg.Histogram(trace.PhaseSeriesName(trace.PhaseNotify))
-	w.histPost = w.reg.Histogram(trace.PhaseSeriesName(trace.PhasePost))
 	w.histLoop = w.reg.Histogram(`qtls_loop_iter_ns` + wl)
 	w.histPollWait = w.reg.Histogram(`qtls_poll_wait_ns` + wl)
-	for i, tag := range pollCauses {
-		w.histBatch[i] = w.reg.Histogram(`qtls_poll_batch{cause="` + tag.String() + `"}`)
-	}
 	w.gInflight = w.reg.Gauge(`qtls_inflight` + wl)
 	w.gActive = w.reg.Gauge(`qtls_active_conns` + wl)
 	w.gConns = w.reg.Gauge(`qtls_conns` + wl)
@@ -64,6 +38,9 @@ func (w *Worker) initSeries() {
 	w.gThreshold[offload.ThresholdSym] = w.reg.Gauge(`qtls_poll_threshold{class="sym"}`)
 	w.gThreshold[offload.ThresholdAsym].Set(int64(w.poll.AsymThreshold))
 	w.gThreshold[offload.ThresholdSym].Set(int64(w.poll.SymThreshold))
+	w.gDrain = w.reg.Gauge("qtls_drain_active")
+	// Counters carry no worker label: every worker registers its read
+	// under the same name, and the registry adds them up.
 	st := &w.Stats
 	for _, m := range []struct {
 		name string
@@ -89,34 +66,21 @@ func (w *Worker) initSeries() {
 		{`qtls_park_wakes{by="device"}`, &st.ParkDeviceWakes},
 		{`qtls_park_wakes{by="socket"}`, &st.ParkSocketWakes},
 		{`qtls_park_wakes{by="timeout"}`, &st.ParkTimeouts},
-		// Admission control: the total plus a per-site breakdown. Both
-		// shed stats feed qtls_shed_total — delta shipping makes multiple
-		// mirrors into one counter additive, not clobbering.
+		// Admission control: the total plus a per-site breakdown.
 		{"qtls_shed_total", &st.ShedAccepts},
 		{"qtls_shed_total", &st.ShedKeepalive},
 		{`qtls_sheds{site="accept"}`, &st.ShedAccepts},
 		{`qtls_sheds{site="keepalive"}`, &st.ShedKeepalive},
 	} {
-		w.mirrors = append(w.mirrors, mirroredCounter{src: m.src, ctr: w.reg.Counter(m.name)})
+		w.reg.CounterFunc(m.name, m.src.Load)
 	}
 	for i := range st.DeadlineExpired {
-		name := `qtls_deadline_expired{class="` + offload.DeadlineClass(i).String() + `"}`
-		w.mirrors = append(w.mirrors, mirroredCounter{src: &st.DeadlineExpired[i], ctr: w.reg.Counter(name)})
+		w.reg.CounterFunc(`qtls_deadline_expired{class="`+offload.DeadlineClass(i).String()+`"}`, st.DeadlineExpired[i].Load)
 	}
-	w.gDrain = w.reg.Gauge("qtls_drain_active")
-}
-
-// mirrorStats ships WorkerStats deltas into the shared registry. Only
-// the worker goroutine calls it, so `last` needs no synchronization.
-// Counters are shared across workers (no worker label), so deltas — not
-// absolute stores — keep them correct.
-func (w *Worker) mirrorStats() {
-	for i := range w.mirrors {
-		m := &w.mirrors[i]
-		if v := m.src.Load(); v != m.last {
-			m.ctr.Add(v - m.last)
-			m.last = v
-		}
+	if rec := w.rec; rec != nil {
+		w.reg.CounterFunc("qtls_record_bytes", func() int64 { return rec.Stats().Bytes })
+		w.reg.CounterFunc("qtls_record_offload_ops", func() int64 { return rec.Stats().OffloadOps })
+		w.reg.CounterFunc("qtls_record_sw_ops", func() int64 { return rec.Stats().SoftwareOps })
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 // — live in the policy value; this file feeds it the live inputs (Rtotal,
 // in-flight asymmetric count, TCactive) and performs the polls.
 
-// pollEngine drains QAT responses, attributing the poll to its trigger:
-// a span (arg = batch size) plus a batch-size histogram per cause. The
-// lastPoll / per-cause stat bookkeeping stays at the call sites, which
-// have different rules for it.
+// pollEngine drains QAT responses, attributing the poll to its trigger
+// with a span (arg = batch size; the span subscriber derives the
+// per-cause batch-size histogram from it). The lastPoll / per-cause stat
+// bookkeeping stays at the call sites, which have different rules for it.
 func (w *Worker) pollEngine(tag trace.Tag) int {
 	var start time.Time
 	if w.tr.Active() {
@@ -33,9 +33,6 @@ func (w *Worker) pollEngine(tag trace.Tag) int {
 	}
 	if !start.IsZero() {
 		w.tr.Record(trace.PhasePoll, trace.OpNone, tag, int64(n), start, time.Since(start))
-		if h := w.histBatch[batchIdx(tag)]; h != nil {
-			h.Observe(float64(n))
-		}
 	}
 	return n
 }

@@ -4,11 +4,13 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"qtls/internal/engine"
 	"qtls/internal/fault"
 	"qtls/internal/flight"
 	"qtls/internal/metrics"
@@ -18,14 +20,23 @@ import (
 	"qtls/internal/trace"
 )
 
-// Names of the fault/degradation counters exported via stub_status.
-var faultCounterNames = []string{
-	"qat_faults_injected",
-	"qat_op_timeouts",
-	"qat_op_cancels",
-	"qat_sw_fallbacks",
-	"qat_instance_trips",
-	"qat_retries",
+// ErrFlightWithoutTrace is returned by New for Options.Flight without
+// Options.Trace: the flight recorder's windows and SLO trigger are fed by
+// committed spans, so without a span recorder they would never move.
+var ErrFlightWithoutTrace = errors.New("server: the flight recorder needs the trace recorder (its span source)")
+
+// engineCounters are the degradation counters the engines keep. A scrape
+// sums each over the workers; with qat_faults_injected they are listed by
+// stub_status at zero before any fault fires.
+var engineCounters = []struct {
+	name string
+	get  func(engine.Stats) int64
+}{
+	{"qat_op_timeouts", func(st engine.Stats) int64 { return st.Timeouts }},
+	{"qat_op_cancels", func(st engine.Stats) int64 { return st.Cancels }},
+	{"qat_sw_fallbacks", func(st engine.Stats) int64 { return st.SWFallbacks }},
+	{"qat_instance_trips", func(st engine.Stats) int64 { return st.Trips }},
+	{"qat_retries", func(st engine.Stats) int64 { return st.Retries }},
 }
 
 // Options configures a multi-worker server.
@@ -51,9 +62,9 @@ type Options struct {
 	Pool *qat.Pool
 	// Handler serves request paths.
 	Handler Handler
-	// Metrics is the registry behind the /stub_status endpoint and the
-	// engines' degradation counters. nil creates a private registry, so
-	// stub_status always works.
+	// Metrics is the registry behind the /stub_status and /metrics
+	// endpoints. nil creates a private registry, so stub_status always
+	// works.
 	Metrics *metrics.Registry
 	// Trace, when set, enables the four-phase span recorder behind the
 	// /debug/trace endpoint; each worker gets a private ring buffer from
@@ -63,9 +74,8 @@ type Options struct {
 	// gets a private event journal, breaker transitions and fault
 	// injections are journaled, span windows feed the `_w60s` metric
 	// series, and the /debug/flight endpoint serves anomaly dumps. nil
-	// disables the flight surface (and /debug/flight 404s). Windowed
-	// span-fed series additionally require Trace to be set and enabled —
-	// the flight recorder consumes spans through trace.Subscribe.
+	// disables the flight surface (and /debug/flight 404s). It requires
+	// Trace (ErrFlightWithoutTrace): the recorder consumes committed spans.
 	Flight *flight.Recorder
 }
 
@@ -91,53 +101,64 @@ func New(opts Options) (*Server, error) {
 	if opts.Handler == nil {
 		return nil, fmt.Errorf("server: Handler required")
 	}
+	if opts.Flight != nil && opts.Trace == nil {
+		return nil, ErrFlightWithoutTrace
+	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	// Register the degradation counters up front so stub_status lists
-	// them at zero even before any fault fires.
-	for _, name := range faultCounterNames {
-		reg.Counter(name)
-	}
 	pool := opts.Pool
+	s := &Server{reg: reg, pool: pool}
+	// Counters are read where they are kept, at scrape time: the engines'
+	// degradation counts summed over the workers, and the injected faults
+	// summed over the pool's injectors (devices may share one spec — and
+	// therefore one injector — so each counts once).
+	for _, c := range engineCounters {
+		get := c.get
+		reg.CounterFunc(c.name, func() int64 {
+			var n int64
+			for _, w := range s.workers {
+				if w.eng != nil {
+					n += get(w.eng.Stats())
+				}
+			}
+			return n
+		})
+	}
+	var injectors []*fault.Injector
 	if pool != nil {
-		// Mirror every injected fault into the registry (nil-injector
-		// safe: SetSink on a nil *fault.Injector is a no-op). Pool
-		// devices may share one spec — and therefore one injector — so
-		// wire each distinct injector once.
 		seen := make(map[*fault.Injector]bool)
 		for _, d := range pool.Devices() {
-			inj := d.Spec().Injector
-			if seen[inj] {
-				continue
-			}
-			seen[inj] = true
-			inj.SetSink(reg.Counter("qat_faults_injected"))
-		}
-	}
-	if opts.Flight != nil {
-		// Span windows feed off the trace recorder; windowed series join
-		// the /metrics exposition; every injected fault lands in the
-		// black-box journal with its kind and endpoint/op.
-		opts.Flight.AttachTrace(opts.Trace)
-		opts.Flight.Register(reg)
-		if pool != nil {
-			fl := opts.Flight.Journal(flight.SystemWorker)
-			seen := make(map[*fault.Injector]bool)
-			for _, d := range pool.Devices() {
-				inj := d.Spec().Injector
-				if seen[inj] {
-					continue
-				}
+			if inj := d.Spec().Injector; inj != nil && !seen[inj] {
 				seen[inj] = true
-				inj.SetEventSink(func(k fault.Kind, endpoint, op int) {
-					fl.Note(flight.KindFault, uint8(k), trace.Op(op), int64(endpoint), 0)
-				})
+				injectors = append(injectors, inj)
 			}
 		}
 	}
-	s := &Server{reg: reg, pool: pool}
+	reg.CounterFunc("qat_faults_injected", func() int64 {
+		var n int64
+		for _, inj := range injectors {
+			n += inj.TotalInjected()
+		}
+		return n
+	})
+	// The one span subscriber: every committed span feeds the lifetime
+	// phase and poll-batch histograms and the flight recorder's windows and
+	// slow-span journal.
+	flight.AttachTrace(opts.Trace, reg, opts.Flight)
+	fl := opts.Flight.Journal(flight.SystemWorker) // nil (inert) without a recorder
+	if opts.Flight != nil {
+		// Windowed series join the /metrics exposition; every injected
+		// fault lands in the black-box journal with its kind and
+		// endpoint/op.
+		opts.Flight.Register(reg)
+		for _, inj := range injectors {
+			inj.SetEventSink(func(k fault.Kind, endpoint, op int) {
+				fl.Note(flight.KindFault, uint8(k), trace.Op(op), int64(endpoint), 0)
+			})
+		}
+	}
 	if pool != nil && opts.Run.Lifecycle {
 		// Health manager on wall time: trip sick instances, quarantine sick
 		// devices, probe them back. Device transitions are journaled as
@@ -145,10 +166,6 @@ func New(opts Options) (*Server, error) {
 		// gauges; workers tick it, and notice transitions via its epoch to
 		// re-home their conn-hash engines.
 		lc := qat.NewLifecycle(pool, nil)
-		var fl *flight.Journal
-		if opts.Flight != nil {
-			fl = opts.Flight.Journal(flight.SystemWorker)
-		}
 		gauges := make([]*metrics.Gauge, pool.Size())
 		for d := range gauges {
 			gauges[d] = reg.Gauge(fmt.Sprintf(`qtls_device_state{dev="%d"}`, d))

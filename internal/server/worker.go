@@ -176,22 +176,19 @@ type Worker struct {
 	flight *flight.Recorder // shared recorder behind /debug/flight
 	fl     *flight.Journal  // this worker's private event ring
 
-	// Pre-created registry series (nil when reg is nil). Histograms are
-	// only fed while tracing is enabled; gauges and mirrored counters are
-	// refreshed every loop iteration regardless.
-	histNotify   *metrics.Histogram    // qtls_phase_ns{phase="notify"}
-	histPost     *metrics.Histogram    // qtls_phase_ns{phase="post"}
-	histLoop     *metrics.Histogram    // busy part of one loop iteration
-	histPollWait *metrics.Histogram    // time blocked in epoll_wait
-	histBatch    [4]*metrics.Histogram // poll batch size by cause
-	gInflight    *metrics.Gauge        // Rtotal, per worker
-	gActive      *metrics.Gauge        // TCactive, per worker
-	gConns       *metrics.Gauge        // live connections
-	gWaiting     *metrics.Gauge        // conns with a paused offload
-	gLag         *metrics.Gauge        // busy ns of the latest iteration
-	gDrain       *metrics.Gauge        // 1 while a graceful drain runs
-	gThreshold   [2]*metrics.Gauge     // qtls_poll_threshold{class}, by offload.Threshold*
-	mirrors      []mirroredCounter     // WorkerStats → registry counters
+	// Pre-created registry series (nil when reg is nil). The loop
+	// histograms are only fed while tracing is enabled; gauges are
+	// refreshed every loop iteration regardless. (The span-derived
+	// histograms are fed by the one span subscriber, flight.AttachTrace.)
+	histLoop     *metrics.Histogram // busy part of one loop iteration
+	histPollWait *metrics.Histogram // time blocked in epoll_wait
+	gInflight    *metrics.Gauge     // Rtotal, per worker
+	gActive      *metrics.Gauge     // TCactive, per worker
+	gConns       *metrics.Gauge     // live connections
+	gWaiting     *metrics.Gauge     // conns with a paused offload
+	gLag         *metrics.Gauge     // busy ns of the latest iteration
+	gDrain       *metrics.Gauge     // 1 while a graceful drain runs
+	gThreshold   [2]*metrics.Gauge  // qtls_poll_threshold{class}, by offload.Threshold*
 }
 
 // conn is one TLS connection's event-loop state.
@@ -270,7 +267,6 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 	}
 	w.onAsync = w.asyncEventCallback
 	w.wheel = newDeadlineWheel(cfg.Deadlines.Tick, time.Now())
-	w.initSeries()
 	var err error
 	if w.poller, err = netpoll.NewPoller(); err != nil {
 		return nil, err
@@ -346,7 +342,6 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 			Offload:         cfg.Offload,
 			OpTimeout:       cfg.OpTimeout,
 			MaxRetries:      cfg.MaxRetries,
-			Metrics:         reg,
 			Trace:           w.tr,
 			Flight:          w.fl,
 		})
@@ -371,7 +366,6 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 			Instance:  w.recInst,
 			Policy:    cfg.Record,
 			Lifecycle: w.lc,
-			Metrics:   reg,
 			Trace:     w.tr,
 			Flight:    w.fl,
 		})
@@ -435,6 +429,7 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 	}
 	w.tlsTmpl = &tmpl
 	w.lastPoll = time.Now()
+	w.initSeries()
 	return w, nil
 }
 
@@ -551,7 +546,6 @@ func (w *Worker) Run() {
 		}
 		if w.reg != nil {
 			w.updateGauges()
-			w.mirrorStats()
 		}
 		// Controller step: rate-limited internally to the configured
 		// interval, so per-iteration cost is one mutex round and usually

@@ -13,11 +13,11 @@
 //     atomic load and no allocations (guarded by a benchmark).
 //   - No cross-worker contention: each worker owns a private ring
 //     buffer; nothing on the record path is shared between workers.
-//   - Race-detector clean: every slot word is an atomic.Int64 and each
-//     slot carries a seqlock-style generation word, so a reader racing a
-//     wrap-around writer detects the torn slot and skips it instead of
-//     returning garbage (and `go test -race` stays quiet, which a
-//     classic plain-field seqlock would not).
+//   - Race-detector clean: spans live in a Ring, whose every slot word
+//     is an atomic.Int64 and whose slots carry a seqlock-style generation
+//     word, so a reader racing a wrap-around writer detects the torn slot
+//     and skips it instead of returning garbage (and `go test -race`
+//     stays quiet, which a classic plain-field seqlock would not).
 //
 // Spans are fixed-size (five words) and written in place; the ring
 // overwrites the oldest spans when full. Readers (the /debug/trace
@@ -26,7 +26,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,12 +210,66 @@ func (s Span) MarshalJSON() ([]byte, error) {
 		s.Start, s.Dur, s.Phase, s.Op, s.Tag, s.Worker, s.Arg), nil
 }
 
-// Slot layout: [generation, start, dur, meta, arg]. The generation word
-// is 2*index+1 while the slot is being written and 2*index+2 once
-// stable, so a reader can both detect in-progress writes (odd) and
-// verify the slot still holds the generation it started reading (equal
-// before and after).
-const slotWords = 5
+// Ring is a seqlock ring of five-word slots, overwriting the oldest slot
+// when full: a trace.Buffer's spans and each of a flight journal's two
+// event rings. A writer claims its slot with one atomic add, so several
+// may put at once, and any goroutine may read. Every word is an
+// atomic.Int64, and a slot's first word is its generation:
+// 2*index+1 while the slot is being written and 2*index+2 once stable.
+// A reader therefore detects both an in-progress write (odd) and a
+// wrap-around overwrite (a different generation before and after its
+// read) and skips the slot instead of returning a torn one.
+type Ring struct {
+	mask   uint64
+	cursor atomic.Uint64
+	slots  []atomic.Int64
+}
+
+// NewRing returns a ring of at least size slots (rounded up to a power of
+// two).
+func NewRing(size int) *Ring {
+	n := uint64(1)
+	for n < uint64(size) {
+		n <<= 1
+	}
+	return &Ring{mask: n - 1, slots: make([]atomic.Int64, n*5)}
+}
+
+// Put writes one slot's four payload words.
+func (r *Ring) Put(w1, w2, w3, w4 int64) {
+	idx := r.cursor.Add(1) - 1
+	base := int(idx&r.mask) * 5
+	gen := int64(idx) * 2
+	r.slots[base].Store(gen + 1)
+	r.slots[base+1].Store(w1)
+	r.slots[base+2].Store(w2)
+	r.slots[base+3].Store(w3)
+	r.slots[base+4].Store(w4)
+	r.slots[base].Store(gen + 2)
+}
+
+// Written returns how many slots were ever put (overwritten ones
+// included).
+func (r *Ring) Written() int64 { return int64(r.cursor.Load()) }
+
+// Each calls fn with the payload words of every readable slot, oldest
+// first.
+func (r *Ring) Each(fn func(w1, w2, w3, w4 int64)) {
+	cur := r.cursor.Load()
+	n := min(cur, r.mask+1)
+	for i := cur - n; i < cur; i++ {
+		base := int(i&r.mask) * 5
+		want := int64(i)*2 + 2
+		if r.slots[base].Load() != want {
+			continue // being written, or already overwritten by a wrap
+		}
+		w1, w2, w3, w4 := r.slots[base+1].Load(), r.slots[base+2].Load(), r.slots[base+3].Load(), r.slots[base+4].Load()
+		if r.slots[base].Load() != want {
+			continue // torn: a wrap-around writer got in between
+		}
+		fn(w1, w2, w3, w4)
+	}
+}
 
 // Buffer is one worker's private span ring. The zero/nil Buffer is
 // inert: Active reports false and Record is a no-op, so callers hold a
@@ -221,9 +277,7 @@ const slotWords = 5
 type Buffer struct {
 	rec    *Recorder
 	worker uint8
-	mask   uint64
-	cursor atomic.Uint64
-	slots  []atomic.Int64
+	ring   *Ring
 }
 
 // Active reports whether spans recorded now would be kept. Callers use
@@ -239,15 +293,7 @@ func (b *Buffer) Record(ph Phase, op Op, tag Tag, arg int64, start time.Time, du
 	if !b.Active() {
 		return
 	}
-	idx := b.cursor.Add(1) - 1
-	base := int(idx&b.mask) * slotWords
-	gen := int64(idx) * 2
-	b.slots[base].Store(gen + 1)
-	b.slots[base+1].Store(start.UnixNano())
-	b.slots[base+2].Store(int64(dur))
-	b.slots[base+3].Store(int64(ph) | int64(op)<<8 | int64(tag)<<16 | int64(b.worker)<<24)
-	b.slots[base+4].Store(arg)
-	b.slots[base].Store(gen + 2)
+	b.ring.Put(start.UnixNano(), int64(dur), int64(ph)|int64(op)<<8|int64(tag)<<16|int64(b.worker)<<24, arg)
 	if h := b.rec.hook.Load(); h != nil {
 		// The span is handed over by value: a subscriber that does not
 		// allocate keeps this path allocation-free (the package benchmark
@@ -264,42 +310,20 @@ func (b *Buffer) Record(ph Phase, op Op, tag Tag, arg int64, start time.Time, du
 	}
 }
 
-// size returns the ring capacity in spans.
-func (b *Buffer) size() uint64 { return b.mask + 1 }
-
 // snapshot appends every readable span in the ring to out, oldest
-// first. Torn slots (a writer raced the read) are skipped.
+// first.
 func (b *Buffer) snapshot(out []Span) []Span {
-	if b == nil {
-		return out
-	}
-	cur := b.cursor.Load()
-	n := cur
-	if n > b.size() {
-		n = b.size()
-	}
-	for i := cur - n; i < cur; i++ {
-		base := int(i&b.mask) * slotWords
-		want := int64(i)*2 + 2
-		if b.slots[base].Load() != want {
-			continue // being written, or already overwritten by a wrap
-		}
-		s := Span{
-			Start: b.slots[base+1].Load(),
-			Dur:   b.slots[base+2].Load(),
-		}
-		meta := b.slots[base+3].Load()
-		arg := b.slots[base+4].Load()
-		if b.slots[base].Load() != want {
-			continue // torn: a wrap-around writer got in between
-		}
-		s.Phase = Phase(meta & 0xff)
-		s.Op = Op(meta >> 8 & 0xff)
-		s.Tag = Tag(meta >> 16 & 0xff)
-		s.Worker = uint8(meta >> 24 & 0xff)
-		s.Arg = arg
-		out = append(out, s)
-	}
+	b.ring.Each(func(start, dur, meta, arg int64) {
+		out = append(out, Span{
+			Start:  start,
+			Dur:    dur,
+			Phase:  Phase(meta & 0xff),
+			Op:     Op(meta >> 8 & 0xff),
+			Tag:    Tag(meta >> 16 & 0xff),
+			Worker: uint8(meta >> 24 & 0xff),
+			Arg:    arg,
+		})
+	})
 	return out
 }
 
@@ -307,7 +331,7 @@ func (b *Buffer) snapshot(out []Span) []Span {
 // Buffers are created lazily, one per worker id.
 type Recorder struct {
 	enabled   atomic.Bool
-	perWorker uint64
+	perWorker int
 	hook      atomic.Pointer[func(Span)]
 
 	mu   sync.Mutex
@@ -320,11 +344,7 @@ func NewRecorder(perWorker int) *Recorder {
 	if perWorker <= 0 {
 		perWorker = 4096
 	}
-	size := uint64(1)
-	for size < uint64(perWorker) {
-		size <<= 1
-	}
-	return &Recorder{perWorker: size, bufs: make(map[int]*Buffer)}
+	return &Recorder{perWorker: perWorker, bufs: make(map[int]*Buffer)}
 }
 
 // SetEnabled turns span recording on or off. Disabling keeps already
@@ -334,9 +354,6 @@ func (r *Recorder) SetEnabled(on bool) {
 		r.enabled.Store(on)
 	}
 }
-
-// Enabled reports whether spans are currently being kept.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled.Load() }
 
 // Subscribe installs fn as the span-commit hook: every span recorded
 // while the recorder is enabled is also handed to fn, by value, on the
@@ -367,12 +384,7 @@ func (r *Recorder) Buffer(worker int) *Buffer {
 	defer r.mu.Unlock()
 	b, ok := r.bufs[worker]
 	if !ok {
-		b = &Buffer{
-			rec:    r,
-			worker: uint8(worker),
-			mask:   r.perWorker - 1,
-			slots:  make([]atomic.Int64, r.perWorker*slotWords),
-		}
+		b = &Buffer{rec: r, worker: uint8(worker), ring: NewRing(r.perWorker)}
 		r.bufs[worker] = b
 	}
 	return b
@@ -388,7 +400,7 @@ func (r *Recorder) Count() int64 {
 	defer r.mu.Unlock()
 	var n int64
 	for _, b := range r.bufs {
-		n += int64(b.cursor.Load())
+		n += b.ring.Written()
 	}
 	return n
 }
@@ -409,25 +421,9 @@ func (r *Recorder) Recent(n int) []Span {
 	for _, b := range bufs {
 		spans = b.snapshot(spans)
 	}
-	sortSpans(spans)
+	slices.SortStableFunc(spans, func(a, b Span) int { return cmp.Compare(a.Start, b.Start) })
 	if n > 0 && len(spans) > n {
 		spans = spans[len(spans)-n:]
 	}
 	return spans
-}
-
-// sortSpans orders by start time (insertion-free pdqsort via sort.Slice
-// would allocate a closure; spans are small, use a simple shellsort to
-// keep the read path allocation-light).
-func sortSpans(s []Span) {
-	for gap := len(s) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(s); i++ {
-			v := s[i]
-			j := i
-			for ; j >= gap && s[j-gap].Start > v.Start; j -= gap {
-				s[j] = s[j-gap]
-			}
-			s[j] = v
-		}
-	}
 }
