@@ -336,9 +336,12 @@ func (e *Engine) verifyOK(kind minitls.OpKind, result any) bool {
 
 // settleTimeout accounts for an op abandoned at its deadline: the class
 // counter no longer carries it, the instance's breaker hears about the
-// failure, and slots the device itself marked leaked are reclaimed so the
-// ring regains capacity.
-func (e *Engine) settleTimeout(class Class, idx int) {
+// failure, slots the device itself marked leaked are reclaimed so the
+// ring regains capacity, and the op's call is marked abandoned — the
+// device may still run its closure, so its connection is never recycled.
+func (e *Engine) settleTimeout(a *attempt) {
+	class, idx := a.class, a.idx
+	a.call.Abandoned = true
 	e.inflight[class].Add(-1)
 	e.timeouts.Add(1)
 	e.fl.Note(flight.KindFallback, flight.FallbackTimeout, trace.OpNone, 0, int64(idx))
@@ -372,10 +375,12 @@ func (e *Engine) retrySleep(attempt int) {
 }
 
 // settleCancel accounts for an op abandoned because its connection is
-// being torn down: same inflight/breaker/leak bookkeeping as a timeout
-// (a cancel on a stalled device must still trip its breaker), under its
-// own counter.
-func (e *Engine) settleCancel(class Class, idx int) {
+// being torn down: same inflight/breaker/leak bookkeeping and abandoned
+// mark as a timeout (a cancel on a stalled device must still trip its
+// breaker), under its own counter.
+func (e *Engine) settleCancel(a *attempt) {
+	class, idx := a.class, a.idx
+	a.call.Abandoned = true
 	e.cancels.Add(1)
 	e.fl.Note(flight.KindFallback, flight.FallbackCancel, trace.OpNone, 0, int64(idx))
 	e.inflight[class].Add(-1)

@@ -249,6 +249,43 @@ func TestStackRingFullRetry(t *testing.T) {
 	}
 }
 
+// A fiber op paused by a full ring and resumed by its connection's cancel
+// returns ErrCancelled instead of resubmitting: were it to park again, its
+// job would outlive the connection closing it, holding the connection's
+// op state while the event loop recycles it.
+func TestFiberCancelledInRingFullPause(t *testing.T) {
+	e, _ := newEngine(t, qat.DeviceSpec{
+		Endpoints: 1, EnginesPerEndpoint: 1, RingCapacity: 1,
+		ServiceTime: map[qat.OpType]time.Duration{qat.OpPRF: 2 * time.Millisecond},
+	})
+	blockCall := &minitls.OpCall{Mode: minitls.AsyncModeStack, Stack: newStack()}
+	if _, err := e.Do(blockCall, minitls.KindPRF, func() (any, error) { return 1, nil }); !errors.Is(err, minitls.ErrWantAsync) {
+		t.Fatalf("filling submit err = %v", err)
+	}
+	call := &minitls.OpCall{Mode: minitls.AsyncModeFiber}
+	job := new(asynclib.Job)
+	call.Job = job
+	st, _, err := asynclib.StartJob(job, func(*asynclib.Job) error {
+		_, err := e.Do(call, minitls.KindPRF, func() (any, error) { return 2, nil })
+		return err
+	})
+	if st != asynclib.StatusPause || err != nil || !call.SubmitFailed {
+		t.Fatalf("submit into a full ring: %v, %v (submit failed %v)", st, err, call.SubmitFailed)
+	}
+	// The ring drains, so a resubmission would now be accepted; the
+	// connection is being closed instead.
+	for e.Poll(0) == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	call.Cancelled = true
+	if st, _, err := asynclib.StartJob(job, nil); st != asynclib.StatusFinish || !errors.Is(err, ErrCancelled) {
+		t.Fatalf("cancelled resume: %v, %v; want the job finished with ErrCancelled", st, err)
+	}
+	if s := e.Stats().Submitted; s != 1 {
+		t.Fatalf("%d submissions, want only the one that filled the ring", s)
+	}
+}
+
 // Inflight class counters track submissions and retrievals (§4.3).
 func TestInflightCounters(t *testing.T) {
 	e, _ := newEngine(t, qat.DeviceSpec{

@@ -235,7 +235,7 @@ func (spinStrategy) park(a *attempt) (any, error, outcome) {
 		}
 		e.tickHealth()
 		if expired(a.deadline) && a.settled.CompareAndSwap(false, true) {
-			e.settleTimeout(a.class, a.idx)
+			e.settleTimeout(a)
 			return e.fallback(a)
 		}
 	}
@@ -326,14 +326,14 @@ func (fiberStrategy) park(a *attempt) (any, error, outcome) {
 			// drain cutoff): abandon the offload without a software
 			// fallback — nothing will consume the result.
 			if a.settled.CompareAndSwap(false, true) {
-				e.settleCancel(a.class, a.idx)
+				e.settleCancel(a)
 				return nil, ErrCancelled, outReturn
 			}
 			break // lost the CAS: the response landed first, consume it
 		}
 		if expired(a.deadline) {
 			if a.settled.CompareAndSwap(false, true) {
-				e.settleTimeout(a.class, a.idx)
+				e.settleTimeout(a)
 				return e.fallback(a)
 			}
 			break // lost the CAS: the response landed first
@@ -362,12 +362,14 @@ func (e *Engine) doFiber(call *minitls.OpCall, kind minitls.OpKind, class Class,
 	if call.Job == nil {
 		return nil, errors.New("engine: fiber mode without a job")
 	}
-	if call.Cancelled {
-		// The connection is already being torn down; refuse new
-		// submissions so a cancelled handshake cannot re-park.
-		return nil, ErrCancelled
-	}
 	for n := 0; ; {
+		if call.Cancelled {
+			// The connection is being torn down — already on entry, or while
+			// a full ring paused this op — so refuse to submit: a cancelled
+			// handshake must not re-park, or its job would outlive its
+			// connection.
+			return nil, ErrCancelled
+		}
 		a := e.newAttempt(call, kind, class, work, n, fiberStrategy{})
 		res, err, out := e.submitPath(a)
 		n = a.n
@@ -454,7 +456,7 @@ func (e *Engine) doStack(call *minitls.OpCall, kind minitls.OpKind, class Class,
 		}
 		if expired(a.deadline) && a.settled.CompareAndSwap(false, true) {
 			delete(e.stackOps, st)
-			e.settleTimeout(a.class, a.idx)
+			e.settleTimeout(a)
 			st.Reset()
 			return e.swFallback(work)
 		}
@@ -485,7 +487,7 @@ func (e *Engine) cancelStack(st *asynclib.StackOp) error {
 		st.Consume() // discard: the result has no consumer
 	case asynclib.StackInflight:
 		if a := e.stackOps[st]; a != nil && a.settled.CompareAndSwap(false, true) {
-			e.settleCancel(a.class, a.idx)
+			e.settleCancel(a)
 		}
 		delete(e.stackOps, st)
 		st.Reset()

@@ -299,6 +299,12 @@ type OpCall struct {
 	// instead of re-parking, so device inflight accounting is released
 	// even when no response will ever arrive.
 	Cancelled bool
+	// Abandoned is set by the provider when it settles an offloaded
+	// operation by its deadline or by a cancel while the device still
+	// holds it: the operation's closure may run later, reading what it
+	// captured from the connection, so the connection is never recycled
+	// (Conn.OpAbandoned).
+	Abandoned bool
 
 	// result/err hand the crypto result across a fiber pause point.
 	result any

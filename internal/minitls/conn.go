@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash"
 	"io"
-	"sync"
 
 	"qtls/internal/asynclib"
 )
@@ -27,8 +26,8 @@ type Conn struct {
 	in, out halfConn
 	// rawInput holds transport bytes: [:rawOff] are consumed records,
 	// [rawOff:] undecoded, and the spare capacity is where fill reads. It
-	// starts on rawArr, a pooled buffer given back by Release or when a
-	// record outgrows it.
+	// starts on rawArr, the connection's own first buffer, which it keeps
+	// for its next life (Init) even when a record outgrows it.
 	rawInput []byte
 	rawOff   int
 	rawArr   *[minRawInput]byte
@@ -37,12 +36,16 @@ type Conn struct {
 	// next read, as a record aliases rawInput.
 	handBuf []byte
 	handOff int
+	// msgBuf is where this side builds the handshake messages it sends
+	// (writeMsg): each is consumed by the time writeHandshake returns, so
+	// one buffer serves them all.
+	msgBuf []byte
 	// appData is decrypted application data not yet consumed. It aliases
 	// the record opened in place in rawInput, which stays valid because
 	// the next record is only read once appData is empty.
 	appData []byte
 
-	transcript hash.Hash // SHA-256 running handshake transcript (pooled)
+	transcript hash.Hash // SHA-256 running handshake transcript
 	// preMsgHash is the transcript hash before the last-read Finished
 	// message, summed into preMsgSum.
 	preMsgHash []byte
@@ -52,7 +55,7 @@ type Conn struct {
 	state   hsState
 	version uint16
 	suite   uint16
-	hsrv    *serverHS
+	hsrv    serverHS // the server side's; a client leaves it zero
 	hcli    *clientHS
 
 	// Async machinery (§3.2). The wait context is shared across all async
@@ -139,9 +142,7 @@ const (
 
 // Server returns a server-side TLS connection over transport.
 func Server(transport io.ReadWriter, config *Config) *Conn {
-	c := newConn(transport, config, true)
-	c.state = stateStart
-	return c
+	return newConn(transport, config, true)
 }
 
 // ClientConn returns a client-side TLS connection over transport. The
@@ -152,24 +153,55 @@ func ClientConn(transport io.ReadWriter, config *Config) *Conn {
 }
 
 func newConn(transport io.ReadWriter, config *Config, server bool) *Conn {
+	c := new(Conn)
+	c.Init(transport, config, server)
+	return c
+}
+
+// maxKeptBuf bounds the capacity of a growable buffer (handBuf, msgBuf)
+// that a connection keeps for its next life: a handshake flight fits, and
+// a buffer some peer grew past it is dropped rather than pinned.
+const maxKeptBuf = 4 << 10
+
+// Init makes c a new connection over transport, in place — the one
+// initialiser: Server and ClientConn call it on a new Conn, and an event
+// loop that recycles connections calls it again once the last life has
+// ended with Release and no offloaded operation holds c (OpAbandoned).
+// The whole struct is zeroed, then an allow-list of storage is put back:
+// the transcript digest (reset), the first input buffer, the handshake
+// and message buffers up to maxKeptBuf, and the bound fiber job function.
+// Nothing else can carry over by being forgotten.
+func (c *Conn) Init(transport io.ReadWriter, config *Config, server bool) {
 	if config == nil {
 		config = &Config{}
 	}
-	return &Conn{
+	transcript, rawArr, jobFn := c.transcript, c.rawArr, c.jobFn
+	handBuf, msgBuf := keptBuf(c.handBuf), keptBuf(c.msgBuf)
+	*c = Conn{
 		transport:  transport,
 		config:     config,
 		isServer:   server,
-		transcript: transcriptPool.Get().(hash.Hash),
-		state:      stateStart,
+		transcript: transcript,
+		rawArr:     rawArr,
+		jobFn:      jobFn,
+		handBuf:    handBuf,
+		msgBuf:     msgBuf,
+	}
+	if c.transcript == nil {
+		c.transcript = sha256.New()
+	} else {
+		c.transcript.Reset()
 	}
 }
 
-// transcriptPool holds the transcript digests of released connections,
-// reset.
-var transcriptPool = sync.Pool{New: func() any { return sha256.New() }}
-
-// rawInputPool holds the first input buffers of released connections.
-var rawInputPool = sync.Pool{New: func() any { return new([minRawInput]byte) }}
+// keptBuf is b emptied for a connection's next life, or nil when it grew
+// past maxKeptBuf.
+func keptBuf(b []byte) []byte {
+	if cap(b) > maxKeptBuf {
+		return nil
+	}
+	return b[:0]
+}
 
 // WaitCtx returns the connection's async wait context, putting it in use
 // on first call. The event loop installs its notification scheme here.
@@ -182,12 +214,12 @@ func (c *Conn) WaitCtx() *asynclib.WaitCtx {
 }
 
 // Release gives back what the connection holds from pools shared across
-// connections: its input buffer, its transcript digest, a buffered
-// handshake flight and its keyed MACs. The Conn must not be used
-// afterwards, nor any slice it returned. A MAC that an offloaded operation
-// abandoned at its deadline still holds stays with that operation and goes
-// to the garbage collector. Release is for an event loop letting a
-// connection go; a Conn that is simply dropped is collected whole.
+// connections: a buffered handshake flight and its keyed MACs. The Conn
+// must not be used afterwards, nor any slice it returned, until Init makes
+// it a new connection. A MAC that an offloaded operation abandoned at its
+// deadline still holds stays with that operation and goes to the garbage
+// collector. Release is for an event loop letting a connection go; a Conn
+// that is simply dropped is collected whole.
 func (c *Conn) Release() {
 	c.closed = true
 	c.dropFlight()
@@ -196,24 +228,22 @@ func (c *Conn) Release() {
 			p.release()
 		}
 	}
-	if c.hsrv != nil {
+	if c.isServer {
 		c.hsrv.pre.release()
 		c.hsrv.master.release()
 	}
 	if c.hcli != nil {
 		c.hcli.master.release()
 	}
-	if c.rawArr != nil {
-		rawInputPool.Put(c.rawArr)
-		c.rawArr = nil
-	}
 	c.rawInput, c.rawOff, c.appData = nil, 0, nil
-	if c.transcript != nil {
-		c.transcript.Reset()
-		transcriptPool.Put(c.transcript)
-		c.transcript = nil
-	}
 }
+
+// OpAbandoned reports whether an offloaded operation of this connection
+// was abandoned: settled by its deadline or by a cancel while a device
+// still held it. Such an operation's closure may still read the
+// connection's handshake state and its write buffers, so the Conn must
+// never be initialised again; it goes to the garbage collector.
+func (c *Conn) OpAbandoned() bool { return c.opCall.Abandoned }
 
 // SetAsyncCallback installs the kernel-bypass notification callback
 // (mirrors SSL_set_async_callback, §4.4).
@@ -408,18 +438,16 @@ func (c *Conn) fill() error {
 			c.rawInput = c.rawInput[:copy(c.rawInput, c.rawInput[c.rawOff:])]
 			c.rawOff = 0
 		case c.rawInput == nil:
-			c.rawArr = rawInputPool.Get().(*[minRawInput]byte)
+			if c.rawArr == nil {
+				c.rawArr = new([minRawInput]byte)
+			}
 			c.rawInput = c.rawArr[:0]
 		default:
+			// rawArr stays with the connection for its next life; the grown
+			// buffer does not.
 			grown := make([]byte, len(c.rawInput), 2*cap(c.rawInput))
 			copy(grown, c.rawInput)
 			c.rawInput = grown
-			if c.rawArr != nil {
-				// Nothing aliases the old buffer: a record read from it was
-				// consumed before this read began.
-				rawInputPool.Put(c.rawArr)
-				c.rawArr = nil
-			}
 		}
 	}
 	n, err := c.transport.Read(c.rawInput[len(c.rawInput):cap(c.rawInput)])
@@ -559,6 +587,13 @@ func (c *Conn) dropFlight() {
 		PutWireBuf(c.flight)
 		c.flight = nil
 	}
+}
+
+// writeMsg writes a handshake message built in msgBuf and keeps the
+// buffer, grown if it had to be, for the next one.
+func (c *Conn) writeMsg(msg []byte) error {
+	c.msgBuf = msg[:0]
+	return c.writeHandshake(msg)
 }
 
 // writeHandshake writes handshake message bytes (already framed) and

@@ -210,7 +210,7 @@ func FuzzClientHello(f *testing.F) {
 		if m.unmarshal(body) != nil {
 			return
 		}
-		wire := m.marshal()
+		wire := m.marshal(nil)
 		var again clientHelloMsg
 		if err := again.unmarshal(wire[4:]); err != nil {
 			t.Fatalf("re-parsing the marshalled hello: %v", err)

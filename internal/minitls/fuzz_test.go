@@ -48,7 +48,7 @@ func TestServerRejectsTruncatedClientHello(t *testing.T) {
 		version:      VersionTLS12,
 		cipherSuites: []uint16{TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
 	}
-	msg := ch.marshal()
+	msg := ch.marshal(nil)
 	rec := append([]byte{recordHandshake, 3, 3, byte(len(msg) >> 8), byte(len(msg))}, msg...)
 	for cut := 0; cut < len(rec); cut++ {
 		server := Server(&garbageTransport{in: bytes.NewReader(rec[:cut])}, &Config{Identity: rsaID})
@@ -70,7 +70,7 @@ func TestServerSurvivesBitFlips(t *testing.T) {
 		hasTicketExt:      true,
 		sessionTicket:     bytes.Repeat([]byte{1}, 40),
 	}
-	msg := ch.marshal()
+	msg := ch.marshal(nil)
 	rec := append([]byte{recordHandshake, 3, 3, byte(len(msg) >> 8), byte(len(msg))}, msg...)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 400; i++ {

@@ -88,7 +88,7 @@ func (c *Conn) clientHandshake() error {
 		}
 	}
 	hs.hello = hello
-	msg := hello.marshal()
+	msg := hello.marshal(c.msgBuf)
 	if hello.hasPSK {
 		// Patch the binder: it MACs the ClientHello up to (excluding)
 		// the binders list (RFC 8446 §4.2.11).
@@ -96,7 +96,7 @@ func (c *Conn) clientHandshake() error {
 		binder := computeBinder(early, truncatedCHHash(msg))
 		copy(msg[len(msg)-binderLen:], binder)
 	}
-	if err := c.writeHandshake(msg); err != nil {
+	if err := c.writeMsg(msg); err != nil {
 		return err
 	}
 
@@ -253,7 +253,7 @@ func (c *Conn) clientFull12() error {
 		}
 		cke = clientKeyExchangeMsg{ecdhPublic: priv.PublicKey().Bytes()}
 	}
-	if err := c.writeHandshake(cke.marshal()); err != nil {
+	if err := c.writeMsg(cke.marshal(c.msgBuf)); err != nil {
 		return err
 	}
 
@@ -276,17 +276,15 @@ func (c *Conn) clientFull12() error {
 	if err := c.writeRecord(recordChangeCipherSpec, ccsPayload); err != nil {
 		return err
 	}
-	prot, err := newCBCProtection(hs.clientCBC)
-	if err != nil {
+	if err := c.out.setCBC(hs.clientCBC); err != nil {
 		return err
 	}
-	c.out.setProtection(prot)
 	verify, err := c.doPRF(&hs.master, "client finished", c.transcriptHash(), finishedVerify12)
 	if err != nil {
 		return err
 	}
 	fin := finishedMsg{verifyData: verify}
-	if err := c.writeHandshake(fin.marshal()); err != nil {
+	if err := c.writeMsg(fin.marshal(c.msgBuf)); err != nil {
 		return err
 	}
 
@@ -329,17 +327,15 @@ func (c *Conn) clientFinishResumption() error {
 	if err := c.writeRecord(recordChangeCipherSpec, ccsPayload); err != nil {
 		return err
 	}
-	prot, err := newCBCProtection(hs.clientCBC)
-	if err != nil {
+	if err := c.out.setCBC(hs.clientCBC); err != nil {
 		return err
 	}
-	c.out.setProtection(prot)
 	verify, err := c.doPRF(&hs.master, "client finished", c.transcriptHash(), finishedVerify12)
 	if err != nil {
 		return err
 	}
 	fin := finishedMsg{verifyData: verify}
-	if err := c.writeHandshake(fin.marshal()); err != nil {
+	if err := c.writeMsg(fin.marshal(c.msgBuf)); err != nil {
 		return err
 	}
 	c.finishHandshake()
@@ -355,11 +351,9 @@ func (c *Conn) readServerFinished12() error {
 	} else if err := c.readChangeCipherSpec(); err != nil {
 		return err
 	}
-	prot, err := newCBCProtection(hs.serverCBC)
-	if err != nil {
+	if err := c.in.setCBC(hs.serverCBC); err != nil {
 		return err
 	}
-	c.in.setProtection(prot)
 	typ, body, err := c.readHandshakeMsg()
 	if err != nil {
 		return err
@@ -538,7 +532,7 @@ func (c *Conn) clientHandshake13() error {
 	// Client Finished (encrypted with client handshake keys).
 	verify := finishedMAC13(hs.sec.clientHS, finishedTH)
 	cfin := finishedMsg{verifyData: verify}
-	if err := c.writeHandshake(cfin.marshal()); err != nil {
+	if err := c.writeMsg(cfin.marshal(c.msgBuf)); err != nil {
 		return err
 	}
 

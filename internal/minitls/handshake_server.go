@@ -51,6 +51,9 @@ type serverHS struct {
 	versionBuf   [8]uint16
 
 	offerTicket bool
+	// ticketPlain is where a session ticket is opened: the resumed master
+	// secret aliases it.
+	ticketPlain [64]byte
 
 	// TLS 1.3 state.
 	clientShare  []byte
@@ -70,8 +73,7 @@ func (c *Conn) serverHandshakeStep() error {
 	if c.config.Identity == nil && c.config.GetIdentity == nil {
 		return errors.New("minitls: server requires an Identity")
 	}
-	if c.hsrv == nil {
-		c.hsrv = &serverHS{}
+	if c.state == stateStart {
 		c.identity = c.config.Identity
 		c.state = stateS12ReadClientHello
 	}
@@ -84,7 +86,7 @@ func (c *Conn) serverHandshakeStep() error {
 }
 
 func (c *Conn) serverStateStep() error {
-	hs := c.hsrv
+	hs := &c.hsrv
 	switch c.state {
 	case stateS12ReadClientHello:
 		return c.srvReadClientHello()
@@ -131,19 +133,19 @@ func (c *Conn) serverStateStep() error {
 			cipherSuite:   c.suite,
 			ticketOffered: hs.offerTicket,
 		}
-		if err := c.writeHandshake(sh.marshal()); err != nil {
+		if err := c.writeMsg(sh.marshal(c.msgBuf)); err != nil {
 			return err
 		}
 		cert := certificateMsg{chain: c.identity.CertDER}
-		if err := c.writeHandshake(cert.marshal()); err != nil {
+		if err := c.writeMsg(cert.marshal(c.msgBuf)); err != nil {
 			return err
 		}
 		if hs.kx != kxRSA {
-			if err := c.writeHandshake(hs.skx.marshal()); err != nil {
+			if err := c.writeMsg(hs.skx.marshal(c.msgBuf)); err != nil {
 				return err
 			}
 		}
-		if err := c.writeHandshake(marshalServerHelloDone()); err != nil {
+		if err := c.writeMsg(marshalServerHelloDone(c.msgBuf)); err != nil {
 			return err
 		}
 		c.state = stateS12ReadCKE
@@ -228,11 +230,9 @@ func (c *Conn) serverStateStep() error {
 		if err := c.readChangeCipherSpec(); err != nil {
 			return err
 		}
-		prot, err := newCBCProtection(hs.clientCBC)
-		if err != nil {
+		if err := c.in.setCBC(hs.clientCBC); err != nil {
 			return err
 		}
-		c.in.setProtection(prot)
 		c.state = stateS12ReadFinished
 		return nil
 
@@ -276,7 +276,7 @@ func (c *Conn) serverStateStep() error {
 				return err
 			}
 			nst := newSessionTicketMsg{lifetimeSeconds: 3600, ticket: ticket}
-			if err := c.writeHandshake(nst.marshal()); err != nil {
+			if err := c.writeMsg(nst.marshal(c.msgBuf)); err != nil {
 				return err
 			}
 			c.ticketSent = true
@@ -284,11 +284,9 @@ func (c *Conn) serverStateStep() error {
 		if err := c.writeRecord(recordChangeCipherSpec, ccsPayload); err != nil {
 			return err
 		}
-		prot, err := newCBCProtection(hs.serverCBC)
-		if err != nil {
+		if err := c.out.setCBC(hs.serverCBC); err != nil {
 			return err
 		}
-		c.out.setProtection(prot)
 		c.state = stateS12ComputeFin
 		return nil
 
@@ -300,7 +298,7 @@ func (c *Conn) serverStateStep() error {
 		hs.serverVerify = verify
 		c.state = stateDone
 		fin := finishedMsg{verifyData: hs.serverVerify}
-		if err := c.writeHandshake(fin.marshal()); err != nil {
+		if err := c.writeMsg(fin.marshal(c.msgBuf)); err != nil {
 			return err
 		}
 		if len(hs.sessionID) > 0 && c.config.SessionCache != nil {
@@ -338,13 +336,11 @@ func (c *Conn) serverStateStep() error {
 		if err := c.writeRecord(recordChangeCipherSpec, ccsPayload); err != nil {
 			return err
 		}
-		prot, err := newCBCProtection(hs.serverCBC)
-		if err != nil {
+		if err := c.out.setCBC(hs.serverCBC); err != nil {
 			return err
 		}
-		c.out.setProtection(prot)
 		fin := finishedMsg{verifyData: hs.serverVerify}
-		if err := c.writeHandshake(fin.marshal()); err != nil {
+		if err := c.writeMsg(fin.marshal(c.msgBuf)); err != nil {
 			return err
 		}
 		c.state = stateS12ResumeReadCCS
@@ -354,11 +350,9 @@ func (c *Conn) serverStateStep() error {
 		if err := c.readChangeCipherSpec(); err != nil {
 			return err
 		}
-		prot, err := newCBCProtection(hs.clientCBC)
-		if err != nil {
+		if err := c.in.setCBC(hs.clientCBC); err != nil {
 			return err
 		}
-		c.in.setProtection(prot)
 		c.state = stateS12ResumeReadFin
 		return nil
 
@@ -436,7 +430,7 @@ func (c *Conn) serverStateStep() error {
 			keyShareData:  hs.ecdhPriv.PublicKey().Bytes(),
 			pskSelected:   c.didResume,
 		}
-		if err := c.writeHandshake(sh.marshal()); err != nil {
+		if err := c.writeMsg(sh.marshal(c.msgBuf)); err != nil {
 			return err
 		}
 		if err := c.schedule13Handshake(); err != nil {
@@ -455,7 +449,7 @@ func (c *Conn) serverStateStep() error {
 		}
 		c.in.setProtection(inProt)
 		var ee encryptedExtensionsMsg
-		if err := c.writeHandshake(ee.marshal()); err != nil {
+		if err := c.writeMsg(ee.marshal(c.msgBuf)); err != nil {
 			return err
 		}
 		if c.didResume {
@@ -463,7 +457,7 @@ func (c *Conn) serverStateStep() error {
 			return nil
 		}
 		cert := certificateMsg{chain: c.identity.CertDER}
-		if err := c.writeHandshake(cert.marshal()); err != nil {
+		if err := c.writeMsg(cert.marshal(c.msgBuf)); err != nil {
 			return err
 		}
 		hs.cvHash = c.transcriptHash()
@@ -479,7 +473,7 @@ func (c *Conn) serverStateStep() error {
 		}
 		hs.certVerify = sig
 		cv := certificateVerifyMsg{sigAlg: alg, signature: sig}
-		if err := c.writeHandshake(cv.marshal()); err != nil {
+		if err := c.writeMsg(cv.marshal(c.msgBuf)); err != nil {
 			return err
 		}
 		c.state = stateS13Flush
@@ -494,7 +488,7 @@ func (c *Conn) serverStateStep() error {
 			return err
 		}
 		fin := finishedMsg{verifyData: verify}
-		if err := c.writeHandshake(fin.marshal()); err != nil {
+		if err := c.writeMsg(fin.marshal(c.msgBuf)); err != nil {
 			return err
 		}
 		// Application traffic secrets cover CH..server Finished.
@@ -559,7 +553,7 @@ func (c *Conn) serverStateStep() error {
 			nst := newSessionTicketMsg{lifetimeSeconds: 3600, ticket: ticket}
 			// Post-handshake message: sent under application keys and
 			// excluded from the handshake transcript.
-			if err := c.writeRecord(recordHandshake, nst.marshal()); err != nil {
+			if err := c.writeRecord(recordHandshake, nst.marshal(c.msgBuf)); err != nil {
 				return err
 			}
 			c.ticketSent = true
@@ -576,7 +570,7 @@ func (c *Conn) serverStateStep() error {
 // srvReadClientHello processes the ClientHello: version and suite
 // negotiation, resumption lookup, and branch selection.
 func (c *Conn) srvReadClientHello() error {
-	hs := c.hsrv
+	hs := &c.hsrv
 	typ, body, err := c.readHandshakeMsg()
 	if err != nil {
 		return err
@@ -654,8 +648,8 @@ func (c *Conn) srvReadClientHello() error {
 		// binder silently falls back to a full handshake, except that a
 		// *forged* binder on a valid ticket is fatal (RFC 8446 §4.2.11).
 		if c.config.hasTicketKey() && hs.clientHello.hasPSK {
-			if st, err := c.config.openSessionTicket(hs.clientHello.pskIdentity); err == nil && st.Version == VersionTLS13 {
-				raw := handshakeMsg(typeClientHello, body)
+			if st, err := c.config.openSessionTicket(hs.ticketPlain[:0], hs.clientHello.pskIdentity); err == nil && st.Version == VersionTLS13 {
+				raw := handshakeMsg(nil, typeClientHello, body)
 				early, err := c.hkdfOp(func() []byte { return hkdfExtract(nil, st.MasterSecret) })
 				if err != nil {
 					return err
@@ -684,7 +678,7 @@ func (c *Conn) srvReadClientHello() error {
 			sessionID:   hs.sessionID,
 			cipherSuite: c.suite,
 		}
-		if err := c.writeHandshake(sh.marshal()); err != nil {
+		if err := c.writeMsg(sh.marshal(c.msgBuf)); err != nil {
 			return err
 		}
 		c.state = stateS12ResumeKeys
@@ -710,9 +704,9 @@ func (c *Conn) srvReadClientHello() error {
 
 // lookupResumption checks the ClientHello for a resumable session.
 func (c *Conn) lookupResumption() (SessionState, bool) {
-	hs := c.hsrv
+	hs := &c.hsrv
 	if c.config.hasTicketKey() && hs.clientHello.hasTicketExt && len(hs.clientHello.sessionTicket) > 0 {
-		if st, err := c.config.openSessionTicket(hs.clientHello.sessionTicket); err == nil && st.Version == VersionTLS12 {
+		if st, err := c.config.openSessionTicket(hs.ticketPlain[:0], hs.clientHello.sessionTicket); err == nil && st.Version == VersionTLS12 {
 			return st, true
 		}
 	}
@@ -811,7 +805,7 @@ func (c *Conn) hkdfOp(fn func() []byte) ([]byte, error) {
 // (several HKDF operations — this is the ">4" PRF/HKDF row of Table 1).
 // A resumed handshake feeds the accepted PSK into the early secret.
 func (c *Conn) schedule13Handshake() error {
-	hs := c.hsrv
+	hs := &c.hsrv
 	th := c.transcriptHash()
 	ikm := zeros32()
 	if hs.psk != nil {
@@ -849,7 +843,7 @@ func (c *Conn) schedule13Handshake() error {
 // schedule13App derives the application traffic secrets over the
 // transcript through the server Finished.
 func (c *Conn) schedule13App(th []byte) error {
-	hs := c.hsrv
+	hs := &c.hsrv
 	var err error
 	if hs.sec.clientApp, err = c.hkdfOp(func() []byte { return deriveSecret(hs.sec.masterSecret, "c ap traffic", th) }); err != nil {
 		return err
@@ -864,7 +858,7 @@ func (c *Conn) schedule13App(th []byte) error {
 // MAC back to the pool: the handshake derives nothing more from it.
 func (c *Conn) finishHandshake() {
 	c.handshakeDone = true
-	if c.hsrv != nil {
+	if c.isServer {
 		c.hsrv.master.release()
 	}
 	if c.hcli != nil {

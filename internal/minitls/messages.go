@@ -69,12 +69,14 @@ func (w *builder) prefixed24(body func()) {
 	w.b[at], w.b[at+1], w.b[at+2] = byte(n>>16), byte(n>>8), byte(n)
 }
 
-// newMsg starts a handshake message of type typ with room for about size
-// body bytes, so a message is built in the one allocation it is sent from.
-func newMsg(typ uint8, size int) builder {
-	b := make([]byte, 4, 4+size)
-	b[0] = typ
-	return builder{b: b}
+// newMsg starts a handshake message of type typ in dst's storage, or, when
+// dst has no room for about size body bytes, in one new allocation of that
+// size: either way the message is built where it is sent from.
+func newMsg(dst []byte, typ uint8, size int) builder {
+	if cap(dst) < 4+size {
+		dst = make([]byte, 0, 4+size)
+	}
+	return builder{b: append(dst[:0], typ, 0, 0, 0)}
 }
 
 // msg fills in the length of a message newMsg started and returns it,
@@ -214,11 +216,12 @@ func (s *extSet) add(typ uint16) error {
 	return nil
 }
 
-// handshakeMsg frames a handshake body: msg_type(1) || length(3) || body.
-func handshakeMsg(typ uint8, body []byte) []byte {
-	out := make([]byte, 0, 4+len(body))
-	out = append(out, typ, byte(len(body)>>16), byte(len(body)>>8), byte(len(body)))
-	return append(out, body...)
+// handshakeMsg frames a handshake body, msg_type(1) || length(3) || body,
+// in dst's storage when it has room.
+func handshakeMsg(dst []byte, typ uint8, body []byte) []byte {
+	w := newMsg(dst, typ, len(body))
+	w.raw(body)
+	return w.msg()
 }
 
 // clientHelloMsg is the ClientHello handshake message.
@@ -242,8 +245,8 @@ type clientHelloMsg struct {
 	hasPSK      bool
 }
 
-func (m *clientHelloMsg) marshal() []byte {
-	w := newMsg(typeClientHello, 128+2*len(m.cipherSuites)+len(m.serverName)+
+func (m *clientHelloMsg) marshal(dst []byte) []byte {
+	w := newMsg(dst, typeClientHello, 128+2*len(m.cipherSuites)+len(m.serverName)+
 		len(m.sessionTicket)+len(m.keyShareData)+len(m.pskIdentity))
 	w.u16(m.version)
 	w.raw(m.random[:])
@@ -453,8 +456,8 @@ type serverHelloMsg struct {
 	pskSelected   bool // 1.3: pre_shared_key accepted (identity 0)
 }
 
-func (m *serverHelloMsg) marshal() []byte {
-	w := newMsg(typeServerHello, 96+len(m.keyShareData))
+func (m *serverHelloMsg) marshal(dst []byte) []byte {
+	w := newMsg(dst, typeServerHello, 96+len(m.keyShareData))
 	w.u16(m.version)
 	w.raw(m.random[:])
 	w.vec8(m.sessionID)
@@ -530,12 +533,12 @@ type certificateMsg struct {
 	chain [][]byte
 }
 
-func (m *certificateMsg) marshal() []byte {
+func (m *certificateMsg) marshal(dst []byte) []byte {
 	size := 3
 	for _, c := range m.chain {
 		size += 3 + len(c)
 	}
-	w := newMsg(typeCertificate, size)
+	w := newMsg(dst, typeCertificate, size)
 	w.prefixed24(func() {
 		for _, c := range m.chain {
 			w.vec24(c)
@@ -596,8 +599,8 @@ func (m *serverKeyExchangeMsg) appendParams(w *builder) {
 	w.vec8(m.publicKey)
 }
 
-func (m *serverKeyExchangeMsg) marshal() []byte {
-	w := newMsg(typeServerKeyExchange, 8+len(m.publicKey)+len(m.signature))
+func (m *serverKeyExchangeMsg) marshal(dst []byte) []byte {
+	w := newMsg(dst, typeServerKeyExchange, 8+len(m.publicKey)+len(m.signature))
 	m.appendParams(&w)
 	w.u16(m.sigAlg)
 	w.vec16(m.signature)
@@ -635,8 +638,8 @@ type clientKeyExchangeMsg struct {
 	isRSA         bool
 }
 
-func (m *clientKeyExchangeMsg) marshal() []byte {
-	w := newMsg(typeClientKeyExchange, 2+len(m.rsaCiphertext)+len(m.ecdhPublic))
+func (m *clientKeyExchangeMsg) marshal(dst []byte) []byte {
+	w := newMsg(dst, typeClientKeyExchange, 2+len(m.rsaCiphertext)+len(m.ecdhPublic))
 	if m.isRSA {
 		w.vec16(m.rsaCiphertext)
 	} else {
@@ -668,8 +671,8 @@ type finishedMsg struct {
 	verifyData []byte
 }
 
-func (m *finishedMsg) marshal() []byte {
-	return handshakeMsg(typeFinished, m.verifyData)
+func (m *finishedMsg) marshal(dst []byte) []byte {
+	return handshakeMsg(dst, typeFinished, m.verifyData)
 }
 
 func (m *finishedMsg) unmarshal(body []byte) error {
@@ -687,8 +690,8 @@ type newSessionTicketMsg struct {
 	ticket          []byte
 }
 
-func (m *newSessionTicketMsg) marshal() []byte {
-	w := newMsg(typeNewSessionTicket, 6+len(m.ticket))
+func (m *newSessionTicketMsg) marshal(dst []byte) []byte {
+	w := newMsg(dst, typeNewSessionTicket, 6+len(m.ticket))
 	w.u32(m.lifetimeSeconds)
 	w.vec16(m.ticket)
 	return w.msg()
@@ -712,8 +715,8 @@ type certificateVerifyMsg struct {
 	signature []byte
 }
 
-func (m *certificateVerifyMsg) marshal() []byte {
-	w := newMsg(typeCertificateVerify, 4+len(m.signature))
+func (m *certificateVerifyMsg) marshal(dst []byte) []byte {
+	w := newMsg(dst, typeCertificateVerify, 4+len(m.signature))
 	w.u16(m.sigAlg)
 	w.vec16(m.signature)
 	return w.msg()
@@ -735,8 +738,8 @@ func (m *certificateVerifyMsg) unmarshal(body []byte) error {
 // message is part of the flight and the transcript.
 type encryptedExtensionsMsg struct{}
 
-func (m *encryptedExtensionsMsg) marshal() []byte {
-	w := newMsg(typeEncryptedExtensions, 2)
+func (m *encryptedExtensionsMsg) marshal(dst []byte) []byte {
+	w := newMsg(dst, typeEncryptedExtensions, 2)
 	w.u16(0) // no extensions
 	return w.msg()
 }
@@ -747,7 +750,7 @@ func (m *encryptedExtensionsMsg) unmarshal(body []byte) error {
 }
 
 // serverHelloDone is empty; helpers for symmetry.
-func marshalServerHelloDone() []byte { return handshakeMsg(typeServerHelloDone, nil) }
+func marshalServerHelloDone(dst []byte) []byte { return handshakeMsg(dst, typeServerHelloDone, nil) }
 
 func msgTypeName(t uint8) string {
 	switch t {

@@ -37,7 +37,7 @@ func TestClientHelloRoundTrip(t *testing.T) {
 		keyShareData:      bytes.Repeat([]byte{5}, 65),
 	}
 	copy(in.random[:], bytes.Repeat([]byte{7}, 32))
-	body := stripFrame(t, in.marshal(), typeClientHello)
+	body := stripFrame(t, in.marshal(nil), typeClientHello)
 	var out clientHelloMsg
 	if err := out.unmarshal(body); err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestClientHelloRoundTrip(t *testing.T) {
 
 func TestClientHelloMinimal(t *testing.T) {
 	in := clientHelloMsg{version: VersionTLS12, cipherSuites: []uint16{TLS_RSA_WITH_AES_128_CBC_SHA}}
-	body := stripFrame(t, in.marshal(), typeClientHello)
+	body := stripFrame(t, in.marshal(nil), typeClientHello)
 	var out clientHelloMsg
 	if err := out.unmarshal(body); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestServerHelloRoundTrip(t *testing.T) {
 		keyShareData:  bytes.Repeat([]byte{8}, 97),
 	}
 	copy(in.random[:], bytes.Repeat([]byte{3}, 32))
-	body := stripFrame(t, in.marshal(), typeServerHello)
+	body := stripFrame(t, in.marshal(nil), typeServerHello)
 	var out serverHelloMsg
 	if err := out.unmarshal(body); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestServerHelloRoundTrip(t *testing.T) {
 
 func TestCertificateRoundTrip(t *testing.T) {
 	in := certificateMsg{chain: [][]byte{bytes.Repeat([]byte{1}, 900), {2, 2}}}
-	body := stripFrame(t, in.marshal(), typeCertificate)
+	body := stripFrame(t, in.marshal(nil), typeCertificate)
 	var out certificateMsg
 	if err := out.unmarshal(body); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestCertificateRoundTrip(t *testing.T) {
 
 func TestCertificateEmptyChainRejected(t *testing.T) {
 	in := certificateMsg{}
-	body := stripFrame(t, in.marshal(), typeCertificate)
+	body := stripFrame(t, in.marshal(nil), typeCertificate)
 	var out certificateMsg
 	if err := out.unmarshal(body); err == nil {
 		t.Fatal("empty chain accepted")
@@ -108,7 +108,7 @@ func TestServerKeyExchangeRoundTrip(t *testing.T) {
 		sigAlg:    sigRSAPKCS1SHA256,
 		signature: bytes.Repeat([]byte{6}, 256),
 	}
-	body := stripFrame(t, in.marshal(), typeServerKeyExchange)
+	body := stripFrame(t, in.marshal(nil), typeServerKeyExchange)
 	var out serverKeyExchangeMsg
 	if err := out.unmarshal(body); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestServerKeyExchangeRoundTrip(t *testing.T) {
 
 func TestClientKeyExchangeRoundTrip(t *testing.T) {
 	rsaIn := clientKeyExchangeMsg{isRSA: true, rsaCiphertext: bytes.Repeat([]byte{7}, 256)}
-	body := stripFrame(t, rsaIn.marshal(), typeClientKeyExchange)
+	body := stripFrame(t, rsaIn.marshal(nil), typeClientKeyExchange)
 	var rsaOut clientKeyExchangeMsg
 	if err := rsaOut.unmarshal(body, true); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestClientKeyExchangeRoundTrip(t *testing.T) {
 	}
 
 	ecIn := clientKeyExchangeMsg{ecdhPublic: bytes.Repeat([]byte{8}, 65)}
-	body = stripFrame(t, ecIn.marshal(), typeClientKeyExchange)
+	body = stripFrame(t, ecIn.marshal(nil), typeClientKeyExchange)
 	var ecOut clientKeyExchangeMsg
 	if err := ecOut.unmarshal(body, false); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestClientKeyExchangeRoundTrip(t *testing.T) {
 
 func TestFinishedAndTicketRoundTrip(t *testing.T) {
 	fin := finishedMsg{verifyData: bytes.Repeat([]byte{9}, 12)}
-	body := stripFrame(t, fin.marshal(), typeFinished)
+	body := stripFrame(t, fin.marshal(nil), typeFinished)
 	var finOut finishedMsg
 	if err := finOut.unmarshal(body); err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestFinishedAndTicketRoundTrip(t *testing.T) {
 	}
 
 	nst := newSessionTicketMsg{lifetimeSeconds: 3600, ticket: []byte("tkt")}
-	body = stripFrame(t, nst.marshal(), typeNewSessionTicket)
+	body = stripFrame(t, nst.marshal(nil), typeNewSessionTicket)
 	var nstOut newSessionTicketMsg
 	if err := nstOut.unmarshal(body); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestFinishedAndTicketRoundTrip(t *testing.T) {
 
 func TestCertificateVerifyRoundTrip(t *testing.T) {
 	in := certificateVerifyMsg{sigAlg: sigECDSAP256, signature: bytes.Repeat([]byte{2}, 70)}
-	body := stripFrame(t, in.marshal(), typeCertificateVerify)
+	body := stripFrame(t, in.marshal(nil), typeCertificateVerify)
 	var out certificateVerifyMsg
 	if err := out.unmarshal(body); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestCertificateVerifyRoundTrip(t *testing.T) {
 
 func TestEncryptedExtensionsRoundTrip(t *testing.T) {
 	var in encryptedExtensionsMsg
-	body := stripFrame(t, in.marshal(), typeEncryptedExtensions)
+	body := stripFrame(t, in.marshal(nil), typeEncryptedExtensions)
 	var out encryptedExtensionsMsg
 	if err := out.unmarshal(body); err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestEncryptedExtensionsRoundTrip(t *testing.T) {
 
 func TestTruncatedMessagesRejected(t *testing.T) {
 	full := clientHelloMsg{version: VersionTLS12, cipherSuites: []uint16{1}}
-	body := stripFrame(t, full.marshal(), typeClientHello)
+	body := stripFrame(t, full.marshal(nil), typeClientHello)
 	for n := 0; n < len(body); n++ {
 		var out clientHelloMsg
 		if err := out.unmarshal(body[:n]); err == nil {
@@ -238,7 +238,7 @@ func TestClientHelloRoundTripProperty(t *testing.T) {
 			sessionTicket: ticket,
 		}
 		var out clientHelloMsg
-		if err := out.unmarshal(stripFrameQuiet(in.marshal())); err != nil {
+		if err := out.unmarshal(stripFrameQuiet(in.marshal(nil))); err != nil {
 			return false
 		}
 		return out.version == in.version &&

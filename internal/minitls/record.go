@@ -188,16 +188,26 @@ type cbcProtection struct {
 }
 
 func newCBCProtection(k cbcKeys) (*cbcProtection, error) {
+	p := new(cbcProtection)
+	if err := p.init(k); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// init keys p in place, replacing whatever it held: a halfConn keeps its
+// CBC protection by value.
+func (p *cbcProtection) init(k cbcKeys) error {
 	if len(k.cipherKey) != 16 || len(k.macKey) != 20 {
-		return nil, errors.New("minitls: bad CBC key lengths")
+		return errors.New("minitls: bad CBC key lengths")
 	}
 	block, err := aes.NewCipher(k.cipherKey)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p := &cbcProtection{keys: k, block: block}
+	*p = cbcProtection{keys: k, block: block}
 	p.st.mac = prf.GetHMAC(prf.SHA1, k.macKey)
-	return p, nil
+	return nil
 }
 
 // takeState returns p's own state, or a new one keyed from the pool when
@@ -386,10 +396,12 @@ func (p *gcmProtection) open(seq uint64, wireTyp uint8, body []byte) (uint8, []b
 	return inner[i], inner[:i], nil
 }
 
-// halfConn is one direction of a connection's record state.
+// halfConn is one direction of a connection's record state. A TLS 1.2
+// direction's protection is its own cbc, held by value.
 type halfConn struct {
 	prot recordProtection
 	seq  uint64
+	cbc  cbcProtection
 }
 
 func (h *halfConn) protection() recordProtection {
@@ -404,4 +416,13 @@ func (h *halfConn) protection() recordProtection {
 func (h *halfConn) setProtection(p recordProtection) {
 	h.prot = p
 	h.seq = 0
+}
+
+// setCBC keys the direction's own CBC protection and installs it.
+func (h *halfConn) setCBC(k cbcKeys) error {
+	if err := h.cbc.init(k); err != nil {
+		return err
+	}
+	h.setProtection(&h.cbc)
+	return nil
 }

@@ -265,7 +265,7 @@ func TestPSKExtensionRoundTrip(t *testing.T) {
 		pskBinder:         bytes.Repeat([]byte{7}, binderLen),
 	}
 	var out clientHelloMsg
-	if err := out.unmarshal(in.marshal()[4:]); err != nil {
+	if err := out.unmarshal(in.marshal(nil)[4:]); err != nil {
 		t.Fatal(err)
 	}
 	if !out.hasPSK || !bytes.Equal(out.pskIdentity, in.pskIdentity) || !bytes.Equal(out.pskBinder, in.pskBinder) {
@@ -274,7 +274,7 @@ func TestPSKExtensionRoundTrip(t *testing.T) {
 	// ServerHello PSK acceptance flag.
 	sh := serverHelloMsg{version: VersionTLS13, cipherSuite: TLS_AES_128_GCM_SHA256, pskSelected: true}
 	var shOut serverHelloMsg
-	if err := shOut.unmarshal(sh.marshal()[4:]); err != nil {
+	if err := shOut.unmarshal(sh.marshal(nil)[4:]); err != nil {
 		t.Fatal(err)
 	}
 	if !shOut.pskSelected {

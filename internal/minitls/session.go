@@ -165,14 +165,15 @@ func (k *ticketKey) seal(state SessionState) ([]byte, error) {
 	return k.aead.Seal(out, nonce, plain, k.key[16:]), nil
 }
 
-// open decrypts and validates a session ticket.
-func (k *ticketKey) open(ticket []byte) (SessionState, error) {
+// open decrypts and validates a session ticket, into dst's storage when
+// the plaintext fits; the state's MasterSecret aliases it.
+func (k *ticketKey) open(dst, ticket []byte) (SessionState, error) {
 	var state SessionState
 	ns := k.aead.NonceSize()
 	if len(ticket) < ns {
 		return state, errors.New("minitls: ticket too short")
 	}
-	plain, err := k.aead.Open(nil, ticket[:ns], ticket[ns:], k.key[16:])
+	plain, err := k.aead.Open(dst[:0], ticket[:ns], ticket[ns:], k.key[16:])
 	if err != nil {
 		return state, errors.New("minitls: ticket authentication failed")
 	}

@@ -111,7 +111,7 @@ func TestTicketSealOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := newTicketKey(key).open(ticket)
+	got, err := newTicketKey(key).open(nil, ticket)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +129,13 @@ func TestTicketTamperAndWrongKey(t *testing.T) {
 
 	mut := append([]byte(nil), ticket...)
 	mut[len(mut)-1] ^= 1
-	if _, err := newTicketKey(key).open(mut); err == nil {
+	if _, err := newTicketKey(key).open(nil, mut); err == nil {
 		t.Fatal("tampered ticket accepted")
 	}
-	if _, err := newTicketKey(other).open(ticket); err == nil {
+	if _, err := newTicketKey(other).open(nil, ticket); err == nil {
 		t.Fatal("ticket opened with wrong key")
 	}
-	if _, err := newTicketKey(key).open(ticket[:4]); err == nil {
+	if _, err := newTicketKey(key).open(nil, ticket[:4]); err == nil {
 		t.Fatal("truncated ticket accepted")
 	}
 }
@@ -153,7 +153,7 @@ func TestTicketRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := newTicketKey(key).open(ticket)
+		got, err := newTicketKey(key).open(nil, ticket)
 		if err != nil {
 			return false
 		}

@@ -131,12 +131,13 @@ func (c *Config) sealSessionTicket(state SessionState) ([]byte, error) {
 
 // openSessionTicket tries every retained ring key (newest first), then
 // the static TicketKey. Tickets sealed before a rotation keep resuming
-// until their key ages out.
-func (c *Config) openSessionTicket(ticket []byte) (SessionState, error) {
+// until their key ages out. The plaintext is opened into dst's storage
+// when it fits, and the state's secret aliases it.
+func (c *Config) openSessionTicket(dst, ticket []byte) (SessionState, error) {
 	if c.TicketKeys != nil {
 		var lastErr error
 		for _, k := range c.TicketKeys.all() {
-			st, err := k.open(ticket)
+			st, err := k.open(dst, ticket)
 			if err == nil {
 				return st, nil
 			}
@@ -149,5 +150,5 @@ func (c *Config) openSessionTicket(ticket []byte) (SessionState, error) {
 	if c.TicketKey == nil {
 		return SessionState{}, errors.New("minitls: no ticket key configured")
 	}
-	return c.staticTicketKey().open(ticket)
+	return c.staticTicketKey().open(dst, ticket)
 }

@@ -116,7 +116,7 @@ func TestTicketKeysConcurrentRotate(t *testing.T) {
 					errs <- err
 					return
 				}
-				st, err := cfg.openSessionTicket(ticket)
+				st, err := cfg.openSessionTicket(nil, ticket)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d round %d: %w", g, i, err)
 					return

@@ -202,23 +202,35 @@ func (l *Listener) Port() int { return l.port }
 // Addr returns the listener's address string.
 func (l *Listener) Addr() string { return "127.0.0.1:" + strconv.Itoa(l.port) }
 
-// Accept accepts one connection; it returns ErrWouldBlock when no
-// connection is pending. The connection has TCP_NODELAY set (inherited
-// from the listener). The peer's address is not asked for: nothing reads
-// it, and syscall.Accept4 would allocate it.
+// Accept accepts one connection into a new Conn; see AcceptTo.
 func (l *Listener) Accept() (*Conn, error) {
+	c := new(Conn)
+	if err := l.AcceptTo(c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// AcceptTo accepts one connection into c, in place; it returns
+// ErrWouldBlock when no connection is pending, leaving c untouched. c must
+// be new or closed: it is zeroed, so nothing of an earlier connection
+// carries over. The connection has TCP_NODELAY set (inherited from the
+// listener). The peer's address is not asked for: nothing reads it, and
+// syscall.Accept4 would allocate it.
+func (l *Listener) AcceptTo(c *Conn) error {
 	for {
 		nfd, _, errno := syscall.Syscall6(syscall.SYS_ACCEPT4, uintptr(l.fd), 0, 0,
 			syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC, 0, 0)
 		switch errno {
 		case 0:
-			return &Conn{fd: int(nfd)}, nil
+			*c = Conn{fd: int(nfd)}
+			return nil
 		case syscall.EINTR:
 			continue
 		case syscall.EAGAIN:
-			return nil, ErrWouldBlock
+			return ErrWouldBlock
 		default:
-			return nil, fmt.Errorf("netpoll: accept: %w", errno)
+			return fmt.Errorf("netpoll: accept: %w", errno)
 		}
 	}
 }

@@ -47,8 +47,7 @@ func (w *Worker) handshakeHandler(c *conn) {
 	case errors.Is(err, minitls.ErrWantAsync):
 		w.suspendForAsync(c)
 	case errors.Is(err, minitls.ErrWantAsyncRetry):
-		w.setAsyncPending(c, true)
-		w.retryQueue = append(w.retryQueue, c)
+		w.queueRetry(c)
 	default:
 		w.Stats.Errors.Add(1)
 		w.closeConn(c)
@@ -58,19 +57,31 @@ func (w *Worker) handshakeHandler(c *conn) {
 func (w *Worker) requestHandler(c *conn) {
 	var buf [4096]byte
 	for {
+		// The search resumes where the last one gave up, 3 bytes early for
+		// a terminator split across reads: rescanning from the front would
+		// cost a header sent a byte per record the square of its length.
+		// A pipelined request already buffered is found before any read.
+		if i := bytes.Index(c.reqBuf[c.reqScan:], []byte("\r\n\r\n")); i >= 0 {
+			end := c.reqScan + i
+			req := c.reqBuf[c.reqOff:end]
+			// The request is parsed where it lies: the bytes after it move
+			// down only at the next read.
+			if c.reqOff, c.reqScan = end+4, end+4; c.reqOff == len(c.reqBuf) {
+				c.reqBuf, c.reqOff, c.reqScan = c.reqBuf[:0], 0, 0
+			}
+			w.serveRequest(c, req)
+			return
+		}
+		if c.reqOff > 0 {
+			c.reqBuf = c.reqBuf[:copy(c.reqBuf, c.reqBuf[c.reqOff:])]
+			c.reqOff = 0
+		}
+		c.reqScan = max(0, len(c.reqBuf)-3)
 		n, err := c.tls.Read(buf[:])
 		if n > 0 {
 			c.reqBuf = append(c.reqBuf, buf[:n]...)
 			if len(c.reqBuf) > 64<<10 {
 				w.closeConn(c)
-				return
-			}
-			if i := bytes.Index(c.reqBuf, []byte("\r\n\r\n")); i >= 0 {
-				req := c.reqBuf[:i]
-				rest := len(c.reqBuf) - (i + 4)
-				copy(c.reqBuf, c.reqBuf[i+4:])
-				c.reqBuf = c.reqBuf[:rest]
-				w.serveRequest(c, req)
 				return
 			}
 			continue
@@ -88,8 +99,7 @@ func (w *Worker) requestHandler(c *conn) {
 			w.suspendForAsync(c)
 			return
 		case errors.Is(err, minitls.ErrWantAsyncRetry):
-			w.setAsyncPending(c, true)
-			w.retryQueue = append(w.retryQueue, c)
+			w.queueRetry(c)
 			return
 		default:
 			// EOF or fatal error.
@@ -150,10 +160,17 @@ func (w *Worker) serveRequest(c *conn, req []byte) {
 	if c.closeAfterWrite {
 		connHdr = "close"
 	}
-	// One allocation, never reused: a seal abandoned at its deadline may
-	// still be reading this header on a device while the next response
-	// is built.
-	hdr := append(make([]byte, 0, 96), "HTTP/1.1 "...)
+	// The header is built in the conn's array, which the next response
+	// reuses: each seal reading this one has delivered by then. A seal
+	// abandoned at its deadline has not — it may still be reading the
+	// header on a device — so once an op of the conn was abandoned, every
+	// header is an allocation of its own, and the conn is never reused
+	// (reclaim).
+	hdr := c.hdr[:0]
+	if c.tls.OpAbandoned() {
+		hdr = make([]byte, 0, len(c.hdr))
+	}
+	hdr = append(hdr, "HTTP/1.1 "...)
 	hdr = append(hdr, status...)
 	hdr = append(hdr, "\r\nContent-Length: "...)
 	hdr = strconv.AppendInt(hdr, int64(len(body)), 10)
@@ -209,8 +226,7 @@ func (w *Worker) writeHandler(c *conn) {
 	case errors.Is(err, minitls.ErrWantAsync):
 		w.suspendForAsync(c)
 	case errors.Is(err, minitls.ErrWantAsyncRetry):
-		w.setAsyncPending(c, true)
-		w.retryQueue = append(w.retryQueue, c)
+		w.queueRetry(c)
 	default:
 		w.Stats.Errors.Add(1)
 		w.closeConn(c)

@@ -4,9 +4,11 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	"qtls/internal/minitls"
 )
@@ -141,19 +143,20 @@ type swapTransport struct {
 func (s *swapTransport) Write(p []byte) (int, error) { return s.w.Write(p) }
 
 // TestServeRequestAllocations: parsing a request and starting its
-// response allocate two objects beyond the TLS write itself — the path
-// string the Handler receives and the response header, which is never
-// reused because a seal abandoned at its deadline may still be reading it
-// (TestLateCipherResultDropped under -race).
+// response allocate one object beyond the TLS write itself — the path
+// string the Handler receives. The response header is built in the
+// conn's own array.
 func TestServeRequestAllocations(t *testing.T) {
 	srvPipe, cliPipe := net.Pipe()
 	defer srvPipe.Close()
 	defer cliPipe.Close()
 	tr := &swapTransport{Reader: srvPipe, w: srvPipe}
-	srv := minitls.Server(tr, &minitls.Config{
+	c := new(conn)
+	srv := &c.tls
+	srv.Init(tr, &minitls.Config{
 		Identity:     identity(t),
 		CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
-	})
+	}, true)
 	done := make(chan error, 1)
 	go func() { done <- minitls.ClientConn(cliPipe, &minitls.Config{}).Handshake() }()
 	if err := srv.Handshake(); err != nil {
@@ -166,7 +169,6 @@ func TestServeRequestAllocations(t *testing.T) {
 
 	body := []byte("hello\n")
 	w := &Worker{handler: func(string) ([]byte, bool) { return body, true }}
-	c := &conn{tls: srv}
 	req := []byte("GET /hello?x=1 HTTP/1.1\r\nHost: x\r\nConnection: keep-alive, upgrade")
 	hdr := []byte("HTTP/1.1 200 OK\r\nContent-Length: 6\r\nConnection: keep-alive\r\n\r\n")
 	write := testing.AllocsPerRun(100, func() {
@@ -180,7 +182,53 @@ func TestServeRequestAllocations(t *testing.T) {
 			t.Fatal("the response did not complete on a kept-alive connection")
 		}
 	})
-	if serve-write > 2 {
-		t.Fatalf("serveRequest allocates %v objects beyond its TLS write (%v), want at most 2", serve-write, write)
+	if serve-write > 1 {
+		t.Fatalf("serveRequest allocates %v objects beyond its TLS write (%v), want at most 1", serve-write, write)
+	}
+}
+
+// TestRequestHeaderSplitAcrossRecords: the header terminator is found
+// wherever the records cut it. One keep-alive connection sends requests
+// whose bytes arrive in records of 1 to 5 bytes — one a byte per record,
+// so the terminator is split across records at every offset — and then
+// two requests in one record, the second found in the buffer before any
+// further read. Each gets its response.
+func TestRequestHeaderSplitAcrossRecords(t *testing.T) {
+	srv, _ := startServer(t, ConfigSW, 1, nil)
+	raw, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	raw.SetDeadline(time.Now().Add(10 * time.Second))
+	tc := minitls.ClientConn(raw, &minitls.Config{})
+	if err := tc.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	expect := func(size int) {
+		t.Helper()
+		want := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\nConnection: keep-alive\r\n\r\n", size)
+		body, _ := SizedBodyHandler(size)(fmt.Sprintf("/%d", size))
+		got := make([]byte, len(want)+size)
+		if _, err := io.ReadFull(readerFor(tc), got); err != nil || string(got) != want+string(body) {
+			t.Fatalf("response for /%d: %q, %v", size, got, err)
+		}
+	}
+	for cut := 1; cut <= 5; cut++ {
+		req := []byte(fmt.Sprintf("GET /%d HTTP/1.1\r\nHost: x\r\n\r\n", cut))
+		for off := 0; off < len(req); off += cut {
+			if _, err := tc.Write(req[off:min(off+cut, len(req))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		expect(cut)
+	}
+	if _, err := tc.Write([]byte("GET /6 HTTP/1.1\r\nHost: x\r\n\r\nGET /7 HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	expect(6)
+	expect(7)
+	if st := srv.Stats(); st.Requests != 7 || st.Errors != 0 {
+		t.Fatalf("server stats %+v: want 7 requests, no errors", st)
 	}
 }

@@ -20,6 +20,13 @@ import (
 // It runs on the worker goroutine (inside an engine.Poll call).
 func (w *Worker) asyncEventCallback(arg any) {
 	c := arg.(*conn)
+	if c.queued {
+		// The event already queued for c resumes it, and the resume finds
+		// whatever has been delivered since: one entry per conn is enough,
+		// and a bool then says whether the queue still lists it.
+		return
+	}
+	c.queued = true
 	if w.tr.Active() {
 		c.notifyAt = time.Now().UnixNano()
 	}
@@ -88,7 +95,7 @@ func (w *Worker) processAsyncQueue() {
 			return
 		}
 		for _, h := range q {
-			w.resumeAsync(h.(*conn))
+			w.deliverEvent(h.(*conn))
 		}
 	}
 }
@@ -97,8 +104,28 @@ func (w *Worker) processFDQueue() {
 	// The wakeup delivery point: events whose completion wrote the
 	// notification pipe (every event under fd).
 	for _, h := range w.notif.Deliver(offload.DeliverWakeup) {
-		w.resumeAsync(h.(*conn))
+		w.deliverEvent(h.(*conn))
 	}
+}
+
+// deliverEvent hands one event popped from the notifier to its conn. A
+// conn closed while the event waited was kept off the free list for it
+// (reclaim); the queue lets go of it here.
+func (w *Worker) deliverEvent(c *conn) {
+	c.queued = false
+	if c.closed {
+		w.reclaim(c)
+		return
+	}
+	w.resumeAsync(c)
+}
+
+// queueRetry parks c until the next retry-queue pass resubmits its op (the
+// request ring was full).
+func (w *Worker) queueRetry(c *conn) {
+	w.setAsyncPending(c, true)
+	c.retryQueued = true
+	w.retryQueue = append(w.retryQueue, c)
 }
 
 func (w *Worker) processRetryQueue() {
@@ -114,6 +141,11 @@ func (w *Worker) processRetryQueue() {
 	w.retryQueue = nil
 	for _, c := range q {
 		w.Stats.RetryEvents.Add(1)
+		c.retryQueued = false
+		if c.closed {
+			w.reclaim(c) // the queue lets go; the next life is not invoked
+			continue
+		}
 		w.setAsyncPending(c, false)
 		w.invoke(c)
 		w.replayDeferredRead(c)

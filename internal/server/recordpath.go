@@ -122,6 +122,7 @@ func (w *Worker) pollRecordEngine() {
 	for _, c := range waiting {
 		c.recQueued = false
 		if c.closed || c.stream == nil {
+			w.reclaim(c) // the scan lets go of a closed conn
 			continue
 		}
 		if c.stream.Err() == nil && c.stream.Pending() > 0 {

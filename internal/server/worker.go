@@ -50,6 +50,9 @@ type WorkerStats struct {
 	// instead of keepalive reuse, respectively (offload.OverloadPolicy).
 	ShedAccepts   atomic.Int64
 	ShedKeepalive atomic.Int64
+	// Recycled counts accepted connections served by a conn object from
+	// the worker's free list rather than a new one.
+	Recycled atomic.Int64
 	// DeadlineExpired counts lifecycle-deadline expiries by class
 	// (indexed by offload.DeadlineClass).
 	DeadlineExpired [offload.NumDeadlineClasses]atomic.Int64
@@ -121,6 +124,9 @@ type Worker struct {
 	stopPipe   *netpoll.NotifyPipe // cross-goroutine stop/wake
 
 	conns map[int]*conn
+	// free holds closed conns nothing can reach any more, for accept to
+	// reuse (at most maxFreeConns; see reclaim).
+	free []*conn
 	// notif owns the completed-but-undelivered async events and their
 	// delivery — the §3.4 queues (kernel-bypass async queue, FD queue),
 	// shared with the DES through offload.Notifier.
@@ -191,12 +197,26 @@ type Worker struct {
 	gThreshold   [2]*metrics.Gauge  // qtls_poll_threshold{class}, by offload.Threshold*
 }
 
-// conn is one TLS connection's event-loop state.
+// conn is one TLS connection in one object: its socket, its TLS state
+// (handshake state included) and its event-loop state. The worker keeps
+// closed conns on a free list and starts the next accepted connection's
+// life in one (startLife) once nothing can reach the last one (reclaim);
+// DESIGN.md "Connection lifetime" lists the holders.
 type conn struct {
+	nc  netpoll.Conn // initialised in place by Listener.AcceptTo
+	tls minitls.Conn // initialised in place by minitls.Conn.Init
+	// hdr backs the response header of the write in progress. The next
+	// response reuses it: by then every seal of this one has delivered,
+	// unless one was abandoned (serveRequest).
+	hdr [96]byte
+	life
+}
+
+// life is a conn's event-loop state for one connection. startLife zeroes
+// it but for an allow-list.
+type life struct {
 	fd      int
-	nc      *netpoll.Conn
-	tp      sockTransport // nc as tls reads and writes it
-	tls     *minitls.Conn
+	tp      sockTransport        // nc as tls reads and writes it
 	handler func(*Worker, *conn) // a method expression: switching allocates nothing
 
 	// asyncPending marks a paused offload job: read events are deferred
@@ -217,8 +237,12 @@ type conn struct {
 	// when tracing is off.
 	notifyAt int64
 
-	active          bool
+	active bool
+	// reqBuf holds request bytes read and not yet served, from reqOff on
+	// (empty once all are served); [:reqScan] is known to hold no header
+	// terminator past reqOff but one its last 3 bytes start.
 	reqBuf          []byte
+	reqOff, reqScan int
 	writeHdr        []byte // response header of the write in progress
 	writeBody       []byte // its body: the handler's slice, not a copy
 	wantWrite       bool
@@ -228,20 +252,36 @@ type conn struct {
 
 	// Record-path state (RecordMode != software): the offloaded write
 	// stream installed after the handshake, the plaintext size of the
-	// response currently moving through it, and whether the conn is on
-	// the worker's record-completion scan list.
-	stream    *record.Stream
-	respBytes int
-	recQueued bool
+	// response currently moving through it, and whether a cancel left
+	// seals of it in flight, which still read the conn's header.
+	stream         *record.Stream
+	respBytes      int
+	sealsAbandoned bool
+
+	// Worker queues listing the conn: the notifier's (an async event
+	// queued), the retry queue and the record-completion scan. A closed
+	// conn is not reused while any is set (reclaim).
+	queued      bool
+	retryQueued bool
+	recQueued   bool
 
 	// Deadline-wheel state (see wheel.go): whether a lifecycle deadline is
 	// armed, its class, its absolute time, and the generation counter that
-	// lazily stales old wheel entries on re-arm or close.
+	// lazily stales old wheel entries on re-arm or close. dlGen carries
+	// over into the next life, so an entry of an earlier one stays stale.
 	dlArmed bool
 	dlClass offload.DeadlineClass
 	dlGen   uint64
 	dlAt    time.Time
 }
+
+// maxFreeConns bounds a worker's free list: closed conns past it go to the
+// garbage collector.
+const maxFreeConns = 256
+
+// maxKeptReqBuf bounds the request buffer a conn keeps for its next life;
+// one a long header grew past it is dropped.
+const maxKeptReqBuf = 4 << 10
 
 // NewWorker builds a worker. pool may be nil for the SW configuration;
 // reg may be nil to disable the metrics/stub_status surface; tracer may
@@ -732,34 +772,69 @@ func (w *Worker) dispatch(ev netpoll.Event) {
 // epoll_wait.
 func (w *Worker) acceptOne() {
 	w.Stats.Accepts.Add(1)
-	nc, err := w.listener.Accept()
-	if err != nil {
+	c, recycled := w.takeConn()
+	if err := w.listener.AcceptTo(&c.nc); err != nil {
+		w.free = append(w.free, c) // untouched: still nothing can reach it
 		if errors.Is(err, netpoll.ErrWouldBlock) {
 			w.Stats.WouldBlockAccepts.Add(1)
 		}
 		return // would-block or transient
 	}
-	if w.shedAccept(nc) {
+	if w.shedAccept(&c.nc) {
+		w.free = append(w.free, c)
 		return
 	}
 	w.Stats.Accepted.Add(1)
-	c := &conn{fd: nc.FD(), nc: nc, active: true}
-	c.tp = sockTransport{nc: nc, st: &w.Stats}
-	c.tls = minitls.Server(&c.tp, w.tlsTmpl)
-	c.handler = (*Worker).handshakeHandler
+	if recycled {
+		w.Stats.Recycled.Add(1)
+	}
+	w.startLife(c)
+	if err := w.poller.Add(c.fd, true, false); err != nil {
+		c.closed = true
+		c.nc.Close()
+		return
+	}
+	w.conns[c.fd] = c
+	w.activeConns++
+	w.invoke(c)
+}
+
+// takeConn returns a conn from the free list, or a new one.
+func (w *Worker) takeConn() (c *conn, recycled bool) {
+	if n := len(w.free); n > 0 {
+		c = w.free[n-1]
+		w.free = w.free[:n-1]
+		return c, true
+	}
+	return new(conn), false
+}
+
+// startLife makes c the conn of the connection just accepted into c.nc.
+// The event-loop state is zeroed but for its allow-list — the request
+// buffer unless it grew past maxKeptReqBuf, and the deadline generation —
+// and the TLS state is initialised in place (minitls.Conn.Init keeps its
+// own allow-list), so nothing of the last life carries over by being
+// forgotten.
+func (w *Worker) startLife(c *conn) {
+	reqBuf := c.reqBuf[:0]
+	if cap(reqBuf) > maxKeptReqBuf {
+		reqBuf = nil
+	}
+	c.life = life{
+		fd:      c.nc.FD(),
+		tp:      sockTransport{nc: &c.nc, st: &w.Stats},
+		handler: (*Worker).handshakeHandler,
+		active:  true,
+		reqBuf:  reqBuf,
+		dlGen:   c.dlGen,
+	}
+	c.tls.Init(&c.tp, w.tlsTmpl, true)
 	// The connection-level async callback delivers events for every
 	// offload job of this connection (one shared channel per connection,
 	// §4.4).
 	if w.tlsTmpl.AsyncMode != minitls.AsyncModeOff {
 		c.tls.SetAsyncCallback(w.onAsync, c)
 	}
-	if err := w.poller.Add(c.fd, true, false); err != nil {
-		nc.Close()
-		return
-	}
-	w.conns[c.fd] = c
-	w.activeConns++
-	w.invoke(c)
 }
 
 // invoke runs the connection's current handler and then the heuristic
@@ -853,7 +928,9 @@ func (w *Worker) closeConn(c *conn) {
 	w.setAsyncPending(c, false)
 	if c.stream != nil {
 		// Abandon the record-path response: in-flight seals complete
-		// into the engine's pool without touching the dead socket.
+		// into the engine's pool without touching the dead socket. They
+		// still read the header, so the conn is not reused.
+		c.sealsAbandoned = c.stream.Pending() > 0
 		c.stream.Cancel()
 		c.stream = nil
 	}
@@ -866,13 +943,29 @@ func (w *Worker) closeConn(c *conn) {
 	// No epoll_ctl DEL: nc holds the socket's only descriptor, and closing
 	// it takes the socket out of the epoll set.
 	c.nc.Close()
-	// Stale deadline-wheel entries keep c reachable for up to a wheel
-	// horizon; its TLS state (keys, cipher state, input buffer) need not
-	// wait that long. Nothing dereferences it on a closed conn, so what it
-	// holds from shared pools goes back now.
+	// What the TLS state holds from shared pools (keyed MACs, a flight
+	// buffer) goes back now; nothing dereferences it on a closed conn.
 	c.tls.Release()
-	c.tls = nil
 	w.Stats.ClosedConns.Add(1)
+	w.reclaim(c)
+}
+
+// reclaim puts closed conn c on the free list once nothing can reach it.
+// The worker's map no longer does (closeConn), and a deadline-wheel entry
+// is stale for good (dlGen). Two holders remain. A worker queue listing c
+// lets go when it pops it, and calls reclaim again. An offloaded op that
+// was abandoned — settled by its deadline or a cancel while a device held
+// it (minitls.Conn.OpAbandoned), still in flight when the conn closed, or
+// a record seal a cancel left in flight — never lets go: the device may
+// still run its closure, which reads c's handshake state and response
+// header, so such a conn goes to the garbage collector instead.
+func (w *Worker) reclaim(c *conn) {
+	if !c.closed || c.queued || c.retryQueued || c.recQueued ||
+		c.tls.OpAbandoned() || c.tls.AsyncInFlight() || c.sealsAbandoned ||
+		len(w.free) == maxFreeConns {
+		return
+	}
+	w.free = append(w.free, c)
 }
 
 // maybeRehome ticks the health manager and reacts to its device
