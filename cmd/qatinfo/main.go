@@ -114,7 +114,7 @@ func main() {
 	batchWin := flight.NewWindow(1, time.Hour)
 	lat := map[qat.OpType]*metrics.Histogram{}
 	for _, op := range ops {
-		lat[op] = metrics.NewHistogram(1 << 14)
+		lat[op] = new(metrics.Histogram)
 	}
 	// The health manager judges the burst the way a hardened server
 	// would: every outcome feeds the instance's circuit, and trips, reset

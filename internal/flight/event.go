@@ -92,34 +92,16 @@ func (k Kind) ControlPlane() bool {
 	return false
 }
 
+// kindNames indexes the kind names dump output uses by Kind.
+var kindNames = [numKinds]string{"slowspan", "breaker", "fault", "shed", "deadline",
+	"drain", "fallback", "dump", "threshold", "placement", "lifecycle"}
+
 // String returns the kind name used in dump output.
 func (k Kind) String() string {
-	switch k {
-	case KindSlowSpan:
-		return "slowspan"
-	case KindBreaker:
-		return "breaker"
-	case KindFault:
-		return "fault"
-	case KindShed:
-		return "shed"
-	case KindDeadline:
-		return "deadline"
-	case KindDrain:
-		return "drain"
-	case KindFallback:
-		return "fallback"
-	case KindDump:
-		return "dump"
-	case KindThreshold:
-		return "threshold"
-	case KindPlacement:
-		return "placement"
-	case KindLifecycle:
-		return "lifecycle"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if k < numKinds {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // Shed sites (KindShed codes).

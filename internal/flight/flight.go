@@ -13,12 +13,14 @@ import (
 	"qtls/internal/trace"
 )
 
-// Each journal ring's capacity in events, and the minimum spacing
-// between automatic dumps (manual triggers — SIGQUIT, /debug/flight —
-// ignore it). A dump captures every event the journals retain.
+// Each journal ring's capacity in events, the minimum spacing between
+// automatic dumps (manual triggers — SIGQUIT, /debug/flight — ignore
+// it), and the latency floor at or above which a completed span is
+// journaled. A dump captures every event the journals retain.
 const (
 	journalSize  = 1024
 	dumpCooldown = 30 * time.Second
+	slowFloor    = time.Millisecond
 )
 
 // Config tunes a Recorder. The zero value selects the defaults.
@@ -28,9 +30,6 @@ type Config struct {
 	// Bucket is the width of one time bucket (default 5s; 12 × 5s gives
 	// the default 60 s window and the `_w60s` series suffix).
 	Bucket time.Duration
-	// SlowFloor is the latency floor above which completed spans are
-	// journaled (default 1ms; <0 journals nothing).
-	SlowFloor time.Duration
 	// SLOP99 arms the windowed-p99 anomaly trigger over the four
 	// offload phases (0 disables it).
 	SLOP99 time.Duration
@@ -47,9 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Bucket <= 0 {
 		c.Bucket = 5 * time.Second
-	}
-	if c.SlowFloor == 0 {
-		c.SlowFloor = time.Millisecond
 	}
 	if c.Now == nil {
 		c.Now = nowNano
@@ -183,7 +179,7 @@ func AttachTrace(tr *trace.Recorder, reg *metrics.Registry, r *Recorder) {
 }
 
 // onSpan feeds one committed span to the phase/class windows, and
-// journals it if it is above the latency floor. It must not allocate:
+// journals it if it is at or above the slow floor. It must not allocate:
 // windows are pre-built, journals are created at most once per worker,
 // and the span arrives by value.
 func (r *Recorder) onSpan(s trace.Span) {
@@ -194,7 +190,7 @@ func (r *Recorder) onSpan(s trace.Span) {
 	if c := opClass(s.Op); c >= 0 {
 		r.classWin[c].Observe(float64(s.Dur), end)
 	}
-	if r.cfg.SlowFloor >= 0 && s.Dur >= int64(r.cfg.SlowFloor) {
+	if s.Dur >= int64(slowFloor) {
 		r.Journal(int(s.Worker)).noteAt(end, KindSlowSpan, uint8(s.Phase), s.Op, s.Dur, s.Arg)
 	}
 }
@@ -356,25 +352,18 @@ func (r *Recorder) writeProm(w io.Writer) error {
 	nowNs := r.now()
 	sfx := r.suffix()
 
-	phaseFam := "qtls_phase_ns_" + sfx
-	if err := writeSummaryFamily(w, phaseFam,
+	phaseNames := make([]string, trace.NumPhases)
+	for p := range phaseNames {
+		phaseNames[p] = trace.Phase(p).String()
+	}
+	if err := writeWindowFamily(w, nowNs, "qtls_phase_ns_"+sfx,
 		fmt.Sprintf("Sliding-window (%s) offload-phase latency summary in nanoseconds.", sfx),
-		func(emit func(label string, s WindowSnapshot)) {
-			for p := trace.Phase(0); p < trace.NumPhases; p++ {
-				emit(`phase="`+p.String()+`"`, r.phaseWin[p].Snapshot(nowNs))
-			}
-		}); err != nil {
+		"phase", phaseNames, r.phaseWin[:]); err != nil {
 		return err
 	}
-
-	opFam := "qtls_op_ns_" + sfx
-	if err := writeSummaryFamily(w, opFam,
+	if err := writeWindowFamily(w, nowNs, "qtls_op_ns_"+sfx,
 		fmt.Sprintf("Sliding-window (%s) op-class latency summary in nanoseconds.", sfx),
-		func(emit func(label string, s WindowSnapshot)) {
-			for i, n := range classNames {
-				emit(`class="`+n+`"`, r.classWin[i].Snapshot(nowNs))
-			}
-		}); err != nil {
+		"class", classNames[:], r.classWin[:]); err != nil {
 		return err
 	}
 
@@ -410,40 +399,33 @@ func (r *Recorder) writeProm(w io.Writer) error {
 	return err
 }
 
-// writeSummaryFamily renders one windowed summary family: quantile
-// lines plus _count, _sum, and companion _max/_rate gauge families.
-func writeSummaryFamily(w io.Writer, fam, help string, each func(emit func(label string, s WindowSnapshot))) error {
+// writeWindowFamily renders one windowed summary family, one series
+// per window labelled key="names[i]": each series through
+// metrics.WriteSummary, then the window-only _max and _rate companion
+// gauge families.
+func writeWindowFamily(w io.Writer, nowNs int64, fam, help, key string, names []string, wins []*Window) error {
 	var err error
 	emitf := func(format string, args ...any) {
 		if err == nil {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
+	snaps := make([]WindowSnapshot, len(wins))
+	labels := make([]string, len(wins))
 	emitf("# HELP %s %s\n# TYPE %s summary\n", fam, help, fam)
-	type row struct {
-		label string
-		s     WindowSnapshot
-	}
-	var rows []row
-	each(func(label string, s WindowSnapshot) { rows = append(rows, row{label, s}) })
-	for _, r := range rows {
-		emitf("%s{%s,quantile=\"0.5\"} %g\n", fam, r.label, r.s.P50)
-		emitf("%s{%s,quantile=\"0.95\"} %g\n", fam, r.label, r.s.P95)
-		emitf("%s{%s,quantile=\"0.99\"} %g\n", fam, r.label, r.s.P99)
-		emitf("%s_sum{%s} %g\n", fam, r.label, r.s.Mean*float64(r.s.Count))
-		emitf("%s_count{%s} %d\n", fam, r.label, r.s.Count)
+	for i, win := range wins {
+		snaps[i], labels[i] = win.Snapshot(nowNs), key+`="`+names[i]+`"`
+		if err == nil {
+			err = metrics.WriteSummary(w, fam, labels[i], snaps[i].Snapshot)
+		}
 	}
 	emitf("# TYPE %s_max gauge\n", fam)
-	for _, r := range rows {
-		v := r.s.Max
-		if r.s.Count == 0 {
-			v = 0
-		}
-		emitf("%s_max{%s} %g\n", fam, r.label, v)
+	for i, s := range snaps {
+		emitf("%s_max{%s} %g\n", fam, labels[i], s.Max)
 	}
 	emitf("# TYPE %s_rate gauge\n", fam)
-	for _, r := range rows {
-		emitf("%s_rate{%s} %g\n", fam, r.label, r.s.Rate)
+	for i, s := range snaps {
+		emitf("%s_rate{%s} %g\n", fam, labels[i], s.Rate)
 	}
 	return err
 }

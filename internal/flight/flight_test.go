@@ -131,7 +131,7 @@ func TestFlightDisabledPathsDoNotAllocate(t *testing.T) {
 }
 
 func TestFlightSpanHookFeedsWindowsAndJournal(t *testing.T) {
-	r, clk := newTestRecorder(Config{SlowFloor: time.Millisecond})
+	r, clk := newTestRecorder(Config{})
 	tr := trace.NewRecorder(64)
 	tr.SetEnabled(true)
 	reg := metrics.NewRegistry()
@@ -302,7 +302,7 @@ func TestFlightCheckRateLimited(t *testing.T) {
 }
 
 func TestFlightDumpRoundTripAndReport(t *testing.T) {
-	r, clk := newTestRecorder(Config{SlowFloor: time.Millisecond})
+	r, clk := newTestRecorder(Config{})
 	r.onSpan(trace.Span{Start: clk.now(), Dur: int64(7 * time.Millisecond), Phase: trace.PhaseRetrieve, Op: trace.Op(0), Worker: 2, Arg: 11})
 	r.onSpan(trace.Span{Start: clk.now() + int64(time.Second), Dur: int64(3 * time.Millisecond), Phase: trace.PhasePost, Op: trace.Op(1), Worker: 2, Arg: 12})
 	// The breaker-open note fires the anomaly trigger, which journals a

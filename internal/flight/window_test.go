@@ -2,8 +2,12 @@ package flight
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
+
+	"qtls/internal/metrics"
 )
 
 func TestWindowObserveAndSnapshot(t *testing.T) {
@@ -104,27 +108,6 @@ func TestWindowLatencyStepDetectedWithinOneBucket(t *testing.T) {
 	}
 }
 
-func TestValueBucketMonotone(t *testing.T) {
-	prev := -1
-	for _, v := range []float64{0, 1, 2, 3, 4, 7, 8, 1000, 1e6, 1e9, 1e12, 1e15} {
-		b := valueBucket(v)
-		if b < prev {
-			t.Fatalf("valueBucket not monotone at %v: %d < %d", v, b, prev)
-		}
-		if b < 0 || b >= numValueBuckets {
-			t.Fatalf("valueBucket(%v) = %d out of range", v, b)
-		}
-		prev = b
-	}
-	// The midpoint of a value's bucket is within one quarter-octave.
-	for _, v := range []float64{100, 1e5, 3e6, 7e8} {
-		mid := bucketMid(valueBucket(v))
-		if r := mid / v; r < 0.8 || r > 1.25 {
-			t.Fatalf("bucketMid(valueBucket(%v)) = %v, ratio %v out of quarter-octave", v, mid, r)
-		}
-	}
-}
-
 func TestWindowQuantileSpread(t *testing.T) {
 	w := NewWindow(12, 5*time.Second)
 	base := int64(10 * time.Second)
@@ -150,5 +133,53 @@ func TestWindowQuantileSpread(t *testing.T) {
 	}
 	if s := w.Snapshot(base); s.P99 < 5e7 {
 		t.Fatalf("p99 = %v after 5%% tail, want ~1e8", s.P99)
+	}
+}
+
+// One estimator: a metrics.Histogram and a one-slice Window fed the same
+// seeded values report the same snapshot field for field, and every
+// quantile lies in the exact [min, max] and within metrics.RelErr of the
+// exact nearest-rank quantile (the ceil(q·n)-th smallest value).
+func TestHistogramAndWindowShareOneEstimator(t *testing.T) {
+	rng := rand.New(rand.NewPCG(32, 1))
+	shapes := []func() float64{
+		func() float64 { return math.Exp2(2 + 30*rng.Float64()) },                        // log-uniform over [4, 2^32)
+		func() float64 { return 80e3 + 80e3*rng.Float64() },                              // one narrow mode
+		func() float64 { return []float64{1e5, 2e7}[rng.IntN(2)] * (1 + rng.Float64()) }, // two modes
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.IntN(3000)
+		next := shapes[trial%len(shapes)]
+		h := new(metrics.Histogram)
+		w := NewWindow(1, time.Hour)
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = next()
+			h.Observe(vals[i])
+			w.Observe(vals[i], 0)
+		}
+		slices.Sort(vals)
+		hs, ws := h.Snapshot(), w.Snapshot(0)
+		if hs != ws.Snapshot {
+			t.Fatalf("trial %d: histogram %+v != window %+v", trial, hs, ws.Snapshot)
+		}
+		if hs.Count != int64(n) || hs.Min != vals[0] || hs.Max != vals[n-1] {
+			t.Fatalf("trial %d: exact stats %+v, want n=%d min=%v max=%v", trial, hs, n, vals[0], vals[n-1])
+		}
+		qs := []float64{0.5, 0.9, 0.95, 0.99, rng.Float64(), rng.Float64()}
+		for i, q := range qs {
+			got := h.Quantile(q)
+			if i < 4 && got != [...]float64{hs.P50, hs.P90, hs.P95, hs.P99}[i] {
+				t.Fatalf("trial %d: Quantile(%v) = %v disagrees with Snapshot %+v", trial, q, got, hs)
+			}
+			exact := vals[max(int(math.Ceil(q*float64(n))), 1)-1]
+			if got < hs.Min || got > hs.Max {
+				t.Fatalf("trial %d: q%v = %v outside [%v, %v]", trial, q, got, hs.Min, hs.Max)
+			}
+			if math.Abs(got-exact) > metrics.RelErr*exact {
+				t.Fatalf("trial %d (n=%d): q%v = %v, exact %v: error %.1f%% above %.1f%%",
+					trial, n, q, got, exact, 100*math.Abs(got-exact)/exact, 100*metrics.RelErr)
+			}
+		}
 	}
 }

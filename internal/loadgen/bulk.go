@@ -84,7 +84,7 @@ func Bulk(opts BulkOptions) BulkResult {
 		paths[i] = "/" + strconv.Itoa(s)
 	}
 	var reqs, bytesIn, errCount, conns, shedCount, cleanCount, shortCount atomic.Int64
-	lat := metrics.NewHistogram(1 << 14)
+	lat := new(metrics.Histogram)
 	cpu0, cpuOK := ProcessCPU()
 	deadline := time.Now().Add(opts.Duration)
 	start := time.Now()

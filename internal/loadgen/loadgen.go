@@ -133,9 +133,9 @@ func STime(opts STimeOptions) Result {
 	}
 	var res Result
 	var conns, resumed, declined, reqs, bytesIn, errCount, shedCount, cleanCount, shortCount atomic.Int64
-	lat := metrics.NewHistogram(1 << 14)
-	latFull := metrics.NewHistogram(1 << 14)
-	latResumed := metrics.NewHistogram(1 << 14)
+	lat := new(metrics.Histogram)
+	latFull := new(metrics.Histogram)
+	latResumed := new(metrics.Histogram)
 	deadline := time.Now().Add(opts.Duration)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -370,7 +370,7 @@ func AB(opts ABOptions) Result {
 		opts.Path = "/1024"
 	}
 	var reqs, bytesIn, errCount, conns, shedCount, cleanCount, shortCount atomic.Int64
-	lat := metrics.NewHistogram(1 << 14)
+	lat := new(metrics.Histogram)
 	deadline := time.Now().Add(opts.Duration)
 	start := time.Now()
 	var wg sync.WaitGroup

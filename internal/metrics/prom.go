@@ -8,16 +8,9 @@ import (
 	"strings"
 )
 
-// promQuantiles are the summary quantiles exported for every histogram.
-var promQuantiles = []struct {
-	label string
-	q     float64
-}{
-	{"0.5", 0.50},
-	{"0.9", 0.90},
-	{"0.95", 0.95},
-	{"0.99", 0.99},
-}
+// promQuantiles label the summary quantiles WriteSummary exports: a
+// Snapshot's P50, P90, P95 and P99.
+var promQuantiles = [...]string{"0.5", "0.9", "0.95", "0.99"}
 
 // promSeries is one exportable series, split into metric family name
 // and label set.
@@ -103,20 +96,29 @@ func (s promSeries) write(w io.Writer) error {
 		_, err := fmt.Fprintf(w, "%s %d\n", s.name(""), s.gauge.Value())
 		return err
 	default:
-		snap := s.hist.Snapshot()
-		quants := [...]float64{snap.P50, snap.P90, snap.P95, snap.P99}
-		for i, pq := range promQuantiles {
-			if _, err := fmt.Fprintf(w, "%s %s\n",
-				s.name(`quantile="`+pq.label+`"`), promFloat(quants[i])); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", s.base, s.braced(), promFloat(snap.Sum)); err != nil {
+		return WriteSummary(w, s.base, s.labels, s.hist.Snapshot())
+	}
+}
+
+// WriteSummary renders one summary series from one snapshot: a line per
+// exported quantile, then _sum and _count. base is the metric family
+// name and labels the series' label set without braces ("" when
+// unlabeled). It is the one summary writer: the registry's histograms
+// and the flight recorder's windows both render through it.
+func WriteSummary(w io.Writer, base, labels string, snap Snapshot) error {
+	s := promSeries{base: base, labels: labels}
+	quants := [...]float64{snap.P50, snap.P90, snap.P95, snap.P99}
+	for i, label := range promQuantiles {
+		if _, err := fmt.Fprintf(w, "%s %s\n",
+			s.name(`quantile="`+label+`"`), promFloat(quants[i])); err != nil {
 			return err
 		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", s.base, s.braced(), snap.Count)
+	}
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", s.base, s.braced(), promFloat(snap.Sum)); err != nil {
 		return err
 	}
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", s.base, s.braced(), snap.Count)
+	return err
 }
 
 // name renders the full series name, merging extra into the label set.

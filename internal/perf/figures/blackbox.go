@@ -17,13 +17,14 @@ import (
 // few seconds of onset (arming the flight recorder's anomaly dump) and
 // decays once the incident leaves the window; the lifetime p99 never
 // moves, because the slow spans stay below one percent of all samples
-// ever observed. That asymmetry is why the anomaly trigger and any
-// future self-tuning read the window, never the lifetime series.
+// ever observed. That asymmetry is why the anomaly trigger and the
+// adaptive poll tuner read the window, never the lifetime series. Both
+// planes use the same quarter-log2 estimator (metrics.Dist), so the
+// figure contrasts their time horizons, not two estimators.
 //
 // The simulation is fully deterministic: the clock is synthetic (every
-// Window method takes nowNs), the jitter comes from a fixed-seed LCG,
-// and the histogram's reservoir uses a fixed xorshift seed — so the
-// shape test can assert exact detector behavior.
+// Window method takes nowNs) and the jitter comes from a fixed-seed LCG,
+// so the shape test can assert exact detector behavior.
 func Blackbox(Opts) Table {
 	const (
 		spanEvery = 2500 * time.Microsecond // 400 spans/s
@@ -38,7 +39,7 @@ func Blackbox(Opts) Table {
 	total := end + tail
 
 	win := flight.NewWindow(12, 5*time.Second)
-	all := metrics.NewHistogram(0)
+	all := new(metrics.Histogram)
 
 	// Column instants relative to onset; the recovery columns sit past
 	// the window span so the figure shows the windowed p99 forgetting.

@@ -236,7 +236,7 @@ func (s *Stats) CPUPerKB() float64 {
 }
 
 func newStats() *Stats {
-	return &Stats{Latency: metrics.NewHistogram(1 << 14)}
+	return &Stats{Latency: new(metrics.Histogram)}
 }
 
 // Model is one configured simulation instance.

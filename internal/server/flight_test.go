@@ -95,9 +95,8 @@ func TestFlightBreakerOpenDumpEndToEnd(t *testing.T) {
 	run := ConfigQTLS
 	run.OpTimeout = 10 * time.Millisecond
 	run.Lifecycle = true
-	srv, fr, col := startFlightServer(t, run, 1, qat.PoolOf(dev), flight.Config{
-		SlowFloor: time.Millisecond, // the 30 s dump cooldown outlasts the test: exactly one anomaly dump
-	})
+	// The 30 s dump cooldown outlasts the test: exactly one anomaly dump.
+	srv, fr, col := startFlightServer(t, run, 1, qat.PoolOf(dev), flight.Config{})
 
 	res := loadgen.STime(loadgen.STimeOptions{
 		Addr:           srv.Addr(),
@@ -195,11 +194,17 @@ func TestFlightBreakerOpenDumpEndToEnd(t *testing.T) {
 // manual dumps fire: under -race this is the journal seqlock's
 // reader/writer race test at the system level.
 func TestFlightScrapeAndDumpUnderLoad(t *testing.T) {
-	dev := qat.NewDevice(qat.DeviceSpec{Endpoints: 3, EnginesPerEndpoint: 4, RingCapacity: 128})
-	t.Cleanup(dev.Close)
-	srv, fr, col := startFlightServer(t, ConfigQTLS, 2, qat.PoolOf(dev), flight.Config{
-		SlowFloor: 0, // journal every span: maximal writer pressure
+	// Every ECDH takes 2 ms on the device, so every handshake's retrieve
+	// span sits above the 1 ms slow floor: the journals keep taking
+	// slow-span writes while the scrapes read them.
+	dev := qat.NewDevice(qat.DeviceSpec{
+		Endpoints:          3,
+		EnginesPerEndpoint: 4,
+		RingCapacity:       128,
+		ServiceTime:        map[qat.OpType]time.Duration{qat.OpECDH: 2 * time.Millisecond},
 	})
+	t.Cleanup(dev.Close)
+	srv, fr, col := startFlightServer(t, ConfigQTLS, 2, qat.PoolOf(dev), flight.Config{})
 	stop := make(chan struct{})
 	var loadWG sync.WaitGroup
 	loadWG.Add(1)
@@ -249,6 +254,15 @@ func TestFlightScrapeAndDumpUnderLoad(t *testing.T) {
 	loadWG.Wait()
 	if reasons, _ := col.snapshot(); len(reasons) < 10 {
 		t.Fatalf("manual triggers produced %d dumps, want >= 10", len(reasons))
+	}
+	slow := 0
+	for _, e := range fr.Events(0) {
+		if e.Kind == flight.KindSlowSpan {
+			slow++
+		}
+	}
+	if slow == 0 {
+		t.Fatal("no slow spans journaled: the load put no pressure on the journal writers")
 	}
 }
 
