@@ -256,7 +256,7 @@ func (o *OpCounts) Table1Row() (rsaN, ecc, prfHKDF int64) {
 }
 
 // Provider executes crypto work on behalf of the TLS stack. The work
-// closure performs the actual computation; the provider decides *where*
+// function performs the actual computation; the provider decides *where*
 // and *when* it runs:
 //
 //   - SoftwareProvider runs it inline (CPU, AES-NI-style software path);
@@ -266,6 +266,13 @@ func (o *OpCounts) Table1Row() (rsaN, ecc, prfHKDF int64) {
 //     waits (straight offload).
 //
 // Providers must run KindHKDF work synchronously (see OpKind).
+//
+// work may run more than once, and concurrently: a retry runs it again, and
+// a device run that outlives the op's deadline races the software
+// fallback. Every run must be free to read the op's arguments, and each
+// returns a result of its own. work may run after Do has returned only if
+// the provider set call.Abandoned: until then the connection may reuse
+// the storage work reads for its next op.
 type Provider interface {
 	// Name identifies the provider in logs and stats.
 	Name() string
@@ -301,8 +308,10 @@ type OpCall struct {
 	Cancelled bool
 	// Abandoned is set by the provider when it settles an offloaded
 	// operation by its deadline or by a cancel while the device still
-	// holds it: the operation's closure may run later, reading what it
-	// captured from the connection, so the connection is never recycled
+	// holds it. It is the only way work may run after Do returns: a late
+	// run reads the op's arguments from the connection. Once it is set it
+	// stays set, every later op of the connection takes fresh storage for
+	// its arguments, and the connection is never recycled
 	// (Conn.OpAbandoned).
 	Abandoned bool
 

@@ -71,6 +71,16 @@ type Conn struct {
 	waitCtx    asynclib.WaitCtx
 	hasWaitCtx bool
 
+	// The op slots: the arguments of the connection's current PRF
+	// derivation and record seal, each handed to the provider as its run
+	// method, bound once like jobFn. Once opCall.Abandoned is set, an
+	// abandoned run may still read its slot, so every later op takes a
+	// fresh one instead (ownSlot).
+	prfSlot  prfOp
+	prfRun   func() (any, error)
+	sealSlot sealOp
+	sealRun  func() (any, error)
+
 	// flight holds the handshake records sealed since the last flush, so a
 	// flight reaches the transport in one Write (see queueFlight). Nil
 	// between flights and once the handshake is done.
@@ -169,13 +179,14 @@ const maxKeptBuf = 4 << 10
 // ended with Release and no offloaded operation holds c (OpAbandoned).
 // The whole struct is zeroed, then an allow-list of storage is put back:
 // the transcript digest (reset), the first input buffer, the handshake
-// and message buffers up to maxKeptBuf, and the bound fiber job function.
-// Nothing else can carry over by being forgotten.
+// and message buffers up to maxKeptBuf, and the bound fiber job and op
+// run functions. Nothing else can carry over by being forgotten.
 func (c *Conn) Init(transport io.ReadWriter, config *Config, server bool) {
 	if config == nil {
 		config = &Config{}
 	}
 	transcript, rawArr, jobFn := c.transcript, c.rawArr, c.jobFn
+	prfRun, sealRun := c.prfRun, c.sealRun
 	handBuf, msgBuf := keptBuf(c.handBuf), keptBuf(c.msgBuf)
 	*c = Conn{
 		transport:  transport,
@@ -184,6 +195,8 @@ func (c *Conn) Init(transport io.ReadWriter, config *Config, server bool) {
 		transcript: transcript,
 		rawArr:     rawArr,
 		jobFn:      jobFn,
+		prfRun:     prfRun,
+		sealRun:    sealRun,
 		handBuf:    handBuf,
 		msgBuf:     msgBuf,
 	}
@@ -240,9 +253,9 @@ func (c *Conn) Release() {
 
 // OpAbandoned reports whether an offloaded operation of this connection
 // was abandoned: settled by its deadline or by a cancel while a device
-// still held it. Such an operation's closure may still read the
-// connection's handshake state and its write buffers, so the Conn must
-// never be initialised again; it goes to the garbage collector.
+// still held it. Such an operation may still run and read the
+// connection's op slots, handshake state and write buffers, so the Conn
+// must never be initialised again; it goes to the garbage collector.
 func (c *Conn) OpAbandoned() bool { return c.opCall.Abandoned }
 
 // SetAsyncCallback installs the kernel-bypass notification callback
@@ -305,16 +318,42 @@ func (c *Conn) do(kind OpKind, work func() (any, error)) (any, error) {
 	return res, err
 }
 
-// doPRF derives length bytes with the TLS 1.2 PRF through the provider.
-// The closure is the op's one other allocation besides the result.
-func (c *Conn) doPRF(k *prfKey, label string, seed []byte, length int) ([]byte, error) {
-	res, err := c.do(KindPRF, func() (any, error) {
-		return k.derive(label, seed, length), nil
-	})
-	if err != nil {
-		return nil, err
+// ownSlot reports whether the next op may use its kind's slot in the
+// connection, and whether it must fill it. Once an op was abandoned, a late
+// run of it may still read its slot, so every op after it takes a fresh
+// one, for the rest of the connection's life. A stack-async re-entry finds
+// its op outstanding (submitted, ready or due for a retry) and leaves the
+// slot as it is: the state re-entered computes the same arguments, and a
+// run may be reading them.
+func (c *Conn) ownSlot() (own, fill bool) {
+	if c.opCall.Abandoned {
+		return false, true
 	}
-	return res.(*prfOut)[:length], nil
+	if c.prfRun == nil {
+		c.prfRun, c.sealRun = c.prfSlot.run, c.sealSlot.run
+	}
+	return true, c.asyncMode() != AsyncModeStack || c.stackOp.State() == asynclib.StackIdle
+}
+
+// doPRF derives len(dst) bytes with the TLS 1.2 PRF through the provider
+// and copies them into dst: the op and its result live in the
+// connection's PRF slot, which the next derivation reuses.
+func (c *Conn) doPRF(dst []byte, k *prfKey, label string, seed []byte) error {
+	own, fill := c.ownSlot()
+	op, run := &c.prfSlot, c.prfRun
+	if !own {
+		op = new(prfOp)
+		run = op.run
+	}
+	if fill {
+		*op = prfOp{key: k, label: label, seed: seed, length: len(dst)}
+	}
+	res, err := c.do(KindPRF, run)
+	if err != nil {
+		return err
+	}
+	copy(dst, res.(*prfOut)[:])
+	return nil
 }
 
 // run executes the connection's current re-entrant operation. Its state
@@ -833,18 +872,16 @@ func (c *Conn) writeRecords() error {
 		if rest := n - len(p0); rest > 0 {
 			p1 = b[c.writeOff+len(p0)-len(a):][:rest]
 		}
-		seq := c.out.seq
-		prot := c.out.protection()
-		rnd := c.config.rand()
-		// The closure may run more than once, even concurrently (see
-		// recordProtection): each run seals into a buffer of its own.
-		res, err := c.do(KindCipher, func() (any, error) {
-			w, err := sealRecord(prot, seq, recordApplicationData, p0, p1, rnd)
-			if err != nil {
-				return nil, err
-			}
-			return w, nil
-		})
+		own, fill := c.ownSlot()
+		op, run := &c.sealSlot, c.sealRun
+		if !own {
+			op = new(sealOp)
+			run = op.run
+		}
+		if fill {
+			*op = sealOp{prot: c.out.protection(), seq: c.out.seq, p0: p0, p1: p1, rnd: c.config.rand()}
+		}
+		res, err := c.do(KindCipher, run)
 		if err != nil {
 			return err
 		}
@@ -855,6 +892,26 @@ func (c *Conn) writeRecords() error {
 		c.writeOff += n
 	}
 	return nil
+}
+
+// sealOp is one offloaded application-data record seal, the arguments of
+// sealRecord. A connection keeps one (Conn.sealSlot) and hands the
+// provider its run method, bound once. It may run more than once, even
+// concurrently (see recordProtection): the arguments are read-only, and
+// each run seals into a buffer of its own.
+type sealOp struct {
+	prot   recordProtection
+	seq    uint64
+	p0, p1 []byte
+	rnd    io.Reader
+}
+
+func (op *sealOp) run() (any, error) {
+	w, err := sealRecord(op.prot, op.seq, recordApplicationData, op.p0, op.p1, op.rnd)
+	if err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // Close sends a close-notify alert (best effort) and marks the connection

@@ -31,6 +31,10 @@ type clientHS struct {
 	serverCBC cbcKeys
 
 	masterSeed, expandSeed [64]byte
+	// The PRF results read past the next op, which reuses the connection's
+	// result slot (see serverHS).
+	masterBuf [masterSecretLen]byte
+	keyBlock  [keyBlockLen]byte
 
 	ticket []byte
 
@@ -259,18 +263,17 @@ func (c *Conn) clientFull12() error {
 
 	// Key derivation.
 	hs.pre.secret = hs.premaster
-	hs.master.secret, err = c.doPRF(&hs.pre, "master secret",
-		prfSeed(&hs.masterSeed, &hs.clientRandom, &hs.serverRandom), masterSecretLen)
-	if err != nil {
+	if err := c.doPRF(hs.masterBuf[:], &hs.pre, "master secret",
+		prfSeed(&hs.masterSeed, &hs.clientRandom, &hs.serverRandom)); err != nil {
 		return err
 	}
 	hs.pre.release()
-	kb, err := c.doPRF(&hs.master, "key expansion",
-		prfSeed(&hs.expandSeed, &hs.serverRandom, &hs.clientRandom), keyBlockLen)
-	if err != nil {
+	hs.master.secret = hs.masterBuf[:]
+	if err := c.doPRF(hs.keyBlock[:], &hs.master, "key expansion",
+		prfSeed(&hs.expandSeed, &hs.serverRandom, &hs.clientRandom)); err != nil {
 		return err
 	}
-	hs.clientCBC, hs.serverCBC = splitKeyBlock(kb)
+	hs.clientCBC, hs.serverCBC = splitKeyBlock(hs.keyBlock[:])
 
 	// CCS + client Finished.
 	if err := c.writeRecord(recordChangeCipherSpec, ccsPayload); err != nil {
@@ -279,11 +282,11 @@ func (c *Conn) clientFull12() error {
 	if err := c.out.setCBC(hs.clientCBC); err != nil {
 		return err
 	}
-	verify, err := c.doPRF(&hs.master, "client finished", c.transcriptHash(), finishedVerify12)
-	if err != nil {
+	var verify [finishedVerify12]byte
+	if err := c.doPRF(verify[:], &hs.master, "client finished", c.transcriptHash()); err != nil {
 		return err
 	}
-	fin := finishedMsg{verifyData: verify}
+	fin := finishedMsg{verifyData: verify[:]}
 	if err := c.writeMsg(fin.marshal(c.msgBuf)); err != nil {
 		return err
 	}
@@ -314,12 +317,11 @@ func (c *Conn) clientFull12() error {
 // resumption-accepting ServerHello.
 func (c *Conn) clientFinishResumption() error {
 	hs := c.hcli
-	kb, err := c.doPRF(&hs.master, "key expansion",
-		prfSeed(&hs.expandSeed, &hs.serverRandom, &hs.clientRandom), keyBlockLen)
-	if err != nil {
+	if err := c.doPRF(hs.keyBlock[:], &hs.master, "key expansion",
+		prfSeed(&hs.expandSeed, &hs.serverRandom, &hs.clientRandom)); err != nil {
 		return err
 	}
-	hs.clientCBC, hs.serverCBC = splitKeyBlock(kb)
+	hs.clientCBC, hs.serverCBC = splitKeyBlock(hs.keyBlock[:])
 	// Server CCS + Finished first, then ours.
 	if err := c.readServerFinished12(); err != nil {
 		return err
@@ -330,11 +332,11 @@ func (c *Conn) clientFinishResumption() error {
 	if err := c.out.setCBC(hs.clientCBC); err != nil {
 		return err
 	}
-	verify, err := c.doPRF(&hs.master, "client finished", c.transcriptHash(), finishedVerify12)
-	if err != nil {
+	var verify [finishedVerify12]byte
+	if err := c.doPRF(verify[:], &hs.master, "client finished", c.transcriptHash()); err != nil {
 		return err
 	}
-	fin := finishedMsg{verifyData: verify}
+	fin := finishedMsg{verifyData: verify[:]}
 	if err := c.writeMsg(fin.marshal(c.msgBuf)); err != nil {
 		return err
 	}
@@ -365,11 +367,11 @@ func (c *Conn) readServerFinished12() error {
 	if err := fin.unmarshal(body); err != nil {
 		return err
 	}
-	want, err := c.doPRF(&hs.master, "server finished", c.preMsgHash, finishedVerify12)
-	if err != nil {
+	var want [finishedVerify12]byte
+	if err := c.doPRF(want[:], &hs.master, "server finished", c.preMsgHash); err != nil {
 		return err
 	}
-	if subtle.ConstantTimeCompare(want, fin.verifyData) != 1 {
+	if subtle.ConstantTimeCompare(want[:], fin.verifyData) != 1 {
 		return errors.New("minitls: server Finished verification failed")
 	}
 	return nil

@@ -29,19 +29,25 @@ type serverHS struct {
 
 	premaster []byte
 	pre       prfKey // the premaster secret, for the master secret alone
-	master    prfKey
+	master    prfKey // its secret is masterBuf, or a resumed session's
 	clientCBC cbcKeys
 	serverCBC cbcKeys
 	// The PRF seeds, and the transcript hashes the Finished messages cover:
-	// each a closure's input, kept for as long as an abandoned run of that
-	// closure may read it.
+	// each an op's argument, kept for as long as an abandoned run of that op
+	// may read it.
 	masterSeed, expandSeed [64]byte
 	finHash                [sha256.Size]byte // covered by the client Finished
 	srvFinHash             [sha256.Size]byte // covered by the server Finished
+	// The PRF results read past the next op, which reuses the connection's
+	// result slot: the master secret, the key block the CBC keys alias (the
+	// server direction is keyed after the client Finished is verified), and
+	// the server's verify_data.
+	masterBuf    [masterSecretLen]byte
+	keyBlock     [keyBlockLen]byte
+	serverVerify [finishedVerify12]byte
 
 	clientVerify []byte // client Finished verify_data, copied into verifyBuf
 	verifyBuf    [finishedVerify12]byte
-	serverVerify []byte
 
 	// Backing for the ClientHello fields that outlive the message, which
 	// aliases the connection's handshake buffer only until the next read,
@@ -206,23 +212,21 @@ func (c *Conn) serverStateStep() error {
 
 	case stateS12DeriveMaster:
 		hs.pre.secret = hs.premaster
-		master, err := c.doPRF(&hs.pre, "master secret",
-			prfSeed(&hs.masterSeed, &hs.clientRandom, &hs.serverRandom), masterSecretLen)
-		if err != nil {
+		if err := c.doPRF(hs.masterBuf[:], &hs.pre, "master secret",
+			prfSeed(&hs.masterSeed, &hs.clientRandom, &hs.serverRandom)); err != nil {
 			return err
 		}
 		hs.pre.release()
-		hs.master.secret = master
+		hs.master.secret = hs.masterBuf[:]
 		c.state = stateS12DeriveKeys
 		return nil
 
 	case stateS12DeriveKeys:
-		kb, err := c.doPRF(&hs.master, "key expansion",
-			prfSeed(&hs.expandSeed, &hs.serverRandom, &hs.clientRandom), keyBlockLen)
-		if err != nil {
+		if err := c.doPRF(hs.keyBlock[:], &hs.master, "key expansion",
+			prfSeed(&hs.expandSeed, &hs.serverRandom, &hs.clientRandom)); err != nil {
 			return err
 		}
-		hs.clientCBC, hs.serverCBC = splitKeyBlock(kb)
+		hs.clientCBC, hs.serverCBC = splitKeyBlock(hs.keyBlock[:])
 		c.state = stateS12ReadCCS
 		return nil
 
@@ -254,11 +258,11 @@ func (c *Conn) serverStateStep() error {
 		return nil
 
 	case stateS12VerifyFin:
-		want, err := c.doPRF(&hs.master, "client finished", hs.finHash[:], finishedVerify12)
-		if err != nil {
+		var want [finishedVerify12]byte
+		if err := c.doPRF(want[:], &hs.master, "client finished", hs.finHash[:]); err != nil {
 			return err
 		}
-		if subtle.ConstantTimeCompare(want, hs.clientVerify) != 1 {
+		if subtle.ConstantTimeCompare(want[:], hs.clientVerify) != 1 {
 			return errors.New("minitls: client Finished verification failed")
 		}
 		c.state = stateS12SendFinished
@@ -291,21 +295,20 @@ func (c *Conn) serverStateStep() error {
 		return nil
 
 	case stateS12ComputeFin:
-		verify, err := c.doPRF(&hs.master, "server finished", c.transcriptSum(&hs.srvFinHash), finishedVerify12)
-		if err != nil {
+		if err := c.doPRF(hs.serverVerify[:], &hs.master, "server finished", c.transcriptSum(&hs.srvFinHash)); err != nil {
 			return err
 		}
-		hs.serverVerify = verify
 		c.state = stateDone
-		fin := finishedMsg{verifyData: hs.serverVerify}
+		fin := finishedMsg{verifyData: hs.serverVerify[:]}
 		if err := c.writeMsg(fin.marshal(c.msgBuf)); err != nil {
 			return err
 		}
 		if len(hs.sessionID) > 0 && c.config.SessionCache != nil {
 			c.config.SessionCache.Put(hs.sessionID, SessionState{
-				Version:      VersionTLS12,
-				CipherSuite:  c.suite,
-				MasterSecret: hs.master.secret,
+				Version:     VersionTLS12,
+				CipherSuite: c.suite,
+				// The cache outlives this connection's storage.
+				MasterSecret: bytes.Clone(hs.master.secret),
 			})
 		}
 		c.finishHandshake()
@@ -314,21 +317,18 @@ func (c *Conn) serverStateStep() error {
 	// --- TLS 1.2 abbreviated handshake (session resumption) ------------
 
 	case stateS12ResumeKeys:
-		kb, err := c.doPRF(&hs.master, "key expansion",
-			prfSeed(&hs.expandSeed, &hs.serverRandom, &hs.clientRandom), keyBlockLen)
-		if err != nil {
+		if err := c.doPRF(hs.keyBlock[:], &hs.master, "key expansion",
+			prfSeed(&hs.expandSeed, &hs.serverRandom, &hs.clientRandom)); err != nil {
 			return err
 		}
-		hs.clientCBC, hs.serverCBC = splitKeyBlock(kb)
+		hs.clientCBC, hs.serverCBC = splitKeyBlock(hs.keyBlock[:])
 		c.state = stateS12ResumeSrvFin
 		return nil
 
 	case stateS12ResumeSrvFin:
-		verify, err := c.doPRF(&hs.master, "server finished", c.transcriptSum(&hs.srvFinHash), finishedVerify12)
-		if err != nil {
+		if err := c.doPRF(hs.serverVerify[:], &hs.master, "server finished", c.transcriptSum(&hs.srvFinHash)); err != nil {
 			return err
 		}
-		hs.serverVerify = verify
 		c.state = stateS12ResumeSend
 		return nil
 
@@ -339,7 +339,7 @@ func (c *Conn) serverStateStep() error {
 		if err := c.out.setCBC(hs.serverCBC); err != nil {
 			return err
 		}
-		fin := finishedMsg{verifyData: hs.serverVerify}
+		fin := finishedMsg{verifyData: hs.serverVerify[:]}
 		if err := c.writeMsg(fin.marshal(c.msgBuf)); err != nil {
 			return err
 		}
@@ -374,11 +374,11 @@ func (c *Conn) serverStateStep() error {
 		return nil
 
 	case stateS12ResumeVerify:
-		want, err := c.doPRF(&hs.master, "client finished", hs.finHash[:], finishedVerify12)
-		if err != nil {
+		var want [finishedVerify12]byte
+		if err := c.doPRF(want[:], &hs.master, "client finished", hs.finHash[:]); err != nil {
 			return err
 		}
-		if subtle.ConstantTimeCompare(want, hs.clientVerify) != 1 {
+		if subtle.ConstantTimeCompare(want[:], hs.clientVerify) != 1 {
 			return errors.New("minitls: client Finished verification failed")
 		}
 		c.state = stateDone

@@ -22,7 +22,7 @@ const (
 // a connection keys its master secret's MAC once for the key block and
 // both Finished messages. The key is held by value and follows the
 // cbcProtection rule: a derivation takes it by swapping busy, because an
-// op closure may run twice, even at once (a device result racing the
+// op may run twice, even at once (a device result racing the
 // software fallback after a timeout), and the run that finds it taken
 // builds its own from the pool and gives it back when done. release hands
 // the MAC back once the handshake derives nothing more from the secret.
@@ -43,19 +43,47 @@ type prfOut [keyBlockLen]byte
 // result, the derivation's one allocation.
 func (k *prfKey) derive(label string, seed []byte, length int) *prfOut {
 	out := new(prfOut)
+	k.deriveTo(out[:length], label, seed)
+	return out
+}
+
+// deriveTo is PRF(secret, label, seed) into out.
+func (k *prfKey) deriveTo(out []byte, label string, seed []byte) {
 	if k.busy.CompareAndSwap(false, true) {
 		if !k.keyed {
 			k.key.SetKey(k.secret)
 			k.keyed = true
 		}
-		k.key.DeriveTo(out[:length], label, seed)
+		k.key.DeriveTo(out, label, seed)
 		k.busy.Store(false)
-		return out
+		return
 	}
 	own := prf.NewTLS12Key(k.secret)
-	own.DeriveTo(out[:length], label, seed)
+	own.DeriveTo(out, label, seed)
 	own.Release()
-	return out
+}
+
+// prfOp is one offloaded PRF derivation: its arguments and a result slot.
+// A connection keeps one (Conn.prfSlot) and hands the provider its run
+// method, bound once. The arguments are read-only while the op is out; the
+// result slot goes to the first run, and a second run — a device result
+// racing the software fallback of an abandoned op — derives into a fresh
+// result instead, the busy swap prfKey and cbcProtection use.
+type prfOp struct {
+	key     *prfKey
+	label   string
+	seed    []byte
+	length  int
+	outBusy atomic.Bool
+	out     prfOut
+}
+
+func (op *prfOp) run() (any, error) {
+	if !op.outBusy.CompareAndSwap(false, true) {
+		return op.key.derive(op.label, op.seed, op.length), nil
+	}
+	op.key.deriveTo(op.out[:op.length], op.label, op.seed)
+	return &op.out, nil
 }
 
 // release gives the key's MAC back to the pool unless a derivation holds
@@ -71,8 +99,8 @@ func (k *prfKey) release() {
 // prfSeed writes a ‖ b into seed and returns it: client_random ‖
 // server_random seeds the master secret, server_random ‖ client_random the
 // key block. The seed lives in the handshake state, not in a fresh slice,
-// and each derivation has its own, since an abandoned closure may still
-// read it.
+// and each derivation has its own, since an abandoned run may still read
+// it.
 func prfSeed(seed *[64]byte, a, b *[32]byte) []byte {
 	copy(seed[:32], a[:])
 	copy(seed[32:], b[:])

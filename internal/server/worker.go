@@ -957,8 +957,8 @@ func (w *Worker) closeConn(c *conn) {
 // was abandoned — settled by its deadline or a cancel while a device held
 // it (minitls.Conn.OpAbandoned), still in flight when the conn closed, or
 // a record seal a cancel left in flight — never lets go: the device may
-// still run its closure, which reads c's handshake state and response
-// header, so such a conn goes to the garbage collector instead.
+// still run the op, which reads c's op slots, handshake state and
+// response header, so such a conn goes to the garbage collector instead.
 func (w *Worker) reclaim(c *conn) {
 	if !c.closed || c.queued || c.retryQueued || c.recQueued ||
 		c.tls.OpAbandoned() || c.tls.AsyncInFlight() || c.sealsAbandoned ||
