@@ -58,11 +58,8 @@ func main() {
 		engines   = flag.Int("engines", 4, "engines per endpoint")
 		instances = flag.Int("instances", 6, "crypto instances to allocate")
 		burst     = flag.Int("burst", 100, "requests of each type per instance")
-		batch     = flag.Int("batch", 1, "submit in batches of this size via SubmitBatch (1 = per-op Submit, >1 = one ring lock and one doorbell per batch, as the record path's burst in record.Stream.Write)")
+		batch     = flag.Int("batch", 1, "submit in batches of this size via SubmitBatch (1 = per-op Submit, >1 = one ring lock and one doorbell per batch)")
 		service   = flag.Duration("service", 50*time.Microsecond, "modeled RSA service time")
-		symBase   = flag.Duration("sym-base", 4*time.Microsecond, "modeled per-request base time of symmetric (record cipher) ops")
-		symPerKB  = flag.Duration("sym-perkb", time.Microsecond, "modeled symmetric service time per KB of record payload")
-		recBytes  = flag.Int("record-bytes", 16384, "payload size of each symmetric (OpSym) request")
 		faultSpec = flag.String("fault", "", "fault scenario, e.g. 'stall:op=rsa,p=0.1' (see internal/fault)")
 		faultSeed = flag.Int64("fault-seed", 1, "fault injector RNG seed")
 		deadline  = flag.Duration("op-timeout", 50*time.Millisecond, "drain deadline: give up on stalled requests after this long without progress")
@@ -93,13 +90,11 @@ func main() {
 		ServiceTime: map[qat.OpType]time.Duration{
 			qat.OpRSA: *service,
 		},
-		SymBaseTime: *symBase,
-		SymPerKB:    *symPerKB,
-		Injector:    inj,
+		Injector: inj,
 	})
 	defer pool.Close()
 
-	ops := []qat.OpType{qat.OpRSA, qat.OpECDSA, qat.OpECDH, qat.OpPRF, qat.OpCipher, qat.OpSym}
+	ops := []qat.OpType{qat.OpRSA, qat.OpECDSA, qat.OpECDH, qat.OpPRF, qat.OpCipher}
 	// Submit→response latency per op type, plus retrieval spans in the
 	// same recorder the server uses (everything runs on this goroutine:
 	// callbacks fire inside Poll, so plain maps are fine).
@@ -158,16 +153,9 @@ func main() {
 		// callback runs on this goroutine inside Poll.
 		makeReq := func(op qat.OpType) qat.Request {
 			submitAt := time.Now()
-			bytes := 0
-			if op == qat.OpSym {
-				// Symmetric record ops carry their payload size: the engine
-				// occupancy (and so the latency below) scales with it.
-				bytes = *recBytes
-			}
 			return qat.Request{
-				Op:    op,
-				Bytes: bytes,
-				Work:  func() (any, error) { return nil, nil },
+				Op:   op,
+				Work: func() (any, error) { return nil, nil },
 				Callback: func(r qat.Response) {
 					d := time.Since(submitAt)
 					lat[op].ObserveDuration(d)

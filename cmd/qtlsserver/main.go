@@ -62,8 +62,6 @@ type policyFlags struct {
 	asymThr   *int
 	symThr    *int
 	notify    *string
-	recMode   *string
-	recThr    *int
 	placement *string
 }
 
@@ -74,8 +72,6 @@ func addPolicyFlags(fs *flag.FlagSet) *policyFlags {
 		asymThr:   fs.Int("asym-threshold", offload.DefaultAsymThreshold, "heuristic polling asym threshold"),
 		symThr:    fs.Int("sym-threshold", offload.DefaultSymThreshold, "heuristic polling sym threshold"),
 		notify:    fs.String("notify", "", "async notification backend: fd or kernel-bypass (default: the configuration's)"),
-		recMode:   fs.String("record-mode", "software", "post-handshake record path: software, offload, or adaptive"),
-		recThr:    fs.Int("record-threshold", offload.DefaultRecordThreshold, "adaptive record-offload size threshold in bytes"),
 		placement: fs.String("placement", "", "multi-device placement: single or conn-hash (default: single)"),
 	}
 }
@@ -115,12 +111,6 @@ func (pf *policyFlags) resolve(fs *flag.FlagSet) (run server.RunConfig, workers 
 			if run.Notify, ok = offload.NotifySchemeByName(*pf.notify); !ok {
 				err = fmt.Errorf("unknown -notify %q (want fd or kernel-bypass)", *pf.notify)
 			}
-		case "record-mode":
-			if run.Record.Mode, ok = offload.RecordModeByName(*pf.recMode); !ok {
-				err = fmt.Errorf("unknown -record-mode %q (want software, offload or adaptive)", *pf.recMode)
-			}
-		case "record-threshold":
-			run.Record.SizeThreshold = *pf.recThr
 		case "placement":
 			if run.Placement, ok = offload.PlacementByName(*pf.placement); !ok {
 				err = fmt.Errorf("unknown -placement %q (want single or conn-hash)", *pf.placement)
@@ -275,8 +265,6 @@ func main() {
 		spec := qat.DeviceSpec{
 			Endpoints:          3,
 			EnginesPerEndpoint: 4,
-			SymBaseTime:        4 * time.Microsecond,
-			SymPerKB:           time.Microsecond,
 			Injector:           inj,
 		}
 		if chaos != nil {
@@ -428,10 +416,6 @@ func main() {
 				}
 			}
 			snap := srv.Metrics().Snapshot()
-			if rb := snap["qtls_record_bytes"]; rb > 0 {
-				line += fmt.Sprintf(" recordBytes=%d recordOps=%d/%d(off/sw)",
-					rb, snap["qtls_record_offload_ops"], snap["qtls_record_sw_ops"])
-			}
 			if snap["qat_faults_injected"] > 0 || snap["qat_sw_fallbacks"] > 0 {
 				line += fmt.Sprintf(" faults=%d timeouts=%d swFallbacks=%d trips=%d",
 					snap["qat_faults_injected"], snap["qat_op_timeouts"],

@@ -58,12 +58,9 @@ func TestResolveConfig(t *testing.T) {
 		{name: "file + visited workers and notify", args: []string{"-config", conf, "-workers", "3", "-notify", "fd"},
 			wantName: "QTLS", wantAsym: 64, wantSym: 32, wantWork: 3,
 			wantExtra: func(p offload.Policy) bool { return p.Notify == offload.NotifierFD }},
-		{name: "policy flags on a name", args: []string{"-config", "QTLS", "-record-mode", "adaptive", "-placement", "conn-hash"},
+		{name: "policy flags on a name", args: []string{"-config", "QTLS", "-placement", "conn-hash"},
 			wantName: "QTLS", wantAsym: 48, wantSym: 24, wantWork: 2,
-			wantExtra: func(p offload.Policy) bool {
-				return p.Record.Mode == offload.RecordAdaptive &&
-					p.Record.SizeThreshold == offload.DefaultRecordThreshold && p.Placement == offload.PlacementConnHash
-			}},
+			wantExtra: func(p offload.Policy) bool { return p.Placement == offload.PlacementConnHash }},
 		{name: "unknown name that is not a file", args: []string{"-config", "QAT+X"}, wantErr: "SW, QAT+S, QAT+A, QAT+AH or QTLS, or the path"},
 		{name: "bad notify", args: []string{"-notify", "smoke"}, wantErr: "unknown -notify"},
 		{name: "removed notify coalesced", args: []string{"-notify", "coalesced"}, wantErr: "want fd or kernel-bypass"},

@@ -91,7 +91,7 @@ const (
 
 // opNames mirrors qat.OpType's ordinal names without importing qat (the
 // dependency points the other way: qat consults fault).
-var opNames = []string{"rsa", "ecdsa", "ecdh", "prf", "cipher", "sym"}
+var opNames = []string{"rsa", "ecdsa", "ecdh", "prf", "cipher"}
 
 // Rule is one composable fault source. A rule observes every opportunity
 // (submission or service event) matching its Endpoint/Op selectors and

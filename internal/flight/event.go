@@ -37,7 +37,7 @@ const (
 	KindSlowSpan Kind = iota
 	// KindBreaker is a circuit-breaker state transition. Code is the new
 	// state (closed/open/half-open), Dur the previous state and Arg the
-	// instance's index in its engine (-1 for a record engine's instance).
+	// instance's index in its engine.
 	KindBreaker
 	// KindFault is one injected fault. Code is the fault class
 	// (stall/drop/corrupt/latency/ringfull/reset), Op the targeted op
@@ -53,8 +53,7 @@ const (
 	// Arg the number of connections still open.
 	KindDrain
 	// KindFallback is one degradation to the software path. Code says
-	// why (timeout/cancel/ring-full/breaker/error/oversize), Op the op
-	// class and Arg a phase-dependent argument (bytes for record ops).
+	// why (timeout/cancel) and Arg the engine instance index.
 	KindFallback
 	// KindDump marks a dump trigger firing. Code is the trigger reason
 	// and Arg the number of events captured.
@@ -120,10 +119,6 @@ const (
 const (
 	FallbackTimeout uint8 = iota
 	FallbackCancel
-	FallbackRingFull
-	FallbackBreaker
-	FallbackError
-	FallbackOversize
 )
 
 // Dump reasons (KindDump codes). DumpReasonCode maps the trigger-reason
@@ -161,7 +156,7 @@ var (
 	shedNames     = [...]string{"accept", "keepalive"}
 	deadlineNames = [...]string{"handshake", "header", "keepalive", "write"}
 	drainNames    = [...]string{"start", "done"}
-	fallbackNames = [...]string{"timeout", "cancel", "ring-full", "breaker", "error", "oversize"}
+	fallbackNames = [...]string{"timeout", "cancel"}
 	// thresholdNames mirror offload.ThresholdAsym/ThresholdSym.
 	thresholdNames = [...]string{"asym", "sym"}
 	// placementNames name the op classes a placement flip carries

@@ -14,12 +14,11 @@ import (
 )
 
 // The bulk-transfer workload: keepalive connections downloading
-// configurable response sizes, reporting goodput and CPU-per-byte —
-// the client side of the record-path evaluation (the `ktls` figure).
+// configurable response sizes, reporting goodput and CPU-per-byte.
 // Where STime stresses handshakes and AB stresses a fixed object, Bulk
 // cycles a size list per request and samples process CPU around the
-// run, so software and offloaded record paths can be compared on the
-// cost of moving a byte, not just on wall-clock throughput.
+// run, so configurations can be compared on the cost of moving a byte,
+// not just on wall-clock throughput.
 
 // BulkOptions configures the bulk-transfer load.
 type BulkOptions struct {
@@ -44,14 +43,14 @@ type BulkResult struct {
 	// CPU is the user+system CPU time this process consumed during the
 	// run. With server and client in one process (the benchmark
 	// harness), it is the total cost of serving and consuming the
-	// bytes — the comparison the record-path figure is after.
+	// bytes.
 	CPU time.Duration
 	// CPUValid reports whether the platform could sample process CPU.
 	CPUValid bool
 }
 
 // CPUPerKB returns CPU nanoseconds spent per kilobyte of response body
-// — the figure of merit for record-path offload (0 when CPU sampling
+// — the figure of merit for moving bytes (0 when CPU sampling
 // is unavailable or nothing transferred).
 func (r BulkResult) CPUPerKB() float64 {
 	if !r.CPUValid || r.BytesIn <= 0 {

@@ -92,12 +92,7 @@ type Conn struct {
 	writeOff   int
 	writing    bool
 
-	handshakeDone bool
-	// outDetached marks the write direction handed to an external record
-	// engine (DetachWriter): Write refuses, and Close leaves the
-	// close-notify alert to the engine so the out-direction sequence
-	// numbers stay consistent.
-	outDetached     bool
+	handshakeDone   bool
 	didResume       bool
 	ticketSent      bool
 	pendingCCS      bool // client peeked a CCS record (resumption detection)
@@ -827,9 +822,6 @@ func (c *Conn) Writev(a, b []byte) (int, error) {
 	if c.closed {
 		return 0, ErrClosed
 	}
-	if c.outDetached {
-		return 0, errWriterDetached
-	}
 	if !c.handshakeDone {
 		if err := c.Handshake(); err != nil {
 			return 0, err
@@ -927,7 +919,7 @@ func (c *Conn) Close() error {
 	if err := c.flushFlight(); err != nil {
 		return err
 	}
-	if c.handshakeDone && c.permErr == nil && !c.outDetached {
+	if c.handshakeDone && c.permErr == nil {
 		return c.writeRecord(recordAlert, closeNotifyPayload)
 	}
 	return nil

@@ -5,14 +5,13 @@ import (
 	"io"
 )
 
-// kTLS-style key-export seam. After a handshake completes, the negotiated
-// record-protection keys of either direction can be exported and handed
-// to an external record engine (internal/record) — the userspace analogue
-// of installing keys into kernel TLS with setsockopt(SOL_TLS): the
-// handshake stays in this package, the data path moves out.
+// Key-export seam. After a handshake completes, the negotiated
+// record-protection keys of the write direction can be exported and built
+// into a RecordCodec that seals and opens records outside the Conn
+// (internal/record, the record-path tests and benchmark probes).
 
-// Exported wire record-type values, for engines that frame records
-// themselves after taking over a direction.
+// Exported wire record-type values, for code that frames or inspects
+// records outside a Conn.
 const (
 	// RecordTypeAlert frames alert records (close-notify).
 	RecordTypeAlert uint8 = recordAlert
@@ -20,22 +19,16 @@ const (
 	RecordTypeApplicationData uint8 = recordApplicationData
 )
 
-// AlertCloseNotify is the close-notify alert payload (warning level,
-// description 0), sealed as a RecordTypeAlert record by an engine that
-// owns a detached write direction.
-func AlertCloseNotify() []byte { return []byte{1, 0} }
-
 var (
-	errNotExportable  = errors.New("minitls: record protection is not exportable")
-	errNotDone        = errors.New("minitls: handshake not complete")
-	errWriterDetached = errors.New("minitls: write direction detached to an external record engine")
+	errNotExportable = errors.New("minitls: record protection is not exportable")
+	errNotDone       = errors.New("minitls: handshake not complete")
 )
 
 // KeyMaterial is one direction's record-protection state, exported after
 // handshake completion. Exactly one of MACKey (TLS 1.2 CBC+HMAC) or IV
 // (TLS 1.3 AES-GCM) is set; Seq is the sequence number the next record
-// in that direction must use — continuity is what keeps a software peer
-// able to read the stream after the hand-off.
+// in that direction must use — continuity is what keeps the peer able to
+// read records sealed outside the Conn.
 type KeyMaterial struct {
 	Version uint16
 	Suite   uint16
@@ -52,8 +45,7 @@ type KeyMaterial struct {
 // RecordCodec seals and opens TLS records outside a Conn, built from
 // exported KeyMaterial. The caller owns sequence numbers, and Seal and
 // Open keep no state between records that concurrent calls could corrupt,
-// so one codec may protect records concurrently — the property the
-// offloaded record engine's pipelining relies on.
+// so one codec may protect records concurrently.
 type RecordCodec interface {
 	// Seal protects payload as a record of the given type under seq. The
 	// whole wire record (header included) is sealed in place in a pooled
@@ -125,44 +117,19 @@ func (p *gcmProtection) exportKeys() KeyMaterial {
 // ExportWriteKeys exports the out-direction record keys and the next
 // sequence number. Valid only after the handshake has completed.
 func (c *Conn) ExportWriteKeys() (KeyMaterial, error) {
-	return c.exportKeys(&c.out)
-}
-
-// ExportReadKeys exports the in-direction record keys and the next
-// sequence number (the decrypt-side counterpart of ExportWriteKeys).
-func (c *Conn) ExportReadKeys() (KeyMaterial, error) {
-	return c.exportKeys(&c.in)
-}
-
-func (c *Conn) exportKeys(h *halfConn) (KeyMaterial, error) {
 	if !c.handshakeDone {
 		return KeyMaterial{}, errNotDone
 	}
 	if c.permErr != nil {
 		return KeyMaterial{}, c.permErr
 	}
-	ex, ok := h.protection().(keyExporter)
+	ex, ok := c.out.protection().(keyExporter)
 	if !ok {
 		return KeyMaterial{}, errNotExportable
 	}
 	km := ex.exportKeys()
 	km.Version = c.version
 	km.Suite = c.suite
-	km.Seq = h.seq
+	km.Seq = c.out.seq
 	return km, nil
 }
-
-// DetachWriter hands ownership of the write direction to an external
-// record engine: Write refuses from now on, and Close no longer emits
-// the close-notify alert (the engine must, through its own sealed
-// stream, so sequence numbers stay continuous). Reads are unaffected.
-func (c *Conn) DetachWriter() error {
-	if !c.handshakeDone {
-		return errNotDone
-	}
-	c.outDetached = true
-	return nil
-}
-
-// WriterDetached reports whether the write direction has been detached.
-func (c *Conn) WriterDetached() bool { return c.outDetached }

@@ -325,8 +325,8 @@ type gcmKeys struct {
 
 // gcmProtection implements TLS 1.3 AES-128-GCM record protection with the
 // inner-content-type construction of RFC 8446 §5.2. The raw key is
-// retained for the kTLS-style key-export seam (Conn.ExportWriteKeys),
-// which hands it to an external record engine after the handshake.
+// retained for the key-export seam (Conn.ExportWriteKeys), which hands it
+// to a RecordCodec outside the Conn after the handshake.
 type gcmProtection struct {
 	aead cipher.AEAD
 	key  []byte

@@ -8,9 +8,9 @@
 //   - how async events reach the event loop (Notifier: a file descriptor
 //     watched by epoll vs the kernel-bypass async queue, §3.4).
 //
-// Beyond the paper's matrix, Policy carries the multi-device Placement
-// and the post-handshake RecordPolicy. Submission has no policy: every
-// request goes onto a ring as its operation pauses (§3.2).
+// Beyond the paper's matrix, Policy carries the multi-device Placement.
+// Submission has no policy: every request goes onto a ring as its
+// operation pauses (§3.2).
 //
 // Both the live stack (internal/server, internal/engine) and the
 // discrete-event performance model (internal/perf) consume this package:
@@ -255,7 +255,7 @@ const (
 // Idle is the loop state the idle decision reads.
 type Idle struct {
 	// Inflight is the number of submitted-but-unretrieved requests on the
-	// loop's crypto instances (handshake engine plus record engine).
+	// loop's crypto instances.
 	Inflight int
 	// SinceLastPoll is the time since the last response-retrieval poll —
 	// the failover timer's clock.
@@ -324,11 +324,6 @@ type Policy struct {
 	Poll PollPolicy
 	// Notify is the async event notification scheme.
 	Notify NotifyScheme
-	// Record is the post-handshake record-path policy. The zero value —
-	// the paper's five configurations — runs no record engine: records are
-	// protected by the TLS stack through its crypto provider, so with
-	// UseQAT the QAT Engine offloads every cipher operation.
-	Record RecordPolicy
 	// Placement is the multi-device placement mode (zero: single device,
 	// as in the paper's five configurations).
 	Placement Placement
@@ -337,7 +332,6 @@ type Policy struct {
 // WithDefaults resolves the poll policy's unset parameters.
 func (p Policy) WithDefaults() Policy {
 	p.Poll = p.Poll.WithDefaults()
-	p.Record = p.Record.WithDefaults()
 	return p
 }
 

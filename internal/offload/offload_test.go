@@ -134,7 +134,7 @@ func TestPark(t *testing.T) {
 		{"in flight: failover overdue likewise", heur, Idle{Inflight: 1, Spins: 10 * IdleSpinBudget, SinceLastPoll: time.Second}, false, 0},
 		{"in flight: op deadline scan caps the park", heur, Idle{Inflight: 1, Spins: IdleSpinBudget, OpDeadlines: true}, true, OpDeadlineScan},
 		{"in flight: wheel tick below the failover remainder wins", heur, Idle{Inflight: 1, Spins: IdleSpinBudget, WheelTick: 2 * ms}, true, 2 * ms},
-		{"record engine under a software handshake policy parks too", PollPolicy{}.WithDefaults(), Idle{Inflight: 2, Spins: IdleSpinBudget}, true, DefaultFailoverInterval},
+		{"no poll scheme: in flight parks until failover", PollPolicy{}.WithDefaults(), Idle{Inflight: 2, Spins: IdleSpinBudget}, true, DefaultFailoverInterval},
 		{"timer: parks for its interval without spinning", timer, Idle{Inflight: 1}, true, 2 * ms},
 		{"timer: sub-ms interval is a busy poll", PollPolicy{Scheme: PollTimer}.WithDefaults(), Idle{Inflight: 1, Spins: 1 << 20}, false, 0},
 		{"timer: nothing in flight blocks like any idle loop", timer, Idle{}, true, IdleWait},

@@ -71,7 +71,6 @@ func TestAllGeneratorsSmoke(t *testing.T) {
 		{"fig12c", 3},
 		{"degraded", 0},
 		{"overload", 0},
-		{"ktls", 0},
 		{"blackbox", 0},
 		{"adaptive", 0},
 		{"notify-parity", 0},

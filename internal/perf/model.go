@@ -29,12 +29,8 @@ const (
 // plus the model-only scenario knobs.
 type Config struct {
 	// Policy is the offload configuration proper; its fields are promoted
-	// (cfg.UseQAT, cfg.Async, cfg.Poll.Interval, ...). Unset poll and
-	// record parameters resolve to the offload defaults. The zero Record
-	// policy means what it means in the live stack — no record engine, the
-	// QAT Engine offloads every cipher operation (the paper's behavior);
-	// RecordOffload and RecordAdaptive are the discrete-event counterpart
-	// of internal/record.
+	// (cfg.UseQAT, cfg.Async, cfg.Poll.Interval, ...). Unset poll
+	// parameters resolve to the offload defaults.
 	offload.Policy
 	// Impl is the crypto pause implementation (fiber by default; the
 	// stack-async §4.1 ablation sets ImplStack).
@@ -50,11 +46,6 @@ type Config struct {
 	// the discrete-event counterpart of the live stack's accept-time
 	// shedding. Zero fields take the offload defaults.
 	Overload *offload.OverloadPolicy
-	// CipherOnCore keeps every record seal on the worker core even though
-	// the accelerator is in use — handshake-only offload, the baseline row
-	// of the ktls figure. The live stack expresses the same thing through
-	// RunConfig.Offload (default_algorithm without CIPHERS).
-	CipherOnCore bool
 	// Adaptive, when non-nil, arms the closed-loop threshold controller
 	// on every worker (offload.PollHeuristic only): each worker's poll policy
 	// carries an offload.AdaptivePoll fed by virtual-time sliding windows
@@ -207,13 +198,6 @@ type Stats struct {
 	// placement absorbed a degradation).
 	Reroutes int64
 
-	// Record-path counters: cipher (record seal) operations routed to the
-	// accelerator vs computed on the worker core. Under the zero Record
-	// policy every cipher op of a QAT configuration counts as offloaded
-	// (the paper's engine-level cipher offload).
-	RecordOffloadOps int64
-	RecordSWOps      int64
-
 	// Adaptive-poll telemetry (async configurations only). RetrieveP99 is
 	// the windowed retrieve-phase p99 (ns) at the end of the measurement
 	// window — the controller's feedback signal, reported for static runs
@@ -223,16 +207,6 @@ type Stats struct {
 	FinalAsymThreshold int
 	FinalSymThreshold  int
 	ThresholdAdjusts   int64
-}
-
-// CPUPerKB returns worker-CPU nanoseconds per kilobyte of served
-// response body — the figure of merit for record-path offload (0 when
-// nothing was served).
-func (s *Stats) CPUPerKB() float64 {
-	if s.BytesServed <= 0 {
-		return 0
-	}
-	return float64(s.CPUBusy) / (float64(s.BytesServed) / 1024)
 }
 
 func newStats() *Stats {
@@ -376,20 +350,6 @@ const (
 
 // Stats returns the current measurement window's statistics.
 func (m *Model) Stats() *Stats { return m.stats }
-
-// recordOffload reports whether a record seal of n plaintext bytes takes
-// the accelerator path. Without a record engine (the zero Record policy)
-// the QAT Engine offloads every cipher op, as in the paper's
-// configurations; a record engine decides per record by the shared policy.
-func (m *Model) recordOffload(n int) bool {
-	switch {
-	case !m.cfg.UseQAT || m.cfg.CipherOnCore:
-		return false
-	case m.cfg.Record.Mode == offload.RecordSoftware:
-		return true
-	}
-	return m.cfg.Record.Offload(n)
-}
 
 // worker picks the worker for a new connection (round robin, like
 // SO_REUSEPORT balancing).

@@ -238,16 +238,6 @@ func (w *worker) processConn(c *conn) {
 			return
 
 		case stepCrypto:
-			if st.op == opCipher && !w.m.recordOffload(st.bytes) {
-				// The record policy keeps this seal on the worker core
-				// (software mode, or an adaptive record below threshold).
-				if w.m.measuring {
-					w.m.stats.RecordSWOps++
-				}
-				c.idx++
-				w.m.sim.After(st.sw, func() { w.processConn(c) })
-				return
-			}
 			if !w.m.cfg.UseQAT || !st.op.offloadable() {
 				// Software calculation on the worker core.
 				c.idx++
@@ -303,9 +293,6 @@ func (w *worker) finishConn(c *conn) {
 func (w *worker) straightOffload(c *conn, st step) {
 	p := &w.m.p
 	c.idx++
-	if st.op == opCipher && w.m.measuring {
-		w.m.stats.RecordOffloadOps++
-	}
 	if w.stalledOffload(st.op) {
 		// The submission vanishes into the hung engine; the worker stays
 		// blocked until the deadline, then computes in software inline.
@@ -356,9 +343,6 @@ func (w *worker) pipeLatency(op opClass) time.Duration {
 func (w *worker) asyncOffload(c *conn, st step) {
 	p := &w.m.p
 	c.idx++
-	if st.op == opCipher && w.m.measuring {
-		w.m.stats.RecordOffloadOps++
-	}
 	w.inflight++
 	if st.op.asym() {
 		w.inflightAsym++

@@ -52,16 +52,8 @@ const (
 	// OpCipher is a symmetric chained cipher record operation
 	// (e.g. AES-128-CBC-HMAC-SHA1).
 	OpCipher
-	// OpSym is a bulk symmetric record-protection operation on the
-	// post-handshake data path (the kTLS-style record engine). Unlike
-	// OpCipher — a handshake-path op routed through the provider with a
-	// flat service time — OpSym requests carry their payload size
-	// (Request.Bytes) and the engine occupancy is calibrated per byte
-	// (DeviceSpec.SymBaseTime/SymPerKB), so large records hold an engine
-	// proportionally longer, as a real symmetric slice would.
-	OpSym
 
-	numOpTypes = 6
+	numOpTypes = 5
 )
 
 // String returns the conventional name of the op type.
@@ -77,8 +69,6 @@ func (t OpType) String() string {
 		return "prf"
 	case OpCipher:
 		return "cipher"
-	case OpSym:
-		return "sym"
 	default:
 		return fmt.Sprintf("op(%d)", int(t))
 	}
@@ -123,9 +113,6 @@ type Response struct {
 type Request struct {
 	// Op classifies the request for counters and scheduling.
 	Op OpType
-	// Bytes is the payload size of a bulk symmetric request (OpSym), used
-	// for byte-calibrated service times. Ignored for other op types.
-	Bytes int
 	// Work performs the actual computation on an engine goroutine. It must
 	// be non-nil and must not block indefinitely.
 	Work func() (any, error)
@@ -153,11 +140,6 @@ type DeviceSpec struct {
 	// ASIC latency for tests and demos. A nil map means "as fast as the
 	// host computes".
 	ServiceTime map[OpType]time.Duration
-	// SymBaseTime and SymPerKB calibrate OpSym engine occupancy by request
-	// size: occupancy = SymBaseTime + SymPerKB × Bytes/1024. When both are
-	// zero, OpSym falls back to the flat ServiceTime entry (or host speed).
-	SymBaseTime time.Duration
-	SymPerKB    time.Duration
 	// Injector, when non-nil, is consulted at submit and service time to
 	// inject faults (stalls, drops, corruption, latency, ring-full
 	// storms, endpoint resets). nil — the default — is free: no fault
@@ -434,14 +416,7 @@ func (ep *endpoint) engineLoop() {
 		start := time.Now()
 		var resp Response
 		resp.Result, resp.Err = p.req.Work()
-		minT, haveMin := time.Duration(0), false
-		if p.req.Op == OpSym && (ep.dev.spec.SymBaseTime > 0 || ep.dev.spec.SymPerKB > 0) {
-			minT = ep.dev.spec.SymBaseTime + ep.dev.spec.SymPerKB*time.Duration(p.req.Bytes)/1024
-			haveMin = true
-		} else if st != nil {
-			minT, haveMin = st[p.req.Op]
-		}
-		if haveMin {
+		if minT, ok := st[p.req.Op]; ok {
 			if rem := minT - time.Since(start); rem > 0 {
 				time.Sleep(rem)
 			}

@@ -6,7 +6,7 @@
 // (§3.3/§4.3) and both async event notification schemes (§3.4/§4.4).
 //
 // The offload configuration — polling scheme and thresholds, notification
-// scheme, submit strategy, record path, placement, and the five named
+// scheme, submit strategy, placement, and the five named
 // configurations — is internal/offload's Policy, the one value this
 // package and the DES performance model (internal/perf) both embed.
 // RunConfig adds only what the live stack alone has: the pause
@@ -34,10 +34,10 @@ import (
 // settings that have no counterpart in the model.
 type RunConfig struct {
 	// Policy is the offload configuration proper. Its fields are promoted
-	// (run.UseQAT, run.Poll.AsymThreshold, ...); unset poll and record
-	// parameters resolve to the offload defaults. Placement selects
-	// whether every worker uses device 0 of Options.Pool (single) or each
-	// homes on the device its hash selects (conn-hash).
+	// (run.UseQAT, run.Poll.AsymThreshold, ...); unset poll parameters
+	// resolve to the offload defaults. Placement selects whether every
+	// worker uses device 0 of Options.Pool (single) or each homes on the
+	// device its hash selects (conn-hash).
 	offload.Policy
 
 	// AsyncMode selects which crypto-pause implementation an async policy

@@ -27,11 +27,6 @@ func (w *Worker) handshakeHandler(c *conn) {
 		if c.tls.ConnectionState().DidResume {
 			w.Stats.Resumed.Add(1)
 		}
-		if w.rec != nil {
-			// Record-path mode switch: hand the write direction to the
-			// offloaded record engine now that the keys exist (§kTLS).
-			w.installStream(c)
-		}
 		c.handler = (*Worker).requestHandler
 		w.requestHandler(c)
 	case errors.Is(err, minitls.ErrWantRead):
@@ -177,12 +172,6 @@ func (w *Worker) serveRequest(c *conn, req []byte) {
 	hdr = append(hdr, "\r\nConnection: "...)
 	hdr = append(hdr, connHdr...)
 	hdr = append(hdr, "\r\n\r\n"...)
-	if c.stream != nil {
-		// Offloaded record path: the body is sealed in place, never
-		// copied into a staging buffer (recordpath.go).
-		w.serveRecord(c, hdr, body)
-		return
-	}
 	// Header and body stay two slices: minitls gathers them record by
 	// record, cutting where their concatenation would be cut.
 	c.writeHdr, c.writeBody = hdr, body

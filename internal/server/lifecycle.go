@@ -61,8 +61,7 @@ func (w *Worker) rearmDeadline(c *conn) {
 		w.armDeadline(c, offload.DeadlineHandshake)
 	case c.draining || c.nc.HasPending():
 		w.armDeadline(c, offload.DeadlineWrite)
-	case c.active || len(c.reqBuf) > 0 || len(c.writeHdr) > 0 ||
-		(c.stream != nil && c.stream.Pending() > 0):
+	case c.active || len(c.reqBuf) > 0 || len(c.writeHdr) > 0:
 		w.armDeadline(c, offload.DeadlineHeader)
 	default:
 		w.armDeadline(c, offload.DeadlineKeepalive)
@@ -107,7 +106,7 @@ func (w *Worker) closeGracefully(c *conn, tag trace.Tag) {
 	if w.tr.Active() {
 		w.tr.Record(trace.PhaseShed, trace.OpNone, tag, int64(c.fd), time.Now(), 0)
 	}
-	w.sendCloseNotify(c) // queues the close-notify alert on the owning plane
+	c.tls.Close() // queues the close-notify alert
 	if c.nc.Flush(); c.nc.HasPending() {
 		c.draining = true
 		w.updateWriteInterest(c)
@@ -192,8 +191,7 @@ func (w *Worker) drainStep() bool {
 		if c.asyncPending || c.draining {
 			continue // a QAT response or a queued close-notify completes it
 		}
-		if c.active || len(c.reqBuf) > 0 || len(c.writeHdr) > 0 || c.nc.HasPending() ||
-			(c.stream != nil && c.stream.Pending() > 0) {
+		if c.active || len(c.reqBuf) > 0 || len(c.writeHdr) > 0 || c.nc.HasPending() {
 			continue // admitted work in progress; its write handler closes after it
 		}
 		if !c.tls.HandshakeComplete() {

@@ -16,8 +16,7 @@ import (
 
 // initSeries registers this worker's series — gauges pre-created so the
 // hot path never hits the registry mutex, and counters read from
-// WorkerStats and the record engine — so /metrics lists every series from
-// the first scrape.
+// WorkerStats — so /metrics lists every series from the first scrape.
 func (w *Worker) initSeries() {
 	if w.reg == nil {
 		return
@@ -76,11 +75,6 @@ func (w *Worker) initSeries() {
 	}
 	for i := range st.DeadlineExpired {
 		w.reg.CounterFunc(`qtls_deadline_expired{class="`+offload.DeadlineClass(i).String()+`"}`, st.DeadlineExpired[i].Load)
-	}
-	if rec := w.rec; rec != nil {
-		w.reg.CounterFunc("qtls_record_bytes", func() int64 { return rec.Stats().Bytes })
-		w.reg.CounterFunc("qtls_record_offload_ops", func() int64 { return rec.Stats().OffloadOps })
-		w.reg.CounterFunc("qtls_record_sw_ops", func() int64 { return rec.Stats().SoftwareOps })
 	}
 }
 

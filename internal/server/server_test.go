@@ -33,15 +33,22 @@ func identity(t testing.TB) *minitls.Identity {
 
 func startServer(t *testing.T, run RunConfig, workers int, tlsExtra func(*minitls.Config)) (*Server, *qat.Device) {
 	t.Helper()
+	return startServerOn(t, qat.DeviceSpec{Endpoints: 3, EnginesPerEndpoint: 4, RingCapacity: 128}, run, workers, tlsExtra)
+}
+
+// startServerOn is startServer on a device built from spec (none when run
+// uses no QAT).
+func startServerOn(tb testing.TB, spec qat.DeviceSpec, run RunConfig, workers int, tlsExtra func(*minitls.Config)) (*Server, *qat.Device) {
+	tb.Helper()
 	var dev *qat.Device
 	var pool *qat.Pool
 	if run.UseQAT {
-		dev = qat.NewDevice(qat.DeviceSpec{Endpoints: 3, EnginesPerEndpoint: 4, RingCapacity: 128})
-		t.Cleanup(dev.Close)
+		dev = qat.NewDevice(spec)
+		tb.Cleanup(dev.Close)
 		pool = qat.PoolOf(dev)
 	}
 	tlsCfg := &minitls.Config{
-		Identity:     identity(t),
+		Identity:     identity(tb),
 		CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA, minitls.TLS_RSA_WITH_AES_128_CBC_SHA},
 	}
 	if tlsExtra != nil {
@@ -56,10 +63,10 @@ func startServer(t *testing.T, run RunConfig, workers int, tlsExtra func(*minitl
 		Handler: SizedBodyHandler(4 << 20),
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv.Start()
-	t.Cleanup(srv.Stop)
+	tb.Cleanup(srv.Stop)
 	return srv, dev
 }
 

@@ -17,7 +17,6 @@ import (
 	"qtls/internal/netpoll"
 	"qtls/internal/offload"
 	"qtls/internal/qat"
-	"qtls/internal/record"
 	"qtls/internal/trace"
 )
 
@@ -93,7 +92,6 @@ type Worker struct {
 	poll    offload.PollPolicy // cfg.Poll, plus the adaptive controller when armed
 	tlsTmpl *minitls.Config
 	eng     *engine.Engine
-	rec     *record.Engine // post-handshake record data plane (nil: software)
 	handler Handler
 	reg     *metrics.Registry
 
@@ -132,7 +130,6 @@ type Worker struct {
 	// shared with the DES through offload.Notifier.
 	notif        *offload.Notifier
 	retryQueue   []*conn // conns awaiting a submission retry
-	recWaiting   []*conn // conns whose record-path response is in flight
 	activeConns  int     // TCactive = alive - idle (§4.3)
 	asyncWaiting int     // conns with asyncPending set (deadline scan gate)
 
@@ -140,11 +137,10 @@ type Worker struct {
 
 	// Idle-decision state (offload.PollPolicy.Park): the work done so far
 	// this iteration (responses retrieved plus handlers run), the run of
-	// consecutive iterations that did none, the record engine's instance,
-	// and the instances whose wake seam is armed for the current park.
+	// consecutive iterations that did none, and the instances whose wake
+	// seam is armed for the current park (the engine's, or none).
 	work      int
 	idleIters int
-	recInst   *qat.Instance
 	armed     []*qat.Instance
 
 	// adaptive is the closed-loop threshold controller (nil = static
@@ -250,20 +246,11 @@ type life struct {
 	draining        bool // close once buffered output drains
 	closed          bool
 
-	// Record-path state (RecordMode != software): the offloaded write
-	// stream installed after the handshake, the plaintext size of the
-	// response currently moving through it, and whether a cancel left
-	// seals of it in flight, which still read the conn's header.
-	stream         *record.Stream
-	respBytes      int
-	sealsAbandoned bool
-
 	// Worker queues listing the conn: the notifier's (an async event
-	// queued), the retry queue and the record-completion scan. A closed
-	// conn is not reused while any is set (reclaim).
+	// queued) and the retry queue. A closed conn is not reused while
+	// either is set (reclaim).
 	queued      bool
 	retryQueued bool
-	recQueued   bool
 
 	// Deadline-wheel state (see wheel.go): whether a lifecycle deadline is
 	// armed, its class, its absolute time, and the generation counter that
@@ -391,25 +378,6 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 		}
 		w.ringCap = w.eng.RingCapacity()
 	}
-	if cfg.Record.Mode != offload.RecordSoftware {
-		// The record data plane gets its own crypto instance, separate
-		// from the handshake engine's: symmetric bulk ops must not
-		// compete for ring slots with latency-critical asymmetric ops.
-		// Without a device the engine still runs, all-software.
-		if cfg.UseQAT && pool != nil {
-			if w.recInst, err = pool.AllocInstance(homeDev); err != nil {
-				w.cleanup()
-				return nil, err
-			}
-		}
-		w.rec = record.New(record.Config{
-			Instance:  w.recInst,
-			Policy:    cfg.Record,
-			Lifecycle: w.lc,
-			Trace:     w.tr,
-			Flight:    w.fl,
-		})
-	}
 	if cfg.AdaptivePoll != nil && cfg.Poll.Scheme == offload.PollHeuristic {
 		if tracer == nil || fr == nil {
 			w.cleanup()
@@ -456,9 +424,6 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 		for _, inst := range w.eng.Instances() {
 			inst.SetWakeHook(w.wake)
 		}
-	}
-	if w.recInst != nil {
-		w.recInst.SetWakeHook(w.wake)
 	}
 
 	// Per-worker TLS template.
@@ -579,7 +544,6 @@ func (w *Worker) Run() {
 		w.advanceWheel()
 		w.processAsyncQueue()
 		w.processRetryQueue()
-		w.pollRecordEngine()
 		w.maybeRehome()
 		if w.draining.Load() && w.drainStep() {
 			return // fully drained: deferred shutdown tears down cleanly
@@ -655,9 +619,6 @@ func (w *Worker) waitTimeout() int {
 			idle.SinceLastPoll = time.Since(w.lastPoll)
 		}
 	}
-	if w.rec != nil {
-		idle.Inflight += w.rec.Inflight()
-	}
 	if w.wheel.live > 0 {
 		idle.WheelTick = w.wheel.tick
 	}
@@ -673,21 +634,17 @@ func (w *Worker) waitTimeout() int {
 
 // armWake arms the wake seam and then looks at the rings one last time —
 // in that order, so a completion either is seen here or finds the flag
-// set and writes the wake pipe. Only instances whose completions the next
-// iteration would retrieve are armed: the record engine's while it has
-// seals in flight, the handshake engine's while the heuristic constraints
-// hold. (While they do not, a completion changes nothing — the response
-// waits for more in-flight requests, a socket event or the failover
-// timer, and the park bound already covers the last.) It reports whether
-// the loop may block; on false the seam is disarmed again.
+// set and writes the wake pipe. The engine's instances are armed only while
+// the heuristic constraints hold, when the next iteration would retrieve a
+// completion. (While they do not, a completion changes nothing — the
+// response waits for more in-flight requests, a socket event or the
+// failover timer, and the park bound already covers the last.) It reports
+// whether the loop may block; on false the seam is disarmed again.
 func (w *Worker) armWake() bool {
-	w.armed = w.armed[:0]
-	if w.eng != nil && w.poll.ShouldPoll(w.eng.InflightTotal(), w.eng.InflightAsym(), w.activeConns) {
-		w.armed = append(w.armed, w.eng.Instances()...)
+	if w.eng == nil || !w.poll.ShouldPoll(w.eng.InflightTotal(), w.eng.InflightAsym(), w.activeConns) {
+		return true
 	}
-	if w.recInst != nil && w.rec.Inflight() > 0 {
-		w.armed = append(w.armed, w.recInst)
-	}
+	w.armed = w.eng.Instances()
 	for _, inst := range w.armed {
 		inst.ArmWake()
 	}
@@ -708,7 +665,7 @@ func (w *Worker) disarmWake() (fired bool) {
 			fired = true
 		}
 	}
-	w.armed = w.armed[:0]
+	w.armed = nil
 	return fired
 }
 
@@ -926,14 +883,6 @@ func (w *Worker) closeConn(c *conn) {
 		c.handler(w, c)
 	}
 	w.setAsyncPending(c, false)
-	if c.stream != nil {
-		// Abandon the record-path response: in-flight seals complete
-		// into the engine's pool without touching the dead socket. They
-		// still read the header, so the conn is not reused.
-		c.sealsAbandoned = c.stream.Pending() > 0
-		c.stream.Cancel()
-		c.stream = nil
-	}
 	w.disarmDeadline(c)
 	if c.active {
 		c.active = false
@@ -955,13 +904,13 @@ func (w *Worker) closeConn(c *conn) {
 // is stale for good (dlGen). Two holders remain. A worker queue listing c
 // lets go when it pops it, and calls reclaim again. An offloaded op that
 // was abandoned — settled by its deadline or a cancel while a device held
-// it (minitls.Conn.OpAbandoned), still in flight when the conn closed, or
-// a record seal a cancel left in flight — never lets go: the device may
-// still run the op, which reads c's op slots, handshake state and
-// response header, so such a conn goes to the garbage collector instead.
+// it (minitls.Conn.OpAbandoned) or still in flight when the conn closed —
+// never lets go: the device may still run the op, which reads c's op
+// slots, handshake state and response header, so such a conn goes to the
+// garbage collector instead.
 func (w *Worker) reclaim(c *conn) {
-	if !c.closed || c.queued || c.retryQueued || c.recQueued ||
-		c.tls.OpAbandoned() || c.tls.AsyncInFlight() || c.sealsAbandoned ||
+	if !c.closed || c.queued || c.retryQueued ||
+		c.tls.OpAbandoned() || c.tls.AsyncInFlight() ||
 		len(w.free) == maxFreeConns {
 		return
 	}

@@ -62,10 +62,6 @@ const (
 	// bytes were spent) or at keepalive-reuse time (Connection: close
 	// after the in-flight response). Arg carries the connection fd.
 	PhaseShed
-	// PhaseRecord is one post-handshake record-engine flush: sealed
-	// records leaving the record data plane for a connection's socket
-	// buffer, in order (Arg carries the wire bytes flushed).
-	PhaseRecord
 
 	// NumPhases is the number of defined phases.
 	NumPhases
@@ -86,8 +82,6 @@ func (p Phase) String() string {
 		return "poll"
 	case PhaseShed:
 		return "shed"
-	case PhaseRecord:
-		return "record"
 	default:
 		return fmt.Sprintf("phase(%d)", int(p))
 	}
@@ -106,14 +100,14 @@ func PhaseSeriesName(p Phase) string {
 }
 
 // Op classifies the crypto operation a span belongs to. Values mirror
-// qat.OpType (rsa, ecdsa, ecdh, prf, cipher, sym); OpNone marks spans
+// qat.OpType (rsa, ecdsa, ecdh, prf, cipher); OpNone marks spans
 // not tied to one operation (polls, loop work).
 type Op uint8
 
 // OpNone marks a span with no associated crypto operation.
 const OpNone Op = 0xff
 
-var opNames = [...]string{"rsa", "ecdsa", "ecdh", "prf", "cipher", "sym"}
+var opNames = [...]string{"rsa", "ecdsa", "ecdh", "prf", "cipher"}
 
 // String returns the conventional op name.
 func (o Op) String() string {
