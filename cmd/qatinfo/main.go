@@ -26,13 +26,6 @@
 // per-second incident timeline and the top slow spans:
 //
 //	qatinfo -flight flight-breaker-open-1723110000.jsonl
-//
-// With -recommend, the burst's retrieve latencies and completion-batch
-// sizes additionally feed the adaptive poll controller offline, and the
-// thresholds it settles on are printed as a starting point for
-// qtlsserver's -asym-threshold/-sym-threshold (or -adaptive-poll):
-//
-//	qatinfo -burst 500 -recommend
 package main
 
 import (
@@ -46,7 +39,6 @@ import (
 	"qtls/internal/fault"
 	"qtls/internal/flight"
 	"qtls/internal/metrics"
-	"qtls/internal/offload"
 	"qtls/internal/qat"
 	"qtls/internal/trace"
 )
@@ -65,7 +57,6 @@ func main() {
 		deadline  = flag.Duration("op-timeout", 50*time.Millisecond, "drain deadline: give up on stalled requests after this long without progress")
 		flightIn  = flag.String("flight", "", "read a flight-recorder dump (JSON lines) and pretty-print it instead of exercising a device")
 		topK      = flag.Int("top", 10, "slow spans to list with -flight")
-		recommend = flag.Bool("recommend", false, "replay the adaptive poll controller over this run's latency/batch windows and print the thresholds it settles on")
 	)
 	flag.Parse()
 
@@ -101,12 +92,6 @@ func main() {
 	rec := trace.NewRecorder(4096)
 	rec.SetEnabled(true)
 	spans := rec.Buffer(0)
-	// With -recommend, the same latencies and completion-batch sizes also
-	// feed a pair of flight windows — the adaptive controller's feedback
-	// shape — so the controller can be replayed over them afterwards. One
-	// hour-wide bucket keeps every observation in-window for the replay.
-	latWin := flight.NewWindow(1, time.Hour)
-	batchWin := flight.NewWindow(1, time.Hour)
 	lat := map[qat.OpType]*metrics.Histogram{}
 	for _, op := range ops {
 		lat[op] = new(metrics.Histogram)
@@ -136,16 +121,6 @@ func main() {
 		fmt.Printf("%s\n", inj)
 	}
 
-	// poll drains responses from one instance, feeding the completion
-	// batch window the controller replay reads.
-	poll := func(inst *qat.Instance) int {
-		n := inst.Poll(0)
-		if n > 0 {
-			batchWin.Observe(float64(n), time.Now().UnixNano())
-		}
-		return n
-	}
-
 	start := time.Now()
 	var submitErrs, respErrs int
 	for _, inst := range insts {
@@ -159,7 +134,6 @@ func main() {
 				Callback: func(r qat.Response) {
 					d := time.Since(submitAt)
 					lat[op].ObserveDuration(d)
-					latWin.Observe(float64(d), time.Now().UnixNano())
 					spans.Record(trace.PhaseRetrieve, trace.Op(op), trace.TagNone, 0, submitAt, d)
 					if r.Err != nil {
 						respErrs++
@@ -189,7 +163,7 @@ func main() {
 							continue
 						}
 						if errors.Is(err, qat.ErrRingFull) {
-							poll(inst)
+							inst.Poll(0)
 							continue
 						}
 						// Device-level failure: feed the breaker, drop the
@@ -211,7 +185,7 @@ func main() {
 						break
 					}
 					if errors.Is(err, qat.ErrRingFull) {
-						poll(inst)
+						inst.Poll(0)
 						continue
 					}
 					// Device-level failure (e.g. endpoint reset): feed the
@@ -233,7 +207,7 @@ func main() {
 	for {
 		pending, progress := 0, 0
 		for _, inst := range insts {
-			progress += poll(inst)
+			progress += inst.Poll(0)
 			pending += inst.Inflight()
 		}
 		lc.Tick()
@@ -322,41 +296,6 @@ func main() {
 	}
 	fmt.Printf("\ntotal responses: %d (%.0f ops/s)\n",
 		total, float64(total)/elapsed.Seconds())
-
-	if *recommend {
-		recommendThresholds(latWin, batchWin)
-	}
-}
-
-// recommendThresholds replays the adaptive controller over the windows
-// this run populated until it stops moving, and prints where it lands:
-// the largest thresholds the measured completion-batch efficiency
-// supports, or a walk toward the minimum if retrieve latencies sit at
-// failover scale. The replay uses a tight interval so convergence takes
-// milliseconds of virtual time.
-func recommendThresholds(latWin, batchWin *flight.Window) {
-	a := offload.NewAdaptivePoll(offload.AdaptiveConfig{
-		Interval:   time.Millisecond,
-		MinSamples: 1,
-	}, flight.WindowFeedback{Latency: latWin, Batch: batchWin})
-	now := time.Now().UnixNano()
-	step := int64(2 * time.Millisecond)
-	last := int64(-1)
-	for i := 0; i < 128; i++ {
-		a.Tick(now + int64(i)*step)
-		if adj := a.Adjusts(); adj == last {
-			break
-		} else {
-			last = adj
-		}
-	}
-	asym, sym := a.Thresholds()
-	snap := latWin.Snapshot(now)
-	mean := batchWin.Snapshot(now).Mean
-	fmt.Printf("\nrecommended poll thresholds (controller replay: retrieve p99 %v over %d samples, mean batch %.1f):\n",
-		time.Duration(snap.P99).Round(time.Microsecond), snap.Count, mean)
-	fmt.Printf("  asym=%d sym=%d after %d moves\n", asym, sym, a.Adjusts())
-	fmt.Printf("  (qtlsserver -asym-threshold %d -sym-threshold %d, or -adaptive-poll to track this live)\n", asym, sym)
 }
 
 // printFlightDump renders a black-box dump file through flight's

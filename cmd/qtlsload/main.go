@@ -28,7 +28,6 @@ func main() {
 		mode     = flag.String("mode", "stime", "workload: stime (handshakes) or ab (keepalive requests)")
 		clients  = flag.Int("clients", 10, "concurrent clients")
 		duration = flag.Duration("duration", 5*time.Second, "run duration")
-		reuse    = flag.Float64("reuse", 0, "fraction of resumed connections (stime mode; alias of -resume-fraction)")
 		resume   = flag.Float64("resume-fraction", 0, "fraction of connections attempted as abbreviated (resumed) handshakes; implies requesting session tickets")
 		path     = flag.String("path", "/1024", "request path (ab mode, or stime per-connection request)")
 		request  = flag.Bool("request", false, "stime: issue one request per connection")
@@ -47,11 +46,7 @@ func main() {
 		tlsCfg.MaxVersion = minitls.VersionTLS13
 	}
 
-	frac := *reuse
 	if *resume > 0 {
-		frac = *resume
-	}
-	if frac > 0 {
 		// A resumption mix needs sessions to resume: ask the server for
 		// tickets on the full handshakes.
 		tlsCfg.RequestTicket = true
@@ -65,7 +60,7 @@ func main() {
 			Clients:        *clients,
 			Duration:       *duration,
 			TLS:            tlsCfg,
-			ResumeFraction: frac,
+			ResumeFraction: *resume,
 		}
 		if *request {
 			opts.RequestPath = *path

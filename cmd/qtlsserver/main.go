@@ -126,7 +126,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8443", "listen address")
 		keyType  = flag.String("key", "rsa", "server key type: rsa or ecdsa")
 		maxVer   = flag.String("max-version", "1.2", "maximum TLS version: 1.2 or 1.3")
-		adaptive = flag.Bool("adaptive-poll", false, "close the loop on the heuristic thresholds from the retrieve-phase window (implies -flight)")
 		devCount = flag.Int("devices", 1, "simulated QAT devices in the pool")
 		tktRot   = flag.Duration("ticket-rotate", 0, "session-ticket key rotation interval for the shared ring (0 = off; needs a multi-device placement)")
 		traceOn  = flag.Bool("trace", false, "record offload-phase spans (serves /debug/trace, adds phase latency to stats)")
@@ -192,18 +191,6 @@ func main() {
 		var key [32]byte
 		copy(key[:], "qtlsserver-demo-ticket-key-32byte")
 		tlsCfg.TicketKey = &key
-	}
-
-	// Adaptive polling replaces the static 48/24 thresholds with the
-	// closed-loop controller. Its feedback source is the flight
-	// recorder's retrieve-phase window, so it implies -flight (which in
-	// turn implies -trace).
-	if *adaptive {
-		if run.Poll.Scheme != offload.PollHeuristic {
-			log.Fatalf("-adaptive-poll needs heuristic polling (config %s uses %v)", run.Name, run.Poll.Scheme)
-		}
-		run.AdaptivePoll = &offload.AdaptiveConfig{}
-		*flightOn = true
 	}
 
 	// Degradation knobs: the deadline/retry ladder applies to any
@@ -354,9 +341,6 @@ func main() {
 			}
 		}()
 		log.Printf("ticket ring: rotating every %s", *tktRot)
-	}
-	if run.AdaptivePoll != nil {
-		log.Print("adaptive polling: closed-loop thresholds, watch qtls_poll_threshold{class} on /metrics")
 	}
 	if srv.Lifecycle() != nil {
 		log.Printf("lifecycle: per-instance breakers, quarantine/probation/recovery on %d device(s), qtls_device_state{dev} on /metrics",

@@ -58,10 +58,6 @@ const (
 	// KindDump marks a dump trigger firing. Code is the trigger reason
 	// and Arg the number of events captured.
 	KindDump
-	// KindThreshold is one adaptive poll-threshold move. Code is the
-	// threshold class (asym/sym), Dur the old threshold and Arg the new
-	// one.
-	KindThreshold
 	// KindPlacement is one placement flip: the engine routed an op to a
 	// different device than its predecessor (breaker open, quarantine or
 	// rings saturated on the preferred set), or a worker re-homed. Code is
@@ -78,14 +74,14 @@ const (
 )
 
 // ControlPlane reports whether the kind records a decision the system
-// took (a breaker flip, a drain step, a threshold move, a re-route, a
+// took (a breaker flip, a drain step, a re-route, a
 // device-lifecycle transition, a dump) rather than something that
 // happened to one request. Control-plane events are rare and are the
 // story of an incident; journals keep them where data-plane volume
 // cannot evict them.
 func (k Kind) ControlPlane() bool {
 	switch k {
-	case KindBreaker, KindDrain, KindDump, KindThreshold, KindPlacement, KindLifecycle:
+	case KindBreaker, KindDrain, KindDump, KindPlacement, KindLifecycle:
 		return true
 	}
 	return false
@@ -93,7 +89,7 @@ func (k Kind) ControlPlane() bool {
 
 // kindNames indexes the kind names dump output uses by Kind.
 var kindNames = [numKinds]string{"slowspan", "breaker", "fault", "shed", "deadline",
-	"drain", "fallback", "dump", "threshold", "placement", "lifecycle"}
+	"drain", "fallback", "dump", "placement", "lifecycle"}
 
 // String returns the kind name used in dump output.
 func (k Kind) String() string {
@@ -157,8 +153,6 @@ var (
 	deadlineNames = [...]string{"handshake", "header", "keepalive", "write"}
 	drainNames    = [...]string{"start", "done"}
 	fallbackNames = [...]string{"timeout", "cancel"}
-	// thresholdNames mirror offload.ThresholdAsym/ThresholdSym.
-	thresholdNames = [...]string{"asym", "sym"}
 	// placementNames name the op classes a placement flip carries
 	// (PlacementAsym / PlacementSym codes below).
 	placementNames = [...]string{"asym", "sym"}
@@ -211,8 +205,6 @@ func codeName(k Kind, code uint8) string {
 		tab = fallbackNames[:]
 	case KindDump:
 		tab = dumpReasons[:]
-	case KindThreshold:
-		tab = thresholdNames[:]
 	case KindPlacement:
 		tab = placementNames[:]
 	case KindLifecycle:

@@ -54,14 +54,14 @@ func (c Config) withDefaults() Config {
 }
 
 // opClass maps a span op onto the window class index (0 = asym,
-// 1 = sym, -1 = neither). Ordinals mirror qat.OpType/trace.Op: rsa,
-// ecdsa, ecdh are the asymmetric handshake ops; prf, cipher, sym are
-// the symmetric/derivation ops.
+// 1 = sym, -1 = neither). Ordinals mirror the ops trace.Op names: rsa,
+// ecdsa and ecdh are the asymmetric handshake ops, prf and cipher the
+// symmetric ones; any other ordinal, OpNone included, is neither.
 func opClass(op trace.Op) int {
-	switch {
-	case op <= 2:
+	switch op {
+	case 0, 1, 2:
 		return 0
-	case op <= 5:
+	case 3, 4:
 		return 1
 	}
 	return -1
@@ -210,28 +210,6 @@ func (r *Recorder) onEvent(k Kind, code uint8, tNs int64) {
 			r.trigger("breaker-open", tNs)
 		}
 	}
-}
-
-// NewWindow builds an extra sliding window with the recorder's bucket
-// geometry — for feedback consumers (the adaptive poll tuner's
-// completion-batch window) that want the same time horizon as the
-// recorder's own windows. A nil recorder returns a default window so
-// callers need no nil branch.
-func (r *Recorder) NewWindow() *Window {
-	if r == nil {
-		return NewWindow(0, 0)
-	}
-	return NewWindow(r.cfg.Buckets, r.cfg.Bucket)
-}
-
-// PhaseWindow returns the sliding window of one trace phase — the
-// in-process consumer surface (the adaptive ShouldPoll tuner reads the
-// retrieve-phase window from here).
-func (r *Recorder) PhaseWindow(p trace.Phase) *Window {
-	if r == nil || int(p) >= len(r.phaseWin) {
-		return nil
-	}
-	return r.phaseWin[p]
 }
 
 // Events returns up to n journaled events, merged across workers and

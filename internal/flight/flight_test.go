@@ -26,6 +26,34 @@ func newTestRecorder(cfg Config) (*Recorder, *fakeClock) {
 	return New(cfg), clk
 }
 
+// PhaseWindow is the tests' view of one trace phase's sliding window.
+func (r *Recorder) PhaseWindow(p trace.Phase) *Window { return r.phaseWin[p] }
+
+// Every op trace names lands in its class window; any other ordinal —
+// 5, the first unnamed one, and OpNone — in neither.
+func TestOpClass(t *testing.T) {
+	for _, c := range []struct {
+		op   trace.Op
+		name string
+		want int
+	}{
+		{0, "rsa", 0},
+		{1, "ecdsa", 0},
+		{2, "ecdh", 0},
+		{3, "prf", 1},
+		{4, "cipher", 1},
+		{5, "op(5)", -1},
+		{trace.OpNone, "none", -1},
+	} {
+		if got := c.op.String(); got != c.name {
+			t.Fatalf("trace.Op(%d) is named %q, want %q", int(c.op), got, c.name)
+		}
+		if got := opClass(c.op); got != c.want {
+			t.Errorf("opClass(%s) = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 func TestFlightJournalNoteAndEvents(t *testing.T) {
 	r, _ := newTestRecorder(Config{})
 	j := r.Journal(3)
@@ -80,7 +108,7 @@ func TestFlightDisabledAndNilAreInert(t *testing.T) {
 	nilR.Trigger("manual")
 	nilR.Register(nil)
 	nilR.SetDumpSink(nil)
-	if nilR.Journal(0) != nil || nilR.Events(1) != nil || nilR.PhaseWindow(trace.PhasePre) != nil {
+	if nilR.Journal(0) != nil || nilR.Events(1) != nil {
 		t.Fatal("nil recorder not inert")
 	}
 	// The span fan-out still feeds the lifetime histograms without one.
@@ -140,7 +168,7 @@ func TestFlightSpanHookFeedsWindowsAndJournal(t *testing.T) {
 
 	start := time.Unix(0, clk.now())
 	buf.Record(trace.PhaseRetrieve, trace.Op(0), trace.TagNone, 7, start, 100*time.Microsecond) // fast: window only
-	buf.Record(trace.PhaseRetrieve, trace.Op(5), trace.TagNone, 8, start, 5*time.Millisecond)   // slow: journaled
+	buf.Record(trace.PhaseRetrieve, trace.Op(4), trace.TagNone, 8, start, 5*time.Millisecond)   // slow: journaled
 	buf.Record(trace.PhasePoll, trace.OpNone, trace.TagFailover, 3, start, 0)                   // a batch of 3
 
 	ws := r.PhaseWindow(trace.PhaseRetrieve).Snapshot(clk.now() + int64(5*time.Millisecond))
@@ -166,7 +194,7 @@ func TestFlightSpanHookFeedsWindowsAndJournal(t *testing.T) {
 	}
 	e := evs[0]
 	if e.Kind != KindSlowSpan || e.Worker != 1 || codeName(e.Kind, e.Code) != "retrieve" ||
-		e.Op != trace.Op(5) || e.Dur != int64(5*time.Millisecond) || e.Arg != 8 {
+		e.Op != trace.Op(4) || e.Dur != int64(5*time.Millisecond) || e.Arg != 8 {
 		t.Fatalf("slow-span event decoded wrong: %+v", e)
 	}
 }

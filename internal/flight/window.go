@@ -20,7 +20,7 @@ type windowSlot struct {
 // the same bucket layout and metrics.RelErr as metrics.Histogram. Unlike
 // a Histogram, which remembers everything since its last Reset, a Window
 // forgets — its p99 is the p99 of the last minute, which is the signal
-// the anomaly trigger and the adaptive ShouldPoll tuner need.
+// the anomaly trigger needs.
 //
 // The clock is injected: every method takes nowNs, so the hot path
 // never calls time.Now (span-fed observations reuse the span's own

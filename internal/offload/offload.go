@@ -170,13 +170,6 @@ type PollPolicy struct {
 	SymThreshold int
 	// FailoverInterval is the heuristic failover timer (default 5 ms).
 	FailoverInterval time.Duration
-	// Adaptive, when non-nil, overrides the static thresholds with the
-	// closed-loop controller's current values: Threshold (and therefore
-	// ShouldPoll) reads the controller instead of AsymThreshold /
-	// SymThreshold, while the call sites stay byte-for-byte identical.
-	// Nil — the paper's static scheme — for all five named
-	// configurations.
-	Adaptive *AdaptivePoll
 }
 
 // WithDefaults resolves unset parameters to the paper's defaults.
@@ -201,9 +194,6 @@ func (p PollPolicy) WithDefaults() PollPolicy {
 // otherwise (§4.3: "48 when asymmetric requests are in flight, 24
 // otherwise").
 func (p PollPolicy) Threshold(inflightAsym int) int {
-	if p.Adaptive != nil {
-		return p.Adaptive.Threshold(inflightAsym)
-	}
 	if inflightAsym > 0 {
 		return p.AsymThreshold
 	}

@@ -17,8 +17,8 @@ import (
 // few seconds of onset (arming the flight recorder's anomaly dump) and
 // decays once the incident leaves the window; the lifetime p99 never
 // moves, because the slow spans stay below one percent of all samples
-// ever observed. That asymmetry is why the anomaly trigger and the
-// adaptive poll tuner read the window, never the lifetime series. Both
+// ever observed. That asymmetry is why the anomaly trigger reads the
+// window, never the lifetime series. Both
 // planes use the same quarter-log2 estimator (metrics.Dist), so the
 // figure contrasts their time horizons, not two estimators.
 //

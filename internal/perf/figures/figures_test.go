@@ -125,8 +125,8 @@ func TestFig12bShape(t *testing.T) {
 
 func TestByIDAndIDs(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 19 {
-		t.Fatalf("want 19 experiments (1 table + 11 figures + degraded + overload + blackbox + adaptive + notify-parity + shard + recovery), got %d", len(ids))
+	if len(ids) != 18 {
+		t.Fatalf("want 18 experiments (1 table + 11 figures + degraded + overload + blackbox + notify-parity + shard + recovery), got %d", len(ids))
 	}
 	for _, id := range ids {
 		if _, ok := ByID(id); !ok {

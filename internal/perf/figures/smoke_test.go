@@ -72,7 +72,6 @@ func TestAllGeneratorsSmoke(t *testing.T) {
 		{"degraded", 0},
 		{"overload", 0},
 		{"blackbox", 0},
-		{"adaptive", 0},
 		{"notify-parity", 0},
 		{"shard", 0},
 		{"recovery", 0},

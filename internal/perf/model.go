@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"qtls/internal/flight"
 	"qtls/internal/metrics"
 	"qtls/internal/offload"
 	"qtls/internal/sim"
@@ -46,13 +45,6 @@ type Config struct {
 	// the discrete-event counterpart of the live stack's accept-time
 	// shedding. Zero fields take the offload defaults.
 	Overload *offload.OverloadPolicy
-	// Adaptive, when non-nil, arms the closed-loop threshold controller
-	// on every worker (offload.PollHeuristic only): each worker's poll policy
-	// carries an offload.AdaptivePoll fed by virtual-time sliding windows
-	// of retrieve-phase latency and completion-batch size — the
-	// discrete-event counterpart of the live stack's flight-backed
-	// feedback. Nil keeps the paper's static thresholds.
-	Adaptive *offload.AdaptiveConfig
 	// Devices is the number of modeled QAT cards (default 1 — the
 	// paper's single-card testbed). With more than one, Policy.Placement
 	// selects how workers spread across them — the discrete-event
@@ -164,10 +156,6 @@ type conn struct {
 	// fallback is a pending software-fallback CPU burst (set when an
 	// offload deadline expired; paid when the worker next runs the conn).
 	fallback time.Duration
-	// offAt is the submission time of the conn's in-flight async offload;
-	// poll() reads it to feed the retrieve-latency window (submission →
-	// response collected, the live stack's PhaseRetrieve).
-	offAt sim.Time
 }
 
 // Stats aggregates a measurement window.
@@ -197,16 +185,6 @@ type Stats struct {
 	// because its engine pool was stalled (zero unless a multi-device
 	// placement absorbed a degradation).
 	Reroutes int64
-
-	// Adaptive-poll telemetry (async configurations only). RetrieveP99 is
-	// the windowed retrieve-phase p99 (ns) at the end of the measurement
-	// window — the controller's feedback signal, reported for static runs
-	// too so figures can compare planes. The threshold fields are zero
-	// unless Config.Adaptive armed the controller.
-	RetrieveP99        float64
-	FinalAsymThreshold int
-	FinalSymThreshold  int
-	ThresholdAdjusts   int64
 }
 
 func newStats() *Stats {
@@ -229,12 +207,6 @@ type Model struct {
 	// single-device model.
 	placementOn bool
 	link        *link
-	// retrieveWin is the shared virtual-time retrieve-latency window
-	// (submission → response collected), the DES analogue of the flight
-	// recorder's PhaseRetrieve window: process-wide, fed by every
-	// worker's poll path, read by every worker's controller. Nil for
-	// non-async configurations.
-	retrieveWin *flight.Window
 
 	measuring bool
 	stats     *Stats
@@ -294,11 +266,8 @@ func NewModel(p Params, cfg Config, seed int64) *Model {
 			}
 		}
 	}
-	if cfg.UseQAT && cfg.Async {
-		m.retrieveWin = flight.NewWindow(adaptiveWinBuckets, adaptiveWinBucket)
-	}
 	for i := 0; i < cfg.Workers; i++ {
-		w := &worker{m: m, id: i, policy: cfg.Poll}
+		w := &worker{m: m, id: i}
 		if m.dev != nil {
 			w.endpoint = m.dev.endpoints[i%len(m.dev.endpoints)]
 		}
@@ -309,20 +278,6 @@ func NewModel(p Params, cfg Config, seed int64) *Model {
 		}
 		if cfg.UseQAT && cfg.Async {
 			w.notif = offload.NewNotifier(cfg.Notify)
-			w.batchWin = flight.NewWindow(adaptiveWinBuckets, adaptiveWinBucket)
-			if cfg.Adaptive != nil && cfg.Poll.Scheme == offload.PollHeuristic {
-				ac := *cfg.Adaptive
-				if ac.Failover <= 0 {
-					// Steer against the failover timer actually pacing
-					// this policy, not the paper default.
-					ac.Failover = cfg.Poll.FailoverInterval
-				}
-				w.adaptive = offload.NewAdaptivePoll(ac, flight.WindowFeedback{
-					Latency: m.retrieveWin,
-					Batch:   w.batchWin,
-				})
-				w.policy.Adaptive = w.adaptive
-			}
 		}
 		m.workers = append(m.workers, w)
 		if cfg.UseQAT && !cfg.Async {
@@ -339,14 +294,6 @@ func NewModel(p Params, cfg Config, seed int64) *Model {
 	}
 	return m
 }
-
-// Virtual-time window geometry for the DES feedback windows: runs last
-// hundreds of virtual milliseconds, so the windows span 200 ms (8 × 25
-// ms) rather than the live recorder's 60 s.
-const (
-	adaptiveWinBuckets = 8
-	adaptiveWinBucket  = 25 * time.Millisecond
-)
 
 // Stats returns the current measurement window's statistics.
 func (m *Model) Stats() *Stats { return m.stats }
@@ -410,17 +357,6 @@ func (m *Model) Run(warmup, measure time.Duration) *Stats {
 		if w.tripped {
 			m.stats.Trips++
 		}
-		if w.adaptive != nil {
-			m.stats.ThresholdAdjusts += w.adaptive.Adjusts()
-		}
-	}
-	if m.retrieveWin != nil {
-		m.stats.RetrieveP99 = m.retrieveWin.Snapshot(int64(m.sim.Now())).P99
-	}
-	if w := m.workers[0]; w.adaptive != nil {
-		// Workers see round-robin slices of the same traffic, so their
-		// controllers converge together; worker 0 stands in for the fleet.
-		m.stats.FinalAsymThreshold, m.stats.FinalSymThreshold = w.adaptive.Thresholds()
 	}
 	return m.stats
 }

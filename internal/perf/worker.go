@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"qtls/internal/flight"
 	"qtls/internal/offload"
 	"qtls/internal/sim"
 )
@@ -36,17 +35,9 @@ type worker struct {
 	idle         int             // keepalive-idle connections (TCidle)
 	lastPoll     sim.Time
 
-	// policy is this worker's retrieval policy — a copy of the model's
-	// so an armed adaptive controller is per-worker, exactly like the
-	// live stack's Worker.poll.
-	policy offload.PollPolicy
 	// notif queues completed async events and schedules their delivery
 	// (the §3.4 seam; nil for non-async configurations).
 	notif *offload.Notifier
-	// adaptive is the closed-loop threshold controller (nil = static
-	// thresholds), fed by the shared retrieve window and batchWin.
-	adaptive *offload.AdaptivePoll
-	batchWin *flight.Window
 
 	// Timer-polling thread preemption debt (ticks landing while busy).
 	stolen time.Duration
@@ -360,7 +351,6 @@ func (w *worker) asyncOffload(c *conn, st step) {
 			w.m.sim.After(w.m.cfg.Fault.OpTimeout, func() { w.onOpTimeout(c, st) })
 		}
 		submitAt := w.now()
-		c.offAt = submitAt
 		w.routeEndpoint(st.op).submit(st.op, st.hw, func(at sim.Time) {
 			// Response lands on the instance's response ring once the
 			// pipeline latency has elapsed; it is retrieved by a later
@@ -396,19 +386,15 @@ func (w *worker) notifyCost() time.Duration {
 }
 
 // retrieveOne pops one response off the ring, settles the in-flight
-// counters, feeds the feedback windows, and hands the event to the
-// notifier. notifyCost charges the wakeup the notifier asks for.
-func (w *worker) retrieveOne(now sim.Time) {
+// counters and hands the event to the notifier. notifyCost charges the
+// wakeup the notifier asks for.
+func (w *worker) retrieveOne() {
 	c, _ := w.responses.Pop()
 	w.inflight--
 	if c.idx > 0 {
 		if st := c.script[c.idx-1]; st.kind == stepCrypto && st.op.asym() {
 			w.inflightAsym--
 		}
-	}
-	if w.m.retrieveWin != nil {
-		// Submission → collected: the live stack's PhaseRetrieve span.
-		w.m.retrieveWin.Observe(float64(now-c.offAt), int64(now))
 	}
 	if w.m.measuring {
 		w.m.stats.Notifications++
@@ -422,19 +408,11 @@ func (w *worker) retrieveOne(now sim.Time) {
 // virtual-time gap, mirroring the single-threaded live loop). The
 // batches are copies: they are dispatched after that gap, and a notifier
 // reuses a batch's storage at its next delivery.
-func (w *worker) collect(n int, now sim.Time) (cost time.Duration, wakeBatch, loopBatch []any) {
+func (w *worker) collect(n int) (cost time.Duration, wakeBatch, loopBatch []any) {
 	p := &w.m.p
 	for i := 0; i < n; i++ {
 		cost += p.PerResponseCost + w.notifyCost()
-		w.retrieveOne(now)
-	}
-	if n > 0 {
-		if w.batchWin != nil {
-			w.batchWin.Observe(float64(n), int64(now))
-		}
-		if w.adaptive != nil {
-			w.adaptive.Tick(int64(now))
-		}
+		w.retrieveOne()
 	}
 	return cost, slices.Clone(w.notif.Deliver(offload.DeliverWakeup)), slices.Clone(w.notif.Deliver(offload.DeliverLoopEnd))
 }
@@ -462,7 +440,7 @@ func (w *worker) poll(failover bool) {
 		// worth of work paces the spin.
 		cost += p.IdleLoopCost
 	}
-	ncost, wakeBatch, loopBatch := w.collect(n, now)
+	ncost, wakeBatch, loopBatch := w.collect(n)
 	cost += ncost
 	w.m.sim.After(cost, func() {
 		if len(wakeBatch) > 0 {
@@ -513,7 +491,7 @@ func (w *worker) heuristicCheck() bool {
 	if !w.m.cfg.UseQAT || !w.m.cfg.Async {
 		return false
 	}
-	if !w.policy.ShouldPoll(w.inflight, w.inflightAsym, w.active()) {
+	if !w.m.cfg.Poll.ShouldPoll(w.inflight, w.inflightAsym, w.active()) {
 		return false
 	}
 	w.poll(false)
@@ -525,14 +503,14 @@ func (w *worker) heuristicCheck() bool {
 // responses are dispatched; empty polls still cost their tick.
 func (w *worker) startTimerPolling() {
 	p := &w.m.p
-	interval := w.policy.Interval
+	interval := w.m.cfg.Poll.Interval
 	var tick func()
 	tick = func() {
 		w.m.sim.After(interval, func() {
 			tickCost := p.CtxSwitchCost + p.PollCost
 			n := w.responses.Len()
 			now := w.now()
-			ncost, wakeBatch, loopBatch := w.collect(n, now)
+			ncost, wakeBatch, loopBatch := w.collect(n)
 			tickCost += ncost
 			if w.m.measuring {
 				w.m.stats.Polls++
@@ -569,11 +547,11 @@ func (w *worker) startTimerPolling() {
 // happened during the last interval but requests are in flight, poll
 // once.
 func (w *worker) startFailoverTimer() {
-	interval := w.policy.FailoverInterval
+	interval := w.m.cfg.Poll.FailoverInterval
 	var tick func()
 	tick = func() {
 		w.m.sim.After(interval, func() {
-			if w.policy.FailoverDue(w.inflight, time.Duration(w.now()-w.lastPoll)) {
+			if w.m.cfg.Poll.FailoverDue(w.inflight, time.Duration(w.now()-w.lastPoll)) {
 				if !w.busy {
 					w.beginBusy()
 					w.poll(true)

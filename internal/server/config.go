@@ -80,15 +80,6 @@ type RunConfig struct {
 	// inflight pressure or the connection count says the worker is beyond
 	// its capacity. Zero fields take the offload defaults.
 	Overload offload.OverloadPolicy
-
-	// AdaptivePoll, when non-nil, arms the closed-loop threshold
-	// controller (offload.PollHeuristic only): each worker walks its
-	// asym/sym efficiency thresholds toward the retrieve-latency knee, fed
-	// by the flight recorder's retrieve-phase window and a per-worker
-	// completion-batch window. Requires the trace and flight recorders
-	// (they are the feedback source). Zero fields of the config take the
-	// offload defaults. Nil keeps the paper's static thresholds.
-	AdaptivePoll *offload.AdaptiveConfig
 }
 
 func (rc RunConfig) withDefaults() RunConfig {

@@ -148,6 +148,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	if hs := metricValue(t, page, "qtls_handshakes"); hs <= 0 {
 		t.Errorf("qtls_handshakes = %v", hs)
 	}
+
+	// A conf that sets the static pair exports the values it set.
+	run := ConfigQTLS
+	run.Poll.AsymThreshold, run.Poll.SymThreshold = 8, 4
+	srv, _ = startTracedServer(t, run, 2)
+	page = fetchPath(t, srv.Addr(), "/metrics")
+	for key, want := range map[string]float64{
+		`qtls_poll_threshold{class="asym"}`: 8,
+		`qtls_poll_threshold{class="sym"}`:  4,
+	} {
+		if got := metricValue(t, page, key); got != want {
+			t.Errorf("%s = %v, want %v", key, got, want)
+		}
+	}
 }
 
 // metricValue extracts the numeric value of an exposition line whose

@@ -31,12 +31,9 @@ func (w *Worker) initSeries() {
 	w.gLag = w.reg.Gauge(`qtls_loop_lag_ns` + wl)
 	// The heuristic thresholds in effect (offload.Default* unless the
 	// conf overrides them), so a dashboard can plot Rtotal against the
-	// line it must cross. When the adaptive controller is armed its change
-	// hook refreshes the gauges (last-moving worker wins).
-	w.gThreshold[offload.ThresholdAsym] = w.reg.Gauge(`qtls_poll_threshold{class="asym"}`)
-	w.gThreshold[offload.ThresholdSym] = w.reg.Gauge(`qtls_poll_threshold{class="sym"}`)
-	w.gThreshold[offload.ThresholdAsym].Set(int64(w.poll.AsymThreshold))
-	w.gThreshold[offload.ThresholdSym].Set(int64(w.poll.SymThreshold))
+	// line it must cross.
+	w.reg.Gauge(`qtls_poll_threshold{class="asym"}`).Set(int64(w.cfg.Poll.AsymThreshold))
+	w.reg.Gauge(`qtls_poll_threshold{class="sym"}`).Set(int64(w.cfg.Poll.SymThreshold))
 	w.gDrain = w.reg.Gauge("qtls_drain_active")
 	// Counters carry no worker label: every worker registers its read
 	// under the same name, and the registry adds them up.

@@ -137,7 +137,7 @@ func TestParkLostWakeCostsAtMostFailover(t *testing.T) {
 	}
 	// Scheduling noise under -race is allowed for; sleeping through the
 	// 50 ms idle wait instead of the failover deadline is not.
-	limit := rsaTime + w.poll.FailoverInterval + time.Millisecond + 15*time.Millisecond
+	limit := rsaTime + w.cfg.Poll.FailoverInterval + time.Millisecond + 15*time.Millisecond
 	var worst time.Duration
 	for _, s := range rec.Recent(0) {
 		if s.Phase == trace.PhaseRetrieve && time.Duration(s.Dur) > worst {

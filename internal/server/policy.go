@@ -26,11 +26,6 @@ func (w *Worker) pollEngine(tag trace.Tag) int {
 	}
 	n := w.eng.Poll(0)
 	w.work += n
-	if n > 0 && w.batchWin != nil {
-		// Completion-batch efficiency feed for the adaptive controller:
-		// how many responses this poll amortized its cost over.
-		w.batchWin.Observe(float64(n), time.Now().UnixNano())
-	}
 	if !start.IsZero() {
 		w.tr.Record(trace.PhasePoll, trace.OpNone, tag, int64(n), start, time.Since(start))
 	}
@@ -41,10 +36,10 @@ func (w *Worker) pollEngine(tag trace.Tag) int {
 // the heuristic polling scheme (§3.3, §4.3). The decision itself is
 // offload.PollPolicy.ShouldPoll; this wrapper supplies the live inputs.
 func (w *Worker) heuristicCheck() {
-	if w.eng == nil || w.poll.Scheme != offload.PollHeuristic {
+	if w.eng == nil || w.cfg.Poll.Scheme != offload.PollHeuristic {
 		return
 	}
-	if !w.poll.ShouldPoll(w.eng.InflightTotal(), w.eng.InflightAsym(), w.activeConns) {
+	if !w.cfg.Poll.ShouldPoll(w.eng.InflightTotal(), w.eng.InflightAsym(), w.activeConns) {
 		return
 	}
 	w.pollEngine(trace.TagHeuristic)
@@ -55,10 +50,10 @@ func (w *Worker) heuristicCheck() {
 // failoverCheck is the failover timer: if no heuristic poll happened
 // during the last interval but requests are in flight, poll once (§4.3).
 func (w *Worker) failoverCheck() {
-	if w.eng == nil || w.poll.Scheme != offload.PollHeuristic {
+	if w.eng == nil || w.cfg.Poll.Scheme != offload.PollHeuristic {
 		return
 	}
-	if !w.poll.FailoverDue(w.eng.InflightTotal(), time.Since(w.lastPoll)) {
+	if !w.cfg.Poll.FailoverDue(w.eng.InflightTotal(), time.Since(w.lastPoll)) {
 		return
 	}
 	w.pollEngine(trace.TagFailover)

@@ -88,8 +88,7 @@ type WorkerStats struct {
 // paper scales from 2 to 32 of (Fig. 7).
 type Worker struct {
 	id      int
-	cfg     RunConfig          // defaults resolved
-	poll    offload.PollPolicy // cfg.Poll, plus the adaptive controller when armed
+	cfg     RunConfig // defaults resolved
 	tlsTmpl *minitls.Config
 	eng     *engine.Engine
 	handler Handler
@@ -143,13 +142,6 @@ type Worker struct {
 	idleIters int
 	armed     []*qat.Instance
 
-	// adaptive is the closed-loop threshold controller (nil = static
-	// thresholds, the paper's behavior). Its feedback is the flight
-	// recorder's retrieve-phase window plus batchWin, the per-worker
-	// completion-batch window fed by pollEngine.
-	adaptive *offload.AdaptivePoll
-	batchWin *flight.Window
-
 	wheel   *deadlineWheel // lifecycle deadlines (see wheel.go)
 	ringCap int            // engine request-ring capacity (0 for SW)
 
@@ -190,7 +182,6 @@ type Worker struct {
 	gWaiting     *metrics.Gauge     // conns with a paused offload
 	gLag         *metrics.Gauge     // busy ns of the latest iteration
 	gDrain       *metrics.Gauge     // 1 while a graceful drain runs
-	gThreshold   [2]*metrics.Gauge  // qtls_poll_threshold{class}, by offload.Threshold*
 }
 
 // conn is one TLS connection in one object: its socket, its TLS state
@@ -282,7 +273,6 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 	w := &Worker{
 		id:      id,
 		cfg:     cfg,
-		poll:    cfg.Poll,
 		handler: handler,
 		reg:     reg,
 		notif:   offload.NewNotifier(cfg.Notify),
@@ -377,32 +367,6 @@ func NewWorker(id int, cfg RunConfig, addr string, tls *minitls.Config, pool *qa
 			return nil, err
 		}
 		w.ringCap = w.eng.RingCapacity()
-	}
-	if cfg.AdaptivePoll != nil && cfg.Poll.Scheme == offload.PollHeuristic {
-		if tracer == nil || fr == nil {
-			w.cleanup()
-			return nil, errors.New("server: adaptive polling needs the trace and flight recorders (its feedback source)")
-		}
-		w.batchWin = fr.NewWindow()
-		ac := *cfg.AdaptivePoll
-		if ac.Failover <= 0 {
-			// Steer against the failover timer actually pacing this
-			// policy, not the paper default.
-			ac.Failover = w.poll.FailoverInterval
-		}
-		w.adaptive = offload.NewAdaptivePoll(ac, flight.WindowFeedback{
-			Latency: fr.PhaseWindow(trace.PhaseRetrieve),
-			Batch:   w.batchWin,
-		})
-		w.adaptive.SetOnChange(func(class, old, new int) {
-			w.fl.Note(flight.KindThreshold, uint8(class), trace.OpNone, int64(old), int64(new))
-			if class >= 0 && class < len(w.gThreshold) && w.gThreshold[class] != nil {
-				w.gThreshold[class].Set(int64(new))
-			}
-		})
-		// Behind the unchanged seam: ShouldPoll and FailoverDue call sites
-		// below read the walked thresholds through PollPolicy.Threshold.
-		w.poll.Adaptive = w.adaptive
 	}
 	// The kernel-bypass scheme never writes a notification descriptor; fd
 	// needs the pipe.
@@ -523,7 +487,7 @@ func (w *Worker) Run() {
 		for _, ev := range events {
 			w.dispatch(ev)
 		}
-		if w.eng != nil && w.poll.Scheme == offload.PollTimer {
+		if w.eng != nil && w.cfg.Poll.Scheme == offload.PollTimer {
 			if w.pollEngine(trace.TagTimer) > 0 {
 				w.lastPoll = time.Now()
 			}
@@ -533,7 +497,7 @@ func (w *Worker) Run() {
 		// a park, the poll that follows is the failover poll, whatever
 		// the heuristic constraints would have said next.
 		w.failoverCheck()
-		if w.poll.Scheme == offload.PollHeuristic {
+		if w.cfg.Poll.Scheme == offload.PollHeuristic {
 			// Each iteration re-evaluates the heuristic constraints, so
 			// responses are retrieved as soon as the timeliness condition
 			// holds (§3.4). Whether the loop then iterates again or blocks
@@ -550,12 +514,6 @@ func (w *Worker) Run() {
 		}
 		if w.reg != nil {
 			w.updateGauges()
-		}
-		// Controller step: rate-limited internally to the configured
-		// interval, so per-iteration cost is one mutex round and usually
-		// nothing else.
-		if w.adaptive != nil {
-			w.adaptive.Tick(time.Now().UnixNano())
 		}
 		// Anomaly sweep: rate-limited internally to half a window bucket,
 		// so per-iteration cost is one atomic load when disabled and one
@@ -622,7 +580,7 @@ func (w *Worker) waitTimeout() int {
 	if w.wheel.live > 0 {
 		idle.WheelTick = w.wheel.tick
 	}
-	d, park := w.poll.Park(idle)
+	d, park := w.cfg.Poll.Park(idle)
 	if !park {
 		return 0
 	}
@@ -641,7 +599,7 @@ func (w *Worker) waitTimeout() int {
 // failover timer, and the park bound already covers the last.) It reports
 // whether the loop may block; on false the seam is disarmed again.
 func (w *Worker) armWake() bool {
-	if w.eng == nil || !w.poll.ShouldPoll(w.eng.InflightTotal(), w.eng.InflightAsym(), w.activeConns) {
+	if w.eng == nil || !w.cfg.Poll.ShouldPoll(w.eng.InflightTotal(), w.eng.InflightAsym(), w.activeConns) {
 		return true
 	}
 	w.armed = w.eng.Instances()
@@ -967,16 +925,6 @@ func (w *Worker) HomeDevice() int { return int(w.homeDev.Load()) }
 // ConnCount returns the number of live connections (test/diagnostic use;
 // call from the worker goroutine or after Stop).
 func (w *Worker) ConnCount() int { return len(w.conns) }
-
-// PollThresholds returns the heuristic thresholds currently in effect:
-// the controller's walked values when adaptive polling is armed, the
-// static policy otherwise. Safe from any goroutine.
-func (w *Worker) PollThresholds() (asym, sym int) {
-	if w.adaptive != nil {
-		return w.adaptive.Thresholds()
-	}
-	return w.poll.AsymThreshold, w.poll.SymThreshold
-}
 
 // String identifies the worker.
 func (w *Worker) String() string {
