@@ -83,14 +83,24 @@ type Conn struct {
 
 	// flight holds the handshake records sealed since the last flush, so a
 	// flight reaches the transport in one Write (see queueFlight). Nil
-	// between flights and once the handshake is done.
+	// between flights and once the handshake is done, but for the moment
+	// writeClosing joins a write's last record and the close-notify in it.
 	flight *WireBuf
 
 	// Pending Write progress for async re-entry: the two gathered parts,
-	// the offset into their concatenation, and whether a write is pending.
+	// the offset into their concatenation, the first record's plaintext
+	// size (firstRecordLen, decided when the write starts), whether the
+	// write ends with a close-notify (WritevClose), and whether a write is
+	// pending.
 	writeParts [2][]byte
 	writeOff   int
+	writeFirst int
+	writeClose bool
 	writing    bool
+	// midTurn is set once this side has sealed an application record and
+	// cleared when Read opens one from the peer: a write that starts while
+	// it is clear opens a new turn of the conversation.
+	midTurn bool
 
 	handshakeDone   bool
 	didResume       bool
@@ -576,7 +586,7 @@ func (c *Conn) writeSealed(w *WireBuf) error {
 	return err
 }
 
-// queueFlight appends the sealed handshake record w to the flight buffer,
+// queueFlight appends the sealed record w to the flight buffer,
 // taking ownership of w. The first record of a flight becomes the buffer;
 // later ones are copied in behind it and their own buffer goes back to the
 // pool. A record that does not fit sends what is buffered and starts over.
@@ -766,6 +776,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 		switch typ {
 		case recordApplicationData:
 			c.appData = payload
+			c.midTurn = false
 		case recordHandshake:
 			// Post-handshake messages (TLS 1.3 NewSessionTicket is
 			// captured for resumption; anything else is ignored).
@@ -806,7 +817,8 @@ func (c *Conn) drainPostHandshake() {
 }
 
 // Write encrypts and sends application data, fragmenting into 16 KB
-// records. Record protection is routed through the provider as
+// records, the first of a new turn cut to one TCP segment
+// (firstRecordLen). Record protection is routed through the provider as
 // KindCipher work, so the QAT engine can offload it (this is the traffic
 // measured in Fig. 10). On ErrWantAsync / ErrWantAsyncRetry the caller
 // must call Write again with the same buffer once the async event fires;
@@ -818,7 +830,20 @@ func (c *Conn) Write(p []byte) (int, error) { return c.Writev(p, nil) }
 // cut at exactly the offsets Write(append(a, b...)) would cut them. Both
 // parts must stay unchanged until Writev has returned a non-busy result;
 // a re-entry must pass the same two slices.
-func (c *Conn) Writev(a, b []byte) (int, error) {
+func (c *Conn) Writev(a, b []byte) (int, error) { return c.writev(a, b, false) }
+
+// WritevClose is Writev followed by Close, with the close-notify alert
+// sealed behind the write's last record and sent in the same transport
+// Write. A re-entry must call WritevClose again.
+func (c *Conn) WritevClose(a, b []byte) (int, error) {
+	n, err := c.writev(a, b, true)
+	if err == nil && !c.closed {
+		err = c.Close() // an empty write: no record for the alert to join
+	}
+	return n, err
+}
+
+func (c *Conn) writev(a, b []byte, closing bool) (int, error) {
 	if c.closed {
 		return 0, ErrClosed
 	}
@@ -829,7 +854,8 @@ func (c *Conn) Writev(a, b []byte) (int, error) {
 	}
 	if !c.writing {
 		c.writeParts, c.writeOff, c.writing = [2][]byte{a, b}, 0, true
-	} else if !sameSlice(a, c.writeParts[0]) || !sameSlice(b, c.writeParts[1]) {
+		c.writeFirst, c.writeClose = c.firstRecordLen(len(a)+len(b)), closing
+	} else if !sameSlice(a, c.writeParts[0]) || !sameSlice(b, c.writeParts[1]) || closing != c.writeClose {
 		return 0, errors.New("minitls: Write re-entered with a different buffer")
 	}
 	err := c.drive()
@@ -844,6 +870,25 @@ func (c *Conn) Writev(a, b []byte) (int, error) {
 	return len(a) + len(b), nil
 }
 
+// tcpMSSEstimate is crypto/tls's conservative TCP segment size: the IPv6
+// minimum MTU less an IPv6 header and a TCP header with timestamps.
+const tcpMSSEstimate = 1208
+
+// firstRecordLen is the plaintext size of the first record of a write of
+// total bytes. A write that opens a new turn — the peer has sent
+// application data since this side last sent any, or nothing was sent
+// yet — and needs more than one record starts with a record that fits one
+// TCP segment: the first bytes of a response wait for one small seal and
+// one small open, not 16 KB of each. Every other record is MaxPlaintext.
+// Unlike crypto/tls, the cut restarts on every turn, and the record after
+// it is full size at once.
+func (c *Conn) firstRecordLen(total int) int {
+	if c.midTurn || total <= MaxPlaintext {
+		return MaxPlaintext
+	}
+	return tcpMSSEstimate - recordHeaderLen - c.out.protection().overhead()
+}
+
 // sameSlice reports whether x and y are the same memory: same first
 // element and same length.
 func sameSlice(x, y []byte) bool {
@@ -855,7 +900,11 @@ func sameSlice(x, y []byte) bool {
 func (c *Conn) writeRecords() error {
 	a, b := c.writeParts[0], c.writeParts[1]
 	for total := len(a) + len(b); c.writeOff < total; {
-		n := min(total-c.writeOff, MaxPlaintext)
+		limit := MaxPlaintext
+		if c.writeOff == 0 {
+			limit = c.writeFirst
+		}
+		n := min(total-c.writeOff, limit)
 		// The record covers [writeOff, writeOff+n) of a‖b.
 		var p0, p1 []byte
 		if c.writeOff < len(a) {
@@ -878,12 +927,36 @@ func (c *Conn) writeRecords() error {
 			return err
 		}
 		c.out.seq++
-		if err := c.writeSealed(res.(*WireBuf)); err != nil {
+		c.midTurn = true
+		if c.writeOff+n == total && c.writeClose {
+			err = c.writeClosing(res.(*WireBuf))
+		} else {
+			err = c.writeSealed(res.(*WireBuf))
+		}
+		if err != nil {
 			return err
 		}
 		c.writeOff += n
 	}
 	return nil
+}
+
+// writeClosing sends w, the sealed last record of a WritevClose, and a
+// close-notify alert in one transport Write, then marks the connection
+// closed. The alert is sealed inline and queued behind w as a handshake
+// flight's records are (queueFlight): a record of at most MaxPlaintext
+// leaves room for it in w's buffer.
+func (c *Conn) writeClosing(w *WireBuf) error {
+	c.flight, c.closed = w, true
+	alert, err := sealRecord(c.out.protection(), c.out.seq, recordAlert, closeNotifyPayload, nil, c.config.rand())
+	if err == nil {
+		c.out.seq++
+		err = c.queueFlight(alert)
+	}
+	if ferr := c.flushFlight(); err == nil {
+		err = ferr
+	}
+	return err
 }
 
 // sealOp is one offloaded application-data record seal, the arguments of

@@ -306,10 +306,11 @@ func TestLargeTransferCipherOps(t *testing.T) {
 	if !bytes.Equal(received, payload) {
 		t.Fatal("payload corrupted")
 	}
-	// 100 KB fragments into ceil(100/16) = 7 records → 7 cipher ops
-	// (the structure behind Fig. 10).
-	if got := ops.Get(KindCipher); got != 7 {
-		t.Fatalf("cipher ops = %d, want 7", got)
+	// 100 KB opens the turn, so it fragments into one TCP segment's record
+	// and then 16 KB ones: 1 151 + 6 × 16 384 + 2 945 = 8 records → 8 cipher
+	// ops (the structure behind Fig. 10).
+	if got := ops.Get(KindCipher); got != 8 {
+		t.Fatalf("cipher ops = %d, want 8", got)
 	}
 }
 

@@ -112,7 +112,8 @@ func TestAbandonedRunKeepsItsArguments(t *testing.T) {
 
 	for name, cfg := range recordPlaneSuites {
 		t.Run("seal-"+name, func(t *testing.T) {
-			// The first of three records is abandoned; two seals follow.
+			// The first of four records, the turn's one-segment record, is
+			// abandoned; three seals follow.
 			p := newLateProvider(t, KindCipher)
 			srvCfg := *cfg
 			srvCfg.Provider = p
@@ -126,6 +127,7 @@ func TestAbandonedRunKeepsItsArguments(t *testing.T) {
 				t.Fatal(err)
 			}
 			hdr, body := []byte("header: "), bytes.Repeat([]byte("0123456789abcdef"), 2500)
+			first := server.firstRecordLen(len(hdr) + len(body))
 			if _, err := server.Writev(hdr, body); err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +141,7 @@ func TestAbandonedRunKeepsItsArguments(t *testing.T) {
 				if err != nil || typ != RecordTypeApplicationData {
 					t.Fatalf("%s run: typ=%d err=%v", run, typ, err)
 				}
-				if !bytes.Equal(payload, whole[:MaxPlaintext]) {
+				if !bytes.Equal(payload, whole[:first]) {
 					t.Fatalf("%s run sealed the wrong plaintext", run)
 				}
 			}

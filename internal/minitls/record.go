@@ -26,9 +26,10 @@ const (
 // MaxPlaintext is the maximum TLS plaintext fragment (RFC 5246/8446
 // §6.2.1): data objects larger than 16 KB are fragmented (§2.1), which is
 // what makes the cipher-op count grow with file size in Fig. 10 (one
-// 128 KB response = 8 cipher operations). Write fragments at exactly this
-// boundary; the record-engine data plane (internal/record) sizes its
-// pooled buffers from it.
+// 128 KB response = 8 cipher operations). Write fragments at this
+// boundary, but for the first record of a turn, which fits one TCP segment
+// (Conn.firstRecordLen); the software record stream (internal/record)
+// sizes its pooled buffers from it.
 const MaxPlaintext = 16384
 
 // RecordHeaderLen is the TLS record header size on the wire
@@ -122,8 +123,7 @@ func (w *WireBuf) finish(wireTyp uint8, end int) {
 // open keep no state between records that a concurrent call could
 // corrupt (the caller owns sequence numbers): an offloaded seal may run
 // twice, even at once — the op-deadline fallback recomputes it on the
-// worker while a slow device still executes the original — and the record
-// engine pipelines one protection across device engines.
+// worker while a slow device still executes the original.
 type recordProtection interface {
 	// seal writes the whole wire record protecting the payload p0‖p1
 	// (either part may be empty; sealRecord bounds their sum to
@@ -132,7 +132,9 @@ type recordProtection interface {
 	// open decrypts a wire body in place, returning the inner record type
 	// and the plaintext, which aliases body.
 	open(seq uint64, wireTyp uint8, body []byte) (typ uint8, payload []byte, err error)
-	// overhead returns the per-record ciphertext expansion upper bound.
+	// overhead returns the per-record ciphertext expansion upper bound. It
+	// also sizes the first record of a turn, whose header, payload and
+	// expansion fit one TCP segment (Conn.firstRecordLen).
 	overhead() int
 }
 

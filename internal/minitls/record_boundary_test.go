@@ -23,11 +23,27 @@ func (r *recordCountingRW) Write(p []byte) (int, error) {
 	return r.ReadWriter.Write(p)
 }
 
+// recordCuts returns the plaintext lengths of the records a write of total
+// bytes is cut into when its first record holds at most first bytes and
+// every later one MaxPlaintext.
+func recordCuts(total, first int) []int {
+	var cuts []int
+	for limit := first; total > 0; limit = MaxPlaintext {
+		n := min(total, limit)
+		cuts = append(cuts, n)
+		total -= n
+	}
+	return cuts
+}
+
 // TestWriteFragmentationBoundaries pins the MaxPlaintext fragmentation
-// contract: a payload of exactly MaxPlaintext is one record, one byte
-// more is two, and an empty write emits no record at all.
+// contract on the first write of a connection, which opens a turn: a
+// payload of exactly MaxPlaintext is one record, one byte more is two
+// (the first of them one TCP segment), and an empty write emits no record
+// at all.
 func TestWriteFragmentationBoundaries(t *testing.T) {
 	rsaID, _ := testIdentities(t)
+	first := tcpMSSEstimate - recordHeaderLen - (&cbcProtection{}).overhead()
 	cases := []struct {
 		name    string
 		size    int
@@ -37,7 +53,8 @@ func TestWriteFragmentationBoundaries(t *testing.T) {
 		{"one-byte", 1, 1},
 		{"exactly-max", MaxPlaintext, 1},
 		{"max-plus-one", MaxPlaintext + 1, 2},
-		{"two-records-exact", 2 * MaxPlaintext, 2},
+		{"two-records-exact", first + MaxPlaintext, 2},
+		{"two-max", 2 * MaxPlaintext, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

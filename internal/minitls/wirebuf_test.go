@@ -192,25 +192,31 @@ func TestSealClosureRunsTwice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hdr, body := []byte("header: "), bytes.Repeat([]byte("0123456789abcdef"), 2500) // 3 records
+			// The write opens the turn: a one-segment record, then 16 KB ones.
+			hdr, body := []byte("header: "), bytes.Repeat([]byte("0123456789abcdef"), 2500)
+			whole := append(bytes.Clone(hdr), body...)
+			cuts := recordCuts(len(whole), server.firstRecordLen(len(whole)))
 			if _, err := server.Writev(hdr, body); err != nil {
 				t.Fatal(err)
 			}
-			whole := append(bytes.Clone(hdr), body...)
 			if _, plain := readRecords(t, client); !bytes.Equal(plain, whole) {
 				t.Fatal("peer read different bytes")
 			}
-			if len(p.runs) != 3*4 {
-				t.Fatalf("%d closure runs, want 12", len(p.runs))
+			if len(p.runs) != len(cuts)*4 {
+				t.Fatalf("%d closure runs, want %d", len(p.runs), len(cuts)*4)
 			}
+			off := 0
 			for i, rec := range p.runs {
-				seq, off := km.Seq+uint64(i/4), (i/4)*MaxPlaintext
+				seq := km.Seq + uint64(i/4)
 				typ, payload, err := cd.Open(seq, rec[0], rec[RecordHeaderLen:])
 				if err != nil || typ != RecordTypeApplicationData {
 					t.Fatalf("run %d of record %d: typ=%d err=%v", i%4, i/4, typ, err)
 				}
-				if want := whole[off:min(off+MaxPlaintext, len(whole))]; !bytes.Equal(payload, want) {
+				if want := whole[off : off+cuts[i/4]]; !bytes.Equal(payload, want) {
 					t.Fatalf("run %d of record %d sealed the wrong plaintext", i%4, i/4)
+				}
+				if i%4 == 3 {
+					off += cuts[i/4]
 				}
 			}
 		})

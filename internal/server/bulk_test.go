@@ -110,14 +110,16 @@ func TestBulkSurvivesCipherResets(t *testing.T) {
 	}
 }
 
-// BenchmarkBulkResponse is one keep-alive GET of a 4 KB or 256 KB body
-// over loopback from a QTLS worker on a real engine and device (the live
-// benchmark's device: 1 endpoint, 2 engines, ring 128). allocs/op counts
-// the whole process — server, client and device goroutines; devreq/op is
-// the device requests one response costs (one cipher op per record).
+// BenchmarkBulkResponse is one keep-alive GET of a 4 KB, 24 KB or 256 KB
+// body over loopback from a QTLS worker on a real engine and device (the
+// live benchmark's device: 1 endpoint, 2 engines, ring 128). allocs/op
+// counts the whole process — server, client and device goroutines;
+// devreq/op is the device requests one response costs (one cipher op per
+// record). 24 KB is the size that pays for the one-segment first record:
+// its last record holds more than a segment, so it costs 3 records, not 2.
 func BenchmarkBulkResponse(b *testing.B) {
 	spec := qat.DeviceSpec{Endpoints: 1, EnginesPerEndpoint: 2, RingCapacity: 128}
-	for _, size := range []int{4 << 10, 256 << 10} {
+	for _, size := range []int{4 << 10, 24 << 10, 256 << 10} {
 		b.Run(strconv.Itoa(size>>10)+"KB", func(b *testing.B) {
 			srv, dev := startServerOn(b, spec, ConfigQTLS, 1, func(cfg *minitls.Config) {
 				cfg.CipherSuites = []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA}

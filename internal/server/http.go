@@ -180,13 +180,19 @@ func (w *Worker) serveRequest(c *conn, req []byte) {
 }
 
 func (w *Worker) writeHandler(c *conn) {
-	n, err := c.tls.Writev(c.writeHdr, c.writeBody)
+	var n int
+	var err error
+	if c.closeAfterWrite {
+		// The close-notify leaves in the response's last socket write.
+		n, err = c.tls.WritevClose(c.writeHdr, c.writeBody)
+	} else {
+		n, err = c.tls.Writev(c.writeHdr, c.writeBody)
+	}
 	switch {
 	case err == nil:
 		w.Stats.BytesOut.Add(int64(n))
 		c.writeHdr, c.writeBody = nil, nil
 		if c.closeAfterWrite {
-			c.tls.Close() // writes close-notify straight to the socket
 			if c.nc.Flush(); c.nc.HasPending() {
 				// Linger until the kernel accepts the tail of the
 				// response; the writable event completes the close.
