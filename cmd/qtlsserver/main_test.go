@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"qtls/internal/offload"
+	"qtls/internal/server"
 )
 
 // The §A.7 sample: QTLS with thresholds 64/32 and eight workers.
@@ -45,22 +46,22 @@ func TestResolveConfig(t *testing.T) {
 		wantSym   int
 		wantWork  int
 		wantErr   string
-		wantExtra func(offload.Policy) bool
+		wantExtra func(server.RunConfig) bool
 	}{
 		{name: "default is QTLS", wantName: "QTLS", wantAsym: 48, wantSym: 24, wantWork: 2},
 		{name: "name", args: []string{"-config", "QAT+AH"}, wantName: "QAT+AH", wantAsym: 48, wantSym: 24, wantWork: 2},
 		{name: "name + visited thresholds", args: []string{"-config", "QAT+AH", "-asym-threshold", "64", "-sym-threshold", "32", "-notify", "kernel-bypass"},
 			wantName: "QAT+AH", wantAsym: 64, wantSym: 32, wantWork: 2,
-			wantExtra: func(p offload.Policy) bool { return p.Notify == offload.NotifierKernelBypass }},
+			wantExtra: func(run server.RunConfig) bool { return run.Notify == offload.NotifierKernelBypass }},
 		{name: "file", args: []string{"-config", conf}, wantName: "QTLS", wantAsym: 64, wantSym: 32, wantWork: 8},
 		{name: "file + visited asym-threshold", args: []string{"-config", conf, "-asym-threshold", "16"},
 			wantName: "QTLS", wantAsym: 16, wantSym: 32, wantWork: 8},
 		{name: "file + visited workers and notify", args: []string{"-config", conf, "-workers", "3", "-notify", "fd"},
 			wantName: "QTLS", wantAsym: 64, wantSym: 32, wantWork: 3,
-			wantExtra: func(p offload.Policy) bool { return p.Notify == offload.NotifierFD }},
+			wantExtra: func(run server.RunConfig) bool { return run.Notify == offload.NotifierFD }},
 		{name: "policy flags on a name", args: []string{"-config", "QTLS", "-placement", "conn-hash"},
 			wantName: "QTLS", wantAsym: 48, wantSym: 24, wantWork: 2,
-			wantExtra: func(p offload.Policy) bool { return p.Placement == offload.PlacementConnHash }},
+			wantExtra: func(run server.RunConfig) bool { return run.Placement == offload.PlacementConnHash }},
 		{name: "unknown name that is not a file", args: []string{"-config", "QAT+X"}, wantErr: "SW, QAT+S, QAT+A, QAT+AH or QTLS, or the path"},
 		{name: "bad notify", args: []string{"-notify", "smoke"}, wantErr: "unknown -notify"},
 		{name: "removed notify coalesced", args: []string{"-notify", "coalesced"}, wantErr: "want fd or kernel-bypass"},
@@ -91,8 +92,8 @@ func TestResolveConfig(t *testing.T) {
 			if p.Poll.AsymThreshold != tc.wantAsym || p.Poll.SymThreshold != tc.wantSym {
 				t.Errorf("thresholds = %d/%d, want %d/%d", p.Poll.AsymThreshold, p.Poll.SymThreshold, tc.wantAsym, tc.wantSym)
 			}
-			if tc.wantExtra != nil && !tc.wantExtra(p) {
-				t.Errorf("policy = %+v", p)
+			if tc.wantExtra != nil && !tc.wantExtra(run) {
+				t.Errorf("run config = %+v", run)
 			}
 		})
 	}

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"qtls/internal/perf/figures"
 )
 
 // The docs whose command lines must only cite flags that exist.
@@ -47,6 +49,63 @@ func TestDocsCiteDefinedFlags(t *testing.T) {
 	if cited == 0 {
 		t.Fatal("no cited flags found: the markdown scanner is broken")
 	}
+}
+
+// The docs whose qtlsbench command lines must only run experiments that
+// exist.
+var experimentDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+// Every experiment id a doc passes to qtlsbench -run is one figures.IDs
+// lists: a deleted experiment leaves no command behind that fails as an
+// unknown id.
+func TestDocsRunKnownExperiments(t *testing.T) {
+	known := figures.IDs()
+	cited := 0
+	for _, doc := range experimentDocs {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range commandLines(string(b)) {
+			for _, id := range runIDs(line) {
+				cited++
+				if !slices.Contains(known, id) {
+					t.Errorf("%s runs qtlsbench -run %s, which is not an experiment id (in %q)", doc, id, line)
+				}
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no qtlsbench -run ids found: the markdown scanner is broken")
+	}
+}
+
+// runIDs returns the experiment ids passed to qtlsbench's -run in one
+// command line (-run a,b or -run=a,b). A placeholder such as <id> is not
+// an id.
+func runIDs(line string) []string {
+	var out []string
+	inBench := false
+	words := shellWords(line)
+	for i, word := range words {
+		var list string
+		switch {
+		case slices.Contains(citedCommands, filepath.Base(word)):
+			inBench = filepath.Base(word) == "qtlsbench"
+		case word == "|" || word == "&&" || word == ";" || strings.HasPrefix(word, "#"):
+			inBench = false
+		case inBench && (word == "-run" || word == "--run") && i+1 < len(words):
+			list = words[i+1]
+		case inBench && strings.HasPrefix(word, "-run="):
+			list = strings.TrimPrefix(word, "-run=")
+		}
+		for _, id := range strings.Split(list, ",") {
+			if id != "" && !strings.HasPrefix(id, "<") {
+				out = append(out, id)
+			}
+		}
+	}
+	return out
 }
 
 // flagMethods are the flag and flag.FlagSet methods that define a flag;

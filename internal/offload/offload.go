@@ -8,7 +8,7 @@
 //   - how async events reach the event loop (Notifier: a file descriptor
 //     watched by epoll vs the kernel-bypass async queue, §3.4).
 //
-// Beyond the paper's matrix, Policy carries the multi-device Placement.
+// Policy is exactly that matrix: name, QAT, async, poll, notify.
 // Submission has no policy: every request goes onto a ring as its
 // operation pauses (§3.2).
 //
@@ -122,10 +122,11 @@ func byName[T fmt.Stringer](name string, all ...T) (T, bool) {
 	return zero, false
 }
 
-// Placement selects how work is spread across the devices of a qat.Pool.
-// The zero value (PlacementSingle) is the paper's single-device setup:
-// everything lands on device 0, which is what the five named
-// configurations use.
+// Placement selects how work is spread across the devices of a qat.Pool
+// (server.RunConfig.Placement; the DES models the paper's single card and
+// has no placement). The zero value (PlacementSingle) is the paper's
+// single-device setup: everything lands on device 0, which is what the
+// five named configurations use.
 type Placement int
 
 const (
@@ -314,9 +315,6 @@ type Policy struct {
 	Poll PollPolicy
 	// Notify is the async event notification scheme.
 	Notify NotifyScheme
-	// Placement is the multi-device placement mode (zero: single device,
-	// as in the paper's five configurations).
-	Placement Placement
 }
 
 // WithDefaults resolves the poll policy's unset parameters.

@@ -436,11 +436,8 @@ func ByID(id string) (func(Opts) Table, bool) {
 		"fig8": Fig8, "fig9a": Fig9a, "fig9b": Fig9b,
 		"fig10": Fig10, "fig11": Fig11,
 		"fig12a": Fig12a, "fig12b": Fig12b, "fig12c": Fig12c,
-		"degraded": Degraded, "overload": Overload,
 		"blackbox":      Blackbox,
 		"notify-parity": func(Opts) Table { return NotifyParity() },
-		"shard":         Shard,
-		"recovery":      Recovery,
 	}
 	g, ok := gens[id]
 	return g, ok
@@ -450,5 +447,5 @@ func ByID(id string) (func(Opts) Table, bool) {
 func IDs() []string {
 	return []string{"table1", "fig7a", "fig7b", "fig7c", "fig8",
 		"fig9a", "fig9b", "fig10", "fig11", "fig12a", "fig12b", "fig12c",
-		"degraded", "overload", "blackbox", "notify-parity", "shard", "recovery"}
+		"blackbox", "notify-parity"}
 }

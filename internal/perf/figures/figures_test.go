@@ -61,6 +61,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestFig7aShape(t *testing.T) {
+	t.Parallel() // owns its simulation, like the smoke subtests
 	tab := Fig7a(Quick())
 	checkShape(t, tab, 5)
 	sw := seriesByName(t, tab, "SW")
@@ -78,6 +79,7 @@ func TestFig7aShape(t *testing.T) {
 }
 
 func TestFig9aShape(t *testing.T) {
+	t.Parallel() // owns its simulation, like the smoke subtests
 	tab := Fig9a(Quick())
 	checkShape(t, tab, 5)
 	sw := seriesByName(t, tab, "SW")
@@ -94,6 +96,7 @@ func TestFig9aShape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
+	t.Parallel() // owns its simulation, like the smoke subtests
 	tab := Fig10(Quick())
 	checkShape(t, tab, 5)
 	sw := seriesByName(t, tab, "SW")
@@ -109,6 +112,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig12bShape(t *testing.T) {
+	t.Parallel() // owns its simulation, like the smoke subtests
 	tab := Fig12b(Quick())
 	checkShape(t, tab, 3)
 	slow := seriesByName(t, tab, "1ms")
@@ -125,8 +129,8 @@ func TestFig12bShape(t *testing.T) {
 
 func TestByIDAndIDs(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 18 {
-		t.Fatalf("want 18 experiments (1 table + 11 figures + degraded + overload + blackbox + notify-parity + shard + recovery), got %d", len(ids))
+	if len(ids) != 14 {
+		t.Fatalf("want 14 experiments (1 table + 11 figures + blackbox + notify-parity), got %d", len(ids))
 	}
 	for _, id := range ids {
 		if _, ok := ByID(id); !ok {
@@ -156,23 +160,5 @@ func TestTableCSV(t *testing.T) {
 	want := "series,a,b\ns1,1,2.5\n"
 	if got := tab.CSV(); got != want {
 		t.Fatalf("CSV = %q, want %q", got, want)
-	}
-}
-
-func TestDegradedShape(t *testing.T) {
-	tab := Degraded(Quick())
-	checkShape(t, tab, 4)
-	healthy := seriesByName(t, tab, "QTLS healthy")
-	stalled := seriesByName(t, tab, "QTLS 1ep stalled")
-	breaker := seriesByName(t, tab, "QTLS stalled+brk")
-	for i := range tab.Columns {
-		// Graceful degradation: the stalled runs keep completing
-		// handshakes but never beat the healthy device.
-		if stalled.Values[i] <= 0 || breaker.Values[i] <= 0 {
-			t.Fatalf("col %s: degraded CPS zero: %v / %v", tab.Columns[i], stalled.Values, breaker.Values)
-		}
-		if stalled.Values[i] >= healthy.Values[i] {
-			t.Fatalf("col %s: stalled %.0f not below healthy %.0f", tab.Columns[i], stalled.Values[i], healthy.Values[i])
-		}
 	}
 }

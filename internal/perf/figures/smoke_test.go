@@ -69,12 +69,8 @@ func TestAllGeneratorsSmoke(t *testing.T) {
 		{"fig12a", 3},
 		{"fig12b", 0},
 		{"fig12c", 3},
-		{"degraded", 0},
-		{"overload", 0},
 		{"blackbox", 0},
 		{"notify-parity", 0},
-		{"shard", 0},
-		{"recovery", 0},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -22,10 +22,11 @@ const (
 	ImplStack
 )
 
-// Config selects one offload configuration for a model run: the shared
+// Config selects one offload configuration for a model run of the
+// paper's testbed (§5.1: one QAT card in one server): the shared
 // offload.Policy — the same value the live stack's server.RunConfig
 // embeds, so the two stacks cannot name a configuration differently —
-// plus the model-only scenario knobs.
+// plus the model-only knobs.
 type Config struct {
 	// Policy is the offload configuration proper; its fields are promoted
 	// (cfg.UseQAT, cfg.Async, cfg.Poll.Interval, ...). Unset poll
@@ -36,57 +37,6 @@ type Config struct {
 	Impl AsyncImpl
 	// Workers is the number of event-loop workers (HT cores).
 	Workers int
-	// Fault, when non-nil, injects a device-degradation scenario — the
-	// discrete-event counterpart of the internal/fault subsystem.
-	Fault *FaultScenario
-	// Overload, when non-nil, arms admission control: new connections are
-	// shed (TCP reset at accept) while the target worker's in-flight
-	// offloads or connection count exceed the policy's pressure points —
-	// the discrete-event counterpart of the live stack's accept-time
-	// shedding. Zero fields take the offload defaults.
-	Overload *offload.OverloadPolicy
-	// Devices is the number of modeled QAT cards (default 1 — the
-	// paper's single-card testbed). With more than one, Policy.Placement
-	// selects how workers spread across them — the discrete-event
-	// counterpart of the live stack's qat.Pool sharding.
-	Devices int
-	// DegradeAt, when positive with Devices > 1 and an active Placement,
-	// stalls every engine pool of DegradeDevice that far into the run
-	// (virtual time from model start): the mid-run device-degradation
-	// scenario. Workers detect the stall at submission time and re-route
-	// to a healthy device, so connections complete with bounded latency
-	// instead of hanging.
-	DegradeAt time.Duration
-	// DegradeDevice is the device index DegradeAt stalls.
-	DegradeDevice int
-	// RecoverAt, when positive with DegradeAt armed, un-stalls
-	// DegradeDevice's engine pools that far into the run (virtual time
-	// from model start, so RecoverAt > DegradeAt): the kill → degrade →
-	// recover timeline of the lifecycle's probation re-admission. Workers
-	// route per submission, so traffic returns to the recovered device on
-	// its own — the DES counterpart of re-homing back.
-	RecoverAt time.Duration
-}
-
-// FaultScenario degrades the modeled device and arms the engine-side
-// defenses, mirroring internal/fault + the hardened internal/engine: a
-// stalled engine pool never answers, per-op deadlines convert the hang
-// into a software fallback, and a circuit breaker stops submitting to an
-// instance once enough deadlines have expired.
-type FaultScenario struct {
-	// StalledEndpoints marks the asymmetric engine pools of the first N
-	// endpoints as stalled: submissions to them are accepted but never
-	// complete (a hung computation engine).
-	StalledEndpoints int
-	// OpTimeout is the per-operation deadline after which the worker
-	// abandons a stalled offload and computes the result in software
-	// (default 5 ms when a fault scenario is set).
-	OpTimeout time.Duration
-	// TripThreshold opens a worker's circuit breaker after this many
-	// deadline expirations: subsequent asymmetric ops on the sick
-	// instance skip the doomed submission and go straight to software.
-	// 0 disables the breaker (every op pays the full deadline).
-	TripThreshold int
 }
 
 // The paper's five configurations (§5.1) at a given worker count: the
@@ -153,9 +103,6 @@ type conn struct {
 	start   sim.Time // client-side start (for latency)
 	resumed bool
 	onDone  func(at sim.Time)
-	// fallback is a pending software-fallback CPU burst (set when an
-	// offload deadline expired; paid when the worker next runs the conn).
-	fallback time.Duration
 }
 
 // Stats aggregates a measurement window.
@@ -171,20 +118,6 @@ type Stats struct {
 	Notifications int64
 	RingFulls     int64
 	CPUBusy       time.Duration // summed across workers
-
-	// Degradation counters (zero unless Config.Fault is set).
-	Timeouts    int64 // offload deadlines expired
-	SWFallbacks int64 // ops recomputed in software after a fault
-	Trips       int64 // workers whose circuit breaker is open at window end
-
-	// Sheds counts connections rejected at accept time by the admission
-	// policy (zero unless Config.Overload is set).
-	Sheds int64
-
-	// Reroutes counts offloads diverted away from their preferred device
-	// because its engine pool was stalled (zero unless a multi-device
-	// placement absorbed a degradation).
-	Reroutes int64
 }
 
 func newStats() *Stats {
@@ -196,17 +129,9 @@ type Model struct {
 	sim     *sim.Simulation
 	p       Params
 	cfg     Config
-	shed    offload.OverloadPolicy // resolved admission policy (shedOn)
-	shedOn  bool
 	workers []*worker
-	dev     *device   // devs[0]: the legacy single-device view
-	devs    []*device // all modeled cards, indexed by device
-	// placementOn marks a multi-device placement: workers home on a
-	// hash-picked device and re-route around stalled devices. Off (the
-	// zero Placement or one device), every path is byte-identical to the
-	// single-device model.
-	placementOn bool
-	link        *link
+	dev     *device // the QAT card (nil for software configurations)
+	link    *link
 
 	measuring bool
 	stats     *Stats
@@ -226,55 +151,13 @@ func NewModel(p Params, cfg Config, seed int64) *Model {
 		stats: newStats(),
 		link:  &link{gbps: p.LinkGbps},
 	}
-	if cfg.Overload != nil {
-		m.shed = cfg.Overload.WithDefaults()
-		m.shedOn = true
-	}
 	if cfg.UseQAT {
-		ndev := cfg.Devices
-		if ndev <= 0 {
-			ndev = 1
-		}
-		for d := 0; d < ndev; d++ {
-			m.devs = append(m.devs, newDevice(m.sim, p.Endpoints, p.AsymEnginesPerEndpoint, p.SymEnginesPerEndpoint))
-		}
-		m.dev = m.devs[0]
-		m.placementOn = ndev > 1 && cfg.Placement == offload.PlacementConnHash
-		if sc := cfg.Fault; sc != nil {
-			if sc.OpTimeout <= 0 {
-				sc.OpTimeout = 5 * time.Millisecond
-			}
-			for i := 0; i < sc.StalledEndpoints && i < len(m.dev.endpoints); i++ {
-				m.dev.endpoints[i].asym.stalled = true
-			}
-		}
-		if cfg.DegradeAt > 0 && m.placementOn {
-			dd := cfg.DegradeDevice % ndev
-			m.sim.After(cfg.DegradeAt, func() {
-				for _, ep := range m.devs[dd].endpoints {
-					ep.asym.stalled = true
-					ep.sym.stalled = true
-				}
-			})
-			if cfg.RecoverAt > cfg.DegradeAt {
-				m.sim.After(cfg.RecoverAt, func() {
-					for _, ep := range m.devs[dd].endpoints {
-						ep.asym.stalled = false
-						ep.sym.stalled = false
-					}
-				})
-			}
-		}
+		m.dev = newDevice(m.sim, p.Endpoints, p.AsymEnginesPerEndpoint, p.SymEnginesPerEndpoint)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		w := &worker{m: m, id: i}
+		w := &worker{m: m}
 		if m.dev != nil {
 			w.endpoint = m.dev.endpoints[i%len(m.dev.endpoints)]
-		}
-		if m.placementOn {
-			// Conn-hash homes the whole worker on one hash-picked device.
-			home := m.devs[i%len(m.devs)]
-			w.endpoint = home.endpoints[i%len(home.endpoints)]
 		}
 		if cfg.UseQAT && cfg.Async {
 			w.notif = offload.NewNotifier(cfg.Notify)
@@ -311,18 +194,6 @@ func (m *Model) worker() *worker {
 // dialed connection).
 func (m *Model) StartConn(script []step, resumed bool, onDone func(at sim.Time)) {
 	w := m.worker()
-	if m.shedOn && m.shed.ShedAccept(w.inflight, m.p.RingCapacity, w.alive) {
-		// Admission control: the accept is answered with a TCP reset
-		// before any TLS work is spent. The client learns immediately, so
-		// closed-loop drivers keep cycling instead of hanging.
-		if m.measuring {
-			m.stats.Sheds++
-		}
-		if onDone != nil {
-			onDone(m.sim.Now())
-		}
-		return
-	}
 	c := &conn{
 		w:       w,
 		script:  script,
@@ -353,9 +224,6 @@ func (m *Model) Run(warmup, measure time.Duration) *Stats {
 		if w.busy {
 			m.stats.CPUBusy += time.Duration(m.sim.Now() - w.busyStart)
 			w.busyStart = m.sim.Now() // avoid double counting on reuse
-		}
-		if w.tripped {
-			m.stats.Trips++
 		}
 	}
 	return m.stats
@@ -401,9 +269,6 @@ type enginePool struct {
 	engines int
 	busy    int
 	queue   sim.FIFO[*devReq]
-	// stalled: the pool's engines hang. Requests are swallowed and their
-	// done callback never fires; only the submitter's deadline saves it.
-	stalled bool
 }
 
 type devReq struct {
@@ -435,9 +300,6 @@ func (ep *endpoint) pool(op opClass) *enginePool {
 // (any free engine takes the next queued request).
 func (ep *endpoint) submit(op opClass, service time.Duration, done func(at sim.Time)) {
 	pool := ep.pool(op)
-	if pool.stalled {
-		return // swallowed by the hung engine; done never fires
-	}
 	req := &devReq{service: service, done: done}
 	if pool.busy < pool.engines {
 		pool.start(req)

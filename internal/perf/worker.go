@@ -14,10 +14,8 @@ import (
 // QAT crypto instance, and the CPU accounting from which utilization and
 // throughput emerge.
 type worker struct {
-	m  *Model
-	id int
-	// endpoint is the worker's home endpoint: on device 0, or under a
-	// multi-device placement on the worker's hash-picked device.
+	m *Model
+	// endpoint is the worker's QAT endpoint (its crypto instance).
 	endpoint *endpoint
 
 	queue sim.FIFO[*conn]
@@ -41,13 +39,6 @@ type worker struct {
 
 	// Timer-polling thread preemption debt (ticks landing while busy).
 	stolen time.Duration
-
-	// Pending FD notifications to dispatch after the FD delay.
-	blocked *conn // QAT+S: connection the worker is blocked on
-
-	// Degradation state (Config.Fault).
-	timeoutCnt int  // offload deadlines expired on this instance
-	tripped    bool // circuit breaker open: stop submitting doomed ops
 }
 
 // active returns TCactive = TCalive - TCidle (§4.3).
@@ -107,75 +98,9 @@ func (w *worker) taskBoundary() {
 	w.endBusy()
 }
 
-// stalledOffload reports whether an offload of op from this worker would
-// vanish into a stalled engine pool (Config.Fault scenario).
-func (w *worker) stalledOffload(op opClass) bool {
-	return w.m.cfg.Fault != nil && w.endpoint != nil && op.asym() && w.endpoint.asym.stalled
-}
-
-// routeEndpoint picks the endpoint an offload of op submits to: the
-// worker's home endpoint. Without a multi-device placement that is the
-// exact legacy path, including the Fault scenario's stalled-pool
-// semantics (ops vanish and the deadline rescues them). Under an active
-// placement the op spills pool-wide to the first healthy device when the
-// home pool is stalled — the re-routing that absorbs a mid-run device
-// degradation.
-func (w *worker) routeEndpoint(op opClass) *endpoint {
-	ep := w.endpoint
-	if !w.m.placementOn || !ep.pool(op).stalled {
-		return ep
-	}
-	for _, d := range w.m.devs {
-		cand := d.endpoints[w.id%len(d.endpoints)]
-		if cand != ep && !cand.pool(op).stalled {
-			if w.m.measuring {
-				w.m.stats.Reroutes++
-			}
-			return cand
-		}
-	}
-	return ep // every device degraded: swallowed like a Fault stall
-}
-
-// recordTimeout feeds the circuit breaker after a deadline expiration.
-func (w *worker) recordTimeout() {
-	sc := w.m.cfg.Fault
-	if sc == nil || sc.TripThreshold <= 0 || w.tripped {
-		return
-	}
-	w.timeoutCnt++
-	if w.timeoutCnt >= sc.TripThreshold {
-		w.tripped = true
-	}
-}
-
-// onOpTimeout abandons a stalled async offload: the in-flight counters
-// are settled (the response will never arrive) and the connection is
-// re-queued carrying the op's software cost as a fallback burst.
-func (w *worker) onOpTimeout(c *conn, st step) {
-	w.inflight--
-	if st.op.asym() {
-		w.inflightAsym--
-	}
-	if w.m.measuring {
-		w.m.stats.Timeouts++
-		w.m.stats.SWFallbacks++
-	}
-	w.recordTimeout()
-	c.fallback = st.sw
-	w.enqueue(c)
-}
-
 // processConn executes one connection's script from its current step
 // until it parks (network wait, async offload) or finishes.
 func (w *worker) processConn(c *conn) {
-	if c.fallback > 0 {
-		// Pay a pending software-fallback burst on the worker core.
-		d := c.fallback
-		c.fallback = 0
-		w.m.sim.After(d, func() { w.processConn(c) })
-		return
-	}
 	for {
 		if c.idx >= len(c.script) {
 			w.finishConn(c)
@@ -235,15 +160,6 @@ func (w *worker) processConn(c *conn) {
 				w.m.sim.After(st.sw, func() { w.processConn(c) })
 				return
 			}
-			if w.tripped && w.stalledOffload(st.op) {
-				// Breaker open: skip the doomed submission entirely.
-				if w.m.measuring {
-					w.m.stats.SWFallbacks++
-				}
-				c.idx++
-				w.m.sim.After(st.sw, func() { w.processConn(c) })
-				return
-			}
 			if !w.m.cfg.Async {
 				w.straightOffload(c, st)
 				return
@@ -284,23 +200,9 @@ func (w *worker) finishConn(c *conn) {
 func (w *worker) straightOffload(c *conn, st step) {
 	p := &w.m.p
 	c.idx++
-	if w.stalledOffload(st.op) {
-		// The submission vanishes into the hung engine; the worker stays
-		// blocked until the deadline, then computes in software inline.
-		w.m.sim.After(p.SubmitCost+w.m.cfg.Fault.OpTimeout, func() {
-			if w.m.measuring {
-				w.m.stats.Timeouts++
-				w.m.stats.SWFallbacks++
-			}
-			w.recordTimeout()
-			w.m.sim.After(st.sw, func() { w.processConn(c) })
-		})
-		return
-	}
 	w.m.sim.After(p.SubmitCost, func() {
-		w.blocked = c
 		submitAt := w.now()
-		w.routeEndpoint(st.op).submit(st.op, st.hw, func(at sim.Time) {
+		w.endpoint.submit(st.op, st.hw, func(at sim.Time) {
 			// The response is ready after both engine completion and the
 			// device pipeline latency; the inline busy-poll discovers it
 			// with a small slop.
@@ -310,7 +212,6 @@ func (w *worker) straightOffload(c *conn, st step) {
 			}
 			ready += sim.Time(p.BlockedOpOverhead)
 			w.m.sim.At(ready, func() {
-				w.blocked = nil
 				// Retrieval cost, then continue the same connection —
 				// the worker never yielded.
 				w.m.sim.After(p.PollCost+p.PerResponseCost, func() {
@@ -344,14 +245,8 @@ func (w *worker) asyncOffload(c *conn, st step) {
 	}
 	cost := p.SubmitCost + swap
 	w.m.sim.After(cost, func() {
-		if w.stalledOffload(st.op) {
-			// Swallowed by the hung engine; only the per-op deadline
-			// gets the connection moving again (the done callback below
-			// never fires for a stalled pool).
-			w.m.sim.After(w.m.cfg.Fault.OpTimeout, func() { w.onOpTimeout(c, st) })
-		}
 		submitAt := w.now()
-		w.routeEndpoint(st.op).submit(st.op, st.hw, func(at sim.Time) {
+		w.endpoint.submit(st.op, st.hw, func(at sim.Time) {
 			// Response lands on the instance's response ring once the
 			// pipeline latency has elapsed; it is retrieved by a later
 			// poll — or delivered immediately by a kernel interrupt in

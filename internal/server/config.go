@@ -6,11 +6,11 @@
 // (§3.3/§4.3) and both async event notification schemes (§3.4/§4.4).
 //
 // The offload configuration — polling scheme and thresholds, notification
-// scheme, submit strategy, placement, and the five named
-// configurations — is internal/offload's Policy, the one value this
-// package and the DES performance model (internal/perf) both embed.
-// RunConfig adds only what the live stack alone has: the pause
-// implementation, the hardening ladder, deadlines and admission control.
+// scheme, and the five named configurations — is internal/offload's
+// Policy, the one value this package and the DES performance model
+// (internal/perf) both embed. RunConfig adds only what the live stack
+// alone has: multi-device placement, the pause implementation, the
+// hardening ladder, deadlines and admission control.
 //
 // The five configurations evaluated in the paper:
 //
@@ -35,10 +35,12 @@ import (
 type RunConfig struct {
 	// Policy is the offload configuration proper. Its fields are promoted
 	// (run.UseQAT, run.Poll.AsymThreshold, ...); unset poll parameters
-	// resolve to the offload defaults. Placement selects whether every
-	// worker uses device 0 of Options.Pool (single) or each homes on the
-	// device its hash selects (conn-hash).
+	// resolve to the offload defaults.
 	offload.Policy
+	// Placement selects whether every worker uses device 0 of
+	// Options.Pool (single, the zero value and the paper's setup) or each
+	// homes on the device its hash selects (conn-hash).
+	Placement offload.Placement
 
 	// AsyncMode selects which crypto-pause implementation an async policy
 	// runs: minitls.AsyncModeStack is the state-flag design, anything else

@@ -354,12 +354,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // SizedBodyHandler serves "/<n>" paths with n bytes of deterministic
-// content — the fixed-size file workload of Fig. 10 (ab requesting a
-// fixed file). Bodies are built once and cached, never modified after.
+// content ('a'+i%26) — the fixed-size file workload of Fig. 10 (ab
+// requesting a fixed file). One maxSize body is built at construction
+// and every response is a prefix of it, never modified after, so serving
+// allocates nothing and the set of requested paths cannot grow the heap.
 // Unknown paths 404.
 func SizedBodyHandler(maxSize int) Handler {
-	cache := map[int][]byte{}
-	var mu sync.Mutex
+	body := make([]byte, maxSize)
+	for i := range body {
+		body[i] = byte('a' + i%26)
+	}
 	return func(path string) ([]byte, bool) {
 		if len(path) < 2 || path[0] != '/' {
 			return nil, false
@@ -368,16 +372,6 @@ func SizedBodyHandler(maxSize int) Handler {
 		if err != nil || n < 0 || n > maxSize {
 			return nil, false
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		body, ok := cache[n]
-		if !ok {
-			body = make([]byte, n)
-			for i := range body {
-				body[i] = byte('a' + i%26)
-			}
-			cache[n] = body
-		}
-		return body, true
+		return body[:n:n], true
 	}
 }

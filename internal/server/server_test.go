@@ -4,6 +4,8 @@ package server
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -373,8 +375,81 @@ func TestSizedBodyHandler(t *testing.T) {
 	}
 }
 
+// checkSizedBody fails unless body is the n-byte prefix of the
+// 'a'+i%26 pattern.
+func checkSizedBody(t *testing.T, body []byte, n int) {
+	t.Helper()
+	if len(body) != n {
+		t.Fatalf("len = %d, want %d", len(body), n)
+	}
+	for i, b := range body {
+		if b != byte('a'+i%26) {
+			t.Fatalf("size %d: byte %d = %q, want %q", n, i, b, 'a'+i%26)
+		}
+	}
+}
+
+// The handler takes its size from the network, so no size may cost
+// memory past construction: serving a fresh size every call allocates
+// nothing, and every body is the pattern.
+func TestSizedBodyHandlerAllocations(t *testing.T) {
+	const maxSize, perRun, runs = 1 << 16, 16, 100
+	h := SizedBodyHandler(maxSize)
+	paths := make([]string, (runs+1)*perRun) // AllocsPerRun adds a warm-up run
+	for i := range paths {
+		paths[i] = "/" + strconv.Itoa(i*(maxSize/len(paths)))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for range perRun {
+			if _, ok := h(paths[next]); !ok {
+				t.Fatalf("%s refused", paths[next])
+			}
+			next++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("serving %d distinct sizes allocates %v objects per %d, want 0", len(paths), allocs, perRun)
+	}
+	for _, n := range []int{0, 1, 25, 26, 27, 1000, maxSize} {
+		body, ok := h("/" + strconv.Itoa(n))
+		if !ok {
+			t.Fatalf("/%d refused", n)
+		}
+		checkSizedBody(t, body, n)
+	}
+}
+
+// FuzzSizedBodyHandler: a path is served exactly when it is "/" followed
+// by what strconv.Atoi accepts in [0, maxSize], and then with n bytes of
+// the pattern.
+func FuzzSizedBodyHandler(f *testing.F) {
+	const maxSize = 1 << 20
+	for _, path := range []string{"/1", "/100", "/1024", "/4096", "/65536", "/100000",
+		"/262144", "/1048576", "/1048577", "/0", "/-1", "/+5", "/abc", "/12x", "/", "", "12", "//1"} {
+		f.Add(path)
+	}
+	h := SizedBodyHandler(maxSize)
+	f.Fuzz(func(t *testing.T, path string) {
+		body, ok := h(path)
+		n, want := 0, false
+		if rest, found := strings.CutPrefix(path, "/"); found {
+			var err error
+			n, err = strconv.Atoi(rest)
+			want = err == nil && n >= 0 && n <= maxSize
+		}
+		if ok != want {
+			t.Fatalf("h(%q) ok = %v, want %v", path, ok, want)
+		}
+		if ok {
+			checkSizedBody(t, body, n)
+		}
+	})
+}
+
 // The five named configurations are the shared offload policies, in
-// evaluation order, with no live-stack setting on top. (The scheme names
+// evaluation order, with no live-stack setting on top: Placement among
+// them stays single, the paper's one card. (The scheme names
 // themselves are offload's and are tested there.)
 func TestConfigStrings(t *testing.T) {
 	want := offload.Configurations()

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 )
@@ -25,53 +24,72 @@ func (t Time) ToDuration() time.Duration { return time.Duration(t) }
 // Seconds returns the timestamp in seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: FIFO among same-time events
-	fn   func()
-	dead bool // cancelled
-	idx  int  // heap index, -1 when popped
+// Timer is a scheduled event; its handle can cancel it.
+type Timer struct {
+	at     Time
+	seq    uint64 // tie-breaker: FIFO among same-time events
+	fn     func()
+	dead   bool // cancelled
+	popped bool // left the heap (fired or discarded)
 }
-
-// Timer is a handle to a scheduled event that can be cancelled.
-type Timer struct{ ev *event }
 
 // Stop cancels the timer. It reports whether the event had not yet fired
 // or been stopped.
 func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.dead || t.ev.idx == -1 {
+	if t == nil || t.fn == nil || t.dead || t.popped {
 		return false
 	}
-	t.ev.dead = true
+	t.dead = true
 	return true
 }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap on (at, seq). seq is unique, so the pop
+// order is a total order: any correct heap fires the same sequence.
+type eventHeap []*Timer
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
+
+func (h *eventHeap) push(ev *Timer) {
 	*h = append(*h, ev)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
+
+func (h *eventHeap) pop() *Timer {
+	q := *h
+	n := len(q) - 1
+	ev := q[0]
+	q[0] = q[n]
+	q[n] = nil
+	q = q[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q
+	ev.popped = true
 	return ev
 }
 
@@ -108,10 +126,10 @@ func (s *Simulation) At(at Time, fn func()) *Timer {
 	if at < s.now {
 		panic("sim: scheduling event in the past")
 	}
-	ev := &event{at: at, seq: s.seq, fn: fn}
+	ev := &Timer{at: at, seq: s.seq, fn: fn}
 	s.seq++
-	heap.Push(&s.events, ev)
-	return &Timer{ev: ev}
+	s.events.push(ev)
+	return ev
 }
 
 // After schedules fn after delay d (clamped to >= 0).
@@ -126,7 +144,7 @@ func (s *Simulation) After(d Duration, fn func()) *Timer {
 // whether an event was executed.
 func (s *Simulation) Step() bool {
 	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(*event)
+		ev := s.events.pop()
 		if ev.dead {
 			continue
 		}
@@ -146,7 +164,7 @@ func (s *Simulation) RunUntil(deadline Time) {
 		// Peek.
 		next := s.events[0]
 		if next.dead {
-			heap.Pop(&s.events)
+			s.events.pop()
 			continue
 		}
 		if next.at > deadline {
