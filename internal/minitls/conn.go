@@ -232,20 +232,15 @@ func (c *Conn) WaitCtx() *asynclib.WaitCtx {
 }
 
 // Release gives back what the connection holds from pools shared across
-// connections: a buffered handshake flight and its keyed MACs. The Conn
+// connections: a buffered handshake flight and its PRF keys. The Conn
 // must not be used afterwards, nor any slice it returned, until Init makes
-// it a new connection. A MAC that an offloaded operation abandoned at its
-// deadline still holds stays with that operation and goes to the garbage
-// collector. Release is for an event loop letting a connection go; a Conn
-// that is simply dropped is collected whole.
+// it a new connection. A PRF key that an offloaded operation abandoned at
+// its deadline still holds stays with that operation and goes to the
+// garbage collector. Release is for an event loop letting a connection go;
+// a Conn that is simply dropped is collected whole.
 func (c *Conn) Release() {
 	c.closed = true
 	c.dropFlight()
-	for _, h := range [2]*halfConn{&c.in, &c.out} {
-		if p, ok := h.prot.(*cbcProtection); ok {
-			p.release()
-		}
-	}
 	if c.isServer {
 		c.hsrv.pre.release()
 		c.hsrv.master.release()

@@ -102,8 +102,8 @@ type keyExporter interface {
 
 func (p *cbcProtection) exportKeys() KeyMaterial {
 	return KeyMaterial{
-		Key:    append([]byte(nil), p.keys.cipherKey...),
-		MACKey: append([]byte(nil), p.keys.macKey...),
+		Key:    append([]byte(nil), p.raw.cipherKey...),
+		MACKey: append([]byte(nil), p.raw.macKey...),
 	}
 }
 

@@ -168,7 +168,7 @@ func finishedMAC13(trafficSecret, transcriptHash []byte) []byte {
 // hmacSHA256 is HMAC-SHA256(key, msg) in a fresh slice, keyed on a pooled
 // MAC.
 func hmacSHA256(key, msg []byte) []byte {
-	m := prf.GetHMAC(prf.SHA256, key)
+	m := prf.GetHMAC(key)
 	m.Write(msg)
 	out := m.Sum(make([]byte, 0, sha256.Size))
 	prf.PutHMAC(m)

@@ -1,43 +1,29 @@
 package prf
 
 import (
-	"crypto/sha1"
 	"crypto/sha256"
 	"encoding"
 	"hash"
 	"sync"
 )
 
-// Hash names the digest under a keyed hash.
-type Hash uint8
-
-const (
-	// SHA1 keys the TLS 1.2 CBC suites' record MAC.
-	SHA1 Hash = iota
-	// SHA256 keys the TLS 1.2 PRF, HKDF and the TLS 1.3 Finished and binder
-	// MACs.
-	SHA256
-)
-
-// maxState bounds a digest's marshalled state: SHA-256's is 108 bytes (a
-// 4-byte magic, eight 32-bit words, one 64-byte block and a 64-bit
-// length), SHA-1's 96.
+// maxState bounds SHA-256's marshalled state: a 4-byte magic, eight
+// 32-bit words, one 64-byte block and a 64-bit length.
 const maxState = 108
 
-// blockSize is the block size of both digests.
+// blockSize is SHA-256's block size.
 const blockSize = 64
 
-// HMAC is HMAC (RFC 2104) over SHA-1 or SHA-256, re-keyable in place. It
-// does what crypto/hmac does after its first Reset — the inner and outer
-// digests' states after absorbing key⊕ipad and key⊕opad are saved once
-// per key and restored on Reset and Sum, so a MAC costs the same
-// compressions — but keeping the saved states and its scratch in the
-// value, it allocates nothing once built, however often it is re-keyed.
+// HMAC is HMAC-SHA256 (RFC 2104), re-keyable in place. It does what
+// crypto/hmac does after its first Reset — the inner and outer digests'
+// states after absorbing key⊕ipad and key⊕opad are saved once per key and
+// restored on Reset and Sum, so a MAC costs the same compressions — but
+// keeping the saved states and its scratch in the value, it allocates
+// nothing once built, however often it is re-keyed.
 // GetHMAC and PutHMAC pool them across connections.
 //
 // An HMAC is not safe for concurrent use, and it must not be copied.
 type HMAC struct {
-	h            Hash
 	inner, outer hash.Hash
 	iload, oload encoding.BinaryUnmarshaler // inner and outer, for restoring
 	// ipad and opad are the saved states, backed by istate and ostate (or,
@@ -50,14 +36,9 @@ type HMAC struct {
 	pad [blockSize]byte
 }
 
-// newHMAC builds an HMAC over h keyed with key.
-func newHMAC(h Hash, key []byte) *HMAC {
-	m := &HMAC{h: h}
-	if h == SHA1 {
-		m.inner, m.outer = sha1.New(), sha1.New()
-	} else {
-		m.inner, m.outer = sha256.New(), sha256.New()
-	}
+// newHMAC builds an HMAC keyed with key.
+func newHMAC(key []byte) *HMAC {
+	m := &HMAC{inner: sha256.New(), outer: sha256.New()}
 	m.iload = m.inner.(encoding.BinaryUnmarshaler)
 	m.oload = m.outer.(encoding.BinaryUnmarshaler)
 	m.SetKey(key)
@@ -134,19 +115,19 @@ func (m *HMAC) Sum(b []byte) []byte {
 	return m.outer.Sum(b[:n])
 }
 
-// hmacPools holds idle HMACs, one pool per digest.
-var hmacPools [2]sync.Pool
+// hmacPool holds idle HMACs.
+var hmacPool sync.Pool
 
-// GetHMAC returns an HMAC over h keyed with key, from the pool when one
-// is idle. Give it back with PutHMAC.
-func GetHMAC(h Hash, key []byte) *HMAC {
-	if m, ok := hmacPools[h].Get().(*HMAC); ok {
+// GetHMAC returns an HMAC keyed with key, from the pool when one is idle.
+// Give it back with PutHMAC.
+func GetHMAC(key []byte) *HMAC {
+	if m, ok := hmacPool.Get().(*HMAC); ok {
 		m.SetKey(key)
 		return m
 	}
-	return newHMAC(h, key)
+	return newHMAC(key)
 }
 
 // PutHMAC returns m to the pool. The caller must hold the only reference:
 // nothing may use m afterwards.
-func PutHMAC(m *HMAC) { hmacPools[m.h].Put(m) }
+func PutHMAC(m *HMAC) { hmacPool.Put(m) }

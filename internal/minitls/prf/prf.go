@@ -52,7 +52,7 @@ func NewTLS12Key(secret []byte) *TLS12Key {
 // SetKey keys k with secret, taking an HMAC from the pool if k holds none.
 func (k *TLS12Key) SetKey(secret []byte) {
 	if k.mac == nil {
-		k.mac = GetHMAC(SHA256, secret)
+		k.mac = GetHMAC(secret)
 	} else {
 		k.mac.SetKey(secret)
 	}
@@ -118,7 +118,7 @@ func HKDFExtract(salt, ikm []byte) []byte {
 	if len(salt) == 0 {
 		salt = zeroSalt[:]
 	}
-	mac := GetHMAC(SHA256, salt)
+	mac := GetHMAC(salt)
 	mac.Write(ikm)
 	out := mac.Sum(make([]byte, 0, sha256.Size))
 	PutHMAC(mac)
@@ -133,7 +133,7 @@ func HKDFExpand(prk, info []byte, length int) []byte {
 		panic("prf: HKDF-Expand length too large")
 	}
 	out := make([]byte, 0, (length+n-1)/n*n)
-	mac := GetHMAC(SHA256, prk)
+	mac := GetHMAC(prk)
 	var t []byte // T(0) is empty
 	for ctr := byte(1); len(out) < length; ctr++ {
 		mac.Reset()

@@ -3,16 +3,13 @@ package minitls
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/sha1"
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
-	"qtls/internal/minitls/prf"
+	"qtls/internal/minitls/cbc"
 )
 
 // Record content types.
@@ -158,35 +155,16 @@ type cbcKeys struct {
 	macKey    []byte // 20 bytes (HMAC-SHA1)
 }
 
-// cbcMode is a CBC mode that can be re-keyed with a new IV (every
-// standard-library implementation; crypto/tls relies on the same).
-type cbcMode interface {
-	cipher.BlockMode
-	SetIV([]byte)
-}
-
-// cbcState is the mutable half of a CBC direction: one keyed HMAC, reset
-// per record, and the CBC modes, re-keyed per record with SetIV.
-type cbcState struct {
-	mac      *prf.HMAC
-	enc, dec cbcMode
-	// scratch holds the 13-byte MAC pseudo-header and, on open, the
-	// expected MAC — here so neither escapes to the heap per record.
-	scratch [13 + sha1.Size]byte
-}
-
-// cbcProtection implements TLS 1.2 style AES-CBC with HMAC-SHA1,
-// MAC-then-encrypt with a per-record explicit IV. The AES block is
-// stateless and shared; the mutable state is built with the protection
-// and taken by one execution at a time.
+// cbcProtection implements TLS 1.2 AES-128-CBC with HMAC-SHA1,
+// MAC-then-encrypt with a per-record explicit IV, on package cbc's
+// kernels. Its expanded keys and MAC pad states are held by value and
+// never written after init, so a seal or open may run twice, even at once,
+// with nothing to take or give back. init rewrites them only when a Conn
+// starts a new life, and a Conn with an abandoned op never does
+// (Conn.OpAbandoned).
 type cbcProtection struct {
-	keys  cbcKeys
-	block cipher.Block
-	// busy is set while an execution holds st, and for good once release
-	// has given st's MAC back to the pool. An execution that finds it set
-	// builds a state of its own.
-	busy atomic.Bool
-	st   cbcState
+	raw  cbcKeys // for key export
+	keys cbc.Keys
 }
 
 func newCBCProtection(k cbcKeys) (*cbcProtection, error) {
@@ -200,121 +178,29 @@ func newCBCProtection(k cbcKeys) (*cbcProtection, error) {
 // init keys p in place, replacing whatever it held: a halfConn keeps its
 // CBC protection by value.
 func (p *cbcProtection) init(k cbcKeys) error {
-	if len(k.cipherKey) != 16 || len(k.macKey) != 20 {
-		return errors.New("minitls: bad CBC key lengths")
+	if err := p.keys.Init(k.cipherKey, k.macKey); err != nil {
+		return fmt.Errorf("minitls: CBC keys: %w", err)
 	}
-	block, err := aes.NewCipher(k.cipherKey)
-	if err != nil {
-		return err
-	}
-	*p = cbcProtection{keys: k, block: block}
-	p.st.mac = prf.GetHMAC(prf.SHA1, k.macKey)
+	p.raw = k
 	return nil
 }
 
-// takeState returns p's own state, or a new one keyed from the pool when
-// another execution holds it. Give it back with putState.
-func (p *cbcProtection) takeState() *cbcState {
-	if p.busy.CompareAndSwap(false, true) {
-		return &p.st
-	}
-	return &cbcState{mac: prf.GetHMAC(prf.SHA1, p.keys.macKey)}
-}
-
-// putState ends an execution's hold on st. A state of its own goes back
-// to the pool with its MAC: the execution that built it is its only owner.
-func (p *cbcProtection) putState(st *cbcState) {
-	if st == &p.st {
-		p.busy.Store(false)
-		return
-	}
-	prf.PutHMAC(st.mac)
-}
-
-// release gives the MAC back to the pool once the connection is done with
-// p. An execution still holding the state — a seal abandoned at its op
-// deadline, still running on a device — keeps it, and it goes to the
-// garbage collector with p. Once the MAC is back, every execution builds
-// its own.
-func (p *cbcProtection) release() {
-	if p.busy.CompareAndSwap(false, true) {
-		prf.PutHMAC(p.st.mac)
-		p.st.mac = nil
-	}
-}
-
-func (p *cbcProtection) overhead() int { return aes.BlockSize /*IV*/ + sha1.Size + aes.BlockSize /*pad*/ }
-
-// appendMAC appends the record MAC of payload to dst.
-func (st *cbcState) appendMAC(dst []byte, seq uint64, typ uint8, payload []byte) []byte {
-	hdr := st.scratch[:13]
-	binary.BigEndian.PutUint64(hdr[:8], seq)
-	hdr[8] = typ
-	binary.BigEndian.PutUint16(hdr[9:11], VersionTLS12)
-	binary.BigEndian.PutUint16(hdr[11:13], uint16(len(payload)))
-	st.mac.Reset()
-	st.mac.Write(hdr)
-	st.mac.Write(payload)
-	return st.mac.Sum(dst)
-}
+func (p *cbcProtection) overhead() int { return cbc.Overhead }
 
 func (p *cbcProtection) seal(w *WireBuf, seq uint64, typ uint8, p0, p1 []byte, rnd io.Reader) error {
-	const start = recordHeaderLen + aes.BlockSize // first encrypted byte
-	iv := w.b[recordHeaderLen:start]
-	if _, err := io.ReadFull(rnd, iv); err != nil {
+	rec := w.b[recordHeaderLen:] // explicit IV ‖ payload ‖ MAC ‖ padding
+	if _, err := io.ReadFull(rnd, rec[:cbc.BlockSize]); err != nil {
 		return err
 	}
-	end := w.gather(start, p0, p1)
-	st := p.takeState()
-	end = len(st.appendMAC(w.b[:end], seq, typ, w.b[start:end]))
-	// TLS padding: padLen bytes each holding padLen, plus the length byte
-	// itself; total padded length is a multiple of the block size.
-	padLen := aes.BlockSize - (end-start+1)%aes.BlockSize
-	if padLen == aes.BlockSize {
-		padLen = 0
-	}
-	for i := 0; i <= padLen; i++ {
-		w.b[end] = byte(padLen)
-		end++
-	}
-	if st.enc == nil {
-		st.enc = cipher.NewCBCEncrypter(p.block, iv).(cbcMode)
-	} else {
-		st.enc.SetIV(iv)
-	}
-	st.enc.CryptBlocks(w.b[start:end], w.b[start:end])
-	p.putState(st)
-	w.finish(typ, end)
+	n := w.gather(recordHeaderLen+cbc.BlockSize, p0, p1) - recordHeaderLen - cbc.BlockSize
+	w.finish(typ, recordHeaderLen+p.keys.Seal(rec, n, seq, typ))
 	return nil
 }
 
 func (p *cbcProtection) open(seq uint64, wireTyp uint8, body []byte) (uint8, []byte, error) {
-	if len(body) < 2*aes.BlockSize || len(body)%aes.BlockSize != 0 {
-		return 0, nil, errDecode
-	}
-	iv, plain := body[:aes.BlockSize], body[aes.BlockSize:]
-	st := p.takeState()
-	defer p.putState(st)
-	if st.dec == nil {
-		st.dec = cipher.NewCBCDecrypter(p.block, iv).(cbcMode)
-	} else {
-		st.dec.SetIV(iv)
-	}
-	st.dec.CryptBlocks(plain, plain)
-	padLen := int(plain[len(plain)-1])
-	if padLen+1+sha1.Size > len(plain) {
-		return 0, nil, errors.New("minitls: bad record padding")
-	}
-	for _, b := range plain[len(plain)-1-padLen:] {
-		if int(b) != padLen {
-			return 0, nil, errors.New("minitls: bad record padding")
-		}
-	}
-	plain = plain[:len(plain)-1-padLen]
-	payload, mac := plain[:len(plain)-sha1.Size], plain[len(plain)-sha1.Size:]
-	want := st.appendMAC(st.scratch[13:13], seq, wireTyp, payload)
-	if subtle.ConstantTimeCompare(mac, want) != 1 {
-		return 0, nil, errors.New("minitls: record MAC mismatch")
+	payload, err := p.keys.Open(body, seq, wireTyp)
+	if err != nil {
+		return 0, nil, fmt.Errorf("minitls: %w", err)
 	}
 	return wireTyp, payload, nil
 }

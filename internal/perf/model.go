@@ -98,8 +98,8 @@ type step struct {
 // conn is one modeled TLS connection.
 type conn struct {
 	w       *worker
-	script  []step
-	idx     int
+	script  []step   // shared with every conn of the same spec: read-only
+	idx     int      // the next step of script
 	start   sim.Time // client-side start (for latency)
 	resumed bool
 	onDone  func(at sim.Time)
@@ -136,6 +136,9 @@ type Model struct {
 	measuring bool
 	stats     *Stats
 	nextConn  int
+	// scripts holds one script per spec: BuildScript is a pure function
+	// of the spec and the model's fixed Params.
+	scripts map[ScriptSpec][]step
 }
 
 // NewModel builds a model for one configuration.
@@ -145,11 +148,12 @@ func NewModel(p Params, cfg Config, seed int64) *Model {
 	}
 	cfg.Policy = cfg.Policy.WithDefaults()
 	m := &Model{
-		sim:   sim.New(seed),
-		p:     p,
-		cfg:   cfg,
-		stats: newStats(),
-		link:  &link{gbps: p.LinkGbps},
+		sim:     sim.New(seed),
+		p:       p,
+		cfg:     cfg,
+		stats:   newStats(),
+		link:    &link{gbps: p.LinkGbps},
+		scripts: make(map[ScriptSpec][]step),
 	}
 	if cfg.UseQAT {
 		m.dev = newDevice(m.sim, p.Endpoints, p.AsymEnginesPerEndpoint, p.SymEnginesPerEndpoint)
@@ -189,10 +193,15 @@ func (m *Model) worker() *worker {
 	return w
 }
 
-// StartConn introduces a new connection at the current virtual time.
-// start is the client-side initiation time (now - RTT/2 for a freshly
-// dialed connection).
-func (m *Model) StartConn(script []step, resumed bool, onDone func(at sim.Time)) {
+// StartConn introduces a new connection running spec's script at the
+// current virtual time. start is the client-side initiation time (now -
+// RTT/2 for a freshly dialed connection).
+func (m *Model) StartConn(spec ScriptSpec, resumed bool, onDone func(at sim.Time)) {
+	script, ok := m.scripts[spec]
+	if !ok {
+		script = BuildScript(&m.p, spec)
+		m.scripts[spec] = script
+	}
 	w := m.worker()
 	c := &conn{
 		w:       w,

@@ -226,8 +226,7 @@ func (wl STimeWorkload) Install(m *Model) {
 				resumed = true
 			}
 		}
-		script := BuildScript(&m.p, spec)
-		m.StartConn(script, resumed, func(at sim.Time) {
+		m.StartConn(spec, resumed, func(at sim.Time) {
 			m.sim.After(wl.ClientDelay+m.p.RTT/2, launch)
 		})
 	}
@@ -275,8 +274,7 @@ func (wl ABWorkload) Install(m *Model) {
 	}
 	var launch func()
 	launch = func() {
-		script := BuildScript(&m.p, spec)
-		m.StartConn(script, false, func(at sim.Time) {
+		m.StartConn(spec, false, func(at sim.Time) {
 			m.sim.After(m.p.RTT/2, launch)
 		})
 	}
@@ -315,8 +313,7 @@ func (wl LatencyWorkload) Install(m *Model) {
 		// Exponential interarrival via the simulation's deterministic RNG.
 		gap := time.Duration(m.sim.Rand().ExpFloat64() * float64(mean))
 		m.sim.After(gap, func() {
-			script := BuildScript(&m.p, spec)
-			m.StartConn(script, false, nil)
+			m.StartConn(spec, false, nil)
 			clientLoop()
 		})
 	}

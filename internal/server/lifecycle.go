@@ -19,7 +19,11 @@ import (
 // armDeadline arms class for c, replacing whatever deadline was armed.
 // A class with a non-positive timeout disarms instead. Re-arming the
 // same class is suppressed while the deadline would move by less than a
-// wheel tick, so per-read header refreshes cost one comparison.
+// wheel tick, so per-read header refreshes cost one comparison. A
+// deadline no earlier than the conn's live wheel entry keeps that entry:
+// it comes due first and re-inserts itself until dlAt (deadlineWheel.
+// advance), so a keepalive conn holds one entry however many requests it
+// serves. Only an earlier deadline strands the entry for a new one.
 func (w *Worker) armDeadline(c *conn, class offload.DeadlineClass) {
 	d := w.cfg.Deadlines.Timeout(class)
 	if d <= 0 {
@@ -30,10 +34,13 @@ func (w *Worker) armDeadline(c *conn, class offload.DeadlineClass) {
 	if c.dlArmed && c.dlClass == class && deadline.Sub(c.dlAt) < w.wheel.tick {
 		return
 	}
-	c.dlGen++ // strands the previous wheel entry
 	c.dlArmed = true
 	c.dlClass = class
 	c.dlAt = deadline
+	if !c.dlDue.IsZero() && !deadline.Before(c.dlDue) {
+		return
+	}
+	c.dlGen++ // strands the previous wheel entry
 	w.wheel.add(c)
 }
 
@@ -42,6 +49,7 @@ func (w *Worker) disarmDeadline(c *conn) {
 	if c.dlArmed {
 		c.dlArmed = false
 		c.dlGen++
+		c.dlDue = time.Time{}
 	}
 }
 

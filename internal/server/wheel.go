@@ -15,10 +15,12 @@ import (
 // must cost nothing.
 //
 // Cancellation is lazy: entries carry the generation the connection had
-// when armed, and closing or re-arming bumps the generation, so stale
-// entries are simply skipped when their slot comes around. Deadlines
-// beyond the wheel horizon are clamped to the last slot and re-inserted
-// on expiry until their real deadline is due. Expiry fires up to one
+// when armed, and closing or re-arming to an earlier deadline bumps the
+// generation, so stale entries are simply skipped when their slot comes
+// around. A re-arm to a later deadline keeps the live entry, and
+// deadlines beyond the wheel horizon are clamped to the last slot: either
+// way an entry that comes due early is re-inserted until its connection's
+// real deadline is due, so a connection holds one live entry. Expiry fires up to one
 // tick late — lifecycle deadlines are seconds-coarse, so a 25 ms tick
 // (offload.DefaultDeadlineTick) is far below their noise floor.
 type deadlineWheel struct {
@@ -51,10 +53,11 @@ func newDeadlineWheel(tick time.Duration, now time.Time) *deadlineWheel {
 	}
 }
 
-// add arms c's current deadline (c.dlAt, under generation c.dlGen).
-// Deadlines are rounded up to the next tick boundary so an entry never
-// fires before its time; deadlines beyond the horizon land in the rim
-// slot and re-insert on expiry.
+// add arms c's current deadline (c.dlAt, under generation c.dlGen) and
+// records when the entry comes due in c.dlDue. Deadlines are rounded up
+// to the next tick boundary so an entry never fires before its time;
+// deadlines beyond the horizon land in the rim slot and re-insert on
+// expiry.
 func (dw *deadlineWheel) add(c *conn) {
 	ticks := int((c.dlAt.Sub(dw.base) + dw.tick - 1) / dw.tick)
 	if ticks < 1 {
@@ -66,6 +69,7 @@ func (dw *deadlineWheel) add(c *conn) {
 	idx := (dw.cur + ticks) % len(dw.slots)
 	dw.slots[idx] = append(dw.slots[idx], wheelEntry{c: c, gen: c.dlGen})
 	dw.live++
+	c.dlDue = dw.base.Add(time.Duration(ticks) * dw.tick)
 }
 
 // advance walks the ticks elapsed since the last call, invoking expire
@@ -99,8 +103,9 @@ func (dw *deadlineWheel) advance(now time.Time, expire func(*conn)) {
 			if e.c.closed || !e.c.dlArmed || e.c.dlGen != e.gen {
 				continue // lazily cancelled
 			}
+			e.c.dlDue = time.Time{}
 			if e.c.dlAt.After(dw.base) {
-				dw.add(e.c) // horizon-clamped: not due yet
+				dw.add(e.c) // horizon-clamped or re-armed later: not due yet
 				continue
 			}
 			expire(e.c)

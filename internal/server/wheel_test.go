@@ -5,6 +5,8 @@ package server
 import (
 	"testing"
 	"time"
+
+	"qtls/internal/offload"
 )
 
 // wheelHarness arms synthetic connections on a bare wheel and records
@@ -170,5 +172,71 @@ func TestWheelBulkExpiry(t *testing.T) {
 	}
 	if h.dw.live != 0 {
 		t.Fatalf("live = %d, want 0", h.dw.live)
+	}
+}
+
+// deadlineWorker is a worker with only a wheel and a deadline policy: the
+// header deadline is header, the other classes outlast the wheel horizon
+// as the defaults do.
+func deadlineWorker(tick, header time.Duration) *Worker {
+	w := &Worker{wheel: newDeadlineWheel(tick, time.Now())}
+	w.cfg.Deadlines = offload.DeadlinePolicy{
+		Handshake:  10 * time.Second,
+		Header:     header,
+		Keepalive:  60 * time.Second,
+		WriteStall: 10 * time.Second,
+	}
+	return w
+}
+
+// A keepalive conn that serves 1 000 requests (keepalive → header → write
+// → keepalive each) holds one wheel entry: every re-arm lies past the
+// entry's due time, so the entry stays and only dlAt moves. A re-arm
+// allocates nothing.
+func TestKeepaliveConnHoldsOneWheelEntry(t *testing.T) {
+	w := deadlineWorker(25*time.Millisecond, 10*time.Second)
+	c := new(conn)
+	w.armDeadline(c, offload.DeadlineKeepalive)
+	for i := 0; i < 1000; i++ {
+		w.armDeadline(c, offload.DeadlineHeader)
+		w.armDeadline(c, offload.DeadlineWrite)
+		w.armDeadline(c, offload.DeadlineKeepalive)
+	}
+	if w.wheel.live != 1 {
+		t.Fatalf("%d wheel entries after 1 000 requests, want 1", w.wheel.live)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		w.armDeadline(c, offload.DeadlineHeader)
+		w.armDeadline(c, offload.DeadlineKeepalive)
+	}); n != 0 {
+		t.Errorf("a re-arm allocates %v objects, want 0", n)
+	}
+	// The kept entry comes due at the rim and re-inserts toward the
+	// keepalive deadline instead of firing.
+	var fired int
+	w.wheel.advance(c.dlDue, func(*conn) { fired++ })
+	if fired != 0 || w.wheel.live != 1 || !c.dlDue.After(w.wheel.base) {
+		t.Fatalf("at the rim: fired %d, %d entries live, due %v; want the entry re-inserted", fired, w.wheel.live, c.dlDue)
+	}
+}
+
+// A re-arm from keepalive to a 50 ms header deadline, earlier than the
+// keepalive entry's due time, takes a new entry: it expires within one
+// tick of the header deadline, never before it.
+func TestEarlierRearmExpiresOnTime(t *testing.T) {
+	const tick = 10 * time.Millisecond
+	w := deadlineWorker(tick, 50*time.Millisecond)
+	c := new(conn)
+	w.armDeadline(c, offload.DeadlineKeepalive)
+	w.armDeadline(c, offload.DeadlineHeader)
+	var fired []*conn
+	expire := func(c *conn) { fired = append(fired, c) }
+	w.wheel.advance(c.dlAt.Add(-tick), expire)
+	if len(fired) != 0 {
+		t.Fatal("the header deadline fired a tick early")
+	}
+	w.wheel.advance(c.dlAt.Add(tick), expire)
+	if len(fired) != 1 || fired[0] != c || c.dlClass != offload.DeadlineHeader {
+		t.Fatalf("%d expiries within a tick of the header deadline, want the header's one", len(fired))
 	}
 }

@@ -244,13 +244,15 @@ type life struct {
 	retryQueued bool
 
 	// Deadline-wheel state (see wheel.go): whether a lifecycle deadline is
-	// armed, its class, its absolute time, and the generation counter that
-	// lazily stales old wheel entries on re-arm or close. dlGen carries
+	// armed, its class, its absolute time, when the live wheel entry comes
+	// due (zero when none is live), and the generation counter that lazily
+	// stales old wheel entries on an earlier re-arm or close. dlGen carries
 	// over into the next life, so an entry of an earlier one stays stale.
 	dlArmed bool
 	dlClass offload.DeadlineClass
 	dlGen   uint64
 	dlAt    time.Time
+	dlDue   time.Time
 }
 
 // maxFreeConns bounds a worker's free list: closed conns past it go to the
@@ -850,7 +852,7 @@ func (w *Worker) closeConn(c *conn) {
 	// No epoll_ctl DEL: nc holds the socket's only descriptor, and closing
 	// it takes the socket out of the epoll set.
 	c.nc.Close()
-	// What the TLS state holds from shared pools (keyed MACs, a flight
+	// What the TLS state holds from shared pools (PRF keys, a flight
 	// buffer) goes back now; nothing dereferences it on a closed conn.
 	c.tls.Release()
 	w.Stats.ClosedConns.Add(1)
