@@ -7,11 +7,13 @@
 // It allocates instances like a multi-worker server would, submits a
 // configurable burst of requests of each type, polls them to completion,
 // and prints the resulting counters plus per-instance health/breaker
-// state. A fault scenario (internal/fault spec grammar) can be injected
-// to watch the device degrade:
+// state. A fault spec (internal/fault's language; each device gets its own
+// injector, seeded -fault-seed plus its index) can be injected to watch
+// the device degrade. qatinfo has no schedule driver, so it refuses a
+// timed (t=) statement:
 //
-//	qatinfo -fault 'stall:op=rsa,p=0.2 latency:d=2ms,p=0.5'
-//	qatinfo -fault 'reset:after=500,limit=1'
+//	qatinfo -fault 'stall op=rsa p=0.2; latency d=2ms p=0.5'
+//	qatinfo -fault 'reset after=500 limit=1'
 //
 // The burst is judged by the same health manager a server runs with
 // -lifecycle, and it acts: a device it quarantines is drained by a Reset
@@ -52,7 +54,7 @@ func main() {
 		burst     = flag.Int("burst", 100, "requests of each type per instance")
 		batch     = flag.Int("batch", 1, "submit in batches of this size via SubmitBatch (1 = per-op Submit, >1 = one ring lock and one doorbell per batch)")
 		service   = flag.Duration("service", 50*time.Microsecond, "modeled RSA service time")
-		faultSpec = flag.String("fault", "", "fault scenario, e.g. 'stall:op=rsa,p=0.1' (see internal/fault)")
+		faultSpec = flag.String("fault", "", "fault spec, e.g. 'stall op=rsa p=0.1' (see internal/fault; no t= statements)")
 		faultSeed = flag.Int64("fault-seed", 1, "fault injector RNG seed")
 		deadline  = flag.Duration("op-timeout", 50*time.Millisecond, "drain deadline: give up on stalled requests after this long without progress")
 		flightIn  = flag.String("flight", "", "read a flight-recorder dump (JSON lines) and pretty-print it instead of exercising a device")
@@ -67,22 +69,33 @@ func main() {
 		return
 	}
 
-	inj, err := fault.ParseSpec(*faultSpec, *faultSeed)
-	if err != nil {
-		log.Fatalf("-fault: %v", err)
-	}
 	if *devices < 1 {
 		log.Fatalf("-devices: need at least 1, got %d", *devices)
 	}
-	pool := qat.NewPool(*devices, qat.DeviceSpec{
-		Endpoints:          *endpoints,
-		EnginesPerEndpoint: *engines,
-		RingCapacity:       256,
-		ServiceTime: map[qat.OpType]time.Duration{
-			qat.OpRSA: *service,
-		},
-		Injector: inj,
-	})
+	spec, err := fault.ParseSpec(*faultSpec)
+	if st, timed := spec.Timed(); err == nil && timed {
+		err = fmt.Errorf("%q is timed, and only qtlsserver drives a schedule", st)
+	}
+	if err == nil {
+		err = spec.Check(*devices, *endpoints)
+	}
+	if err != nil {
+		log.Fatalf("-fault: %v", err)
+	}
+	injs := spec.Injectors(*devices, *faultSeed)
+	devs := make([]*qat.Device, *devices)
+	for d := range devs {
+		devs[d] = qat.NewDevice(qat.DeviceSpec{
+			Endpoints:          *endpoints,
+			EnginesPerEndpoint: *engines,
+			RingCapacity:       256,
+			ServiceTime: map[qat.OpType]time.Duration{
+				qat.OpRSA: *service,
+			},
+			Injector: injs[d],
+		})
+	}
+	pool := qat.PoolOf(devs...)
 	defer pool.Close()
 
 	ops := []qat.OpType{qat.OpRSA, qat.OpECDSA, qat.OpECDH, qat.OpPRF, qat.OpCipher}
@@ -117,8 +130,10 @@ func main() {
 	}
 	fmt.Printf("pool: %d device(s) × %d endpoints × %d engines, %d instances allocated\n",
 		*devices, *endpoints, *engines, len(insts))
-	if inj != nil {
-		fmt.Printf("%s\n", inj)
+	for d, inj := range injs {
+		if inj != nil {
+			fmt.Printf("dev%d %s\n", d, inj)
+		}
 	}
 
 	start := time.Now()
@@ -287,11 +302,18 @@ func main() {
 		fmt.Printf("    submitBatches=%d (max %d mean %.1f) doorbells=%d\n",
 			st.SubmitBatches, st.MaxSubmitBatch, meanBatch, st.Doorbells)
 	}
-	if inj != nil {
+	if injs[0] != nil {
+		var total int64
+		var byKind [fault.ResetStorm]int64 // the injector kinds precede ResetStorm
+		for _, inj := range injs {
+			total += inj.TotalInjected()
+			for k := range byKind {
+				byKind[k] += inj.Injected(fault.Kind(k))
+			}
+		}
 		fmt.Printf("\nfaults injected: %d (stall=%d drop=%d corrupt=%d latency=%d ringfull=%d reset=%d); quarantine drains=%d; submit errors=%d response errors=%d leaked slots reclaimed=%d\n",
-			inj.TotalInjected(),
-			inj.Injected(fault.Stall), inj.Injected(fault.Drop), inj.Injected(fault.Corrupt),
-			inj.Injected(fault.Latency), inj.Injected(fault.RingFull), inj.Injected(fault.Reset),
+			total, byKind[fault.Stall], byKind[fault.Drop], byKind[fault.Corrupt],
+			byKind[fault.Latency], byKind[fault.RingFull], byKind[fault.Reset],
 			drains, submitErrs, respErrs, leaked)
 	}
 	fmt.Printf("\ntotal responses: %d (%.0f ops/s)\n",

@@ -17,13 +17,18 @@
 // value, which overrides the internal/offload default (the policy layer
 // shared with the performance model).
 //
-// A fault scenario (internal/fault spec grammar) can be injected into the
-// simulated device to watch the server degrade gracefully instead of
-// hanging; with -lifecycle the health manager routes around the sick
-// instances and devices, and GET /stub_status reports the fault counters
-// and per-instance breaker state:
+// A fault spec (internal/fault's language) can be injected into the
+// simulated devices to watch the server degrade gracefully instead of
+// hanging. Each device has its own injector, seeded 1 plus its index: a
+// statement with dev<N> targets device N, one without targets every
+// device, and a rule's counts (after=, limit=) run per device. With
+// -lifecycle the health manager routes around the sick instances and
+// devices, and GET /stub_status reports the fault counters and
+// per-instance breaker state. A timed statement (t=) opens a fault window
+// or a reset storm that far into the run, and implies -lifecycle:
 //
-//	qtlsserver -fault 'stall:ep=0,op=rsa,p=1' -op-timeout 10ms -lifecycle
+//	qtlsserver -fault 'stall ep=0 op=rsa' -op-timeout 10ms -lifecycle
+//	qtlsserver -devices 2 -placement conn-hash -op-timeout 10ms -fault 't=5s dev1 stall 10s'
 //
 // Clients: cmd/qtlsload, or the examples. Responses are served for paths
 // of the form "/<bytes>" (e.g. GET /65536 returns 64 KiB).
@@ -50,8 +55,9 @@ import (
 )
 
 const (
-	traceSpans = 4096 // span ring capacity per worker
-	faultSeed  = 1    // fault injector RNG seed (device d uses faultSeed+d under -chaos)
+	traceSpans      = 4096 // span ring capacity per worker
+	faultSeed       = 1    // fault injector RNG seed (device d uses faultSeed+d)
+	deviceEndpoints = 3    // endpoints per simulated device (a DH8970 has 3)
 )
 
 // policyFlags are -config and the flags that refine the configuration it
@@ -120,6 +126,31 @@ func (pf *policyFlags) resolve(fs *flag.FlagSet) (run server.RunConfig, workers 
 	return run, workers, err
 }
 
+// parseFault parses -fault and refuses a statement aimed at a device or
+// an endpoint the pool will not have.
+func parseFault(text string, devices int) (fault.Spec, error) {
+	spec, err := fault.ParseSpec(text)
+	if err != nil {
+		return nil, err
+	}
+	return spec, spec.Check(devices, deviceEndpoints)
+}
+
+// newPool builds the simulated devices, each with its own injector:
+// device d's holds the spec's untimed rules for it, seeded faultSeed+d.
+func newPool(spec fault.Spec, devices int) (*qat.Pool, []*fault.Injector) {
+	injs := spec.Injectors(devices, faultSeed)
+	devs := make([]*qat.Device, devices)
+	for d := range devs {
+		devs[d] = qat.NewDevice(qat.DeviceSpec{
+			Endpoints:          deviceEndpoints,
+			EnginesPerEndpoint: 4,
+			Injector:           injs[d],
+		})
+	}
+	return qat.PoolOf(devs...), injs
+}
+
 func main() {
 	var (
 		pf       = addPolicyFlags(flag.CommandLine)
@@ -132,8 +163,7 @@ func main() {
 		flightOn = flag.Bool("flight", false, "enable the black-box flight recorder (serves /debug/flight, windowed _w60s metrics, anomaly + SIGQUIT dumps; implies -trace)")
 		sloP99   = flag.Duration("slo-p99", 0, "windowed p99 SLO over the offload phases; exceeding it triggers a flight dump (0 = off; needs -flight)")
 
-		faultSpec = flag.String("fault", "", "device fault scenario, e.g. 'stall:op=rsa,p=0.1' (see internal/fault)")
-		chaosSpec = flag.String("chaos", "", "time-scripted chaos schedule, e.g. 't=5s dev1 stall 10s; t=30s dev0 reset-storm n=4' (implies -lifecycle; per-device injectors)")
+		faultSpec = flag.String("fault", "", "device fault spec, e.g. 'stall op=rsa p=0.1' or 't=5s dev1 stall 10s; t=30s dev0 reset-storm n=4' (see internal/fault; a t= statement implies -lifecycle)")
 		lifecycle = flag.Bool("lifecycle", false, "enable the health manager: per-instance circuit breakers, device quarantine/probation/recovery with live worker re-homing")
 		opTimeout = flag.Duration("op-timeout", 0, "per-op offload deadline before software fallback (0 = off)")
 		maxRetry  = flag.Int("max-retries", 2, "offload retries after retryable device errors")
@@ -211,33 +241,21 @@ func main() {
 		ShedFraction: *shedFrac,
 	}
 
-	inj, err := fault.ParseSpec(*faultSpec, faultSeed)
+	spec, err := parseFault(*faultSpec, *devCount)
 	if err != nil {
 		log.Fatalf("-fault: %v", err)
 	}
-	if inj != nil && !run.UseQAT {
+	if spec != nil && !run.UseQAT {
 		log.Fatalf("-fault needs a QAT configuration (got %s)", run.Name)
 	}
-	if inj != nil && *opTimeout <= 0 {
+	if spec != nil && *opTimeout <= 0 {
 		log.Print("warning: -fault without -op-timeout; stalled ops will hang their connections")
 	}
-
-	// A chaos schedule replays timed faults against individual devices, so
-	// each device needs its own injector (the -fault rules, if any, seed
-	// every one). Chaos without the lifecycle manager would leave killed
-	// devices dead forever, so -chaos implies -lifecycle.
-	chaos, err := fault.ParseSchedule(*chaosSpec)
-	if err != nil {
-		log.Fatalf("-chaos: %v", err)
-	}
-	if chaos != nil {
-		if !run.UseQAT {
-			log.Fatalf("-chaos needs a QAT configuration (got %s)", run.Name)
-		}
+	// A timed statement can take a device down for a while; without the
+	// lifecycle manager it would stay out of service for good.
+	_, timed := spec.Timed()
+	if timed {
 		*lifecycle = true
-		if *opTimeout <= 0 {
-			log.Print("warning: -chaos without -op-timeout; stalled ops will hang their connections")
-		}
 	}
 	if *lifecycle {
 		if !run.UseQAT {
@@ -247,33 +265,14 @@ func main() {
 	}
 
 	var pool *qat.Pool
-	var devInjs []*fault.Injector
+	var injs []*fault.Injector
 	if run.UseQAT {
-		spec := qat.DeviceSpec{
-			Endpoints:          3,
-			EnginesPerEndpoint: 4,
-			Injector:           inj,
-		}
-		if chaos != nil {
-			var rules []fault.Rule
-			if inj != nil {
-				rules = inj.Rules()
-			}
-			devs := make([]*qat.Device, *devCount)
-			devInjs = make([]*fault.Injector, *devCount)
-			for d := range devs {
-				devInjs[d] = fault.NewInjector(faultSeed+int64(d), rules...)
-				dspec := spec
-				dspec.Injector = devInjs[d]
-				devs[d] = qat.NewDevice(dspec)
-			}
-			pool = qat.PoolOf(devs...)
-		} else {
-			pool = qat.NewPool(*devCount, spec)
-		}
+		pool, injs = newPool(spec, *devCount)
 		defer pool.Close()
-		if inj != nil {
-			log.Printf("%s", inj)
+		for d, inj := range injs {
+			if inj != nil {
+				log.Printf("dev%d %s", d, inj)
+			}
 		}
 	}
 
@@ -346,28 +345,16 @@ func main() {
 		log.Printf("lifecycle: per-instance breakers, quarantine/probation/recovery on %d device(s), qtls_device_state{dev} on /metrics",
 			pool.Size())
 	}
-	if chaos != nil {
-		log.Printf("chaos: %s (quiet after %s)", chaos, chaos.Duration())
-		chaosCtx, chaosCancel := context.WithCancel(context.Background())
-		defer chaosCancel()
+	if timed {
+		log.Printf("fault schedule: %s (quiet after %s)", spec, spec.Duration())
+		schedCtx, schedCancel := context.WithCancel(context.Background())
+		defer schedCancel()
 		go func() {
-			err := chaos.Apply(chaosCtx,
-				func(dev int) *fault.Injector {
-					if dev >= 0 && dev < len(devInjs) {
-						return devInjs[dev]
-					}
-					return nil
-				},
-				func(dev int) {
-					if dev >= 0 && dev < pool.Size() {
-						pool.Device(dev).Reset()
-					}
-				})
-			if err != nil {
-				log.Printf("chaos: %v", err)
+			if err := spec.Apply(schedCtx, injs, func(dev int) { pool.Device(dev).Reset() }); err != nil {
+				log.Printf("fault schedule: %v", err)
 				return
 			}
-			log.Print("chaos: schedule complete")
+			log.Print("fault schedule: complete")
 		}()
 	}
 	if fr != nil {

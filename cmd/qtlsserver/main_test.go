@@ -3,6 +3,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"qtls/internal/offload"
+	"qtls/internal/qat"
 	"qtls/internal/server"
 )
 
@@ -96,5 +98,74 @@ func TestResolveConfig(t *testing.T) {
 				t.Errorf("run config = %+v", run)
 			}
 		})
+	}
+}
+
+// -fault is checked against the pool at startup: a statement aimed at a
+// device or an endpoint that does not exist would otherwise target
+// nothing without a word.
+func TestParseFault(t *testing.T) {
+	cases := []struct {
+		spec    string
+		devices int
+		wantErr string
+	}{
+		{"dev1 stall", 2, ""},
+		{"t=1s dev1 stall 1s; t=2s reset-storm", 2, ""},
+		{"stall ep=2", 1, ""},
+		{"dev2 stall", 2, "dev2"},
+		{"t=1s dev99 stall 1s", 2, "dev99"},
+		{"t=1s dev1 reset-storm n=2", 1, "dev1"},
+		{"stall ep=3", 1, "ep=3"},
+		{"t=1s dev0 drop 1s ep=7", 2, "ep=7"},
+		{"stall:p=2", 1, "probability"},
+	}
+	for _, tc := range cases {
+		_, err := parseFault(tc.spec, tc.devices)
+		if tc.wantErr == "" && err != nil {
+			t.Errorf("parseFault(%q, %d devices) = %v", tc.spec, tc.devices, err)
+		}
+		if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("parseFault(%q, %d devices) = %v, want an error naming %q", tc.spec, tc.devices, err, tc.wantErr)
+		}
+	}
+}
+
+// Every device has its own injector, so an untimed rule's count runs per
+// device: reset:limit=1 resets each of two devices exactly once, whether
+// or not a timed statement is also present.
+func TestPoolRuleCountsPerDevice(t *testing.T) {
+	for _, text := range []string{"reset:limit=1", "reset:limit=1; t=1h dev1 stall 1s"} {
+		spec, err := parseFault(text, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, _ := newPool(spec, 2)
+		for d := 0; d < pool.Size(); d++ {
+			inst, err := pool.AllocInstance(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resets := 0
+			for i := 0; i < 5; i++ {
+				err := inst.Submit(qat.Request{Op: qat.OpPRF, Work: func() (any, error) { return nil, nil }})
+				if errors.Is(err, qat.ErrDeviceReset) {
+					resets++
+				}
+			}
+			var epResets int64
+			for _, n := range pool.Device(d).Resets() {
+				epResets += n
+			}
+			if resets != 1 || epResets != 1 {
+				t.Errorf("%q: device %d reset %d times (%d endpoint resets), want 1", text, d, resets, epResets)
+			}
+		}
+		pool.Close()
+	}
+	pool, injs := newPool(nil, 2)
+	defer pool.Close()
+	if injs[0] != nil || injs[1] != nil {
+		t.Error("an empty -fault built an injector")
 	}
 }

@@ -12,7 +12,10 @@
 // hanging the handshake, and the health manager routes around the sick
 // instances.
 //
-//	go run ./examples/httpsserver -fault 'stall:op=rsa,p=1' -op-timeout 10ms
+//	go run ./examples/httpsserver -fault 'stall op=rsa' -op-timeout 10ms
+//
+// The example has no schedule driver, so it refuses a timed (t=)
+// statement; qtlsserver -fault runs those.
 package main
 
 import (
@@ -31,7 +34,7 @@ import (
 
 func main() {
 	var (
-		faultSpec = flag.String("fault", "", "device fault scenario, e.g. 'stall:op=rsa,p=1' (see internal/fault)")
+		faultSpec = flag.String("fault", "", "device fault spec, e.g. 'stall op=rsa' (see internal/fault; no t= statements)")
 		opTimeout = flag.Duration("op-timeout", 10*time.Millisecond, "per-op offload deadline before software fallback")
 		doMetrics = flag.Bool("metrics", false, "trace offload phases and print a phase-latency line every 500ms")
 	)
@@ -43,10 +46,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	inj, err := fault.ParseSpec(*faultSpec, 1)
+	spec, err := fault.ParseSpec(*faultSpec)
+	if st, timed := spec.Timed(); err == nil && timed {
+		err = fmt.Errorf("%q is timed, and only qtlsserver drives a schedule", st)
+	}
+	if err == nil {
+		err = spec.Check(1, 3)
+	}
 	if err != nil {
 		log.Fatalf("-fault: %v", err)
 	}
+	inj := spec.Injectors(1, 1)[0]
 	dev := qat.NewDevice(qat.DeviceSpec{Endpoints: 3, EnginesPerEndpoint: 4, Injector: inj})
 	defer dev.Close()
 

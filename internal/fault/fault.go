@@ -14,15 +14,17 @@
 // damage — per-instance circuits, device quarantine — is qat.Lifecycle's
 // job.
 //
-// Fault scenarios are describable as strings ("stall:op=rsa,p=1" …) via
-// ParseSpec, which backs the -fault flags of cmd/qtlsserver, cmd/qatinfo
-// and examples/httpsserver; Schedule scripts them over time (-chaos).
+// Fault scenarios are written in one language (ParseSpec), which backs
+// the -fault flags of cmd/qtlsserver, cmd/qatinfo and examples/httpsserver:
+// a statement is an injector rule, optionally aimed at one device and
+// optionally timed ("t=5s dev1 stall 10s"). The timed statements are a
+// schedule with no clock in it (Spec.Due); Spec.Apply is the thin
+// wall-clock driver that replays them against live injectors.
 package fault
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -49,38 +51,29 @@ const (
 	// Reset: the whole endpoint resets; requests in flight on it fail
 	// with a reset error.
 	Reset
+	// ResetStorm is not an injector rule but a timed burst of whole-device
+	// resets (Statement.Count of them, Statement.Gap apart); it is only
+	// valid in a statement with t=.
+	ResetStorm
 
-	numKinds = 6
+	numKinds = ResetStorm // the injector's kinds
 )
 
-// String returns the canonical (ParseSpec) name of the kind.
+// kindNames are the kinds' names in the fault language.
+var kindNames = [...]string{"stall", "drop", "corrupt", "latency", "ringfull", "reset", "reset-storm"}
+
+// String returns the kind's name in the fault language.
 func (k Kind) String() string {
-	switch k {
-	case Stall:
-		return "stall"
-	case Drop:
-		return "drop"
-	case Corrupt:
-		return "corrupt"
-	case Latency:
-		return "latency"
-	case RingFull:
-		return "ringfull"
-	case Reset:
-		return "reset"
-	default:
+	if k < 0 || int(k) >= len(kindNames) {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
+	return kindNames[k]
 }
 
 // kindByName is the inverse of Kind.String for ParseSpec.
 func kindByName(name string) (Kind, bool) {
-	for k := Kind(0); k < numKinds; k++ {
-		if k.String() == name {
-			return k, true
-		}
-	}
-	return 0, false
+	i := slices.Index(kindNames[:], name)
+	return Kind(i), i >= 0
 }
 
 // AnyEndpoint and AnyOp are wildcard selectors for Rule.
@@ -116,27 +109,6 @@ type Rule struct {
 
 	seen  int // matching opportunities observed
 	fired int // injections performed
-}
-
-func (r Rule) String() string {
-	var parts []string
-	if r.Endpoint != AnyEndpoint {
-		parts = append(parts, fmt.Sprintf("ep=%d", r.Endpoint))
-	}
-	if r.Op != AnyOp && r.Op >= 0 && r.Op < len(opNames) {
-		parts = append(parts, "op="+opNames[r.Op])
-	}
-	parts = append(parts, fmt.Sprintf("p=%g", r.P))
-	if r.Kind == Latency {
-		parts = append(parts, "d="+r.Latency.String())
-	}
-	if r.After > 0 {
-		parts = append(parts, fmt.Sprintf("after=%d", r.After))
-	}
-	if r.Limit > 0 {
-		parts = append(parts, fmt.Sprintf("limit=%d", r.Limit))
-	}
-	return r.Kind.String() + ":" + strings.Join(parts, ",")
 }
 
 // Outcome is the set of faults injected at one decision point. The zero
@@ -225,13 +197,7 @@ func (inj *Injector) roll(p float64) bool {
 // fire evaluates one rule at one opportunity.
 func (inj *Injector) fire(r *Rule) bool {
 	r.seen++
-	if r.seen <= r.After {
-		return false
-	}
-	if r.Limit > 0 && r.fired >= r.Limit {
-		return false
-	}
-	if !inj.roll(r.P) {
+	if r.seen <= r.After || r.Limit > 0 && r.fired >= r.Limit || !inj.roll(r.P) {
 		return false
 	}
 	r.fired++
@@ -241,18 +207,20 @@ func (inj *Injector) fire(r *Rule) bool {
 }
 
 func ruleMatches(r *Rule, endpoint, op int) bool {
-	if r.Endpoint != AnyEndpoint && r.Endpoint != endpoint {
-		return false
-	}
-	if r.Op != AnyOp && r.Op != op {
-		return false
-	}
-	return true
+	return (r.Endpoint == AnyEndpoint || r.Endpoint == endpoint) && (r.Op == AnyOp || r.Op == op)
 }
 
 // AtSubmit is consulted once per submission attempt. Only RingFull and
 // Reset rules apply at this point.
-func (inj *Injector) AtSubmit(endpoint, op int) Outcome {
+func (inj *Injector) AtSubmit(endpoint, op int) Outcome { return inj.decide(endpoint, op, true) }
+
+// AtService is consulted once per request as an engine services it. Only
+// Stall, Drop, Corrupt and Latency rules apply at this point.
+func (inj *Injector) AtService(endpoint, op int) Outcome { return inj.decide(endpoint, op, false) }
+
+// decide evaluates every rule of one phase (submit or service) at one
+// opportunity.
+func (inj *Injector) decide(endpoint, op int, submit bool) Outcome {
 	if inj == nil {
 		return Outcome{}
 	}
@@ -260,13 +228,7 @@ func (inj *Injector) AtSubmit(endpoint, op int) Outcome {
 	defer inj.mu.Unlock()
 	var out Outcome
 	for _, r := range inj.rules {
-		if r.Kind != RingFull && r.Kind != Reset {
-			continue
-		}
-		if !ruleMatches(r, endpoint, op) {
-			continue
-		}
-		if !inj.fire(r) {
+		if (r.Kind == RingFull || r.Kind == Reset) != submit || !ruleMatches(r, endpoint, op) || !inj.fire(r) {
 			continue
 		}
 		if inj.events != nil {
@@ -277,36 +239,6 @@ func (inj *Injector) AtSubmit(endpoint, op int) Outcome {
 			out.RingFull = true
 		case Reset:
 			out.Reset = true
-		}
-	}
-	return out
-}
-
-// AtService is consulted once per request as an engine services it. Only
-// Stall, Drop, Corrupt and Latency rules apply at this point.
-func (inj *Injector) AtService(endpoint, op int) Outcome {
-	if inj == nil {
-		return Outcome{}
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	var out Outcome
-	for _, r := range inj.rules {
-		switch r.Kind {
-		case Stall, Drop, Corrupt, Latency:
-		default:
-			continue
-		}
-		if !ruleMatches(r, endpoint, op) {
-			continue
-		}
-		if !inj.fire(r) {
-			continue
-		}
-		if inj.events != nil {
-			inj.events(r.Kind, endpoint, op)
-		}
-		switch r.Kind {
 		case Stall:
 			out.Stall = true
 		case Drop:
@@ -341,9 +273,7 @@ func (inj *Injector) TotalInjected() int64 {
 }
 
 // AddRule installs one rule at runtime and returns a handle for
-// RemoveRule. This is the chaos-schedule primitive: a Schedule applies a
-// fault window by adding a rule at its start time and removing it when
-// the window closes.
+// RemoveRule: Spec.Apply opens a timed statement's window with it.
 func (inj *Injector) AddRule(r Rule) *Rule {
 	if inj == nil {
 		return nil
@@ -362,149 +292,20 @@ func (inj *Injector) RemoveRule(h *Rule) {
 		return
 	}
 	inj.mu.Lock()
-	for i, r := range inj.rules {
-		if r == h {
-			inj.rules = append(inj.rules[:i], inj.rules[i+1:]...)
-			break
-		}
-	}
+	inj.rules = slices.DeleteFunc(inj.rules, func(r *Rule) bool { return r == h })
 	inj.mu.Unlock()
 }
 
-// Rules returns the injector's rule list (copies, for display).
-func (inj *Injector) Rules() []Rule {
-	if inj == nil {
-		return nil
-	}
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	out := make([]Rule, len(inj.rules))
-	for i, r := range inj.rules {
-		out[i] = *r
-	}
-	return out
-}
-
-// String summarizes the injector for logs.
+// String summarizes the injector for logs: its rules, as statements.
 func (inj *Injector) String() string {
 	if inj == nil {
 		return "fault: none"
 	}
-	rules := inj.Rules()
-	parts := make([]string, len(rules))
-	for i, r := range rules {
-		parts[i] = r.String()
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	parts := make([]string, len(inj.rules))
+	for i, r := range inj.rules {
+		parts[i] = Statement{Rule: *r, Dev: AnyDevice}.String()
 	}
-	return "fault: " + strings.Join(parts, " ")
-}
-
-// ParseSpec parses a fault-scenario string into an Injector. The grammar
-// is a space- or semicolon-separated list of rules,
-//
-//	kind[:key=value[,key=value...]]
-//
-// with kinds stall, drop, corrupt, latency, ringfull, reset and keys
-//
-//	p=<probability 0..1>     (default 1)
-//	ep=<endpoint index ≥ 0>  (default: omitted, any endpoint)
-//	op=<rsa|ecdsa|ecdh|prf|cipher> (default any)
-//	d=<duration>             (latency only, e.g. d=2ms)
-//	after=<n ≥ 0>            (skip the first n opportunities)
-//	limit=<n ≥ 0>            (fire at most n times; 0 = unlimited)
-//
-// Examples:
-//
-//	stall:ep=0,op=rsa,p=1            # endpoint 0 never answers RSA
-//	latency:d=5ms,p=0.2              # 20% of responses 5 ms late
-//	ringfull:p=0.5,limit=100         # transient submit-rejection storm
-//	reset:after=1000,limit=1         # one endpoint reset after 1000 ops
-//
-// An empty spec returns (nil, nil): the free no-fault default. Every rule
-// the grammar accepts renders back (Rule.String) to itself, so an option
-// that String would not print — d= on a kind other than latency, a
-// negative count or endpoint — is refused, naming the option.
-func ParseSpec(spec string, seed int64) (*Injector, error) {
-	fields := strings.FieldsFunc(spec, func(r rune) bool {
-		return r == ' ' || r == ';' || r == '\t' || r == '\n'
-	})
-	if len(fields) == 0 {
-		return nil, nil
-	}
-	var rules []Rule
-	for _, f := range fields {
-		name, args, _ := strings.Cut(f, ":")
-		k, ok := kindByName(strings.ToLower(strings.TrimSpace(name)))
-		if !ok {
-			return nil, fmt.Errorf("fault: unknown kind %q (want one of %s)", name, kindList())
-		}
-		r := Rule{Kind: k, Endpoint: AnyEndpoint, Op: AnyOp, P: 1}
-		if args != "" {
-			for _, kv := range strings.Split(args, ",") {
-				key, val, found := strings.Cut(kv, "=")
-				if !found {
-					return nil, fmt.Errorf("fault: malformed option %q in %q", kv, f)
-				}
-				key = strings.ToLower(strings.TrimSpace(key))
-				val = strings.TrimSpace(val)
-				var err error
-				switch key {
-				case "p":
-					r.P, err = strconv.ParseFloat(val, 64)
-					if err == nil && !(r.P >= 0 && r.P <= 1) { // NaN included
-						err = fmt.Errorf("probability out of [0,1]")
-					}
-				case "ep":
-					r.Endpoint, err = nonNegative(val)
-				case "op":
-					r.Op = -2
-					for i, n := range opNames {
-						if n == strings.ToLower(val) {
-							r.Op = i
-						}
-					}
-					if r.Op == -2 {
-						err = fmt.Errorf("unknown op %q (want %s)", val, strings.Join(opNames, "|"))
-					}
-				case "d":
-					if r.Kind != Latency {
-						err = fmt.Errorf("only latency rules take a duration")
-					} else {
-						r.Latency, err = time.ParseDuration(val)
-					}
-				case "after":
-					r.After, err = nonNegative(val)
-				case "limit":
-					r.Limit, err = nonNegative(val)
-				default:
-					err = fmt.Errorf("unknown option %q", key)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("fault: %s in %q: %v", key, f, err)
-				}
-			}
-		}
-		if r.Kind == Latency && r.Latency <= 0 {
-			return nil, fmt.Errorf("fault: latency rule %q needs d=<duration>", f)
-		}
-		rules = append(rules, r)
-	}
-	return NewInjector(seed, rules...), nil
-}
-
-// nonNegative parses an endpoint index or an opportunity count.
-func nonNegative(val string) (int, error) {
-	n, err := strconv.Atoi(val)
-	if err == nil && n < 0 {
-		err = fmt.Errorf("negative value %d", n)
-	}
-	return n, err
-}
-
-func kindList() string {
-	names := make([]string, numKinds)
-	for k := Kind(0); k < numKinds; k++ {
-		names[k] = k.String()
-	}
-	sort.Strings(names)
-	return strings.Join(names, "|")
+	return "fault: " + strings.Join(parts, "; ")
 }

@@ -131,35 +131,40 @@ func TestSinkMirrorsInjections(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	inj, err := ParseSpec(grammarSpec, 1)
+	spec, err := ParseSpec(grammarSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := inj.Rules()
-	if len(rules) != 4 {
-		t.Fatalf("rules = %d", len(rules))
+	if len(spec) != 4 {
+		t.Fatalf("statements = %d", len(spec))
 	}
-	if rules[0].Kind != Stall || rules[0].Endpoint != 0 || rules[0].Op != 0 || rules[0].P != 1 {
-		t.Fatalf("rule 0 = %+v", rules[0])
+	if r := spec[0]; r.Kind != Stall || r.Endpoint != 0 || r.Op != 0 || r.P != 1 || r.Dev != AnyDevice || r.Timed() {
+		t.Fatalf("statement 0 = %+v", r)
 	}
-	if rules[1].Kind != Latency || rules[1].Latency != 5*time.Millisecond || rules[1].P != 0.2 {
-		t.Fatalf("rule 1 = %+v", rules[1])
+	if r := spec[1]; r.Kind != Latency || r.Latency != 5*time.Millisecond || r.P != 0.2 {
+		t.Fatalf("statement 1 = %+v", r)
 	}
-	if rules[2].Kind != RingFull || rules[2].Limit != 100 {
-		t.Fatalf("rule 2 = %+v", rules[2])
+	if r := spec[2]; r.Kind != RingFull || r.Limit != 100 {
+		t.Fatalf("statement 2 = %+v", r)
 	}
-	if rules[3].Kind != Reset || rules[3].After != 1000 || rules[3].Limit != 1 {
-		t.Fatalf("rule 3 = %+v", rules[3])
+	if r := spec[3]; r.Kind != Reset || r.After != 1000 || r.Limit != 1 {
+		t.Fatalf("statement 3 = %+v", r)
 	}
-	if !strings.Contains(inj.String(), "stall:ep=0,op=rsa,p=1") {
+	inj := spec.Injectors(1, 1)[0]
+	if !strings.Contains(inj.String(), "stall ep=0 op=rsa; latency p=0.2 d=5ms") {
 		t.Fatalf("String = %q", inj.String())
 	}
 }
 
 func TestParseSpecEmpty(t *testing.T) {
-	inj, err := ParseSpec("  ", 1)
-	if err != nil || inj != nil {
-		t.Fatalf("empty spec = %v, %v; want nil, nil", inj, err)
+	spec, err := ParseSpec("  ")
+	if err != nil || spec != nil {
+		t.Fatalf("empty spec = %v, %v; want nil, nil", spec, err)
+	}
+	for _, inj := range spec.Injectors(2, 1) {
+		if inj != nil {
+			t.Fatal("an empty spec built an injector")
+		}
 	}
 }
 
@@ -187,7 +192,7 @@ var (
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, row := range specErrorRows {
-		_, err := ParseSpec(row.spec, 1)
+		_, err := ParseSpec(row.spec)
 		if err == nil {
 			t.Fatalf("spec %q accepted", row.spec)
 		}
@@ -197,9 +202,11 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
-// FuzzParseSpec feeds operator bytes to the -fault grammar: parsing never
-// panics, and every rule a spec yields renders (Rule.String) to a spec
-// that parses back to an equal rule.
+// FuzzParseSpec feeds operator bytes to the fault language: parsing never
+// panics, and every statement a spec yields renders (Statement.String) to
+// text that parses back to an equal statement. It is seeded with both
+// corpora the language grew from (the -fault rules and the chaos
+// schedules) and every spec the docs cite.
 func FuzzParseSpec(f *testing.F) {
 	f.Add(grammarSpec)
 	f.Add("drop")
@@ -209,34 +216,78 @@ func FuzzParseSpec(f *testing.F) {
 	for _, row := range specErrorRows {
 		f.Add(row.spec)
 	}
-	f.Fuzz(func(t *testing.T, spec string) {
-		inj, err := ParseSpec(spec, 1)
+	for _, s := range []string{grammarSchedule, durationSchedule, applySchedule, cancelSchedule} {
+		f.Add(s)
+	}
+	for _, s := range []string{"t=0ms dev1 stall 700ms", "t=0ms dev1 reset-storm n=4 gap=30ms",
+		"t=5s dev1 stall 10s; t=30s dev0 reset-storm n=4 gap=50ms", "t=5s dev1 stall 10s", "t=2s dev1 stall 3s"} {
+		f.Add(s)
+	}
+	for _, s := range emptySchedules {
+		f.Add(s)
+	}
+	for _, c := range scheduleErrorCases {
+		f.Add(c.src)
+	}
+	for _, m := range migrated {
+		f.Add(m.src)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		spec, err := ParseSpec(text)
 		if err != nil {
 			return
 		}
-		for _, r := range inj.Rules() {
-			back, err := ParseSpec(r.String(), 1)
+		spec.Duration()
+		for _, st := range spec {
+			back, err := ParseSpec(st.String())
 			if err != nil {
-				t.Fatalf("%q: rule %+v renders as %q, which does not parse: %v", spec, r, r.String(), err)
+				t.Fatalf("%q: statement %+v renders as %q, which does not parse: %v", text, st, st.String(), err)
 			}
-			if got := back.Rules(); len(got) != 1 || got[0] != r {
-				t.Fatalf("%q: rule %+v renders as %q, which parses to %+v", spec, r, r.String(), got)
+			if len(back) != 1 || back[0] != st {
+				t.Fatalf("%q: statement %+v renders as %q, which parses to %+v", text, st, st.String(), back)
 			}
 		}
 	})
 }
 
-// Defaults: bare kind means p=1, any endpoint, any op.
+// Defaults: bare kind means p=1, any endpoint, any op, every device.
 func TestParseSpecDefaults(t *testing.T) {
-	inj, err := ParseSpec("drop", 1)
+	spec, err := ParseSpec("drop")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := inj.Rules()[0]
-	if r.P != 1 || r.Endpoint != AnyEndpoint || r.Op != AnyOp {
+	r := spec[0]
+	if r.P != 1 || r.Endpoint != AnyEndpoint || r.Op != AnyOp || r.Dev != AnyDevice {
 		t.Fatalf("defaults = %+v", r)
 	}
-	if !inj.AtService(4, 3).Drop {
+	if !spec.Injectors(1, 1)[0].AtService(4, 3).Drop {
 		t.Fatal("bare rule did not fire everywhere")
+	}
+}
+
+// Each device gets its own injector: a statement with dev<N> reaches
+// device N only, one without reaches every device, and device d's
+// injector is seeded seed+d.
+func TestInjectorsPerDevice(t *testing.T) {
+	spec, err := ParseSpec("dev1 drop; corrupt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	injs := spec.Injectors(2, 1)
+	if injs[0].AtService(0, 0).Drop || !injs[1].AtService(0, 0).Drop || !injs[0].AtService(0, 0).Corrupt {
+		t.Fatalf("dev1 drop reached the wrong device: %v / %v", injs[0], injs[1])
+	}
+	if spec.Injectors(1, 7)[0].String() != "fault: corrupt" {
+		t.Fatalf("device 0's injector = %v", spec.Injectors(1, 7)[0])
+	}
+	lossy, err := ParseSpec("drop p=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := lossy.Injectors(2, 7), NewInjector(8, lossy[0].Rule)
+	for i := 0; i < 64; i++ {
+		if a[1].AtService(0, 0) != b.AtService(0, 0) {
+			t.Fatalf("device 1's decision %d differs from an injector seeded 8", i)
+		}
 	}
 }

@@ -254,7 +254,8 @@ func TestEnginePoolIndependence(t *testing.T) {
 	ep.submit(opRSA, 100*time.Microsecond, func(sim.Time) { doneOrder = append(doneOrder, "rsa1") })
 	ep.submit(opRSA, 100*time.Microsecond, func(sim.Time) { doneOrder = append(doneOrder, "rsa2") })
 	ep.submit(opPRF, 10*time.Microsecond, func(sim.Time) { doneOrder = append(doneOrder, "prf") })
-	s.Drain(100)
+	for s.Step() {
+	}
 	// The PRF runs on the sym engine concurrently with rsa1; rsa2 queues.
 	if len(doneOrder) != 3 || doneOrder[0] != "prf" || doneOrder[2] != "rsa2" {
 		t.Fatalf("order = %v, want prf first, rsa2 last", doneOrder)

@@ -19,7 +19,7 @@ import (
 )
 
 // The chaos soak harness: a scripted device kill and recovery driven
-// through fault.Schedule against a live conn-hash sharded server with the
+// through fault.Spec.Apply against a live conn-hash sharded server with the
 // lifecycle manager on. The invariants are the ISSUE's acceptance
 // criteria — zero hung connections, zero leaked inflight ops or
 // goroutines, p99 bounded while the device is quarantined, and CPS back
@@ -111,7 +111,7 @@ func TestChaosSoakKillRecover(t *testing.T) {
 	// Phase 2: scripted kill. A stall window on device 1 leaks ring slots
 	// and suppresses completions — the wedge watchdog (or breaker
 	// density, whichever fires first) must quarantine it.
-	sched, err := fault.ParseSchedule("t=0ms dev1 stall 700ms")
+	sched, err := fault.ParseSpec("t=0ms dev1 stall 700ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +119,7 @@ func TestChaosSoakKillRecover(t *testing.T) {
 	defer cancel()
 	applyDone := make(chan error, 1)
 	go func() {
-		applyDone <- sched.Apply(ctx,
-			func(dev int) *fault.Injector {
-				if dev == 1 {
-					return inj
-				}
-				return nil
-			},
+		applyDone <- sched.Apply(ctx, []*fault.Injector{nil, inj},
 			func(dev int) { pool.Device(dev).Reset() })
 	}()
 
@@ -241,14 +235,14 @@ func TestChaosSoakKillRecover(t *testing.T) {
 	}
 }
 
-// TestChaosSoakResetStorm drives the second grammar action end to end: a
+// TestChaosSoakResetStorm drives the reset-storm statement end to end: a
 // burst of endpoint resets quarantines the device via the reset-storm
 // detector, without any injector rule installed.
 func TestChaosSoakResetStorm(t *testing.T) {
 	srv, pool, _, _ := startChaosServer(t)
 	lc := srv.Lifecycle()
 
-	sched, err := fault.ParseSchedule("t=0ms dev1 reset-storm n=4 gap=30ms")
+	sched, err := fault.ParseSpec("t=0ms dev1 reset-storm n=4 gap=30ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +250,7 @@ func TestChaosSoakResetStorm(t *testing.T) {
 	defer cancel()
 	applyDone := make(chan error, 1)
 	go func() {
-		applyDone <- sched.Apply(ctx, func(int) *fault.Injector { return nil },
+		applyDone <- sched.Apply(ctx, make([]*fault.Injector, pool.Size()),
 			func(dev int) { pool.Device(dev).Reset() })
 	}()
 	loadDone := make(chan loadgen.Result, 1)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"qtls/internal/fault"
 	"qtls/internal/loadgen"
 	"qtls/internal/minitls"
 	"qtls/internal/qat"
@@ -246,5 +247,102 @@ func TestStopDuringActiveHandshakes(t *testing.T) {
 			}
 		}
 		dev.Close()
+	}
+}
+
+// faultedPool builds a one-device pool whose injector runs spec.
+func faultedPool(t *testing.T, text string) *qat.Pool {
+	t.Helper()
+	spec, err := fault.ParseSpec(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := qat.NewDevice(qat.DeviceSpec{Endpoints: 1, EnginesPerEndpoint: 4, RingCapacity: 64,
+		Injector: spec.Injectors(1, 1)[0]})
+	t.Cleanup(dev.Close)
+	return qat.PoolOf(dev)
+}
+
+// Shutdown answers every op the device holds. The first RSA sign's
+// response comes back long after its op deadline: the engine abandons the
+// op and signs in software, the connection completes, and the late
+// response is still in service when the drain finds no connection left.
+// The drained worker polls it off the ring before it tears down, so the
+// device holds nothing afterwards.
+func TestShutdownAnswersLateResponse(t *testing.T) {
+	pool := faultedPool(t, "latency op=rsa d=500ms limit=1")
+	run := ConfigQTLS
+	run.OpTimeout = 20 * time.Millisecond
+	// The drain waits at most OpTimeout + FailoverInterval for the device;
+	// the late response must land inside that bound.
+	run.Poll.FailoverInterval = 2 * time.Second
+	srv, err := New(Options{
+		Addr:    "127.0.0.1:0",
+		Workers: 1,
+		Run:     run,
+		TLS: &minitls.Config{
+			Identity:     identity(t),
+			CipherSuites: []uint16{minitls.TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA},
+		},
+		Pool:    pool,
+		Handler: SizedBodyHandler(1 << 10),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	t.Cleanup(srv.Stop)
+	res := loadgen.STime(loadgen.STimeOptions{
+		Addr:           srv.Addr(),
+		Clients:        1,
+		Duration:       5 * time.Second,
+		RequestPath:    "/1024",
+		MaxConnections: 1,
+	})
+	if res.Connections != 1 || res.Errors != 0 {
+		t.Fatalf("load: %s", res)
+	}
+	if h := pool.Health()[0]; h.Inflight != 1 {
+		t.Fatalf("before shutdown the device holds %+v, want the late RSA response in flight", h)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if h := pool.Health()[0]; h.Inflight != 0 || h.Leaked != 0 {
+		t.Fatalf("device not drained after shutdown: %+v", h)
+	}
+	if n := srv.Stats().DrainReclaimed; n != 0 {
+		t.Fatalf("drain reclaimed %d slots; the late response should have been polled", n)
+	}
+}
+
+// A request the device swallows never comes back. Past the drain bound
+// the worker reclaims its ring slot, counts it, and tears down.
+func TestDrainReclaimsStalledSlots(t *testing.T) {
+	pool := faultedPool(t, "stall")
+	w, err := NewWorker(0, ConfigQTLS, "127.0.0.1:0", &minitls.Config{Identity: identity(t)},
+		pool, SizedBodyHandler(1<<10), nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.shutdown)
+	inst := w.eng.Instances()[0]
+	if err := inst.Submit(qat.Request{Op: qat.OpPRF, Work: func() (any, error) { return nil, nil }}); err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(t, 5*time.Second, func() bool { return inst.Leaked() == 1 }) {
+		t.Fatal("the request never stalled")
+	}
+	if w.drainDevice() {
+		t.Fatal("drained worker tore down while its device held a request, inside the bound")
+	}
+	w.drainBy = time.Now().Add(-time.Nanosecond) // the bound has passed
+	if !w.drainDevice() {
+		t.Fatal("drained worker kept waiting past the bound")
+	}
+	if h := pool.Health()[0]; h.Inflight != 0 || h.Leaked != 0 || w.drainReclaimed.Load() != 1 {
+		t.Fatalf("after the bound: %+v, reclaimed %d; want nothing held and 1 reclaimed", h, w.drainReclaimed.Load())
 	}
 }

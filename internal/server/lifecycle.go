@@ -209,9 +209,48 @@ func (w *Worker) drainStep() bool {
 		}
 		w.closeGracefully(c, trace.TagDrain)
 	}
-	if len(w.conns) > 0 {
+	if len(w.conns) > 0 || !w.drainDevice() {
 		return false
 	}
 	w.fl.Note(flight.KindDrain, flight.DrainDone, trace.OpNone, 0, 0)
+	return true
+}
+
+// drainDevice reports whether the worker's instances hold no request, so
+// a worker with no connections left may tear down. A response to an op
+// the engine already abandoned (past its deadline, or cancelled) can
+// still be in service or on a response ring, and nothing polls the rings
+// once the worker exits; polling here drops it. The wait is bounded by
+// the op deadline plus one failover interval from the first call. Past
+// the bound, the slots stalled requests hold are reclaimed and counted in
+// drainReclaimed, and the worker tears down anyway.
+func (w *Worker) drainDevice() bool {
+	if w.eng == nil {
+		return true
+	}
+	w.eng.Poll(0)
+	insts := w.eng.Instances()
+	held := 0
+	for _, inst := range insts {
+		held += inst.Inflight()
+	}
+	if held == 0 {
+		return true
+	}
+	now := time.Now()
+	if w.drainBy.IsZero() {
+		w.drainBy = now.Add(w.cfg.OpTimeout + w.cfg.Poll.FailoverInterval)
+	}
+	if now.Before(w.drainBy) {
+		// A response landing while the loop parks ends the park.
+		w.armed = insts
+		for _, inst := range insts {
+			inst.ArmWake()
+		}
+		return false
+	}
+	for _, inst := range insts {
+		w.drainReclaimed.Add(int64(inst.ReclaimLeaked()))
+	}
 	return true
 }

@@ -251,7 +251,7 @@ type Stats struct {
 	Accepted, Handshakes, Resumed, Requests, BytesOut int64
 	AsyncEvents, RetryEvents                          int64
 	HeuristicPolls, TimerPolls, FailoverPolls         int64
-	DeadlineWakeups                                   int64
+	DeadlineWakeups, DrainReclaimed                   int64
 	ShedAccepts, ShedKeepalive                        int64
 	DeadlineExpired                                   [offload.NumDeadlineClasses]int64
 	Errors                                            int64
@@ -278,6 +278,7 @@ func (s *Server) Stats() Stats {
 		t.TimerPolls += w.Stats.TimerPolls.Load()
 		t.FailoverPolls += w.Stats.FailoverPolls.Load()
 		t.DeadlineWakeups += w.Stats.DeadlineWakeups.Load()
+		t.DrainReclaimed += w.drainReclaimed.Load()
 		t.ShedAccepts += w.Stats.ShedAccepts.Load()
 		t.ShedKeepalive += w.Stats.ShedKeepalive.Load()
 		for i := range w.Stats.DeadlineExpired {

@@ -30,67 +30,3 @@ func (q *FIFO[T]) Pop() (v T, ok bool) {
 	}
 	return v, true
 }
-
-// Peek returns the head item without removing it.
-func (q *FIFO[T]) Peek() (v T, ok bool) {
-	if q.Len() == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.items[q.head], true
-}
-
-// Clear removes all items.
-func (q *FIFO[T]) Clear() {
-	q.items = q.items[:0]
-	q.head = 0
-}
-
-// Ring is a bounded FIFO with fixed capacity, mirroring a QAT
-// hardware-assisted request/response ring.
-type Ring[T any] struct {
-	buf   []T
-	head  int
-	count int
-}
-
-// NewRing returns a ring with the given capacity (must be > 0).
-func NewRing[T any](capacity int) *Ring[T] {
-	if capacity <= 0 {
-		panic("sim: ring capacity must be positive")
-	}
-	return &Ring[T]{buf: make([]T, capacity)}
-}
-
-// Cap returns the ring capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
-// Len returns the number of occupied slots.
-func (r *Ring[T]) Len() int { return r.count }
-
-// Full reports whether the ring has no free slots.
-func (r *Ring[T]) Full() bool { return r.count == len(r.buf) }
-
-// Put appends v; it reports false when the ring is full.
-func (r *Ring[T]) Put(v T) bool {
-	if r.Full() {
-		return false
-	}
-	r.buf[(r.head+r.count)%len(r.buf)] = v
-	r.count++
-	return true
-}
-
-// Get removes the oldest entry; ok is false when empty.
-func (r *Ring[T]) Get() (v T, ok bool) {
-	if r.count == 0 {
-		var zero T
-		return zero, false
-	}
-	v = r.buf[r.head]
-	var zero T
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) % len(r.buf)
-	r.count--
-	return v, true
-}

@@ -2,9 +2,14 @@ package sim
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
+
+// run executes events until none remain.
+func run(s *Simulation) {
+	for s.Step() {
+	}
+}
 
 func TestEventOrdering(t *testing.T) {
 	s := New(1)
@@ -12,9 +17,7 @@ func TestEventOrdering(t *testing.T) {
 	s.After(30*time.Nanosecond, func() { got = append(got, 3) })
 	s.After(10*time.Nanosecond, func() { got = append(got, 1) })
 	s.After(20*time.Nanosecond, func() { got = append(got, 2) })
-	if !s.Drain(100) {
-		t.Fatal("drain did not complete")
-	}
+	run(s)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -33,27 +36,11 @@ func TestSameTimeFIFO(t *testing.T) {
 		i := i
 		s.At(5, func() { got = append(got, i) })
 	}
-	s.Drain(100)
+	run(s)
 	for i := 0; i < 10; i++ {
 		if got[i] != i {
 			t.Fatalf("same-time events not FIFO: %v", got)
 		}
-	}
-}
-
-func TestTimerStop(t *testing.T) {
-	s := New(1)
-	fired := false
-	tm := s.After(10, func() { fired = true })
-	if !tm.Stop() {
-		t.Fatal("Stop returned false for pending timer")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop returned true")
-	}
-	s.Drain(10)
-	if fired {
-		t.Fatal("cancelled event fired")
 	}
 }
 
@@ -98,29 +85,26 @@ func TestNestedScheduling(t *testing.T) {
 		}
 	}
 	s.After(0, recurse)
-	if !s.Drain(1000) {
-		t.Fatal("drain failed")
-	}
+	run(s)
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
 	}
 }
 
 func TestDeterminism(t *testing.T) {
-	run := func() ([]Time, uint64) {
+	stamps := func() []Time {
 		s := New(42)
 		var stamps []Time
 		for i := 0; i < 200; i++ {
 			d := time.Duration(s.Rand().Intn(1000)) * time.Nanosecond
 			s.After(d, func() { stamps = append(stamps, s.Now()) })
 		}
-		s.Drain(1000)
-		return stamps, s.EventsFired()
+		run(s)
+		return stamps
 	}
-	a, an := run()
-	b, bn := run()
-	if an != bn || len(a) != len(b) {
-		t.Fatalf("nondeterministic event counts: %d vs %d", an, bn)
+	a, b := stamps(), stamps()
+	if len(a) != 200 || len(b) != 200 {
+		t.Fatalf("event counts %d and %d, want 200", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -179,87 +163,4 @@ func TestFIFOInterleaved(t *testing.T) {
 	if next != 500 {
 		t.Fatalf("drained %d items, want 500", next)
 	}
-}
-
-func TestRingBounds(t *testing.T) {
-	r := NewRing[int](3)
-	for i := 0; i < 3; i++ {
-		if !r.Put(i) {
-			t.Fatalf("Put %d failed", i)
-		}
-	}
-	if r.Put(99) {
-		t.Fatal("Put succeeded on full ring")
-	}
-	if !r.Full() {
-		t.Fatal("Full = false")
-	}
-	v, ok := r.Get()
-	if !ok || v != 0 {
-		t.Fatalf("Get = %d,%v", v, ok)
-	}
-	if !r.Put(3) {
-		t.Fatal("Put after Get failed")
-	}
-	want := []int{1, 2, 3}
-	for _, w := range want {
-		v, ok := r.Get()
-		if !ok || v != w {
-			t.Fatalf("Get = %d,%v want %d", v, ok, w)
-		}
-	}
-	if _, ok := r.Get(); ok {
-		t.Fatal("Get on empty succeeded")
-	}
-}
-
-// Property: a Ring behaves exactly like a bounded FIFO queue for any
-// sequence of put/get operations.
-func TestRingMatchesModel(t *testing.T) {
-	f := func(ops []bool, capSeed uint8) bool {
-		capacity := int(capSeed%16) + 1
-		ring := NewRing[int](capacity)
-		var model []int
-		next := 0
-		for _, put := range ops {
-			if put {
-				ok := ring.Put(next)
-				wantOK := len(model) < capacity
-				if ok != wantOK {
-					return false
-				}
-				if ok {
-					model = append(model, next)
-				}
-				next++
-			} else {
-				v, ok := ring.Get()
-				if ok != (len(model) > 0) {
-					return false
-				}
-				if ok {
-					if v != model[0] {
-						return false
-					}
-					model = model[1:]
-				}
-			}
-			if ring.Len() != len(model) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewRingPanicsOnZeroCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewRing[int](0)
 }
